@@ -16,6 +16,7 @@ checks.  Kinds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -23,9 +24,10 @@ from .linalg import (
     Matrix,
     Q0,
     Q1,
+    SpanSolver,
     Subspace,
-    is_zero_vec,
     kernel_rows,
+    lincomb,
     orthocomplement_in,
     rat,
     subspace_intersect,
@@ -33,7 +35,7 @@ from .linalg import (
     vadd,
 )
 from .models import LieModel, ProductModel
-from .parabolic import ParabolicDatum, build_parabolic
+from .parabolic import ParabolicDatum, build_nested, build_parabolic
 from .roots import RootDatum, dynkin_components
 
 
@@ -167,19 +169,9 @@ class SigmaMap:
     images: tuple
 
     def apply(self, solver, x: Sequence) -> tuple:
-        coeffs = solver.coords(x)
-        n = len(self.images[0])
-        out = [Q0] * n
-        for c, img in zip(coeffs, self.images):
-            if c:
-                for t, v in enumerate(img):
-                    if v:
-                        out[t] += c * v
-        return tuple(out)
+        return lincomb(solver.coords(x), self.images, len(self.images[0]))
 
     def validate(self, model: LieModel, domain: Subspace, image: Subspace) -> None:
-        from .linalg import SpanSolver
-
         if len(self.domain_basis) != domain.dim:
             raise ValueError("sigma domain basis does not span the domain")
         img_span = Subspace.span(model.dim, self.images)
@@ -195,8 +187,6 @@ class SigmaMap:
                     raise ValueError("sigma does not preserve the bracket")
 
     def is_theta_equivariant(self, model: LieModel) -> bool:
-        from .linalg import SpanSolver
-
         solver = SpanSolver(self.domain_basis, model.dim)
         for x, img in zip(self.domain_basis, self.images):
             if self.apply(solver, model.theta_apply(x)) != model.theta_apply(img):
@@ -225,19 +215,15 @@ def _sl2_triple(model: LieModel, datum: RootDatum, root) -> tuple:
 
 def _rational_sqrt(x):
     """Exact square root of a positive rational, or None."""
-    num, den = x.numerator, x.denominator
-    rn = _isqrt(num)
-    rd = _isqrt(den)
-    if rn is None or rd is None:
+    rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if rn * rn != x.numerator or rd * rd != x.denominator:
         return None
     return rat(rn, rd)
 
 
-def _isqrt(n: int):
-    import math
-
-    r = math.isqrt(int(n))
-    return r if r * r == n else None
+def _block_translation(pm: ProductModel, j: int, k: int) -> SigmaMap:
+    """The coordinate translation from the j-th factor block onto the k-th."""
+    return SigmaMap(pm.factor_block(j).basis, pm.factor_block(k).basis)
 
 
 def default_cer_sigma(datum: RootDatum, j: int, k: int) -> SigmaMap:
@@ -251,26 +237,17 @@ def default_cer_sigma(datum: RootDatum, j: int, k: int) -> SigmaMap:
     pd_j = build_parabolic(datum, [j])
     pd_k = build_parabolic(datum, [k])
     if isinstance(model, ProductModel):
-        fj = _factor_of_root(model, datum.simple[j])
-        fk = _factor_of_root(model, datum.simple[k])
-        if fj is not None and fk is not None and fj != fk:
-            fac_j, fac_k = model.factors[fj], model.factors[fk]
-            if fac_j.name == fac_k.name and pd_j.s == model.factor_block(fj):
-                dom = [model.embed_vector(fj, v) for v in
-                       (tuple(Q1 if t == i else Q0 for t in range(fac_j.dim)) for i in range(fac_j.dim))]
-                img = [model.embed_vector(fk, v) for v in
-                       (tuple(Q1 if t == i else Q0 for t in range(fac_k.dim)) for i in range(fac_k.dim))]
-                sigma = SigmaMap(tuple(dom), tuple(img))
-                sigma.validate(model, pd_j.s, pd_k.s)
-                return sigma
+        fj = model.factor_of(datum.simple[j].root_vector)
+        fk = model.factor_of(datum.simple[k].root_vector)
+        if (None not in (fj, fk) and fj != fk
+                and model.factors[fj].name == model.factors[fk].name
+                and pd_j.s == model.factor_block(fj)):
+            sigma = _block_translation(model, fj, fk)
+            sigma.validate(model, pd_j.s, pd_k.s)
+            return sigma
     # sl2-triple route for multiplicity (1,0) pairs
-    for idx in (j, k):
-        root = datum.simple[idx]
-        if datum.multiplicity(root) != 1:
-            raise ValueError("no canonical sigma for this pair of boundary algebras")
-        double = tuple(2 * c for c in root.covector)
-        if double in datum.spaces:
-            raise ValueError("no canonical sigma for this pair of boundary algebras")
+    if any(datum.profile(datum.simple[idx]) != (1, 0) for idx in (j, k)):
+        raise ValueError("no canonical sigma for this pair of boundary algebras")
     hj, ej, fj_, cj = _sl2_triple(model, datum, datum.simple[j])
     hk, ek, fk_, ck = _sl2_triple(model, datum, datum.simple[k])
     t = _rational_sqrt(cj / ck)
@@ -286,14 +263,6 @@ def default_cer_sigma(datum: RootDatum, j: int, k: int) -> SigmaMap:
     return sigma
 
 
-def _factor_of_root(model: ProductModel, root) -> Optional[int]:
-    for idx in range(len(model.factors)):
-        start, stop = model.factor_slice(idx)
-        if all(start <= t < stop for t, c in enumerate(root.root_vector) if c):
-            return idx
-    return None
-
-
 def _diagonal_subspace(model: LieModel, sigma: SigmaMap) -> tuple:
     rows = [vadd(x, y) for x, y in zip(sigma.domain_basis, sigma.images)]
     return Subspace.span(model.dim, rows), tuple(rows)
@@ -306,16 +275,11 @@ def make_cer(datum: RootDatum, j: int, k: int, sigma: Optional[SigmaMap] = None)
         raise ValueError("CER needs two distinct simple roots")
     if tuple(sorted((j, k))) in datum.dynkin_edges:
         raise ValueError("CER roots must be orthogonal in the Dynkin diagram")
-    for a, b in ((j, k), (k, j)):
-        ra, rb = datum.simple[a], datum.simple[b]
-        if datum.multiplicity(ra) != datum.multiplicity(rb):
-            raise ValueError("CER multiplicities do not match")
-        da = tuple(2 * c for c in ra.covector)
-        db = tuple(2 * c for c in rb.covector)
-        ma = datum.spaces[da].dim if da in datum.spaces else 0
-        mb = datum.spaces[db].dim if db in datum.spaces else 0
-        if ma != mb:
-            raise ValueError("CER double root multiplicities do not match")
+    profile_j, profile_k = datum.profile(datum.simple[j]), datum.profile(datum.simple[k])
+    if profile_j[0] != profile_k[0]:
+        raise ValueError("CER multiplicities do not match")
+    if profile_j != profile_k:
+        raise ValueError("CER double root multiplicities do not match")
     pd_j = build_parabolic(datum, [j])
     pd_k = build_parabolic(datum, [k])
     if sigma is None:
@@ -345,28 +309,18 @@ def make_factor_diagonal(
     """Whole-factor diagonal {X + sigma X} plus the remaining full factors."""
     if j == k or not (0 <= j < len(pm.factors) and 0 <= k < len(pm.factors)):
         raise ValueError("factor diagonal needs two distinct factor indices")
-    fac_j, fac_k = pm.factors[j], pm.factors[k]
     if sigma is None:
-        if fac_j.name != fac_k.name:
+        if pm.factors[j].name != pm.factors[k].name:
             raise ValueError("no canonical sigma between non-identical factors")
-        dom = [pm.embed_vector(j, tuple(Q1 if t == i else Q0 for t in range(fac_j.dim)))
-               for i in range(fac_j.dim)]
-        img = [pm.embed_vector(k, tuple(Q1 if t == i else Q0 for t in range(fac_k.dim)))
-               for i in range(fac_k.dim)]
-        sigma = SigmaMap(tuple(dom), tuple(img))
+        sigma = _block_translation(pm, j, k)
     sigma.validate(pm, pm.factor_block(j), pm.factor_block(k))
     diag, diag_gens = _diagonal_subspace(pm, sigma)
-    algebra = diag
-    spanning = list(diag_gens)
-    for i in range(len(pm.factors)):
-        if i in (j, k):
-            continue
-        block = pm.factor_block(i)
-        algebra = subspace_sum(algebra, block)
-        spanning.extend(block.basis)
+    rest = pm.other_factor_rows((j, k))
+    algebra = Subspace.span(pm.dim, diag.basis + rest)
+    spanning = diag_gens + rest
     _check_subalgebra(pm, algebra, spanning)
     phi = tuple(i for i, r in enumerate(datum.simple)
-                if _factor_of_root(pm, r) in (j, k))
+                if pm.factor_of(r.root_vector) in (j, k))
     payload = {
         "j": j,
         "k": k,
@@ -376,7 +330,7 @@ def make_factor_diagonal(
         "theta_equivariant": sigma.is_theta_equivariant(pm),
         "factor_level": True,
     }
-    return ActionSpec("CER", pm, phi, algebra, tuple(spanning), payload)
+    return ActionSpec("CER", pm, phi, algebra, spanning, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -422,37 +376,33 @@ def product_assemble(pm: ProductModel, j: int, inner: ActionSpec) -> ActionSpec:
     factor = pm.factors[j]
     if inner.algebra.ambient_dim != factor.dim:
         raise ValueError("inner action does not live on the requested factor")
-    algebra = pm.embed_subspace(j, inner.algebra)
-    spanning = [pm.embed_vector(j, row) for row in inner.spanning]
-    for i in range(len(pm.factors)):
-        if i == j:
-            continue
-        block = pm.factor_block(i)
-        algebra = subspace_sum(algebra, block)
-        spanning.extend(block.basis)
+    rest = pm.other_factor_rows((j,))
+    algebra = Subspace.span(pm.dim, pm.embed_subspace(j, inner.algebra).basis + rest)
+    spanning = tuple(pm.embed_vector(j, row) for row in inner.spanning) + rest
     _check_subalgebra(pm, algebra, spanning)
     payload = {
         "factor": j,
         "inner_kind": inner.kind,
         "_inner": inner,
     }
-    return ActionSpec("Prod", pm, None, algebra, tuple(spanning), payload)
+    return ActionSpec("Prod", pm, None, algebra, spanning, payload)
 
 
 # ---------------------------------------------------------------------------
 # built-in reductive boundary subalgebras
 
 
-def _entries_zero_subspace(model: LieModel, inside: Subspace, positions) -> Subspace:
-    """{x in inside : matrix(x) vanishes at the given positions}."""
-    conditions = []
-    for row in inside.basis:
-        mat = model.matrix(row)
-        conditions.append(tuple(mat.rows[p][q] for p, q in positions))
-    cols = list(zip(*conditions)) if conditions else []
-    ker = kernel_rows([tuple(c) for c in cols], inside.dim) if cols else \
-        [tuple(Q1 if t == i else Q0 for t in range(inside.dim)) for i in range(inside.dim)]
+def _matrix_kernel(model: LieModel, inside: Subspace, condition) -> Subspace:
+    """{x in inside : condition(matrix(x)) = 0} for a linear, tuple-valued condition."""
+    cols = list(zip(*(condition(model.matrix(row)) for row in inside.basis)))
+    ker = kernel_rows(cols, inside.dim)
     return Subspace.span(model.dim, [inside.from_coords(t) for t in ker])
+
+
+def _entries_zero_subspace(model: LieModel, positions) -> Subspace:
+    """{x in g : matrix(x) vanishes at the given positions}."""
+    return _matrix_kernel(model, Subspace.full(model.dim),
+                          lambda mat: tuple(mat.rows[p][q] for p, q in positions))
 
 
 def builtin_cei_catalog(datum: RootDatum, phi: Iterable[int]) -> list:
@@ -474,8 +424,6 @@ def builtin_cei_catalog(datum: RootDatum, phi: Iterable[int]) -> list:
             iso = subspace_intersect(pd.s, model.k_space)
             out.append(("so(2)", iso, tuple(iso.basis)))
         else:
-            from .parabolic import build_nested
-
             psi = phi[:-1]
             nd = build_nested(datum, psi, phi)
             m = len(phi)
@@ -489,21 +437,15 @@ def builtin_cei_catalog(datum: RootDatum, phi: Iterable[int]) -> list:
             jmat[block[2]][block[0]] = -Q1
             jmat[block[3]][block[1]] = -Q1
             jm = Matrix(tuple(tuple(r) for r in jmat))
-            conditions = []
-            for row in pd.s.basis:
-                m_ = model.matrix(row)
-                cond = (m_.transpose() @ jm) + (jm @ m_)
-                conditions.append(cond.flatten())
-            cols = list(zip(*conditions))
-            ker = kernel_rows([tuple(c) for c in cols], pd.s.dim)
-            sp2 = Subspace.span(model.dim, [pd.s.from_coords(t) for t in ker])
+            sp2 = _matrix_kernel(model, pd.s,
+                                 lambda mat: ((mat.transpose() @ jm) + (jm @ mat)).flatten())
             out.append(("sp(2,R)", sp2, tuple(sp2.basis)))
     elif model.name.startswith("so(1,"):
         n = model.matrix_size - 1
         for k in range(0, n - 1):
             cross = [(p, q) for p in range(k + 1) for q in range(k + 1, n + 1)]
             cross += [(q, p) for p, q in cross]
-            sub = _entries_zero_subspace(model, Subspace.full(model.dim), cross)
+            sub = _entries_zero_subspace(model, cross)
             name = f"so({n})" if k == 0 else f"so(1,{k})+so({n - k})"
             out.append((name, sub, tuple(sub.basis)))
     elif model.name.startswith("su(1,"):
@@ -515,11 +457,11 @@ def builtin_cei_catalog(datum: RootDatum, phi: Iterable[int]) -> list:
                 for q in range(k + 1, m):
                     for pp, qq in ((p, q), (q, p)):
                         cross.extend([(pp, qq), (pp, qq + m), (pp + m, qq), (pp + m, qq + m)])
-            sub = _entries_zero_subspace(model, Subspace.full(model.dim), cross)
+            sub = _entries_zero_subspace(model, cross)
             name = f"s(u(1,{k})+u({n - k}))" if k else f"u({n})"
             out.append((name, sub, tuple(sub.basis)))
         imag = [(p, q + m) for p in range(m) for q in range(m)]
-        real_form = _entries_zero_subspace(model, Subspace.full(model.dim), imag)
+        real_form = _entries_zero_subspace(model, imag)
         out.append((f"so(1,{n})", real_form, tuple(real_form.basis)))
     else:
         raise ValueError(f"no built-in reductive catalog for model {model.name}")

@@ -16,17 +16,17 @@ for matching pairs of rank-one boundary pieces.
 coordinate subspace of the top graded piece in the tensor basis plus a
 seeded batch of random subspaces, records the two nilpotent-construction
 conditions for each, and checks every passing candidate's singular-orbit
-tangent against the canonical-extension tangents (closed under block
-coordinate permutations).
+tangent against the canonical-extension tangents of the table's families
+(closed under block coordinate permutations).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from .linalg import Matrix, Q0, Q1, Subspace, subspace_intersect, subspace_sum
+from .linalg import Matrix, Q0, Subspace
 from .models import LieModel, ProductModel, build_sl
 from .actions import (
     ActionSpec,
@@ -126,6 +126,45 @@ def _emit(entries, identities, datum, label, name, boundary, comment, spec,
 # split special linear models
 
 
+def _fh(datum: RootDatum) -> ActionSpec:
+    """The horospherical foliation of one representative line in a."""
+    line = Subspace.span(datum.model.dim, [datum.simple[0].root_vector])
+    return make_fh(datum.model, line)
+
+
+def _named_extension(datum: RootDatum, phi: tuple, name: str) -> ActionSpec:
+    """Canonical extension of the built-in boundary subalgebra called name."""
+    sub, gens = {nm: (s, g) for nm, s, g in builtin_cei_catalog(datum, phi)}[name]
+    return canonical_extend(datum, build_parabolic(datum, phi), sub, gens,
+                            payload={"name": name})
+
+
+def ce_families(datum: RootDatum) -> Iterator[tuple]:
+    """The table's canonical-extension rows for an sl model, in table order,
+    one (label, name, boundary, comment, spec, expected codim) per row."""
+    n = datum.rank
+    # CE row 1: isotropy extension over each single root
+    for j in range(n):
+        yield ("CE-row-1", "so(2)", "RH^2", f"j={j + 1}",
+               _named_extension(datum, (j,), "so(2)"), 2)
+    # CE row 2: Levi-plus-center extension over each interval of length >= 2
+    for j in range(n):
+        for k in range(j + 1, n):
+            name = f"sl({k - j + 1})+R"
+            yield ("CE-row-2", name, f"SL({k - j + 2},R)/SO({k - j + 2})",
+                   f"j={j + 1}, k={k + 1}",
+                   _named_extension(datum, tuple(range(j, k + 1)), name), k - j + 1)
+    # CE row 3: symplectic extension over each three-root interval
+    for j in range(n - 2):
+        yield ("CE-row-3", "sp(2,R)", "SL(4,R)/SO(4)", f"j={j + 1}",
+               _named_extension(datum, (j, j + 1, j + 2), "sp(2,R)"), 3)
+    # CE row 4: diagonal extension over each distant pair
+    for j in range(n):
+        for k in range(j + 2, n):
+            yield ("CE-row-4", "diag sl(2)", "RH^2 x RH^2", f"j={j + 1}, k={k + 1}",
+                   make_cer(datum, j, k), 2)
+
+
 def enumerate_sl(n: int, *, seed: int = 7, samples: int = 32) -> EnumerationResult:
     """Classification table families for the rank-n split special linear model."""
     if not 1 <= n <= MAX_SL_RANK:
@@ -135,88 +174,20 @@ def enumerate_sl(n: int, *, seed: int = 7, samples: int = 32) -> EnumerationResu
     entries: list = []
     identities = _structural_identities(model, datum)
 
-    # FH: one representative line in a
-    line = Subspace.span(model.dim, [datum.simple[0].root_vector])
     _emit(entries, identities, datum, "FH", "(a-line)+n", "-",
-          "one representative line", make_fh(model, line), None, seed, samples)
-
+          "one representative line", _fh(datum), None, seed, samples)
     # FS: one entry per simple root (one line up to orbit equivalence)
     for j in range(n):
         _emit(entries, identities, datum, "FS", "a+(n-line)", "-",
               f"j={j + 1}", make_fs(datum, j), None, seed, samples)
-
-    # CE row 1: isotropy extension over each single root
-    for j in range(n):
-        pd = build_parabolic(datum, [j])
-        (name, sub, gens), = builtin_cei_catalog(datum, [j])
-        spec = canonical_extend(datum, pd, sub, gens,
-                                payload={"name": name})
-        _emit(entries, identities, datum, "CE-row-1", name, "RH^2",
-              f"j={j + 1}", spec, 2, seed, samples)
-
-    # CE row 2: Levi-plus-center extension over each interval of length >= 2
-    for j in range(n):
-        for k in range(j + 1, n):
-            phi = tuple(range(j, k + 1))
-            pd = build_parabolic(datum, phi)
-            cat = dict((nm, (s, g)) for nm, s, g in builtin_cei_catalog(datum, phi))
-            name = f"sl({k - j + 1})+R"
-            sub, gens = cat[name]
-            spec = canonical_extend(datum, pd, sub, gens, payload={"name": name})
-            _emit(entries, identities, datum, "CE-row-2", name,
-                  f"SL({k - j + 2},R)/SO({k - j + 2})",
-                  f"j={j + 1}, k={k + 1}", spec, k - j + 1, seed, samples)
-
-    # CE row 3: symplectic extension over each three-root interval
-    for j in range(n - 2):
-        phi = (j, j + 1, j + 2)
-        pd = build_parabolic(datum, phi)
-        cat = dict((nm, (s, g)) for nm, s, g in builtin_cei_catalog(datum, phi))
-        sub, gens = cat["sp(2,R)"]
-        spec = canonical_extend(datum, pd, sub, gens, payload={"name": "sp(2,R)"})
-        _emit(entries, identities, datum, "CE-row-3", "sp(2,R)", "SL(4,R)/SO(4)",
-              f"j={j + 1}", spec, 3, seed, samples)
-
-    # CE row 4: diagonal extension over each distant pair
-    for j in range(n):
-        for k in range(j + 2, n):
-            spec = make_cer(datum, j, k)
-            _emit(entries, identities, datum, "CE-row-4", "diag sl(2)",
-                  "RH^2 x RH^2", f"j={j + 1}, k={k + 1}", spec, 2, seed, samples)
-
+    for label, name, boundary, comment, spec, codim in ce_families(datum):
+        _emit(entries, identities, datum, label, name, boundary, comment, spec,
+              codim, seed, samples)
     return EnumerationResult(model, datum, entries, identities)
 
 
 # ---------------------------------------------------------------------------
 # products
-
-
-def _rank_one_profile(f_datum: RootDatum):
-    """(mult_alpha, mult_2alpha) when the datum is rank one, else None."""
-    if f_datum.rank != 1:
-        return None
-    coeffs = sorted(f_datum.coeffs[r.covector] for r in f_datum.positive)
-    if coeffs == [(1,)]:
-        alpha = f_datum.root_with_coeff((1,))
-        return f_datum.multiplicity(alpha), 0
-    if coeffs == [(1,), (2,)]:
-        alpha = f_datum.root_with_coeff((1,))
-        two = f_datum.root_with_coeff((2,))
-        return f_datum.multiplicity(alpha), f_datum.multiplicity(two)
-    return None
-
-
-def _factor_simple_indices(pm: ProductModel, datum: RootDatum) -> list:
-    out = [[] for _ in pm.factors]
-    for i, r in enumerate(datum.simple):
-        for idx in range(len(pm.factors)):
-            start, stop = pm.factor_slice(idx)
-            if all(start <= t < stop for t, c in enumerate(r.root_vector) if c):
-                out[idx].append(i)
-                break
-        else:
-            raise ValueError("simple root does not belong to a factor")
-    return out
 
 
 def _complex_structure_on_root_space(factor: LieModel, f_datum: RootDatum):
@@ -281,9 +252,8 @@ def _rank_one_nc_subspaces(factor: LieModel, f_datum: RootDatum, profile) -> lis
     return out
 
 
-def _boundary_name(factor: LieModel, profile) -> str:
-    if profile is None:
-        return factor.name
+def _hyperbolic_name(profile: tuple) -> str:
+    """RH^n or CH^n: the rank-one space of a root with profile (m_a, m_2a)."""
     m_a, m_2a = profile
     if m_2a == 0:
         return f"RH^{m_a + 1}"
@@ -296,9 +266,13 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
     entries: list = []
     identities = _structural_identities(pm, datum)
     skipped: list = []
-    factor_indices = _factor_simple_indices(pm, datum)
+    owners = [pm.factor_of(r.root_vector) for r in datum.simple]
+    if None in owners:
+        raise ValueError("simple root does not belong to a factor")
+    factor_indices = [[i for i, o in enumerate(owners) if o == idx]
+                      for idx in range(len(pm.factors))]
     f_data = [decompose(f) for f in pm.factors]
-    profiles = [_rank_one_profile(fd) for fd in f_data]
+    profiles = [fd.profile(fd.simple[0]) if fd.rank == 1 else None for fd in f_data]
 
     # nested-parabolic spot check per factor
     nested_ok = True
@@ -313,9 +287,8 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
     identities.append(("nested-parabolic-intersection", nested_ok))
 
     # FH once, at product level
-    line = Subspace.span(pm.dim, [datum.simple[0].root_vector])
     _emit(entries, identities, datum, "FH", "(a-line)+n", "-",
-          "one representative line", make_fh(pm, line), None, seed, samples)
+          "one representative line", _fh(datum), None, seed, samples)
 
     multi_factor = len(pm.factors) > 1
 
@@ -330,20 +303,14 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
                   f"{tag}: j={i_root + 1}", make_fs(datum, i_root), None,
                   seed, samples)
             # CEI rows from the built-in reductive catalog
+            rest = pm.other_factor_rows((idx,))
             for name, sub, gens in builtin_cei_catalog(fd, [0]):
-                h = pm.embed_subspace(idx, sub)
-                algebra = h
-                spanning = [pm.embed_vector(idx, g) for g in gens]
-                for i2 in range(len(pm.factors)):
-                    if i2 == idx:
-                        continue
-                    block = pm.factor_block(i2)
-                    algebra = subspace_sum(algebra, block)
-                    spanning.extend(block.basis)
-                spec = ActionSpec("CEI", pm, (i_root,), algebra, tuple(spanning),
+                algebra = Subspace.span(pm.dim, pm.embed_subspace(idx, sub).basis + rest)
+                spanning = tuple(pm.embed_vector(idx, g) for g in gens) + rest
+                spec = ActionSpec("CEI", pm, (i_root,), algebra, spanning,
                                   {"h_phi": algebra, "name": name, "factor": idx})
                 _emit(entries, identities, datum, "CEI", name,
-                      _boundary_name(factor, profile), f"{tag}: {name}", spec,
+                      _hyperbolic_name(profile), f"{tag}: {name}", spec,
                       None, seed, samples)
             # NC rows per protohomogeneous representative
             pd = build_parabolic(datum, [i for i in range(datum.rank) if i != i_root])
@@ -351,7 +318,7 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
                 v = pm.embed_subspace(idx, v_inner)
                 spec = nilpotent_construct(datum, pd, v)
                 _emit(entries, identities, datum, "NC", f"v={desc}",
-                      _boundary_name(factor, profile), f"{tag}: dim v={v.dim}",
+                      _hyperbolic_name(profile), f"{tag}: dim v={v.dim}",
                       spec, None, seed, samples)
         elif factor.name.startswith("sl("):
             inner_result = enumerate_sl(factor.matrix_size - 1, seed=seed,
@@ -375,9 +342,8 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
         for idx_k in range(idx_j + 1, len(pm.factors)):
             for a in factor_indices[idx_j]:
                 for b in factor_indices[idx_k]:
-                    pa = _single_root_profile(datum, a)
-                    pb = _single_root_profile(datum, b)
-                    if pa != pb:
+                    profile = datum.profile(datum.simple[a])
+                    if profile != datum.profile(datum.simple[b]):
                         continue
                     whole_j = profiles[idx_j] is not None
                     whole_k = profiles[idx_k] is not None
@@ -395,27 +361,11 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
                         skipped.append((f"CER[{a + 1},{b + 1}]", str(exc)))
                         continue
                     _emit(entries, identities, datum, "CER",
-                          "diag", _cer_boundary(datum, a), f"j={a + 1}, k={b + 1}",
+                          "diag", f"{_hyperbolic_name(profile)} x {_hyperbolic_name(profile)}",
+                          f"j={a + 1}, k={b + 1}",
                           spec, None, seed, samples)
 
     return EnumerationResult(pm, datum, entries, identities, skipped=skipped)
-
-
-def _single_root_profile(datum: RootDatum, i: int):
-    r = datum.simple[i]
-    m_a = datum.multiplicity(r)
-    double = tuple(2 * c for c in r.covector)
-    m_2a = datum.spaces[double].dim if double in datum.spaces else 0
-    return m_a, m_2a
-
-
-def _cer_boundary(datum: RootDatum, i: int) -> str:
-    m_a, m_2a = _single_root_profile(datum, i)
-    if m_2a == 0:
-        piece = f"RH^{m_a + 1}"
-    else:
-        piece = f"CH^{(m_a // 2) + 1}"
-    return f"{piece} x {piece}"
 
 
 # ---------------------------------------------------------------------------
@@ -448,35 +398,17 @@ def _permutation_maps(model: LieModel, j: int) -> list:
 
 
 def known_extension_tangents(datum: RootDatum, j: int) -> list:
-    """Singular-orbit tangents of all canonical-extension family members,
+    """Singular-orbit tangents of the table's canonical-extension families,
+    each interval also extended from its other end drop psi = phi[1:],
     closed under the block coordinate permutations fixing the grading."""
     model = datum.model
-    n = datum.rank
-    tangents = set()
-
-    def add(spec):
-        tangents.add(orbit_tangent_at_o(model, spec.algebra))
-
-    for a in range(n):
-        pd = build_parabolic(datum, [a])
-        (name, sub, gens), = builtin_cei_catalog(datum, [a])
-        add(canonical_extend(datum, pd, sub, gens))
-    for a in range(n):
-        for b in range(a + 1, n):
-            phi = tuple(range(a, b + 1))
-            pd = build_parabolic(datum, phi)
-            for psi in (phi[:-1], phi[1:]):  # both end drops
-                nd = build_nested(datum, psi, phi)
-                add(canonical_extend(datum, pd, nd.l_np))
-    for a in range(n - 2):
-        phi = (a, a + 1, a + 2)
-        pd = build_parabolic(datum, phi)
-        cat = dict((nm, (s, g)) for nm, s, g in builtin_cei_catalog(datum, phi))
-        sub, gens = cat["sp(2,R)"]
-        add(canonical_extend(datum, pd, sub, gens))
-    for a in range(n):
-        for b in range(a + 2, n):
-            add(make_cer(datum, a, b))
+    specs = []
+    for label, _, _, _, spec, _ in ce_families(datum):
+        specs.append(spec)
+        if label == "CE-row-2":
+            nd = build_nested(datum, spec.phi[1:], spec.phi)
+            specs.append(canonical_extend(datum, build_parabolic(datum, spec.phi), nd.l_np))
+    tangents = {orbit_tangent_at_o(model, spec.algebra) for spec in specs}
 
     out = set(tangents)
     for pmap in _permutation_maps(model, j):

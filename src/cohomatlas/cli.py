@@ -9,7 +9,12 @@ Space grammar::
 real hyperbolic model so(1,n), and ``ch(n)`` the complex hyperbolic model
 su(1,n) (behind the ``--feature su1n`` flag).  Reports are emitted as JSON
 (schema 1) or a markdown table; identical inputs produce byte-identical
-JSON.  The exit status is nonzero iff an exact identity check failed.
+JSON.
+
+Exit status: 0 when every exact check passed, 1 when an exact check failed
+(the report is still written), 2 on bad input (a space outside the grammar
+or its bounds, a missing feature flag, an unsupported option, or a report
+path that cannot be written).
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from .catalog import (
     EnumerationResult,
@@ -49,8 +54,6 @@ class RunConfig:
     seed: int = 7
     samples: int = 32
     nc_search: bool = False
-    output_format: str = "markdown"
-    output_path: Optional[str] = None
     su1n: bool = False
 
 
@@ -132,11 +135,11 @@ def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
     oracle_doc = None
     if single_sl:
         k = spec.factors[0][1]
+        if config.nc_search and k - 1 > MAX_ORACLE_RANK:
+            raise ValueError("the oracle search is desk scale only "
+                             f"(sl(k) with k <= {MAX_ORACLE_RANK + 1})")
         result = enumerate_sl(k - 1, seed=config.seed, samples=config.samples)
         if config.nc_search:
-            if k - 1 > MAX_ORACLE_RANK:
-                raise ValueError("the oracle search is desk scale only "
-                                 f"(sl(k) with k <= {MAX_ORACLE_RANK + 1})")
             oracle_doc = {}
             for j in range(k - 1):
                 sweep = nc_oracle_search(result.datum, j, seed=config.seed,
@@ -231,16 +234,26 @@ def render_markdown(spec: SpaceSpec, config: RunConfig, result: EnumerationResul
     return "\n".join(lines)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="cohomatlas",
         description="Enumerate and verify cohomogeneity one actions on "
                     "noncompact symmetric space models by exact arithmetic.",
+        epilog="exit status: 0 every exact check passed, 1 an exact check failed, "
+               "2 bad input",
     )
     parser.add_argument("--space", required=True,
                         help="space description, e.g. 'sl(4)' or 'rh(3)*rh(3)'")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--samples", type=int, default=32)
+    parser.add_argument("--samples", type=_positive_int, default=32,
+                        help="sample vectors per sampled check (at least 1)")
     parser.add_argument("--nc-search", action="store_true",
                         help="run the brute-force nilpotent-construction oracle")
     parser.add_argument("--format", choices=["json", "markdown"], default="markdown")
@@ -253,8 +266,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         samples=args.samples,
         nc_search=args.nc_search,
-        output_format=args.format,
-        output_path=args.out,
         su1n="su1n" in args.feature,
     )
     try:
@@ -264,12 +275,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = run_result.json_text if config.output_format == "json" else run_result.markdown_text
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    text = run_result.json_text if args.format == "json" else run_result.markdown_text
+    if not args.out:
         sys.stdout.write(text)
+        return run_result.exit_code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return run_result.exit_code
 
 

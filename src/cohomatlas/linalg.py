@@ -11,14 +11,11 @@ equal iff their ``basis`` tuples are equal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction as Rat
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
-
-try:  # optional exact-arithmetic speedup; identical semantics to Fraction
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
 
 Q0 = Rat(0)
 Q1 = Rat(1)
@@ -67,8 +64,50 @@ def is_zero_vec(u) -> bool:
     return all(not a for a in u)
 
 
+def lincomb(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> tuple:
+    """sum(coeffs[i] * rows[i]) as a vector of length n."""
+    out = [Q0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += c * x
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # row reduction
+
+
+def _eliminate(work: list, ncols: int) -> list:
+    """Gauss-Jordan on the first ncols columns of the rows in work, in place.
+
+    Returns the pivot columns; the first len(pivots) rows end up reduced,
+    with pivots 1 and zeros above and below them.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(work):
+            break
+        piv = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = Q1 / work[r][c]
+        if inv != 1:
+            work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def rref_rows(rows: Sequence[Sequence], ncols: int):
@@ -78,30 +117,8 @@ def rref_rows(rows: Sequence[Sequence], ncols: int):
     normalized: pivots are 1 with zeros above and below.
     """
     work = [list(r) for r in rows if not is_zero_vec(r)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = Q1 / work[r][c]
-        if inv != 1:
-            work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    out = [tuple(row) for row in work[:r]]
-    return out, pivots
+    pivots = _eliminate(work, ncols)
+    return [tuple(row) for row in work[:len(pivots)]], pivots
 
 
 def rref_with_transform(rows: Sequence[Sequence], ncols: int):
@@ -110,29 +127,8 @@ def rref_with_transform(rows: Sequence[Sequence], ncols: int):
     Returns (reduced rows incl. zero rows, pivots, T rows).
     """
     m = len(rows)
-    work = [list(r) + [Q1 if j == i else Q0 for j in range(m)] for i, r in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = Q1 / work[r][c]
-        if inv != 1:
-            work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
+    work = [list(r) + list(unit_vec(m, i)) for i, r in enumerate(rows)]
+    pivots = _eliminate(work, ncols)
     reduced = [tuple(row[:ncols]) for row in work]
     transform = [tuple(row[ncols:]) for row in work]
     return reduced, pivots, transform
@@ -240,25 +236,8 @@ class Matrix:
     def flatten(self) -> tuple:
         return tuple(x for r in self.rows for x in r)
 
-    def trace(self):
-        return sum((self.rows[i][i] for i in range(self.nrows)), Q0)
-
-    def rank(self) -> int:
-        _, pivots = rref_rows(self.rows, self.ncols)
-        return len(pivots)
-
-    def kernel(self) -> list:
-        return kernel_rows(self.rows, self.ncols)
-
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.rows)
-
-
-def rref(m: Matrix) -> Matrix:
-    """Unique reduced row echelon form, shape preserved (zero rows kept)."""
-    red, _ = rref_rows(m.rows, m.ncols)
-    pad = [zero_vec(m.ncols)] * (m.nrows - len(red))
-    return Matrix(tuple(red) + tuple(pad))
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +307,7 @@ class Subspace:
         return coeffs
 
     def from_coords(self, coeffs: Sequence) -> tuple:
-        out = [Q0] * self.ambient_dim
-        for c, row in zip(coeffs, self.basis):
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] += c * x
-        return tuple(out)
+        return lincomb(coeffs, self.basis, self.ambient_dim)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -357,17 +330,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     for j in range(u.ambient_dim):
         stacked.append(tuple(u.basis[i][j] for i in range(p)) + tuple(-v.basis[i][j] for i in range(q)))
     ker = kernel_rows(stacked, p + q)
-    vectors = []
-    for k in ker:
-        x = k[:p]
-        w = [Q0] * u.ambient_dim
-        for c, row in zip(x, u.basis):
-            if c:
-                for j, a in enumerate(row):
-                    if a:
-                        w[j] += c * a
-        vectors.append(tuple(w))
-    return Subspace.span(u.ambient_dim, vectors)
+    return Subspace.span(u.ambient_dim, [u.from_coords(k[:p]) for k in ker])
 
 
 def gram(form: Matrix, rows_u: Sequence, rows_v: Sequence) -> list:
@@ -385,7 +348,7 @@ def orthocomplement_in(v: Subspace, w: Subspace, form: Matrix) -> Subspace:
     if not w.contains(v):
         raise ValueError("v is not contained in w")
     gw = gram(form, w.basis, w.basis)
-    red, piv = rref_rows(gw, w.dim)
+    _, piv = rref_rows(gw, w.dim)
     if len(piv) != w.dim:
         raise ValueError("form is degenerate on w")
     if v.dim == 0:
@@ -431,21 +394,7 @@ def solve_inclusion_constraint(
             equations.append(tuple(vdot(images[a][s], n) for a in range(m)))
     ker = kernel_rows(equations, m) if equations else [unit_vec(m, i) for i in range(m)]
     amb = len(candidates[0])
-    out = []
-    for x in ker:
-        w = [Q0] * amb
-        for c, cand in zip(x, candidates):
-            if c:
-                for j, a in enumerate(cand):
-                    if a:
-                        w[j] += c * a
-        out.append(tuple(w))
-    return Subspace.span(amb, out)
-
-
-def apply_to_subspace(mat: Matrix, sub: Subspace) -> Subspace:
-    """Image span of a subspace under a linear map (columns act on vectors)."""
-    return Subspace.span(mat.nrows, [mat.apply(row) for row in sub.basis])
+    return Subspace.span(amb, [lincomb(x, candidates, amb) for x in ker])
 
 
 class SpanSolver:
@@ -458,27 +407,14 @@ class SpanSolver:
         self._reduced = reduced
         self._pivots = pivots
         self._transform = transform
-        self._n = len(rows)
         self._ncols = ncols
 
     def coords(self, v: Sequence) -> tuple:
         """c with v = sum(c[i] * rows[i]); raises if v is outside the span."""
         c = [v[p] for p in self._pivots]
-        rem = list(v)
-        for ci, row in zip(c, self._reduced):
-            if ci:
-                for j, x in enumerate(row):
-                    if x:
-                        rem[j] -= ci * x
-        if not is_zero_vec(rem):
+        if lincomb(c, self._reduced, self._ncols) != tuple(v):
             raise ValueError("vector does not lie in the span")
-        out = [Q0] * self._n
-        for ci, trow in zip(c, self._transform):
-            if ci:
-                for j, t in enumerate(trow):
-                    if t:
-                        out[j] += ci * t
-        return tuple(out)
+        return lincomb(c, self._transform, len(self._pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +467,7 @@ def rational_roots(coeffs: Sequence) -> tuple:
         roots.append(Q0)
         cs = cs[1:]
     while len(cs) > 1:
-        den = 1
-        for c in cs:
-            den = den * c.denominator // _gcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in cs))
         ints = [int(c * den) for c in cs]
         a0, alead = ints[0], ints[-1]
         if a0 == 0:
@@ -557,12 +491,6 @@ def rational_roots(coeffs: Sequence) -> tuple:
         roots.append(found)
         cs = _poly_deflate(cs, found)
     return tuple(roots), True
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def invariant_eigensplit(apply_fn: Callable[[Sequence], tuple], space: Subspace) -> list:

@@ -20,23 +20,20 @@ operation is pure, and models are immutable after construction.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .linalg import (
     Matrix,
     Q0,
     Q1,
+    SpanSolver,
     Subspace,
     invariant_eigensplit,
-    is_zero_vec,
     kernel_rows,
     rat,
-    rref_with_transform,
-    subspace_sum,
+    solve_inclusion_constraint,
     unit_vec,
     vdot,
-    vec,
-    zero_vec,
 )
 
 
@@ -49,15 +46,7 @@ class LieModel:
         self.dim = len(self.basis)
         self.matrix_size = self.basis[0].nrows
 
-        flat = [b.flatten() for b in self.basis]
-        ncols = self.matrix_size * self.matrix_size
-        reduced, pivots, transform = rref_with_transform(flat, ncols)
-        if len(pivots) != self.dim:
-            raise ValueError("model basis is linearly dependent")
-        self._flat = flat
-        self._flat_rref = reduced
-        self._flat_pivots = pivots
-        self._flat_transform = transform
+        self._solver = _basis_solver(self.basis)
 
         self._struct = self._structure_constants()
         self.theta = self._theta_matrix()
@@ -76,7 +65,10 @@ class LieModel:
             n_vectors = self._positive_ad_eigenvectors()
         self.n_space = Subspace.span(self.dim, n_vectors)
 
-        self._iwasawa_inverse = self._iwasawa_basis_inverse()
+        iwasawa = list(self.k_space.basis) + list(self.a_space.basis) + list(self.n_space.basis)
+        if len(iwasawa) != self.dim:
+            raise ValueError("k + a + n does not have full dimension")
+        self._iwasawa = SpanSolver(iwasawa, self.dim)
         self._proj_p = (Matrix.identity(self.dim) - self.theta).scale(rat(1, 2))
         self._proj_k = (Matrix.identity(self.dim) + self.theta).scale(rat(1, 2))
 
@@ -84,24 +76,7 @@ class LieModel:
 
     def coords(self, mat: Matrix) -> tuple:
         """Coordinates of a matrix in the model basis; raises if outside."""
-        flat = mat.flatten()
-        c = [flat[p] for p in self._flat_pivots]
-        # membership: flat must equal c . rref
-        rem = list(flat)
-        for ci, row in zip(c, self._flat_rref):
-            if ci:
-                for j, x in enumerate(row):
-                    if x:
-                        rem[j] -= ci * x
-        if not is_zero_vec(rem):
-            raise ValueError("matrix does not lie in the span of the model basis")
-        out = [Q0] * self.dim
-        for ci, trow in zip(c, self._flat_transform):
-            if ci:
-                for j, t in enumerate(trow):
-                    if t:
-                        out[j] += ci * t
-        return tuple(out)
+        return self._solver.coords(mat.flatten())
 
     def matrix(self, x: Sequence) -> Matrix:
         n = self.matrix_size
@@ -182,16 +157,6 @@ class LieModel:
                 vecs.extend(sp.basis)
         return vecs
 
-    def _iwasawa_basis_inverse(self) -> Matrix:
-        rows = list(self.k_space.basis) + list(self.a_space.basis) + list(self.n_space.basis)
-        if len(rows) != self.dim:
-            raise ValueError("k + a + n does not have full dimension")
-        cols = [[rows[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        reduced, pivots, transform = rref_with_transform(cols, self.dim)
-        if len(pivots) != self.dim:
-            raise ValueError("Iwasawa pieces do not span the model")
-        return Matrix(tuple(transform))
-
     # -- algebra operations --------------------------------------------------
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
@@ -220,12 +185,6 @@ class LieModel:
     def theta_image(self, sub: Subspace) -> Subspace:
         return Subspace.span(self.dim, [self.theta.apply(b) for b in sub.basis])
 
-    def project_p(self, x: Sequence) -> tuple:
-        return self._proj_p.apply(x)
-
-    def project_k(self, x: Sequence) -> tuple:
-        return self._proj_k.apply(x)
-
     def project_p_subspace(self, sub) -> Subspace:
         rows = sub.basis if isinstance(sub, Subspace) else sub
         return Subspace.span(self.dim, [self._proj_p.apply(b) for b in rows])
@@ -236,12 +195,10 @@ class LieModel:
 
     def iwasawa_project(self, x: Sequence):
         """Unique decomposition x = x_k + x_a + x_n."""
-        c = self._iwasawa_inverse.apply(x)
+        c = self._iwasawa.coords(x)
         dk, da = self.k_space.dim, self.a_space.dim
-        xk = self.k_space.from_coords(c[:dk]) if dk else zero_vec(self.dim)
-        xa = self.a_space.from_coords(c[dk:dk + da]) if da else zero_vec(self.dim)
-        xn = self.n_space.from_coords(c[dk + da:]) if self.n_space.dim else zero_vec(self.dim)
-        return xk, xa, xn
+        return (self.k_space.from_coords(c[:dk]), self.a_space.from_coords(c[dk:dk + da]),
+                self.n_space.from_coords(c[dk + da:]))
 
     def project_an_subspace(self, sub: Subspace) -> Subspace:
         """Span of the a+n Iwasawa components of a subspace."""
@@ -267,18 +224,22 @@ class LieModel:
 
     def normalizer_in(self, domain: Subspace, of: Subspace) -> Subspace:
         """{X in domain : [X, of] subset of of}, computed exactly."""
-        cands = list(domain.basis)
-        images = [[self.bracket(c, w) for w in of.basis] for c in cands]
-        from .linalg import solve_inclusion_constraint
-
-        return solve_inclusion_constraint(cands, images, of)
+        return self._bracket_into(domain, of, of)
 
     def centralizer_in(self, domain: Subspace, of: Subspace) -> Subspace:
+        return self._bracket_into(domain, of, Subspace.zero(self.dim))
+
+    def _bracket_into(self, domain: Subspace, of: Subspace, target: Subspace) -> Subspace:
+        """{X in domain : [X, of] subset of target}."""
         cands = list(domain.basis)
         images = [[self.bracket(c, w) for w in of.basis] for c in cands]
-        from .linalg import solve_inclusion_constraint
+        return solve_inclusion_constraint(cands, images, target)
 
-        return solve_inclusion_constraint(cands, images, Subspace.zero(self.dim))
+
+def _basis_solver(basis: Sequence[Matrix]) -> SpanSolver:
+    """Coordinates relative to a list of independent basis matrices."""
+    n = basis[0].nrows
+    return SpanSolver([b.flatten() for b in basis], n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +355,7 @@ def build_su1n(n: int) -> LieModel:
     h0[m][m + 1] = h0[m + 1][m] = Q1
     h0_mat = Matrix(tuple(tuple(r) for r in h0))
 
-    a_coords = _coords_in_basis(basis, h0_mat)
+    a_coords = _basis_solver(basis).coords(h0_mat.flatten())
     model = LieModel(f"su(1,{n})", basis, [a_coords])
     j_rows = [[Q0] * (2 * m) for _ in range(2 * m)]
     for p in range(m):
@@ -402,30 +363,6 @@ def build_su1n(n: int) -> LieModel:
         j_rows[p + m][p] = Q1
     model.complex_structure = Matrix(tuple(tuple(r) for r in j_rows))
     return model
-
-
-def _coords_in_basis(basis: Sequence[Matrix], mat: Matrix) -> tuple:
-    """Coordinates of mat in a list of basis matrices (exact solve)."""
-    ncols = basis[0].nrows * basis[0].ncols
-    flat = [b.flatten() for b in basis]
-    target = mat.flatten()
-    reduced, pivots, transform = rref_with_transform(flat, ncols)
-    c = [target[p] for p in pivots]
-    rem = list(target)
-    for ci, row in zip(c, reduced):
-        if ci:
-            for j, x in enumerate(row):
-                if x:
-                    rem[j] -= ci * x
-    if not is_zero_vec(rem):
-        raise ValueError("matrix does not lie in the span of the basis")
-    out = [Q0] * len(basis)
-    for ci, trow in zip(c, transform):
-        if ci:
-            for j, t in enumerate(trow):
-                if t:
-                    out[j] += ci * t
-    return tuple(out)
 
 
 class ProductModel(LieModel):
@@ -482,6 +419,20 @@ class ProductModel(LieModel):
         start, stop = self.factor_slice(idx)
         return Subspace.span(self.dim, [unit_vec(self.dim, i) for i in range(start, stop)])
 
+    def factor_of(self, v: Sequence) -> Optional[int]:
+        """Index of the factor whose block supports v, or None if none does."""
+        for idx in range(len(self.factors)):
+            start, stop = self.factor_slice(idx)
+            if all(start <= t < stop for t, c in enumerate(v) if c):
+                return idx
+        return None
+
+    def other_factor_rows(self, skip: Iterable[int]) -> tuple:
+        """Basis rows of the blocks of every factor whose index is not in skip."""
+        skip = set(skip)
+        return tuple(unit_vec(self.dim, t) for idx in range(len(self.factors)) if idx not in skip
+                     for t in range(*self.factor_slice(idx)))
+
     def restrict_vector(self, idx: int, v: Sequence) -> tuple:
         start, stop = self.factor_slice(idx)
         if any(c for i, c in enumerate(v) if c and not (start <= i < stop)):
@@ -493,18 +444,3 @@ def direct_sum(models: Sequence[LieModel]) -> ProductModel:
     """Block-diagonal assembly; root data becomes the orthogonal disjoint union."""
     return ProductModel(models)
 
-
-# ---------------------------------------------------------------------------
-# module-level operation aliases
-
-
-def bracket(model: LieModel, x, y):
-    return model.bracket(x, y)
-
-
-def killing_form(model: LieModel, x, y):
-    return model.killing_form(x, y)
-
-
-def iwasawa_project(model: LieModel, x):
-    return model.iwasawa_project(x)

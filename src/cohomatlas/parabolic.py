@@ -16,19 +16,21 @@ and construction aborts on mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 from .linalg import (
     Matrix,
     Q0,
-    Q1,
+    SpanSolver,
     Subspace,
     kernel_rows,
+    lincomb,
     orthocomplement_in,
     rat,
     solve_linear_system,
     subspace_intersect,
     subspace_sum,
+    unit_vec,
 )
 from .roots import RootDatum, sigma_phi
 
@@ -64,10 +66,6 @@ class NestedParabolicDatum:
     a_np: Subspace
     m_np: Subspace
     k_np: Subspace
-
-    @property
-    def q_np(self) -> Subspace:
-        return subspace_sum(self.l_np, self.n_np)
 
 
 def _check_phi(datum: RootDatum, phi: Iterable[int]) -> tuple:
@@ -141,8 +139,7 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
         # alpha_i(sum t_b A_b) = sum_b cov_i[b] t_b, so the covector matrix
         # applied to a-coordinates solves alpha_k(H) = delta_kj directly
         rows = [datum.simple[i].covector for i in range(datum.rank)]
-        rhs = [Q1 if i == j else Q0 for i in range(datum.rank)]
-        coords = solve_linear_system(rows, rhs)
+        coords = solve_linear_system(rows, unit_vec(datum.rank, j))
         h_j = model.a_space.from_coords(coords)
 
     pd = ParabolicDatum(
@@ -163,13 +160,6 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     )
     datum._parabolic_cache[phi] = pd
     return pd
-
-
-def grade_nilpotent(datum: RootDatum, pd: ParabolicDatum) -> dict:
-    """The grading of n_phi; only defined when phi omits exactly one root."""
-    if pd.grading is None:
-        raise ValueError("grading requires phi to omit exactly one simple root")
-    return pd.grading
 
 
 def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> NestedParabolicDatum:
@@ -245,22 +235,11 @@ class TensorModel:
 
     def vector(self, combo: dict) -> tuple:
         amb = len(next(iter(self.generators.values())))
-        out = [Q0] * amb
-        for k, c in combo.items():
-            g = self.generators[k]
-            c = rat(c)
-            for t, x in enumerate(g):
-                if x:
-                    out[t] += c * x
-        return tuple(out)
+        return lincomb([rat(c) for c in combo.values()], [self.generators[k] for k in combo], amb)
 
     def column(self, l: int, depth: Optional[int] = None) -> Subspace:
         depth = self.nrows if depth is None else depth
         return self.subspace([(i, l) for i in range(1, depth + 1)])
-
-    def row(self, i: int, width: Optional[int] = None) -> Subspace:
-        width = self.ncols if width is None else width
-        return self.subspace([(i, l) for l in range(1, width + 1)])
 
 
 def tensor_model(datum: RootDatum, j: int) -> TensorModel:
@@ -293,8 +272,6 @@ def tensor_action_pair(datum: RootDatum, tm: TensorModel, x: Sequence):
     returns the pair (A, B) of matrices (gauge: the first diagonal entry of B
     is zero) and raises ValueError otherwise.
     """
-    from .linalg import SpanSolver
-
     model = datum.model
     keys = [(i, l) for i in range(1, tm.nrows + 1) for l in range(1, tm.ncols + 1)]
     solver = SpanSolver([tm.generators[k] for k in keys], model.dim)

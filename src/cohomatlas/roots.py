@@ -19,13 +19,11 @@ from typing import Iterable, Sequence
 from .linalg import (
     Subspace,
     invariant_eigensplit,
+    orthocomplement_in,
     rat,
     solve_linear_system,
-    subspace_sum,
-    vscale,
 )
 from .models import LieModel
-from .linalg import orthocomplement_in
 
 
 @dataclass(frozen=True)
@@ -34,9 +32,6 @@ class Root:
 
     covector: tuple  # values on the RREF basis of a
     root_vector: tuple  # ambient coordinates of H with lam(H') = <H, H'>
-
-    def neg(self) -> "Root":
-        return Root(vscale(rat(-1), self.covector), vscale(rat(-1), self.root_vector))
 
 
 class RootDatum:
@@ -62,16 +57,15 @@ class RootDatum:
         return len(self.simple)
 
     def space(self, root) -> Subspace:
-        cov = root.covector if isinstance(root, Root) else tuple(root)
-        return self.spaces[cov]
+        return self.spaces[_covector(root)]
 
     def multiplicity(self, root) -> int:
-        cov = root.covector if isinstance(root, Root) else tuple(root)
-        return self.multiplicities[cov]
+        return self.multiplicities[_covector(root)]
 
-    def coeff(self, root) -> tuple:
-        cov = root.covector if isinstance(root, Root) else tuple(root)
-        return self.coeffs[cov]
+    def profile(self, root) -> tuple:
+        """(m_alpha, m_2alpha): the multiplicities of a root and of its double."""
+        cov = _covector(root)
+        return self.multiplicities[cov], self.multiplicities.get(tuple(2 * c for c in cov), 0)
 
     def root_with_coeff(self, coeff: Sequence) -> Root:
         target = tuple(int(c) for c in coeff)
@@ -82,9 +76,12 @@ class RootDatum:
 
     def evaluate(self, root, h: Sequence):
         """lam(H) for H given in ambient coordinates (must lie in a)."""
-        cov = root.covector if isinstance(root, Root) else tuple(root)
         c = self.model.a_space.coords_of(h)
-        return sum((a * b for a, b in zip(cov, c)), rat(0))
+        return sum((a * b for a, b in zip(_covector(root), c)), rat(0))
+
+
+def _covector(root) -> tuple:
+    return root.covector if isinstance(root, Root) else tuple(root)
 
 
 def decompose(model: LieModel) -> RootDatum:
@@ -145,17 +142,7 @@ def decompose(model: LieModel) -> RootDatum:
     a_basis = model.a_space.basis
     gram_a = [[model.inner_product(x, y) for y in a_basis] for x in a_basis]
 
-    def dual_vector(cov):
-        c = solve_linear_system(gram_a, cov)
-        out = [rat(0)] * d
-        for ci, row in zip(c, a_basis):
-            if ci:
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] += ci * x
-        return tuple(out)
-
-    duals = {wt: dual_vector(wt) for wt in raw}
+    duals = {wt: model.a_space.from_coords(solve_linear_system(gram_a, wt)) for wt in raw}
 
     def pairing(u, v):
         return model.inner_product(duals[u], duals[v])
@@ -221,11 +208,11 @@ def decompose(model: LieModel) -> RootDatum:
     )
 
 
-def _order_simple_roots(simple_cov, adj):
-    """Path order per connected component, components by descending covector."""
+def _components(nodes, adj) -> list:
+    """Connected components (as sets) of a graph given by adjacency sets."""
     seen = set()
     components = []
-    for s in simple_cov:
+    for s in nodes:
         if s in seen:
             continue
         comp = set()
@@ -238,9 +225,13 @@ def _order_simple_roots(simple_cov, adj):
             stack.extend(adj[x] - comp)
         seen |= comp
         components.append(comp)
+    return components
 
+
+def _order_simple_roots(simple_cov, adj):
+    """Path order per connected component, components by descending covector."""
     ordered_components = []
-    for comp in components:
+    for comp in _components(simple_cov, adj):
         if len(comp) == 1:
             ordered_components.append(list(comp))
             continue
@@ -273,23 +264,7 @@ def dynkin_components(datum: RootDatum, phi: Iterable[int]) -> list:
         if i in adj and j in adj:
             adj[i].add(j)
             adj[j].add(i)
-    out = []
-    seen = set()
-    for i in phi:
-        if i in seen:
-            continue
-        comp = set()
-        stack = [i]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x] - comp)
-        seen |= comp
-        out.append(tuple(sorted(comp)))
-    out.sort()
-    return out
+    return sorted(tuple(sorted(comp)) for comp in _components(phi, adj))
 
 
 def sigma_phi(datum: RootDatum, phi: Iterable[int]):

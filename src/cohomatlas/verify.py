@@ -12,20 +12,22 @@ always labeled as such and never silently treated as exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 from .linalg import (
+    SpanSolver,
     Subspace,
     is_zero_vec,
     orthocomplement_in,
     rat,
     subspace_intersect,
     subspace_sum,
+    vadd,
 )
 from .models import LieModel, ProductModel
 from .actions import ActionSpec, SigmaMap, canonical_extend
 from .parabolic import ParabolicDatum, build_nested, build_parabolic
-from .roots import RootDatum
+from .roots import RootDatum, decompose
 
 _MASK = (1 << 64) - 1
 
@@ -104,14 +106,17 @@ def orbit_tangent_at_o(model: LieModel, h: Subspace) -> Subspace:
     return model.project_p_subspace(h)
 
 
-def slice_cohomogeneity(model: LieModel, h: Subspace, seed: int, samples: int):
+def slice_cohomogeneity(model: LieModel, h: Subspace, seed: int, samples: int,
+                        tangent: Optional[Subspace] = None):
     """Cohomogeneity of the isotropy action on the normal space at o.
 
     Returns (value, certainty).  Exact when the normal space is at most a
     line or the isotropy algebra acts trivially; otherwise the generic orbit
-    rank is sampled and the verdict is labeled "sampled".
+    rank is sampled and the verdict is labeled "sampled".  tangent is the
+    orbit tangent at o when the caller has it already.
     """
-    tangent = orbit_tangent_at_o(model, h)
+    if tangent is None:
+        tangent = orbit_tangent_at_o(model, h)
     nu = orthocomplement_in(tangent, model.p_space, model.inner)
     isotropy = subspace_intersect(h, model.k_space)
     for t in isotropy.basis:
@@ -217,18 +222,21 @@ def check_nc2(model: LieModel, pd: ParabolicDatum, v: Subspace, seed: int, sampl
 
 
 def polar_section(spec: ActionSpec) -> Subspace:
-    """The candidate flat section {X - sigma X : X in the domain flat}."""
+    """The candidate flat section: the orthogonal complement of the diagonal
+    {H + sigma H : H in the domain flat} inside the flat plus its sigma image.
+
+    It is {H - sigma H} when sigma is an isometry; between homothetic
+    factors it is not, and only the orthogonal complement is normal to the
+    diagonal.
+    """
     sigma: SigmaMap = spec.payload["sigma"]
     a_dom: Subspace = spec.payload["a_section_domain"]
     model = spec.model
-    from .linalg import SpanSolver
-
     solver = SpanSolver(sigma.domain_basis, model.dim)
-    rows = []
-    for x in a_dom.basis:
-        sx = sigma.apply(solver, x)
-        rows.append(tuple(a - b for a, b in zip(x, sx)))
-    return Subspace.span(model.dim, rows)
+    images = [sigma.apply(solver, h) for h in a_dom.basis]
+    diagonal = Subspace.span(model.dim, [vadd(h, sh) for h, sh in zip(a_dom.basis, images)])
+    flats = Subspace.span(model.dim, list(a_dom.basis) + images)
+    return orthocomplement_in(diagonal, flats, model.inner)
 
 
 def check_polar_certificate(spec: ActionSpec) -> bool:
@@ -303,34 +311,16 @@ def product_split_ok(datum: RootDatum, spec: ActionSpec) -> bool:
     if not isinstance(model, ProductModel):
         raise ValueError("product split applies to product models")
     v: Subspace = spec.payload["v"]
-    j_root = spec.payload["j"]
-    root = datum.simple[j_root]
-    fidx = None
-    for idx in range(len(model.factors)):
-        start, stop = model.factor_slice(idx)
-        if all(start <= t < stop for t, c in enumerate(root.root_vector) if c):
-            fidx = idx
-            break
+    fidx = model.factor_of(datum.simple[spec.payload["j"]].root_vector)
     if fidx is None:
         return False
     factor = model.factors[fidx]
     v_inner = Subspace.span(factor.dim, [model.restrict_vector(fidx, b) for b in v.basis])
-    from .roots import decompose
-
     f_datum = decompose(factor)
-    inner_norm = factor.normalizer_in(f_datum.k0, v_inner)
-    expected = Subspace.zero(model.dim)
-    for i in range(len(model.factors)):
-        if i != fidx:
-            expected = subspace_sum(expected, model.factor_block(i))
-    expected = subspace_sum(expected, model.embed_subspace(fidx, inner_norm))
-    expected = subspace_sum(expected, model.embed_subspace(fidx, factor.a_space))
-    expected = subspace_sum(
-        expected,
-        model.embed_subspace(
-            fidx, orthocomplement_in(v_inner, factor.n_space, factor.inner)
-        ),
-    )
+    pieces = (factor.normalizer_in(f_datum.k0, v_inner), factor.a_space,
+              orthocomplement_in(v_inner, factor.n_space, factor.inner))
+    rows = [model.embed_vector(fidx, b) for piece in pieces for b in piece.basis]
+    expected = Subspace.span(model.dim, rows + list(model.other_factor_rows((fidx,))))
     return spec.algebra == expected
 
 
@@ -346,7 +336,7 @@ def verify(spec: ActionSpec, datum: Optional[RootDatum] = None, *,
     orbit_dim = tangent.dim
     dim_m = model.p_space.dim
     codim = dim_m - orbit_dim
-    cohom, certainty = slice_cohomogeneity(model, spec.algebra, seed, samples)
+    cohom, certainty = slice_cohomogeneity(model, spec.algebra, seed, samples, tangent)
     if cohom > codim:
         raise ValueError("cohomogeneity exceeds the orbit codimension")
 

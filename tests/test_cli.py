@@ -1,0 +1,85 @@
+"""Tests for the command line front end: exit statuses and golden reports."""
+
+import hashlib
+import itertools
+
+import pytest
+
+from cohomatlas.cli import RunConfig, main, parse_space, run
+
+SMALL_FACTORS = ["sl(2)", "sl(3)", "rh(2)", "rh(3)", "ch(2)"]
+
+# sha256 of the JSON report of `--space S --feature su1n --format json`
+# (seed 7, 32 samples), recorded before the helpers behind these reports
+# were merged; the reports are the exactness oracle, so they must not move.
+GOLDEN_DIGESTS = {
+    "sl(3)": "7e981bd6a26ad57177dc3f737d21a282dc1f839816f417d6b6157352229c31cd",
+    "sl(4)": "7e27a0315acdab845e0c53415a40d4fd0a90e4da250404572c87ab1010db49dc",
+    "rh(2)*rh(3)": "bddf293ca90cd2f879f0aa7c323a74b880f16486bb87aa44c2d3fa5a97bfcb09",
+    "sl(3)*sl(3)": "85b68a856ff6fc0b3fedbb77b8efe96050071bd4213ca9eb71003e0eda264e72",
+    "ch(2)*ch(2)": "a06394edf801fe720cbe0312897fc13d05448f421e81bce734311ee017ec13d6",
+}
+
+
+def exit_status(argv) -> int:
+    """main's return value, or the status of the SystemExit it raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("space", [f"{a}*{b}" for a, b in
+                                   itertools.product(SMALL_FACTORS, repeat=2)])
+def test_every_small_pair_passes_its_exact_checks(space):
+    result = run(parse_space(space), RunConfig(su1n=True))
+    failing = [name for name, ok in result.result.identities if not ok]
+    assert failing == []
+    assert result.exit_code == 0
+
+
+@pytest.mark.parametrize("space", sorted(GOLDEN_DIGESTS))
+def test_json_report_matches_golden_digest(space, tmp_path):
+    out = tmp_path / "report.json"
+    status = exit_status(["--space", space, "--feature", "su1n", "--format", "json",
+                          "--out", str(out)])
+    assert status == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[space]
+
+
+@pytest.mark.parametrize("args", [
+    ["--space", "sl(3"],  # parse error
+    ["--space", "sl(3)+rh(2)"],  # parse error
+    ["--space", "sl(10)"],  # factor out of bounds
+    ["--space", "rh(1)"],  # factor out of bounds
+    ["--space", "ch(2)"],  # needs --feature su1n
+    ["--space", "sl(2)*sl(2)", "--nc-search"],  # oracle on a product
+    ["--space", "sl(5)", "--nc-search"],  # oracle above desk scale
+    ["--space", "sl(2)", "--samples", "0"],
+    ["--space", "sl(2)", "--samples", "-1"],
+    ["--space", "sl(2)", "--samples", "many"],
+])
+def test_bad_input_exits_2(args, capsys):
+    assert exit_status(args) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "report.json"
+    assert exit_status(["--space", "sl(2)", "--format", "json", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_markdown_to_stdout(capsys):
+    assert exit_status(["--space", "sl(3)"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("# Cohomogeneity one actions on sl(3)")
+    assert "- exact-checks:FH[one representative line]: PASS" in text
+
+
+def test_help_states_the_exit_status_contract(capsys):
+    assert exit_status(["--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "0 every exact check passed, 1 an exact check failed, 2 bad input" in help_text

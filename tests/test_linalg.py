@@ -3,15 +3,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomatlas.linalg import (
     Matrix,
+    SpanSolver,
     Subspace,
+    gram,
     invariant_eigensplit,
+    lincomb,
     orthocomplement_in,
     rat,
     rational_roots,
-    rref,
+    rref_rows,
+    rref_with_transform,
     solve_inclusion_constraint,
     subspace_intersect,
     subspace_sum,
@@ -27,28 +33,28 @@ def S(ambient, *vectors):
 class TestRref:
     def test_identity_fixed_point(self):
         m = Matrix.identity(3)
-        assert rref(m) == m
+        assert rref_rows(m.rows, 3) == (list(m.rows), [0, 1, 2])
 
     def test_zero_fixed_point(self):
         m = Matrix.zeros(2, 4)
-        assert rref(m) == m
+        assert rref_rows(m.rows, 4) == ([], [])
 
     def test_rank_one_two_by_two(self):
         # hand Gaussian elimination: r2 -= r1/2, normalize r1
         m = Matrix.from_rows([[2, 4], [1, 2]])
-        assert rref(m) == Matrix.from_rows([[1, 2], [0, 0]])
+        assert rref_rows(m.rows, 2) == ([(1, 2)], [0])
 
     def test_rank_counts_nonzero_rows(self):
         m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        assert m.rank() == 2
+        _, pivots = rref_rows(m.rows, 3)
+        assert len(pivots) == 2
 
     def test_idempotent(self):
         rng = random.Random(20240)
         for _ in range(25):
             rows = [[rat(rng.randint(-4, 4)) for _ in range(4)] for _ in range(3)]
-            m = Matrix.from_rows(rows)
-            r1 = rref(m)
-            assert rref(r1) == r1
+            r1 = rref_rows(rows, 4)
+            assert rref_rows(r1[0], 4) == r1
 
 
 class TestSubspaceLattice:
@@ -245,3 +251,93 @@ def test_determinism_bitwise():
         piped = subspace_sum(subspace_intersect(u, v), u)
         runs.append(tuple(piped.basis))
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# properties of the elimination kernel and what is built on it
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+ENTRY = st.integers(-3, 3)
+
+
+@st.composite
+def row_lists(draw, ncols=None, min_rows=0, max_rows=5):
+    """(ncols, rows): a few rows of small integers, as exact vectors."""
+    n = draw(st.integers(1, 5)) if ncols is None else ncols
+    rows = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                         min_size=min_rows, max_size=max_rows))
+    return n, [vec(r) for r in rows]
+
+
+@PROPERTY
+@given(row_lists(min_rows=1), st.data())
+def test_rref_rows_depends_only_on_the_row_space(case, data):
+    n, rows = case
+    expected = rref_rows(rows, n)
+    permuted = data.draw(st.permutations(rows))
+    assert rref_rows(permuted, n) == expected
+    i = data.draw(st.integers(0, len(rows) - 1))
+    scale = data.draw(ENTRY.filter(bool))
+    scaled = [[scale * x for x in r] if t == i else r for t, r in enumerate(rows)]
+    assert rref_rows(scaled, n) == expected
+    coeffs = data.draw(st.lists(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)),
+                                max_size=3))
+    extra = [lincomb(c, rows, n) for c in coeffs]
+    assert rref_rows(rows + extra, n) == expected
+
+
+@PROPERTY
+@given(row_lists())
+def test_rref_with_transform_maps_rows_to_reduced_rows(case):
+    n, rows = case
+    reduced, pivots, transform = rref_with_transform(rows, n)
+    assert [lincomb(t, rows, n) for t in transform] == reduced
+    assert (reduced[:len(pivots)], pivots) == rref_rows(rows, n)
+    assert all(not any(r) for r in reduced[len(pivots):])
+
+
+@PROPERTY
+@given(row_lists(min_rows=1), st.data())
+def test_span_solver_coords_round_trip(case, data):
+    n, rows = case
+    independent = []
+    for r in rows:
+        if not Subspace.span(n, independent).contains_vector(r):
+            independent.append(r)
+    solver = SpanSolver(independent, n)
+    c = vec(data.draw(st.lists(ENTRY, min_size=len(independent), max_size=len(independent))))
+    assert solver.coords(lincomb(c, independent, n)) == c
+    span = Subspace.span(n, independent)
+    for u in (unit_vec(n, t) for t in range(n)):
+        if not span.contains_vector(u):
+            with pytest.raises(ValueError):
+                solver.coords(u)
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(row_lists(n), row_lists(n))))
+def test_sum_and_intersection_dimensions(cases):
+    (n, rows_u), (_, rows_v) = cases
+    u, v = Subspace.span(n, rows_u), Subspace.span(n, rows_v)
+    s, i = subspace_sum(u, v), subspace_intersect(u, v)
+    assert s.dim + i.dim == u.dim + v.dim
+    assert s.contains(u) and s.contains(v) and u.contains(i) and v.contains(i)
+
+
+@PROPERTY
+@given(row_lists(min_rows=1), st.data())
+def test_orthocomplement_dimension_and_orthogonality(case, data):
+    n, rows = case
+    w = Subspace.span(n, rows)
+    k = data.draw(st.integers(0, w.dim))
+    coeffs = data.draw(st.lists(st.lists(ENTRY, min_size=w.dim, max_size=w.dim),
+                                min_size=k, max_size=k))
+    v = Subspace.span(n, [w.from_coords(c) for c in coeffs])
+    # a positive definite form A^T A + I with a small integer A
+    a = Matrix.from_rows(data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                                            min_size=n, max_size=n)))
+    form = a.transpose() @ a + Matrix.identity(n)
+    c = orthocomplement_in(v, w, form)
+    assert c.dim == w.dim - v.dim
+    assert w.contains(c)
+    assert all(x == 0 for row in gram(form, c.basis, v.basis) for x in row)

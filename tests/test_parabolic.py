@@ -5,11 +5,11 @@ import itertools
 import pytest
 
 from cohomatlas.linalg import Matrix, Subspace, is_zero_vec, subspace_intersect, subspace_sum
+from cohomatlas.actions import nilpotent_construct
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.parabolic import (
     build_nested,
     build_parabolic,
-    grade_nilpotent,
     tensor_action_pair,
     tensor_model,
 )
@@ -115,7 +115,7 @@ class TestGrading:
     def test_sl4_middle_root(self):
         g, datum = sl4()
         pd = build_parabolic(datum, [0, 2])  # removes a_2 (index 1)
-        grading = grade_nilpotent(datum, pd)
+        grading = pd.grading
         assert set(grading) == {1}
         assert grading[1].dim == 4  # j(n-j+1) with n=3, j=2 (1-based)
         assert grading[1] == pd.n_phi
@@ -123,7 +123,7 @@ class TestGrading:
     def test_sl4_end_root(self):
         g, datum = sl4()
         pd = build_parabolic(datum, [1, 2])  # removes a_1
-        grading = grade_nilpotent(datum, pd)
+        grading = pd.grading
         assert grading[1].dim == 3
         assert set(grading) == {1}
 
@@ -142,10 +142,10 @@ class TestGrading:
         datum = decompose(p)
         # removing the real hyperbolic root leaves only grade one
         pd0 = build_parabolic(datum, [1])
-        assert set(grade_nilpotent(datum, pd0)) == {1}
+        assert set(pd0.grading) == {1}
         # removing the complex hyperbolic root leaves grades one and two
         pd1 = build_parabolic(datum, [0])
-        grading = grade_nilpotent(datum, pd1)
+        grading = pd1.grading
         assert set(grading) == {1, 2}
         assert grading[1].dim == 2
         assert grading[2].dim == 1
@@ -156,14 +156,14 @@ class TestGrading:
             phi = [i for i in range(3) if i != j]
             pd = build_parabolic(datum, phi)
             total = Subspace.zero(g.dim)
-            for sp in grade_nilpotent(datum, pd).values():
+            for sp in pd.grading.values():
                 total = subspace_sum(total, sp)
             assert total == pd.n_phi
 
     def test_graded_bracket(self):
         g, datum = sl4()
         pd = build_parabolic(datum, [1, 2])
-        grading = grade_nilpotent(datum, pd)
+        grading = pd.grading
         for mu, sp1 in grading.items():
             for nu, sp2 in grading.items():
                 br = g.bracket_span(sp1.basis, sp2.basis)
@@ -175,8 +175,9 @@ class TestGrading:
     def test_requires_cosimple_phi(self):
         _, datum = sl4()
         pd = build_parabolic(datum, [0])
+        assert pd.grading is None and pd.h_j is None
         with pytest.raises(ValueError):
-            grade_nilpotent(datum, pd)
+            nilpotent_construct(datum, pd, pd.n_phi)
 
 
 class TestNested:

@@ -1,10 +1,11 @@
 """Enumeration of the cohomogeneity one classification tables.
 
-``enumerate_sl`` emits one representative per family for the split real
-special linear models: the two foliations, the isotropy extension over a
-single root, the Levi-plus-center extension over an interval of roots, the
-symplectic extension over three consecutive roots, and the diagonal
-extension over a distant pair.
+``sl_table`` emits one representative per family for the root datum of a
+split real special linear model (``enumerate_sl`` builds it from the
+rank): the two foliations, the isotropy extension over a single root, the
+Levi-plus-center extension over an interval of roots, the symplectic
+extension over three consecutive roots, and the diagonal extension over a
+distant pair.
 
 ``enumerate_product`` handles products: one horospherical row at product
 level, per-factor rows (solvable foliation, reductive boundary subalgebras,
@@ -169,8 +170,14 @@ def enumerate_sl(n: int, *, seed: int = 7, samples: int = 32) -> EnumerationResu
     """Classification table families for the rank-n split special linear model."""
     if not 1 <= n <= MAX_SL_RANK:
         raise ValueError(f"rank must be between 1 and {MAX_SL_RANK}")
-    model = build_sl(n + 1)
-    datum = decompose(model)
+    return sl_table(decompose(build_sl(n + 1)), seed=seed, samples=samples)
+
+
+def sl_table(datum: RootDatum, *, seed: int = 7, samples: int = 32) -> EnumerationResult:
+    """Classification table families for the root datum of a split special
+    linear model."""
+    model = datum.model
+    n = datum.rank
     entries: list = []
     identities = _structural_identities(model, datum)
 
@@ -321,8 +328,7 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
                       _hyperbolic_name(profile), f"{tag}: dim v={v.dim}",
                       spec, None, seed, samples)
         elif factor.name.startswith("sl("):
-            inner_result = enumerate_sl(factor.matrix_size - 1, seed=seed,
-                                        samples=samples)
+            inner_result = sl_table(fd, seed=seed, samples=samples)
             for inner in inner_result.entries:
                 if multi_factor and inner.label == "FH":
                     continue  # folds into the product-level FH row

@@ -51,7 +51,6 @@ class LieModel:
         self._struct = self._structure_constants()
         self.theta = self._theta_matrix()
         self.killing = self._killing_gram()
-        self.inner = self._inner_gram()
 
         eig = invariant_eigensplit(self.theta.apply, Subspace.full(self.dim))
         by_val = dict((mu, sp) for mu, sp in eig)
@@ -59,7 +58,13 @@ class LieModel:
             raise ValueError("theta is not an involution on this basis")
         self.k_space = by_val.get(rat(1), Subspace.zero(self.dim))
         self.p_space = by_val.get(rat(-1), Subspace.zero(self.dim))
+        self._set_iwasawa(a_vectors, n_vectors)
 
+    def _set_iwasawa(self, a_vectors, n_vectors) -> None:
+        """The inner product, a, n, the Iwasawa solver and the p/k projections,
+        from theta, the Killing form and k; n defaults to the positive
+        ad-eigenvectors of the first basis vector of a."""
+        self.inner = self._inner_gram()
         self.a_space = Subspace.span(self.dim, a_vectors)
         if n_vectors is None:
             n_vectors = self._positive_ad_eigenvectors()
@@ -91,20 +96,29 @@ class LieModel:
         return Matrix(tuple(tuple(r) for r in rows))
 
     def _structure_constants(self):
+        """{(i, j): ((k, c), ...)} with [e_i, e_j] = sum c * e_k, from the
+        nonzero entries of the basis matrices."""
+        n = self.matrix_size
+        rows_of = [{r: tuple((c, x) for c, x in enumerate(row) if x)
+                    for r, row in enumerate(b.rows) if any(row)} for b in self.basis]
         table = {}
         for i in range(self.dim):
-            bi = self.basis[i]
-            for j in range(self.dim):
-                if i == j:
+            for j in range(i + 1, self.dim):
+                comm = {}
+                for left, right, sign in ((rows_of[i], rows_of[j], Q1),
+                                          (rows_of[j], rows_of[i], -Q1)):
+                    for r, entries in left.items():
+                        for s, x in entries:
+                            for c, y in right.get(s, ()):
+                                comm[r * n + c] = comm.get(r * n + c, Q0) + sign * x * y
+                if not any(comm.values()):
                     continue
-                bj = self.basis[j]
-                comm = bi @ bj - bj @ bi
-                if comm.is_zero():
-                    continue
-                cx = self.coords(comm)
-                entry = tuple((k, c) for k, c in enumerate(cx) if c)
-                if entry:
-                    table[(i, j)] = entry
+                flat = [Q0] * (n * n)
+                for t, x in comm.items():
+                    flat[t] = x
+                entry = tuple((k, c) for k, c in enumerate(self._solver.coords(flat)) if c)
+                table[(i, j)] = entry
+                table[(j, i)] = tuple((k, -c) for k, c in entry)
         return table
 
     def _theta_matrix(self) -> Matrix:
@@ -234,6 +248,17 @@ class LieModel:
         cands = list(domain.basis)
         images = [[self.bracket(c, w) for w in of.basis] for c in cands]
         return solve_inclusion_constraint(cands, images, target)
+
+
+def _block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
+    """The block-diagonal matrix with the given square blocks."""
+    size = sum(b.nrows for b in blocks)
+    rows, off = [], 0
+    for b in blocks:
+        left, right = (Q0,) * off, (Q0,) * (size - off - b.nrows)
+        rows.extend(left + tuple(r) + right for r in b.rows)
+        off += b.nrows
+    return Matrix(tuple(rows))
 
 
 def _basis_solver(basis: Sequence[Matrix]) -> SpanSolver:
@@ -366,7 +391,18 @@ def build_su1n(n: int) -> LieModel:
 
 
 class ProductModel(LieModel):
-    """Block-diagonal direct sum of factor models."""
+    """Block-diagonal direct sum of factor models, assembled from the factors.
+
+    The basis is the factors' bases placed on the diagonal blocks at
+    ``matrix_offsets``; coordinates run factor by factor from
+    ``block_offsets``.  The structure constants, theta, the Killing form and
+    k/p are the factors' own, shifted by the block offsets, and a, n are
+    the factors' side by side: cross-factor brackets and Killing entries are
+    zero.  Each factor has already checked that its brackets close, that
+    theta is an involution with eigenspaces k and p, and that its own
+    k + a + n is direct.  The product checks only theta^2 = I,
+    dim k + dim p = dim, and that k + a + n is direct.
+    """
 
     def __init__(self, factors: Sequence[LieModel]):
         if not factors:
@@ -374,43 +410,54 @@ class ProductModel(LieModel):
         self.factors = tuple(factors)
         sizes = [f.matrix_size for f in factors]
         dims = [f.dim for f in factors]
-        total_size = sum(sizes)
         self.matrix_offsets = tuple(sum(sizes[:i]) for i in range(len(factors)))
         self.block_offsets = tuple(sum(dims[:i]) for i in range(len(factors)))
-        basis = []
-        a_vecs = []
-        n_vecs = []
-        d = sum(dims)
-        for idx, f in enumerate(factors):
-            off = self.matrix_offsets[idx]
-            for b in f.basis:
-                rows = [[Q0] * total_size for _ in range(total_size)]
-                for i in range(f.matrix_size):
-                    for j in range(f.matrix_size):
-                        if b.rows[i][j]:
-                            rows[off + i][off + j] = b.rows[i][j]
-                basis.append(Matrix(tuple(tuple(r) for r in rows)))
-            coff = self.block_offsets[idx]
-            for v in f.a_space.basis:
-                a_vecs.append(self._embed_raw(v, coff, d))
-            for v in f.n_space.basis:
-                n_vecs.append(self._embed_raw(v, coff, d))
-        name = "*".join(f.name for f in factors)
-        super().__init__(name, basis, a_vecs, n_vecs)
+        self.name = "*".join(f.name for f in factors)
+        self.matrix_size = sum(sizes)
+        self.dim = sum(dims)
 
-    @staticmethod
-    def _embed_raw(v, offset, total):
-        out = [Q0] * total
-        for i, c in enumerate(v):
-            out[offset + i] = c
-        return tuple(out)
+        zeros = [Matrix.zeros(s, s) for s in sizes]
+        self.basis = tuple(_block_diagonal(zeros[:idx] + [b] + zeros[idx + 1:])
+                           for idx, f in enumerate(factors) for b in f.basis)
+        self._struct = {
+            (i + off, j + off): tuple((k + off, c) for k, c in entry)
+            for f, off in zip(factors, self.block_offsets)
+            for (i, j), entry in f._struct.items()
+        }
+        self.theta = _block_diagonal([f.theta for f in factors])
+        if self.theta @ self.theta != Matrix.identity(self.dim):
+            raise ValueError("theta is not an involution on this basis")
+        self.killing = _block_diagonal([f.killing for f in factors])
+        self.k_space = self._embed_spaces(f.k_space for f in factors)
+        self.p_space = self._embed_spaces(f.p_space for f in factors)
+        if self.k_space.dim + self.p_space.dim != self.dim:
+            raise ValueError("k + p does not have full dimension")
+        a_vecs = self._embed_spaces(f.a_space for f in factors).basis
+        n_vecs = self._embed_spaces(f.n_space for f in factors).basis
+        self._set_iwasawa(a_vecs, n_vecs)
+
+    def _embed_spaces(self, spaces: Iterable[Subspace]) -> Subspace:
+        """The span of one subspace per factor, each embedded in its block."""
+        return Subspace.span(self.dim, [self.embed_vector(idx, b)
+                                        for idx, sp in enumerate(spaces) for b in sp.basis])
+
+    def coords(self, mat: Matrix) -> tuple:
+        """The factors' coordinates of the diagonal blocks; raises if mat is
+        not block diagonal or a block lies outside its factor."""
+        blocks = [Matrix(tuple(row[o:o + f.matrix_size]
+                               for row in mat.rows[o:o + f.matrix_size]))
+                  for f, o in zip(self.factors, self.matrix_offsets)]
+        if _block_diagonal(blocks) != mat:
+            raise ValueError("vector does not lie in the span")
+        return tuple(c for f, b in zip(self.factors, blocks) for c in f.coords(b))
 
     def factor_slice(self, idx: int):
         start = self.block_offsets[idx]
         return start, start + self.factors[idx].dim
 
     def embed_vector(self, idx: int, v: Sequence) -> tuple:
-        return self._embed_raw(v, self.block_offsets[idx], self.dim)
+        start = self.block_offsets[idx]
+        return (Q0,) * start + tuple(v) + (Q0,) * (self.dim - start - len(v))
 
     def embed_subspace(self, idx: int, sub: Subspace) -> Subspace:
         return Subspace.span(self.dim, [self.embed_vector(idx, b) for b in sub.basis])
@@ -439,8 +486,15 @@ class ProductModel(LieModel):
             raise ValueError("vector is not supported on the requested factor")
         return tuple(v[start:stop])
 
+    def restrict_subspace(self, idx: int, sub: Subspace) -> Subspace:
+        """A subspace of the idx-th block, in the factor's coordinates."""
+        return Subspace.span(self.factors[idx].dim,
+                             [self.restrict_vector(idx, b) for b in sub.basis])
+
 
 def direct_sum(models: Sequence[LieModel]) -> ProductModel:
-    """Block-diagonal assembly; root data becomes the orthogonal disjoint union."""
+    """Block-diagonal assembly of the factors, with their structure constants,
+    theta, Killing form and k/a/n/p placed block by block (see
+    :class:`ProductModel`); root data becomes the orthogonal disjoint union."""
     return ProductModel(models)
 

@@ -27,7 +27,7 @@ from .linalg import (
 from .models import LieModel, ProductModel
 from .actions import ActionSpec, SigmaMap, canonical_extend
 from .parabolic import ParabolicDatum, build_nested, build_parabolic
-from .roots import RootDatum, decompose
+from .roots import RootDatum
 
 _MASK = (1 << 64) - 1
 
@@ -62,6 +62,27 @@ class RationalSampler:
 
 
 @dataclass(frozen=True)
+class Failure:
+    """A failed exact check: the sub-check that failed and a witness, given
+    as basis indices into the subspaces that sub-check compares.  Falsy, so
+    it stands in a note wherever False does."""
+
+    sub_check: str
+    witness: tuple
+
+    def __bool__(self) -> bool:
+        return False
+
+
+def _note_json(name: str, passed) -> dict:
+    out = {"name": name, "passed": bool(passed)}
+    if isinstance(passed, Failure):
+        out["sub_check"] = passed.sub_check
+        out["witness"] = list(passed.witness)
+    return out
+
+
+@dataclass(frozen=True)
 class VerificationReport:
     kind: str
     orbit_dim_at_o: int
@@ -74,7 +95,7 @@ class VerificationReport:
     nc2_certificate: Optional[str]
     seed: int
     samples: int
-    notes: tuple = field(default_factory=tuple)  # (name, passed) pairs
+    notes: tuple = field(default_factory=tuple)  # (name, bool or Failure) pairs
 
     def to_json(self) -> dict:
         return {
@@ -89,7 +110,7 @@ class VerificationReport:
             "nc2_certificate": self.nc2_certificate,
             "seed": self.seed,
             "samples": self.samples,
-            "notes": [{"name": n, "passed": bool(p)} for n, p in self.notes],
+            "notes": [_note_json(n, p) for n, p in self.notes],
         }
 
     @property
@@ -239,33 +260,34 @@ def polar_section(spec: ActionSpec) -> Subspace:
     return orthocomplement_in(diagonal, flats, model.inner)
 
 
-def check_polar_certificate(spec: ActionSpec) -> bool:
+def check_polar_certificate(spec: ActionSpec) -> bool | Failure:
     """Exact polarity certificate for a diagonal action.
 
     (i) the section candidate is abelian, (ii) it is normal to the orbit
     tangent at o, (iii) the diagonal algebra is orthogonal to the section
-    plus its derived span.
+    plus its derived span.  Returns True, or the Failure of the first
+    condition that fails with the basis indices of a witness pair.
     """
     if spec.kind != "CER":
         raise ValueError("polar certificate applies to diagonal actions")
     model = spec.model
     diag: Subspace = spec.payload["diag"]
     section = polar_section(spec)
-    for x in section.basis:
-        for y in section.basis:
+    for i, x in enumerate(section.basis):
+        for j, y in enumerate(section.basis):
             if not is_zero_vec(model.bracket(x, y)):
-                return False
+                return Failure("section-not-abelian", (i, j))
     tangent = orbit_tangent_at_o(model, diag)
-    for x in section.basis:
-        for y in tangent.basis:
+    for i, x in enumerate(section.basis):
+        for j, y in enumerate(tangent.basis):
             if model.inner_product(x, y) != 0:
-                return False
+                return Failure("section-not-normal-to-orbit", (i, j))
     derived = model.bracket_span(section.basis, section.basis)
     target = subspace_sum(section, derived)
-    for x in diag.basis:
-        for y in target.basis:
+    for i, x in enumerate(diag.basis):
+        for j, y in enumerate(target.basis):
             if model.inner_product(x, y) != 0:
-                return False
+                return Failure("diagonal-not-orthogonal", (i, j))
     return True
 
 
@@ -306,7 +328,11 @@ def projection_identity_ok(datum: RootDatum, psi, phi, v: Subspace) -> bool:
 
 
 def product_split_ok(datum: RootDatum, spec: ActionSpec) -> bool:
-    """NC algebra on a product equals other blocks + factor-level pieces."""
+    """NC algebra on a product equals other blocks + factor-level pieces.
+
+    The factor's k0 is read off the product datum: the centralizer of a in
+    k of a product is the direct sum of the factors' centralizers.
+    """
     model = spec.model
     if not isinstance(model, ProductModel):
         raise ValueError("product split applies to product models")
@@ -315,9 +341,9 @@ def product_split_ok(datum: RootDatum, spec: ActionSpec) -> bool:
     if fidx is None:
         return False
     factor = model.factors[fidx]
-    v_inner = Subspace.span(factor.dim, [model.restrict_vector(fidx, b) for b in v.basis])
-    f_datum = decompose(factor)
-    pieces = (factor.normalizer_in(f_datum.k0, v_inner), factor.a_space,
+    v_inner = model.restrict_subspace(fidx, v)
+    f_k0 = model.restrict_subspace(fidx, subspace_intersect(datum.k0, model.factor_block(fidx)))
+    pieces = (factor.normalizer_in(f_k0, v_inner), factor.a_space,
               orthocomplement_in(v_inner, factor.n_space, factor.inner))
     rows = [model.embed_vector(fidx, b) for piece in pieces for b in piece.basis]
     expected = Subspace.span(model.dim, rows + list(model.other_factor_rows((fidx,))))

@@ -1,9 +1,11 @@
 """Tests for the classification tables and the helpers they share."""
 
+import sys
 from collections import Counter
 
 import pytest
 
+from cohomatlas import catalog
 from cohomatlas.catalog import ce_families, enumerate_sl, known_extension_tangents
 from cohomatlas.linalg import vadd
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
@@ -79,3 +81,26 @@ def test_every_table_ce_tangent_is_known_to_the_oracle(n):
                 ext = canonical_extend(datum, build_parabolic(datum, phi),
                                        build_nested(datum, phi[1:], phi).l_np)
                 assert orbit_tangent_at_o(model, ext.algebra) in known
+
+
+@pytest.mark.parametrize("build", [build_sl, build_so1n], ids=["sl3xsl3", "rh3xrh3"])
+def test_product_enumeration_decomposes_each_factor_once(monkeypatch, build):
+    pm = direct_sum([build(3), build(3)])
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(catalog, "build_sl", counted("build_sl", catalog.build_sl))
+    # every module that imported decompose by name holds its own binding
+    wrapped = counted("decompose", decompose)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cohomatlas") and getattr(module, "decompose", None) is decompose:
+            monkeypatch.setattr(module, "decompose", wrapped)
+    result = catalog.enumerate_product(pm)
+    assert result.all_identities_passed
+    assert calls["decompose"] == len(pm.factors) + 1
+    assert calls["build_sl"] == 0

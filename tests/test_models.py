@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from cohomatlas.linalg import Matrix, Q0, Q1, Subspace, is_zero_vec, rat, vec
-from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
+from cohomatlas.linalg import Matrix, Q0, Q1, Subspace, is_zero_vec, rat, unit_vec, vec
+from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
 
 
 def leading_minors_positive(g: Matrix) -> bool:
@@ -170,6 +170,8 @@ MODELS = {
     "so13": lambda: build_so1n(3),
     "su12": lambda: build_su1n(2),
     "rh2xsl2": lambda: direct_sum([build_so1n(2), build_sl(2)]),
+    "ch2xrh2": lambda: direct_sum([build_su1n(2), build_so1n(2)]),
+    "sl2xsl2xrh2": lambda: direct_sum([build_sl(2), build_sl(2), build_so1n(2)]),
 }
 
 
@@ -246,12 +248,45 @@ class TestStructuralInvariants:
         assert kan.dim == g.dim
         assert g.k_space.dim + g.a_space.dim + g.n_space.dim == g.dim
 
+    def test_brackets_are_matrix_commutators(self, model):
+        g = model
+        basis = [unit_vec(g.dim, i) for i in range(g.dim)]
+        for x, bx in zip(basis, g.basis):
+            for y, by in zip(basis, g.basis):
+                assert g.matrix(g.bracket(x, y)) == bx @ by - by @ bx
+
     def test_a_abelian_inside_p(self, model):
         g = model
         assert g.p_space.contains(g.a_space)
         for x in g.a_space.basis:
             for y in g.a_space.basis:
                 assert is_zero_vec(g.bracket(x, y))
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: [build_so1n(2), build_so1n(3)],
+    lambda: [build_sl(3), build_sl(2)],
+    lambda: [build_su1n(2), build_so1n(2)],
+], ids=["rh2xrh3", "sl3xsl2", "ch2xrh2"])
+def test_assembled_product_matches_the_generic_construction(factors):
+    pm = direct_sum(factors())
+    ref = LieModel(pm.name, pm.basis, pm.a_space.basis, pm.n_space.basis)
+    assert pm._struct == ref._struct
+    assert pm.theta == ref.theta
+    assert pm.killing == ref.killing
+    assert pm.inner == ref.inner
+    for space in ("k_space", "p_space", "a_space", "n_space"):
+        assert getattr(pm, space) == getattr(ref, space)
+    for i, b in enumerate(pm.basis):
+        assert pm.coords(b) == ref.coords(b) == unit_vec(pm.dim, i)
+    x = tuple(rat(i % 5 - 2, 1 + i % 3) for i in range(pm.dim))
+    assert pm.matrix(x) == ref.matrix(x)
+    assert pm.coords(pm.matrix(x)) == x
+    off_block = pm.factors[0].matrix_size
+    with pytest.raises(ValueError):
+        pm.coords(E(pm.matrix_size, 0, off_block))  # outside the diagonal blocks
+    with pytest.raises(ValueError):
+        ref.coords(E(pm.matrix_size, 0, off_block))
 
 
 def test_normalizer_borel_sl2():

@@ -15,7 +15,9 @@ from cohomatlas.actions import (
 )
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.roots import decompose
+from cohomatlas import verify as verify_module
 from cohomatlas.verify import (
+    Failure,
     RationalSampler,
     check_lie_triple,
     check_nc1,
@@ -211,6 +213,52 @@ class TestPolarCertificate:
         spec = make_fh(g, Subspace.span(g.dim, [g.a_space.basis[0]]))
         with pytest.raises(ValueError):
             check_polar_certificate(spec)
+
+
+def _failing_section(spec, sub_check):
+    """A section candidate whose first failing polar sub-check is sub_check."""
+    model, diag = spec.model, spec.payload["diag"]
+    if sub_check == "section-not-abelian":
+        return Subspace.full(model.dim)
+    if sub_check == "section-not-normal-to-orbit":  # a line in the orbit tangent
+        return Subspace.span(model.dim, orbit_tangent_at_o(model, diag).basis[:1])
+    # a line in k: normal to the orbit, but not orthogonal to the diagonal
+    return Subspace.span(model.dim, model.project_k_subspace(diag).basis[:1])
+
+
+@pytest.mark.parametrize("sub_check", ["section-not-abelian", "section-not-normal-to-orbit",
+                                       "diagonal-not-orthogonal"])
+def test_failing_polar_certificate_names_sub_check_and_witness(monkeypatch, sub_check):
+    g = build_sl(4)
+    datum = decompose(g)
+    spec = make_cer(datum, 0, 2)
+    section = _failing_section(spec, sub_check)
+    monkeypatch.setattr(verify_module, "polar_section", lambda s: section)
+    result = check_polar_certificate(spec)
+    assert not result
+    assert isinstance(result, Failure)
+    assert result.sub_check == sub_check
+    i, j = result.witness
+    diag = spec.payload["diag"]
+    if sub_check == "section-not-abelian":
+        assert any(g.bracket(section.basis[i], section.basis[j]))
+    elif sub_check == "section-not-normal-to-orbit":
+        tangent = orbit_tangent_at_o(g, diag)
+        assert g.inner_product(section.basis[i], tangent.basis[j]) != 0
+    else:
+        assert g.inner_product(diag.basis[i], section.basis[j]) != 0
+    report = verify(spec, datum)
+    (note,) = [n for n in report.to_json()["notes"] if n["name"] == "polar-section-certificate"]
+    assert note == {"name": "polar-section-certificate", "passed": False,
+                    "sub_check": sub_check, "witness": [i, j]}
+    assert not report.all_exact_checks_passed
+
+
+def test_passing_polar_note_has_name_and_verdict_only():
+    datum = decompose(build_sl(4))
+    report = verify(make_cer(datum, 0, 2), datum)
+    (note,) = [n for n in report.to_json()["notes"] if n["name"] == "polar-section-certificate"]
+    assert note == {"name": "polar-section-certificate", "passed": True}
 
 
 class TestVerifyOrchestration:

@@ -7,6 +7,15 @@ rounds, so re-running any pipeline yields bit-identical results.
 Subspaces are canonicalized eagerly: the stored basis is the reduced row
 echelon form of whatever spanning set was supplied, so two subspaces are
 equal iff their ``basis`` tuples are equal.
+
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
+scaled to a primitive integer row, row operations stay in the integers and
+divide each result by its gcd, and only the final pivot rows are divided by
+their pivots.  Every integer row stays a nonzero multiple of the row a
+rational Gauss-Jordan loop would hold, so pivots and reduced rows are the
+same as that loop's.  ``Matrix.apply`` runs over the nonzero entries of each
+row only; theta is a signed permutation and the Killing and inner-product
+Grams are sparse in the shipped bases.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ def rat(x, y=None):
 
 
 def vec(entries) -> tuple:
-    return tuple(Rat(e) for e in entries)
+    return tuple(e if isinstance(e, Rat) else Rat(e) for e in entries)
 
 
 def zero_vec(n: int) -> tuple:
@@ -61,7 +70,7 @@ def vdot(u, v):
 
 
 def is_zero_vec(u) -> bool:
-    return all(not a for a in u)
+    return not any(u)
 
 
 def lincomb(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> tuple:
@@ -79,32 +88,56 @@ def lincomb(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> tuple:
 # row reduction
 
 
-def _eliminate(work: list, ncols: int) -> list:
-    """Gauss-Jordan on the first ncols columns of the rows in work, in place.
+def _primitive(row: list) -> list:
+    """The integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    Returns the pivot columns; the first len(pivots) rows end up reduced,
-    with pivots 1 and zeros above and below them.
+
+def _integer_row(row: Sequence) -> list:
+    """The primitive integer row on the line of a row of rationals."""
+    den = math.lcm(*(x.denominator for x in row))
+    if den == 1:
+        return _primitive([x.numerator for x in row])
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def _rational_row(row: list, pivot: int) -> tuple:
+    """The integer row divided by its pivot, as exact rationals."""
+    if pivot == 1:
+        return tuple(Rat(x) if x else Q0 for x in row)
+    return tuple(Rat(x, pivot) if x else Q0 for x in row)
+
+
+def _eliminate(work: list, ncols: int) -> list:
+    """Fraction-free Gauss-Jordan on the first ncols columns of the integer
+    rows in work, in place.
+
+    The pivot of column c is the first row at or below the current one with
+    a nonzero entry there.  Eliminating it from row i replaces row i by
+    a * row_i - b * pivot_row with a/b = pivot/entry in lowest terms, then
+    divides by the gcd of the result.  Returns the pivot columns; the first
+    len(pivots) rows end up with zeros above and below their pivots, each a
+    nonzero multiple of its reduced row.
     """
     pivots = []
     r = 0
+    nrows = len(work)
     for c in range(ncols):
-        if r == len(work):
+        if r == nrows:
             break
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if work[i][c]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = Q1 / work[r][c]
-        if inv != 1:
-            work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        prow = work[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = work[i][c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                work[i] = _primitive([a * x - b * y for x, y in zip(work[i], prow)])
         pivots.append(c)
         r += 1
     return pivots
@@ -116,22 +149,24 @@ def rref_rows(rows: Sequence[Sequence], ncols: int):
     Returns (reduced nonzero rows, pivot column indices).  Rows are fully
     normalized: pivots are 1 with zeros above and below.
     """
-    work = [list(r) for r in rows if not is_zero_vec(r)]
+    work = [row for row in map(_integer_row, rows) if any(row)]
     pivots = _eliminate(work, ncols)
-    return [tuple(row) for row in work[:len(pivots)]], pivots
+    return [_rational_row(row, row[c]) for row, c in zip(work, pivots)], pivots
 
 
 def rref_with_transform(rows: Sequence[Sequence], ncols: int):
     """RREF plus the transform T with T @ rows == rref (zero rows kept last).
 
-    Returns (reduced rows incl. zero rows, pivots, T rows).
+    Returns (reduced rows incl. zero rows, pivots, T rows).  The transform
+    rows of the zero rows span the relations among the input rows, but each
+    is fixed only up to a nonzero factor.
     """
     m = len(rows)
-    work = [list(r) + list(unit_vec(m, i)) for i, r in enumerate(rows)]
+    work = [_integer_row(list(r) + [int(i == t) for t in range(m)]) for i, r in enumerate(rows)]
     pivots = _eliminate(work, ncols)
-    reduced = [tuple(row[:ncols]) for row in work]
-    transform = [tuple(row[ncols:]) for row in work]
-    return reduced, pivots, transform
+    full = [_rational_row(row, row[c]) for row, c in zip(work, pivots)]
+    full += [_rational_row(row, 1) for row in work[len(pivots):]]
+    return [row[:ncols] for row in full], pivots, [row[ncols:] for row in full]
 
 
 def kernel_rows(rows: Sequence[Sequence], ncols: int) -> list:
@@ -229,9 +264,22 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         return Matrix(tuple(vscale(Rat(c), r) for r in self.rows))
 
+    @cached_property
+    def row_entries(self) -> tuple:
+        """Per row, the (column, value) pairs of its nonzero entries."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.rows)
+
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product (v as a column)."""
-        return tuple(vdot(r, v) for r in self.rows)
+        out = []
+        for entries in self.row_entries:
+            s = Q0
+            for j, x in entries:
+                y = v[j]
+                if y:
+                    s += x * y
+            out.append(s)
+        return tuple(out)
 
     def flatten(self) -> tuple:
         return tuple(x for r in self.rows for x in r)
@@ -276,6 +324,11 @@ class Subspace:
     def pivots(self) -> tuple:
         return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
+    @cached_property
+    def _row_entries(self) -> tuple:
+        """Per basis row, the (column, value) pairs of its nonzero entries."""
+        return Matrix(self.basis).row_entries
+
     def reduce(self, v: Sequence):
         """Reduce v against the basis; returns (residual, coefficients).
 
@@ -284,13 +337,12 @@ class Subspace:
         """
         res = list(v)
         coeffs = []
-        for row, p in zip(self.basis, self.pivots):
+        for entries, p in zip(self._row_entries, self.pivots):
             c = res[p]
             coeffs.append(c)
             if c:
-                for j in range(p, self.ambient_dim):
-                    if row[j]:
-                        res[j] -= c * row[j]
+                for j, x in entries:
+                    res[j] -= c * x
         return tuple(res), tuple(coeffs)
 
     def contains_vector(self, v: Sequence) -> bool:
@@ -335,8 +387,9 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
 
 def gram(form: Matrix, rows_u: Sequence, rows_v: Sequence) -> list:
     """Gram matrix [u_i^T form v_j] for the given row vectors."""
-    fv = [form.apply(v) for v in rows_v]
-    return [[vdot(u, f) for f in fv] for u in rows_u]
+    u = Matrix(tuple(rows_u))
+    cols = [u.apply(form.apply(v)) for v in rows_v]
+    return [[col[i] for col in cols] for i in range(len(rows_u))]
 
 
 def orthocomplement_in(v: Subspace, w: Subspace, form: Matrix) -> Subspace:
@@ -381,17 +434,13 @@ def solve_inclusion_constraint(
         for w in im:
             if len(w) != target.ambient_dim:
                 raise ValueError("image dimension does not match target ambient")
-    # v in target  <=>  v . n = 0 for every n in kernel(target basis)
-    if target.dim == target.ambient_dim:
-        normals = []
-    elif target.dim == 0:
-        normals = [unit_vec(target.ambient_dim, i) for i in range(target.ambient_dim)]
-    else:
-        normals = kernel_rows(target.basis, target.ambient_dim)
-    equations = []
-    for s in range(nslots):
-        for n in normals:
-            equations.append(tuple(vdot(images[a][s], n) for a in range(m)))
+    # v is in target iff its residual under target.reduce vanishes; the
+    # residual is linear in v and zero on the pivot columns.
+    pivots = set(target.pivots)
+    free = [j for j in range(target.ambient_dim) if j not in pivots]
+    residuals = [[target.reduce(w)[0] for w in im] for im in images]
+    equations = [tuple(residuals[a][s][j] for a in range(m))
+                 for s in range(nslots) for j in free]
     ker = kernel_rows(equations, m) if equations else [unit_vec(m, i) for i in range(m)]
     amb = len(candidates[0])
     return Subspace.span(amb, [lincomb(x, candidates, amb) for x in ker])

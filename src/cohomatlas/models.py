@@ -33,7 +33,9 @@ from .linalg import (
     rat,
     solve_inclusion_constraint,
     unit_vec,
+    vadd,
     vdot,
+    vsub,
 )
 
 
@@ -61,9 +63,9 @@ class LieModel:
         self._set_iwasawa(a_vectors, n_vectors)
 
     def _set_iwasawa(self, a_vectors, n_vectors) -> None:
-        """The inner product, a, n, the Iwasawa solver and the p/k projections,
-        from theta, the Killing form and k; n defaults to the positive
-        ad-eigenvectors of the first basis vector of a."""
+        """The inner product, a, n and the Iwasawa solver, from theta, the
+        Killing form and k; n defaults to the positive ad-eigenvectors of the
+        first basis vector of a."""
         self.inner = self._inner_gram()
         self.a_space = Subspace.span(self.dim, a_vectors)
         if n_vectors is None:
@@ -74,8 +76,6 @@ class LieModel:
         if len(iwasawa) != self.dim:
             raise ValueError("k + a + n does not have full dimension")
         self._iwasawa = SpanSolver(iwasawa, self.dim)
-        self._proj_p = (Matrix.identity(self.dim) - self.theta).scale(rat(1, 2))
-        self._proj_k = (Matrix.identity(self.dim) + self.theta).scale(rat(1, 2))
 
     # -- construction helpers ------------------------------------------------
 
@@ -200,12 +200,14 @@ class LieModel:
         return Subspace.span(self.dim, [self.theta.apply(b) for b in sub.basis])
 
     def project_p_subspace(self, sub) -> Subspace:
+        """The span of the p-components (x - theta x) / 2 of the rows."""
         rows = sub.basis if isinstance(sub, Subspace) else sub
-        return Subspace.span(self.dim, [self._proj_p.apply(b) for b in rows])
+        return Subspace.span(self.dim, [vsub(b, self.theta.apply(b)) for b in rows])
 
     def project_k_subspace(self, sub) -> Subspace:
+        """The span of the k-components (x + theta x) / 2 of the rows."""
         rows = sub.basis if isinstance(sub, Subspace) else sub
-        return Subspace.span(self.dim, [self._proj_k.apply(b) for b in rows])
+        return Subspace.span(self.dim, [vadd(b, self.theta.apply(b)) for b in rows])
 
     def iwasawa_project(self, x: Sequence):
         """Unique decomposition x = x_k + x_a + x_n."""

@@ -1,6 +1,7 @@
 """Tests for the exact linear algebra core."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from cohomatlas.linalg import (
     Subspace,
     gram,
     invariant_eigensplit,
+    kernel_rows,
     lincomb,
+    linear_dependence,
     orthocomplement_in,
     rat,
     rational_roots,
@@ -22,7 +25,10 @@ from cohomatlas.linalg import (
     subspace_intersect,
     subspace_sum,
     unit_vec,
+    vdot,
     vec,
+    vscale,
+    zero_vec,
 )
 
 
@@ -286,6 +292,15 @@ def test_rref_rows_depends_only_on_the_row_space(case, data):
     assert rref_rows(rows + extra, n) == expected
 
 
+def independent(rows, n):
+    """The rows that are not in the span of the rows before them."""
+    out = []
+    for r in rows:
+        if not Subspace.span(n, out).contains_vector(r):
+            out.append(r)
+    return out
+
+
 @PROPERTY
 @given(row_lists())
 def test_rref_with_transform_maps_rows_to_reduced_rows(case):
@@ -300,14 +315,11 @@ def test_rref_with_transform_maps_rows_to_reduced_rows(case):
 @given(row_lists(min_rows=1), st.data())
 def test_span_solver_coords_round_trip(case, data):
     n, rows = case
-    independent = []
-    for r in rows:
-        if not Subspace.span(n, independent).contains_vector(r):
-            independent.append(r)
-    solver = SpanSolver(independent, n)
-    c = vec(data.draw(st.lists(ENTRY, min_size=len(independent), max_size=len(independent))))
-    assert solver.coords(lincomb(c, independent, n)) == c
-    span = Subspace.span(n, independent)
+    basis = independent(rows, n)
+    solver = SpanSolver(basis, n)
+    c = vec(data.draw(st.lists(ENTRY, min_size=len(basis), max_size=len(basis))))
+    assert solver.coords(lincomb(c, basis, n)) == c
+    span = Subspace.span(n, basis)
     for u in (unit_vec(n, t) for t in range(n)):
         if not span.contains_vector(u):
             with pytest.raises(ValueError):
@@ -341,3 +353,171 @@ def test_orthocomplement_dimension_and_orthogonality(case, data):
     assert c.dim == w.dim - v.dim
     assert w.contains(c)
     assert all(x == 0 for row in gram(form, c.basis, v.basis) for x in row)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel and the sparse paths against the rational loops
+# they replaced, kept here as references
+
+
+def reference_rref_with_transform(rows, ncols):
+    """Rational Gauss-Jordan on [rows | I]: (reduced rows, pivots, T rows)."""
+    m = len(rows)
+    work = [list(r) + list(unit_vec(m, i)) for i, r in enumerate(rows)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return ([tuple(row[:ncols]) for row in work], pivots,
+            [tuple(row[ncols:]) for row in work])
+
+
+def reference_rref_rows(rows, ncols):
+    reduced, pivots, _ = reference_rref_with_transform(rows, ncols)
+    return reduced[:len(pivots)], pivots
+
+
+def reference_linear_dependence(vectors, ncols):
+    *prev, last = vectors
+    red, _, transform = reference_rref_with_transform(list(prev) + [last], ncols)
+    if any(red[-1]):
+        return None
+    t = transform[-1]
+    return tuple(-t[i] / t[-1] for i in range(len(prev)))
+
+
+def reference_solve_inclusion_constraint(candidates, images, target):
+    """The equations as dot products of each image with the normals of target."""
+    m, n = len(candidates), target.ambient_dim
+    if target.dim == 0:
+        normals = [unit_vec(n, i) for i in range(n)]
+    else:
+        normals = kernel_rows(target.basis, n)
+    equations = [tuple(vdot(images[a][s], nv) for a in range(m))
+                 for s in range(len(images[0])) for nv in normals]
+    ker = kernel_rows(equations, m) if equations else [unit_vec(m, i) for i in range(m)]
+    amb = len(candidates[0])
+    return Subspace.span(amb, [lincomb(x, candidates, amb) for x in ker])
+
+
+RATIONAL = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=6))
+
+
+def rational_vectors(n, min_size=0, max_size=4):
+    return st.lists(st.lists(RATIONAL, min_size=n, max_size=n).map(tuple),
+                    min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def rational_rows(draw):
+    """(ncols, rows): rationals with mixed denominators, shuffled together with
+    zero rows and rows that depend on the others."""
+    n = draw(st.integers(1, 6))
+    base = draw(rational_vectors(n))
+    coeffs = draw(rational_vectors(len(base), max_size=2))
+    rows = base + [lincomb(c, base, n) for c in coeffs]
+    rows += [zero_vec(n)] * draw(st.integers(0, 2))
+    return n, draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(rational_rows())
+def test_rref_rows_matches_the_rational_loop(case):
+    n, rows = case
+    reduced, pivots = rref_rows(rows, n)
+    assert (reduced, pivots) == reference_rref_rows(rows, n)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+@PROPERTY
+@given(rational_rows())
+def test_rref_with_transform_matches_the_rational_loop(case):
+    n, rows = case
+    reduced, pivots, transform = rref_with_transform(rows, n)
+    ref_reduced, ref_pivots, ref_transform = reference_rref_with_transform(rows, n)
+    assert (reduced, pivots) == (ref_reduced, ref_pivots)
+    r = len(pivots)
+    assert transform[:r] == ref_transform[:r]
+    # the transform rows of zero rows agree up to a nonzero factor
+    for t, ref in zip(transform[r:], ref_transform[r:]):
+        j = next(j for j, x in enumerate(ref) if x)
+        assert t[j] and vscale(ref[j] / t[j], t) == ref
+    assert [lincomb(t, rows, n) for t in transform] == reduced
+
+
+@PROPERTY
+@given(rational_rows(), st.data())
+def test_linear_dependence_matches_the_rational_loop(case, data):
+    n, rows = case
+    prev = independent(rows, n)
+    c = data.draw(rational_vectors(len(prev), min_size=1, max_size=1))[0]
+    dependent = prev + [lincomb(c, prev, n)]
+    assert linear_dependence(dependent, n) == reference_linear_dependence(dependent, n) == c
+    last = data.draw(rational_vectors(n, min_size=1, max_size=1))[0]
+    expected = reference_linear_dependence(prev + [last], n)
+    assert linear_dependence(prev + [last], n) == expected
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(RATIONAL, min_size=n, max_size=n), min_size=1, max_size=5),
+    rational_vectors(n, min_size=1, max_size=1))))
+def test_matrix_apply_and_gram_match_dense_products(case):
+    n, rows, (v,) = case
+    rows[0] = [Fraction(0)] * n  # a zero row
+    m = Matrix(tuple(map(tuple, rows)))
+    dense = tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows)
+    assert m.apply(v) == dense
+    assert all(type(x) is Fraction for x in m.apply(v))
+    form = Matrix(tuple(tuple(r) for r in (rows * n)[:n]))  # n x n, first row zero
+    us = [tuple(r) for r in rows]
+    expected = [[sum((a * b for a, b in zip(u, form.apply(w))), Fraction(0)) for w in us + [v]]
+                for u in us]
+    assert gram(form, us, us + [v]) == expected
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from(["zero", "full", "between"]),
+    rational_vectors(n, min_size=1, max_size=3), st.integers(1, 5), st.integers(1, 3),
+    st.data())))
+def test_inclusion_solver_matches_the_normals_reference(case):
+    n, kind, target_rows, m, nslots, data = case
+    target = {"zero": Subspace.zero(n), "full": Subspace.full(n),
+              "between": Subspace.span(n, target_rows)}[kind]
+    candidates = data.draw(rational_vectors(3, min_size=m, max_size=m))
+    images = []
+    for _ in range(m):
+        slots = []
+        for _ in range(nslots):
+            inside = data.draw(rational_vectors(target.dim, min_size=1, max_size=1))[0]
+            w = lincomb(inside, target.basis, n)
+            if data.draw(st.booleans()):  # leave the target in some slots
+                w = tuple(a + b for a, b in
+                          zip(w, data.draw(rational_vectors(n, min_size=1, max_size=1))[0]))
+            slots.append(w)
+        images.append(slots)
+    expected = reference_solve_inclusion_constraint(candidates, images, target)
+    assert solve_inclusion_constraint(candidates, images, target) == expected
+
+
+def test_span_of_int_and_str_entries_stores_fractions():
+    sub = Subspace.span(3, [[2, "1/2", 0], ["-4", 3, "0"], [0, 0, 1]])
+    assert all(type(x) is Fraction for row in sub.basis for x in row)
+    assert sub == Subspace.span(3, [vec([2, "1/2", 0]), vec(["-4", 3, "0"]), unit_vec(3, 2)])
+    line = Subspace.span(2, [[3, 6]])
+    assert line.basis == ((Fraction(1), Fraction(2)),)
+    assert all(type(x) is Fraction for x in line.basis[0])

@@ -255,6 +255,19 @@ class TestStructuralInvariants:
             for y, by in zip(basis, g.basis):
                 assert g.matrix(g.bracket(x, y)) == bx @ by - by @ bx
 
+    def test_p_and_k_projections_match_the_dense_projectors(self, model):
+        g = model
+        ident = Matrix.identity(g.dim)
+        proj_p = (ident - g.theta).scale(rat(1, 2))
+        proj_k = (ident + g.theta).scale(rat(1, 2))
+        rows = [unit_vec(g.dim, i) for i in range(g.dim)]
+        assert g.project_p_subspace(Subspace.span(g.dim, rows)) == g.p_space
+        assert g.project_k_subspace(Subspace.span(g.dim, rows)) == g.k_space
+        pairs = [tuple(a + b for a, b in zip(rows[i], rows[-1 - i])) for i in range(g.dim // 2)]
+        for sub in (pairs, rows[::3]):
+            assert g.project_p_subspace(sub) == Subspace.span(g.dim, [proj_p.apply(x) for x in sub])
+            assert g.project_k_subspace(sub) == Subspace.span(g.dim, [proj_k.apply(x) for x in sub])
+
     def test_a_abelian_inside_p(self, model):
         g = model
         assert g.p_space.contains(g.a_space)

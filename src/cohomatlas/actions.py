@@ -2,8 +2,10 @@
 
 Each constructor returns an :class:`ActionSpec`: the action kind, the
 defining data, and the resulting subalgebra as an exact subspace of the
-ambient model, together with a sparse spanning set used for fast closure
-checks.  Kinds:
+ambient model, together with a sparse spanning set for the bracket-closure
+note of :func:`cohomatlas.verify.verify`.  Constructors check their inputs;
+the closure of the result is certified by ``verify`` alone, and the payload
+holds only the data ``verify`` reads.  Kinds:
 
 * ``FH``   codimension one horospherical foliation, (a minus line) + n
 * ``FS``   solvable foliation, a + (n minus a line in a simple root space)
@@ -41,7 +43,8 @@ from .roots import RootDatum, dynkin_components
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """A constructed action: kind, defining data, resulting subalgebra."""
+    """A constructed action: kind, defining roots, resulting subalgebra, and
+    the spanning set and payload that :func:`cohomatlas.verify.verify` reads."""
 
     kind: str
     model: LieModel
@@ -49,44 +52,6 @@ class ActionSpec:
     algebra: Subspace
     spanning: tuple = field(repr=False)
     payload: dict = field(repr=False, default_factory=dict)
-
-    def to_json(self) -> dict:
-        data = {}
-        if self.phi is not None:
-            data["phi"] = [i + 1 for i in self.phi]
-        for key, value in sorted(self.payload.items()):
-            if key.startswith("_"):
-                continue
-            data[key] = _jsonify(value, key)
-        return {
-            "kind": self.kind,
-            "data": data,
-            "algebra_basis": [[str(c) for c in row] for row in self.algebra.basis],
-        }
-
-
-def _jsonify(value, key=""):
-    if isinstance(value, Subspace):
-        return {"basis": [[str(c) for c in row] for row in value.basis]}
-    if isinstance(value, SigmaMap):
-        return {
-            "domain": [[str(c) for c in row] for row in value.domain_basis],
-            "images": [[str(c) for c in row] for row in value.images],
-        }
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value + 1 if key in ("j", "k", "factor") else value
-    if isinstance(value, str):
-        return value
-    return str(value)
-
-
-def _check_subalgebra(model: LieModel, algebra: Subspace, spanning) -> None:
-    if not model.is_subalgebra(algebra, spanning):
-        raise ValueError("constructed space is not closed under the bracket")
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +69,7 @@ def make_fh(model: LieModel, line: Subspace) -> ActionSpec:
     spanning = tuple(a_rest.basis) + tuple(model.n_space.basis)
     if algebra.dim != model.a_space.dim + model.n_space.dim - 1:
         raise ValueError("FH dimension bookkeeping failed")
-    _check_subalgebra(model, algebra, spanning)
-    return ActionSpec("FH", model, None, algebra, spanning, {"line": line})
+    return ActionSpec("FH", model, None, algebra, spanning)
 
 
 def make_fs(datum: RootDatum, j: int, line: Optional[Subspace] = None) -> ActionSpec:
@@ -123,8 +87,7 @@ def make_fs(datum: RootDatum, j: int, line: Optional[Subspace] = None) -> Action
     spanning = tuple(model.a_space.basis) + tuple(n_rest.basis)
     if algebra.dim != model.a_space.dim + model.n_space.dim - 1:
         raise ValueError("FS dimension bookkeeping failed")
-    _check_subalgebra(model, algebra, spanning)
-    return ActionSpec("FS", model, (j,), algebra, spanning, {"j": j, "line": line})
+    return ActionSpec("FS", model, (j,), algebra, spanning)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +113,6 @@ def canonical_extend(
     if algebra.dim != h_phi.dim + pd.a_phi.dim + pd.n_phi.dim:
         raise ValueError("extension pieces are not in direct sum")
     full_spanning = h_gens + tuple(pd.a_phi.basis) + tuple(pd.n_phi_gens)
-    _check_subalgebra(model, algebra, full_spanning)
     data = {"h_phi": h_phi}
     if payload:
         data.update(payload)
@@ -288,14 +250,7 @@ def make_cer(datum: RootDatum, j: int, k: int, sigma: Optional[SigmaMap] = None)
         sigma.validate(model, pd_j.s, pd_k.s)
     diag, diag_gens = _diagonal_subspace(model, sigma)
     pd = build_parabolic(datum, [j, k])
-    payload = {
-        "j": j,
-        "k": k,
-        "sigma": sigma,
-        "diag": diag,
-        "a_section_domain": pd_j.a_upper,
-        "theta_equivariant": sigma.is_theta_equivariant(model),
-    }
+    payload = {"sigma": sigma, "diag": diag, "a_section_domain": pd_j.a_upper}
     return canonical_extend(datum, pd, diag, diag_gens, kind="CER", payload=payload)
 
 
@@ -318,18 +273,10 @@ def make_factor_diagonal(
     rest = pm.other_factor_rows((j, k))
     algebra = Subspace.span(pm.dim, diag.basis + rest)
     spanning = diag_gens + rest
-    _check_subalgebra(pm, algebra, spanning)
     phi = tuple(i for i, r in enumerate(datum.simple)
                 if pm.factor_of(r.root_vector) in (j, k))
-    payload = {
-        "j": j,
-        "k": k,
-        "sigma": sigma,
-        "diag": diag,
-        "a_section_domain": pm.embed_subspace(j, pm.factors[j].a_space),
-        "theta_equivariant": sigma.is_theta_equivariant(pm),
-        "factor_level": True,
-    }
+    payload = {"sigma": sigma, "diag": diag,
+               "a_section_domain": pm.embed_subspace(j, pm.factors[j].a_space)}
     return ActionSpec("CER", pm, phi, algebra, spanning, payload)
 
 
@@ -348,21 +295,13 @@ def nilpotent_construct(datum: RootDatum, pd: ParabolicDatum, v: Subspace) -> Ac
         raise ValueError("v must lie inside the first graded piece")
     complement = orthocomplement_in(v, pd.n_phi, model.inner)
     normalizer = model.normalizer_in(pd.l, complement)
-    theta_dual = model.theta_image(model.normalizer_in(pd.l, v))
     algebra = subspace_sum(normalizer, complement)
     if algebra.dim != normalizer.dim + complement.dim:
         raise ValueError("normalizer overlaps the nilpotent complement")
     spanning = tuple(normalizer.basis) + tuple(complement.basis)
-    _check_subalgebra(model, algebra, spanning)
     (j,) = [i for i in range(datum.rank) if i not in pd.phi]
-    payload = {
-        "j": j,
-        "v": v,
-        "complement": complement,
-        "normalizer": normalizer,
-        "theta_dual_ok": normalizer == theta_dual,
-    }
-    return ActionSpec("NC", model, pd.phi, algebra, spanning, payload)
+    return ActionSpec("NC", model, pd.phi, algebra, spanning,
+                      {"j": j, "v": v, "normalizer": normalizer})
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +318,7 @@ def product_assemble(pm: ProductModel, j: int, inner: ActionSpec) -> ActionSpec:
     rest = pm.other_factor_rows((j,))
     algebra = Subspace.span(pm.dim, pm.embed_subspace(j, inner.algebra).basis + rest)
     spanning = tuple(pm.embed_vector(j, row) for row in inner.spanning) + rest
-    _check_subalgebra(pm, algebra, spanning)
-    payload = {
-        "factor": j,
-        "inner_kind": inner.kind,
-        "_inner": inner,
-    }
-    return ActionSpec("Prod", pm, None, algebra, spanning, payload)
+    return ActionSpec("Prod", pm, None, algebra, spanning)
 
 
 # ---------------------------------------------------------------------------

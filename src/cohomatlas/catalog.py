@@ -60,14 +60,13 @@ class CatalogEntry:
     report: object
 
     def to_json(self) -> dict:
-        spec_json = self.spec.to_json()
         return {
             "label": self.label,
             "kind": self.spec.kind,
             "name": self.name,
             "boundary": self.boundary,
             "comment": self.comment,
-            "phi": spec_json["data"].get("phi", []),
+            "phi": [i + 1 for i in self.spec.phi] if self.spec.phi is not None else [],
             "codim": self.codim,
             "report": self.report.to_json(),
         }
@@ -136,8 +135,7 @@ def _fh(datum: RootDatum) -> ActionSpec:
 def _named_extension(datum: RootDatum, phi: tuple, name: str) -> ActionSpec:
     """Canonical extension of the built-in boundary subalgebra called name."""
     sub, gens = {nm: (s, g) for nm, s, g in builtin_cei_catalog(datum, phi)}[name]
-    return canonical_extend(datum, build_parabolic(datum, phi), sub, gens,
-                            payload={"name": name})
+    return canonical_extend(datum, build_parabolic(datum, phi), sub, gens)
 
 
 def ce_families(datum: RootDatum) -> Iterator[tuple]:
@@ -314,8 +312,7 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
             for name, sub, gens in builtin_cei_catalog(fd, [0]):
                 algebra = Subspace.span(pm.dim, pm.embed_subspace(idx, sub).basis + rest)
                 spanning = tuple(pm.embed_vector(idx, g) for g in gens) + rest
-                spec = ActionSpec("CEI", pm, (i_root,), algebra, spanning,
-                                  {"h_phi": algebra, "name": name, "factor": idx})
+                spec = ActionSpec("CEI", pm, (i_root,), algebra, spanning, {"h_phi": algebra})
                 _emit(entries, identities, datum, "CEI", name,
                       _hyperbolic_name(profile), f"{tag}: {name}", spec,
                       None, seed, samples)

@@ -41,7 +41,6 @@ FACTOR_BOUNDS = {"sl": (2, 9), "rh": (2, 8), "ch": (2, 5)}
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    text: str
     factors: tuple  # of (name, integer)
 
     @property
@@ -104,7 +103,7 @@ def parse_space(text: str) -> SpaceSpec:
             raise ValueError(f"syntax error at offset {pos}: expected '*' or end "
                              f"of input, found {text[pos]!r}")
         pos += 1
-    return SpaceSpec(text=text, factors=tuple(factors))
+    return SpaceSpec(factors=tuple(factors))
 
 
 def _build_factor(name: str, value: int, su1n: bool):
@@ -123,7 +122,6 @@ def _build_factor(name: str, value: int, su1n: bool):
 @dataclass
 class RunResult:
     result: EnumerationResult
-    document: dict
     json_text: str
     markdown_text: str
     exit_code: int
@@ -176,7 +174,7 @@ def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
     json_text = json.dumps(document, sort_keys=True, indent=2) + "\n"
     markdown_text = render_markdown(spec, config, result)
     exit_code = 0 if result.all_identities_passed else 1
-    return RunResult(result, document, json_text, markdown_text, exit_code)
+    return RunResult(result, json_text, markdown_text, exit_code)
 
 
 def render_markdown(spec: SpaceSpec, config: RunConfig, result: EnumerationResult) -> str:

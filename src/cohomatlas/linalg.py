@@ -202,12 +202,17 @@ def linear_dependence(vectors: Sequence[Sequence], ncols: int):
     """If the last vector depends on the previous ones, return the coefficients.
 
     Returns c with vectors[-1] = sum(c[i] * vectors[i]) or None if independent.
+    The previous vectors must be linearly independent; ValueError otherwise.
     """
     *prev, last = vectors
     red, pivots, transform = rref_with_transform(list(prev) + [list(last)], ncols)
     if not is_zero_vec(red[-1]):
         return None
     t = transform[-1]
+    # with fewer pivots, or a relation without the last vector, the earlier
+    # vectors carry a relation of their own
+    if len(pivots) < len(prev) or not t[-1]:
+        raise ValueError("the earlier vectors are linearly dependent")
     scale = -Q1 / t[-1]
     return tuple(scale * t[i] for i in range(len(prev)))
 

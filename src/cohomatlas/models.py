@@ -53,19 +53,19 @@ class LieModel:
         self._struct = self._structure_constants()
         self.theta = self._theta_matrix()
         self.killing = self._killing_gram()
-
-        eig = invariant_eigensplit(self.theta.apply, Subspace.full(self.dim))
-        by_val = dict((mu, sp) for mu, sp in eig)
-        if set(by_val) - {rat(1), rat(-1)}:
-            raise ValueError("theta is not an involution on this basis")
-        self.k_space = by_val.get(rat(1), Subspace.zero(self.dim))
-        self.p_space = by_val.get(rat(-1), Subspace.zero(self.dim))
         self._set_iwasawa(a_vectors, n_vectors)
 
     def _set_iwasawa(self, a_vectors, n_vectors) -> None:
-        """The inner product, a, n and the Iwasawa solver, from theta, the
-        Killing form and k; n defaults to the positive ad-eigenvectors of the
-        first basis vector of a."""
+        """k, p, the inner product, a, n and the Iwasawa solver, from theta
+        and the Killing form; n defaults to the positive ad-eigenvectors of
+        the first basis vector of a.  Since theta^2 = I, k = span(x + theta x)
+        and p = span(x - theta x) are its +1 and -1 eigenspaces and k + p is
+        the whole algebra."""
+        full = Subspace.full(self.dim)
+        if any(self.theta.apply(self.theta.apply(e)) != e for e in full.basis):
+            raise ValueError("theta is not an involution on this basis")
+        self.k_space = self.project_k_subspace(full)
+        self.p_space = self.project_p_subspace(full)
         self.inner = self._inner_gram()
         self.a_space = Subspace.span(self.dim, a_vectors)
         if n_vectors is None:
@@ -397,13 +397,13 @@ class ProductModel(LieModel):
 
     The basis is the factors' bases placed on the diagonal blocks at
     ``matrix_offsets``; coordinates run factor by factor from
-    ``block_offsets``.  The structure constants, theta, the Killing form and
-    k/p are the factors' own, shifted by the block offsets, and a, n are
-    the factors' side by side: cross-factor brackets and Killing entries are
-    zero.  Each factor has already checked that its brackets close, that
-    theta is an involution with eigenspaces k and p, and that its own
-    k + a + n is direct.  The product checks only theta^2 = I,
-    dim k + dim p = dim, and that k + a + n is direct.
+    ``block_offsets``.  The structure constants, theta and the Killing form
+    are the factors' own, shifted by the block offsets, and a, n are the
+    factors' side by side: cross-factor brackets and Killing entries are
+    zero.  Each factor has already checked that its brackets close and that
+    its own k + a + n is direct.  The product, like any model, checks that
+    theta^2 = I, takes k and p from theta, and checks that k + a + n is
+    direct.
     """
 
     def __init__(self, factors: Sequence[LieModel]):
@@ -427,13 +427,7 @@ class ProductModel(LieModel):
             for (i, j), entry in f._struct.items()
         }
         self.theta = _block_diagonal([f.theta for f in factors])
-        if self.theta @ self.theta != Matrix.identity(self.dim):
-            raise ValueError("theta is not an involution on this basis")
         self.killing = _block_diagonal([f.killing for f in factors])
-        self.k_space = self._embed_spaces(f.k_space for f in factors)
-        self.p_space = self._embed_spaces(f.p_space for f in factors)
-        if self.k_space.dim + self.p_space.dim != self.dim:
-            raise ValueError("k + p does not have full dimension")
         a_vecs = self._embed_spaces(f.a_space for f in factors).basis
         n_vecs = self._embed_spaces(f.n_space for f in factors).basis
         self._set_iwasawa(a_vecs, n_vecs)

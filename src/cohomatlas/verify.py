@@ -1,7 +1,9 @@
 """Exact and sampled certificates for constructed actions.
 
-The exact side: orbit tangents at the base point, Lie triple checks,
-normalizer tangent criteria for the nilpotent construction, rotation-algebra
+``verify`` is the one place that certifies a constructed action.  The exact
+side: bracket closure of the constructed algebra, orbit tangents at the base
+point, Lie triple checks, normalizer tangent criteria for the nilpotent
+construction, the theta-dual check of its normalizer, rotation-algebra
 certificates, and the named subspace identities (extension composition,
 product block split, solvable projection).  The sampled side: the
 cohomogeneity of the slice representation, estimated as the generic isotropy
@@ -393,7 +395,8 @@ def verify(spec: ActionSpec, datum: Optional[RootDatum] = None, *,
         v = spec.payload["v"]
         nc1 = "yes" if check_nc1(model, pd, v) else "no"
         nc2, nc2_cert = check_nc2(model, pd, v, seed, samples)
-        notes.append(("normalizer-theta-dual", spec.payload.get("theta_dual_ok", False)))
+        theta_dual = model.theta_image(model.normalizer_in(pd.l, v))
+        notes.append(("normalizer-theta-dual", theta_dual == spec.payload["normalizer"]))
         if isinstance(model, ProductModel):
             notes.append(("product-block-split", product_split_ok(datum, spec)))
         ce_match = spec.payload.get("ce_match")

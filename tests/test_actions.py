@@ -1,10 +1,15 @@
 """Tests for the action-algebra constructors."""
 
+import inspect
+
 import pytest
 
-from cohomatlas.linalg import Subspace, is_zero_vec, subspace_intersect, subspace_sum
+from cohomatlas import verify as verify_module
+from cohomatlas.catalog import enumerate_sl
+from cohomatlas.linalg import Matrix, Subspace, is_zero_vec, subspace_intersect, subspace_sum
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
+    ActionSpec,
     builtin_cei_catalog,
     canonical_extend,
     default_cer_sigma,
@@ -17,6 +22,7 @@ from cohomatlas.actions import (
 )
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.roots import decompose
+from cohomatlas.verify import verify
 
 
 def setup_module(module):
@@ -120,7 +126,7 @@ class TestCer:
         # diagonal sl(2): dimension 3, extended by a_phi (1) and n_phi (4)
         assert spec.payload["diag"].dim == 3
         assert spec.algebra.dim == 3 + 1 + 4
-        assert spec.payload["theta_equivariant"]
+        assert spec.payload["sigma"].is_theta_equivariant(SL4)
 
     def test_rejects_adjacent_pair(self):
         with pytest.raises(ValueError):
@@ -152,7 +158,7 @@ class TestCer:
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
         assert fd.algebra.dim == 8
-        assert fd.payload["theta_equivariant"]
+        assert fd.payload["sigma"].is_theta_equivariant(p)
 
     def test_default_sigma_theta_equivariant(self):
         sigma = default_cer_sigma(SL4_DATUM, 0, 2)
@@ -175,7 +181,8 @@ class TestNilpotentConstruction:
             SL4.a_space, orthocomplement_in(v, SL4.n_space, SL4.inner)
         )
         assert spec.algebra.contains(target)
-        assert spec.payload["theta_dual_ok"]
+        notes = dict(verify(spec, datum).notes)
+        assert notes["normalizer-theta-dual"]
 
     def test_product_split(self):
         p = direct_sum([build_so1n(4), build_so1n(2)])
@@ -289,10 +296,45 @@ class TestBuiltinCatalog:
         assert dims["so(1,2)"] == 3
 
 
-def test_action_spec_serializes():
-    spec = make_fs(SL3_DATUM, 1)
-    js = spec.to_json()
-    assert js["kind"] == "FS"
-    assert js["data"]["phi"] == [2]
-    assert js["data"]["j"] == 2
-    assert all(isinstance(x, str) for row in js["algebra_basis"] for x in row)
+def test_catalog_entry_phi_is_one_based():
+    entries = enumerate_sl(2).entries
+    (fh,) = [e for e in entries if e.label == "FH"]
+    (fs2,) = [e for e in entries if e.label == "FS" and e.comment == "j=2"]
+    assert fs2.to_json()["phi"] == [2]
+    assert fh.to_json()["phi"] == []
+
+
+def test_non_closed_algebra_fails_the_closure_note():
+    # E12 and E23 span no subalgebra: [E12, E23] = E13 lies outside
+    e12 = SL3.coords(Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    e23 = SL3.coords(Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]]))
+    spec = ActionSpec("FH", SL3, None, Subspace.span(SL3.dim, [e12, e23]), (e12, e23))
+    report = verify(spec)
+    assert dict(report.notes)["bracket-closure"] is False
+    assert not report.all_exact_checks_passed
+
+
+def _payload_specs():
+    """One spec of each kind: FH, FS, CEI, CER by the sl2 route and by the
+    factor route, NC and Prod."""
+    fh = make_fh(SL3, Subspace.span(SL3.dim, [SL3_DATUM.simple[0].root_vector]))
+    fs = make_fs(SL3_DATUM, 0)
+    iso = subspace_intersect(build_parabolic(SL4_DATUM, [0]).s, SL4.k_space)
+    cei = canonical_extend(SL4_DATUM, build_parabolic(SL4_DATUM, [0]), iso)
+    cer = make_cer(SL4_DATUM, 0, 2)
+    p = direct_sum([build_sl(3), build_sl(3)])
+    factor_cer = make_factor_diagonal(p, decompose(p), 0, 1)
+    v = tensor_model(SL4_DATUM, 1).column(1)
+    nc = nilpotent_construct(SL4_DATUM, build_parabolic(SL4_DATUM, [0, 2]), v)
+    rh = direct_sum([build_so1n(3), build_so1n(2)])
+    prod = product_assemble(rh, 0, make_fh(rh.factors[0], rh.factors[0].a_space))
+    return [fh, fs, cei, cer, factor_cer, nc, prod]
+
+
+def test_every_payload_key_is_read_by_verify():
+    source = inspect.getsource(verify_module)
+    specs = _payload_specs()
+    assert sorted({s.kind for s in specs}) == ["CEI", "CER", "FH", "FS", "NC", "Prod"]
+    for spec in specs:
+        for key in spec.payload:
+            assert f'"{key}"' in source, (spec.kind, key)

@@ -19,6 +19,8 @@ GOLDEN_DIGESTS = {
     "sl(5)": "f97efdfcb66161175bbffb7140893903c81e6707d6aec608b1fe66eebc174e90",
     "sl(4) --nc-search": "acfd97b082813fd761b358230edcfd48ccd7c79643784aa6b98eca194a9dafce",
     "rh(2)*rh(3)": "bddf293ca90cd2f879f0aa7c323a74b880f16486bb87aa44c2d3fa5a97bfcb09",
+    # factor diagonal, CEI and NC rows on rank-one factors
+    "rh(3)*rh(3)": "37a5dbdbf5739a75d923cbf6bfc2218217f6e7dd450ea2413c94e63f1d60eda3",
     "sl(3)*sl(3)": "85b68a856ff6fc0b3fedbb77b8efe96050071bd4213ca9eb71003e0eda264e72",
     "ch(2)*ch(2)": "a06394edf801fe720cbe0312897fc13d05448f421e81bce734311ee017ec13d6",
 }

@@ -471,6 +471,15 @@ def test_linear_dependence_matches_the_rational_loop(case, data):
     assert linear_dependence(prev + [last], n) == expected
 
 
+def test_linear_dependence_rejects_dependent_earlier_vectors():
+    # the only relation is v0 - v1 = 0, with the last coefficient zero
+    with pytest.raises(ValueError, match="the earlier vectors are linearly dependent"):
+        linear_dependence([vec([1, 0]), vec([1, 0]), vec([0, 1])], 2)
+    # fewer pivots than earlier vectors
+    with pytest.raises(ValueError, match="the earlier vectors are linearly dependent"):
+        linear_dependence([vec([1, 0]), vec([2, 0]), vec([1, 0])], 2)
+
+
 @PROPERTY
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.lists(RATIONAL, min_size=n, max_size=n), min_size=1, max_size=5),

@@ -102,20 +102,21 @@ def canonical_extend(
     kind: str = "CEI",
     payload: Optional[dict] = None,
 ) -> ActionSpec:
-    """Extend a boundary subalgebra h_phi over phi: h_phi + a_phi + n_phi."""
+    """Extend a boundary subalgebra h_phi over phi: h_phi + a_phi + n_phi.
+
+    The payload is the caller's, or {"h_phi": h_phi} when it passes none.
+    """
     model = datum.model
     if not pd.s.contains(h_phi):
         raise ValueError("boundary subalgebra must lie in s_phi")
     h_gens = tuple(spanning) if spanning is not None else tuple(h_phi.basis)
     if not model.is_subalgebra(h_phi, h_gens):
         raise ValueError("boundary subalgebra is not closed under the bracket")
-    algebra = subspace_sum(subspace_sum(h_phi, pd.a_phi), pd.n_phi)
+    algebra = Subspace.span(model.dim, h_phi.basis + pd.a_phi.basis + pd.n_phi.basis)
     if algebra.dim != h_phi.dim + pd.a_phi.dim + pd.n_phi.dim:
         raise ValueError("extension pieces are not in direct sum")
     full_spanning = h_gens + tuple(pd.a_phi.basis) + tuple(pd.n_phi_gens)
-    data = {"h_phi": h_phi}
-    if payload:
-        data.update(payload)
+    data = {"h_phi": h_phi} if payload is None else payload
     return ActionSpec(kind, model, pd.phi, algebra, full_spanning, data)
 
 

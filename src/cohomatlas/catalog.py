@@ -348,15 +348,9 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
                     profile = datum.profile(datum.simple[a])
                     if profile != datum.profile(datum.simple[b]):
                         continue
-                    whole_j = profiles[idx_j] is not None
-                    whole_k = profiles[idx_k] is not None
+                    whole = None not in (profiles[idx_j], profiles[idx_k])
                     try:
-                        if whole_j and whole_k:
-                            if pm.factors[idx_j].name != pm.factors[idx_k].name:
-                                skipped.append(
-                                    (f"CER[{a + 1},{b + 1}]",
-                                     "factors are homothetic but not identical"))
-                                continue
+                        if whole and pm.factors[idx_j].name == pm.factors[idx_k].name:
                             spec = make_factor_diagonal(pm, datum, idx_j, idx_k)
                         else:
                             spec = make_cer(datum, a, b)

@@ -16,6 +16,10 @@ rational Gauss-Jordan loop would hold, so pivots and reduced rows are the
 same as that loop's.  ``Matrix.apply`` runs over the nonzero entries of each
 row only; theta is a signed permutation and the Killing and inner-product
 Grams are sparse in the shipped bases.
+
+One constraint solver, ``solve_inclusion_constraint``, serves normalizers,
+centralizers and intersections: it reduces each image against the target's
+RREF basis and solves for the combinations whose residuals vanish.
 """
 
 from __future__ import annotations
@@ -50,11 +54,11 @@ def unit_vec(n: int, i: int) -> tuple:
 
 
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(a + b if b else a for a, b in zip(u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a - b if b else a for a, b in zip(u, v))
 
 
 def vscale(c, u):
@@ -375,19 +379,12 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Largest common subspace, via the kernel of stacked constraints."""
+    """Largest common subspace: the vectors of the smaller one whose residual
+    against the larger one vanishes."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(u.ambient_dim)
-    # columns of the stacked transpose [U^T | -V^T]; kernel elements (x|y)
-    # satisfy x U = y V, so x U runs over the intersection.
-    p, q = u.dim, v.dim
-    stacked = []
-    for j in range(u.ambient_dim):
-        stacked.append(tuple(u.basis[i][j] for i in range(p)) + tuple(-v.basis[i][j] for i in range(q)))
-    ker = kernel_rows(stacked, p + q)
-    return Subspace.span(u.ambient_dim, [u.from_coords(k[:p]) for k in ker])
+    small, large = (u, v) if u.dim <= v.dim else (v, u)
+    return solve_inclusion_constraint(small.basis, [[b] for b in small.basis], large)
 
 
 def gram(form: Matrix, rows_u: Sequence, rows_v: Sequence) -> list:

@@ -174,9 +174,12 @@ class LieModel:
     # -- algebra operations --------------------------------------------------
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
+        return self._bracket_entries(_entries(x), _entries(y))
+
+    def _bracket_entries(self, xs: Sequence, ys: Sequence) -> tuple:
+        """The bracket of two vectors given by their nonzero (index, value)
+        pairs, as a dense vector."""
         out = [Q0] * self.dim
-        xs = [(i, c) for i, c in enumerate(x) if c]
-        ys = [(j, c) for j, c in enumerate(y) if c]
         table = self._struct
         for i, xi in xs:
             for j, yj in ys:
@@ -226,15 +229,15 @@ class LieModel:
 
     def bracket_span(self, u: Iterable, v: Iterable) -> Subspace:
         """Span of pairwise brackets of two generating sets."""
-        vl = list(v)
-        rows = [self.bracket(x, y) for x in u for y in vl]
+        ve = [_entries(y) for y in v]
+        rows = [self._bracket_entries(xe, ye) for xe in map(_entries, u) for ye in ve]
         return Subspace.span(self.dim, rows)
 
     def is_subalgebra(self, sub: Subspace, spanning: Sequence = None) -> bool:
-        gens = list(spanning) if spanning is not None else list(sub.basis)
+        gens = [_entries(g) for g in (spanning if spanning is not None else sub.basis)]
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
-                if not sub.contains_vector(self.bracket(gens[a], gens[b])):
+                if not sub.contains_vector(self._bracket_entries(gens[a], gens[b])):
                     return False
         return True
 
@@ -248,8 +251,14 @@ class LieModel:
     def _bracket_into(self, domain: Subspace, of: Subspace, target: Subspace) -> Subspace:
         """{X in domain : [X, of] subset of target}."""
         cands = list(domain.basis)
-        images = [[self.bracket(c, w) for w in of.basis] for c in cands]
+        ws = [_entries(w) for w in of.basis]
+        images = [[self._bracket_entries(xe, we) for we in ws] for xe in map(_entries, cands)]
         return solve_inclusion_constraint(cands, images, target)
+
+
+def _entries(x: Sequence) -> tuple:
+    """The (index, value) pairs of the nonzero entries of a vector."""
+    return tuple((i, c) for i, c in enumerate(x) if c)
 
 
 def _block_diagonal(blocks: Sequence[Matrix]) -> Matrix:

@@ -59,13 +59,16 @@ class ParabolicDatum:
 
 @dataclass(frozen=True)
 class NestedParabolicDatum:
+    """Parabolic pieces of s_phi for psi inside phi.  Nothing downstream
+    reads m_np; computing it is the check that a_np lies in l_np and that the
+    inner product is nondegenerate there."""
+
     psi: tuple
     phi: tuple
     l_np: Subspace
     n_np: Subspace
     a_np: Subspace
     m_np: Subspace
-    k_np: Subspace
 
 
 def _check_phi(datum: RootDatum, phi: Iterable[int]) -> tuple:
@@ -74,6 +77,11 @@ def _check_phi(datum: RootDatum, phi: Iterable[int]) -> tuple:
         if not 0 <= i < datum.rank:
             raise ValueError(f"simple root index {i} out of range")
     return phi
+
+
+def _root_rows(datum: RootDatum, roots: Iterable, start: Sequence = ()) -> list:
+    """The rows of start followed by the basis rows of each root space."""
+    return list(start) + [v for r in roots for v in datum.space(r).basis]
 
 
 def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
@@ -86,12 +94,9 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     model = datum.model
     d = model.dim
     inside, inside_pos = sigma_phi(datum, phi)
-    pos_covs = {r.covector for r in datum.positive}
     inside_covs = {r.covector for r in inside}
 
-    l = datum.zero_space
-    for r in inside:
-        l = subspace_sum(l, datum.space(r))
+    l = Subspace.span(d, _root_rows(datum, inside, datum.zero_space.basis))
 
     # a_phi = {H in a : alpha(H) = 0 for alpha in phi}
     a = model.a_space
@@ -103,22 +108,17 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
         a_phi = a
 
     outside_pos = [r for r in datum.positive if r.covector not in inside_covs]
-    n_gens = []
-    for r in outside_pos:
-        n_gens.extend(datum.space(r).basis)
+    n_gens = _root_rows(datum, outside_pos)
     n_phi = Subspace.span(d, n_gens)
 
     m = orthocomplement_in(a_phi, l, model.inner)
 
-    k_phi = datum.k0
-    n_upper = Subspace.zero(d)
-    b = orthocomplement_in(a_phi, a, model.inner)
-    a_upper = b
-    for r in inside_pos:
-        sp = datum.space(r)
-        k_phi = subspace_sum(k_phi, model.project_k_subspace(sp))
-        n_upper = subspace_sum(n_upper, sp)
-        b = subspace_sum(b, model.project_p_subspace(sp))
+    # k0 lies in k and a_upper in p, so projecting them too leaves each one
+    # spanning itself
+    a_upper = orthocomplement_in(a_phi, a, model.inner)
+    k_phi = model.project_k_subspace(_root_rows(datum, inside_pos, datum.k0.basis))
+    n_upper = Subspace.span(d, _root_rows(datum, inside_pos))
+    b = model.project_p_subspace(_root_rows(datum, inside_pos, a_upper.basis))
 
     bb = model.bracket_span(b.basis, b.basis)
     s = subspace_sum(bb, b)
@@ -132,10 +132,7 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
         for r in outside_pos:
             nu = datum.coeffs[r.covector][j]
             grading.setdefault(nu, []).append(r)
-        grading = {
-            nu: Subspace.span(d, [v for r in rs for v in datum.space(r).basis])
-            for nu, rs in grading.items()
-        }
+        grading = {nu: Subspace.span(d, _root_rows(datum, rs)) for nu, rs in grading.items()}
         # alpha_i(sum t_b A_b) = sum_b cov_i[b] t_b, so the covector matrix
         # applied to a-coordinates solves alpha_k(H) = delta_kj directly
         rows = [datum.simple[i].covector for i in range(datum.rank)]
@@ -179,33 +176,25 @@ def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> Ne
     pd_psi = build_parabolic(datum, psi)
 
     _, phi_pos = sigma_phi(datum, phi)
-    _, psi_pos = sigma_phi(datum, psi)
+    inside_psi, psi_pos = sigma_phi(datum, psi)
     psi_pos_covs = {r.covector for r in psi_pos}
-    inside_psi, _ = sigma_phi(datum, psi)
 
-    n_np = Subspace.zero(d)
-    for r in phi_pos:
-        if r.covector not in psi_pos_covs:
-            n_np = subspace_sum(n_np, datum.space(r))
+    n_np = Subspace.span(d, _root_rows(datum, [r for r in phi_pos
+                                                if r.covector not in psi_pos_covs]))
     if n_np != subspace_intersect(pd_phi.n_upper, pd_psi.n_phi):
         raise ValueError("nested nilpotent piece fails its intersection identity")
 
     a_np = subspace_intersect(pd_phi.a_upper, pd_psi.a_phi)
 
-    l_np = pd_phi.s0
-    for r in inside_psi:
-        l_np = subspace_sum(l_np, datum.space(r))
-
+    l_np = Subspace.span(d, _root_rows(datum, inside_psi, pd_phi.s0.basis))
     m_np = orthocomplement_in(a_np, l_np, model.inner)
-    k_np = subspace_intersect(model.k_space, l_np)
 
     q_np = subspace_sum(l_np, n_np)
     q_psi = subspace_sum(pd_psi.l, pd_psi.n_phi)
     if q_np != subspace_intersect(q_psi, pd_phi.s):
         raise ValueError("nested parabolic fails q_{psi,phi} = q_psi & s_phi")
 
-    nd = NestedParabolicDatum(psi=psi, phi=phi, l_np=l_np, n_np=n_np, a_np=a_np,
-                              m_np=m_np, k_np=k_np)
+    nd = NestedParabolicDatum(psi=psi, phi=phi, l_np=l_np, n_np=n_np, a_np=a_np, m_np=m_np)
     datum._nested_cache[key] = nd
     return nd
 

@@ -302,9 +302,10 @@ def extension_composition_ok(datum: RootDatum, psi, phi, h_psi: Subspace) -> boo
     nd = build_nested(datum, psi, phi)
     pd_phi = build_parabolic(datum, phi)
     pd_psi = build_parabolic(datum, psi)
-    inner = subspace_sum(subspace_sum(h_psi, nd.a_np), nd.n_np)
-    two_step = subspace_sum(subspace_sum(inner, pd_phi.a_phi), pd_phi.n_phi)
-    one_step = subspace_sum(subspace_sum(h_psi, pd_psi.a_phi), pd_psi.n_phi)
+    d = datum.model.dim
+    two_step = Subspace.span(d, h_psi.basis + nd.a_np.basis + nd.n_np.basis
+                             + pd_phi.a_phi.basis + pd_phi.n_phi.basis)
+    one_step = Subspace.span(d, h_psi.basis + pd_psi.a_phi.basis + pd_psi.n_phi.basis)
     return two_step == one_step
 
 

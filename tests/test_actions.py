@@ -153,6 +153,14 @@ class TestCer:
         assert cer.payload["diag"] == fd.payload["diag"]
         assert fd.algebra == cer.algebra
 
+    def test_both_routes_carry_the_same_payload_keys(self):
+        # the diagonal is carried once, as "diag"; no "h_phi" copy
+        p = direct_sum([build_so1n(2), build_so1n(2)])
+        datum = decompose(p)
+        for spec in (make_cer(datum, 0, 1), make_factor_diagonal(p, datum, 0, 1),
+                     make_cer(SL4_DATUM, 0, 2)):
+            assert set(spec.payload) == {"sigma", "diag", "a_section_domain"}
+
     def test_factor_diagonal_higher_rank(self):
         p = direct_sum([build_sl(3), build_sl(3)])
         datum = decompose(p)

@@ -104,3 +104,16 @@ def test_product_enumeration_decomposes_each_factor_once(monkeypatch, build):
     assert result.all_identities_passed
     assert calls["decompose"] == len(pm.factors) + 1
     assert calls["build_sl"] == 0
+
+
+@pytest.mark.parametrize("factors", [[build_sl(2), build_so1n(2)], [build_so1n(2), build_sl(2)]],
+                         ids=["sl2xrh2", "rh2xsl2"])
+def test_homothetic_rank_one_factors_get_their_diagonal_row(factors):
+    # both factors model RH^2; the diagonal goes through the sl2-triple sigma
+    result = catalog.enumerate_product(direct_sum(factors))
+    cer = [e for e in result.entries if e.label == "CER"]
+    assert [e.comment for e in cer] == ["j=1, k=2"]
+    assert cer[0].report.all_exact_checks_passed
+    assert cer[0].report.cohomogeneity == 1
+    assert result.all_identities_passed
+    assert result.skipped == []

@@ -23,6 +23,9 @@ GOLDEN_DIGESTS = {
     "rh(3)*rh(3)": "37a5dbdbf5739a75d923cbf6bfc2218217f6e7dd450ea2413c94e63f1d60eda3",
     "sl(3)*sl(3)": "85b68a856ff6fc0b3fedbb77b8efe96050071bd4213ca9eb71003e0eda264e72",
     "ch(2)*ch(2)": "a06394edf801fe720cbe0312897fc13d05448f421e81bce734311ee017ec13d6",
+    # recorded when these homothetic rank-one factors gained their CER row
+    "sl(2)*rh(2)": "733e419806307ef35dd8698ec47d5fc78788424b8f58614d9a97523f234be1d7",
+    "rh(2)*sl(2)": "f3e9be10aa1785978b9a010e6284b822eb25cc0864eb8d3c076083124315c312",
 }
 # The oracle flags known CE tangents for j=1 and j=3 as unknown (a false
 # alarm), so the nc-search report exits 1.

@@ -25,9 +25,11 @@ from cohomatlas.linalg import (
     subspace_intersect,
     subspace_sum,
     unit_vec,
+    vadd,
     vdot,
     vec,
     vscale,
+    vsub,
     zero_vec,
 )
 
@@ -413,6 +415,18 @@ def reference_solve_inclusion_constraint(candidates, images, target):
     return Subspace.span(amb, [lincomb(x, candidates, amb) for x in ker])
 
 
+def reference_subspace_intersect(u, v):
+    """The kernel of the stacked transpose [U^T | -V^T]: kernel elements
+    (x|y) satisfy x U = y V, so x U runs over the intersection."""
+    if u.dim == 0 or v.dim == 0:
+        return Subspace.zero(u.ambient_dim)
+    p, q = u.dim, v.dim
+    stacked = [tuple(u.basis[i][j] for i in range(p)) + tuple(-v.basis[i][j] for i in range(q))
+               for j in range(u.ambient_dim)]
+    ker = kernel_rows(stacked, p + q)
+    return Subspace.span(u.ambient_dim, [u.from_coords(k[:p]) for k in ker])
+
+
 RATIONAL = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=6))
 
 
@@ -521,6 +535,42 @@ def test_inclusion_solver_matches_the_normals_reference(case):
         images.append(slots)
     expected = reference_solve_inclusion_constraint(candidates, images, target)
     assert solve_inclusion_constraint(candidates, images, target) == expected
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from(["zero", "full", "between"]),
+    st.sampled_from(["zero", "full", "between", "nested", "disjoint"]),
+    rational_vectors(n, max_size=4), rational_vectors(n, max_size=4), st.data())))
+def test_intersection_matches_the_stacked_transpose_reference(case):
+    n, kind_u, kind_v, rows_u, rows_v, data = case
+    spaces = {"zero": Subspace.zero(n), "full": Subspace.full(n)}
+    u = spaces.get(kind_u) or Subspace.span(n, rows_u)
+    if kind_v == "nested":  # a subspace of u
+        coeffs = data.draw(rational_vectors(u.dim, max_size=3))
+        v = Subspace.span(n, [u.from_coords(c) for c in coeffs])
+    elif kind_v == "disjoint":  # unit vectors off u's pivots meet u in 0 only
+        free = [j for j in range(n) if j not in u.pivots]
+        picked = data.draw(st.lists(st.sampled_from(free))) if free else []
+        v = Subspace.span(n, [unit_vec(n, j) for j in picked])
+    else:
+        v = spaces.get(kind_v) or Subspace.span(n, rows_v)
+    expected = reference_subspace_intersect(u, v)
+    assert subspace_intersect(u, v) == expected == reference_subspace_intersect(v, u)
+    assert subspace_intersect(v, u) == expected
+    if kind_v == "nested":
+        assert expected == v
+    if kind_v == "disjoint":
+        assert expected.dim == 0
+
+
+@PROPERTY
+@given(st.integers(0, 5).flatmap(lambda n: rational_vectors(n, min_size=2, max_size=2)))
+def test_vadd_and_vsub_are_entrywise(pair):
+    u, v = pair
+    assert vadd(u, v) == tuple(a + b for a, b in zip(u, v))
+    assert vsub(u, v) == tuple(a - b for a, b in zip(u, v))
+    assert all(type(x) is Fraction for x in vadd(u, v) + vsub(u, v))
 
 
 def test_span_of_int_and_str_entries_stores_fractions():

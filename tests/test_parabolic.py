@@ -4,7 +4,14 @@ import itertools
 
 import pytest
 
-from cohomatlas.linalg import Matrix, Subspace, is_zero_vec, subspace_intersect, subspace_sum
+from cohomatlas.linalg import (
+    Matrix,
+    Subspace,
+    is_zero_vec,
+    orthocomplement_in,
+    subspace_intersect,
+    subspace_sum,
+)
 from cohomatlas.actions import nilpotent_construct
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.parabolic import (
@@ -13,7 +20,7 @@ from cohomatlas.parabolic import (
     tensor_action_pair,
     tensor_model,
 )
-from cohomatlas.roots import decompose
+from cohomatlas.roots import decompose, sigma_phi
 
 
 def sl4():
@@ -213,6 +220,43 @@ class TestNested:
         _, datum = sl4()
         with pytest.raises(ValueError):
             build_nested(datum, [2], [0, 1])
+
+
+def root_space_sum(datum, start, roots):
+    """start plus the root spaces, added one at a time with subspace_sum."""
+    out = start
+    for r in roots:
+        out = subspace_sum(out, datum.space(r))
+    return out
+
+
+@pytest.mark.parametrize("build", [lambda: build_sl(4),
+                                   lambda: direct_sum([build_su1n(2), build_so1n(2)])],
+                         ids=["sl4", "ch2xrh2"])
+def test_pieces_equal_the_incremental_sums(build):
+    g = build()
+    datum = decompose(g)
+    subsets = [phi for size in range(datum.rank + 1)
+               for phi in itertools.combinations(range(datum.rank), size)]
+    for phi in subsets:
+        pd = build_parabolic(datum, phi)
+        inside, inside_pos = sigma_phi(datum, phi)
+        assert pd.l == root_space_sum(datum, datum.zero_space, inside)
+        assert pd.n_upper == root_space_sum(datum, Subspace.zero(g.dim), inside_pos)
+        k_phi, b = datum.k0, orthocomplement_in(pd.a_phi, g.a_space, g.inner)
+        assert pd.a_upper == b
+        for r in inside_pos:
+            k_phi = subspace_sum(k_phi, g.project_k_subspace(datum.space(r)))
+            b = subspace_sum(b, g.project_p_subspace(datum.space(r)))
+        assert (pd.k_phi, pd.b) == (k_phi, b)
+        for psi in subsets:
+            if not set(psi) <= set(phi):
+                continue
+            nd = build_nested(datum, psi, phi)
+            psi_pos = {r.covector for r in sigma_phi(datum, psi)[1]}
+            outside = [r for r in inside_pos if r.covector not in psi_pos]
+            assert nd.n_np == root_space_sum(datum, Subspace.zero(g.dim), outside)
+            assert nd.l_np == root_space_sum(datum, pd.s0, sigma_phi(datum, psi)[0])
 
 
 class TestTensorModel:

@@ -184,31 +184,13 @@ def _rational_sqrt(x):
     return rat(rn, rd)
 
 
-def _block_translation(pm: ProductModel, j: int, k: int) -> SigmaMap:
-    """The coordinate translation from the j-th factor block onto the k-th."""
-    return SigmaMap(pm.factor_block(j).basis, pm.factor_block(k).basis)
-
-
 def default_cer_sigma(datum: RootDatum, j: int, k: int) -> SigmaMap:
-    """Canonical isomorphism between two rank-one boundary algebras.
-
-    Identical product factors get the coordinate block translation; pairs of
-    multiplicity (1,0) roots get the sl2-triple map, rescaled so the result
-    is theta equivariant (requires an exact rational square root).
-    """
+    """Canonical isomorphism between two rank-one boundary algebras of
+    multiplicity (1,0) roots: the sl2-triple map, rescaled so the result is
+    theta equivariant (requires an exact rational square root)."""
     model = datum.model
     pd_j = build_parabolic(datum, [j])
     pd_k = build_parabolic(datum, [k])
-    if isinstance(model, ProductModel):
-        fj = model.factor_of(datum.simple[j].root_vector)
-        fk = model.factor_of(datum.simple[k].root_vector)
-        if (None not in (fj, fk) and fj != fk
-                and model.factors[fj].name == model.factors[fk].name
-                and pd_j.s == model.factor_block(fj)):
-            sigma = _block_translation(model, fj, fk)
-            sigma.validate(model, pd_j.s, pd_k.s)
-            return sigma
-    # sl2-triple route for multiplicity (1,0) pairs
     if any(datum.profile(datum.simple[idx]) != (1, 0) for idx in (j, k)):
         raise ValueError("no canonical sigma for this pair of boundary algebras")
     hj, ej, fj_, cj = _sl2_triple(model, datum, datum.simple[j])
@@ -231,7 +213,7 @@ def _diagonal_subspace(model: LieModel, sigma: SigmaMap) -> tuple:
     return Subspace.span(model.dim, rows), tuple(rows)
 
 
-def make_cer(datum: RootDatum, j: int, k: int, sigma: Optional[SigmaMap] = None) -> ActionSpec:
+def make_cer(datum: RootDatum, j: int, k: int) -> ActionSpec:
     """Diagonal subalgebra over two orthogonal simple roots, canonically extended."""
     model = datum.model
     if j == k:
@@ -243,33 +225,24 @@ def make_cer(datum: RootDatum, j: int, k: int, sigma: Optional[SigmaMap] = None)
         raise ValueError("CER multiplicities do not match")
     if profile_j != profile_k:
         raise ValueError("CER double root multiplicities do not match")
-    pd_j = build_parabolic(datum, [j])
-    pd_k = build_parabolic(datum, [k])
-    if sigma is None:
-        sigma = default_cer_sigma(datum, j, k)
-    else:
-        sigma.validate(model, pd_j.s, pd_k.s)
+    sigma = default_cer_sigma(datum, j, k)
     diag, diag_gens = _diagonal_subspace(model, sigma)
     pd = build_parabolic(datum, [j, k])
-    payload = {"sigma": sigma, "diag": diag, "a_section_domain": pd_j.a_upper}
+    payload = {"sigma": sigma, "diag": diag,
+               "a_section_domain": build_parabolic(datum, [j]).a_upper}
     return canonical_extend(datum, pd, diag, diag_gens, kind="CER", payload=payload)
 
 
-def make_factor_diagonal(
-    pm: ProductModel,
-    datum: RootDatum,
-    j: int,
-    k: int,
-    sigma: Optional[SigmaMap] = None,
-) -> ActionSpec:
-    """Whole-factor diagonal {X + sigma X} plus the remaining full factors."""
+def make_factor_diagonal(pm: ProductModel, datum: RootDatum, j: int, k: int) -> ActionSpec:
+    """Whole-factor diagonal {X + sigma X} plus the remaining full factors,
+    with sigma the coordinate translation between two identical factors."""
     if j == k or not (0 <= j < len(pm.factors) and 0 <= k < len(pm.factors)):
         raise ValueError("factor diagonal needs two distinct factor indices")
-    if sigma is None:
-        if pm.factors[j].name != pm.factors[k].name:
-            raise ValueError("no canonical sigma between non-identical factors")
-        sigma = _block_translation(pm, j, k)
-    sigma.validate(pm, pm.factor_block(j), pm.factor_block(k))
+    if pm.factors[j].name != pm.factors[k].name:
+        raise ValueError("no canonical sigma between non-identical factors")
+    block_j, block_k = pm.factor_block(j), pm.factor_block(k)
+    sigma = SigmaMap(block_j.basis, block_k.basis)
+    sigma.validate(pm, block_j, block_k)
     diag, diag_gens = _diagonal_subspace(pm, sigma)
     rest = pm.other_factor_rows((j, k))
     algebra = Subspace.span(pm.dim, diag.basis + rest)

@@ -17,8 +17,8 @@ for matching pairs of rank-one boundary pieces.
 coordinate subspace of the top graded piece in the tensor basis plus a
 seeded batch of random subspaces, records the two nilpotent-construction
 conditions for each, and checks every passing candidate's singular-orbit
-tangent against the canonical-extension tangents of the table's families
-(closed under block coordinate permutations).
+tangent against the tangents of the canonical-extension rows that the
+table lists (closed under block coordinate permutations).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .verify import RationalSampler, check_nc1, check_nc2, orbit_tangent_at_o, v
 
 MAX_SL_RANK = 8
 MAX_ORACLE_RANK = 3
+ORACLE_PROBES = 200  # seeded random candidates per oracle sweep
 
 
 @dataclass(frozen=True)
@@ -394,17 +395,20 @@ def _permutation_maps(model: LieModel, j: int) -> list:
     return maps
 
 
-def known_extension_tangents(datum: RootDatum, j: int) -> list:
-    """Singular-orbit tangents of the table's canonical-extension families,
-    each interval also extended from its other end drop psi = phi[1:],
-    closed under the block coordinate permutations fixing the grading."""
-    model = datum.model
+def known_extension_tangents(result: EnumerationResult, j: int) -> list:
+    """Singular-orbit tangents of the canonical-extension rows of an sl
+    table, each CE-row-2 interval also extended from its other end drop
+    psi = phi[1:], closed under the block coordinate permutations fixing the
+    grading of the j-th simple root."""
+    datum, model = result.datum, result.model
     specs = []
-    for label, _, _, _, spec, _ in ce_families(datum):
-        specs.append(spec)
-        if label == "CE-row-2":
-            nd = build_nested(datum, spec.phi[1:], spec.phi)
-            specs.append(canonical_extend(datum, build_parabolic(datum, spec.phi), nd.l_np))
+    for entry in result.entries:
+        if entry.label.startswith("CE-"):
+            specs.append(entry.spec)
+        if entry.label == "CE-row-2":
+            phi = entry.spec.phi
+            nd = build_nested(datum, phi[1:], phi)
+            specs.append(canonical_extend(datum, build_parabolic(datum, phi), nd.l_np))
     tangents = {orbit_tangent_at_o(model, spec.algebra) for spec in specs}
 
     out = set(tangents)
@@ -416,17 +420,20 @@ def known_extension_tangents(datum: RootDatum, j: int) -> list:
     return sorted(out, key=lambda s: s.basis)
 
 
-def nc_oracle_search(datum: RootDatum, j: int, *, probes: int = 200,
+def nc_oracle_search(result: EnumerationResult, j: int, *,
                      seed: int = 7, samples: int = 32) -> dict:
-    """Brute-force sweep of candidate subspaces of the top graded piece.
+    """Brute-force sweep of candidate subspaces of the top graded piece,
+    checked against the rows of the sl table result.
 
     Covers every coordinate subspace of the tensor basis (all 2^dim subsets,
-    dimension capped at 6) plus seeded random subspaces; duplicates collapse
-    into one record with a hit count, so the probe budget stays auditable.
-    Each distinct candidate gets exact NC1, the three-stage NC2, and, when
-    both pass, a comparison of its singular-orbit tangent against the known
-    canonical-extension tangents.
+    dimension capped at 6) plus ORACLE_PROBES seeded random subspaces;
+    duplicates collapse into one record with a hit count, so the probe
+    budget stays auditable.  Each distinct candidate v with dim v >= 2 is
+    built once by the nilpotent construction; its spec gives exact NC1, and
+    with the three-stage NC2 passing, the singular-orbit tangent compared
+    against the known canonical-extension tangents.
     """
+    datum = result.datum
     model = datum.model
     n = datum.rank
     if n > MAX_ORACLE_RANK:
@@ -437,7 +444,7 @@ def nc_oracle_search(datum: RootDatum, j: int, *, probes: int = 200,
         raise ValueError("oracle dimension bound exceeded")
     phi = tuple(i for i in range(n) if i != j)
     pd = build_parabolic(datum, phi)
-    known = known_extension_tangents(datum, j)
+    known = known_extension_tangents(result, j)
 
     keys = sorted(tm.generators)
     candidates = []
@@ -447,7 +454,7 @@ def nc_oracle_search(datum: RootDatum, j: int, *, probes: int = 200,
                                tm.subspace(subset) if subset else Subspace.zero(model.dim)))
     sampler = RationalSampler(seed)
     top = pd.grading[1]
-    for t in range(probes):
+    for t in range(ORACLE_PROBES):
         vdim = 2 + (t % max(1, dim - 1))
         vdim = min(vdim, dim)
         candidates.append(("probe", None, sampler.subspace_in(top, vdim)))
@@ -477,19 +484,19 @@ def nc_oracle_search(datum: RootDatum, j: int, *, probes: int = 200,
         if v.dim < 2:
             rec["nc1"] = rec["nc2"] = "not-checked"
             continue
-        ok1 = check_nc1(model, pd, v)
+        spec = nilpotent_construct(datum, pd, v)
+        ok1 = check_nc1(model, pd, spec.payload["normalizer"])
         verdict, cert = check_nc2(model, pd, v, seed, samples)
         rec["nc1"] = "yes" if ok1 else "no"
         rec["nc2"] = verdict
         rec["nc2_certificate"] = cert
         if ok1 and verdict == "yes":
             rec["passes"] = True
-            spec = nilpotent_construct(datum, pd, v)
             tangent = orbit_tangent_at_o(model, spec.algebra)
             rec["matches_known_tangent"] = tangent in known
     return {
         "records": records,
-        "probes": probes,
+        "probes": ORACLE_PROBES,
         "coordinate_subsets": 2 ** dim,
         "distinct_candidates": len(records),
     }

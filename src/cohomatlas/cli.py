@@ -5,11 +5,11 @@ Space grammar::
     space  := factor ("*" factor)*
     factor := name "(" integer ")"        name in {sl, rh, ch}
 
-``sl(k)`` is the split special linear model on k x k matrices, ``rh(n)`` the
-real hyperbolic model so(1,n), and ``ch(n)`` the complex hyperbolic model
-su(1,n) (behind the ``--feature su1n`` flag).  Reports are emitted as JSON
-(schema 1) or a markdown table; identical inputs produce byte-identical
-JSON.
+Names are ASCII letters and integers ASCII digits.  ``sl(k)`` is the split
+special linear model on k x k matrices, ``rh(n)`` the real hyperbolic model
+so(1,n), and ``ch(n)`` the complex hyperbolic model su(1,n) (behind the
+``--feature su1n`` flag).  Reports are emitted as JSON (schema 1) or a
+markdown table; identical inputs produce byte-identical JSON.
 
 Exit status: 0 when every exact check passed, 1 when an exact check failed
 (the report is still written), 2 on bad input (a space outside the grammar
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
 from dataclasses import dataclass
 from typing import List, Optional
@@ -70,7 +71,7 @@ def parse_space(text: str) -> SpaceSpec:
     while True:
         pos = skip_ws(pos)
         start = pos
-        while pos < n and text[pos].isalpha():
+        while pos < n and text[pos] in string.ascii_letters:
             pos += 1
         name = text[start:pos]
         if name not in FACTOR_BOUNDS:
@@ -82,7 +83,7 @@ def parse_space(text: str) -> SpaceSpec:
         pos += 1
         pos = skip_ws(pos)
         num_start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos] in string.digits:
             pos += 1
         if pos == num_start:
             raise ValueError(f"syntax error at offset {pos}: expected an integer")
@@ -140,7 +141,7 @@ def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
         if config.nc_search:
             oracle_doc = {}
             for j in range(k - 1):
-                sweep = nc_oracle_search(result.datum, j, seed=config.seed,
+                sweep = nc_oracle_search(result, j, seed=config.seed,
                                          samples=config.samples)
                 oracle_doc[f"j={j + 1}"] = sweep
                 passing = [r for r in sweep["records"] if r["passes"]]

@@ -56,11 +56,11 @@ class LieModel:
         self._set_iwasawa(a_vectors, n_vectors)
 
     def _set_iwasawa(self, a_vectors, n_vectors) -> None:
-        """k, p, the inner product, a, n and the Iwasawa solver, from theta
-        and the Killing form; n defaults to the positive ad-eigenvectors of
-        the first basis vector of a.  Since theta^2 = I, k = span(x + theta x)
-        and p = span(x - theta x) are its +1 and -1 eigenspaces and k + p is
-        the whole algebra."""
+        """k, p, the inner product, a and n, from theta and the Killing form;
+        n defaults to the positive ad-eigenvectors of the first basis vector
+        of a, and k + a + n must be direct.  Since theta^2 = I,
+        k = span(x + theta x) and p = span(x - theta x) are its +1 and -1
+        eigenspaces and k + p is the whole algebra."""
         full = Subspace.full(self.dim)
         if any(self.theta.apply(self.theta.apply(e)) != e for e in full.basis):
             raise ValueError("theta is not an involution on this basis")
@@ -73,9 +73,8 @@ class LieModel:
         self.n_space = Subspace.span(self.dim, n_vectors)
 
         iwasawa = list(self.k_space.basis) + list(self.a_space.basis) + list(self.n_space.basis)
-        if len(iwasawa) != self.dim:
-            raise ValueError("k + a + n does not have full dimension")
-        self._iwasawa = SpanSolver(iwasawa, self.dim)
+        if len(iwasawa) != self.dim or Subspace.span(self.dim, iwasawa).dim != self.dim:
+            raise ValueError("k + a + n is not a direct sum of full dimension")
 
     # -- construction helpers ------------------------------------------------
 
@@ -211,21 +210,6 @@ class LieModel:
         """The span of the k-components (x + theta x) / 2 of the rows."""
         rows = sub.basis if isinstance(sub, Subspace) else sub
         return Subspace.span(self.dim, [vadd(b, self.theta.apply(b)) for b in rows])
-
-    def iwasawa_project(self, x: Sequence):
-        """Unique decomposition x = x_k + x_a + x_n."""
-        c = self._iwasawa.coords(x)
-        dk, da = self.k_space.dim, self.a_space.dim
-        return (self.k_space.from_coords(c[:dk]), self.a_space.from_coords(c[dk:dk + da]),
-                self.n_space.from_coords(c[dk + da:]))
-
-    def project_an_subspace(self, sub: Subspace) -> Subspace:
-        """Span of the a+n Iwasawa components of a subspace."""
-        rows = []
-        for b in sub.basis:
-            _, xa, xn = self.iwasawa_project(b)
-            rows.append(tuple(p + q for p, q in zip(xa, xn)))
-        return Subspace.span(self.dim, rows)
 
     def bracket_span(self, u: Iterable, v: Iterable) -> Subspace:
         """Span of pairwise brackets of two generating sets."""

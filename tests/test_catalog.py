@@ -7,7 +7,8 @@ import pytest
 
 from cohomatlas import catalog
 from cohomatlas.catalog import ce_families, enumerate_sl, known_extension_tangents
-from cohomatlas.linalg import vadd
+from cohomatlas.cli import RunConfig, parse_space, run
+from cohomatlas.linalg import orthocomplement_in, vadd
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.parabolic import build_nested, build_parabolic
 from cohomatlas.actions import canonical_extend
@@ -72,7 +73,7 @@ def test_every_table_ce_tangent_is_known_to_the_oracle(n):
                    for e in result.entries if e.label.startswith("CE-")]
     assert ce_tangents
     for j in range(n):
-        known = known_extension_tangents(datum, j)
+        known = known_extension_tangents(result, j)
         assert all(t in known for t in ce_tangents)
         # the oracle also knows each interval extended from its other end drop
         for e in result.entries:
@@ -81,6 +82,35 @@ def test_every_table_ce_tangent_is_known_to_the_oracle(n):
                 ext = canonical_extend(datum, build_parabolic(datum, phi),
                                        build_nested(datum, phi[1:], phi).l_np)
                 assert orbit_tangent_at_o(model, ext.algebra) in known
+
+
+def test_oracle_builds_the_table_once_and_each_candidate_once(monkeypatch):
+    families = Counter()
+    complements = []
+
+    def counted_families(datum):
+        families["calls"] += 1
+        return ce_families(datum)
+
+    def recorded(v, w, form):
+        complements.append(w)
+        return orthocomplement_in(v, w, form)
+
+    monkeypatch.setattr(catalog, "ce_families", counted_families)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cohomatlas") and getattr(module, "orthocomplement_in", None) \
+                is orthocomplement_in:
+            monkeypatch.setattr(module, "orthocomplement_in", recorded)
+    result = run(parse_space("sl(4)"), RunConfig(nc_search=True)).result
+    datum = result.datum
+    assert families["calls"] == 1
+    # n_phi minus v is taken once per distinct candidate of dim >= 2
+    n_phis = {build_parabolic(datum, [i for i in range(datum.rank) if i != j]).n_phi
+              for j in range(datum.rank)}
+    checked = sum(1 for sweep in result.oracle.values()
+                  for rec in sweep["records"] if rec["dim"] >= 2)
+    assert checked > 0
+    assert sum(1 for w in complements if w in n_phis) == checked
 
 
 @pytest.mark.parametrize("build", [build_sl, build_so1n], ids=["sl3xsl3", "rh3xrh3"])

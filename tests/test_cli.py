@@ -75,6 +75,19 @@ def test_bad_input_exits_2(args, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("sl(3", "syntax error at offset 4: expected ')'"),
+    ("sl(3)+rh(2)", "syntax error at offset 5: expected '*' or end of input"),
+    ("sl(\u00b2)", "syntax error at offset 3: expected an integer"),  # superscript two
+    ("sl(\u0663)", "syntax error at offset 3: expected an integer"),  # Arabic-Indic three
+], ids=["unclosed", "plus", "superscript-digit", "arabic-indic-digit"])
+def test_parse_error_names_the_offset(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_space(text)
+    assert str(info.value).startswith(message)
+    assert exit_status(["--space", text]) == 2
+
+
 def test_unwritable_report_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing-dir" / "report.json"
     assert exit_status(["--space", "sl(2)", "--format", "json", "--out", str(out)]) == 2

@@ -64,21 +64,6 @@ class TestSl:
         h = g.coords(Matrix.from_rows([[1, 0], [0, -1]]))
         assert g.killing_form(h, h) == 8
 
-    def test_iwasawa_projection_sl2(self):
-        g = build_sl(2)
-        x = g.coords(E(2, 1, 0))
-        xk, xa, xn = g.iwasawa_project(x)
-        assert xk == g.coords(E(2, 1, 0) - E(2, 0, 1))
-        assert is_zero_vec(xa)
-        assert xn == g.coords(E(2, 0, 1))
-
-    def test_iwasawa_projection_fixes_pieces(self):
-        g = build_sl(3)
-        a = g.a_space.basis[0]
-        assert g.iwasawa_project(a) == (tuple([Q0] * g.dim), a, tuple([Q0] * g.dim))
-        n = g.n_space.basis[0]
-        assert g.iwasawa_project(n) == (tuple([Q0] * g.dim), tuple([Q0] * g.dim), n)
-
 
 class TestSo1n:
     def test_so12_dims(self):

@@ -1,5 +1,7 @@
 """Tests for the verification layer."""
 
+import itertools
+
 import pytest
 
 from cohomatlas.linalg import Subspace, orthocomplement_in, subspace_sum
@@ -23,7 +25,6 @@ from cohomatlas.verify import (
     check_nc1,
     check_nc2,
     check_polar_certificate,
-    nc1_normalizer_tangent,
     orbit_tangent_at_o,
     polar_section,
     slice_cohomogeneity,
@@ -122,13 +123,54 @@ class TestLieTriple:
             check_lie_triple(g, g.k_space)
 
 
+def _m_normalizer_tangent(model, pd, v):
+    """Reference for NC1: the p-projection of the m_phi-normalizer of
+    n_phi minus v, the criterion as Berndt and Tamaru state it."""
+    complement = orthocomplement_in(v, pd.n_phi, model.inner)
+    return model.project_p_subspace(model.normalizer_in(pd.m, complement))
+
+
+def _nc1(datum, pd, v):
+    normalizer = nilpotent_construct(datum, pd, v).payload["normalizer"]
+    return check_nc1(datum.model, pd, normalizer)
+
+
+def _nc1_cases():
+    """(datum, pd, candidates): for each j of sl(4), every coordinate
+    subspace of the tensor basis of dim >= 2 and 30 seeded probes of the top
+    graded piece; the same for the root space of rh(4) in rh(4)*rh(2)."""
+    cases = []
+    datum = decompose(build_sl(4))
+    for j in range(datum.rank):
+        tm = tensor_model(datum, j)
+        keys = sorted(tm.generators)
+        coordinate = [tm.subspace(subset) for size in range(2, len(keys) + 1)
+                      for subset in itertools.combinations(keys, size)]
+        cases.append((f"sl4-j{j + 1}", datum,
+                      build_parabolic(datum, [i for i in range(datum.rank) if i != j]),
+                      coordinate))
+    p = direct_sum([build_so1n(4), build_so1n(2)])
+    datum = decompose(p)
+    pd = build_parabolic(datum, [1])
+    rows = pd.grading[1].basis
+    coordinate = [Subspace.span(p.dim, subset) for size in range(2, len(rows) + 1)
+                  for subset in itertools.combinations(rows, size)]
+    cases.append(("rh4xrh2", datum, pd, coordinate))
+    out = []
+    for name, datum, pd, coordinate in cases:
+        top, sampler = pd.grading[1], RationalSampler(7)
+        probes = [sampler.subspace_in(top, 2 + t % (top.dim - 1)) for t in range(30)]
+        out.append(pytest.param(datum, pd, coordinate + probes, id=name))
+    return out
+
+
 class TestNc1:
     def test_column_family_passes(self):
         g = build_sl(4)
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
-        assert check_nc1(g, pd, tm.column(1))
+        assert _nc1(datum, pd, tm.column(1))
 
     def test_two_diagonal_components_fail(self):
         g = build_sl(4)
@@ -139,9 +181,9 @@ class TestNc1:
             g.dim,
             [tm.vector({(1, 1): 1, (2, 2): 1}), tm.generators[(1, 2)]],
         )
-        assert not check_nc1(g, pd, v)
+        assert not _nc1(datum, pd, v)
         # the deficiency is in the boundary flat: a^phi escapes the projection
-        proj = nc1_normalizer_tangent(g, pd, v)
+        proj = _m_normalizer_tangent(g, pd, v)
         assert not proj.contains(pd.a_upper)
 
     def test_rank_one_factor_always_passes(self):
@@ -150,7 +192,17 @@ class TestNc1:
         pd = build_parabolic(datum, [1])
         f0 = p.factors[0]
         v = p.embed_subspace(0, Subspace.span(f0.dim, f0.n_space.basis[:2]))
-        assert check_nc1(p, pd, v)
+        assert _nc1(datum, pd, v)
+
+    @pytest.mark.parametrize("datum, pd, candidates", _nc1_cases())
+    def test_levi_normalizer_matches_the_m_normalizer_criterion(self, datum, pd, candidates):
+        model = datum.model
+        verdicts = []
+        for v in candidates:
+            expected = _m_normalizer_tangent(model, pd, v).contains(pd.b)
+            assert _nc1(datum, pd, v) == expected
+            verdicts.append(expected)
+        assert True in verdicts
 
 
 class TestNc2:
@@ -291,16 +343,12 @@ class TestVerifyOrchestration:
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
         spec = nilpotent_construct(datum, pd, tm.column(1))
-        spec.payload["ce_match"] = ((0,), (0, 1))
         report = verify(spec, datum)
         assert report.nc1 == "yes"
         assert report.nc2 == "yes"
         assert report.nc2_certificate == "contains-so"
         assert report.cohomogeneity == 1
         assert report.all_exact_checks_passed
-        names = [n for n, _ in report.notes]
-        assert "extension-inside-nilpotent-algebra" in names
-        assert "solvable-projection-matches-complement" in names
 
     def test_cer_report(self):
         g = build_sl(4)

@@ -14,6 +14,11 @@ holds only the data ``verify`` reads.  Kinds:
            rank-one boundary pieces (or a whole-factor diagonal in products)
 * ``NC``   nilpotent construction from a subspace of the top graded piece
 * ``Prod`` factor action assembled with the remaining full factors
+
+``canonical_extend`` is the one place that checks a boundary subalgebra
+lies in s_phi and closes under the bracket.  The sl table builds each
+row's boundary subalgebra itself (``cohomatlas.catalog.ce_families``);
+``builtin_cei_catalog`` names those of rank-one factors.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
-    Matrix,
-    Q0,
     Q1,
     SpanSolver,
     Subspace,
@@ -37,8 +40,8 @@ from .linalg import (
     vadd,
 )
 from .models import LieModel, ProductModel
-from .parabolic import ParabolicDatum, build_nested, build_parabolic
-from .roots import RootDatum, dynkin_components
+from .parabolic import ParabolicDatum, build_parabolic
+from .roots import RootDatum
 
 
 @dataclass(frozen=True)
@@ -299,7 +302,7 @@ def product_assemble(pm: ProductModel, j: int, inner: ActionSpec) -> ActionSpec:
 # built-in reductive boundary subalgebras
 
 
-def _matrix_kernel(model: LieModel, inside: Subspace, condition) -> Subspace:
+def matrix_kernel(model: LieModel, inside: Subspace, condition) -> Subspace:
     """{x in inside : condition(matrix(x)) = 0} for a linear, tuple-valued condition."""
     cols = list(zip(*(condition(model.matrix(row)) for row in inside.basis)))
     ker = kernel_rows(cols, inside.dim)
@@ -308,70 +311,47 @@ def _matrix_kernel(model: LieModel, inside: Subspace, condition) -> Subspace:
 
 def _entries_zero_subspace(model: LieModel, positions) -> Subspace:
     """{x in g : matrix(x) vanishes at the given positions}."""
-    return _matrix_kernel(model, Subspace.full(model.dim),
-                          lambda mat: tuple(mat.rows[p][q] for p, q in positions))
+    return matrix_kernel(model, Subspace.full(model.dim),
+                         lambda mat: tuple(mat.rows[p][q] for p, q in positions))
 
 
 def builtin_cei_catalog(datum: RootDatum, phi: Iterable[int]) -> list:
-    """Named maximal reductive boundary subalgebras for the shipped tables.
+    """Named maximal reductive boundary subalgebras over a single root.
 
     Returns (name, subalgebra, spanning) triples with the subalgebra inside
-    s_phi; every entry is closed under the bracket and theta invariant.
+    s_phi; every entry is closed under the bracket and theta invariant.  The
+    first is the isotropy algebra s_phi & k, so(m + 1) or u(m / 2 + 1) for a
+    root of multiplicity m without or with a double; the so(1,n) and su(1,n)
+    models add the entries that their matrix blocks cut out.
     """
     model = datum.model
-    phi = tuple(sorted(set(phi)))
     pd = build_parabolic(datum, phi)
-    out = []
+    (root,) = [datum.simple[i] for i in pd.phi]
+    m_a, m_2a = datum.profile(root)
+    iso = subspace_intersect(pd.s, model.k_space)
+    out = [(f"u({m_a // 2 + 1})" if m_2a else f"so({m_a + 1})", iso, tuple(iso.basis))]
 
-    if model.name.startswith("sl("):
-        comps = dynkin_components(datum, phi)
-        if len(comps) != 1:
-            raise ValueError("built-in catalog needs a connected phi")
-        if len(phi) == 1:
-            iso = subspace_intersect(pd.s, model.k_space)
-            out.append(("so(2)", iso, tuple(iso.basis)))
-        else:
-            psi = phi[:-1]
-            nd = build_nested(datum, psi, phi)
-            m = len(phi)
-            out.append((f"sl({m})+R", nd.l_np, tuple(nd.l_np.basis)))
-        if len(phi) == 3:
-            lo = phi[0]
-            block = list(range(lo, lo + 4))
-            jmat = [[Q0] * model.matrix_size for _ in range(model.matrix_size)]
-            jmat[block[0]][block[2]] = Q1
-            jmat[block[1]][block[3]] = Q1
-            jmat[block[2]][block[0]] = -Q1
-            jmat[block[3]][block[1]] = -Q1
-            jm = Matrix(tuple(tuple(r) for r in jmat))
-            sp2 = _matrix_kernel(model, pd.s,
-                                 lambda mat: ((mat.transpose() @ jm) + (jm @ mat)).flatten())
-            out.append(("sp(2,R)", sp2, tuple(sp2.basis)))
-    elif model.name.startswith("so(1,"):
+    if model.name.startswith("so(1,"):
         n = model.matrix_size - 1
-        for k in range(0, n - 1):
+        for k in range(1, n - 1):
             cross = [(p, q) for p in range(k + 1) for q in range(k + 1, n + 1)]
             cross += [(q, p) for p, q in cross]
             sub = _entries_zero_subspace(model, cross)
-            name = f"so({n})" if k == 0 else f"so(1,{k})+so({n - k})"
-            out.append((name, sub, tuple(sub.basis)))
+            out.append((f"so(1,{k})+so({n - k})", sub, tuple(sub.basis)))
     elif model.name.startswith("su(1,"):
         m = model.matrix_size // 2
         n = m - 1
-        for k in range(0, n):
+        for k in range(1, n):
             cross = []
             for p in range(k + 1):
                 for q in range(k + 1, m):
                     for pp, qq in ((p, q), (q, p)):
                         cross.extend([(pp, qq), (pp, qq + m), (pp + m, qq), (pp + m, qq + m)])
             sub = _entries_zero_subspace(model, cross)
-            name = f"s(u(1,{k})+u({n - k}))" if k else f"u({n})"
-            out.append((name, sub, tuple(sub.basis)))
+            out.append((f"s(u(1,{k})+u({n - k}))", sub, tuple(sub.basis)))
         imag = [(p, q + m) for p in range(m) for q in range(m)]
         real_form = _entries_zero_subspace(model, imag)
         out.append((f"so(1,{n})", real_form, tuple(real_form.basis)))
-    else:
-        raise ValueError(f"no built-in reductive catalog for model {model.name}")
 
     for name, sub, gens in out:
         if not pd.s.contains(sub):

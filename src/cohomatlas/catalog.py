@@ -5,20 +5,24 @@ split real special linear model (``enumerate_sl`` builds it from the
 rank): the two foliations, the isotropy extension over a single root, the
 Levi-plus-center extension over an interval of roots, the symplectic
 extension over three consecutive roots, and the diagonal extension over a
-distant pair.
+distant pair.  Each extension row builds only its own boundary subalgebra
+(s_phi & k, the Levi piece of s_phi for phi minus its last root, or the
+sp(2,R) kernel in s_phi) and hands it to ``canonical_extend``.
 
 ``enumerate_product`` handles products: one horospherical row at product
-level, per-factor rows (solvable foliation, reductive boundary subalgebras,
-nilpotent constructions on rank-one factors, or the whole factor table for
-split special linear factors wrapped as product actions), and diagonal rows
-for matching pairs of rank-one boundary pieces.
+level, per-factor rows (solvable foliation, the reductive boundary
+subalgebras of ``builtin_cei_catalog`` and nilpotent constructions on
+rank-one factors, or the whole factor table for split special linear
+factors wrapped as product actions), and diagonal rows for matching pairs
+of rank-one boundary pieces.
 
 ``nc_oracle_search`` is the independent brute-force oracle: it sweeps every
 coordinate subspace of the top graded piece in the tensor basis plus a
 seeded batch of random subspaces, records the two nilpotent-construction
 conditions for each, and checks every passing candidate's singular-orbit
 tangent against the tangents of the canonical-extension rows that the
-table lists (closed under block coordinate permutations).
+table lists.  ``known_extension_tangents`` computes those once per run;
+each sweep closes them under its block coordinate permutations.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
-from .linalg import Matrix, Q0, Subspace
+from .linalg import Matrix, Q0, Q1, Subspace, subspace_intersect
 from .models import LieModel, ProductModel, build_sl
 from .actions import (
     ActionSpec,
@@ -37,6 +41,7 @@ from .actions import (
     make_factor_diagonal,
     make_fh,
     make_fs,
+    matrix_kernel,
     nilpotent_construct,
     product_assemble,
 )
@@ -133,31 +138,50 @@ def _fh(datum: RootDatum) -> ActionSpec:
     return make_fh(datum.model, line)
 
 
-def _named_extension(datum: RootDatum, phi: tuple, name: str) -> ActionSpec:
-    """Canonical extension of the built-in boundary subalgebra called name."""
-    sub, gens = {nm: (s, g) for nm, s, g in builtin_cei_catalog(datum, phi)}[name]
-    return canonical_extend(datum, build_parabolic(datum, phi), sub, gens)
+def _symplectic_kernel(model: LieModel, s_phi: Subspace, lo: int) -> Subspace:
+    """sp(2,R) inside s_phi: {X : X^T J + J X = 0} for the standard
+    symplectic form J on the coordinates lo, ..., lo + 3."""
+    size = model.matrix_size
+    jmat = [[Q0] * size for _ in range(size)]
+    for p in (lo, lo + 1):
+        jmat[p][p + 2] = Q1
+        jmat[p + 2][p] = -Q1
+    jm = Matrix(tuple(tuple(r) for r in jmat))
+    return matrix_kernel(model, s_phi,
+                         lambda mat: ((mat.transpose() @ jm) + (jm @ mat)).flatten())
+
+
+def _extend(datum: RootDatum, phi: tuple, h_phi: Subspace) -> ActionSpec:
+    """Canonical extension over phi of a theta-invariant boundary subalgebra;
+    verify reads theta invariance to decide whether to run the Lie-triple
+    check, so a subalgebra without it is rejected here."""
+    if datum.model.theta_image(h_phi) != h_phi:
+        raise ValueError("boundary subalgebra is not theta invariant")
+    return canonical_extend(datum, build_parabolic(datum, phi), h_phi)
 
 
 def ce_families(datum: RootDatum) -> Iterator[tuple]:
     """The table's canonical-extension rows for an sl model, in table order,
     one (label, name, boundary, comment, spec, expected codim) per row."""
+    model = datum.model
     n = datum.rank
-    # CE row 1: isotropy extension over each single root
+    # CE row 1: isotropy extension over each single root, by s_phi & k
     for j in range(n):
-        yield ("CE-row-1", "so(2)", "RH^2", f"j={j + 1}",
-               _named_extension(datum, (j,), "so(2)"), 2)
-    # CE row 2: Levi-plus-center extension over each interval of length >= 2
+        iso = subspace_intersect(build_parabolic(datum, (j,)).s, model.k_space)
+        yield ("CE-row-1", "so(2)", "RH^2", f"j={j + 1}", _extend(datum, (j,), iso), 2)
+    # CE row 2: Levi-plus-center extension over each interval of length >= 2,
+    # by the Levi piece of s_phi for psi = phi minus its last root
     for j in range(n):
         for k in range(j + 1, n):
-            name = f"sl({k - j + 1})+R"
-            yield ("CE-row-2", name, f"SL({k - j + 2},R)/SO({k - j + 2})",
-                   f"j={j + 1}, k={k + 1}",
-                   _named_extension(datum, tuple(range(j, k + 1)), name), k - j + 1)
+            phi = tuple(range(j, k + 1))
+            levi = build_nested(datum, phi[:-1], phi).l_np
+            yield ("CE-row-2", f"sl({k - j + 1})+R", f"SL({k - j + 2},R)/SO({k - j + 2})",
+                   f"j={j + 1}, k={k + 1}", _extend(datum, phi, levi), k - j + 1)
     # CE row 3: symplectic extension over each three-root interval
     for j in range(n - 2):
-        yield ("CE-row-3", "sp(2,R)", "SL(4,R)/SO(4)", f"j={j + 1}",
-               _named_extension(datum, (j, j + 1, j + 2), "sp(2,R)"), 3)
+        phi = (j, j + 1, j + 2)
+        sp2 = _symplectic_kernel(model, build_parabolic(datum, phi).s, j)
+        yield ("CE-row-3", "sp(2,R)", "SL(4,R)/SO(4)", f"j={j + 1}", _extend(datum, phi, sp2), 3)
     # CE row 4: diagonal extension over each distant pair
     for j in range(n):
         for k in range(j + 2, n):
@@ -371,7 +395,8 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
 
 
 def _permutation_maps(model: LieModel, j: int) -> list:
-    """Coordinate maps of Ad(P) for block permutations of {0..j} and {j+1..n}."""
+    """Coordinate maps of Ad(P) for the block permutations of {0..j} and
+    {j+1..n} other than the identity."""
     size = model.matrix_size
     blocks = (list(range(j + 1)), list(range(j + 1, size)))
     maps = []
@@ -379,8 +404,7 @@ def _permutation_maps(model: LieModel, j: int) -> list:
         for pb in itertools.permutations(blocks[1]):
             perm = list(pa) + list(pb)
             if perm == list(range(size)):
-                maps.append(None)  # identity
-                continue
+                continue  # identity
             cols = []
             for b in model.basis:
                 rows = [[Q0] * size for _ in range(size)]
@@ -395,11 +419,11 @@ def _permutation_maps(model: LieModel, j: int) -> list:
     return maps
 
 
-def known_extension_tangents(result: EnumerationResult, j: int) -> list:
+def known_extension_tangents(result: EnumerationResult) -> set:
     """Singular-orbit tangents of the canonical-extension rows of an sl
     table, each CE-row-2 interval also extended from its other end drop
-    psi = phi[1:], closed under the block coordinate permutations fixing the
-    grading of the j-th simple root."""
+    psi = phi[1:].  Only their block permutation closure depends on the
+    removed root, so one set serves every sweep of nc_oracle_search."""
     datum, model = result.datum, result.model
     specs = []
     for entry in result.entries:
@@ -409,21 +433,14 @@ def known_extension_tangents(result: EnumerationResult, j: int) -> list:
             phi = entry.spec.phi
             nd = build_nested(datum, phi[1:], phi)
             specs.append(canonical_extend(datum, build_parabolic(datum, phi), nd.l_np))
-    tangents = {orbit_tangent_at_o(model, spec.algebra) for spec in specs}
-
-    out = set(tangents)
-    for pmap in _permutation_maps(model, j):
-        if pmap is None:
-            continue
-        for t in tangents:
-            out.add(Subspace.span(model.dim, [pmap.apply(row) for row in t.basis]))
-    return sorted(out, key=lambda s: s.basis)
+    return {orbit_tangent_at_o(model, spec.algebra) for spec in specs}
 
 
-def nc_oracle_search(result: EnumerationResult, j: int, *,
+def nc_oracle_search(result: EnumerationResult, j: int, tangents: set, *,
                      seed: int = 7, samples: int = 32) -> dict:
     """Brute-force sweep of candidate subspaces of the top graded piece,
-    checked against the rows of the sl table result.
+    checked against the rows of the sl table result, whose tangents are
+    ``known_extension_tangents(result)``.
 
     Covers every coordinate subspace of the tensor basis (all 2^dim subsets,
     dimension capped at 6) plus ORACLE_PROBES seeded random subspaces;
@@ -431,7 +448,8 @@ def nc_oracle_search(result: EnumerationResult, j: int, *,
     budget stays auditable.  Each distinct candidate v with dim v >= 2 is
     built once by the nilpotent construction; its spec gives exact NC1, and
     with the three-stage NC2 passing, the singular-orbit tangent compared
-    against the known canonical-extension tangents.
+    against the tangents closed under the block coordinate permutations
+    fixing the grading of the j-th simple root.
     """
     datum = result.datum
     model = datum.model
@@ -444,7 +462,10 @@ def nc_oracle_search(result: EnumerationResult, j: int, *,
         raise ValueError("oracle dimension bound exceeded")
     phi = tuple(i for i in range(n) if i != j)
     pd = build_parabolic(datum, phi)
-    known = known_extension_tangents(result, j)
+    known = set(tangents)
+    for pmap in _permutation_maps(model, j):
+        known.update(Subspace.span(model.dim, [pmap.apply(row) for row in t.basis])
+                     for t in tangents)
 
     keys = sorted(tm.generators)
     candidates = []

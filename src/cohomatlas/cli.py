@@ -5,11 +5,12 @@ Space grammar::
     space  := factor ("*" factor)*
     factor := name "(" integer ")"        name in {sl, rh, ch}
 
-Names are ASCII letters and integers ASCII digits.  ``sl(k)`` is the split
-special linear model on k x k matrices, ``rh(n)`` the real hyperbolic model
-so(1,n), and ``ch(n)`` the complex hyperbolic model su(1,n) (behind the
-``--feature su1n`` flag).  Reports are emitted as JSON (schema 1) or a
-markdown table; identical inputs produce byte-identical JSON.
+Names are ASCII letters, integers ASCII digits, and only ASCII whitespace
+may separate tokens.  ``sl(k)`` is the split special linear model on k x k
+matrices, ``rh(n)`` the real hyperbolic model so(1,n), and ``ch(n)`` the
+complex hyperbolic model su(1,n) (behind the ``--feature su1n`` flag).
+Reports are emitted as JSON (schema 1) or a markdown table; identical
+inputs produce byte-identical JSON.
 
 Exit status: 0 when every exact check passed, 1 when an exact check failed
 (the report is still written), 2 on bad input (a space outside the grammar
@@ -31,6 +32,7 @@ from .catalog import (
     MAX_ORACLE_RANK,
     enumerate_product,
     enumerate_sl,
+    known_extension_tangents,
     nc_oracle_search,
 )
 from .models import build_sl, build_so1n, build_su1n, direct_sum
@@ -64,7 +66,7 @@ def parse_space(text: str) -> SpaceSpec:
     n = len(text)
 
     def skip_ws(p):
-        while p < n and text[p].isspace():
+        while p < n and text[p] in string.whitespace:
             p += 1
         return p
 
@@ -140,8 +142,9 @@ def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
         result = enumerate_sl(k - 1, seed=config.seed, samples=config.samples)
         if config.nc_search:
             oracle_doc = {}
+            tangents = known_extension_tangents(result)
             for j in range(k - 1):
-                sweep = nc_oracle_search(result, j, seed=config.seed,
+                sweep = nc_oracle_search(result, j, tangents, seed=config.seed,
                                          samples=config.samples)
                 oracle_doc[f"j={j + 1}"] = sweep
                 passing = [r for r in sweep["records"] if r["passes"]]

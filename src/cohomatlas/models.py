@@ -11,7 +11,7 @@ Shipped families:
 * ``build_sl(m)``       traceless real m x m matrices,
 * ``build_so1n(n)``     the Lorentz algebra so(1,n),
 * ``build_su1n(n)``     su(1,n) realified to 2(n+1) x 2(n+1) real matrices
-                        commuting with a stored complex structure J,
+                        commuting with the realification J of iI,
 * ``direct_sum``        block-diagonal products of the above.
 
 All coordinate vectors are tuples over the exact rational scalar type; every
@@ -188,9 +188,6 @@ class LieModel:
                     for k, c in entry:
                         out[k] += f * c
         return tuple(out)
-
-    def killing_form(self, x: Sequence, y: Sequence):
-        return vdot(x, self.killing.apply(y))
 
     def inner_product(self, x: Sequence, y: Sequence):
         return vdot(x, self.inner.apply(y))
@@ -376,21 +373,14 @@ def build_su1n(n: int) -> LieModel:
     h0_mat = Matrix(tuple(tuple(r) for r in h0))
 
     a_coords = _basis_solver(basis).coords(h0_mat.flatten())
-    model = LieModel(f"su(1,{n})", basis, [a_coords])
-    j_rows = [[Q0] * (2 * m) for _ in range(2 * m)]
-    for p in range(m):
-        j_rows[p][p + m] = -Q1
-        j_rows[p + m][p] = Q1
-    model.complex_structure = Matrix(tuple(tuple(r) for r in j_rows))
-    return model
+    return LieModel(f"su(1,{n})", basis, [a_coords])
 
 
 class ProductModel(LieModel):
     """Block-diagonal direct sum of factor models, assembled from the factors.
 
-    The basis is the factors' bases placed on the diagonal blocks at
-    ``matrix_offsets``; coordinates run factor by factor from
-    ``block_offsets``.  The structure constants, theta and the Killing form
+    The basis is the factors' bases placed on the diagonal blocks;
+    coordinates run factor by factor from ``block_offsets``.  The structure constants, theta and the Killing form
     are the factors' own, shifted by the block offsets, and a, n are the
     factors' side by side: cross-factor brackets and Killing entries are
     zero.  Each factor has already checked that its brackets close and that
@@ -405,7 +395,6 @@ class ProductModel(LieModel):
         self.factors = tuple(factors)
         sizes = [f.matrix_size for f in factors]
         dims = [f.dim for f in factors]
-        self.matrix_offsets = tuple(sum(sizes[:i]) for i in range(len(factors)))
         self.block_offsets = tuple(sum(dims[:i]) for i in range(len(factors)))
         self.name = "*".join(f.name for f in factors)
         self.matrix_size = sum(sizes)
@@ -429,16 +418,6 @@ class ProductModel(LieModel):
         """The span of one subspace per factor, each embedded in its block."""
         return Subspace.span(self.dim, [self.embed_vector(idx, b)
                                         for idx, sp in enumerate(spaces) for b in sp.basis])
-
-    def coords(self, mat: Matrix) -> tuple:
-        """The factors' coordinates of the diagonal blocks; raises if mat is
-        not block diagonal or a block lies outside its factor."""
-        blocks = [Matrix(tuple(row[o:o + f.matrix_size]
-                               for row in mat.rows[o:o + f.matrix_size]))
-                  for f, o in zip(self.factors, self.matrix_offsets)]
-        if _block_diagonal(blocks) != mat:
-            raise ValueError("vector does not lie in the span")
-        return tuple(c for f, b in zip(self.factors, blocks) for c in f.coords(b))
 
     def factor_slice(self, idx: int):
         start = self.block_offsets[idx]

@@ -6,7 +6,8 @@ piece a_phi, the nilpotent piece n_phi, the reductive complement m, the
 compact piece k_phi, the split pieces a^phi and n^phi, the boundary tangent
 b (a Lie triple system), the boundary isometry algebra s = [b,b] + b, the
 coarse grading of n_phi when phi omits exactly one simple root, and nested
-data for chains psi inside phi.
+data for chains psi inside phi.  For sl models ``tensor_model`` indexes the
+top graded piece as a matrix space.
 
 Everything is an exact Subspace of the model; nested data is always
 cross-validated against the intersection identity q_{psi,phi} = q_psi & s_phi
@@ -19,18 +20,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
-    Matrix,
-    Q0,
-    SpanSolver,
     Subspace,
     kernel_rows,
     lincomb,
     orthocomplement_in,
     rat,
-    solve_linear_system,
     subspace_intersect,
     subspace_sum,
-    unit_vec,
 )
 from .roots import RootDatum, sigma_phi
 
@@ -49,12 +45,7 @@ class ParabolicDatum:
     s: Subspace  # [b, b] + b
     s0: Subspace  # s intersect g_0
     grading: Optional[dict]  # nu -> Subspace, only when phi omits one root
-    h_j: Optional[tuple]  # grading vector, only when phi omits one root
     n_phi_gens: tuple = field(repr=False, default=())
-
-    @property
-    def q(self) -> Subspace:
-        return subspace_sum(self.l, self.n_phi)
 
 
 @dataclass(frozen=True)
@@ -125,7 +116,6 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     s0 = subspace_intersect(s, datum.zero_space)
 
     grading = None
-    h_j = None
     if len(phi) == datum.rank - 1:
         (j,) = [i for i in range(datum.rank) if i not in phi]
         grading = {}
@@ -133,11 +123,6 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
             nu = datum.coeffs[r.covector][j]
             grading.setdefault(nu, []).append(r)
         grading = {nu: Subspace.span(d, _root_rows(datum, rs)) for nu, rs in grading.items()}
-        # alpha_i(sum t_b A_b) = sum_b cov_i[b] t_b, so the covector matrix
-        # applied to a-coordinates solves alpha_k(H) = delta_kj directly
-        rows = [datum.simple[i].covector for i in range(datum.rank)]
-        coords = solve_linear_system(rows, unit_vec(datum.rank, j))
-        h_j = model.a_space.from_coords(coords)
 
     pd = ParabolicDatum(
         phi=phi,
@@ -152,7 +137,6 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
         s=s,
         s0=s0,
         grading=grading,
-        h_j=h_j,
         n_phi_gens=tuple(n_gens),
     )
     datum._parabolic_cache[phi] = pd
@@ -252,58 +236,3 @@ def tensor_model(datum: RootDatum, j: int) -> TensorModel:
                 raise ValueError("sl root spaces must be one dimensional")
             gens[(i, l)] = sp.basis[0]
     return TensorModel(j=j, nrows=nrows, ncols=ncols, generators=gens)
-
-
-def tensor_action_pair(datum: RootDatum, tm: TensorModel, x: Sequence):
-    """Decompose ad(x) on the tensor basis as A (x) I + I (x) B.
-
-    x must preserve the top nilpotent piece and act in split tensor form;
-    returns the pair (A, B) of matrices (gauge: the first diagonal entry of B
-    is zero) and raises ValueError otherwise.
-    """
-    model = datum.model
-    keys = [(i, l) for i in range(1, tm.nrows + 1) for l in range(1, tm.ncols + 1)]
-    solver = SpanSolver([tm.generators[k] for k in keys], model.dim)
-    M = {}
-    for t, k in enumerate(keys):
-        img = model.bracket(x, tm.generators[k])
-        coeffs = solver.coords(img)  # raises if the image escapes the span
-        for t2, k2 in enumerate(keys):
-            M[(k2, k)] = coeffs[t2]
-
-    zero = Q0
-    arows = [[zero] * tm.nrows for _ in range(tm.nrows)]
-    brows = [[zero] * tm.ncols for _ in range(tm.ncols)]
-
-    # off-diagonal blocks must not mix both indices at once
-    for (i2, l2), (i, l) in ((k2, k) for k2 in keys for k in keys):
-        if i2 != i and l2 != l and M[((i2, l2), (i, l))]:
-            raise ValueError("action mixes both tensor indices")
-
-    for i in range(1, tm.nrows + 1):
-        for i2 in range(1, tm.nrows + 1):
-            if i2 == i:
-                continue
-            vals = {M[((i2, l), (i, l))] for l in range(1, tm.ncols + 1)}
-            if len(vals) != 1:
-                raise ValueError("row action is not constant across columns")
-            arows[i2 - 1][i - 1] = vals.pop()
-    for l in range(1, tm.ncols + 1):
-        for l2 in range(1, tm.ncols + 1):
-            if l2 == l:
-                continue
-            vals = {M[((i, l2), (i, l))] for i in range(1, tm.nrows + 1)}
-            if len(vals) != 1:
-                raise ValueError("column action is not constant across rows")
-            brows[l2 - 1][l - 1] = vals.pop()
-
-    diag = {(i, l): M[((i, l), (i, l))] for i, l in keys}
-    for i in range(1, tm.nrows + 1):
-        arows[i - 1][i - 1] = diag[(i, 1)]  # gauge: B[1][1] = 0
-    for l in range(1, tm.ncols + 1):
-        brows[l - 1][l - 1] = diag[(1, l)] - diag[(1, 1)]
-    for i, l in keys:
-        if diag[(i, l)] != arows[i - 1][i - 1] + brows[l - 1][l - 1]:
-            raise ValueError("diagonal action does not split")
-
-    return Matrix(tuple(tuple(r) for r in arows)), Matrix(tuple(tuple(r) for r in brows))

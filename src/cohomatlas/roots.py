@@ -253,20 +253,6 @@ def _order_simple_roots(simple_cov, adj):
     return out
 
 
-def dynkin_components(datum: RootDatum, phi: Iterable[int]) -> list:
-    """Partition of a subset of simple-root indices into Dynkin components."""
-    phi = sorted(set(phi))
-    for i in phi:
-        if not 0 <= i < datum.rank:
-            raise ValueError("phi contains an invalid simple root index")
-    adj = {i: set() for i in phi}
-    for i, j in datum.dynkin_edges:
-        if i in adj and j in adj:
-            adj[i].add(j)
-            adj[j].add(i)
-    return sorted(tuple(sorted(comp)) for comp in _components(phi, adj))
-
-
 def sigma_phi(datum: RootDatum, phi: Iterable[int]):
     """Roots in the span of a subset of simple roots, and the positive part."""
     phi = set(phi)

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 from cohomatlas import verify as verify_module
-from cohomatlas.catalog import enumerate_sl
+from cohomatlas.catalog import ce_families, enumerate_sl
 from cohomatlas.linalg import Matrix, Subspace, is_zero_vec, subspace_intersect, subspace_sum
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
@@ -260,29 +260,36 @@ class TestProductAssembly:
             product_assemble(p, 0, inner)
 
 
+def ce_row(datum, label: str, comment: str) -> tuple:
+    """(name, spec) of one canonical-extension row of the sl table."""
+    (row,) = [(r[1], r[4]) for r in ce_families(datum) if (r[0], r[3]) == (label, comment)]
+    return row
+
+
 class TestBuiltinCatalog:
+    """Boundary subalgebras: each CE row of the sl table builds its own, and
+    rank-one factors take theirs from builtin_cei_catalog."""
+
     def test_sl_single_root(self):
-        entries = builtin_cei_catalog(SL4_DATUM, [1])
-        assert [name for name, _, _ in entries] == ["so(2)"]
-        assert entries[0][1].dim == 1
+        name, spec = ce_row(SL4_DATUM, "CE-row-1", "j=2")
+        assert (name, spec.phi) == ("so(2)", (1,))
+        assert spec.payload["h_phi"].dim == 1
 
     def test_sl_interval(self):
-        entries = builtin_cei_catalog(SL4_DATUM, [0, 1])
-        names = [name for name, _, _ in entries]
-        assert names == ["sl(2)+R"]
-        assert entries[0][1].dim == 4  # sl(2) + center
+        name, spec = ce_row(SL4_DATUM, "CE-row-2", "j=1, k=2")
+        assert (name, spec.phi) == ("sl(2)+R", (0, 1))
+        assert spec.payload["h_phi"].dim == 4  # sl(2) + center
 
     def test_sl_triple_interval_has_symplectic_entry(self):
-        datum = SL4_DATUM
-        entries = builtin_cei_catalog(datum, [0, 1, 2])
-        names = [name for name, _, _ in entries]
-        assert names == ["sl(3)+R", "sp(2,R)"]
-        sp2 = dict((n, s) for n, s, _ in entries)["sp(2,R)"]
-        assert sp2.dim == 10
+        rows = [ce_row(SL4_DATUM, "CE-row-2", "j=1, k=3"), ce_row(SL4_DATUM, "CE-row-3", "j=1")]
+        assert [(name, spec.phi) for name, spec in rows] == [("sl(3)+R", (0, 1, 2)),
+                                                             ("sp(2,R)", (0, 1, 2))]
+        assert rows[1][1].payload["h_phi"].dim == 10
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            builtin_cei_catalog(SL4_DATUM, [0, 2])
+    def test_sl2_factor_has_its_isotropy_only(self):
+        g = build_sl(2)
+        entries = builtin_cei_catalog(decompose(g), [0])
+        assert [(name, s) for name, s, _ in entries] == [("so(2)", g.k_space)]
 
     def test_so1n_block_embeddings(self):
         g = build_so1n(3)

@@ -11,7 +11,7 @@ from cohomatlas.cli import RunConfig, parse_space, run
 from cohomatlas.linalg import orthocomplement_in, vadd
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.parabolic import build_nested, build_parabolic
-from cohomatlas.actions import canonical_extend
+from cohomatlas.actions import builtin_cei_catalog, canonical_extend
 from cohomatlas.roots import decompose
 from cohomatlas.verify import orbit_tangent_at_o
 
@@ -72,16 +72,57 @@ def test_every_table_ce_tangent_is_known_to_the_oracle(n):
     ce_tangents = [orbit_tangent_at_o(model, e.spec.algebra)
                    for e in result.entries if e.label.startswith("CE-")]
     assert ce_tangents
-    for j in range(n):
-        known = known_extension_tangents(result, j)
-        assert all(t in known for t in ce_tangents)
-        # the oracle also knows each interval extended from its other end drop
-        for e in result.entries:
-            if e.label == "CE-row-2":
-                phi = e.spec.phi
-                ext = canonical_extend(datum, build_parabolic(datum, phi),
-                                       build_nested(datum, phi[1:], phi).l_np)
-                assert orbit_tangent_at_o(model, ext.algebra) in known
+    known = known_extension_tangents(result)
+    assert all(t in known for t in ce_tangents)
+    # the oracle also knows each interval extended from its other end drop
+    for e in result.entries:
+        if e.label == "CE-row-2":
+            phi = e.spec.phi
+            ext = canonical_extend(datum, build_parabolic(datum, phi),
+                                   build_nested(datum, phi[1:], phi).l_np)
+            assert orbit_tangent_at_o(model, ext.algebra) in known
+
+
+def test_oracle_extends_each_interval_once_per_run(monkeypatch):
+    inside, extended = [], []
+
+    def counted_extend(*args, **kwargs):
+        if inside:
+            extended.append(args)
+        return canonical_extend(*args, **kwargs)
+
+    def counted_tangents(*args):
+        inside.append(True)
+        try:
+            return known_extension_tangents(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(catalog, "canonical_extend", counted_extend)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cohomatlas") and \
+                getattr(module, "known_extension_tangents", None) is known_extension_tangents:
+            monkeypatch.setattr(module, "known_extension_tangents", counted_tangents)
+    result = run(parse_space("sl(4)"), RunConfig(nc_search=True)).result
+    intervals = [e for e in result.entries if e.label == "CE-row-2"]
+    assert len(result.oracle) == 3 and len(intervals) == 3
+    # one other-end extension per interval, not one per interval and sweep
+    assert len(extended) == len(intervals)
+
+
+def test_only_rank_one_factors_read_the_builtin_catalog(monkeypatch):
+    calls = Counter()
+
+    def counted(datum, phi):
+        calls[datum.model.name] += 1
+        return builtin_cei_catalog(datum, phi)
+
+    monkeypatch.setattr(catalog, "builtin_cei_catalog", counted)
+    assert enumerate_sl(3).all_identities_passed
+    assert calls == Counter()
+    assert catalog.enumerate_product(direct_sum([build_so1n(3), build_so1n(3)])) \
+        .all_identities_passed
+    assert calls == Counter({"so(1,3)": 2})
 
 
 def test_oracle_builds_the_table_once_and_each_candidate_once(monkeypatch):

@@ -80,7 +80,10 @@ def test_bad_input_exits_2(args, capsys):
     ("sl(3)+rh(2)", "syntax error at offset 5: expected '*' or end of input"),
     ("sl(\u00b2)", "syntax error at offset 3: expected an integer"),  # superscript two
     ("sl(\u0663)", "syntax error at offset 3: expected an integer"),  # Arabic-Indic three
-], ids=["unclosed", "plus", "superscript-digit", "arabic-indic-digit"])
+    ("sl(\u00a03)", "syntax error at offset 3: expected an integer"),  # no-break space
+    ("\u3000sl(3)", "syntax error at offset 0: expected a factor name"),  # ideographic space
+], ids=["unclosed", "plus", "superscript-digit", "arabic-indic-digit", "no-break-space",
+        "ideographic-space"])
 def test_parse_error_names_the_offset(text, message):
     with pytest.raises(ValueError) as info:
         parse_space(text)

@@ -6,7 +6,7 @@ import pytest
 
 from cohomatlas.linalg import Subspace, is_zero_vec, subspace_sum, vadd
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
-from cohomatlas.roots import decompose, dynkin_components, sigma_phi
+from cohomatlas.roots import decompose, sigma_phi
 
 
 def test_sl3_positive_system():
@@ -149,15 +149,6 @@ def test_k0_centralizes_a():
     # sl has trivial k0, su(1,n) does not
     assert decompose(build_sl(3)).k0.dim == 0
     assert decompose(build_su1n(2)).k0.dim == 1
-
-
-def test_dynkin_components_path_graph():
-    datum = decompose(build_sl(5))  # A_4 diagram
-    assert dynkin_components(datum, [0, 1, 3]) == [(0, 1), (3,)]
-    assert dynkin_components(datum, []) == []
-    # two non-adjacent singletons
-    datum4 = decompose(build_sl(4))
-    assert dynkin_components(datum4, [0, 2]) == [(0,), (2,)]
 
 
 def test_sigma_phi():

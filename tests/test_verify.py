@@ -7,14 +7,13 @@ import pytest
 from cohomatlas.linalg import Subspace, orthocomplement_in, subspace_sum
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
-    builtin_cei_catalog,
-    canonical_extend,
     make_cer,
     make_factor_diagonal,
     make_fh,
     make_fs,
     nilpotent_construct,
 )
+from cohomatlas.catalog import ce_families
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.roots import decompose
 from cohomatlas import verify as verify_module
@@ -326,12 +325,9 @@ class TestVerifyOrchestration:
         assert report.all_exact_checks_passed
 
     def test_sp2_row_report(self):
-        g = build_sl(4)
-        datum = decompose(g)
-        pd = build_parabolic(datum, [0, 1, 2])
-        entries = dict((n, (s, sp)) for n, s, sp in builtin_cei_catalog(datum, [0, 1, 2]))
-        sp2, gens = entries["sp(2,R)"]
-        spec = canonical_extend(datum, pd, sp2, gens)
+        datum = decompose(build_sl(4))
+        (spec,) = [row[4] for row in ce_families(datum) if row[0] == "CE-row-3"]
+        assert spec.payload["h_phi"].dim == 10
         report = verify(spec, datum)
         assert report.codim_at_o == 3
         assert report.cohomogeneity == 1

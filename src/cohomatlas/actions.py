@@ -25,16 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
     Q1,
     SpanSolver,
     Subspace,
-    kernel_rows,
     lincomb,
     orthocomplement_in,
     rat,
+    solve_inclusion_constraint,
     subspace_intersect,
     subspace_sum,
     vadd,
@@ -134,8 +135,13 @@ class SigmaMap:
     domain_basis: tuple
     images: tuple
 
-    def apply(self, solver, x: Sequence) -> tuple:
-        return lincomb(solver.coords(x), self.images, len(self.images[0]))
+    @cached_property
+    def _solver(self) -> SpanSolver:
+        """Coordinates in the domain basis, built on first use."""
+        return SpanSolver(self.domain_basis, len(self.domain_basis[0]))
+
+    def apply(self, x: Sequence) -> tuple:
+        return lincomb(self._solver.coords(x), self.images, len(self.images[0]))
 
     def validate(self, model: LieModel, domain: Subspace, image: Subspace) -> None:
         if len(self.domain_basis) != domain.dim:
@@ -143,19 +149,17 @@ class SigmaMap:
         img_span = Subspace.span(model.dim, self.images)
         if img_span != image or img_span.dim != domain.dim:
             raise ValueError("sigma is not bijective onto the target algebra")
-        solver = SpanSolver(self.domain_basis, model.dim)
         for i, x in enumerate(self.domain_basis):
             for k in range(i + 1, len(self.domain_basis)):
                 y = self.domain_basis[k]
-                lhs = self.apply(solver, model.bracket(x, y))
+                lhs = self.apply(model.bracket(x, y))
                 rhs = model.bracket(self.images[i], self.images[k])
                 if lhs != rhs:
                     raise ValueError("sigma does not preserve the bracket")
 
     def is_theta_equivariant(self, model: LieModel) -> bool:
-        solver = SpanSolver(self.domain_basis, model.dim)
         for x, img in zip(self.domain_basis, self.images):
-            if self.apply(solver, model.theta_apply(x)) != model.theta_apply(img):
+            if self.apply(model.theta_apply(x)) != model.theta_apply(img):
                 return False
         return True
 
@@ -303,10 +307,10 @@ def product_assemble(pm: ProductModel, j: int, inner: ActionSpec) -> ActionSpec:
 
 
 def matrix_kernel(model: LieModel, inside: Subspace, condition) -> Subspace:
-    """{x in inside : condition(matrix(x)) = 0} for a linear, tuple-valued condition."""
-    cols = list(zip(*(condition(model.matrix(row)) for row in inside.basis)))
-    ker = kernel_rows(cols, inside.dim)
-    return Subspace.span(model.dim, [inside.from_coords(t) for t in ker])
+    """{x in inside : condition(matrix(x)) = 0} for a linear, tuple-valued
+    condition and a nonzero subspace inside."""
+    values = [[condition(model.matrix(row))] for row in inside.basis]
+    return solve_inclusion_constraint(inside.basis, values, Subspace.zero(len(values[0][0])))
 
 
 def _entries_zero_subspace(model: LieModel, positions) -> Subspace:

@@ -17,9 +17,13 @@ same as that loop's.  ``Matrix.apply`` runs over the nonzero entries of each
 row only; theta is a signed permutation and the Killing and inner-product
 Grams are sparse in the shipped bases.
 
-One constraint solver, ``solve_inclusion_constraint``, serves normalizers,
-centralizers and intersections: it reduces each image against the target's
-RREF basis and solves for the combinations whose residuals vanish.
+Each linear-algebra job has one solver.  ``solve_inclusion_constraint``
+serves normalizers, centralizers, intersections, orthogonal complements and
+kernels: it reduces each image against the target's RREF basis (the zero
+subspace for a kernel) and solves for the combinations whose residuals
+vanish.  ``SpanSolver`` gives coordinates in a chosen independent list.  A
+form's positive definiteness, which every orthogonal complement needs, is
+decided once per form matrix (``Matrix.is_positive_definite``).
 """
 
 from __future__ import annotations
@@ -187,40 +191,6 @@ def kernel_rows(rows: Sequence[Sequence], ncols: int) -> list:
     return basis
 
 
-def solve_linear_system(rows: Sequence[Sequence], rhs: Sequence) -> tuple:
-    """Unique solution x of (rows) x = rhs; raises if none or not unique."""
-    n = len(rows[0])
-    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
-    red, pivots = rref_rows(aug, n + 1)
-    if n in pivots:
-        raise ValueError("inconsistent linear system")
-    if len(pivots) != n:
-        raise ValueError("linear system is underdetermined")
-    x = [Q0] * n
-    for row, p in zip(red, pivots):
-        x[p] = row[n]
-    return tuple(x)
-
-
-def linear_dependence(vectors: Sequence[Sequence], ncols: int):
-    """If the last vector depends on the previous ones, return the coefficients.
-
-    Returns c with vectors[-1] = sum(c[i] * vectors[i]) or None if independent.
-    The previous vectors must be linearly independent; ValueError otherwise.
-    """
-    *prev, last = vectors
-    red, pivots, transform = rref_with_transform(list(prev) + [list(last)], ncols)
-    if not is_zero_vec(red[-1]):
-        return None
-    t = transform[-1]
-    # with fewer pivots, or a relation without the last vector, the earlier
-    # vectors carry a relation of their own
-    if len(pivots) < len(prev) or not t[-1]:
-        raise ValueError("the earlier vectors are linearly dependent")
-    scale = -Q1 / t[-1]
-    return tuple(scale * t[i] for i in range(len(prev)))
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -278,6 +248,31 @@ class Matrix:
         """Per row, the (column, value) pairs of its nonzero entries."""
         return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.rows)
 
+    @cached_property
+    def is_positive_definite(self) -> bool:
+        """Whether this is a symmetric positive definite form.
+
+        Symmetric elimination down the diagonal, in order, over the nonzero
+        entries of the upper triangle: the k-th pivot is the ratio of the
+        k-th and (k-1)-th leading principal minors, so all pivots are
+        positive iff all those minors are (Sylvester's criterion).
+        """
+        if self.rows != self.transpose().rows:
+            return False
+        upper = [{j: x for j, x in entries if j >= i} for i, entries in enumerate(self.row_entries)]
+        for k, row in enumerate(upper):
+            p = row.get(k, Q0)
+            if p <= 0:
+                return False
+            for i, x in row.items():
+                if i > k:
+                    f = x / p
+                    target = upper[i]
+                    for j, y in row.items():
+                        if j >= i:
+                            target[j] = target.get(j, Q0) - f * y
+        return True
+
     def apply(self, v: Sequence) -> tuple:
         """Matrix-vector product (v as a column)."""
         out = []
@@ -292,9 +287,6 @@ class Matrix:
 
     def flatten(self) -> tuple:
         return tuple(x for r in self.rows for x in r)
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -387,32 +379,23 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     return solve_inclusion_constraint(small.basis, [[b] for b in small.basis], large)
 
 
-def gram(form: Matrix, rows_u: Sequence, rows_v: Sequence) -> list:
-    """Gram matrix [u_i^T form v_j] for the given row vectors."""
-    u = Matrix(tuple(rows_u))
-    cols = [u.apply(form.apply(v)) for v in rows_v]
-    return [[col[i] for col in cols] for i in range(len(rows_u))]
-
-
 def orthocomplement_in(v: Subspace, w: Subspace, form: Matrix) -> Subspace:
     """w minus v: the complement of v inside w orthogonal w.r.t. form.
 
-    form must be a symmetric bilinear form that is positive definite (in
-    particular nondegenerate) on w, and v must be contained in w.
+    form must be a symmetric positive definite matrix, which is decided once
+    per form (``Matrix.is_positive_definite``), and v must be contained in w.
+    The complement is the constraint solver's answer for the candidates w_i,
+    the images (<w_i, v_1>, ..., <w_i, v_k>) and the zero target.
     """
     if not w.contains(v):
         raise ValueError("v is not contained in w")
-    gw = gram(form, w.basis, w.basis)
-    _, piv = rref_rows(gw, w.dim)
-    if len(piv) != w.dim:
-        raise ValueError("form is degenerate on w")
+    if not form.is_positive_definite:
+        raise ValueError("form is not positive definite")
     if v.dim == 0:
         return w
-    # x = sum t_i w_i with <x, v_j>_form = 0 for all j
-    gv = gram(form, w.basis, v.basis)
-    conditions = [tuple(gv[i][j] for i in range(w.dim)) for j in range(v.dim)]
-    ker = kernel_rows(conditions, w.dim)
-    return Subspace.span(w.ambient_dim, [w.from_coords(t) for t in ker])
+    w_rows = Matrix(w.basis)
+    images = [[col] for col in zip(*(w_rows.apply(form.apply(y)) for y in v.basis))]
+    return solve_inclusion_constraint(w.basis, images, Subspace.zero(v.dim))
 
 
 def solve_inclusion_constraint(
@@ -578,16 +561,16 @@ def invariant_eigensplit(apply_fn: Callable[[Sequence], tuple], space: Subspace)
                 break
         if seed is None:
             raise ValueError("eigensplit internal error")
+        # extend the Krylov list until the next image lies in its span
         krylov = [seed]
-        coeffs = None
         while True:
             nxt = act_on(krylov[-1])
-            dep = linear_dependence(krylov + [nxt], m)
-            if dep is not None:
-                coeffs = list(dep) + [-Q1]
+            try:
+                coeffs = SpanSolver(krylov, m).coords(nxt)
                 break
-            krylov.append(nxt)
-        minpoly = [-c for c in coeffs]  # monic up to sign; roots unchanged
+            except ValueError:  # independent of the list so far
+                krylov.append(nxt)
+        minpoly = [-c for c in coeffs] + [Q1]
         roots, complete = rational_roots(minpoly)
         if not complete:
             raise ValueError("operator has non-rational eigenvalues (unsupported model)")

@@ -20,6 +20,7 @@ operation is pure, and models are immutable after construction.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
@@ -48,8 +49,6 @@ class LieModel:
         self.dim = len(self.basis)
         self.matrix_size = self.basis[0].nrows
 
-        self._solver = _basis_solver(self.basis)
-
         self._struct = self._structure_constants()
         self.theta = self._theta_matrix()
         self.killing = self._killing_gram()
@@ -77,6 +76,11 @@ class LieModel:
             raise ValueError("k + a + n is not a direct sum of full dimension")
 
     # -- construction helpers ------------------------------------------------
+
+    @cached_property
+    def _solver(self) -> SpanSolver:
+        """Coordinates in the basis matrices, built on first use."""
+        return _basis_solver(self.basis)
 
     def coords(self, mat: Matrix) -> tuple:
         """Coordinates of a matrix in the model basis; raises if outside."""

@@ -21,10 +21,10 @@ from typing import Iterable, Optional, Sequence
 
 from .linalg import (
     Subspace,
-    kernel_rows,
     lincomb,
     orthocomplement_in,
     rat,
+    solve_inclusion_constraint,
     subspace_intersect,
     subspace_sum,
 )
@@ -89,14 +89,11 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
 
     l = Subspace.span(d, _root_rows(datum, inside, datum.zero_space.basis))
 
-    # a_phi = {H in a : alpha(H) = 0 for alpha in phi}
+    # a_phi = {H in a : alpha(H) = 0 for alpha in phi}; a covector lists the
+    # values of its root on the basis of a
     a = model.a_space
-    if phi:
-        cond = [datum.simple[i].covector for i in phi]
-        ker = kernel_rows(cond, a.dim)
-        a_phi = Subspace.span(d, [a.from_coords(t) for t in ker])
-    else:
-        a_phi = a
+    values = [[tuple(datum.simple[i].covector[t] for i in phi)] for t in range(a.dim)]
+    a_phi = solve_inclusion_constraint(a.basis, values, Subspace.zero(len(phi)))
 
     outside_pos = [r for r in datum.positive if r.covector not in inside_covs]
     n_gens = _root_rows(datum, outside_pos)

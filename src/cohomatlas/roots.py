@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .linalg import (
+    SpanSolver,
     Subspace,
     invariant_eigensplit,
     orthocomplement_in,
     rat,
-    solve_linear_system,
 )
 from .models import LieModel
 
@@ -138,11 +138,12 @@ def decompose(model: LieModel) -> RootDatum:
         if not decomposable:
             simple_cov.append(lam)
 
-    # dual vectors H_lam from the Gram matrix of a
+    # dual vectors H_lam: coordinates of lam in the rows of the (symmetric)
+    # Gram matrix of a
     a_basis = model.a_space.basis
-    gram_a = [[model.inner_product(x, y) for y in a_basis] for x in a_basis]
-
-    duals = {wt: model.a_space.from_coords(solve_linear_system(gram_a, wt)) for wt in raw}
+    gram_a = SpanSolver([[model.inner_product(x, y) for y in a_basis] for x in a_basis],
+                        len(a_basis))
+    duals = {wt: model.a_space.from_coords(gram_a.coords(wt)) for wt in raw}
 
     def pairing(u, v):
         return model.inner_product(duals[u], duals[v])
@@ -161,10 +162,10 @@ def decompose(model: LieModel) -> RootDatum:
         raise ValueError("number of simple roots does not match the rank")
 
     # coefficients of every root over the ordered simple roots
-    smat_cols = [[ordered_simple[i][b] for i in range(r)] for b in range(len(ordered_simple[0]))]
+    simple_solver = SpanSolver(ordered_simple, r)
     coeffs = {}
     for wt in raw:
-        c = solve_linear_system(smat_cols, wt)
+        c = simple_solver.coords(wt)
         ints = []
         for x in c:
             if x.denominator != 1:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .linalg import (
-    SpanSolver,
     Subspace,
     is_zero_vec,
     orthocomplement_in,
@@ -256,8 +255,7 @@ def polar_section(spec: ActionSpec) -> Subspace:
     sigma: SigmaMap = spec.payload["sigma"]
     a_dom: Subspace = spec.payload["a_section_domain"]
     model = spec.model
-    solver = SpanSolver(sigma.domain_basis, model.dim)
-    images = [sigma.apply(solver, h) for h in a_dom.basis]
+    images = [sigma.apply(h) for h in a_dom.basis]
     diagonal = Subspace.span(model.dim, [vadd(h, sh) for h, sh in zip(a_dom.basis, images)])
     flats = Subspace.span(model.dim, list(a_dom.basis) + images)
     return orthocomplement_in(diagonal, flats, model.inner)

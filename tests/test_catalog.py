@@ -2,13 +2,14 @@
 
 import sys
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
 from cohomatlas import catalog
 from cohomatlas.catalog import ce_families, enumerate_sl, known_extension_tangents
 from cohomatlas.cli import RunConfig, parse_space, run
-from cohomatlas.linalg import orthocomplement_in, vadd
+from cohomatlas.linalg import Matrix, orthocomplement_in, vadd
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.parabolic import build_nested, build_parabolic
 from cohomatlas.actions import builtin_cei_catalog, canonical_extend
@@ -188,3 +189,37 @@ def test_homothetic_rank_one_factors_get_their_diagonal_row(factors):
     assert cer[0].report.cohomogeneity == 1
     assert result.all_identities_passed
     assert result.skipped == []
+
+
+@pytest.mark.parametrize("space", ["rh(3)*rh(3)", "ch(2)*ch(2)"])
+def test_product_cei_rows_carry_a_boundary_subalgebra(space):
+    result = run(parse_space(space), RunConfig(su1n=True)).result
+    rows = [e for e in result.entries if e.label == "CEI"]
+    assert rows
+    for e in rows:
+        assert build_parabolic(result.datum, e.spec.phi).s.contains(e.spec.payload["h_phi"])
+
+
+def test_one_sl5_run_decides_each_form_once(monkeypatch):
+    decided = []
+    complements = Counter()
+    decide = Matrix.__dict__["is_positive_definite"].func
+
+    def counted(form):
+        decided.append(form)  # holds the form, so no id is reused
+        return decide(form)
+
+    def recorded(v, w, form):
+        complements[id(form)] += 1
+        return orthocomplement_in(v, w, form)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Matrix, "is_positive_definite")
+    monkeypatch.setattr(Matrix, "is_positive_definite", prop)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cohomatlas") and getattr(module, "orthocomplement_in", None) \
+                is orthocomplement_in:
+            monkeypatch.setattr(module, "orthocomplement_in", recorded)
+    run(parse_space("sl(5)"), RunConfig())
+    assert Counter(map(id, decided)) == Counter({i: 1 for i in complements})
+    assert sum(complements.values()) > len(decided)

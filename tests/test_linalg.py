@@ -11,11 +11,9 @@ from cohomatlas.linalg import (
     Matrix,
     SpanSolver,
     Subspace,
-    gram,
     invariant_eigensplit,
     kernel_rows,
     lincomb,
-    linear_dependence,
     orthocomplement_in,
     rat,
     rational_roots,
@@ -144,6 +142,12 @@ class TestOrthocomplement:
     def test_degenerate_form_rejected(self):
         form = Matrix.from_rows([[1, 0], [0, 0]])
         with pytest.raises(ValueError):
+            orthocomplement_in(S(2, [1, 0]), Subspace.full(2), form)
+
+    def test_indefinite_form_rejected(self):
+        # nondegenerate on Q^2, but not positive definite
+        form = Matrix.from_rows([[1, 0], [0, -1]])
+        with pytest.raises(ValueError, match="not positive definite"):
             orthocomplement_in(S(2, [1, 0]), Subspace.full(2), form)
 
     def test_involution(self):
@@ -354,7 +358,46 @@ def test_orthocomplement_dimension_and_orthogonality(case, data):
     c = orthocomplement_in(v, w, form)
     assert c.dim == w.dim - v.dim
     assert w.contains(c)
-    assert all(x == 0 for row in gram(form, c.basis, v.basis) for x in row)
+    assert all(vdot(x, form.apply(y)) == 0 for x in c.basis for y in v.basis)
+
+
+def determinant(rows):
+    """Exact determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(((-1) ** j * x * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+                for j, x in enumerate(rows[0]) if x), Fraction(0))
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric integer matrices: A^T A + I (definite), A^T A (semidefinite
+    when A is singular), A + A^T and A^T A - cI (often indefinite)."""
+    n = draw(st.integers(1, 5))
+    a = Matrix.from_rows(draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                                       min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["gram+I", "gram", "sum", "gram-cI"]))
+    if kind == "gram+I":
+        return a.transpose() @ a + Matrix.identity(n)
+    if kind == "gram":
+        return a.transpose() @ a
+    if kind == "sum":
+        return a + a.transpose()
+    return a.transpose() @ a - Matrix.identity(n).scale(draw(st.integers(1, 4)))
+
+
+@PROPERTY
+@given(symmetric_forms())
+def test_positive_definite_agrees_with_sylvesters_criterion(form):
+    rows = [list(r) for r in form.rows]
+    minors = [determinant([r[:k] for r in rows[:k]]) for k in range(1, form.nrows + 1)]
+    assert form.is_positive_definite == all(m > 0 for m in minors)
+
+
+def test_positive_definite_needs_a_symmetric_matrix():
+    # the symmetric part diag(1, 1) + (1/2)(E_12 + E_21) is positive definite
+    assert not Matrix.from_rows([[1, 1], [0, 1]]).is_positive_definite
+    assert Matrix.from_rows([[2, 1], [1, 1]]).is_positive_definite
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +433,6 @@ def reference_rref_with_transform(rows, ncols):
 def reference_rref_rows(rows, ncols):
     reduced, pivots, _ = reference_rref_with_transform(rows, ncols)
     return reduced[:len(pivots)], pivots
-
-
-def reference_linear_dependence(vectors, ncols):
-    *prev, last = vectors
-    red, _, transform = reference_rref_with_transform(list(prev) + [last], ncols)
-    if any(red[-1]):
-        return None
-    t = transform[-1]
-    return tuple(-t[i] / t[-1] for i in range(len(prev)))
 
 
 def reference_solve_inclusion_constraint(candidates, images, target):
@@ -473,43 +507,16 @@ def test_rref_with_transform_matches_the_rational_loop(case):
 
 
 @PROPERTY
-@given(rational_rows(), st.data())
-def test_linear_dependence_matches_the_rational_loop(case, data):
-    n, rows = case
-    prev = independent(rows, n)
-    c = data.draw(rational_vectors(len(prev), min_size=1, max_size=1))[0]
-    dependent = prev + [lincomb(c, prev, n)]
-    assert linear_dependence(dependent, n) == reference_linear_dependence(dependent, n) == c
-    last = data.draw(rational_vectors(n, min_size=1, max_size=1))[0]
-    expected = reference_linear_dependence(prev + [last], n)
-    assert linear_dependence(prev + [last], n) == expected
-
-
-def test_linear_dependence_rejects_dependent_earlier_vectors():
-    # the only relation is v0 - v1 = 0, with the last coefficient zero
-    with pytest.raises(ValueError, match="the earlier vectors are linearly dependent"):
-        linear_dependence([vec([1, 0]), vec([1, 0]), vec([0, 1])], 2)
-    # fewer pivots than earlier vectors
-    with pytest.raises(ValueError, match="the earlier vectors are linearly dependent"):
-        linear_dependence([vec([1, 0]), vec([2, 0]), vec([1, 0])], 2)
-
-
-@PROPERTY
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.lists(RATIONAL, min_size=n, max_size=n), min_size=1, max_size=5),
     rational_vectors(n, min_size=1, max_size=1))))
-def test_matrix_apply_and_gram_match_dense_products(case):
+def test_matrix_apply_matches_dense_products(case):
     n, rows, (v,) = case
     rows[0] = [Fraction(0)] * n  # a zero row
     m = Matrix(tuple(map(tuple, rows)))
     dense = tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows)
     assert m.apply(v) == dense
     assert all(type(x) is Fraction for x in m.apply(v))
-    form = Matrix(tuple(tuple(r) for r in (rows * n)[:n]))  # n x n, first row zero
-    us = [tuple(r) for r in rows]
-    expected = [[sum((a * b for a, b in zip(u, form.apply(w))), Fraction(0)) for w in us + [v]]
-                for u in us]
-    assert gram(form, us, us + [v]) == expected
 
 
 @PROPERTY

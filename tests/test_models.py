@@ -150,6 +150,13 @@ class TestProducts:
                 yy = p.embed_vector(0, tuple(Q1 if t == j else Q0 for t in range(f.dim)))
                 assert killing(p, xx, yy) == f.killing.entry(i, j)
 
+    def test_coords_inverts_matrix(self):
+        p = direct_sum([build_sl(2), build_sl(2)])
+        x = tuple(rat(i - 2, 1 + i % 2) for i in range(p.dim))
+        assert p.coords(p.matrix(x)) == x
+        with pytest.raises(ValueError):
+            p.coords(E(p.matrix_size, 0, 2))  # outside the diagonal blocks
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             direct_sum([])

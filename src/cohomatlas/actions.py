@@ -1,11 +1,11 @@
 """Constructors for the Lie algebras of the cohomogeneity one action families.
 
 Each constructor returns an :class:`ActionSpec`: the action kind, the
-defining data, and the resulting subalgebra as an exact subspace of the
-ambient model, together with a sparse spanning set for the bracket-closure
-note of :func:`cohomatlas.verify.verify`.  Constructors check their inputs;
-the closure of the result is certified by ``verify`` alone, and the payload
-holds only the data ``verify`` reads.  Kinds:
+model, the defining roots, and the resulting subalgebra as an exact
+subspace of the ambient model.  An action is its algebra: closure under the
+bracket is a property of that subspace, certified by ``verify`` alone from
+its basis.  Constructors check their inputs, and the payload holds only the
+data ``verify`` reads.  Kinds:
 
 * ``FH``   codimension one horospherical foliation, (a minus line) + n
 * ``FS``   solvable foliation, a + (n minus a line in a simple root space)
@@ -47,14 +47,13 @@ from .roots import RootDatum
 
 @dataclass(frozen=True)
 class ActionSpec:
-    """A constructed action: kind, defining roots, resulting subalgebra, and
-    the spanning set and payload that :func:`cohomatlas.verify.verify` reads."""
+    """A constructed action: kind, model, defining roots, resulting
+    subalgebra, and the payload that :func:`cohomatlas.verify.verify` reads."""
 
     kind: str
     model: LieModel
     phi: Optional[tuple]
     algebra: Subspace
-    spanning: tuple = field(repr=False)
     payload: dict = field(repr=False, default_factory=dict)
 
 
@@ -70,28 +69,23 @@ def make_fh(model: LieModel, line: Subspace) -> ActionSpec:
         raise ValueError("FH line must lie in a")
     a_rest = orthocomplement_in(line, model.a_space, model.inner)
     algebra = subspace_sum(a_rest, model.n_space)
-    spanning = tuple(a_rest.basis) + tuple(model.n_space.basis)
     if algebra.dim != model.a_space.dim + model.n_space.dim - 1:
         raise ValueError("FH dimension bookkeeping failed")
-    return ActionSpec("FH", model, None, algebra, spanning)
+    return ActionSpec("FH", model, None, algebra)
 
 
-def make_fs(datum: RootDatum, j: int, line: Optional[Subspace] = None) -> ActionSpec:
-    """Solvable foliation algebra a + (n minus a line in the j-th simple root space)."""
+def make_fs(datum: RootDatum, j: int) -> ActionSpec:
+    """Solvable foliation algebra a + (n minus a line in the j-th simple root
+    space), for one representative line: the first basis row of that space."""
     model = datum.model
     if not 0 <= j < datum.rank:
         raise ValueError("FS needs a simple root index")
-    root_space = datum.space(datum.simple[j])
-    if line is None:
-        line = Subspace.span(model.dim, [root_space.basis[0]])
-    if line.dim != 1 or not root_space.contains(line):
-        raise ValueError("FS line must be a line inside a simple root space")
+    line = Subspace.span(model.dim, datum.space(datum.simple[j]).basis[:1])
     n_rest = orthocomplement_in(line, model.n_space, model.inner)
     algebra = subspace_sum(model.a_space, n_rest)
-    spanning = tuple(model.a_space.basis) + tuple(n_rest.basis)
     if algebra.dim != model.a_space.dim + model.n_space.dim - 1:
         raise ValueError("FS dimension bookkeeping failed")
-    return ActionSpec("FS", model, (j,), algebra, spanning)
+    return ActionSpec("FS", model, (j,), algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +96,6 @@ def canonical_extend(
     datum: RootDatum,
     pd: ParabolicDatum,
     h_phi: Subspace,
-    spanning: Optional[Sequence] = None,
     kind: str = "CEI",
     payload: Optional[dict] = None,
 ) -> ActionSpec:
@@ -113,15 +106,13 @@ def canonical_extend(
     model = datum.model
     if not pd.s.contains(h_phi):
         raise ValueError("boundary subalgebra must lie in s_phi")
-    h_gens = tuple(spanning) if spanning is not None else tuple(h_phi.basis)
-    if not model.is_subalgebra(h_phi, h_gens):
+    if not model.is_subalgebra(h_phi):
         raise ValueError("boundary subalgebra is not closed under the bracket")
     algebra = Subspace.span(model.dim, h_phi.basis + pd.a_phi.basis + pd.n_phi.basis)
     if algebra.dim != h_phi.dim + pd.a_phi.dim + pd.n_phi.dim:
         raise ValueError("extension pieces are not in direct sum")
-    full_spanning = h_gens + tuple(pd.a_phi.basis) + tuple(pd.n_phi_gens)
     data = {"h_phi": h_phi} if payload is None else payload
-    return ActionSpec(kind, model, pd.phi, algebra, full_spanning, data)
+    return ActionSpec(kind, model, pd.phi, algebra, data)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +206,10 @@ def default_cer_sigma(datum: RootDatum, j: int, k: int) -> SigmaMap:
     return sigma
 
 
-def _diagonal_subspace(model: LieModel, sigma: SigmaMap) -> tuple:
+def _diagonal_subspace(model: LieModel, sigma: SigmaMap) -> Subspace:
+    """{X + sigma X : X in the domain of sigma}."""
     rows = [vadd(x, y) for x, y in zip(sigma.domain_basis, sigma.images)]
-    return Subspace.span(model.dim, rows), tuple(rows)
+    return Subspace.span(model.dim, rows)
 
 
 def make_cer(datum: RootDatum, j: int, k: int) -> ActionSpec:
@@ -233,11 +225,11 @@ def make_cer(datum: RootDatum, j: int, k: int) -> ActionSpec:
     if profile_j != profile_k:
         raise ValueError("CER double root multiplicities do not match")
     sigma = default_cer_sigma(datum, j, k)
-    diag, diag_gens = _diagonal_subspace(model, sigma)
+    diag = _diagonal_subspace(model, sigma)
     pd = build_parabolic(datum, [j, k])
     payload = {"sigma": sigma, "diag": diag,
                "a_section_domain": build_parabolic(datum, [j]).a_upper}
-    return canonical_extend(datum, pd, diag, diag_gens, kind="CER", payload=payload)
+    return canonical_extend(datum, pd, diag, kind="CER", payload=payload)
 
 
 def make_factor_diagonal(pm: ProductModel, datum: RootDatum, j: int, k: int) -> ActionSpec:
@@ -250,15 +242,13 @@ def make_factor_diagonal(pm: ProductModel, datum: RootDatum, j: int, k: int) -> 
     block_j, block_k = pm.factor_block(j), pm.factor_block(k)
     sigma = SigmaMap(block_j.basis, block_k.basis)
     sigma.validate(pm, block_j, block_k)
-    diag, diag_gens = _diagonal_subspace(pm, sigma)
-    rest = pm.other_factor_rows((j, k))
-    algebra = Subspace.span(pm.dim, diag.basis + rest)
-    spanning = diag_gens + rest
+    diag = _diagonal_subspace(pm, sigma)
+    algebra = Subspace.span(pm.dim, diag.basis + pm.other_factor_rows((j, k)))
     phi = tuple(i for i, r in enumerate(datum.simple)
                 if pm.factor_of(r.root_vector) in (j, k))
     payload = {"sigma": sigma, "diag": diag,
                "a_section_domain": pm.embed_subspace(j, pm.factors[j].a_space)}
-    return ActionSpec("CER", pm, phi, algebra, spanning, payload)
+    return ActionSpec("CER", pm, phi, algebra, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +269,8 @@ def nilpotent_construct(datum: RootDatum, pd: ParabolicDatum, v: Subspace) -> Ac
     algebra = subspace_sum(normalizer, complement)
     if algebra.dim != normalizer.dim + complement.dim:
         raise ValueError("normalizer overlaps the nilpotent complement")
-    spanning = tuple(normalizer.basis) + tuple(complement.basis)
     (j,) = [i for i in range(datum.rank) if i not in pd.phi]
-    return ActionSpec("NC", model, pd.phi, algebra, spanning,
-                      {"j": j, "v": v, "normalizer": normalizer})
+    return ActionSpec("NC", model, pd.phi, algebra, {"j": j, "v": v, "normalizer": normalizer})
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +286,7 @@ def product_assemble(pm: ProductModel, j: int, inner: ActionSpec) -> ActionSpec:
         raise ValueError("inner action does not live on the requested factor")
     rest = pm.other_factor_rows((j,))
     algebra = Subspace.span(pm.dim, pm.embed_subspace(j, inner.algebra).basis + rest)
-    spanning = tuple(pm.embed_vector(j, row) for row in inner.spanning) + rest
-    return ActionSpec("Prod", pm, None, algebra, spanning)
+    return ActionSpec("Prod", pm, None, algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +309,7 @@ def _entries_zero_subspace(model: LieModel, positions) -> Subspace:
 def builtin_cei_catalog(datum: RootDatum, phi: Iterable[int]) -> list:
     """Named maximal reductive boundary subalgebras over a single root.
 
-    Returns (name, subalgebra, spanning) triples with the subalgebra inside
+    Returns (name, subalgebra) pairs with the subalgebra inside
     s_phi; every entry is closed under the bracket and theta invariant.  The
     first is the isotropy algebra s_phi & k, so(m + 1) or u(m / 2 + 1) for a
     root of multiplicity m without or with a double; the so(1,n) and su(1,n)
@@ -333,15 +320,14 @@ def builtin_cei_catalog(datum: RootDatum, phi: Iterable[int]) -> list:
     (root,) = [datum.simple[i] for i in pd.phi]
     m_a, m_2a = datum.profile(root)
     iso = subspace_intersect(pd.s, model.k_space)
-    out = [(f"u({m_a // 2 + 1})" if m_2a else f"so({m_a + 1})", iso, tuple(iso.basis))]
+    out = [(f"u({m_a // 2 + 1})" if m_2a else f"so({m_a + 1})", iso)]
 
     if model.name.startswith("so(1,"):
         n = model.matrix_size - 1
         for k in range(1, n - 1):
             cross = [(p, q) for p in range(k + 1) for q in range(k + 1, n + 1)]
             cross += [(q, p) for p, q in cross]
-            sub = _entries_zero_subspace(model, cross)
-            out.append((f"so(1,{k})+so({n - k})", sub, tuple(sub.basis)))
+            out.append((f"so(1,{k})+so({n - k})", _entries_zero_subspace(model, cross)))
     elif model.name.startswith("su(1,"):
         m = model.matrix_size // 2
         n = m - 1
@@ -351,16 +337,14 @@ def builtin_cei_catalog(datum: RootDatum, phi: Iterable[int]) -> list:
                 for q in range(k + 1, m):
                     for pp, qq in ((p, q), (q, p)):
                         cross.extend([(pp, qq), (pp, qq + m), (pp + m, qq), (pp + m, qq + m)])
-            sub = _entries_zero_subspace(model, cross)
-            out.append((f"s(u(1,{k})+u({n - k}))", sub, tuple(sub.basis)))
+            out.append((f"s(u(1,{k})+u({n - k}))", _entries_zero_subspace(model, cross)))
         imag = [(p, q + m) for p in range(m) for q in range(m)]
-        real_form = _entries_zero_subspace(model, imag)
-        out.append((f"so(1,{n})", real_form, tuple(real_form.basis)))
+        out.append((f"so(1,{n})", _entries_zero_subspace(model, imag)))
 
-    for name, sub, gens in out:
+    for name, sub in out:
         if not pd.s.contains(sub):
             raise ValueError(f"catalog entry {name} escapes the boundary algebra")
-        if not model.is_subalgebra(sub, gens):
+        if not model.is_subalgebra(sub):
             raise ValueError(f"catalog entry {name} is not a subalgebra")
         if model.theta_image(sub) != sub:
             raise ValueError(f"catalog entry {name} is not theta invariant")

@@ -334,11 +334,10 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
                   seed, samples)
             # CEI rows from the built-in reductive catalog
             rest = pm.other_factor_rows((idx,))
-            for name, sub, gens in builtin_cei_catalog(fd, [0]):
+            for name, sub in builtin_cei_catalog(fd, [0]):
                 h_phi = pm.embed_subspace(idx, sub)
                 algebra = Subspace.span(pm.dim, h_phi.basis + rest)
-                spanning = tuple(pm.embed_vector(idx, g) for g in gens) + rest
-                spec = ActionSpec("CEI", pm, (i_root,), algebra, spanning, {"h_phi": h_phi})
+                spec = ActionSpec("CEI", pm, (i_root,), algebra, {"h_phi": h_phi})
                 _emit(entries, identities, datum, "CEI", name,
                       _hyperbolic_name(profile), f"{tag}: {name}", spec,
                       None, seed, samples)

@@ -43,7 +43,10 @@ from .linalg import (
 class LieModel:
     """A concrete matrix model of a real semisimple Lie algebra."""
 
-    def __init__(self, name: str, basis: Sequence[Matrix], a_vectors, n_vectors=None):
+    def __init__(self, name: str, basis: Sequence[Matrix], a: Sequence[Matrix],
+                 n: Optional[Sequence[Matrix]] = None):
+        """a and n, when given, are lists of matrices in the span of basis,
+        converted to coordinates by the model's own solver."""
         self.name = name
         self.basis = tuple(basis)
         self.dim = len(self.basis)
@@ -52,7 +55,8 @@ class LieModel:
         self._struct = self._structure_constants()
         self.theta = self._theta_matrix()
         self.killing = self._killing_gram()
-        self._set_iwasawa(a_vectors, n_vectors)
+        self._set_iwasawa([self.coords(x) for x in a],
+                          None if n is None else [self.coords(x) for x in n])
 
     def _set_iwasawa(self, a_vectors, n_vectors) -> None:
         """k, p, the inner product, a and n, from theta and the Killing form;
@@ -80,7 +84,7 @@ class LieModel:
     @cached_property
     def _solver(self) -> SpanSolver:
         """Coordinates in the basis matrices, built on first use."""
-        return _basis_solver(self.basis)
+        return SpanSolver([b.flatten() for b in self.basis], self.matrix_size ** 2)
 
     def coords(self, mat: Matrix) -> tuple:
         """Coordinates of a matrix in the model basis; raises if outside."""
@@ -218,8 +222,9 @@ class LieModel:
         rows = [self._bracket_entries(xe, ye) for xe in map(_entries, u) for ye in ve]
         return Subspace.span(self.dim, rows)
 
-    def is_subalgebra(self, sub: Subspace, spanning: Sequence = None) -> bool:
-        gens = [_entries(g) for g in (spanning if spanning is not None else sub.basis)]
+    def is_subalgebra(self, sub: Subspace) -> bool:
+        """True iff the brackets of the basis of sub lie in sub."""
+        gens = [_entries(g) for g in sub.basis]
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
                 if not sub.contains_vector(self._bracket_entries(gens[a], gens[b])):
@@ -257,12 +262,6 @@ def _block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
     return Matrix(tuple(rows))
 
 
-def _basis_solver(basis: Sequence[Matrix]) -> SpanSolver:
-    """Coordinates relative to a list of independent basis matrices."""
-    n = basis[0].nrows
-    return SpanSolver([b.flatten() for b in basis], n * n)
-
-
 # ---------------------------------------------------------------------------
 # concrete families
 
@@ -290,10 +289,7 @@ def build_sl(n_plus_1: int) -> LieModel:
         basis.append(_basis_entry(m, i, j))
     for i, j in lowers:
         basis.append(_basis_entry(m, i, j))
-    d = m * m - 1
-    a_vecs = [unit_vec(d, i) for i in range(m - 1)]
-    n_vecs = [unit_vec(d, m - 1 + t) for t in range(len(uppers))]
-    return LieModel(f"sl({m})", basis, a_vecs, n_vecs)
+    return LieModel(f"sl({m})", basis, basis[:m - 1], basis[m - 1:m - 1 + len(uppers)])
 
 
 def build_so1n(n: int) -> LieModel:
@@ -313,9 +309,7 @@ def build_so1n(n: int) -> LieModel:
             k[i][j] = Q1
             k[j][i] = -Q1
             basis.append(Matrix(tuple(tuple(r) for r in k)))
-    d = len(basis)
-    a_vecs = [unit_vec(d, 0)]  # a = R (E_01 + E_10)
-    return LieModel(f"so(1,{n})", basis, a_vecs)
+    return LieModel(f"so(1,{n})", basis, basis[:1])  # a = R (E_01 + E_10)
 
 
 def build_su1n(n: int) -> LieModel:
@@ -374,23 +368,21 @@ def build_su1n(n: int) -> LieModel:
     h0 = [[Q0] * (2 * m) for _ in range(2 * m)]
     h0[0][1] = h0[1][0] = Q1
     h0[m][m + 1] = h0[m + 1][m] = Q1
-    h0_mat = Matrix(tuple(tuple(r) for r in h0))
-
-    a_coords = _basis_solver(basis).coords(h0_mat.flatten())
-    return LieModel(f"su(1,{n})", basis, [a_coords])
+    return LieModel(f"su(1,{n})", basis, [Matrix(tuple(tuple(r) for r in h0))])
 
 
 class ProductModel(LieModel):
     """Block-diagonal direct sum of factor models, assembled from the factors.
 
     The basis is the factors' bases placed on the diagonal blocks;
-    coordinates run factor by factor from ``block_offsets``.  The structure constants, theta and the Killing form
-    are the factors' own, shifted by the block offsets, and a, n are the
-    factors' side by side: cross-factor brackets and Killing entries are
-    zero.  Each factor has already checked that its brackets close and that
-    its own k + a + n is direct.  The product, like any model, checks that
-    theta^2 = I, takes k and p from theta, and checks that k + a + n is
-    direct.
+    coordinates run factor by factor from ``block_offsets``.  The structure
+    constants, theta and the Killing form are the factors' own, shifted by
+    the block offsets, and a, n are the factors' side by side, given to
+    ``_set_iwasawa`` in coordinates: cross-factor brackets and Killing
+    entries are zero.  Each factor has already checked that its brackets
+    close and that its own k + a + n is direct.  The product, like any
+    model, checks that theta^2 = I, takes k and p from theta, and checks
+    that k + a + n is direct.
     """
 
     def __init__(self, factors: Sequence[LieModel]):
@@ -467,6 +459,8 @@ class ProductModel(LieModel):
 def direct_sum(models: Sequence[LieModel]) -> ProductModel:
     """Block-diagonal assembly of the factors, with their structure constants,
     theta, Killing form and k/a/n/p placed block by block (see
-    :class:`ProductModel`); root data becomes the orthogonal disjoint union."""
+    :class:`ProductModel`).  Root data is not assembled: ``enumerate_product``
+    runs the generic ``decompose`` on the product, whose roots are then the
+    orthogonal disjoint union of the factors' roots."""
     return ProductModel(models)
 

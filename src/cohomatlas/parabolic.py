@@ -1,13 +1,13 @@
 """Parabolic subalgebra data attached to subsets of simple roots.
 
 For a subset phi of the simple roots (given as 0-based indices into
-``datum.simple``) this module materializes the Levi piece l, the abelian
-piece a_phi, the nilpotent piece n_phi, the reductive complement m, the
-compact piece k_phi, the split pieces a^phi and n^phi, the boundary tangent
-b (a Lie triple system), the boundary isometry algebra s = [b,b] + b, the
-coarse grading of n_phi when phi omits exactly one simple root, and nested
-data for chains psi inside phi.  For sl models ``tensor_model`` indexes the
-top graded piece as a matrix space.
+``datum.simple``) this module materializes the pieces the rest of the
+pipeline reads: the Levi piece l, the abelian piece a_phi, the nilpotent
+piece n_phi, the compact piece k_phi, the split pieces a^phi and n^phi, the
+boundary tangent b (a Lie triple system), the boundary isometry algebra
+s = [b,b] + b, the coarse grading of n_phi when phi omits exactly one
+simple root, and nested data for chains psi inside phi.  For sl models
+``tensor_model`` indexes the top graded piece as a matrix space.
 
 Everything is an exact Subspace of the model; nested data is always
 cross-validated against the intersection identity q_{psi,phi} = q_psi & s_phi
@@ -16,7 +16,7 @@ and construction aborts on mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
@@ -37,7 +37,6 @@ class ParabolicDatum:
     l: Subspace  # Levi: g_0 + sum of root spaces inside span(phi)
     a_phi: Subspace  # common kernel of the roots in phi, inside a
     n_phi: Subspace  # positive root spaces outside span(phi)
-    m: Subspace  # l minus a_phi
     k_phi: Subspace  # k_0 + projected root spaces inside span(phi)
     a_upper: Subspace  # a minus a_phi
     n_upper: Subspace  # positive root spaces inside span(phi)
@@ -45,21 +44,18 @@ class ParabolicDatum:
     s: Subspace  # [b, b] + b
     s0: Subspace  # s intersect g_0
     grading: Optional[dict]  # nu -> Subspace, only when phi omits one root
-    n_phi_gens: tuple = field(repr=False, default=())
 
 
 @dataclass(frozen=True)
 class NestedParabolicDatum:
-    """Parabolic pieces of s_phi for psi inside phi.  Nothing downstream
-    reads m_np; computing it is the check that a_np lies in l_np and that the
-    inner product is nondegenerate there."""
+    """Parabolic pieces of s_phi for psi inside phi: the Levi piece l_np,
+    which contains the abelian piece a_np, and the nilpotent piece n_np."""
 
     psi: tuple
     phi: tuple
     l_np: Subspace
     n_np: Subspace
     a_np: Subspace
-    m_np: Subspace
 
 
 def _check_phi(datum: RootDatum, phi: Iterable[int]) -> tuple:
@@ -96,10 +92,7 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     a_phi = solve_inclusion_constraint(a.basis, values, Subspace.zero(len(phi)))
 
     outside_pos = [r for r in datum.positive if r.covector not in inside_covs]
-    n_gens = _root_rows(datum, outside_pos)
-    n_phi = Subspace.span(d, n_gens)
-
-    m = orthocomplement_in(a_phi, l, model.inner)
+    n_phi = Subspace.span(d, _root_rows(datum, outside_pos))
 
     # k0 lies in k and a_upper in p, so projecting them too leaves each one
     # spanning itself
@@ -126,7 +119,6 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
         l=l,
         a_phi=a_phi,
         n_phi=n_phi,
-        m=m,
         k_phi=k_phi,
         a_upper=a_upper,
         n_upper=n_upper,
@@ -134,7 +126,6 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
         s=s,
         s0=s0,
         grading=grading,
-        n_phi_gens=tuple(n_gens),
     )
     datum._parabolic_cache[phi] = pd
     return pd
@@ -151,8 +142,7 @@ def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> Ne
     if cached is not None:
         return cached
 
-    model = datum.model
-    d = model.dim
+    d = datum.model.dim
     pd_phi = build_parabolic(datum, phi)
     pd_psi = build_parabolic(datum, psi)
 
@@ -168,14 +158,15 @@ def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> Ne
     a_np = subspace_intersect(pd_phi.a_upper, pd_psi.a_phi)
 
     l_np = Subspace.span(d, _root_rows(datum, inside_psi, pd_phi.s0.basis))
-    m_np = orthocomplement_in(a_np, l_np, model.inner)
+    if not l_np.contains(a_np):
+        raise ValueError("nested abelian piece does not lie in the nested Levi piece")
 
     q_np = subspace_sum(l_np, n_np)
     q_psi = subspace_sum(pd_psi.l, pd_psi.n_phi)
     if q_np != subspace_intersect(q_psi, pd_phi.s):
         raise ValueError("nested parabolic fails q_{psi,phi} = q_psi & s_phi")
 
-    nd = NestedParabolicDatum(psi=psi, phi=phi, l_np=l_np, n_np=n_np, a_np=a_np, m_np=m_np)
+    nd = NestedParabolicDatum(psi=psi, phi=phi, l_np=l_np, n_np=n_np, a_np=a_np)
     datum._nested_cache[key] = nd
     return nd
 

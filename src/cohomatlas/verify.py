@@ -141,17 +141,13 @@ def slice_cohomogeneity(model: LieModel, h: Subspace, seed: int, samples: int,
         tangent = orbit_tangent_at_o(model, h)
     nu = orthocomplement_in(tangent, model.p_space, model.inner)
     isotropy = subspace_intersect(h, model.k_space)
-    for t in isotropy.basis:
-        for x in nu.basis:
-            if not nu.contains_vector(model.bracket(t, x)):
-                raise ValueError("slice closure violated: isotropy does not preserve "
-                                 "the normal space at o")
+    images = [model.bracket(t, x) for t in isotropy.basis for x in nu.basis]
+    if not all(nu.contains_vector(y) for y in images):
+        raise ValueError("slice closure violated: isotropy does not preserve "
+                         "the normal space at o")
     if nu.dim == 0:
         return 0, "exact"
-    trivial = all(
-        is_zero_vec(model.bracket(t, x)) for t in isotropy.basis for x in nu.basis
-    )
-    if trivial or nu.dim <= 1:
+    if nu.dim <= 1 or all(map(is_zero_vec, images)):
         return nu.dim, "exact"
     sampler = RationalSampler(seed)
     best = 0
@@ -335,9 +331,9 @@ def product_split_ok(datum: RootDatum, spec: ActionSpec) -> bool:
 # orchestration
 
 
-def verify(spec: ActionSpec, datum: Optional[RootDatum] = None, *,
+def verify(spec: ActionSpec, datum: RootDatum, *,
            seed: int = 7, samples: int = 32) -> VerificationReport:
-    """Fill a full report for one constructed action."""
+    """Fill a full report for one constructed action over its root datum."""
     model = spec.model
     tangent = orbit_tangent_at_o(model, spec.algebra)
     orbit_dim = tangent.dim
@@ -347,7 +343,7 @@ def verify(spec: ActionSpec, datum: Optional[RootDatum] = None, *,
     if cohom > codim:
         raise ValueError("cohomogeneity exceeds the orbit codimension")
 
-    notes = [("bracket-closure", model.is_subalgebra(spec.algebra, spec.spanning))]
+    notes = [("bracket-closure", model.is_subalgebra(spec.algebra))]
     tg = "not-checked"
     nc1 = nc2 = "not-checked"
     nc2_cert = None
@@ -358,7 +354,7 @@ def verify(spec: ActionSpec, datum: Optional[RootDatum] = None, *,
             tg = "yes" if check_lie_triple(model, model.project_p_subspace(inner_h)) else "no"
         if spec.kind == "CER":
             notes.append(("polar-section-certificate", check_polar_certificate(spec)))
-        if datum is not None and spec.phi is not None and 0 < len(spec.phi) < datum.rank:
+        if spec.phi is not None and 0 < len(spec.phi) < datum.rank:
             missing = [i for i in range(datum.rank) if i not in spec.phi]
             phi2 = tuple(sorted(set(spec.phi) | {missing[0]}))
             if inner_h is not None:
@@ -368,8 +364,6 @@ def verify(spec: ActionSpec, datum: Optional[RootDatum] = None, *,
                 )
 
     if spec.kind == "NC":
-        if datum is None:
-            raise ValueError("verifying an NC action needs the root datum")
         pd = build_parabolic(datum, spec.phi)
         v = spec.payload["v"]
         normalizer = spec.payload["normalizer"]  # certified by normalizer-theta-dual

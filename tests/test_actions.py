@@ -66,15 +66,6 @@ class TestFoliations:
         spec = make_fs(datum, 0)
         assert spec.algebra.dim == 2  # 1 + 2 - 1
 
-    def test_fs_rejects_non_simple_line(self):
-        datum = SL3_DATUM
-        r = datum.root_with_coeff((1, 1))
-        line = datum.space(r)
-        with pytest.raises(ValueError):
-            make_fs(datum, 0, line)
-        with pytest.raises(ValueError):
-            make_fs(datum, 1, line)
-
 
 class TestCanonicalExtension:
     def test_full_phi_identity(self):
@@ -289,24 +280,24 @@ class TestBuiltinCatalog:
     def test_sl2_factor_has_its_isotropy_only(self):
         g = build_sl(2)
         entries = builtin_cei_catalog(decompose(g), [0])
-        assert [(name, s) for name, s, _ in entries] == [("so(2)", g.k_space)]
+        assert entries == [("so(2)", g.k_space)]
 
     def test_so1n_block_embeddings(self):
         g = build_so1n(3)
         datum = decompose(g)
         entries = builtin_cei_catalog(datum, [0])
-        names = [name for name, _, _ in entries]
+        names = [name for name, _ in entries]
         assert names == ["so(3)", "so(1,1)+so(2)"]
-        dims = [s.dim for _, s, _ in entries]
+        dims = [s.dim for _, s in entries]
         assert dims == [3, 2]
 
     def test_su1n_entries(self):
         g = build_su1n(2)
         datum = decompose(g)
         entries = builtin_cei_catalog(datum, [0])
-        names = [name for name, _, _ in entries]
+        names = [name for name, _ in entries]
         assert names == ["u(2)", "s(u(1,1)+u(1))", "so(1,2)"]
-        dims = dict((n, s.dim) for n, s, _ in entries)
+        dims = dict((n, s.dim) for n, s in entries)
         assert dims["u(2)"] == 4
         assert dims["so(1,2)"] == 3
 
@@ -323,8 +314,8 @@ def test_non_closed_algebra_fails_the_closure_note():
     # E12 and E23 span no subalgebra: [E12, E23] = E13 lies outside
     e12 = SL3.coords(Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
     e23 = SL3.coords(Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]]))
-    spec = ActionSpec("FH", SL3, None, Subspace.span(SL3.dim, [e12, e23]), (e12, e23))
-    report = verify(spec)
+    spec = ActionSpec("FH", SL3, None, Subspace.span(SL3.dim, [e12, e23]))
+    report = verify(spec, SL3_DATUM)
     assert dict(report.notes)["bracket-closure"] is False
     assert not report.all_exact_checks_passed
 

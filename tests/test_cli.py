@@ -26,6 +26,13 @@ GOLDEN_DIGESTS = {
     # recorded when these homothetic rank-one factors gained their CER row
     "sl(2)*rh(2)": "733e419806307ef35dd8698ec47d5fc78788424b8f58614d9a97523f234be1d7",
     "rh(2)*sl(2)": "f3e9be10aa1785978b9a010e6284b822eb25cc0864eb8d3c076083124315c312",
+    # three factors: Prod rows from the sl(3) table, FS and CEI rows on the
+    # rank-one factors, and CER rows across factors
+    "sl(3)*rh(2)*sl(2)": "818b8c2ff50b6df17cba296a901180f755024476642232af1f266567ad7cd3c5",
+}
+# sha256 of the markdown report, with the same arguments otherwise
+GOLDEN_MARKDOWN_DIGESTS = {
+    "sl(4) --nc-search": "fb4fe30480dc5c5588fb75bdbe85d97f84a5a908dcd11a559c44d3c8841f29f2",
 }
 # The oracle flags known CE tangents for j=1 and j=3 as unknown (a false
 # alarm), so the nc-search report exits 1.
@@ -56,6 +63,15 @@ def test_json_report_matches_golden_digest(space, tmp_path):
                           "--out", str(out)])
     assert status == GOLDEN_EXIT_STATUS.get(space, 0)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[space]
+
+
+@pytest.mark.parametrize("space", sorted(GOLDEN_MARKDOWN_DIGESTS))
+def test_markdown_report_matches_golden_digest(space, tmp_path):
+    out = tmp_path / "report.md"
+    status = exit_status(["--space", *space.split(), "--feature", "su1n",
+                          "--format", "markdown", "--out", str(out)])
+    assert status == GOLDEN_EXIT_STATUS.get(space, 0)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MARKDOWN_DIGESTS[space]
 
 
 @pytest.mark.parametrize("args", [

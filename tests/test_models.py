@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from cohomatlas import linalg
 from cohomatlas.linalg import Matrix, Q0, Q1, Subspace, is_zero_vec, rat, unit_vec, vdot, vec
 from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
 
@@ -111,6 +112,20 @@ class TestSu1n:
         assert j @ j == Matrix.identity(j.nrows).scale(-1)
         for b in g.basis:
             assert j @ b == b @ j
+
+    def test_basis_is_eliminated_once(self, monkeypatch):
+        # su(1,3): a 15-dimensional basis of 8 x 8 real matrices
+        shapes = []
+        eliminate = linalg.rref_with_transform
+
+        def recorded(rows, ncols):
+            rows = list(rows)
+            shapes.append((len(rows), ncols))
+            return eliminate(rows, ncols)
+
+        monkeypatch.setattr(linalg, "rref_with_transform", recorded)
+        build_su1n(3)
+        assert shapes.count((15, 64)) == 1
 
 
 class TestProducts:
@@ -282,7 +297,8 @@ class TestStructuralInvariants:
 ], ids=["rh2xrh3", "sl3xsl2", "ch2xrh2"])
 def test_assembled_product_matches_the_generic_construction(factors):
     pm = direct_sum(factors())
-    ref = LieModel(pm.name, pm.basis, pm.a_space.basis, pm.n_space.basis)
+    ref = LieModel(pm.name, pm.basis, [pm.matrix(x) for x in pm.a_space.basis],
+                   [pm.matrix(x) for x in pm.n_space.basis])
     assert pm._struct == ref._struct
     assert pm.theta == ref.theta
     assert pm.killing == ref.killing

@@ -60,7 +60,8 @@ class TestBuildParabolic:
                 pd = build_parabolic(datum, phi)
                 assert subspace_sum(pd.a_phi, pd.a_upper) == g.a_space
                 assert subspace_sum(pd.n_phi, pd.n_upper) == g.n_space
-                assert subspace_sum(pd.m, pd.a_phi) == pd.l
+                m = orthocomplement_in(pd.a_phi, pd.l, g.inner)
+                assert subspace_sum(m, pd.a_phi) == pd.l
                 assert pd.s.dim == pd.b.dim + g.bracket_span(pd.b.basis, pd.b.basis).dim
 
     def test_levi_is_centralizer_of_a_phi(self):
@@ -82,7 +83,7 @@ class TestBuildParabolic:
         for phi in ([0], [0, 1], [0, 2]):
             pd = build_parabolic(datum, phi)
             an = subspace_sum(pd.a_phi, pd.n_phi)
-            for x in pd.m.basis:
+            for x in orthocomplement_in(pd.a_phi, pd.l, g.inner).basis:
                 for y in an.basis:
                     assert an.contains_vector(g.bracket(x, y))
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from cohomatlas.linalg import Subspace, orthocomplement_in, subspace_sum
+from cohomatlas.linalg import Subspace, orthocomplement_in, subspace_intersect, subspace_sum
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
     make_cer,
@@ -84,6 +84,28 @@ class TestSliceCohomogeneity:
                   for s in (7, 11, 13)}
         assert values == {1}
 
+    def test_each_isotropy_normal_bracket_is_computed_once(self, monkeypatch):
+        # CE row 1 of sl(3): so(2) isotropy turning a normal plane; one draw
+        # spans the orbit direction, so the count is |isotropy| x |normal|
+        # closure and triviality brackets plus |isotropy| sampled ones
+        g = build_sl(3)
+        (spec,) = [r[4] for r in ce_families(decompose(g))
+                   if (r[0], r[3]) == ("CE-row-1", "j=1")]
+        tangent = orbit_tangent_at_o(g, spec.algebra)
+        nu_dim = g.p_space.dim - tangent.dim
+        iso_dim = subspace_intersect(spec.algebra, g.k_space).dim
+        assert (iso_dim, nu_dim) == (1, 2)
+        calls = []
+        bracket = g.bracket
+
+        def counted(x, y):
+            calls.append(1)
+            return bracket(x, y)
+
+        monkeypatch.setattr(g, "bracket", counted)
+        assert slice_cohomogeneity(g, spec.algebra, seed=7, samples=1) == (1, "sampled")
+        assert len(calls) == iso_dim * nu_dim + iso_dim
+
 
 class TestLieTriple:
     def test_whole_p(self):
@@ -126,7 +148,8 @@ def _m_normalizer_tangent(model, pd, v):
     """Reference for NC1: the p-projection of the m_phi-normalizer of
     n_phi minus v, the criterion as Berndt and Tamaru state it."""
     complement = orthocomplement_in(v, pd.n_phi, model.inner)
-    return model.project_p_subspace(model.normalizer_in(pd.m, complement))
+    m = orthocomplement_in(pd.a_phi, pd.l, model.inner)
+    return model.project_p_subspace(model.normalizer_in(m, complement))
 
 
 def _nc1(datum, pd, v):

@@ -12,9 +12,9 @@ sp(2,R) kernel in s_phi) and hands it to ``canonical_extend``.
 ``enumerate_product`` handles products: one horospherical row at product
 level, per-factor rows (solvable foliation, the reductive boundary
 subalgebras of ``builtin_cei_catalog`` and nilpotent constructions on
-rank-one factors, or the whole factor table for split special linear
-factors wrapped as product actions), and diagonal rows for matching pairs
-of rank-one boundary pieces.
+rank-one factors, or each row but FH of a split special linear factor's own
+table, wrapped as a Prod action that carries the factor row's certificate),
+and diagonal rows for matching pairs of rank-one boundary pieces.
 
 ``nc_oracle_search`` is the independent brute-force oracle: it sweeps every
 coordinate subspace of the top graded piece in the tensor basis plus a
@@ -47,7 +47,7 @@ from .actions import (
 )
 from .parabolic import build_nested, build_parabolic, tensor_model
 from .roots import RootDatum, decompose
-from .verify import RationalSampler, check_nc1, check_nc2, orbit_tangent_at_o, verify
+from .verify import RationalSampler, check_nc1, check_nc2, lift_report, orbit_tangent_at_o, verify
 
 
 MAX_SL_RANK = 8
@@ -108,7 +108,11 @@ def _structural_identities(model: LieModel, datum: RootDatum) -> list:
 
 def _emit(entries, identities, datum, label, name, boundary, comment, spec,
           expected_codim, seed, samples):
-    report = verify(spec, datum, seed=seed, samples=samples)
+    _record(entries, identities, label, name, boundary, comment, spec,
+            verify(spec, datum, seed=seed, samples=samples), expected_codim)
+
+
+def _record(entries, identities, label, name, boundary, comment, spec, report, expected_codim):
     tag = f"{label}[{comment}]" if comment else label
     identities.append((f"exact-checks:{tag}", report.all_exact_checks_passed))
     if expected_codim is not None:
@@ -221,31 +225,14 @@ def sl_table(datum: RootDatum, *, seed: int = 7, samples: int = 32) -> Enumerati
 
 
 def _complex_structure_on_root_space(factor: LieModel, f_datum: RootDatum):
-    """ad(Z) for Z spanning the center of k0; squares to a negative scalar."""
+    """Z in the center of k0 with ad(Z)^2 = c I, c < 0, on the root space."""
     center = factor.centralizer_in(f_datum.k0, f_datum.k0)
-    alpha = f_datum.root_with_coeff((1,))
-    sp = f_datum.space(alpha)
+    sp = f_datum.space(f_datum.root_with_coeff((1,)))
     for z in center.basis:
-        sq = None
-        ok = True
-        for b in sp.basis:
-            img = factor.bracket(z, factor.bracket(z, b))
-            coeffs = sp.coords_of(img)
-            expected = sp.coords_of(b)
-            ratio = None
-            for c, e in zip(coeffs, expected):
-                if e:
-                    ratio = c / e
-                    break
-            if ratio is None or any(c != ratio * e for c, e in zip(coeffs, expected)):
-                ok = False
-                break
-            if sq is None:
-                sq = ratio
-            elif sq != ratio:
-                ok = False
-                break
-        if ok and sq is not None and sq < 0:
+        square = [sp.coords_of(factor.bracket(z, factor.bracket(z, b))) for b in sp.basis]
+        c = square[0][0]
+        if c < 0 and all(x == (c if i == k else 0)
+                         for i, row in enumerate(square) for k, x in enumerate(row)):
             return z
     raise ValueError("no complex structure found on the root space")
 
@@ -320,8 +307,6 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
     _emit(entries, identities, datum, "FH", "(a-line)+n", "-",
           "one representative line", _fh(datum), None, seed, samples)
 
-    multi_factor = len(pm.factors) > 1
-
     for idx, factor in enumerate(pm.factors):
         fd = f_data[idx]
         profile = profiles[idx]
@@ -351,15 +336,14 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
                       spec, None, seed, samples)
         elif factor.name.startswith("sl("):
             inner_result = sl_table(fd, seed=seed, samples=samples)
+            rest_p = pm.p_space.dim - factor.p_space.dim
             for inner in inner_result.entries:
-                if multi_factor and inner.label == "FH":
+                if inner.label == "FH":
                     continue  # folds into the product-level FH row
-                spec = product_assemble(pm, idx, inner.spec)
-                label = "Prod" if multi_factor else inner.label
-                _emit(entries, identities, datum, label,
-                      inner.name, inner.boundary,
-                      f"{tag}: {inner.label}[{inner.comment}]", spec, None,
-                      seed, samples)
+                _record(entries, identities, "Prod", inner.name, inner.boundary,
+                        f"{tag}: {inner.label}[{inner.comment}]",
+                        product_assemble(pm, idx, inner.spec),
+                        lift_report(inner.report, rest_p), None)
             for name, ok in inner_result.identities:
                 identities.append((f"{tag}:{name}", ok))
         else:

@@ -1,6 +1,8 @@
 """Exact and sampled certificates for constructed actions.
 
-``verify`` is the one place that certifies a constructed action.  The exact
+``verify`` is the one place that certifies a constructed action; a Prod row
+carries its factor row's certificate (``lift_report``), because the other
+factors are ideals that commute with that factor.  The exact
 side: bracket closure of the constructed algebra, orbit tangents at the base
 point, Lie triple checks, normalizer tangent criteria for the nilpotent
 construction, the theta-dual check of its normalizer, rotation-algebra
@@ -13,7 +15,7 @@ such and never silently treated as exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .linalg import (
@@ -349,19 +351,16 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
     nc2_cert = None
 
     if spec.kind in ("CEI", "CER"):
-        inner_h = spec.payload.get("diag") if spec.kind == "CER" else spec.payload.get("h_phi")
-        if inner_h is not None and model.theta_image(inner_h) == inner_h:
+        inner_h = spec.payload["diag" if spec.kind == "CER" else "h_phi"]
+        if model.theta_image(inner_h) == inner_h:
             tg = "yes" if check_lie_triple(model, model.project_p_subspace(inner_h)) else "no"
         if spec.kind == "CER":
             notes.append(("polar-section-certificate", check_polar_certificate(spec)))
-        if spec.phi is not None and 0 < len(spec.phi) < datum.rank:
+        if 0 < len(spec.phi) < datum.rank:
             missing = [i for i in range(datum.rank) if i not in spec.phi]
             phi2 = tuple(sorted(set(spec.phi) | {missing[0]}))
-            if inner_h is not None:
-                notes.append(
-                    ("extension-composition",
-                     extension_composition_ok(datum, spec.phi, phi2, inner_h))
-                )
+            notes.append(("extension-composition",
+                          extension_composition_ok(datum, spec.phi, phi2, inner_h)))
 
     if spec.kind == "NC":
         pd = build_parabolic(datum, spec.phi)
@@ -388,3 +387,18 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
         samples=samples,
         notes=tuple(notes),
     )
+
+
+def lift_report(report: VerificationReport, rest_p: int) -> VerificationReport:
+    """The report of a Prod row H = H_i + (g_j, j != i), read off H_i's.
+
+    The tangent of H at o is T_i + (p_j, j != i): the orbit grows by rest_p,
+    the sum of dim p_j, and its codimension stays.  The normal space and the
+    slice representation are factor i's, because k_j commutes with p_i.  H is
+    closed under the bracket iff H_i is, because the g_j are ideals that
+    commute with g_i.  The other checks stay not-checked, as for a Prod spec.
+    """
+    return replace(report, kind="Prod", orbit_dim_at_o=report.orbit_dim_at_o + rest_p,
+                   singular_orbit_totally_geodesic="not-checked", nc1="not-checked",
+                   nc2="not-checked", nc2_certificate=None,
+                   notes=tuple(n for n in report.notes if n[0] == "bracket-closure"))

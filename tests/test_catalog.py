@@ -14,7 +14,7 @@ from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.parabolic import build_nested, build_parabolic
 from cohomatlas.actions import builtin_cei_catalog, canonical_extend
 from cohomatlas.roots import decompose
-from cohomatlas.verify import orbit_tangent_at_o
+from cohomatlas.verify import orbit_tangent_at_o, verify
 
 
 def paper_row_counts(n: int) -> Counter:
@@ -223,3 +223,36 @@ def test_one_sl5_run_decides_each_form_once(monkeypatch):
     run(parse_space("sl(5)"), RunConfig())
     assert Counter(map(id, decided)) == Counter({i: 1 for i in complements})
     assert sum(complements.values()) > len(decided)
+
+
+def test_single_sl_factor_product_lists_fh_once():
+    # the factor's FH row folds into the product-level one; the rest are Prod rows
+    result = catalog.enumerate_product(direct_sum([build_sl(3)]))
+    labels = Counter(e.label for e in result.entries)
+    assert labels == Counter({"FH": 1, "Prod": len(result.entries) - 1})
+    assert result.all_identities_passed
+
+
+@pytest.mark.parametrize("space", ["sl(3)*sl(3)", "sl(3)*rh(2)*sl(2)", "sl(4)*ch(2)"])
+def test_prod_rows_carry_the_report_of_product_level_verify(space):
+    result = run(parse_space(space), RunConfig(su1n=True)).result
+    rows = [e for e in result.entries if e.label == "Prod"]
+    assert rows
+    for e in rows:
+        assert e.report.to_json() == verify(e.spec, result.datum, seed=7, samples=32).to_json()
+
+
+def test_prod_rows_are_not_verified_at_product_size(monkeypatch):
+    kinds = Counter()
+
+    def counted(spec, datum, **kwargs):
+        kinds[spec.kind] += 1
+        return verify(spec, datum, **kwargs)
+
+    monkeypatch.setattr(catalog, "verify", counted)
+    result = catalog.enumerate_product(direct_sum([build_sl(3), build_sl(3)]))
+    assert result.all_identities_passed
+    assert sum(e.label == "Prod" for e in result.entries) == 10
+    assert kinds["Prod"] == 0
+    # the factor tables and the product-level rows are still verified
+    assert kinds["FH"] == 3 and kinds["FS"] == 4

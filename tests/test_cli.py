@@ -29,6 +29,9 @@ GOLDEN_DIGESTS = {
     # three factors: Prod rows from the sl(3) table, FS and CEI rows on the
     # rank-one factors, and CER rows across factors
     "sl(3)*rh(2)*sl(2)": "818b8c2ff50b6df17cba296a901180f755024476642232af1f266567ad7cd3c5",
+    # Prod rows from CE-row-3 and CE-row-4 of the sl(4) table, recorded
+    # before Prod rows took their factor row's report
+    "sl(4)*rh(3)": "b70e54ee34efa3e4baba61edebea876a9099a647c8ee9d9ecd1e4ac51925eb9f",
 }
 # sha256 of the markdown report, with the same arguments otherwise
 GOLDEN_MARKDOWN_DIGESTS = {

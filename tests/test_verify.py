@@ -1,5 +1,6 @@
 """Tests for the verification layer."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -378,6 +379,14 @@ class TestVerifyOrchestration:
         assert report.cohomogeneity == 1
         assert report.singular_orbit_totally_geodesic == "yes"
         assert dict(report.notes)["polar-section-certificate"]
+
+    def test_cei_spec_without_its_boundary_subalgebra_raises(self):
+        # every CEI constructor writes h_phi, so a spec without it is an error
+        datum = decompose(build_sl(3))
+        spec = next(row[4] for row in ce_families(datum) if row[0] == "CE-row-1")
+        assert spec.kind == "CEI" and len(spec.phi) < datum.rank
+        with pytest.raises(KeyError):
+            verify(dataclasses.replace(spec, payload={}), datum)
 
     def test_product_nc_split_note(self):
         p = direct_sum([build_so1n(4), build_so1n(2)])

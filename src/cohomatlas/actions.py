@@ -80,7 +80,7 @@ def make_fs(datum: RootDatum, j: int) -> ActionSpec:
     model = datum.model
     if not 0 <= j < datum.rank:
         raise ValueError("FS needs a simple root index")
-    line = Subspace.span(model.dim, datum.space(datum.simple[j]).basis[:1])
+    line = Subspace.span(model.dim, datum.space(datum.simple[j]).rows[:1])
     n_rest = orthocomplement_in(line, model.n_space, model.inner)
     algebra = subspace_sum(model.a_space, n_rest)
     if algebra.dim != model.a_space.dim + model.n_space.dim - 1:
@@ -108,7 +108,7 @@ def canonical_extend(
         raise ValueError("boundary subalgebra must lie in s_phi")
     if not model.is_subalgebra(h_phi):
         raise ValueError("boundary subalgebra is not closed under the bracket")
-    algebra = Subspace.span(model.dim, h_phi.basis + pd.a_phi.basis + pd.n_phi.basis)
+    algebra = Subspace.span(model.dim, h_phi.rows + pd.a_phi.rows + pd.n_phi.rows)
     if algebra.dim != h_phi.dim + pd.a_phi.dim + pd.n_phi.dim:
         raise ValueError("extension pieces are not in direct sum")
     data = {"h_phi": h_phi} if payload is None else payload
@@ -243,7 +243,7 @@ def make_factor_diagonal(pm: ProductModel, datum: RootDatum, j: int, k: int) -> 
     sigma = SigmaMap(block_j.basis, block_k.basis)
     sigma.validate(pm, block_j, block_k)
     diag = _diagonal_subspace(pm, sigma)
-    algebra = Subspace.span(pm.dim, diag.basis + pm.other_factor_rows((j, k)))
+    algebra = Subspace.span(pm.dim, diag.rows + pm.other_factor_rows((j, k)))
     phi = tuple(i for i, r in enumerate(datum.simple)
                 if pm.factor_of(r.root_vector) in (j, k))
     payload = {"sigma": sigma, "diag": diag,
@@ -285,7 +285,7 @@ def product_assemble(pm: ProductModel, j: int, inner: ActionSpec) -> ActionSpec:
     if inner.algebra.ambient_dim != factor.dim:
         raise ValueError("inner action does not live on the requested factor")
     rest = pm.other_factor_rows((j,))
-    algebra = Subspace.span(pm.dim, pm.embed_subspace(j, inner.algebra).basis + rest)
+    algebra = Subspace.span(pm.dim, pm.embed_subspace(j, inner.algebra).rows + rest)
     return ActionSpec("Prod", pm, None, algebra)
 
 

@@ -245,7 +245,7 @@ def _rank_one_nc_subspaces(factor: LieModel, f_datum: RootDatum, profile) -> lis
     if profile[1] == 0:
         # real hyperbolic: every subspace works; one coordinate rep per dim
         for m in range(2, sp.dim + 1):
-            out.append((f"R^{m}", Subspace.span(factor.dim, sp.basis[:m])))
+            out.append((f"R^{m}", Subspace.span(factor.dim, sp.rows[:m])))
         return out
     # complex hyperbolic: totally real and complex coordinate representatives
     z = _complex_structure_on_root_space(factor, f_datum)
@@ -321,7 +321,7 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
             rest = pm.other_factor_rows((idx,))
             for name, sub in builtin_cei_catalog(fd, [0]):
                 h_phi = pm.embed_subspace(idx, sub)
-                algebra = Subspace.span(pm.dim, h_phi.basis + rest)
+                algebra = Subspace.span(pm.dim, h_phi.rows + rest)
                 spec = ActionSpec("CEI", pm, (i_root,), algebra, {"h_phi": h_phi})
                 _emit(entries, identities, datum, "CEI", name,
                       _hyperbolic_name(profile), f"{tag}: {name}", spec,
@@ -448,7 +448,7 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set, *,
     pd = build_parabolic(datum, phi)
     known = set(tangents)
     for pmap in _permutation_maps(model, j):
-        known.update(Subspace.span(model.dim, [pmap.apply(row) for row in t.basis])
+        known.update(Subspace.span(model.dim, [pmap.apply(row) for row in t.rows])
                      for t in tangents)
 
     keys = sorted(tm.generators)

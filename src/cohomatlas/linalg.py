@@ -4,22 +4,25 @@ Everything downstream (brackets, root spaces, normalizer systems) reduces to
 the two types here.  All arithmetic is exact rational; no operation ever
 rounds, so re-running any pipeline yields bit-identical results.
 
-Subspaces are canonicalized eagerly: the stored basis is the reduced row
-echelon form of whatever spanning set was supplied, so two subspaces are
-equal iff their ``basis`` tuples are equal.
+Subspaces are canonicalized eagerly: the stored ``rows`` are the reduced row
+echelon form of whatever spanning set was supplied, each scaled to the
+primitive integer row with a positive pivot, so two subspaces are equal iff
+their ``rows`` tuples are equal.  ``basis``, the rational RREF, is derived
+from them on first use, for the callers that need values.
 
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
 scaled to a primitive integer row, row operations stay in the integers and
-divide each result by its gcd, and only the final pivot rows are divided by
-their pivots.  Every integer row stays a nonzero multiple of the row a
-rational Gauss-Jordan loop would hold, so pivots and reduced rows are the
-same as that loop's.  ``Matrix.apply`` runs over the nonzero entries of each
-row only; theta is a signed permutation and the Killing and inner-product
-Grams are sparse in the shipped bases.
+divide each result by its gcd.  Every integer row stays a nonzero multiple
+of the row a rational Gauss-Jordan loop would hold, so pivots and reduced
+rows are the same as that loop's.  A subspace keeps its rows in integers
+between eliminations, and membership is a pivot lookup in integers: in RREF
+the coefficient of the row with pivot p is v[p].  ``Matrix.apply`` runs
+over the nonzero entries of each row only; theta is a signed permutation
+and the Killing and inner-product Grams are sparse in the shipped bases.
 
 Each linear-algebra job has one solver.  ``solve_inclusion_constraint``
 serves normalizers, centralizers, intersections, orthogonal complements and
-kernels: it reduces each image against the target's RREF basis (the zero
+kernels: it reduces each image against the target's RREF rows (the zero
 subspace for a kernel) and solves for the combinations whose residuals
 vanish.  ``SpanSolver`` gives coordinates in a chosen independent list.  A
 form's positive definiteness, which every orthogonal complement needs, is
@@ -29,7 +32,7 @@ decided once per form matrix (``Matrix.is_positive_definite``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Rat
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -103,7 +106,12 @@ def _primitive(row: list) -> list:
 
 
 def _integer_row(row: Sequence) -> list:
-    """The primitive integer row on the line of a row of rationals."""
+    """The primitive integer row on the line of a row of exact rationals:
+    ints, Fractions or strings that Fraction parses."""
+    try:
+        return _primitive(list(row))
+    except TypeError:  # math.gcd takes ints only
+        row = [x if isinstance(x, (int, Rat)) else Rat(x) for x in row]
     den = math.lcm(*(x.denominator for x in row))
     if den == 1:
         return _primitive([x.numerator for x in row])
@@ -274,10 +282,11 @@ class Matrix:
         return True
 
     def apply(self, v: Sequence) -> tuple:
-        """Matrix-vector product (v as a column)."""
+        """Matrix-vector product (v as a column).  Each sum starts at the int
+        0, so an integer matrix maps integer vectors to integer vectors."""
         out = []
         for entries in self.row_entries:
-            s = Q0
+            s = 0
             for j, x in entries:
                 y = v[j]
                 if y:
@@ -295,69 +304,74 @@ class Matrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^n as a canonical (RREF) row-space basis."""
+    """Subspace of Q^n as its canonical row-space basis: the RREF rows, each
+    stored as the primitive integer row with a positive pivot."""
 
     ambient_dim: int
-    basis: tuple  # RREF rows, linearly independent, no zero rows
+    rows: tuple  # primitive integer RREF rows with positive pivots, no zero rows
+    pivots: tuple = field(compare=False)
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [vec(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
+        work = []
+        for v in vectors:
+            if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        red, _ = rref_rows(rows, ambient_dim)
-        return cls(ambient_dim, tuple(red))
+            row = _integer_row(v)
+            if any(row):
+                work.append(row)
+        pivots = _eliminate(work, ambient_dim)
+        rows = tuple(tuple(row) if row[c] > 0 else tuple(-x for x in row)
+                     for row, c in zip(work, pivots))
+        return cls(ambient_dim, rows, tuple(pivots))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
+        return cls(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(unit_vec(ambient_dim, i) for i in range(ambient_dim)))
+        return cls(ambient_dim, tuple(tuple(int(j == i) for j in range(ambient_dim))
+                                      for i in range(ambient_dim)), tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @cached_property
-    def pivots(self) -> tuple:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+    def basis(self) -> tuple:
+        """The RREF rows as exact rationals, pivots 1."""
+        return tuple(_rational_row(row, row[c]) for row, c in zip(self.rows, self.pivots))
 
     @cached_property
-    def _row_entries(self) -> tuple:
-        """Per basis row, the (column, value) pairs of its nonzero entries."""
-        return Matrix(self.basis).row_entries
+    def _scale(self) -> int:
+        """d, the lcm of the pivot values d_p = row_p[p]."""
+        return math.lcm(*(row[c] for row, c in zip(self.rows, self.pivots)))
 
-    def reduce(self, v: Sequence):
-        """Reduce v against the basis; returns (residual, coefficients).
-
-        v = sum(coeffs[i] * basis[i]) + residual, residual having zeros in all
-        pivot columns.  v lies in the subspace iff residual == 0.
-        """
-        res = list(v)
-        coeffs = []
-        for entries, p in zip(self._row_entries, self.pivots):
-            c = res[p]
-            coeffs.append(c)
-            if c:
-                for j, x in entries:
-                    res[j] -= c * x
-        return tuple(res), tuple(coeffs)
+    def _scaled_residual(self, v: Sequence) -> list:
+        """d * v minus v[p] * (d / d_p) * row_p over the pivots p in the support
+        of v: zero on the pivots, and zero exactly when v lies in the
+        subspace.  It is linear in v and, for integer v, integer."""
+        d = self._scale
+        res = list(v) if d == 1 else [d * x for x in v]
+        for row, c in zip(self.rows, self.pivots):
+            x = v[c]
+            if x:
+                f = x * (d // row[c])
+                res = [a - f * b if b else a for a, b in zip(res, row)]
+        return res
 
     def contains_vector(self, v: Sequence) -> bool:
-        res, _ = self.reduce(v)
-        return is_zero_vec(res)
+        return not any(self._scaled_residual(v))
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(row) for row in other.basis)
+        return all(self.contains_vector(row) for row in other.rows)
 
     def coords_of(self, v: Sequence) -> tuple:
-        res, coeffs = self.reduce(v)
-        if not is_zero_vec(res):
+        """The coordinates of v in ``basis``: its entries at the pivots."""
+        if not self.contains_vector(v):
             raise ValueError("vector does not lie in the subspace")
-        return coeffs
+        return tuple(v[c] for c in self.pivots)
 
     def from_coords(self, coeffs: Sequence) -> tuple:
         return lincomb(coeffs, self.basis, self.ambient_dim)
@@ -367,7 +381,7 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     """Smallest subspace containing both."""
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.span(u.ambient_dim, list(u.basis) + list(v.basis))
+    return Subspace.span(u.ambient_dim, u.rows + v.rows)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -376,7 +390,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     small, large = (u, v) if u.dim <= v.dim else (v, u)
-    return solve_inclusion_constraint(small.basis, [[b] for b in small.basis], large)
+    return solve_inclusion_constraint(small.rows, [[b] for b in small.rows], large)
 
 
 def orthocomplement_in(v: Subspace, w: Subspace, form: Matrix) -> Subspace:
@@ -393,9 +407,9 @@ def orthocomplement_in(v: Subspace, w: Subspace, form: Matrix) -> Subspace:
         raise ValueError("form is not positive definite")
     if v.dim == 0:
         return w
-    w_rows = Matrix(w.basis)
-    images = [[col] for col in zip(*(w_rows.apply(form.apply(y)) for y in v.basis))]
-    return solve_inclusion_constraint(w.basis, images, Subspace.zero(v.dim))
+    w_rows = Matrix(w.rows)
+    images = [[col] for col in zip(*(w_rows.apply(form.apply(y)) for y in v.rows))]
+    return solve_inclusion_constraint(w.rows, images, Subspace.zero(v.dim))
 
 
 def solve_inclusion_constraint(
@@ -419,11 +433,11 @@ def solve_inclusion_constraint(
         for w in im:
             if len(w) != target.ambient_dim:
                 raise ValueError("image dimension does not match target ambient")
-    # v is in target iff its residual under target.reduce vanishes; the
-    # residual is linear in v and zero on the pivot columns.
+    # v is in target iff its scaled residual vanishes; the residual is linear
+    # in v and zero on the pivot columns
     pivots = set(target.pivots)
     free = [j for j in range(target.ambient_dim) if j not in pivots]
-    residuals = [[target.reduce(w)[0] for w in im] for im in images]
+    residuals = [[target._scaled_residual(w) for w in im] for im in images]
     equations = [tuple(residuals[a][s][j] for a in range(m))
                  for s in range(nslots) for j in free]
     ker = kernel_rows(equations, m) if equations else [unit_vec(m, i) for i in range(m)]

@@ -14,8 +14,11 @@ Shipped families:
                         commuting with the realification J of iI,
 * ``direct_sum``        block-diagonal products of the above.
 
-All coordinate vectors are tuples over the exact rational scalar type; every
-operation is pure, and models are immutable after construction.
+Coordinate vectors are tuples of exact rationals: ints where integral,
+Fractions otherwise.  The structure constants and theta of every shipped
+model are integral and stored as ints, so the bracket and theta image of an
+integer vector stay integer.  Every operation is pure, and models are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ class LieModel:
         k = span(x + theta x) and p = span(x - theta x) are its +1 and -1
         eigenspaces and k + p is the whole algebra."""
         full = Subspace.full(self.dim)
-        if any(self.theta.apply(self.theta.apply(e)) != e for e in full.basis):
+        if any(self.theta.apply(self.theta.apply(e)) != e for e in full.rows):
             raise ValueError("theta is not an involution on this basis")
         self.k_space = self.project_k_subspace(full)
         self.p_space = self.project_p_subspace(full)
@@ -75,7 +78,7 @@ class LieModel:
             n_vectors = self._positive_ad_eigenvectors()
         self.n_space = Subspace.span(self.dim, n_vectors)
 
-        iwasawa = list(self.k_space.basis) + list(self.a_space.basis) + list(self.n_space.basis)
+        iwasawa = self.k_space.rows + self.a_space.rows + self.n_space.rows
         if len(iwasawa) != self.dim or Subspace.span(self.dim, iwasawa).dim != self.dim:
             raise ValueError("k + a + n is not a direct sum of full dimension")
 
@@ -123,14 +126,16 @@ class LieModel:
                 flat = [Q0] * (n * n)
                 for t, x in comm.items():
                     flat[t] = x
-                entry = tuple((k, c) for k, c in enumerate(self._solver.coords(flat)) if c)
+                entry = tuple((k, _exact(c)) for k, c in enumerate(self._solver.coords(flat))
+                              if c)
                 table[(i, j)] = entry
                 table[(j, i)] = tuple((k, -c) for k, c in entry)
         return table
 
     def _theta_matrix(self) -> Matrix:
         cols = [self.coords(-b.transpose()) for b in self.basis]
-        return Matrix(tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim)))
+        return Matrix(tuple(tuple(_exact(cols[j][i]) for j in range(self.dim))
+                            for i in range(self.dim)))
 
     def _ad_sparse(self, i: int):
         """ad(e_i) as {(k, j): c} with [e_i, e_j] = sum_k c * e_k."""
@@ -186,7 +191,7 @@ class LieModel:
     def _bracket_entries(self, xs: Sequence, ys: Sequence) -> tuple:
         """The bracket of two vectors given by their nonzero (index, value)
         pairs, as a dense vector."""
-        out = [Q0] * self.dim
+        out = [0] * self.dim
         table = self._struct
         for i, xi in xs:
             for j, yj in ys:
@@ -204,16 +209,16 @@ class LieModel:
         return self.theta.apply(x)
 
     def theta_image(self, sub: Subspace) -> Subspace:
-        return Subspace.span(self.dim, [self.theta.apply(b) for b in sub.basis])
+        return Subspace.span(self.dim, [self.theta.apply(b) for b in sub.rows])
 
     def project_p_subspace(self, sub) -> Subspace:
         """The span of the p-components (x - theta x) / 2 of the rows."""
-        rows = sub.basis if isinstance(sub, Subspace) else sub
+        rows = sub.rows if isinstance(sub, Subspace) else sub
         return Subspace.span(self.dim, [vsub(b, self.theta.apply(b)) for b in rows])
 
     def project_k_subspace(self, sub) -> Subspace:
         """The span of the k-components (x + theta x) / 2 of the rows."""
-        rows = sub.basis if isinstance(sub, Subspace) else sub
+        rows = sub.rows if isinstance(sub, Subspace) else sub
         return Subspace.span(self.dim, [vadd(b, self.theta.apply(b)) for b in rows])
 
     def bracket_span(self, u: Iterable, v: Iterable) -> Subspace:
@@ -224,7 +229,7 @@ class LieModel:
 
     def is_subalgebra(self, sub: Subspace) -> bool:
         """True iff the brackets of the basis of sub lie in sub."""
-        gens = [_entries(g) for g in sub.basis]
+        gens = [_entries(g) for g in sub.rows]
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
                 if not sub.contains_vector(self._bracket_entries(gens[a], gens[b])):
@@ -240,10 +245,15 @@ class LieModel:
 
     def _bracket_into(self, domain: Subspace, of: Subspace, target: Subspace) -> Subspace:
         """{X in domain : [X, of] subset of target}."""
-        cands = list(domain.basis)
-        ws = [_entries(w) for w in of.basis]
+        cands = domain.rows
+        ws = [_entries(w) for w in of.rows]
         images = [[self._bracket_entries(xe, we) for we in ws] for xe in map(_entries, cands)]
         return solve_inclusion_constraint(cands, images, target)
+
+
+def _exact(x):
+    """An exact rational as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _entries(x: Sequence) -> tuple:
@@ -256,7 +266,7 @@ def _block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
     size = sum(b.nrows for b in blocks)
     rows, off = [], 0
     for b in blocks:
-        left, right = (Q0,) * off, (Q0,) * (size - off - b.nrows)
+        left, right = (0,) * off, (0,) * (size - off - b.nrows)
         rows.extend(left + tuple(r) + right for r in b.rows)
         off += b.nrows
     return Matrix(tuple(rows))
@@ -406,14 +416,14 @@ class ProductModel(LieModel):
         }
         self.theta = _block_diagonal([f.theta for f in factors])
         self.killing = _block_diagonal([f.killing for f in factors])
-        a_vecs = self._embed_spaces(f.a_space for f in factors).basis
-        n_vecs = self._embed_spaces(f.n_space for f in factors).basis
+        a_vecs = self._embed_spaces(f.a_space for f in factors).rows
+        n_vecs = self._embed_spaces(f.n_space for f in factors).rows
         self._set_iwasawa(a_vecs, n_vecs)
 
     def _embed_spaces(self, spaces: Iterable[Subspace]) -> Subspace:
         """The span of one subspace per factor, each embedded in its block."""
         return Subspace.span(self.dim, [self.embed_vector(idx, b)
-                                        for idx, sp in enumerate(spaces) for b in sp.basis])
+                                        for idx, sp in enumerate(spaces) for b in sp.rows])
 
     def factor_slice(self, idx: int):
         start = self.block_offsets[idx]
@@ -421,10 +431,10 @@ class ProductModel(LieModel):
 
     def embed_vector(self, idx: int, v: Sequence) -> tuple:
         start = self.block_offsets[idx]
-        return (Q0,) * start + tuple(v) + (Q0,) * (self.dim - start - len(v))
+        return (0,) * start + tuple(v) + (0,) * (self.dim - start - len(v))
 
     def embed_subspace(self, idx: int, sub: Subspace) -> Subspace:
-        return Subspace.span(self.dim, [self.embed_vector(idx, b) for b in sub.basis])
+        return Subspace.span(self.dim, [self.embed_vector(idx, b) for b in sub.rows])
 
     def factor_block(self, idx: int) -> Subspace:
         start, stop = self.factor_slice(idx)
@@ -453,7 +463,7 @@ class ProductModel(LieModel):
     def restrict_subspace(self, idx: int, sub: Subspace) -> Subspace:
         """A subspace of the idx-th block, in the factor's coordinates."""
         return Subspace.span(self.factors[idx].dim,
-                             [self.restrict_vector(idx, b) for b in sub.basis])
+                             [self.restrict_vector(idx, b) for b in sub.rows])
 
 
 def direct_sum(models: Sequence[LieModel]) -> ProductModel:

@@ -67,8 +67,8 @@ def _check_phi(datum: RootDatum, phi: Iterable[int]) -> tuple:
 
 
 def _root_rows(datum: RootDatum, roots: Iterable, start: Sequence = ()) -> list:
-    """The rows of start followed by the basis rows of each root space."""
-    return list(start) + [v for r in roots for v in datum.space(r).basis]
+    """The rows of start followed by the integer rows of each root space."""
+    return list(start) + [v for r in roots for v in datum.space(r).rows]
 
 
 def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
@@ -83,7 +83,7 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     inside, inside_pos = sigma_phi(datum, phi)
     inside_covs = {r.covector for r in inside}
 
-    l = Subspace.span(d, _root_rows(datum, inside, datum.zero_space.basis))
+    l = Subspace.span(d, _root_rows(datum, inside, datum.zero_space.rows))
 
     # a_phi = {H in a : alpha(H) = 0 for alpha in phi}; a covector lists the
     # values of its root on the basis of a
@@ -97,11 +97,11 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     # k0 lies in k and a_upper in p, so projecting them too leaves each one
     # spanning itself
     a_upper = orthocomplement_in(a_phi, a, model.inner)
-    k_phi = model.project_k_subspace(_root_rows(datum, inside_pos, datum.k0.basis))
+    k_phi = model.project_k_subspace(_root_rows(datum, inside_pos, datum.k0.rows))
     n_upper = Subspace.span(d, _root_rows(datum, inside_pos))
-    b = model.project_p_subspace(_root_rows(datum, inside_pos, a_upper.basis))
+    b = model.project_p_subspace(_root_rows(datum, inside_pos, a_upper.rows))
 
-    bb = model.bracket_span(b.basis, b.basis)
+    bb = model.bracket_span(b.rows, b.rows)
     s = subspace_sum(bb, b)
     s0 = subspace_intersect(s, datum.zero_space)
 
@@ -157,7 +157,7 @@ def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> Ne
 
     a_np = subspace_intersect(pd_phi.a_upper, pd_psi.a_phi)
 
-    l_np = Subspace.span(d, _root_rows(datum, inside_psi, pd_phi.s0.basis))
+    l_np = Subspace.span(d, _root_rows(datum, inside_psi, pd_phi.s0.rows))
     if not l_np.contains(a_np):
         raise ValueError("nested abelian piece does not lie in the nested Levi piece")
 

@@ -143,7 +143,7 @@ def slice_cohomogeneity(model: LieModel, h: Subspace, seed: int, samples: int,
         tangent = orbit_tangent_at_o(model, h)
     nu = orthocomplement_in(tangent, model.p_space, model.inner)
     isotropy = subspace_intersect(h, model.k_space)
-    images = [model.bracket(t, x) for t in isotropy.basis for x in nu.basis]
+    images = [model.bracket(t, x) for t in isotropy.rows for x in nu.rows]
     if not all(nu.contains_vector(y) for y in images):
         raise ValueError("slice closure violated: isotropy does not preserve "
                          "the normal space at o")
@@ -155,7 +155,7 @@ def slice_cohomogeneity(model: LieModel, h: Subspace, seed: int, samples: int,
     best = 0
     for _ in range(samples):
         xi = sampler.vector_in(nu)
-        orbit_dir = Subspace.span(model.dim, [model.bracket(t, xi) for t in isotropy.basis])
+        orbit_dir = Subspace.span(model.dim, [model.bracket(t, xi) for t in isotropy.rows])
         best = max(best, orbit_dir.dim)
         if best == nu.dim - 1:
             break
@@ -166,8 +166,8 @@ def check_lie_triple(model: LieModel, b: Subspace) -> bool:
     """True iff [[b, b], b] is contained in b (exact)."""
     if not model.p_space.contains(b):
         raise ValueError("Lie triple check expects a subspace of p")
-    bb = model.bracket_span(b.basis, b.basis)
-    bbb = model.bracket_span(bb.basis, b.basis)
+    bb = model.bracket_span(b.rows, b.rows)
+    bbb = model.bracket_span(bb.rows, b.rows)
     return b.contains(bbb)
 
 
@@ -281,7 +281,7 @@ def check_polar_certificate(spec: ActionSpec) -> bool | Failure:
         for j, y in enumerate(tangent.basis):
             if model.inner_product(x, y) != 0:
                 return Failure("section-not-normal-to-orbit", (i, j))
-    derived = model.bracket_span(section.basis, section.basis)
+    derived = model.bracket_span(section.rows, section.rows)
     target = subspace_sum(section, derived)
     for i, x in enumerate(diag.basis):
         for j, y in enumerate(target.basis):
@@ -300,9 +300,9 @@ def extension_composition_ok(datum: RootDatum, psi, phi, h_psi: Subspace) -> boo
     pd_phi = build_parabolic(datum, phi)
     pd_psi = build_parabolic(datum, psi)
     d = datum.model.dim
-    two_step = Subspace.span(d, h_psi.basis + nd.a_np.basis + nd.n_np.basis
-                             + pd_phi.a_phi.basis + pd_phi.n_phi.basis)
-    one_step = Subspace.span(d, h_psi.basis + pd_psi.a_phi.basis + pd_psi.n_phi.basis)
+    two_step = Subspace.span(d, h_psi.rows + nd.a_np.rows + nd.n_np.rows
+                             + pd_phi.a_phi.rows + pd_phi.n_phi.rows)
+    one_step = Subspace.span(d, h_psi.rows + pd_psi.a_phi.rows + pd_psi.n_phi.rows)
     return two_step == one_step
 
 
@@ -324,7 +324,7 @@ def product_split_ok(datum: RootDatum, spec: ActionSpec) -> bool:
     f_k0 = model.restrict_subspace(fidx, subspace_intersect(datum.k0, model.factor_block(fidx)))
     pieces = (factor.normalizer_in(f_k0, v_inner), factor.a_space,
               orthocomplement_in(v_inner, factor.n_space, factor.inner))
-    rows = [model.embed_vector(fidx, b) for piece in pieces for b in piece.basis]
+    rows = [model.embed_vector(fidx, b) for piece in pieces for b in piece.rows]
     expected = Subspace.span(model.dim, rows + list(model.other_factor_rows((fidx,))))
     return spec.algebra == expected
 

@@ -32,6 +32,10 @@ GOLDEN_DIGESTS = {
     # Prod rows from CE-row-3 and CE-row-4 of the sl(4) table, recorded
     # before Prod rows took their factor row's report
     "sl(4)*rh(3)": "b70e54ee34efa3e4baba61edebea876a9099a647c8ee9d9ecd1e4ac51925eb9f",
+    # the benchmark's spaces: an sl table above sl(5), and a product of
+    # su(1,n) factors of rank above 2; recorded before Subspace kept integer rows
+    "sl(6)": "81034cc07b4cd2f46ea91a0dac68dedc154a21d402d71e5ea80b543f02916efe",
+    "ch(3)*ch(3)": "f01c81ce8bb083604b973b70347dbf4ad30cb767f7847127bef636ed3e71dab8",
 }
 # sha256 of the markdown report, with the same arguments otherwise
 GOLDEN_MARKDOWN_DIGESTS = {

@@ -1,5 +1,6 @@
 """Tests for the exact linear algebra core."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -516,7 +517,12 @@ def test_matrix_apply_matches_dense_products(case):
     m = Matrix(tuple(map(tuple, rows)))
     dense = tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows)
     assert m.apply(v) == dense
-    assert all(type(x) is Fraction for x in m.apply(v))
+    assert all(type(x) in (int, Fraction) for x in m.apply(v))
+    # an integer matrix keeps an integer vector integer
+    ints = Matrix(tuple(tuple(x.numerator for x in r) for r in rows))
+    iv = tuple(x.numerator for x in v)
+    assert ints.apply(iv) == tuple(sum(a * b for a, b in zip(r, iv)) for r in ints.rows)
+    assert all(type(x) is int for x in ints.apply(iv))
 
 
 @PROPERTY
@@ -587,3 +593,60 @@ def test_span_of_int_and_str_entries_stores_fractions():
     line = Subspace.span(2, [[3, 6]])
     assert line.basis == ((Fraction(1), Fraction(2)),)
     assert all(type(x) is Fraction for x in line.basis[0])
+
+
+@st.composite
+def spans_and_vectors(draw):
+    """(ncols, rows, vector): rational rows as in ``rational_rows`` and one
+    rational vector of the same length."""
+    n, rows = draw(rational_rows())
+    v = draw(rational_vectors(n, min_size=1, max_size=1))[0]
+    return n, rows, v
+
+
+@PROPERTY
+@given(rational_rows(), st.data())
+def test_span_is_canonical_under_rescaling_and_permutation(case, data):
+    n, rows = case
+    sub = Subspace.span(n, rows)
+    factors = data.draw(st.lists(st.fractions(-5, 5, max_denominator=7).filter(bool),
+                                 min_size=len(rows), max_size=len(rows)))
+    rescaled = data.draw(st.permutations([vscale(c, r) for c, r in zip(factors, rows)]))
+    other = Subspace.span(n, rescaled)
+    assert other == sub and hash(other) == hash(sub)
+    assert other.rows == sub.rows and other.pivots == sub.pivots
+    for row, c in zip(sub.rows, sub.pivots):
+        assert all(type(x) is int for x in row)
+        assert row[c] > 0 and math.gcd(*row) == 1
+
+
+@PROPERTY
+@given(rational_rows())
+def test_basis_is_the_rref_of_the_integer_rows(case):
+    n, rows = case
+    sub = Subspace.span(n, rows)
+    assert list(sub.basis) == rref_rows(sub.rows, n)[0] == reference_rref_rows(rows, n)[0]
+    assert list(sub.pivots) == reference_rref_rows(rows, n)[1]
+
+
+@PROPERTY
+@given(spans_and_vectors(), st.data())
+def test_membership_and_coordinates_match_the_rational_loop(case, data):
+    n, rows, v = case
+    sub = Subspace.span(n, rows)
+    reduced, pivots = reference_rref_rows(rows, n)
+    # an arbitrary vector lies in the span iff it does not raise the rank
+    inside = len(reference_rref_rows(rows + [v], n)[1]) == len(pivots)
+    assert sub.contains_vector(v) == inside
+    # a member has its reference RREF coefficients as coordinates
+    coeffs = data.draw(rational_vectors(len(reduced), min_size=1, max_size=1))[0]
+    member = lincomb(coeffs, reduced, n)
+    assert sub.contains_vector(member)
+    assert sub.coords_of(member) == coeffs
+    # a member plus a unit vector off the pivots is no member
+    free = [j for j in range(n) if j not in pivots]
+    if free:
+        outside = vadd(member, unit_vec(n, data.draw(st.sampled_from(free))))
+        assert not sub.contains_vector(outside)
+        with pytest.raises(ValueError):
+            sub.coords_of(outside)

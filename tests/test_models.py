@@ -328,3 +328,17 @@ def test_bracket_escape_detected():
     g = build_sl(2)
     with pytest.raises(ValueError):
         g.coords(Matrix.from_rows([[1, 0], [0, 1]]))  # not traceless
+
+
+@pytest.mark.parametrize("build", [lambda: build_sl(3), lambda: build_so1n(3),
+                                   lambda: build_su1n(2),
+                                   lambda: direct_sum([build_sl(2), build_su1n(2)])],
+                         ids=["sl3", "so13", "su12", "sl2xsu12"])
+def test_brackets_and_theta_of_unit_vectors_stay_integer(build):
+    # the shipped structure constants and theta are integral and stored as ints
+    g = build()
+    units = [tuple(int(i == j) for j in range(g.dim)) for i in range(g.dim)]
+    for x in units:
+        assert all(type(c) is int for c in g.theta_apply(x))
+        for y in units:
+            assert all(type(c) is int for c in g.bracket(x, y))

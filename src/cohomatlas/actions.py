@@ -80,7 +80,7 @@ def make_fs(datum: RootDatum, j: int) -> ActionSpec:
     model = datum.model
     if not 0 <= j < datum.rank:
         raise ValueError("FS needs a simple root index")
-    line = Subspace.span(model.dim, datum.space(datum.simple[j]).rows[:1])
+    line = Subspace.span(model.dim, datum.simple[j].space.rows[:1])
     n_rest = orthocomplement_in(line, model.n_space, model.inner)
     algebra = subspace_sum(model.a_space, n_rest)
     if algebra.dim != model.a_space.dim + model.n_space.dim - 1:
@@ -157,7 +157,7 @@ class SigmaMap:
 
 def _sl2_triple(model: LieModel, datum: RootDatum, root) -> tuple:
     """Canonical (H, E, F) with [H,E]=2E, [H,F]=-2F, [E,F]=H for a (1,0) root."""
-    sp = datum.space(root)
+    sp = root.space
     if sp.dim != 1:
         raise ValueError("sl2 triple needs a multiplicity one root")
     e = sp.basis[0]

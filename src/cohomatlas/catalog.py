@@ -93,10 +93,10 @@ class EnumerationResult:
 
 
 def _structural_identities(model: LieModel, datum: RootDatum) -> list:
-    total = datum.zero_space.dim + sum(sp.dim for sp in datum.spaces.values())
+    total = datum.zero_space.dim + sum(r.space.dim for r in datum.roots)
     kan = model.k_space.dim + model.a_space.dim + model.n_space.dim
     pairing = all(
-        model.theta_image(datum.space(r)) == datum.spaces[tuple(-c for c in r.covector)]
+        model.theta_image(r.space) == datum.root_with_coeff(tuple(-c for c in r.coeffs)).space
         for r in datum.positive
     )
     return [
@@ -227,7 +227,7 @@ def sl_table(datum: RootDatum, *, seed: int = 7, samples: int = 32) -> Enumerati
 def _complex_structure_on_root_space(factor: LieModel, f_datum: RootDatum):
     """Z in the center of k0 with ad(Z)^2 = c I, c < 0, on the root space."""
     center = factor.centralizer_in(f_datum.k0, f_datum.k0)
-    sp = f_datum.space(f_datum.root_with_coeff((1,)))
+    sp = f_datum.root_with_coeff((1,)).space
     for z in center.basis:
         square = [sp.coords_of(factor.bracket(z, factor.bracket(z, b))) for b in sp.basis]
         c = square[0][0]
@@ -239,8 +239,7 @@ def _complex_structure_on_root_space(factor: LieModel, f_datum: RootDatum):
 
 def _rank_one_nc_subspaces(factor: LieModel, f_datum: RootDatum, profile) -> list:
     """(description, subspace) representatives of protohomogeneous subspaces."""
-    alpha = f_datum.root_with_coeff((1,))
-    sp = f_datum.space(alpha)
+    sp = f_datum.root_with_coeff((1,)).space
     out = []
     if profile[1] == 0:
         # real hyperbolic: every subspace works; one coordinate rep per dim

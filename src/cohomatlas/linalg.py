@@ -48,10 +48,6 @@ def rat(x, y=None):
     return Rat(x, y)
 
 
-def vec(entries) -> tuple:
-    return tuple(e if isinstance(e, Rat) else Rat(e) for e in entries)
-
-
 def zero_vec(n: int) -> tuple:
     return (Q0,) * n
 
@@ -210,14 +206,6 @@ class Matrix:
     rows: tuple
 
     @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        return cls(tuple(vec(r) for r in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(unit_vec(n, i) for i in range(n)))
-
-    @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
         return cls(tuple(zero_vec(c) for _ in range(r)))
 
@@ -228,9 +216,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.rows))) if self.rows else self
@@ -247,9 +232,6 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         return Matrix(tuple(vscale(-Q1, r) for r in self.rows))
-
-    def scale(self, c) -> "Matrix":
-        return Matrix(tuple(vscale(Rat(c), r) for r in self.rows))
 
     @cached_property
     def row_entries(self) -> tuple:

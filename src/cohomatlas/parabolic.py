@@ -9,6 +9,10 @@ s = [b,b] + b, the coarse grading of n_phi when phi omits exactly one
 simple root, and nested data for chains psi inside phi.  For sl models
 ``tensor_model`` indexes the top graded piece as a matrix space.
 
+Each piece is spanned from the root records' own spaces.  Which roots go
+into it is decided by ``Root.in_span``, which reads a root's coefficients
+over the simple roots, and a grade is a root's coefficient outside phi.
+
 Everything is an exact Subspace of the model; nested data is always
 cross-validated against the intersection identity q_{psi,phi} = q_psi & s_phi
 and construction aborts on mismatch.
@@ -66,9 +70,9 @@ def _check_phi(datum: RootDatum, phi: Iterable[int]) -> tuple:
     return phi
 
 
-def _root_rows(datum: RootDatum, roots: Iterable, start: Sequence = ()) -> list:
+def _root_rows(roots: Iterable, start: Sequence = ()) -> list:
     """The rows of start followed by the integer rows of each root space."""
-    return list(start) + [v for r in roots for v in datum.space(r).rows]
+    return list(start) + [v for r in roots for v in r.space.rows]
 
 
 def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
@@ -81,9 +85,8 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     model = datum.model
     d = model.dim
     inside, inside_pos = sigma_phi(datum, phi)
-    inside_covs = {r.covector for r in inside}
 
-    l = Subspace.span(d, _root_rows(datum, inside, datum.zero_space.rows))
+    l = Subspace.span(d, _root_rows(inside, datum.zero_space.rows))
 
     # a_phi = {H in a : alpha(H) = 0 for alpha in phi}; a covector lists the
     # values of its root on the basis of a
@@ -91,15 +94,15 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     values = [[tuple(datum.simple[i].covector[t] for i in phi)] for t in range(a.dim)]
     a_phi = solve_inclusion_constraint(a.basis, values, Subspace.zero(len(phi)))
 
-    outside_pos = [r for r in datum.positive if r.covector not in inside_covs]
-    n_phi = Subspace.span(d, _root_rows(datum, outside_pos))
+    outside_pos = [r for r in datum.positive if not r.in_span(phi)]
+    n_phi = Subspace.span(d, _root_rows(outside_pos))
 
     # k0 lies in k and a_upper in p, so projecting them too leaves each one
     # spanning itself
     a_upper = orthocomplement_in(a_phi, a, model.inner)
-    k_phi = model.project_k_subspace(_root_rows(datum, inside_pos, datum.k0.rows))
-    n_upper = Subspace.span(d, _root_rows(datum, inside_pos))
-    b = model.project_p_subspace(_root_rows(datum, inside_pos, a_upper.rows))
+    k_phi = model.project_k_subspace(_root_rows(inside_pos, datum.k0.rows))
+    n_upper = Subspace.span(d, _root_rows(inside_pos))
+    b = model.project_p_subspace(_root_rows(inside_pos, a_upper.rows))
 
     bb = model.bracket_span(b.rows, b.rows)
     s = subspace_sum(bb, b)
@@ -107,12 +110,12 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
 
     grading = None
     if len(phi) == datum.rank - 1:
-        (j,) = [i for i in range(datum.rank) if i not in phi]
+        # the grade of a root is its coefficient on the one root outside phi
         grading = {}
         for r in outside_pos:
-            nu = datum.coeffs[r.covector][j]
+            nu = sum(c for i, c in enumerate(r.coeffs) if i not in phi)
             grading.setdefault(nu, []).append(r)
-        grading = {nu: Subspace.span(d, _root_rows(datum, rs)) for nu, rs in grading.items()}
+        grading = {nu: Subspace.span(d, _root_rows(rs)) for nu, rs in grading.items()}
 
     pd = ParabolicDatum(
         phi=phi,
@@ -147,17 +150,15 @@ def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> Ne
     pd_psi = build_parabolic(datum, psi)
 
     _, phi_pos = sigma_phi(datum, phi)
-    inside_psi, psi_pos = sigma_phi(datum, psi)
-    psi_pos_covs = {r.covector for r in psi_pos}
+    inside_psi, _ = sigma_phi(datum, psi)
 
-    n_np = Subspace.span(d, _root_rows(datum, [r for r in phi_pos
-                                                if r.covector not in psi_pos_covs]))
+    n_np = Subspace.span(d, _root_rows([r for r in phi_pos if not r.in_span(psi)]))
     if n_np != subspace_intersect(pd_phi.n_upper, pd_psi.n_phi):
         raise ValueError("nested nilpotent piece fails its intersection identity")
 
     a_np = subspace_intersect(pd_phi.a_upper, pd_psi.a_phi)
 
-    l_np = Subspace.span(d, _root_rows(datum, inside_psi, pd_phi.s0.rows))
+    l_np = Subspace.span(d, _root_rows(inside_psi, pd_phi.s0.rows))
     if not l_np.contains(a_np):
         raise ValueError("nested abelian piece does not lie in the nested Levi piece")
 
@@ -218,8 +219,7 @@ def tensor_model(datum: RootDatum, j: int) -> TensorModel:
         for l in range(1, ncols + 1):
             lo, hi = j + 1 - i, j + l - 1
             coeff = tuple(1 if lo <= t <= hi else 0 for t in range(n))
-            r = datum.root_with_coeff(coeff)
-            sp = datum.space(r)
+            sp = datum.root_with_coeff(coeff).space
             if sp.dim != 1:
                 raise ValueError("sl root spaces must be one dimensional")
             gens[(i, l)] = sp.basis[0]

@@ -5,10 +5,12 @@ simultaneous eigendecomposition, chooses the positive system matching the
 model's stored nilpotent part, and extracts simple roots, multiplicities,
 root vectors and Dynkin adjacency.
 
-Covectors are stored as tuples of values on the RREF basis of a; the
-coefficient tuple of a root over the ordered simple roots is precomputed
-since nearly all downstream bookkeeping (parabolic subsets, gradings) is
-driven by it.
+Each root is a complete record: its covector (values on the RREF basis of
+a), its dual vector in a, its integer coefficients over the ordered simple
+roots and its root space.  Downstream bookkeeping (parabolic subsets,
+gradings, opposite and double roots) reads the coefficients, so no table
+keyed by covectors outlives ``decompose``; ``Root.in_span`` is the one test
+of whether a root lies in the span of a subset of simple roots.
 """
 
 from __future__ import annotations
@@ -28,27 +30,30 @@ from .models import LieModel
 
 @dataclass(frozen=True)
 class Root:
-    """A restricted root: covector on a and the dual vector H in a."""
+    """A restricted root: covector on a, the dual vector H in a, the integer
+    coefficients over the ordered simple roots and the root space."""
 
     covector: tuple  # values on the RREF basis of a
     root_vector: tuple  # ambient coordinates of H with lam(H') = <H, H'>
+    coeffs: tuple  # integers over the ordered simple roots
+    space: Subspace
+
+    def in_span(self, phi) -> bool:
+        """Whether the root lies in the span of the simple roots indexed by phi."""
+        return all(c == 0 for i, c in enumerate(self.coeffs) if i not in phi)
 
 
 class RootDatum:
     """Complete restricted root data of a model."""
 
-    def __init__(self, model, roots, positive, simple, spaces, zero_space, k0,
-                 coeffs, dynkin_edges):
+    def __init__(self, model, roots, positive, simple, zero_space, k0, dynkin_edges):
         self.model = model
         self.roots = tuple(roots)
         self.positive = tuple(positive)
         self.simple = tuple(simple)
-        self.spaces = dict(spaces)  # covector -> Subspace
         self.zero_space = zero_space
         self.k0 = k0
-        self.coeffs = dict(coeffs)  # covector -> integer tuple over simple
         self.dynkin_edges = frozenset(dynkin_edges)  # pairs (i, j), i < j
-        self.multiplicities = {cov: sp.dim for cov, sp in self.spaces.items()}
         self._parabolic_cache: dict = {}
         self._nested_cache: dict = {}
 
@@ -56,32 +61,22 @@ class RootDatum:
     def rank(self) -> int:
         return len(self.simple)
 
-    def space(self, root) -> Subspace:
-        return self.spaces[_covector(root)]
-
-    def multiplicity(self, root) -> int:
-        return self.multiplicities[_covector(root)]
-
-    def profile(self, root) -> tuple:
+    def profile(self, root: Root) -> tuple:
         """(m_alpha, m_2alpha): the multiplicities of a root and of its double."""
-        cov = _covector(root)
-        return self.multiplicities[cov], self.multiplicities.get(tuple(2 * c for c in cov), 0)
+        double = tuple(2 * c for c in root.coeffs)
+        return root.space.dim, next((r.space.dim for r in self.roots if r.coeffs == double), 0)
 
     def root_with_coeff(self, coeff: Sequence) -> Root:
         target = tuple(int(c) for c in coeff)
         for r in self.roots:
-            if self.coeffs[r.covector] == target:
+            if r.coeffs == target:
                 return r
         raise KeyError(f"no root with coefficients {target}")
 
-    def evaluate(self, root, h: Sequence):
+    def evaluate(self, root: Root, h: Sequence):
         """lam(H) for H given in ambient coordinates (must lie in a)."""
         c = self.model.a_space.coords_of(h)
-        return sum((a * b for a, b in zip(_covector(root), c)), rat(0))
-
-
-def _covector(root) -> tuple:
-    return root.covector if isinstance(root, Root) else tuple(root)
+        return sum((a * b for a, b in zip(root.covector, c)), rat(0))
 
 
 def decompose(model: LieModel) -> RootDatum:
@@ -185,26 +180,23 @@ def decompose(model: LieModel) -> RootDatum:
         cs = coeffs[wt]
         return (sum(cs), cs)
 
+    def record(wt):
+        return Root(wt, duals[wt], coeffs[wt], raw[wt])
+
     pos_sorted = sorted(pos_cov, key=sortkey)
-    roots = [Root(wt, duals[wt]) for wt in pos_sorted]
-    roots += [
-        Root(neg, duals[neg])
-        for neg in (tuple(-c for c in wt) for wt in pos_sorted)
-    ]
-    positive = tuple(roots[: len(pos_sorted)])
-    simple = tuple(Root(wt, duals[wt]) for wt in ordered_simple)
+    positive = [record(wt) for wt in pos_sorted]
+    negative = [record(tuple(-c for c in wt)) for wt in pos_sorted]
+    simple = [record(wt) for wt in ordered_simple]
 
     k0 = orthocomplement_in(model.a_space, zero_space, model.inner)
 
     return RootDatum(
         model=model,
-        roots=roots,
+        roots=positive + negative,
         positive=positive,
         simple=simple,
-        spaces={wt: sp for wt, sp in raw.items()},
         zero_space=zero_space,
         k0=k0,
-        coeffs=coeffs,
         dynkin_edges=edges,
     )
 
@@ -260,13 +252,5 @@ def sigma_phi(datum: RootDatum, phi: Iterable[int]):
     for i in phi:
         if not 0 <= i < datum.rank:
             raise ValueError("phi contains an invalid simple root index")
-    inside = []
-    inside_pos = []
-    pos_covs = {r.covector for r in datum.positive}
-    for r in datum.roots:
-        cs = datum.coeffs[r.covector]
-        if all(c == 0 for i, c in enumerate(cs) if i not in phi):
-            inside.append(r)
-            if r.covector in pos_covs:
-                inside_pos.append(r)
-    return inside, inside_pos
+    return ([r for r in datum.roots if r.in_span(phi)],
+            [r for r in datum.positive if r.in_span(phi)])

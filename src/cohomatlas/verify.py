@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .linalg import (
+    Matrix,
     Subspace,
     is_zero_vec,
     orthocomplement_in,
@@ -210,15 +211,13 @@ def check_nc2(model: LieModel, pd: ParabolicDatum, v: Subspace, seed: int, sampl
     norm = model.normalizer_in(pd.k_phi, v)
     mats = _restriction_matrices(model, norm, v)
     m = v.dim
-    # the restricted operators are skew for the inner product on v
-    gv = [[model.inner_product(x, y) for y in v.basis] for x in v.basis]
+    # the restricted operators are skew for the inner product on v: R^T G + G R
+    # = 0, and with G symmetric that is M + M^T = 0 for M = G R
+    gram = Matrix(tuple(tuple(model.inner_product(x, y) for y in v.basis) for x in v.basis))
     for r in mats:
-        for i in range(m):
-            for j in range(m):
-                lhs = sum((r[t][i] * gv[t][j] for t in range(m)), rat(0))
-                rhs = sum((gv[i][t] * r[t][j] for t in range(m)), rat(0))
-                if lhs + rhs != 0:
-                    raise ValueError("normalizer restriction is not skew on v")
+        gr = (gram @ Matrix(r)).rows
+        if any(gr[i][j] + gr[j][i] for i in range(m) for j in range(i, m)):
+            raise ValueError("normalizer restriction is not skew on v")
     op_span = Subspace.span(m * m, [tuple(x for row in r for x in row) for r in mats])
     if op_span.dim == m * (m - 1) // 2:
         return "yes", "contains-so"

@@ -6,7 +6,7 @@ import pytest
 
 from cohomatlas import verify as verify_module
 from cohomatlas.catalog import ce_families, enumerate_sl
-from cohomatlas.linalg import Matrix, Subspace, is_zero_vec, subspace_intersect, subspace_sum
+from cohomatlas.linalg import Matrix, Subspace, is_zero_vec, rat, subspace_intersect, subspace_sum
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
     ActionSpec,
@@ -23,6 +23,11 @@ from cohomatlas.actions import (
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.roots import decompose
 from cohomatlas.verify import verify
+
+
+def mat(rows) -> Matrix:
+    """An exact rational matrix with the given rows."""
+    return Matrix(tuple(tuple(rat(x) for x in r) for r in rows))
 
 
 def setup_module(module):
@@ -312,8 +317,8 @@ def test_catalog_entry_phi_is_one_based():
 
 def test_non_closed_algebra_fails_the_closure_note():
     # E12 and E23 span no subalgebra: [E12, E23] = E13 lies outside
-    e12 = SL3.coords(Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
-    e23 = SL3.coords(Matrix.from_rows([[0, 0, 0], [0, 0, 1], [0, 0, 0]]))
+    e12 = SL3.coords(mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    e23 = SL3.coords(mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]]))
     spec = ActionSpec("FH", SL3, None, Subspace.span(SL3.dim, [e12, e23]))
     report = verify(spec, SL3_DATUM)
     assert dict(report.notes)["bracket-closure"] is False

@@ -29,7 +29,7 @@ def test_factor_lookup_puts_each_simple_root_in_its_factor():
     owners = [pm.factor_of(r.root_vector) for r in datum.simple]
     assert sorted(owners) == [0, 0, 1]
     for r, owner in zip(datum.simple, owners):
-        assert pm.factor_block(owner).contains(datum.space(r))
+        assert pm.factor_block(owner).contains(r.space)
     # a vector with support in both blocks belongs to no factor
     first = {owner: r.root_vector for r, owner in zip(datum.simple, owners)}
     mixed = vadd(first[0], first[1])

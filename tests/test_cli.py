@@ -32,6 +32,10 @@ GOLDEN_DIGESTS = {
     # Prod rows from CE-row-3 and CE-row-4 of the sl(4) table, recorded
     # before Prod rows took their factor row's report
     "sl(4)*rh(3)": "b70e54ee34efa3e4baba61edebea876a9099a647c8ee9d9ecd1e4ac51925eb9f",
+    # three factor kinds with the BC1 factor first: pins the simple-root
+    # order and the double-root profile across factors; recorded before a
+    # root carried its own coefficients and space
+    "ch(2)*sl(3)*rh(3)": "737ba99373a72affb862ae7b05af7c25f5321cbce2d2ce48f113d6d5723f78f0",
     # the benchmark's spaces: an sl table above sl(5), and a product of
     # su(1,n) factors of rank above 2; recorded before Subspace kept integer rows
     "sl(6)": "81034cc07b4cd2f46ea91a0dac68dedc154a21d402d71e5ea80b543f02916efe",

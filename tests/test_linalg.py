@@ -26,11 +26,25 @@ from cohomatlas.linalg import (
     unit_vec,
     vadd,
     vdot,
-    vec,
     vscale,
     vsub,
     zero_vec,
 )
+
+
+def vec(entries) -> tuple:
+    """An exact rational vector."""
+    return tuple(rat(x) for x in entries)
+
+
+def mat(rows) -> Matrix:
+    """An exact rational matrix with the given rows."""
+    return Matrix(tuple(vec(r) for r in rows))
+
+
+def identity(n: int, c=1) -> Matrix:
+    """c times the n x n identity."""
+    return mat([[c if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def S(ambient, *vectors):
@@ -39,7 +53,7 @@ def S(ambient, *vectors):
 
 class TestRref:
     def test_identity_fixed_point(self):
-        m = Matrix.identity(3)
+        m = identity(3)
         assert rref_rows(m.rows, 3) == (list(m.rows), [0, 1, 2])
 
     def test_zero_fixed_point(self):
@@ -48,11 +62,11 @@ class TestRref:
 
     def test_rank_one_two_by_two(self):
         # hand Gaussian elimination: r2 -= r1/2, normalize r1
-        m = Matrix.from_rows([[2, 4], [1, 2]])
+        m = mat([[2, 4], [1, 2]])
         assert rref_rows(m.rows, 2) == ([(1, 2)], [0])
 
     def test_rank_counts_nonzero_rows(self):
-        m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+        m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         _, pivots = rref_rows(m.rows, 3)
         assert len(pivots) == 2
 
@@ -124,36 +138,36 @@ class TestOrthocomplement:
     def test_axis_complement(self):
         w = Subspace.full(2)
         v = S(2, [1, 0])
-        assert orthocomplement_in(v, w, Matrix.identity(2)) == S(2, [0, 1])
+        assert orthocomplement_in(v, w, identity(2)) == S(2, [0, 1])
 
     def test_self_complement_is_zero(self):
         w = S(3, [1, 0, 0], [0, 1, 1])
-        assert orthocomplement_in(w, w, Matrix.identity(3)) == Subspace.zero(3)
+        assert orthocomplement_in(w, w, identity(3)) == Subspace.zero(3)
 
     def test_gram_schmidt_step(self):
         # w = span{e1, e1+e2}; removing e1 orthogonally leaves span{e2}
         w = S(2, [1, 0], [1, 1])
         v = S(2, [1, 0])
-        assert orthocomplement_in(v, w, Matrix.identity(2)) == S(2, [0, 1])
+        assert orthocomplement_in(v, w, identity(2)) == S(2, [0, 1])
 
     def test_not_contained_rejected(self):
         with pytest.raises(ValueError):
-            orthocomplement_in(S(2, [0, 1]), S(2, [1, 0]), Matrix.identity(2))
+            orthocomplement_in(S(2, [0, 1]), S(2, [1, 0]), identity(2))
 
     def test_degenerate_form_rejected(self):
-        form = Matrix.from_rows([[1, 0], [0, 0]])
+        form = mat([[1, 0], [0, 0]])
         with pytest.raises(ValueError):
             orthocomplement_in(S(2, [1, 0]), Subspace.full(2), form)
 
     def test_indefinite_form_rejected(self):
         # nondegenerate on Q^2, but not positive definite
-        form = Matrix.from_rows([[1, 0], [0, -1]])
+        form = mat([[1, 0], [0, -1]])
         with pytest.raises(ValueError, match="not positive definite"):
             orthocomplement_in(S(2, [1, 0]), Subspace.full(2), form)
 
     def test_involution(self):
         rng = random.Random(55)
-        form = Matrix.identity(4)
+        form = identity(4)
         for _ in range(25):
             w = S(4, *[[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)])
             if w.dim == 0:
@@ -212,28 +226,28 @@ class TestInclusionSolver:
 
 class TestEigensplit:
     def test_diagonal_operator(self):
-        m = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
+        m = mat([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
         parts = invariant_eigensplit(m.apply, Subspace.full(3))
         assert [(mu, sp.dim) for mu, sp in parts] == [(1, 2), (5, 1)]
 
     def test_rotation_like_operator_rejected(self):
-        m = Matrix.from_rows([[0, -1], [1, 0]])  # eigenvalues +-i
+        m = mat([[0, -1], [1, 0]])  # eigenvalues +-i
         with pytest.raises(ValueError):
             invariant_eigensplit(m.apply, Subspace.full(2))
 
     def test_nilpotent_rejected(self):
-        m = Matrix.from_rows([[0, 1], [0, 0]])
+        m = mat([[0, 1], [0, 0]])
         with pytest.raises(ValueError):
             invariant_eigensplit(m.apply, Subspace.full(2))
 
     def test_restricted_to_invariant_subspace(self):
-        m = Matrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
+        m = mat([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
         space = S(3, [1, 0, 0], [0, 1, 1])
         parts = invariant_eigensplit(m.apply, space)
         assert [(mu, sp.dim) for mu, sp in parts] == [(2, 1), (3, 1)]
 
     def test_fractional_eigenvalues(self):
-        m = Matrix.from_rows([[rat(1, 2), 0], [0, rat(-3, 4)]])
+        m = mat([[rat(1, 2), 0], [0, rat(-3, 4)]])
         parts = invariant_eigensplit(m.apply, Subspace.full(2))
         assert [mu for mu, _ in parts] == [rat(-3, 4), rat(1, 2)]
 
@@ -353,9 +367,9 @@ def test_orthocomplement_dimension_and_orthogonality(case, data):
                                 min_size=k, max_size=k))
     v = Subspace.span(n, [w.from_coords(c) for c in coeffs])
     # a positive definite form A^T A + I with a small integer A
-    a = Matrix.from_rows(data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
-                                            min_size=n, max_size=n)))
-    form = a.transpose() @ a + Matrix.identity(n)
+    a = mat(data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                               min_size=n, max_size=n)))
+    form = a.transpose() @ a + identity(n)
     c = orthocomplement_in(v, w, form)
     assert c.dim == w.dim - v.dim
     assert w.contains(c)
@@ -375,16 +389,16 @@ def symmetric_forms(draw):
     """Symmetric integer matrices: A^T A + I (definite), A^T A (semidefinite
     when A is singular), A + A^T and A^T A - cI (often indefinite)."""
     n = draw(st.integers(1, 5))
-    a = Matrix.from_rows(draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
-                                       min_size=n, max_size=n)))
+    a = mat(draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                          min_size=n, max_size=n)))
     kind = draw(st.sampled_from(["gram+I", "gram", "sum", "gram-cI"]))
     if kind == "gram+I":
-        return a.transpose() @ a + Matrix.identity(n)
+        return a.transpose() @ a + identity(n)
     if kind == "gram":
         return a.transpose() @ a
     if kind == "sum":
         return a + a.transpose()
-    return a.transpose() @ a - Matrix.identity(n).scale(draw(st.integers(1, 4)))
+    return a.transpose() @ a - identity(n, draw(st.integers(1, 4)))
 
 
 @PROPERTY
@@ -397,8 +411,8 @@ def test_positive_definite_agrees_with_sylvesters_criterion(form):
 
 def test_positive_definite_needs_a_symmetric_matrix():
     # the symmetric part diag(1, 1) + (1/2)(E_12 + E_21) is positive definite
-    assert not Matrix.from_rows([[1, 1], [0, 1]]).is_positive_definite
-    assert Matrix.from_rows([[2, 1], [1, 1]]).is_positive_definite
+    assert not mat([[1, 1], [0, 1]]).is_positive_definite
+    assert mat([[2, 1], [1, 1]]).is_positive_definite
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,18 @@ import itertools
 import pytest
 
 from cohomatlas import linalg
-from cohomatlas.linalg import Matrix, Q0, Q1, Subspace, is_zero_vec, rat, unit_vec, vdot, vec
+from cohomatlas.linalg import Matrix, Q0, Q1, Subspace, is_zero_vec, rat, unit_vec, vdot
 from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
+
+
+def mat(rows) -> Matrix:
+    """An exact rational matrix with the given rows."""
+    return Matrix(tuple(tuple(rat(x) for x in r) for r in rows))
+
+
+def identity(n: int, c=1) -> Matrix:
+    """c times the n x n identity."""
+    return mat([[c if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def leading_minors_positive(g: Matrix) -> bool:
@@ -59,7 +69,7 @@ class TestSl:
 
     def test_classical_bracket(self):
         g = build_sl(2)
-        h = g.coords(Matrix.from_rows([[1, 0], [0, -1]]))
+        h = g.coords(mat([[1, 0], [0, -1]]))
         e = g.coords(E(2, 0, 1))
         assert g.bracket(h, e) == tuple(2 * c for c in e)
         assert is_zero_vec(g.bracket(e, e))
@@ -67,7 +77,7 @@ class TestSl:
     def test_killing_sl2(self):
         # trace of (ad H)^2 over (H, E, F): eigenvalues 0, 2, -2 -> 8
         g = build_sl(2)
-        h = g.coords(Matrix.from_rows([[1, 0], [0, -1]]))
+        h = g.coords(mat([[1, 0], [0, -1]]))
         assert killing(g, h, h) == 8
 
 
@@ -107,9 +117,9 @@ class TestSu1n:
     def test_complex_structure(self):
         g = build_su1n(2)
         m = g.matrix_size // 2  # J realifies i: a + ib -> [[a, -b], [b, a]]
-        j = Matrix.from_rows([[-1 if q == p + m else 1 if p == q + m else 0
-                               for q in range(2 * m)] for p in range(2 * m)])
-        assert j @ j == Matrix.identity(j.nrows).scale(-1)
+        j = mat([[-1 if q == p + m else 1 if p == q + m else 0
+                  for q in range(2 * m)] for p in range(2 * m)])
+        assert j @ j == identity(j.nrows, -1)
         for b in g.basis:
             assert j @ b == b @ j
 
@@ -163,7 +173,7 @@ class TestProducts:
             for j, y in enumerate(f.basis):
                 xx = p.embed_vector(0, tuple(Q1 if t == i else Q0 for t in range(f.dim)))
                 yy = p.embed_vector(0, tuple(Q1 if t == j else Q0 for t in range(f.dim)))
-                assert killing(p, xx, yy) == f.killing.entry(i, j)
+                assert killing(p, xx, yy) == f.killing.rows[i][j]
 
     def test_coords_inverts_matrix(self):
         p = direct_sum([build_sl(2), build_sl(2)])
@@ -216,7 +226,7 @@ class TestStructuralInvariants:
 
     def test_theta_squares_to_identity(self, model):
         g = model
-        assert g.theta @ g.theta == Matrix.identity(g.dim)
+        assert g.theta @ g.theta == identity(g.dim)
 
     def test_killing_invariance(self, model):
         g = model
@@ -271,9 +281,9 @@ class TestStructuralInvariants:
 
     def test_p_and_k_projections_match_the_dense_projectors(self, model):
         g = model
-        ident = Matrix.identity(g.dim)
-        proj_p = (ident - g.theta).scale(rat(1, 2))
-        proj_k = (ident + g.theta).scale(rat(1, 2))
+        ident = identity(g.dim)
+        proj_p = mat([[rat(1, 2) * x for x in r] for r in (ident - g.theta).rows])
+        proj_k = mat([[rat(1, 2) * x for x in r] for r in (ident + g.theta).rows])
         rows = [unit_vec(g.dim, i) for i in range(g.dim)]
         assert g.project_p_subspace(Subspace.span(g.dim, rows)) == g.p_space
         assert g.project_k_subspace(Subspace.span(g.dim, rows)) == g.k_space
@@ -319,7 +329,7 @@ def test_normalizer_borel_sl2():
     g = build_sl(2)
     e_line = Subspace.span(g.dim, [g.coords(E(2, 0, 1))])
     nz = g.normalizer_in(Subspace.full(g.dim), e_line)
-    h = g.coords(Matrix.from_rows([[1, 0], [0, -1]]))
+    h = g.coords(mat([[1, 0], [0, -1]]))
     expected = Subspace.span(g.dim, [h, g.coords(E(2, 0, 1))])
     assert nz == expected
 
@@ -327,7 +337,7 @@ def test_normalizer_borel_sl2():
 def test_bracket_escape_detected():
     g = build_sl(2)
     with pytest.raises(ValueError):
-        g.coords(Matrix.from_rows([[1, 0], [0, 1]]))  # not traceless
+        g.coords(mat([[1, 0], [0, 1]]))  # not traceless
 
 
 @pytest.mark.parametrize("build", [lambda: build_sl(3), lambda: build_so1n(3),

@@ -50,8 +50,8 @@ class TestBuildParabolic:
         # s is the sl(3) block: dimension 8, root spaces preserved
         assert pd.s.dim == 8
         for r in datum.positive:
-            if datum.coeffs[r.covector][2] == 0:
-                assert pd.s.contains(datum.space(r))
+            if r.coeffs[2] == 0:
+                assert pd.s.contains(r.space)
 
     def test_decomposition_identities(self):
         g, datum = sl4()
@@ -103,7 +103,7 @@ class TestBuildParabolic:
 
         _, inside_pos = sigma_phi(datum, [0, 1])
         for r in inside_pos:
-            assert subspace_intersect(pd.s, datum.space(r)) == datum.space(r)
+            assert subspace_intersect(pd.s, r.space) == r.space
 
     def test_q_is_subalgebra(self):
         g, datum = sl4()
@@ -212,11 +212,11 @@ class TestNested:
             build_nested(datum, [2], [0, 1])
 
 
-def root_space_sum(datum, start, roots):
+def root_space_sum(start, roots):
     """start plus the root spaces, added one at a time with subspace_sum."""
     out = start
     for r in roots:
-        out = subspace_sum(out, datum.space(r))
+        out = subspace_sum(out, r.space)
     return out
 
 
@@ -231,22 +231,22 @@ def test_pieces_equal_the_incremental_sums(build):
     for phi in subsets:
         pd = build_parabolic(datum, phi)
         inside, inside_pos = sigma_phi(datum, phi)
-        assert pd.l == root_space_sum(datum, datum.zero_space, inside)
-        assert pd.n_upper == root_space_sum(datum, Subspace.zero(g.dim), inside_pos)
+        assert pd.l == root_space_sum(datum.zero_space, inside)
+        assert pd.n_upper == root_space_sum(Subspace.zero(g.dim), inside_pos)
         k_phi, b = datum.k0, orthocomplement_in(pd.a_phi, g.a_space, g.inner)
         assert pd.a_upper == b
         for r in inside_pos:
-            k_phi = subspace_sum(k_phi, g.project_k_subspace(datum.space(r)))
-            b = subspace_sum(b, g.project_p_subspace(datum.space(r)))
+            k_phi = subspace_sum(k_phi, g.project_k_subspace(r.space))
+            b = subspace_sum(b, g.project_p_subspace(r.space))
         assert (pd.k_phi, pd.b) == (k_phi, b)
         for psi in subsets:
             if not set(psi) <= set(phi):
                 continue
             nd = build_nested(datum, psi, phi)
-            psi_pos = {r.covector for r in sigma_phi(datum, psi)[1]}
-            outside = [r for r in inside_pos if r.covector not in psi_pos]
-            assert nd.n_np == root_space_sum(datum, Subspace.zero(g.dim), outside)
-            assert nd.l_np == root_space_sum(datum, pd.s0, sigma_phi(datum, psi)[0])
+            psi_pos = {r.coeffs for r in sigma_phi(datum, psi)[1]}
+            outside = [r for r in inside_pos if r.coeffs not in psi_pos]
+            assert nd.n_np == root_space_sum(Subspace.zero(g.dim), outside)
+            assert nd.l_np == root_space_sum(pd.s0, sigma_phi(datum, psi)[0])
 
 
 class TestTensorModel:
@@ -261,8 +261,7 @@ class TestTensorModel:
             (2, 2): (1, 1, 1),
         }
         for key, coeff in expected.items():
-            r = datum.root_with_coeff(coeff)
-            assert datum.space(r).contains_vector(tm.generators[key])
+            assert datum.root_with_coeff(coeff).space.contains_vector(tm.generators[key])
 
     def test_dimension_formula(self):
         for m, j in ((3, 0), (4, 1), (5, 2)):
@@ -283,3 +282,18 @@ class TestTensorModel:
         datum = decompose(build_so1n(3))
         with pytest.raises(ValueError):
             tensor_model(datum, 0)
+
+
+@pytest.mark.parametrize("build", [lambda: build_sl(5),
+                                   lambda: direct_sum([build_su1n(2), build_so1n(3)])],
+                         ids=["sl5", "ch2xrh3"])
+def test_in_span_is_vanishing_on_a_phi(build):
+    # a root lies in span(phi) iff its covector vanishes on a_phi, the common
+    # kernel of the simple roots in phi
+    datum = decompose(build())
+    for size in range(datum.rank + 1):
+        for phi in itertools.combinations(range(datum.rank), size):
+            a_phi = build_parabolic(datum, phi).a_phi
+            for r in datum.roots:
+                vanishes = all(datum.evaluate(r, h) == 0 for h in a_phi.basis)
+                assert r.in_span(phi) == vanishes

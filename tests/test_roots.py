@@ -13,9 +13,9 @@ def test_sl3_positive_system():
     g = build_sl(3)
     datum = decompose(g)
     assert datum.rank == 2
-    pos = sorted(datum.coeffs[r.covector] for r in datum.positive)
+    pos = sorted(r.coeffs for r in datum.positive)
     assert pos == [(0, 1), (1, 0), (1, 1)]
-    assert all(datum.multiplicity(r) == 1 for r in datum.roots)
+    assert all(r.space.dim == 1 for r in datum.roots)
 
 
 def test_sl_positive_roots_are_consecutive_sums():
@@ -23,7 +23,7 @@ def test_sl_positive_roots_are_consecutive_sums():
     for m in (2, 3, 4, 5):
         datum = decompose(build_sl(m))
         n = m - 1
-        got = sorted(datum.coeffs[r.covector] for r in datum.positive)
+        got = sorted(r.coeffs for r in datum.positive)
         expected = sorted(
             tuple(1 if j <= i <= k else 0 for i in range(n))
             for j in range(n)
@@ -39,8 +39,7 @@ def test_sl_root_spaces_are_matrix_units():
     for j in range(3):
         for k in range(j, 3):
             coeff = tuple(1 if j <= i <= k else 0 for i in range(3))
-            r = datum.root_with_coeff(coeff)
-            sp = datum.space(r)
+            sp = datum.root_with_coeff(coeff).space
             assert sp.dim == 1
             mat = g.matrix(sp.basis[0])
             nz = [(a, b) for a in range(4) for b in range(4) if mat.rows[a][b]]
@@ -52,19 +51,19 @@ def test_so1n_single_root():
         datum = decompose(build_so1n(n))
         assert datum.rank == 1
         assert len(datum.positive) == 1
-        assert datum.multiplicity(datum.positive[0]) == n - 1
+        assert datum.positive[0].space.dim == n - 1
         assert len(datum.roots) == 2  # {alpha, -alpha}
 
 
 def test_su1n_bc1_system():
     datum = decompose(build_su1n(2))
     assert datum.rank == 1
-    coeffs = sorted(datum.coeffs[r.covector] for r in datum.positive)
+    coeffs = sorted(r.coeffs for r in datum.positive)
     assert coeffs == [(1,), (2,)]
     alpha = datum.root_with_coeff((1,))
     two_alpha = datum.root_with_coeff((2,))
-    assert datum.multiplicity(alpha) == 2
-    assert datum.multiplicity(two_alpha) == 1
+    assert alpha.space.dim == 2
+    assert two_alpha.space.dim == 1
 
 
 def test_product_of_hyperbolic_planes():
@@ -80,7 +79,7 @@ def test_product_of_hyperbolic_planes():
 def test_mixed_product_multiplicities():
     p = direct_sum([build_sl(2), build_so1n(3)])
     datum = decompose(p)
-    mults = [datum.multiplicity(r) for r in datum.simple]
+    mults = [r.space.dim for r in datum.simple]
     assert mults == [1, 2]
 
 
@@ -97,7 +96,7 @@ def test_root_vector_defining_relation():
         for h in g.a_space.basis:
             assert datum.evaluate(r, h) == g.inner_product(r.root_vector, h)
             # lam(H) is also the bracket eigenvalue on the root space
-            x = datum.space(r).basis[0]
+            x = r.space.basis[0]
             lhs = g.bracket(h, x)
             lam = datum.evaluate(r, h)
             assert lhs == tuple(lam * c for c in x)
@@ -108,33 +107,34 @@ def test_decomposition_fills_model():
         datum = decompose(g)
         total = datum.zero_space
         for r in datum.roots:
-            total = subspace_sum(total, datum.space(r))
+            total = subspace_sum(total, r.space)
         assert total == Subspace.full(g.dim)
-        assert datum.zero_space.dim + sum(datum.space(r).dim for r in datum.roots) == g.dim
+        assert datum.zero_space.dim + sum(r.space.dim for r in datum.roots) == g.dim
 
 
 def test_theta_pairs_opposite_roots():
     datum = decompose(build_su1n(2))
     g = datum.model
     for r in datum.positive:
-        neg = tuple(-c for c in r.covector)
-        assert g.theta_image(datum.space(r)) == datum.spaces[neg]
+        neg = datum.root_with_coeff(tuple(-c for c in r.coeffs))
+        assert neg.covector == tuple(-c for c in r.covector)
+        assert g.theta_image(r.space) == neg.space
 
 
 def test_bracket_grading():
     g = build_sl(4)
     datum = decompose(g)
-    covs = set(datum.spaces)
+    spaces = {r.coeffs: r.space for r in datum.roots}
     for r in datum.roots:
         for s in datum.roots:
-            tgt = vadd(r.covector, s.covector)
-            br = g.bracket_span(datum.space(r).basis, datum.space(s).basis)
+            tgt = vadd(r.coeffs, s.coeffs)
+            br = g.bracket_span(r.space.basis, s.space.basis)
             if br.dim == 0:
                 continue
             if all(not c for c in tgt):
                 assert datum.zero_space.contains(br)
-            elif tuple(tgt) in covs:
-                assert datum.spaces[tuple(tgt)].contains(br)
+            elif tgt in spaces:
+                assert spaces[tgt].contains(br)
             else:
                 assert br.dim == 0
 
@@ -154,7 +154,7 @@ def test_k0_centralizes_a():
 def test_sigma_phi():
     datum = decompose(build_sl(4))
     inside, inside_pos = sigma_phi(datum, [0, 1])
-    got = sorted(datum.coeffs[r.covector] for r in inside_pos)
+    got = sorted(r.coeffs for r in inside_pos)
     assert got == [(0, 1, 0), (1, 0, 0), (1, 1, 0)]
     assert len(inside) == 6
     # phi = everything / nothing
@@ -168,7 +168,7 @@ def test_rank_one_recognition():
     # a factor is rank one exactly when its positive system is {a} or {a, 2a}
     for build, expected in ((build_so1n(3), [(1,)]), (build_su1n(2), [(1,), (2,)])):
         datum = decompose(build)
-        pos = sorted(datum.coeffs[r.covector] for r in datum.positive)
+        pos = sorted(r.coeffs for r in datum.positive)
         assert pos == expected
     datum = decompose(build_sl(3))
     assert len(datum.positive) > 2

@@ -5,7 +5,14 @@ import itertools
 
 import pytest
 
-from cohomatlas.linalg import Subspace, orthocomplement_in, subspace_intersect, subspace_sum
+from cohomatlas.linalg import (
+    Matrix,
+    Subspace,
+    orthocomplement_in,
+    rat,
+    subspace_intersect,
+    subspace_sum,
+)
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
     make_cer,
@@ -30,6 +37,11 @@ from cohomatlas.verify import (
     slice_cohomogeneity,
     verify,
 )
+
+
+def mat(rows) -> Matrix:
+    """An exact rational matrix with the given rows."""
+    return Matrix(tuple(tuple(rat(x) for x in r) for r in rows))
 
 
 class TestOrbitTangent:
@@ -130,12 +142,10 @@ class TestLieTriple:
         assert check_lie_triple(p, orbit_tangent_at_o(p, fd.payload["diag"]))
 
     def test_non_triple_rejected_value(self):
-        from cohomatlas.linalg import Matrix
-
         g = build_sl(3)
         # span{E_12 + E_21, diag(0,1,-1)}: the double bracket escapes
-        sym = Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-        dia = Matrix.from_rows([[0, 0, 0], [0, 1, 0], [0, 0, -1]])
+        sym = mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        dia = mat([[0, 0, 0], [0, 1, 0], [0, 0, -1]])
         b = Subspace.span(g.dim, [g.coords(sym), g.coords(dia)])
         assert not check_lie_triple(g, b)
 
@@ -266,6 +276,18 @@ class TestNc2:
         for samples in (8, 32, 128):
             verdict, _ = check_nc2(g, pd, v, seed=11, samples=samples)
             assert verdict == "no"
+
+    @pytest.mark.parametrize("op", [((1, 0), (0, 1)), ((0, 1), (0, 0))],
+                             ids=["diagonal", "off-diagonal"])
+    def test_operator_that_is_not_skew_is_rejected(self, op, monkeypatch):
+        g = build_sl(4)
+        datum = decompose(g)
+        pd = build_parabolic(datum, [0, 2])
+        v = tensor_model(datum, 1).column(1)
+        monkeypatch.setattr(verify_module, "_restriction_matrices",
+                            lambda model, domain, sub: [op])
+        with pytest.raises(ValueError, match="not skew on v"):
+            check_nc2(g, pd, v, seed=7, samples=32)
 
 
 class TestPolarCertificate:

@@ -244,8 +244,7 @@ def make_factor_diagonal(pm: ProductModel, datum: RootDatum, j: int, k: int) -> 
     sigma.validate(pm, block_j, block_k)
     diag = _diagonal_subspace(pm, sigma)
     algebra = Subspace.span(pm.dim, diag.rows + pm.other_factor_rows((j, k)))
-    phi = tuple(i for i, r in enumerate(datum.simple)
-                if pm.factor_of(r.root_vector) in (j, k))
+    phi = tuple(sorted(datum.factor_phis[j] + datum.factor_phis[k]))
     payload = {"sigma": sigma, "diag": diag,
                "a_section_domain": pm.embed_subspace(j, pm.factors[j].a_space)}
     return ActionSpec("CER", pm, phi, algebra, payload)

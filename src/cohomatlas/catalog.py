@@ -282,22 +282,15 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
     entries: list = []
     identities = _structural_identities(pm, datum)
     skipped: list = []
-    owners = [pm.factor_of(r.root_vector) for r in datum.simple]
-    if None in owners:
-        raise ValueError("simple root does not belong to a factor")
-    factor_indices = [[i for i, o in enumerate(owners) if o == idx]
-                      for idx in range(len(pm.factors))]
-    f_data = [decompose(f) for f in pm.factors]
-    profiles = [fd.profile(fd.simple[0]) if fd.rank == 1 else None for fd in f_data]
+    factor_phis = datum.factor_phis
+    profiles = [fd.profile(fd.simple[0]) if fd.rank == 1 else None for fd in datum.factors]
 
     # nested-parabolic spot check per factor
     nested_ok = True
     try:
-        for idx in range(len(pm.factors)):
-            phi = tuple(sorted(factor_indices[idx]))
+        for phi in factor_phis:
             build_nested(datum, (), phi)
-            if phi:
-                build_nested(datum, phi[:1], phi)
+            build_nested(datum, phi[:1], phi)
     except ValueError:
         nested_ok = False
     identities.append(("nested-parabolic-intersection", nested_ok))
@@ -306,12 +299,11 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
     _emit(entries, identities, datum, "FH", "(a-line)+n", "-",
           "one representative line", _fh(datum), None, seed, samples)
 
-    for idx, factor in enumerate(pm.factors):
-        fd = f_data[idx]
+    for idx, (factor, fd) in enumerate(zip(pm.factors, datum.factors)):
         profile = profiles[idx]
         tag = f"factor {idx + 1}"
         if profile is not None:
-            (i_root,) = factor_indices[idx]
+            (i_root,) = factor_phis[idx]
             # FS per factor
             _emit(entries, identities, datum, "FS", "a+(n-line)", "-",
                   f"{tag}: j={i_root + 1}", make_fs(datum, i_root), None,
@@ -351,8 +343,8 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
     # CER: pairs of rank-one boundary pieces from different factors
     for idx_j in range(len(pm.factors)):
         for idx_k in range(idx_j + 1, len(pm.factors)):
-            for a in factor_indices[idx_j]:
-                for b in factor_indices[idx_k]:
+            for a in factor_phis[idx_j]:
+                for b in factor_phis[idx_k]:
                     profile = datum.profile(datum.simple[a])
                     if profile != datum.profile(datum.simple[b]):
                         continue

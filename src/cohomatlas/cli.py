@@ -30,6 +30,7 @@ from typing import List, Optional
 from .catalog import (
     EnumerationResult,
     MAX_ORACLE_RANK,
+    MAX_SL_RANK,
     enumerate_product,
     enumerate_sl,
     known_extension_tangents,
@@ -39,7 +40,7 @@ from .models import build_sl, build_so1n, build_su1n, direct_sum
 
 SCHEMA_VERSION = 1
 
-FACTOR_BOUNDS = {"sl": (2, 9), "rh": (2, 8), "ch": (2, 5)}
+FACTOR_BOUNDS = {"sl": (2, MAX_SL_RANK + 1), "rh": (2, 8), "ch": (2, 5)}
 
 
 @dataclass(frozen=True)

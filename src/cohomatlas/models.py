@@ -392,7 +392,8 @@ class ProductModel(LieModel):
     entries are zero.  Each factor has already checked that its brackets
     close and that its own k + a + n is direct.  The product, like any
     model, checks that theta^2 = I, takes k and p from theta, and checks
-    that k + a + n is direct.
+    that k + a + n is direct.  Its root data is assembled from the factors'
+    root data in the same way, by ``decompose``.
     """
 
     def __init__(self, factors: Sequence[LieModel]):
@@ -416,11 +417,11 @@ class ProductModel(LieModel):
         }
         self.theta = _block_diagonal([f.theta for f in factors])
         self.killing = _block_diagonal([f.killing for f in factors])
-        a_vecs = self._embed_spaces(f.a_space for f in factors).rows
-        n_vecs = self._embed_spaces(f.n_space for f in factors).rows
+        a_vecs = self.embed_spaces(f.a_space for f in factors).rows
+        n_vecs = self.embed_spaces(f.n_space for f in factors).rows
         self._set_iwasawa(a_vecs, n_vecs)
 
-    def _embed_spaces(self, spaces: Iterable[Subspace]) -> Subspace:
+    def embed_spaces(self, spaces: Iterable[Subspace]) -> Subspace:
         """The span of one subspace per factor, each embedded in its block."""
         return Subspace.span(self.dim, [self.embed_vector(idx, b)
                                         for idx, sp in enumerate(spaces) for b in sp.rows])
@@ -439,14 +440,6 @@ class ProductModel(LieModel):
     def factor_block(self, idx: int) -> Subspace:
         start, stop = self.factor_slice(idx)
         return Subspace.span(self.dim, [unit_vec(self.dim, i) for i in range(start, stop)])
-
-    def factor_of(self, v: Sequence) -> Optional[int]:
-        """Index of the factor whose block supports v, or None if none does."""
-        for idx in range(len(self.factors)):
-            start, stop = self.factor_slice(idx)
-            if all(start <= t < stop for t, c in enumerate(v) if c):
-                return idx
-        return None
 
     def other_factor_rows(self, skip: Iterable[int]) -> tuple:
         """Basis rows of the blocks of every factor whose index is not in skip."""
@@ -469,8 +462,8 @@ class ProductModel(LieModel):
 def direct_sum(models: Sequence[LieModel]) -> ProductModel:
     """Block-diagonal assembly of the factors, with their structure constants,
     theta, Killing form and k/a/n/p placed block by block (see
-    :class:`ProductModel`).  Root data is not assembled: ``enumerate_product``
-    runs the generic ``decompose`` on the product, whose roots are then the
-    orthogonal disjoint union of the factors' roots."""
+    :class:`ProductModel`).  ``decompose`` assembles the product's root data
+    from the factors' root data, without splitting the product: its roots
+    are the orthogonal disjoint union of the factors' roots."""
     return ProductModel(models)
 

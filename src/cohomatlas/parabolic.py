@@ -32,7 +32,7 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .roots import RootDatum, sigma_phi
+from .roots import RootDatum
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
 
     model = datum.model
     d = model.dim
-    inside, inside_pos = sigma_phi(datum, phi)
+    inside = [r for r in datum.roots if r.in_span(phi)]
+    inside_pos = [r for r in datum.positive if r.in_span(phi)]
 
     l = Subspace.span(d, _root_rows(inside, datum.zero_space.rows))
 
@@ -149,16 +150,15 @@ def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> Ne
     pd_phi = build_parabolic(datum, phi)
     pd_psi = build_parabolic(datum, psi)
 
-    _, phi_pos = sigma_phi(datum, phi)
-    inside_psi, _ = sigma_phi(datum, psi)
-
-    n_np = Subspace.span(d, _root_rows([r for r in phi_pos if not r.in_span(psi)]))
+    n_np = Subspace.span(d, _root_rows([r for r in datum.positive
+                                        if r.in_span(phi) and not r.in_span(psi)]))
     if n_np != subspace_intersect(pd_phi.n_upper, pd_psi.n_phi):
         raise ValueError("nested nilpotent piece fails its intersection identity")
 
     a_np = subspace_intersect(pd_phi.a_upper, pd_psi.a_phi)
 
-    l_np = Subspace.span(d, _root_rows(inside_psi, pd_phi.s0.rows))
+    l_np = Subspace.span(d, _root_rows([r for r in datum.roots if r.in_span(psi)],
+                                       pd_phi.s0.rows))
     if not l_np.contains(a_np):
         raise ValueError("nested abelian piece does not lie in the nested Levi piece")
 

@@ -1,9 +1,12 @@
 """Restricted root space decomposition and simple root combinatorics.
 
-``decompose`` splits a model into the joint ad(a)-eigenspaces by exact
-simultaneous eigendecomposition, chooses the positive system matching the
-model's stored nilpotent part, and extracts simple roots, multiplicities,
-root vectors and Dynkin adjacency.
+``decompose`` splits a simple model into the joint ad(a)-eigenspaces by
+exact simultaneous eigendecomposition, chooses the positive system matching
+the model's stored nilpotent part, and extracts simple roots,
+multiplicities, root vectors and Dynkin adjacency.  A product's root data
+is its factors' root data: ``decompose`` assembles it from the decomposed
+factors, block by block, without splitting the product, and the product
+datum keeps the factor data in ``factors``.
 
 Each root is a complete record: its covector (values on the RREF basis of
 a), its dual vector in a, its integer coefficients over the ordered simple
@@ -16,7 +19,8 @@ of whether a root lies in the span of a subset of simple roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 from .linalg import (
     SpanSolver,
@@ -25,7 +29,7 @@ from .linalg import (
     orthocomplement_in,
     rat,
 )
-from .models import LieModel
+from .models import LieModel, ProductModel
 
 
 @dataclass(frozen=True)
@@ -44,9 +48,11 @@ class Root:
 
 
 class RootDatum:
-    """Complete restricted root data of a model."""
+    """Complete restricted root data of a model; for a product, also the
+    root data of its factors, whose simple roots come factor by factor."""
 
-    def __init__(self, model, roots, positive, simple, zero_space, k0, dynkin_edges):
+    def __init__(self, model, roots, positive, simple, zero_space, k0, dynkin_edges,
+                 factors):
         self.model = model
         self.roots = tuple(roots)
         self.positive = tuple(positive)
@@ -54,12 +60,19 @@ class RootDatum:
         self.zero_space = zero_space
         self.k0 = k0
         self.dynkin_edges = frozenset(dynkin_edges)  # pairs (i, j), i < j
+        self.factors = tuple(factors)  # factor RootDatums, () unless a product
         self._parabolic_cache: dict = {}
         self._nested_cache: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self.simple)
+
+    @property
+    def factor_phis(self) -> tuple:
+        """The indices of each factor's simple roots, factor by factor."""
+        ends = accumulate(fd.rank for fd in self.factors)
+        return tuple(tuple(range(e - fd.rank, e)) for fd, e in zip(self.factors, ends))
 
     def profile(self, root: Root) -> tuple:
         """(m_alpha, m_2alpha): the multiplicities of a root and of its double."""
@@ -80,7 +93,10 @@ class RootDatum:
 
 
 def decompose(model: LieModel) -> RootDatum:
-    """Exact restricted root space decomposition with respect to a."""
+    """Exact restricted root space decomposition with respect to a; a
+    product's is assembled from its factors' (see ``_product_datum``)."""
+    if isinstance(model, ProductModel):
+        return _product_datum(model, [decompose(f) for f in model.factors])
     d = model.dim
     blocks = [((), Subspace.full(d))]
     for h in model.a_space.basis:
@@ -198,59 +214,59 @@ def decompose(model: LieModel) -> RootDatum:
         zero_space=zero_space,
         k0=k0,
         dynkin_edges=edges,
+        factors=(),
     )
 
 
-def _components(nodes, adj) -> list:
-    """Connected components (as sets) of a graph given by adjacency sets."""
-    seen = set()
-    components = []
-    for s in nodes:
-        if s in seen:
-            continue
-        comp = set()
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x] - comp)
-        seen |= comp
-        components.append(comp)
-    return components
-
-
 def _order_simple_roots(simple_cov, adj):
-    """Path order per connected component, components by descending covector."""
-    ordered_components = []
-    for comp in _components(simple_cov, adj):
-        if len(comp) == 1:
-            ordered_components.append(list(comp))
-            continue
-        ends = sorted((s for s in comp if len(adj[s] & comp) <= 1), reverse=True)
-        if not ends:
-            raise ValueError("Dynkin component is not a path (unsupported diagram)")
-        walk = [ends[0]]
-        while len(walk) < len(comp):
-            nxt = [x for x in adj[walk[-1]] & comp if x not in walk]
-            if len(nxt) != 1:
-                raise ValueError("Dynkin component is not a path (unsupported diagram)")
-            walk.append(nxt[0])
-        ordered_components.append(walk)
-
-    ordered_components.sort(key=lambda c: c[0], reverse=True)
-    out = []
-    for comp in ordered_components:
-        out.extend(comp)
-    return out
+    """The simple roots of a simple model along its Dynkin diagram, a path,
+    from the end with the larger covector."""
+    ends = sorted((s for s in simple_cov if len(adj[s]) <= 1), reverse=True)
+    if not ends:
+        raise ValueError("Dynkin diagram is not a path (unsupported diagram)")
+    walk = [ends[0]]
+    while len(walk) < len(simple_cov):
+        nxt = [x for x in adj[walk[-1]] if x not in walk]
+        if len(nxt) != 1:
+            raise ValueError("Dynkin diagram is not a path (unsupported diagram)")
+        walk.append(nxt[0])
+    return walk
 
 
-def sigma_phi(datum: RootDatum, phi: Iterable[int]):
-    """Roots in the span of a subset of simple roots, and the positive part."""
-    phi = set(phi)
-    for i in phi:
-        if not 0 <= i < datum.rank:
-            raise ValueError("phi contains an invalid simple root index")
-    return ([r for r in datum.roots if r.in_span(phi)],
-            [r for r in datum.positive if r.in_span(phi)])
+def _product_datum(pm: ProductModel, factors: Sequence[RootDatum]) -> RootDatum:
+    """The root datum of a product, assembled from its factors' root data.
+
+    a, theta and the inner product are block diagonal, and the RREF basis of
+    a is the factors' bases in factor order, so a factor root is a product
+    root: its covector and coefficients are the factor's padded with zeros,
+    and its root vector and space are embedded in the factor's block.  The
+    zero space, k0 and the Dynkin edges are the factors' own, embedded or
+    shifted.  Simple roots come factor by factor.  That is the order a split
+    of the whole product gives when it sorts the Dynkin components by their
+    first simple covector, descending: each shipped factor's first simple
+    root is positive on the first vector of its own a, where every later
+    factor's roots vanish.  Positive roots are sorted by (height,
+    coefficients), and the negatives follow in matching order.
+    """
+    starts = list(accumulate((fd.rank for fd in factors), initial=0))
+
+    def embed(idx, root):
+        pad_left, pad_right = (0,) * starts[idx], (0,) * (starts[-1] - starts[idx + 1])
+        return Root(pad_left + root.covector + pad_right, pm.embed_vector(idx, root.root_vector),
+                    pad_left + root.coeffs + pad_right, pm.embed_subspace(idx, root.space))
+
+    # each factor lists its negatives in the order of its positives
+    pairs = sorted(((embed(idx, p), embed(idx, n)) for idx, fd in enumerate(factors)
+                    for p, n in zip(fd.positive, fd.roots[len(fd.positive):])),
+                   key=lambda pn: (sum(pn[0].coeffs), pn[0].coeffs))
+    positive = [p for p, _ in pairs]
+    return RootDatum(
+        model=pm,
+        roots=positive + [n for _, n in pairs],
+        positive=positive,
+        simple=[embed(idx, s) for idx, fd in enumerate(factors) for s in fd.simple],
+        zero_space=pm.embed_spaces(fd.zero_space for fd in factors),
+        k0=pm.embed_spaces(fd.k0 for fd in factors),
+        dynkin_edges={(i + s, j + s) for fd, s in zip(factors, starts) for i, j in fd.dynkin_edges},
+        factors=factors,
+    )

@@ -210,15 +210,16 @@ def check_nc2(model: LieModel, pd: ParabolicDatum, v: Subspace, seed: int, sampl
         raise ValueError("NC2 needs dim v >= 2")
     norm = model.normalizer_in(pd.k_phi, v)
     mats = _restriction_matrices(model, norm, v)
+    ops = [Matrix(r) for r in mats]
     m = v.dim
     # the restricted operators are skew for the inner product on v: R^T G + G R
     # = 0, and with G symmetric that is M + M^T = 0 for M = G R
     gram = Matrix(tuple(tuple(model.inner_product(x, y) for y in v.basis) for x in v.basis))
-    for r in mats:
-        gr = (gram @ Matrix(r)).rows
+    for op in ops:
+        gr = (gram @ op).rows
         if any(gr[i][j] + gr[j][i] for i in range(m) for j in range(i, m)):
             raise ValueError("normalizer restriction is not skew on v")
-    op_span = Subspace.span(m * m, [tuple(x for row in r for x in row) for r in mats])
+    op_span = Subspace.span(m * m, [op.flatten() for op in ops])
     if op_span.dim == m * (m - 1) // 2:
         return "yes", "contains-so"
     sampler = RationalSampler(seed)
@@ -227,11 +228,7 @@ def check_nc2(model: LieModel, pd: ParabolicDatum, v: Subspace, seed: int, sampl
         uc = tuple(sampler.coefficient() for _ in range(m))
         while not any(uc):
             uc = tuple(sampler.coefficient() for _ in range(m))
-        rows = [uc] + [
-            tuple(sum((r[i][j] * uc[j] for j in range(m)), rat(0)) for i in range(m))
-            for r in mats
-        ]
-        tangent = Subspace.span(m, rows)
+        tangent = Subspace.span(m, [uc] + [op.apply(uc) for op in ops])
         if tangent.dim < m:
             return "no", "failed-witness"
     return "yes", "sampled-tangent"
@@ -315,9 +312,7 @@ def product_split_ok(datum: RootDatum, spec: ActionSpec) -> bool:
     if not isinstance(model, ProductModel):
         raise ValueError("product split applies to product models")
     v: Subspace = spec.payload["v"]
-    fidx = model.factor_of(datum.simple[spec.payload["j"]].root_vector)
-    if fidx is None:
-        return False
+    fidx = next(idx for idx, phi in enumerate(datum.factor_phis) if spec.payload["j"] in phi)
     factor = model.factors[fidx]
     v_inner = model.restrict_subspace(fidx, v)
     f_k0 = model.restrict_subspace(fidx, subspace_intersect(datum.k0, model.factor_block(fidx)))

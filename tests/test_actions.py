@@ -6,7 +6,7 @@ import pytest
 
 from cohomatlas import verify as verify_module
 from cohomatlas.catalog import ce_families, enumerate_sl
-from cohomatlas.linalg import Matrix, Subspace, is_zero_vec, rat, subspace_intersect, subspace_sum
+from cohomatlas.linalg import Matrix, Subspace, rat, subspace_intersect, subspace_sum
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
     ActionSpec,

@@ -6,10 +6,10 @@ from functools import cached_property
 
 import pytest
 
-from cohomatlas import catalog
+from cohomatlas import catalog, linalg
 from cohomatlas.catalog import ce_families, enumerate_sl, known_extension_tangents
 from cohomatlas.cli import RunConfig, parse_space, run
-from cohomatlas.linalg import Matrix, orthocomplement_in, vadd
+from cohomatlas.linalg import Matrix, orthocomplement_in
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.parabolic import build_nested, build_parabolic
 from cohomatlas.actions import builtin_cei_catalog, canonical_extend
@@ -26,14 +26,11 @@ def paper_row_counts(n: int) -> Counter:
 def test_factor_lookup_puts_each_simple_root_in_its_factor():
     pm = direct_sum([build_sl(3), build_so1n(2)])
     datum = decompose(pm)
-    owners = [pm.factor_of(r.root_vector) for r in datum.simple]
+    owners = [idx for idx, phi in enumerate(datum.factor_phis) for _ in phi]
     assert sorted(owners) == [0, 0, 1]
+    assert datum.factor_phis == ((0, 1), (2,))
     for r, owner in zip(datum.simple, owners):
         assert pm.factor_block(owner).contains(r.space)
-    # a vector with support in both blocks belongs to no factor
-    first = {owner: r.root_vector for r, owner in zip(datum.simple, owners)}
-    mixed = vadd(first[0], first[1])
-    assert pm.factor_of(mixed) is None
 
 
 @pytest.mark.parametrize("build, arg, profile", [
@@ -52,7 +49,8 @@ def test_rank_one_root_profile(build, arg, profile):
 def test_profile_in_a_product_is_the_factor_profile():
     pm = direct_sum([build_su1n(2), build_so1n(3)])
     datum = decompose(pm)
-    profiles = {pm.factor_of(r.root_vector): datum.profile(r) for r in datum.simple}
+    profiles = {idx: datum.profile(datum.simple[i])
+                for idx, phi in enumerate(datum.factor_phis) for i in phi}
     assert profiles == {0: (2, 1), 1: (2, 0)}
 
 
@@ -176,6 +174,29 @@ def test_product_enumeration_decomposes_each_factor_once(monkeypatch, build):
     assert result.all_identities_passed
     assert calls["decompose"] == len(pm.factors) + 1
     assert calls["build_sl"] == 0
+
+
+@pytest.mark.parametrize("factors", [lambda: [build_so1n(3), build_so1n(3)],
+                                     lambda: [build_sl(3), build_sl(2)]],
+                         ids=["rh3xrh3", "sl3xsl2"])
+def test_product_enumeration_splits_no_product_size_space(monkeypatch, factors):
+    pm = direct_sum(factors())
+    split_dims = []
+    original = linalg.invariant_eigensplit
+
+    def recorded(apply_fn, space):
+        split_dims.append(space.ambient_dim)
+        return original(apply_fn, space)
+
+    # every module that imported invariant_eigensplit by name holds its own binding
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cohomatlas") and getattr(module, "invariant_eigensplit",
+                                                     None) is original:
+            monkeypatch.setattr(module, "invariant_eigensplit", recorded)
+    result = catalog.enumerate_product(pm)
+    assert result.all_identities_passed
+    assert set(split_dims) == {f.dim for f in pm.factors}
+    assert pm.dim not in split_dims
 
 
 @pytest.mark.parametrize("factors", [[build_sl(2), build_so1n(2)], [build_so1n(2), build_sl(2)]],

@@ -109,8 +109,9 @@ def test_bad_input_exits_2(args, capsys):
     ("sl(\u0663)", "syntax error at offset 3: expected an integer"),  # Arabic-Indic three
     ("sl(\u00a03)", "syntax error at offset 3: expected an integer"),  # no-break space
     ("\u3000sl(3)", "syntax error at offset 0: expected a factor name"),  # ideographic space
+    ("sl(10)", "factor sl(10) out of bounds [2, 9] at offset 3"),  # rank above MAX_SL_RANK
 ], ids=["unclosed", "plus", "superscript-digit", "arabic-indic-digit", "no-break-space",
-        "ideographic-space"])
+        "ideographic-space", "sl-above-bound"])
 def test_parse_error_names_the_offset(text, message):
     with pytest.raises(ValueError) as info:
         parse_space(text)

@@ -5,9 +5,7 @@ import itertools
 import pytest
 
 from cohomatlas.linalg import (
-    Matrix,
     Subspace,
-    is_zero_vec,
     orthocomplement_in,
     subspace_intersect,
     subspace_sum,
@@ -19,7 +17,7 @@ from cohomatlas.parabolic import (
     build_parabolic,
     tensor_model,
 )
-from cohomatlas.roots import decompose, sigma_phi
+from cohomatlas.roots import decompose
 
 
 def sl4():
@@ -99,11 +97,9 @@ class TestBuildParabolic:
     def test_s_root_spaces_match(self):
         g, datum = sl4()
         pd = build_parabolic(datum, [0, 1])
-        from cohomatlas.roots import sigma_phi
-
-        _, inside_pos = sigma_phi(datum, [0, 1])
-        for r in inside_pos:
-            assert subspace_intersect(pd.s, r.space) == r.space
+        for r in datum.positive:
+            if r.in_span([0, 1]):
+                assert subspace_intersect(pd.s, r.space) == r.space
 
     def test_q_is_subalgebra(self):
         g, datum = sl4()
@@ -230,7 +226,8 @@ def test_pieces_equal_the_incremental_sums(build):
                for phi in itertools.combinations(range(datum.rank), size)]
     for phi in subsets:
         pd = build_parabolic(datum, phi)
-        inside, inside_pos = sigma_phi(datum, phi)
+        inside = [r for r in datum.roots if r.in_span(phi)]
+        inside_pos = [r for r in datum.positive if r.in_span(phi)]
         assert pd.l == root_space_sum(datum.zero_space, inside)
         assert pd.n_upper == root_space_sum(Subspace.zero(g.dim), inside_pos)
         k_phi, b = datum.k0, orthocomplement_in(pd.a_phi, g.a_space, g.inner)
@@ -243,10 +240,10 @@ def test_pieces_equal_the_incremental_sums(build):
             if not set(psi) <= set(phi):
                 continue
             nd = build_nested(datum, psi, phi)
-            psi_pos = {r.coeffs for r in sigma_phi(datum, psi)[1]}
+            psi_pos = {r.coeffs for r in datum.positive if r.in_span(psi)}
             outside = [r for r in inside_pos if r.coeffs not in psi_pos]
             assert nd.n_np == root_space_sum(Subspace.zero(g.dim), outside)
-            assert nd.l_np == root_space_sum(pd.s0, sigma_phi(datum, psi)[0])
+            assert nd.l_np == root_space_sum(pd.s0, [r for r in datum.roots if r.in_span(psi)])
 
 
 class TestTensorModel:

@@ -1,12 +1,14 @@
 """Tests for the restricted root decomposition."""
 
-import itertools
-
 import pytest
 
-from cohomatlas.linalg import Subspace, is_zero_vec, subspace_sum, vadd
+from cohomatlas.cli import parse_space
+from cohomatlas.linalg import Subspace, is_zero_vec, kernel_rows, subspace_sum, vadd
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
-from cohomatlas.roots import decompose, sigma_phi
+from cohomatlas.roots import decompose
+
+BUILDERS = {"sl": build_sl, "rh": build_so1n, "ch": build_su1n}
+SMALL_FACTORS = ["sl(2)", "sl(3)", "rh(2)", "rh(3)", "ch(2)"]  # as in test_cli.py
 
 
 def test_sl3_positive_system():
@@ -83,6 +85,33 @@ def test_mixed_product_multiplicities():
     assert mults == [1, 2]
 
 
+@pytest.mark.parametrize("space", [f"{a}*{b}" for a in SMALL_FACTORS for b in SMALL_FACTORS]
+                         + ["ch(2)*sl(3)*rh(3)"])
+def test_product_roots_are_the_joint_eigenspaces_of_their_covectors(space):
+    pm = direct_sum([BUILDERS[name](n) for name, n in parse_space(space).factors])
+    datum = decompose(pm)
+    # ads[t][j] = [h_t, e_j] for the basis h_t of a and the unit vectors e_j
+    ads = [[pm.bracket(h, e) for e in Subspace.full(pm.dim).rows] for h in pm.a_space.basis]
+    for r in datum.roots:
+        # {x : [h_t, x] = r(h_t) x for every t}, by elimination
+        equations = [tuple(col[k] - (lam if k == j else 0) for j, col in enumerate(ad))
+                     for ad, lam in zip(ads, r.covector) for k in range(pm.dim)]
+        assert r.space == Subspace.span(pm.dim, kernel_rows(equations, pm.dim))
+        combo = [sum(c * s.covector[t] for c, s in zip(r.coeffs, datum.simple))
+                 for t in range(len(ads))]
+        assert tuple(combo) == r.covector
+    # positives by (height, coefficients), then the negatives in matching order
+    keys = [(sum(r.coeffs), r.coeffs) for r in datum.positive]
+    assert keys == sorted(keys) and datum.roots[:len(keys)] == datum.positive
+    assert [tuple(-c for c in r.coeffs) for r in datum.positive] == \
+        [r.coeffs for r in datum.roots[len(keys):]]
+    # the simple roots come factor by factor, each inside its factor's block
+    owners = [idx for idx, phi in enumerate(datum.factor_phis) for _ in phi]
+    assert len(owners) == datum.rank
+    for r, owner in zip(datum.simple, owners):
+        assert pm.factor_block(owner).contains(r.space)
+
+
 def test_simple_root_order_is_path_order():
     datum = decompose(build_sl(5))
     # adjacency must be exactly the path a_1 - a_2 - a_3 - a_4
@@ -152,16 +181,14 @@ def test_k0_centralizes_a():
 
 
 def test_sigma_phi():
+    # Sigma_phi: the roots in the span of the simple roots indexed by phi
     datum = decompose(build_sl(4))
-    inside, inside_pos = sigma_phi(datum, [0, 1])
-    got = sorted(r.coeffs for r in inside_pos)
+    got = sorted(r.coeffs for r in datum.positive if r.in_span([0, 1]))
     assert got == [(0, 1, 0), (1, 0, 0), (1, 1, 0)]
-    assert len(inside) == 6
+    assert sum(r.in_span([0, 1]) for r in datum.roots) == 6
     # phi = everything / nothing
-    all_in, all_pos = sigma_phi(datum, range(3))
-    assert len(all_in) == len(datum.roots)
-    none_in, none_pos = sigma_phi(datum, [])
-    assert none_in == [] and none_pos == []
+    assert all(r.in_span(range(3)) for r in datum.roots)
+    assert not any(r.in_span([]) for r in datum.roots)
 
 
 def test_rank_one_recognition():

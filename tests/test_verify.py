@@ -13,12 +13,11 @@ from cohomatlas.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
+from cohomatlas.models import build_sl, build_so1n, direct_sum
 from cohomatlas.actions import (
     make_cer,
     make_factor_diagonal,
     make_fh,
-    make_fs,
     nilpotent_construct,
 )
 from cohomatlas.catalog import ce_families

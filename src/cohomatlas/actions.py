@@ -314,6 +314,9 @@ def builtin_cei_catalog(datum: RootDatum, phi: Iterable[int]) -> list:
     root of multiplicity m without or with a double; the so(1,n) and su(1,n)
     models add the entries that their matrix blocks cut out.
     """
+    if datum.factors:
+        raise ValueError("the built-in catalog is defined for a simple rank-one model, "
+                         "not a product")
     model = datum.model
     pd = build_parabolic(datum, phi)
     (root,) = [datum.simple[i] for i in pd.phi]

@@ -27,6 +27,12 @@ subspace for a kernel) and solves for the combinations whose residuals
 vanish.  ``SpanSolver`` gives coordinates in a chosen independent list.  A
 form's positive definiteness, which every orthogonal complement needs, is
 decided once per form matrix (``Matrix.is_positive_definite``).
+
+The one eigensplit, ``invariant_eigensplit``, needs no characteristic
+polynomial.  With d the common denominator of the action matrix A, every
+rational eigenvalue of A is k/d for an integer k, and |k| is at most the
+largest absolute row sum of dA; it takes the kernel of dA - kI for each such
+k.
 """
 
 from __future__ import annotations
@@ -451,78 +457,6 @@ class SpanSolver:
 # exact eigensplitting of a diagonalizable operator with rational spectrum
 
 
-def _int_divisors(n: int) -> list:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _poly_eval(coeffs: Sequence, x):
-    acc = Q0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deflate(coeffs: Sequence, root):
-    """Divide by (t - root) via synthetic division; root must be exact."""
-    out = []
-    acc = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        out.append(acc)
-        acc = coeffs[i] + acc * root
-    out.reverse()
-    return out
-
-
-def rational_roots(coeffs: Sequence) -> tuple:
-    """All rational roots of the polynomial sum(coeffs[i] t^i), with flag.
-
-    Returns (roots, fully_factored) where fully_factored says whether the
-    polynomial splits completely into linear rational factors.
-    """
-    cs = [Rat(c) for c in coeffs]
-    while cs and not cs[-1]:
-        cs.pop()
-    if not cs:
-        raise ValueError("zero polynomial")
-    roots = []
-    while len(cs) > 1 and not cs[0]:
-        roots.append(Q0)
-        cs = cs[1:]
-    while len(cs) > 1:
-        den = math.lcm(*(c.denominator for c in cs))
-        ints = [int(c * den) for c in cs]
-        a0, alead = ints[0], ints[-1]
-        if a0 == 0:
-            roots.append(Q0)
-            cs = _poly_deflate(cs, Q0)
-            continue
-        found = None
-        for p in _int_divisors(a0):
-            for q in _int_divisors(alead):
-                for sign in (1, -1):
-                    cand = Rat(sign * p, q)
-                    if _poly_eval(cs, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return tuple(roots), False
-        roots.append(found)
-        cs = _poly_deflate(cs, found)
-    return tuple(roots), True
-
-
 def invariant_eigensplit(apply_fn: Callable[[Sequence], tuple], space: Subspace) -> list:
     """Exact eigenspace decomposition of an operator restricted to a space.
 
@@ -530,61 +464,37 @@ def invariant_eigensplit(apply_fn: Callable[[Sequence], tuple], space: Subspace)
     rational eigenvalues there; otherwise ValueError is raised.  Returns a
     list of (eigenvalue, eigenspace) pairs sorted by eigenvalue, eigenspaces
     given in the ambient coordinates.
+
+    The eigenvalues come from a bounded scan.  Let A be the action matrix on
+    ``space.basis`` and d the lcm of the denominators of its entries.  dA is
+    an integer matrix, so its characteristic polynomial is monic with integer
+    coefficients and, by the rational root theorem, each rational eigenvalue
+    of dA is an integer k.  No eigenvalue of dA exceeds in absolute value its
+    largest absolute row sum dB (for Ax = mu x, |mu| max|x_j| <= B max|x_j|).
+    So the rational eigenspaces of A are the nonzero kernels of dA - kI over
+    the integers |k| <= dB, each for the eigenvalue k/d, and A is
+    diagonalizable over Q exactly when their dimensions add up to dim space.
+    The scan stops once they do.  It takes at most 2dB + 1 kernels: few for
+    ad(h) in the models' bases, where d = 1, but linear in the size of the
+    entries in general.
     """
     m = space.dim
     if m == 0:
         return []
     # action matrix in the restricted coordinates: columns are images
-    cols = []
-    for row in space.basis:
-        img = apply_fn(row)
-        cols.append(space.coords_of(img))  # raises if not invariant
-    act = [tuple(cols[j][i] for j in range(m)) for i in range(m)]  # act[i][j]
-
-    def act_on(x):
-        return tuple(vdot(act[i], x) for i in range(m))
-
-    eigenvalues: list = []
-    spaces: dict = {}
-    covered = Subspace.zero(m)
-    while covered.dim < m:
-        covered_before = covered.dim
-        seed = None
-        for i in range(m):
-            e = unit_vec(m, i)
-            if not covered.contains_vector(e):
-                seed = e
-                break
-        if seed is None:
-            raise ValueError("eigensplit internal error")
-        # extend the Krylov list until the next image lies in its span
-        krylov = [seed]
-        while True:
-            nxt = act_on(krylov[-1])
-            try:
-                coeffs = SpanSolver(krylov, m).coords(nxt)
-                break
-            except ValueError:  # independent of the list so far
-                krylov.append(nxt)
-        minpoly = [-c for c in coeffs] + [Q1]
-        roots, complete = rational_roots(minpoly)
-        if not complete:
-            raise ValueError("operator has non-rational eigenvalues (unsupported model)")
-        for mu in roots:
-            if mu in eigenvalues:
-                continue
-            shifted = [tuple(act[i][j] - (mu if i == j else Q0) for j in range(m)) for i in range(m)]
-            ker = kernel_rows(shifted, m)
-            if ker:
-                eigenvalues.append(mu)
-                spaces[mu] = ker
-                covered = subspace_sum(covered, Subspace.span(m, ker))
-        if covered.dim == covered_before:
-            raise ValueError("operator is not diagonalizable over the rationals")
-    if sum(len(spaces[mu]) for mu in eigenvalues) != m:
-        raise ValueError("operator is not diagonalizable over the rationals")
+    cols = [space.coords_of(apply_fn(row)) for row in space.basis]  # raises if not invariant
+    d = math.lcm(*(x.denominator for col in cols for x in col))
+    act = [[int(d * col[i]) for col in cols] for i in range(m)]  # act[i][j] = d A[i][j]
+    bound = max(sum(map(abs, row)) for row in act)
     out = []
-    for mu in sorted(eigenvalues):
-        amb = [space.from_coords(x) for x in spaces[mu]]
-        out.append((mu, Subspace.span(space.ambient_dim, amb)))
-    return out
+    found = 0
+    for k in range(-bound, bound + 1):
+        shifted = [[x - k if i == j else x for j, x in enumerate(row)] for i, row in enumerate(act)]
+        ker = kernel_rows(shifted, m)
+        if ker:
+            amb = [space.from_coords(x) for x in ker]
+            out.append((Rat(k, d), Subspace.span(space.ambient_dim, amb)))
+            found += len(ker)
+            if found == m:
+                return out
+    raise ValueError("operator is not diagonalizable over the rationals")

@@ -25,9 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .linalg import (
     Subspace,
-    lincomb,
     orthocomplement_in,
-    rat,
     solve_inclusion_constraint,
     subspace_intersect,
     subspace_sum,
@@ -195,19 +193,12 @@ class TensorModel:
         amb = len(next(iter(self.generators.values())))
         return Subspace.span(amb, [self.generators[k] for k in keys])
 
-    def vector(self, combo: dict) -> tuple:
-        amb = len(next(iter(self.generators.values())))
-        return lincomb([rat(c) for c in combo.values()], [self.generators[k] for k in combo], amb)
-
-    def column(self, l: int, depth: Optional[int] = None) -> Subspace:
-        depth = self.nrows if depth is None else depth
-        return self.subspace([(i, l) for i in range(1, depth + 1)])
-
 
 def tensor_model(datum: RootDatum, j: int) -> TensorModel:
     """The indexed generator basis of the top nilpotent piece of an sl model."""
-    model = datum.model
-    if not model.name.startswith("sl("):
+    if datum.factors:
+        raise ValueError("tensor model is defined for a simple sl model, not a product")
+    if not datum.model.name.startswith("sl("):
         raise ValueError("tensor model is defined for sl models only")
     n = datum.rank
     if not 0 <= j < n:

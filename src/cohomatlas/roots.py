@@ -1,12 +1,13 @@
 """Restricted root space decomposition and simple root combinatorics.
 
 ``decompose`` splits a simple model into the joint ad(a)-eigenspaces by
-exact simultaneous eigendecomposition, chooses the positive system matching
-the model's stored nilpotent part, and extracts simple roots,
-multiplicities, root vectors and Dynkin adjacency.  A product's root data
-is its factors' root data: ``decompose`` assembles it from the decomposed
-factors, block by block, without splitting the product, and the product
-datum keeps the factor data in ``factors``.
+exact simultaneous eigendecomposition: each eigenspace of ad(h) for one
+basis vector h of a is split again by the next (``invariant_eigensplit``).
+It then chooses the positive system matching the model's stored nilpotent
+part, and extracts simple roots, multiplicities, root vectors and Dynkin
+adjacency.  A product's root data is its factors' root data: ``decompose``
+assembles it from the decomposed factors, block by block, without splitting
+the product, and the product datum keeps the factor data in ``factors``.
 
 Each root is a complete record: its covector (values on the RREF basis of
 a), its dual vector in a, its integer coefficients over the ordered simple

@@ -174,7 +174,7 @@ class TestNilpotentConstruction:
         datum = SL4_DATUM
         pd = build_parabolic(datum, [0, 2])  # removes a_2
         tm = tensor_model(datum, 1)
-        v = tm.column(1)  # g_{a2} + g_{a1+a2}
+        v = tm.subspace([(1, 1), (2, 1)])  # g_{a2} + g_{a1+a2}
         assert v.dim == 2
         spec = nilpotent_construct(datum, pd, v)
         # contains a + (n minus v)
@@ -287,6 +287,12 @@ class TestBuiltinCatalog:
         entries = builtin_cei_catalog(decompose(g), [0])
         assert entries == [("so(2)", g.k_space)]
 
+    def test_product_datum_rejected(self):
+        # the product's name starts with "so(1,", but it has no single matrix block
+        datum = decompose(direct_sum([build_so1n(3), build_so1n(3)]))
+        with pytest.raises(ValueError, match="not a product"):
+            builtin_cei_catalog(datum, [0])
+
     def test_so1n_block_embeddings(self):
         g = build_so1n(3)
         datum = decompose(g)
@@ -335,7 +341,7 @@ def _payload_specs():
     cer = make_cer(SL4_DATUM, 0, 2)
     p = direct_sum([build_sl(3), build_sl(3)])
     factor_cer = make_factor_diagonal(p, decompose(p), 0, 1)
-    v = tensor_model(SL4_DATUM, 1).column(1)
+    v = tensor_model(SL4_DATUM, 1).subspace([(1, 1), (2, 1)])
     nc = nilpotent_construct(SL4_DATUM, build_parabolic(SL4_DATUM, [0, 2]), v)
     rh = direct_sum([build_so1n(3), build_so1n(2)])
     prod = product_assemble(rh, 0, make_fh(rh.factors[0], rh.factors[0].a_space))

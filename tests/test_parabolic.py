@@ -280,6 +280,12 @@ class TestTensorModel:
         with pytest.raises(ValueError):
             tensor_model(datum, 0)
 
+    def test_product_of_sl_models_rejected(self):
+        # the product's name starts with "sl(", but it is not an sl model
+        datum = decompose(direct_sum([build_sl(3), build_sl(2)]))
+        with pytest.raises(ValueError, match="not a product"):
+            tensor_model(datum, 0)
+
 
 @pytest.mark.parametrize("build", [lambda: build_sl(5),
                                    lambda: direct_sum([build_su1n(2), build_so1n(3)])],

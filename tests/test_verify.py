@@ -12,6 +12,7 @@ from cohomatlas.linalg import (
     rat,
     subspace_intersect,
     subspace_sum,
+    vadd,
 )
 from cohomatlas.models import build_sl, build_so1n, direct_sum
 from cohomatlas.actions import (
@@ -202,7 +203,7 @@ class TestNc1:
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
-        assert _nc1(datum, pd, tm.column(1))
+        assert _nc1(datum, pd, tm.subspace([(1, 1), (2, 1)]))
 
     def test_two_diagonal_components_fail(self):
         g = build_sl(4)
@@ -211,7 +212,7 @@ class TestNc1:
         tm = tensor_model(datum, 1)
         v = Subspace.span(
             g.dim,
-            [tm.vector({(1, 1): 1, (2, 2): 1}), tm.generators[(1, 2)]],
+            [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]],
         )
         assert not _nc1(datum, pd, v)
         # the deficiency is in the boundary flat: a^phi escapes the projection
@@ -243,7 +244,8 @@ class TestNc2:
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
-        assert check_nc2(g, pd, tm.column(1), seed=7, samples=32) == ("yes", "contains-so")
+        v = tm.subspace([(1, 1), (2, 1)])
+        assert check_nc2(g, pd, v, seed=7, samples=32) == ("yes", "contains-so")
 
     def test_any_subspace_of_real_hyperbolic_root_space(self):
         p = direct_sum([build_so1n(4), build_so1n(2)])
@@ -259,7 +261,7 @@ class TestNc2:
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
         v = Subspace.span(
-            g.dim, [tm.vector({(1, 1): 1, (2, 2): 1}), tm.generators[(1, 2)]]
+            g.dim, [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]]
         )
         verdict, cert = check_nc2(g, pd, v, seed=7, samples=32)
         assert (verdict, cert) == ("no", "failed-witness")
@@ -270,7 +272,7 @@ class TestNc2:
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
         v = Subspace.span(
-            g.dim, [tm.vector({(1, 1): 1, (2, 2): 1}), tm.generators[(1, 2)]]
+            g.dim, [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]]
         )
         for samples in (8, 32, 128):
             verdict, _ = check_nc2(g, pd, v, seed=11, samples=samples)
@@ -282,7 +284,7 @@ class TestNc2:
         g = build_sl(4)
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
-        v = tensor_model(datum, 1).column(1)
+        v = tensor_model(datum, 1).subspace([(1, 1), (2, 1)])
         monkeypatch.setattr(verify_module, "_restriction_matrices",
                             lambda model, domain, sub: [op])
         with pytest.raises(ValueError, match="not skew on v"):
@@ -383,7 +385,7 @@ class TestVerifyOrchestration:
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
-        spec = nilpotent_construct(datum, pd, tm.column(1))
+        spec = nilpotent_construct(datum, pd, tm.subspace([(1, 1), (2, 1)]))
         report = verify(spec, datum)
         assert report.nc1 == "yes"
         assert report.nc2 == "yes"

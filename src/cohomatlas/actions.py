@@ -29,7 +29,6 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .linalg import (
-    Q1,
     SpanSolver,
     Subspace,
     lincomb,
@@ -193,12 +192,12 @@ def default_cer_sigma(datum: RootDatum, j: int, k: int) -> SigmaMap:
         raise ValueError("no canonical sigma for this pair of boundary algebras")
     hj, ej, fj_, cj = _sl2_triple(model, datum, datum.simple[j])
     hk, ek, fk_, ck = _sl2_triple(model, datum, datum.simple[k])
-    t = _rational_sqrt(cj / ck)
+    t = _rational_sqrt(rat(cj) / ck)
     if t is None:
         raise ValueError("boundary algebras are homothetic but admit no rational "
                          "theta-equivariant identification")
     dom = (hj, ej, fj_)
-    img = (hk, tuple(t * v for v in ek), tuple((Q1 / t) * v for v in fk_))
+    img = (hk, tuple(t * v for v in ek), tuple((rat(1) / t) * v for v in fk_))
     sigma = SigmaMap(dom, img)
     sigma.validate(model, pd_j.s, pd_k.s)
     if not sigma.is_theta_equivariant(model):

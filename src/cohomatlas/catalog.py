@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
-from .linalg import Matrix, Q0, Q1, Subspace, subspace_intersect
+from .linalg import Matrix, Subspace, subspace_intersect
 from .models import LieModel, ProductModel, build_sl
 from .actions import (
     ActionSpec,
@@ -146,10 +146,10 @@ def _symplectic_kernel(model: LieModel, s_phi: Subspace, lo: int) -> Subspace:
     """sp(2,R) inside s_phi: {X : X^T J + J X = 0} for the standard
     symplectic form J on the coordinates lo, ..., lo + 3."""
     size = model.matrix_size
-    jmat = [[Q0] * size for _ in range(size)]
+    jmat = [[0] * size for _ in range(size)]
     for p in (lo, lo + 1):
-        jmat[p][p + 2] = Q1
-        jmat[p + 2][p] = -Q1
+        jmat[p][p + 2] = 1
+        jmat[p + 2][p] = -1
     jm = Matrix(tuple(tuple(r) for r in jmat))
     return matrix_kernel(model, s_phi,
                          lambda mat: ((mat.transpose() @ jm) + (jm @ mat)).flatten())
@@ -382,7 +382,7 @@ def _permutation_maps(model: LieModel, j: int) -> list:
                 continue  # identity
             cols = []
             for b in model.basis:
-                rows = [[Q0] * size for _ in range(size)]
+                rows = [[0] * size for _ in range(size)]
                 for r in range(size):
                     br = b.rows[r]
                     for c in range(size):

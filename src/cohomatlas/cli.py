@@ -156,9 +156,10 @@ def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
     else:
         if config.nc_search:
             raise ValueError("--nc-search is supported for single sl spaces only")
-        factors = [_build_factor(n, v, config.su1n) for n, v in spec.factors]
-        result = enumerate_product(direct_sum(factors), seed=config.seed,
-                                   samples=config.samples)
+        # identical factors share one model
+        built = {f: _build_factor(*f, config.su1n) for f in dict.fromkeys(spec.factors)}
+        pm = direct_sum([built[f] for f in spec.factors])
+        result = enumerate_product(pm, seed=config.seed, samples=config.samples)
 
     document = {
         "schema": SCHEMA_VERSION,

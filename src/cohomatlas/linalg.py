@@ -1,14 +1,18 @@
 """Exact rational linear algebra: matrices, canonical subspaces, constraint solving.
 
 Everything downstream (brackets, root spaces, normalizer systems) reduces to
-the two types here.  All arithmetic is exact rational; no operation ever
-rounds, so re-running any pipeline yields bit-identical results.
+the two types here.  All arithmetic is exact; no operation ever rounds, so
+re-running any pipeline yields bit-identical results.  An exact scalar is an
+int when it is integral and a Fraction only when it has a real denominator:
+sums start at the int 0, reduced rows are ints wherever their pivot divides
+the entry, and kernels are primitive integer vectors.  A quotient is taken
+as ``Rat(x) / y``, never ``x / y``, since two ints would divide to a float.
 
 Subspaces are canonicalized eagerly: the stored ``rows`` are the reduced row
 echelon form of whatever spanning set was supplied, each scaled to the
 primitive integer row with a positive pivot, so two subspaces are equal iff
-their ``rows`` tuples are equal.  ``basis``, the rational RREF, is derived
-from them on first use, for the callers that need values.
+their ``rows`` tuples are equal.  ``basis``, the RREF with pivots 1, is
+derived from them on first use, for the callers that need values.
 
 Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
 scaled to a primitive integer row, row operations stay in the integers and
@@ -43,9 +47,6 @@ from fractions import Fraction as Rat
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-Q0 = Rat(0)
-Q1 = Rat(1)
-
 
 def rat(x, y=None):
     """Coerce to the exact rational scalar type."""
@@ -55,11 +56,11 @@ def rat(x, y=None):
 
 
 def zero_vec(n: int) -> tuple:
-    return (Q0,) * n
+    return (0,) * n
 
 
 def unit_vec(n: int, i: int) -> tuple:
-    return tuple(Q1 if j == i else Q0 for j in range(n))
+    return tuple(int(j == i) for j in range(n))
 
 
 def vadd(u, v):
@@ -70,12 +71,8 @@ def vsub(u, v):
     return tuple(a - b if b else a for a, b in zip(u, v))
 
 
-def vscale(c, u):
-    return tuple(c * a for a in u)
-
-
 def vdot(u, v):
-    s = Q0
+    s = 0
     for a, b in zip(u, v):
         if a and b:
             s += a * b
@@ -88,7 +85,7 @@ def is_zero_vec(u) -> bool:
 
 def lincomb(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> tuple:
     """sum(coeffs[i] * rows[i]) as a vector of length n."""
-    out = [Q0] * n
+    out = [0] * n
     for c, row in zip(coeffs, rows):
         if c:
             for j, x in enumerate(row):
@@ -121,10 +118,11 @@ def _integer_row(row: Sequence) -> list:
 
 
 def _rational_row(row: list, pivot: int) -> tuple:
-    """The integer row divided by its pivot, as exact rationals."""
+    """The integer row divided by its pivot: an int where the pivot divides
+    the entry, a Fraction otherwise."""
     if pivot == 1:
-        return tuple(Rat(x) if x else Q0 for x in row)
-    return tuple(Rat(x, pivot) if x else Q0 for x in row)
+        return tuple(row)
+    return tuple(x // pivot if x % pivot == 0 else Rat(x, pivot) for x in row)
 
 
 def _eliminate(work: list, ncols: int) -> list:
@@ -188,16 +186,18 @@ def rref_with_transform(rows: Sequence[Sequence], ncols: int):
 
 
 def kernel_rows(rows: Sequence[Sequence], ncols: int) -> list:
-    """Basis of {x : R x = 0} for the matrix with the given rows."""
+    """Basis of {x : R x = 0} for the matrix with the given rows: one
+    primitive integer vector per free column f, positive at f and zero at
+    the other free columns."""
     red, pivots = rref_rows(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        x = [Q0] * ncols
-        x[f] = Q1
+        x = [0] * ncols
+        x[f] = 1
         for i, p in enumerate(pivots):
             x[p] = -red[i][f]
-        basis.append(tuple(x))
+        basis.append(tuple(_integer_row(x)))
     return basis
 
 
@@ -207,7 +207,7 @@ def kernel_rows(rows: Sequence[Sequence], ncols: int) -> list:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable exact rational matrix, row-major."""
+    """Immutable exact matrix, row-major, of ints and Fractions."""
 
     rows: tuple
 
@@ -219,10 +219,6 @@ class Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.rows))) if self.rows else self
 
@@ -233,11 +229,8 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix(tuple(vadd(a, b) for a, b in zip(self.rows, other.rows)))
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(tuple(vsub(a, b) for a, b in zip(self.rows, other.rows)))
-
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(vscale(-Q1, r) for r in self.rows))
+        return Matrix(tuple(tuple(-x for x in r) for r in self.rows))
 
     @cached_property
     def row_entries(self) -> tuple:
@@ -257,16 +250,16 @@ class Matrix:
             return False
         upper = [{j: x for j, x in entries if j >= i} for i, entries in enumerate(self.row_entries)]
         for k, row in enumerate(upper):
-            p = row.get(k, Q0)
+            p = row.get(k, 0)
             if p <= 0:
                 return False
             for i, x in row.items():
                 if i > k:
-                    f = x / p
+                    f = Rat(x) / p
                     target = upper[i]
                     for j, y in row.items():
                         if j >= i:
-                            target[j] = target.get(j, Q0) - f * y
+                            target[j] = target.get(j, 0) - f * y
         return True
 
     def apply(self, v: Sequence) -> tuple:
@@ -328,7 +321,7 @@ class Subspace:
 
     @cached_property
     def basis(self) -> tuple:
-        """The RREF rows as exact rationals, pivots 1."""
+        """The RREF rows, pivots 1: ints where integral, Fractions otherwise."""
         return tuple(_rational_row(row, row[c]) for row, c in zip(self.rows, self.pivots))
 
     @cached_property
@@ -493,7 +486,8 @@ def invariant_eigensplit(apply_fn: Callable[[Sequence], tuple], space: Subspace)
         ker = kernel_rows(shifted, m)
         if ker:
             amb = [space.from_coords(x) for x in ker]
-            out.append((Rat(k, d), Subspace.span(space.ambient_dim, amb)))
+            mu = Rat(k, d) if k % d else k // d
+            out.append((mu, Subspace.span(space.ambient_dim, amb)))
             found += len(ker)
             if found == m:
                 return out

@@ -15,10 +15,11 @@ Shipped families:
 * ``direct_sum``        block-diagonal products of the above.
 
 Coordinate vectors are tuples of exact rationals: ints where integral,
-Fractions otherwise.  The structure constants and theta of every shipped
-model are integral and stored as ints, so the bracket and theta image of an
-integer vector stay integer.  Every operation is pure, and models are
-immutable after construction.
+Fractions otherwise, the convention of ``cohomatlas.linalg``.  The structure
+constants and theta of every shipped model are integral and stored as ints,
+so the bracket and theta image of an integer vector stay integer, and the
+Killing and inner-product Grams built from them are int tables too.  Every
+operation is pure, and models are immutable after construction.
 """
 
 from __future__ import annotations
@@ -28,13 +29,10 @@ from typing import Iterable, Optional, Sequence
 
 from .linalg import (
     Matrix,
-    Q0,
-    Q1,
     SpanSolver,
     Subspace,
     invariant_eigensplit,
     kernel_rows,
-    rat,
     solve_inclusion_constraint,
     unit_vec,
     vadd,
@@ -95,7 +93,7 @@ class LieModel:
 
     def matrix(self, x: Sequence) -> Matrix:
         n = self.matrix_size
-        rows = [[Q0] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for c, b in zip(x, self.basis):
             if c:
                 for i in range(n):
@@ -115,27 +113,25 @@ class LieModel:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 comm = {}
-                for left, right, sign in ((rows_of[i], rows_of[j], Q1),
-                                          (rows_of[j], rows_of[i], -Q1)):
+                for left, right, sign in ((rows_of[i], rows_of[j], 1),
+                                          (rows_of[j], rows_of[i], -1)):
                     for r, entries in left.items():
                         for s, x in entries:
                             for c, y in right.get(s, ()):
-                                comm[r * n + c] = comm.get(r * n + c, Q0) + sign * x * y
+                                comm[r * n + c] = comm.get(r * n + c, 0) + sign * x * y
                 if not any(comm.values()):
                     continue
-                flat = [Q0] * (n * n)
+                flat = [0] * (n * n)
                 for t, x in comm.items():
                     flat[t] = x
-                entry = tuple((k, _exact(c)) for k, c in enumerate(self._solver.coords(flat))
-                              if c)
+                entry = tuple((k, c) for k, c in enumerate(self._solver.coords(flat)) if c)
                 table[(i, j)] = entry
                 table[(j, i)] = tuple((k, -c) for k, c in entry)
         return table
 
     def _theta_matrix(self) -> Matrix:
         cols = [self.coords(-b.transpose()) for b in self.basis]
-        return Matrix(tuple(tuple(_exact(cols[j][i]) for j in range(self.dim))
-                            for i in range(self.dim)))
+        return Matrix(tuple(zip(*cols)))
 
     def _ad_sparse(self, i: int):
         """ad(e_i) as {(k, j): c} with [e_i, e_j] = sum_k c * e_k."""
@@ -155,7 +151,7 @@ class LieModel:
             ai = ads[i]
             for j in range(self.dim):
                 aj = ads[j]
-                s = Q0
+                s = 0
                 if len(ai) <= len(aj):
                     for (k, l), c in ai.items():
                         d = aj.get((l, k))
@@ -251,11 +247,6 @@ class LieModel:
         return solve_inclusion_constraint(cands, images, target)
 
 
-def _exact(x):
-    """An exact rational as an int when it is integral."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def _entries(x: Sequence) -> tuple:
     """The (index, value) pairs of the nonzero entries of a vector."""
     return tuple((i, c) for i, c in enumerate(x) if c)
@@ -277,8 +268,8 @@ def _block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
 
 
 def _basis_entry(n: int, i: int, j: int) -> Matrix:
-    rows = [[Q0] * n for _ in range(n)]
-    rows[i][j] = Q1
+    rows = [[0] * n for _ in range(n)]
+    rows[i][j] = 1
     return Matrix(tuple(tuple(r) for r in rows))
 
 
@@ -289,9 +280,9 @@ def build_sl(n_plus_1: int) -> LieModel:
     m = n_plus_1
     basis = []
     for i in range(m - 1):  # H_i = E_ii - E_{i+1,i+1}
-        h = [[Q0] * m for _ in range(m)]
-        h[i][i] = Q1
-        h[i + 1][i + 1] = -Q1
+        h = [[0] * m for _ in range(m)]
+        h[i][i] = 1
+        h[i + 1][i + 1] = -1
         basis.append(Matrix(tuple(tuple(r) for r in h)))
     uppers = [(i, j) for i in range(m) for j in range(m) if i < j]
     lowers = [(i, j) for i in range(m) for j in range(m) if i > j]
@@ -309,15 +300,15 @@ def build_so1n(n: int) -> LieModel:
     m = n + 1
     basis = []
     for i in range(1, m):  # boosts E_{0i} + E_{i0}, span p
-        b = [[Q0] * m for _ in range(m)]
-        b[0][i] = Q1
-        b[i][0] = Q1
+        b = [[0] * m for _ in range(m)]
+        b[0][i] = 1
+        b[i][0] = 1
         basis.append(Matrix(tuple(tuple(r) for r in b)))
     for i in range(1, m):  # rotations E_{ij} - E_{ji}, span k
         for j in range(i + 1, m):
-            k = [[Q0] * m for _ in range(m)]
-            k[i][j] = Q1
-            k[j][i] = -Q1
+            k = [[0] * m for _ in range(m)]
+            k[i][j] = 1
+            k[j][i] = -1
             basis.append(Matrix(tuple(tuple(r) for r in k)))
     return LieModel(f"so(1,{n})", basis, basis[:1])  # a = R (E_01 + E_10)
 
@@ -345,19 +336,19 @@ def build_su1n(n: int) -> LieModel:
     for p in range(m):
         for q in range(m):
             # (X^H I + I X)_{pq} = 0 : real and imaginary parts
-            r = [Q0] * nvars
-            r[xv(q, p)] += rat(sig[q])
-            r[xv(p, q)] += rat(sig[p])
+            r = [0] * nvars
+            r[xv(q, p)] += sig[q]
+            r[xv(p, q)] += sig[p]
             rows.append(tuple(r))
-            r = [Q0] * nvars
-            r[yv(q, p)] -= rat(sig[q])
-            r[yv(p, q)] += rat(sig[p])
+            r = [0] * nvars
+            r[yv(q, p)] -= sig[q]
+            r[yv(p, q)] += sig[p]
             rows.append(tuple(r))
-    tr_re = [Q0] * nvars
-    tr_im = [Q0] * nvars
+    tr_re = [0] * nvars
+    tr_im = [0] * nvars
     for p in range(m):
-        tr_re[xv(p, p)] = Q1
-        tr_im[yv(p, p)] = Q1
+        tr_re[xv(p, p)] = 1
+        tr_im[yv(p, p)] = 1
     rows.append(tuple(tr_re))
     rows.append(tuple(tr_im))
 
@@ -365,7 +356,7 @@ def build_su1n(n: int) -> LieModel:
     for sol in kernel_rows(rows, nvars):
         real = [[sol[xv(p, q)] for q in range(m)] for p in range(m)]
         imag = [[sol[yv(p, q)] for q in range(m)] for p in range(m)]
-        big = [[Q0] * (2 * m) for _ in range(2 * m)]
+        big = [[0] * (2 * m) for _ in range(2 * m)]
         for p in range(m):
             for q in range(m):
                 big[p][q] = real[p][q]
@@ -375,9 +366,9 @@ def build_su1n(n: int) -> LieModel:
         basis.append(Matrix(tuple(tuple(r) for r in big)))
 
     # a = R * realify(E_01 + E_10)
-    h0 = [[Q0] * (2 * m) for _ in range(2 * m)]
-    h0[0][1] = h0[1][0] = Q1
-    h0[m][m + 1] = h0[m + 1][m] = Q1
+    h0 = [[0] * (2 * m) for _ in range(2 * m)]
+    h0[0][1] = h0[1][0] = 1
+    h0[m][m + 1] = h0[m + 1][m] = 1
     return LieModel(f"su(1,{n})", basis, [Matrix(tuple(tuple(r) for r in h0))])
 
 

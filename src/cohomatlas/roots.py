@@ -28,7 +28,6 @@ from .linalg import (
     Subspace,
     invariant_eigensplit,
     orthocomplement_in,
-    rat,
 )
 from .models import LieModel, ProductModel
 
@@ -90,14 +89,16 @@ class RootDatum:
     def evaluate(self, root: Root, h: Sequence):
         """lam(H) for H given in ambient coordinates (must lie in a)."""
         c = self.model.a_space.coords_of(h)
-        return sum((a * b for a, b in zip(root.covector, c)), rat(0))
+        return sum(a * b for a, b in zip(root.covector, c))
 
 
 def decompose(model: LieModel) -> RootDatum:
     """Exact restricted root space decomposition with respect to a; a
     product's is assembled from its factors' (see ``_product_datum``)."""
     if isinstance(model, ProductModel):
-        return _product_datum(model, [decompose(f) for f in model.factors])
+        # a factor model that occurs more than once is decomposed once
+        data = {f: decompose(f) for f in dict.fromkeys(model.factors)}
+        return _product_datum(model, [data[f] for f in model.factors])
     d = model.dim
     blocks = [((), Subspace.full(d))]
     for h in model.a_space.basis:

@@ -23,7 +23,6 @@ from .linalg import (
     Subspace,
     is_zero_vec,
     orthocomplement_in,
-    rat,
     subspace_intersect,
     subspace_sum,
     vadd,
@@ -47,7 +46,7 @@ class RationalSampler:
         return self.state >> 33
 
     def coefficient(self):
-        return rat(self._next() % 7 - 3)
+        return self._next() % 7 - 3
 
     def vector_in(self, sub: Subspace) -> tuple:
         if sub.dim == 0:

@@ -25,7 +25,6 @@ from cohomatlas.linalg import (
     unit_vec,
     vadd,
     vdot,
-    vscale,
     vsub,
     zero_vec,
 )
@@ -48,6 +47,12 @@ def identity(n: int, c=1) -> Matrix:
 
 def S(ambient, *vectors):
     return Subspace.span(ambient, [vec(v) for v in vectors])
+
+
+def int_iff_integral(x) -> bool:
+    """The core's scalar convention: an int when integral, a Fraction only
+    when the denominator is not 1, and never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 class TestRref:
@@ -396,7 +401,7 @@ def symmetric_forms(draw):
         return a.transpose() @ a
     if kind == "sum":
         return a + a.transpose()
-    return a.transpose() @ a - identity(n, draw(st.integers(1, 4)))
+    return a.transpose() @ a + identity(n, -draw(st.integers(1, 4)))
 
 
 @PROPERTY
@@ -411,6 +416,13 @@ def test_positive_definite_needs_a_symmetric_matrix():
     # the symmetric part diag(1, 1) + (1/2)(E_12 + E_21) is positive definite
     assert not mat([[1, 1], [0, 1]]).is_positive_definite
     assert mat([[2, 1], [1, 1]]).is_positive_definite
+
+
+def test_positive_definite_divides_exactly_on_int_entries():
+    # the second pivot is (N - 1) - (N - 1)^2 / N = (N - 1) / N > 0; a float
+    # quotient rounds (N - 1)^2 / N to N - 1 and the pivot to 0
+    n = 10 ** 17
+    assert Matrix(((n, n - 1), (n - 1, n - 1))).is_positive_definite
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +512,7 @@ def test_rref_rows_matches_the_rational_loop(case):
     n, rows = case
     reduced, pivots = rref_rows(rows, n)
     assert (reduced, pivots) == reference_rref_rows(rows, n)
-    assert all(type(x) is Fraction for row in reduced for x in row)
+    assert all(int_iff_integral(x) for row in reduced for x in row)
 
 
 @PROPERTY
@@ -515,7 +527,7 @@ def test_rref_with_transform_matches_the_rational_loop(case):
     # the transform rows of zero rows agree up to a nonzero factor
     for t, ref in zip(transform[r:], ref_transform[r:]):
         j = next(j for j, x in enumerate(ref) if x)
-        assert t[j] and vscale(ref[j] / t[j], t) == ref
+        assert t[j] and tuple(Fraction(ref[j]) / t[j] * x for x in t) == ref
     assert [lincomb(t, rows, n) for t in transform] == reduced
 
 
@@ -598,13 +610,16 @@ def test_vadd_and_vsub_are_entrywise(pair):
     assert all(type(x) is Fraction for x in vadd(u, v) + vsub(u, v))
 
 
-def test_span_of_int_and_str_entries_stores_fractions():
+def test_span_of_int_and_str_entries_keeps_integral_values_as_ints():
     sub = Subspace.span(3, [[2, "1/2", 0], ["-4", 3, "0"], [0, 0, 1]])
-    assert all(type(x) is Fraction for row in sub.basis for x in row)
+    assert all(int_iff_integral(x) for row in sub.basis for x in row)
     assert sub == Subspace.span(3, [vec([2, "1/2", 0]), vec(["-4", 3, "0"]), unit_vec(3, 2)])
     line = Subspace.span(2, [[3, 6]])
-    assert line.basis == ((Fraction(1), Fraction(2)),)
-    assert all(type(x) is Fraction for x in line.basis[0])
+    assert line.basis == ((1, 2),)
+    assert all(int_iff_integral(x) for x in line.basis[0])
+    half = Subspace.span(2, [["4/3", "2/3"]])
+    assert half.basis == ((1, Fraction(1, 2)),)
+    assert all(int_iff_integral(x) for x in half.basis[0])
 
 
 @st.composite
@@ -623,7 +638,7 @@ def test_span_is_canonical_under_rescaling_and_permutation(case, data):
     sub = Subspace.span(n, rows)
     factors = data.draw(st.lists(st.fractions(-5, 5, max_denominator=7).filter(bool),
                                  min_size=len(rows), max_size=len(rows)))
-    rescaled = data.draw(st.permutations([vscale(c, r) for c, r in zip(factors, rows)]))
+    rescaled = data.draw(st.permutations([tuple(c * x for x in r) for c, r in zip(factors, rows)]))
     other = Subspace.span(n, rescaled)
     assert other == sub and hash(other) == hash(sub)
     assert other.rows == sub.rows and other.pivots == sub.pivots

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from cohomatlas import linalg
-from cohomatlas.linalg import Matrix, Q0, Q1, Subspace, is_zero_vec, rat, unit_vec, vdot
+from cohomatlas.linalg import Matrix, Subspace, is_zero_vec, rat, unit_vec, vdot
 from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
 
 
@@ -41,8 +41,8 @@ def killing(g, x, y):
 
 
 def E(n, i, j):
-    rows = [[Q0] * n for _ in range(n)]
-    rows[i][j] = Q1
+    rows = [[0] * n for _ in range(n)]
+    rows[i][j] = 1
     return Matrix(tuple(tuple(r) for r in rows))
 
 
@@ -95,8 +95,8 @@ class TestSo1n:
         # two generators X_u = E_{0,i} + E_{i,0} + E_{1,i} - E_{i,1}, i = 2, 3
         h = E(4, 0, 1) + E(4, 1, 0)
         for i in (2, 3):
-            xu = E(4, 0, i) + E(4, i, 0) + E(4, 1, i) - E(4, i, 1)
-            comm = h @ xu - xu @ h
+            xu = E(4, 0, i) + E(4, i, 0) + E(4, 1, i) + -E(4, i, 1)
+            comm = h @ xu + -(xu @ h)
             assert comm == xu
             assert g.n_space.contains_vector(g.coords(xu))
         assert g.n_space.dim == 2
@@ -171,8 +171,8 @@ class TestProducts:
         p = direct_sum([f, build_sl(2)])
         for i, x in enumerate(f.basis):
             for j, y in enumerate(f.basis):
-                xx = p.embed_vector(0, tuple(Q1 if t == i else Q0 for t in range(f.dim)))
-                yy = p.embed_vector(0, tuple(Q1 if t == j else Q0 for t in range(f.dim)))
+                xx = p.embed_vector(0, tuple(int(t == i) for t in range(f.dim)))
+                yy = p.embed_vector(0, tuple(int(t == j) for t in range(f.dim)))
                 assert killing(p, xx, yy) == f.killing.rows[i][j]
 
     def test_coords_inverts_matrix(self):
@@ -207,9 +207,9 @@ def model(request):
 class TestStructuralInvariants:
     def test_jacobi(self, model):
         g = model
-        basis = [tuple(Q1 if t == i else Q0 for t in range(g.dim)) for i in range(g.dim)]
+        basis = [tuple(int(t == i) for t in range(g.dim)) for i in range(g.dim)]
         for x, y, z in itertools.combinations(basis, 3):
-            s = [Q0] * g.dim
+            s = [0] * g.dim
             for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
                 t = g.bracket(a, g.bracket(b, c))
                 for k in range(g.dim):
@@ -218,7 +218,7 @@ class TestStructuralInvariants:
 
     def test_theta_is_automorphism(self, model):
         g = model
-        basis = [tuple(Q1 if t == i else Q0 for t in range(g.dim)) for i in range(g.dim)]
+        basis = [tuple(int(t == i) for t in range(g.dim)) for i in range(g.dim)]
         for x, y in itertools.combinations(basis, 2):
             lhs = g.theta_apply(g.bracket(x, y))
             rhs = g.bracket(g.theta_apply(x), g.theta_apply(y))
@@ -230,7 +230,7 @@ class TestStructuralInvariants:
 
     def test_killing_invariance(self, model):
         g = model
-        basis = [tuple(Q1 if t == i else Q0 for t in range(g.dim)) for i in range(g.dim)]
+        basis = [tuple(int(t == i) for t in range(g.dim)) for i in range(g.dim)]
         for x in basis[: min(4, g.dim)]:
             for y in basis:
                 for z in basis:
@@ -251,7 +251,7 @@ class TestStructuralInvariants:
     def test_ad_skew_symmetry_identity(self, model):
         # <ad(X)Y, Z> = -<Y, ad(theta X) Z>
         g = model
-        basis = [tuple(Q1 if t == i else Q0 for t in range(g.dim)) for i in range(g.dim)]
+        basis = [tuple(int(t == i) for t in range(g.dim)) for i in range(g.dim)]
         for x in basis[: min(3, g.dim)]:
             tx = g.theta_apply(x)
             for y in basis:
@@ -277,12 +277,12 @@ class TestStructuralInvariants:
         basis = [unit_vec(g.dim, i) for i in range(g.dim)]
         for x, bx in zip(basis, g.basis):
             for y, by in zip(basis, g.basis):
-                assert g.matrix(g.bracket(x, y)) == bx @ by - by @ bx
+                assert g.matrix(g.bracket(x, y)) == bx @ by + -(by @ bx)
 
     def test_p_and_k_projections_match_the_dense_projectors(self, model):
         g = model
         ident = identity(g.dim)
-        proj_p = mat([[rat(1, 2) * x for x in r] for r in (ident - g.theta).rows])
+        proj_p = mat([[rat(1, 2) * x for x in r] for r in (ident + -g.theta).rows])
         proj_k = mat([[rat(1, 2) * x for x in r] for r in (ident + g.theta).rows])
         rows = [unit_vec(g.dim, i) for i in range(g.dim)]
         assert g.project_p_subspace(Subspace.span(g.dim, rows)) == g.p_space

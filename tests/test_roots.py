@@ -1,7 +1,10 @@
 """Tests for the restricted root decomposition."""
 
+from fractions import Fraction
+
 import pytest
 
+from cohomatlas import roots
 from cohomatlas.cli import parse_space
 from cohomatlas.linalg import Subspace, is_zero_vec, kernel_rows, subspace_sum, vadd
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
@@ -199,3 +202,38 @@ def test_rank_one_recognition():
         assert pos == expected
     datum = decompose(build_sl(3))
     assert len(datum.positive) > 2
+
+
+def int_iff_integral(x) -> bool:
+    """An int when integral, a Fraction only when the denominator is not 1,
+    and never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@pytest.mark.parametrize("build", [lambda: build_sl(4), lambda: build_so1n(3),
+                                   lambda: build_su1n(2)], ids=["sl4", "rh3", "ch2"])
+def test_model_tables_and_root_spaces_keep_integral_values_as_ints(build):
+    g = build()
+    datum = decompose(g)
+    entries = [c for entry in g._struct.values() for _, c in entry]
+    for table in (g.theta, g.killing, g.inner):
+        entries += [x for row in table.rows for x in row]
+    for r in datum.roots:
+        entries += [x for row in r.space.basis for x in row] + list(r.covector + r.root_vector)
+    assert entries and all(int_iff_integral(x) for x in entries)
+
+
+def test_a_repeated_factor_is_decomposed_once(monkeypatch):
+    calls = []
+    original = roots.decompose
+
+    def counting(model):
+        calls.append(model.name)
+        return original(model)
+
+    monkeypatch.setattr(roots, "decompose", counting)
+    factor = build_su1n(2)
+    datum = original(direct_sum([factor, factor, build_so1n(2)]))
+    assert calls == ["su(1,2)", "so(1,2)"]
+    assert datum.factors[0] is datum.factors[1]
+    assert datum.rank == 3

@@ -31,13 +31,13 @@ from typing import Iterable, Optional, Sequence
 from .linalg import (
     SpanSolver,
     Subspace,
-    lincomb,
+    combination,
+    dense,
     orthocomplement_in,
     rat,
     solve_inclusion_constraint,
     subspace_intersect,
     subspace_sum,
-    vadd,
 )
 from .models import LieModel, ProductModel
 from .parabolic import ParabolicDatum, build_parabolic
@@ -131,7 +131,7 @@ class SigmaMap:
         return SpanSolver(self.domain_basis, len(self.domain_basis[0]))
 
     def apply(self, x: Sequence) -> tuple:
-        return lincomb(self._solver.coords(x), self.images, len(self.images[0]))
+        return dense(combination(self._solver.coords(x), self.images), len(self.images[0]))
 
     def validate(self, model: LieModel, domain: Subspace, image: Subspace) -> None:
         if len(self.domain_basis) != domain.dim:
@@ -207,7 +207,7 @@ def default_cer_sigma(datum: RootDatum, j: int, k: int) -> SigmaMap:
 
 def _diagonal_subspace(model: LieModel, sigma: SigmaMap) -> Subspace:
     """{X + sigma X : X in the domain of sigma}."""
-    rows = [vadd(x, y) for x, y in zip(sigma.domain_basis, sigma.images)]
+    rows = [tuple(a + b for a, b in zip(x, y)) for x, y in zip(sigma.domain_basis, sigma.images)]
     return Subspace.span(model.dim, rows)
 
 

@@ -284,6 +284,7 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
     skipped: list = []
     factor_phis = datum.factor_phis
     profiles = [fd.profile(fd.simple[0]) if fd.rank == 1 else None for fd in datum.factors]
+    tables = {}  # identical factors share one datum, and so one sl table
 
     # nested-parabolic spot check per factor
     nested_ok = True
@@ -326,7 +327,9 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
                       _hyperbolic_name(profile), f"{tag}: dim v={v.dim}",
                       spec, None, seed, samples)
         elif factor.name.startswith("sl("):
-            inner_result = sl_table(fd, seed=seed, samples=samples)
+            if fd not in tables:
+                tables[fd] = sl_table(fd, seed=seed, samples=samples)
+            inner_result = tables[fd]
             rest_p = pm.p_space.dim - factor.p_space.dim
             for inner in inner_result.entries:
                 if inner.label == "FH":
@@ -439,7 +442,7 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set, *,
     pd = build_parabolic(datum, phi)
     known = set(tangents)
     for pmap in _permutation_maps(model, j):
-        known.update(Subspace.span(model.dim, [pmap.apply(row) for row in t.rows])
+        known.update(Subspace.span(model.dim, [pmap.apply_sparse(row) for row in t.rows])
                      for t in tangents)
 
     keys = sorted(tm.generators)

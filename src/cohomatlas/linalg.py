@@ -1,33 +1,41 @@
-"""Exact rational linear algebra: matrices, canonical subspaces, constraint solving.
+"""Exact rational linear algebra: sparse vectors, canonical subspaces, constraint solving.
 
 Everything downstream (brackets, root spaces, normalizer systems) reduces to
-the two types here.  All arithmetic is exact; no operation ever rounds, so
+the types here.  All arithmetic is exact; no operation ever rounds, so
 re-running any pipeline yields bit-identical results.  An exact scalar is an
 int when it is integral and a Fraction only when it has a real denominator:
 sums start at the int 0, reduced rows are ints wherever their pivot divides
 the entry, and kernels are primitive integer vectors.  A quotient is taken
 as ``Rat(x) / y``, never ``x / y``, since two ints would divide to a float.
 
-Subspaces are canonicalized eagerly: the stored ``rows`` are the reduced row
-echelon form of whatever spanning set was supplied, each scaled to the
-primitive integer row with a positive pivot, so two subspaces are equal iff
-their ``rows`` tuples are equal.  ``basis``, the RREF with pivots 1, is
-derived from them on first use, for the callers that need values.
+A vector is sparse: a dict {index: value} over its nonzero entries.  That
+is the one representation inside this module and ``cohomatlas.models``,
+where almost every coordinate is zero, so an operation costs the supports it
+reads, not the ambient dimension.  Dense tuples remain only at the edges
+that hand out values: ``Matrix`` rows, ``Subspace.basis``, ``from_coords``
+and ``coords_of``, and the rows that ``rref_rows``, ``rref_with_transform``
+and ``kernel_rows`` return.  The entry points that take vectors accept
+either form.
 
-Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
-scaled to a primitive integer row, row operations stay in the integers and
-divide each result by its gcd.  Every integer row stays a nonzero multiple
-of the row a rational Gauss-Jordan loop would hold, so pivots and reduced
-rows are the same as that loop's.  A subspace keeps its rows in integers
-between eliminations, and membership is a pivot lookup in integers: in RREF
-the coefficient of the row with pivot p is v[p].  ``Matrix.apply`` runs
-over the nonzero entries of each row only; theta is a signed permutation
-and the Killing and inner-product Grams are sparse in the shipped bases.
+A subspace stores its canonical rows once: the reduced row echelon form of
+whatever spanning set was supplied, each the sparse primitive integer row
+with a positive pivot, so two subspaces are equal iff their ``rows`` are.
+Membership walks the nonzeros of the vector and the rows whose pivots they
+hit: in RREF the coefficient of the row with pivot p is v[p].
+
+One kernel, ``_eliminate``, runs ``Subspace.span``, ``rref_rows`` and
+``rref_with_transform``: fraction-free Gauss-Jordan (Bareiss, Math. Comp.
+22, 1968) over sparse integer rows.  Row operations stay in the integers and
+divide each result by its gcd, and a pivot step touches only the rows that
+hold its column.  Every row stays a nonzero multiple of the row a rational
+Gauss-Jordan loop would hold, and pivot rows are picked as that loop picks
+them, so pivots, reduced rows and transforms are the same as that loop's.
 
 Each linear-algebra job has one solver.  ``solve_inclusion_constraint``
 serves normalizers, centralizers, intersections, orthogonal complements and
 kernels: it reduces each image against the target's RREF rows (the zero
-subspace for a kernel) and solves for the combinations whose residuals
+subspace for a kernel), writes one equation per (slot, column) where a
+residual is nonzero, and solves for the combinations whose residuals
 vanish.  ``SpanSolver`` gives coordinates in a chosen independent list.  A
 form's positive definiteness, which every orthogonal complement needs, is
 decided once per form matrix (``Matrix.is_positive_definite``).
@@ -55,20 +63,27 @@ def rat(x, y=None):
     return Rat(x, y)
 
 
-def zero_vec(n: int) -> tuple:
-    return (0,) * n
+def sparse(v) -> dict:
+    """A vector as {index: value} over its nonzero entries; a dict is taken
+    to be sparse already."""
+    if isinstance(v, dict):
+        return v
+    return {i: x for i, x in enumerate(v) if x}
 
 
-def unit_vec(n: int, i: int) -> tuple:
-    return tuple(int(j == i) for j in range(n))
+def dense(v: dict, n: int) -> tuple:
+    """A sparse vector as a tuple of length n."""
+    out = [0] * n
+    for i, x in v.items():
+        out[i] = x
+    return tuple(out)
 
 
-def vadd(u, v):
-    return tuple(a + b if b else a for a, b in zip(u, v))
-
-
-def vsub(u, v):
-    return tuple(a - b if b else a for a, b in zip(u, v))
+def _checked(v, n: int, error: str) -> dict:
+    """sparse(v), once a dense v is known to have length n."""
+    if not isinstance(v, dict) and len(v) != n:
+        raise ValueError(error)
+    return sparse(v)
 
 
 def vdot(u, v):
@@ -79,125 +94,133 @@ def vdot(u, v):
     return s
 
 
-def is_zero_vec(u) -> bool:
-    return not any(u)
-
-
-def lincomb(coeffs: Sequence, rows: Sequence[Sequence], n: int) -> tuple:
-    """sum(coeffs[i] * rows[i]) as a vector of length n."""
-    out = [0] * n
+def combination(coeffs: Sequence, rows: Sequence) -> dict:
+    """sum(coeffs[i] * rows[i]) over dense or sparse rows, as a sparse
+    vector; each sum starts at the int 0."""
+    out = {}
     for c, row in zip(coeffs, rows):
         if c:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] += c * x
-    return tuple(out)
+            for j, x in sparse(row).items():
+                out[j] = out.get(j, 0) + c * x
+    return {j: x for j, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------------
 # row reduction
 
 
-def _primitive(row: list) -> list:
-    """The integer row divided by the gcd of its entries."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _integer_row(row: Sequence) -> list:
-    """The primitive integer row on the line of a row of exact rationals:
-    ints, Fractions or strings that Fraction parses."""
+def _integer_row(row: dict) -> dict:
+    """The primitive integer row on the line of a sparse row of exact
+    rationals: ints, Fractions or strings that Fraction parses."""
     try:
-        return _primitive(list(row))
+        g = math.gcd(*row.values())
     except TypeError:  # math.gcd takes ints only
-        row = [x if isinstance(x, (int, Rat)) else Rat(x) for x in row]
-    den = math.lcm(*(x.denominator for x in row))
-    if den == 1:
-        return _primitive([x.numerator for x in row])
-    return _primitive([x.numerator * (den // x.denominator) for x in row])
+        row = {j: x if isinstance(x, (int, Rat)) else Rat(x) for j, x in row.items()}
+        den = math.lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (den // x.denominator) for j, x in row.items() if x}
+        g = math.gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _rational_row(row: list, pivot: int) -> tuple:
-    """The integer row divided by its pivot: an int where the pivot divides
-    the entry, a Fraction otherwise."""
-    if pivot == 1:
-        return tuple(row)
-    return tuple(x // pivot if x % pivot == 0 else Rat(x, pivot) for x in row)
+def _rational_row(row: dict, pivot: int, n: int) -> tuple:
+    """The integer row divided by its pivot, as a dense tuple of length n: an
+    int where the pivot divides the entry, a Fraction otherwise."""
+    return dense({j: x // pivot if x % pivot == 0 else Rat(x, pivot) for j, x in row.items()}, n)
+
+
+def _reduce(row: dict, prow: dict, c: int) -> dict:
+    """row with column c eliminated by the pivot row prow: a * row - b * prow
+    with a/b = prow[c]/row[c] in lowest terms, divided by its gcd."""
+    p, f = prow[c], row[c]
+    g = math.gcd(p, f)
+    a, b = p // g, f // g
+    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
+    for j, y in prow.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = math.gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
 def _eliminate(work: list, ncols: int) -> list:
-    """Fraction-free Gauss-Jordan on the first ncols columns of the integer
-    rows in work, in place.
+    """Fraction-free Gauss-Jordan on the columns below ncols of the sparse
+    integer rows in work, in place; returns the pivot columns.
 
-    The pivot of column c is the first row at or below the current one with
-    a nonzero entry there.  Eliminating it from row i replaces row i by
-    a * row_i - b * pivot_row with a/b = pivot/entry in lowest terms, then
-    divides by the gcd of the result.  Returns the pivot columns; the first
-    len(pivots) rows end up with zeros above and below their pivots, each a
-    nonzero multiple of its reduced row.
+    A row's lead is its leftmost column.  The rows from the current one down
+    are zero left of their leads, so the next pivot column c is their
+    smallest lead below ncols, and the first row with that lead is swapped up
+    to be its pivot row, as a Gauss-Jordan loop over the columns picks it.
+    Only the rows holding c change: below the pivot row, those with lead c;
+    above it, the earlier pivot rows that hold c.  The first len(pivots) rows
+    end up with zeros above and below their pivots, each a nonzero multiple
+    of its reduced row.
     """
+    leads = [min(row, default=ncols) for row in work]
     pivots = []
-    r = 0
-    nrows = len(work)
-    for c in range(ncols):
-        if r == nrows:
+    for r in range(len(work)):
+        c = min(leads[r:])
+        if c >= ncols:
             break
-        piv = next((i for i in range(r, nrows) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
+        i = leads.index(c, r)
+        work[r], work[i] = work[i], work[r]
+        leads[i] = leads[r]
         prow = work[r]
-        p = prow[c]
-        for i in range(nrows):
-            f = work[i][c]
-            if f and i != r:
-                g = math.gcd(p, f)
-                a, b = p // g, f // g
-                work[i] = _primitive([a * x - b * y for x, y in zip(work[i], prow)])
+        for i in range(r):
+            if c in work[i]:
+                work[i] = _reduce(work[i], prow, c)
+        for i in range(r + 1, len(work)):
+            if leads[i] == c:
+                work[i] = row = _reduce(work[i], prow, c)
+                leads[i] = min(row, default=ncols)
         pivots.append(c)
-        r += 1
     return pivots
 
 
-def rref_rows(rows: Sequence[Sequence], ncols: int):
-    """Reduced row echelon form.
+def rref_rows(rows: Sequence, ncols: int):
+    """Reduced row echelon form of dense or sparse rows.
 
-    Returns (reduced nonzero rows, pivot column indices).  Rows are fully
-    normalized: pivots are 1 with zeros above and below.
+    Returns (reduced nonzero rows, pivot column indices).  Rows are dense
+    tuples of length ncols, fully normalized: pivots are 1 with zeros above
+    and below.
     """
-    work = [row for row in map(_integer_row, rows) if any(row)]
+    work = [row for row in (_integer_row(sparse(r)) for r in rows) if row]
     pivots = _eliminate(work, ncols)
-    return [_rational_row(row, row[c]) for row, c in zip(work, pivots)], pivots
+    return [_rational_row(row, row[c], ncols) for row, c in zip(work, pivots)], pivots
 
 
-def rref_with_transform(rows: Sequence[Sequence], ncols: int):
+def rref_with_transform(rows: Sequence, ncols: int):
     """RREF plus the transform T with T @ rows == rref (zero rows kept last).
 
-    Returns (reduced rows incl. zero rows, pivots, T rows).  The transform
-    rows of the zero rows span the relations among the input rows, but each
-    is fixed only up to a nonzero factor.
+    Returns (reduced rows incl. zero rows, pivots, T rows), all dense.  The
+    transform rows of the zero rows span the relations among the input rows,
+    but each is fixed only up to a nonzero factor.
     """
     m = len(rows)
-    work = [_integer_row(list(r) + [int(i == t) for t in range(m)]) for i, r in enumerate(rows)]
+    work = [_integer_row({**sparse(r), ncols + i: 1}) for i, r in enumerate(rows)]
     pivots = _eliminate(work, ncols)
-    full = [_rational_row(row, row[c]) for row, c in zip(work, pivots)]
-    full += [_rational_row(row, 1) for row in work[len(pivots):]]
+    width = ncols + m
+    full = [_rational_row(row, row[c], width) for row, c in zip(work, pivots)]
+    full += [_rational_row(row, 1, width) for row in work[len(pivots):]]
     return [row[:ncols] for row in full], pivots, [row[ncols:] for row in full]
 
 
-def kernel_rows(rows: Sequence[Sequence], ncols: int) -> list:
-    """Basis of {x : R x = 0} for the matrix with the given rows: one
-    primitive integer vector per free column f, positive at f and zero at
-    the other free columns."""
+def kernel_rows(rows: Sequence, ncols: int) -> list:
+    """Basis of {x : R x = 0} for the matrix with the given dense or sparse
+    rows: one primitive integer vector per free column f, positive at f and
+    zero at the other free columns, as a dense tuple."""
     red, pivots = rref_rows(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        x = [0] * ncols
-        x[f] = 1
-        for i, p in enumerate(pivots):
-            x[p] = -red[i][f]
-        basis.append(tuple(_integer_row(x)))
+    for f in range(ncols):
+        if f not in pivot_set:
+            x = {f: 1}
+            for row, p in zip(red, pivots):
+                if row[f]:
+                    x[p] = -row[f]
+            basis.append(dense(_integer_row(x), ncols))
     return basis
 
 
@@ -213,7 +236,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
-        return cls(tuple(zero_vec(c) for _ in range(r)))
+        return cls(((0,) * c,) * r)
 
     @property
     def nrows(self) -> int:
@@ -227,7 +250,8 @@ class Matrix:
         return Matrix(tuple(tuple(vdot(r, c) for c in bt) for r in self.rows))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(tuple(vadd(a, b) for a, b in zip(self.rows, other.rows)))
+        return Matrix(tuple(tuple(a + b if b else a for a, b in zip(x, y))
+                            for x, y in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Matrix":
         return Matrix(tuple(tuple(-x for x in r) for r in self.rows))
@@ -236,6 +260,11 @@ class Matrix:
     def row_entries(self) -> tuple:
         """Per row, the (column, value) pairs of its nonzero entries."""
         return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.rows)
+
+    @cached_property
+    def col_entries(self) -> tuple:
+        """Per column, the (row, value) pairs of its nonzero entries."""
+        return self.transpose().row_entries
 
     @cached_property
     def is_positive_definite(self) -> bool:
@@ -263,17 +292,19 @@ class Matrix:
         return True
 
     def apply(self, v: Sequence) -> tuple:
-        """Matrix-vector product (v as a column).  Each sum starts at the int
-        0, so an integer matrix maps integer vectors to integer vectors."""
-        out = []
-        for entries in self.row_entries:
-            s = 0
-            for j, x in entries:
-                y = v[j]
-                if y:
-                    s += x * y
-            out.append(s)
-        return tuple(out)
+        """Matrix-vector product of a dense vector, as a dense vector."""
+        return dense(self.apply_sparse(sparse(v)), len(self.rows))
+
+    def apply_sparse(self, v: dict) -> dict:
+        """Matrix-vector product of a sparse vector, through the column
+        entries of its support.  Each sum starts at the int 0, so an integer
+        matrix maps integer vectors to integer vectors."""
+        out = {}
+        cols = self.col_entries
+        for j, x in v.items():
+            for i, y in cols[j]:
+                out[i] = out.get(i, 0) + y * x
+        return {i: x for i, x in out.items() if x}
 
     def flatten(self) -> tuple:
         return tuple(x for r in self.rows for x in r)
@@ -286,23 +317,30 @@ class Matrix:
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of Q^n as its canonical row-space basis: the RREF rows, each
-    stored as the primitive integer row with a positive pivot."""
+    stored once, as the sparse primitive integer row with a positive pivot.
+
+    Membership walks the nonzeros of the vector and the rows whose pivots
+    they hit; ``basis`` gives the rows as dense RREF rows with pivots 1.
+    """
 
     ambient_dim: int
-    rows: tuple  # primitive integer RREF rows with positive pivots, no zero rows
+    rows: tuple  # sparse primitive integer RREF rows with positive pivots, no zero rows
     pivots: tuple = field(compare=False)
 
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.rows)))
+
     @classmethod
-    def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
+    def span(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
+        """The span of dense or sparse vectors."""
         work = []
         for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-            row = _integer_row(v)
-            if any(row):
+            v = _checked(v, ambient_dim, "vector length does not match ambient dimension")
+            row = _integer_row(v) if v else v
+            if row:
                 work.append(row)
         pivots = _eliminate(work, ambient_dim)
-        rows = tuple(tuple(row) if row[c] > 0 else tuple(-x for x in row)
+        rows = tuple(row if row[c] > 0 else {j: -x for j, x in row.items()}
                      for row, c in zip(work, pivots))
         return cls(ambient_dim, rows, tuple(pivots))
 
@@ -312,8 +350,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, tuple(tuple(int(j == i) for j in range(ambient_dim))
-                                      for i in range(ambient_dim)), tuple(range(ambient_dim)))
+        return cls(ambient_dim, tuple({i: 1} for i in range(ambient_dim)),
+                   tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -321,41 +359,59 @@ class Subspace:
 
     @cached_property
     def basis(self) -> tuple:
-        """The RREF rows, pivots 1: ints where integral, Fractions otherwise."""
-        return tuple(_rational_row(row, row[c]) for row, c in zip(self.rows, self.pivots))
+        """The RREF rows, pivots 1, as dense tuples: ints where integral,
+        Fractions otherwise."""
+        n = self.ambient_dim
+        return tuple(_rational_row(row, row[c], n) for row, c in zip(self.rows, self.pivots))
 
     @cached_property
     def _scale(self) -> int:
         """d, the lcm of the pivot values d_p = row_p[p]."""
         return math.lcm(*(row[c] for row, c in zip(self.rows, self.pivots)))
 
-    def _scaled_residual(self, v: Sequence) -> list:
+    @cached_property
+    def _pivot_rows(self) -> dict:
+        """The rows by their pivot columns."""
+        return dict(zip(self.pivots, self.rows))
+
+    def _residual(self, v: dict) -> dict:
         """d * v minus v[p] * (d / d_p) * row_p over the pivots p in the support
-        of v: zero on the pivots, and zero exactly when v lies in the
-        subspace.  It is linear in v and, for integer v, integer."""
+        of v, as a sparse vector: empty on the pivots, and empty exactly when
+        v lies in the subspace.  It is linear in v and, for integer v,
+        integer."""
+        if not v:
+            return v
         d = self._scale
-        res = list(v) if d == 1 else [d * x for x in v]
-        for row, c in zip(self.rows, self.pivots):
-            x = v[c]
-            if x:
-                f = x * (d // row[c])
-                res = [a - f * b if b else a for a, b in zip(res, row)]
+        by_pivot = self._pivot_rows
+        res = {j: d * x for j, x in v.items() if j not in by_pivot}
+        for p, x in v.items():
+            row = by_pivot.get(p)
+            if row is not None:
+                f = x * (d // row[p])
+                for j, y in row.items():
+                    if j != p:
+                        z = res.get(j, 0) - f * y
+                        if z:
+                            res[j] = z
+                        else:
+                            del res[j]
         return res
 
-    def contains_vector(self, v: Sequence) -> bool:
-        return not any(self._scaled_residual(v))
+    def contains_vector(self, v) -> bool:
+        return not self._residual(sparse(v))
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(row) for row in other.rows)
+        return all(not self._residual(row) for row in other.rows)
 
-    def coords_of(self, v: Sequence) -> tuple:
+    def coords_of(self, v) -> tuple:
         """The coordinates of v in ``basis``: its entries at the pivots."""
-        if not self.contains_vector(v):
+        v = sparse(v)
+        if self._residual(v):
             raise ValueError("vector does not lie in the subspace")
-        return tuple(v[c] for c in self.pivots)
+        return tuple(v.get(c, 0) for c in self.pivots)
 
     def from_coords(self, coeffs: Sequence) -> tuple:
-        return lincomb(coeffs, self.basis, self.ambient_dim)
+        return dense(combination(coeffs, self.basis), self.ambient_dim)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -371,7 +427,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     small, large = (u, v) if u.dim <= v.dim else (v, u)
-    return solve_inclusion_constraint(small.rows, [[b] for b in small.rows], large)
+    return solve_inclusion_constraint(small, [[b] for b in small.rows], large)
 
 
 def orthocomplement_in(v: Subspace, w: Subspace, form: Matrix) -> Subspace:
@@ -379,7 +435,7 @@ def orthocomplement_in(v: Subspace, w: Subspace, form: Matrix) -> Subspace:
 
     form must be a symmetric positive definite matrix, which is decided once
     per form (``Matrix.is_positive_definite``), and v must be contained in w.
-    The complement is the constraint solver's answer for the candidates w_i,
+    The complement is the constraint solver's answer for the rows w_i of w,
     the images (<w_i, v_1>, ..., <w_i, v_k>) and the zero target.
     """
     if not w.contains(v):
@@ -388,42 +444,51 @@ def orthocomplement_in(v: Subspace, w: Subspace, form: Matrix) -> Subspace:
         raise ValueError("form is not positive definite")
     if v.dim == 0:
         return w
-    w_rows = Matrix(w.rows)
-    images = [[col] for col in zip(*(w_rows.apply(form.apply(y)) for y in v.rows))]
-    return solve_inclusion_constraint(w.rows, images, Subspace.zero(v.dim))
+    # <w_a, v_t> = w_a . (form v_t), summed over the columns the two share
+    images = [{} for _ in w.rows]
+    w_cols = {}
+    for a, x in enumerate(w.rows):
+        for j, y in x.items():
+            w_cols.setdefault(j, []).append((a, y))
+    for t, y in enumerate(v.rows):
+        for j, fy in form.apply_sparse(y).items():
+            for a, x in w_cols.get(j, ()):
+                images[a][t] = images[a].get(t, 0) + x * fy
+    images = [[{t: s for t, s in im.items() if s}] for im in images]
+    return solve_inclusion_constraint(w, images, Subspace.zero(v.dim))
 
 
-def solve_inclusion_constraint(
-    candidates: Sequence[Sequence],
-    images: Sequence[Sequence[Sequence]],
-    target: Subspace,
-) -> Subspace:
+def solve_inclusion_constraint(candidates, images: Sequence[Sequence],
+                               target: Subspace) -> Subspace:
     """Solve {X in span(candidates) : action(X) subset of target} exactly.
 
-    images[a] lists, slot by slot, the images of candidates[a] under the
-    linear map family; the family is linear in X, so the solution set is the
-    span of sum(x_a * candidates[a]) over the kernel of the induced system.
+    candidates is a Subspace, whose rows are the candidates, or a list of
+    dense vectors.  images[a] lists, slot by slot, the images of candidate a
+    under the linear map family, as dense or sparse vectors; the family is
+    linear in X, so the solution set is the span of sum(x_a * candidate_a)
+    over the kernel of the induced system.
     """
-    m = len(candidates)
-    if m == 0:
+    if isinstance(candidates, Subspace):
+        amb, rows = candidates.ambient_dim, candidates.rows
+    else:
+        amb, rows = len(candidates[0]) if candidates else 0, [sparse(c) for c in candidates]
+    if not rows:
         return Subspace.zero(target.ambient_dim)
     nslots = len(images[0])
     if any(len(im) != nslots for im in images):
         raise ValueError("inconsistent slot counts across candidates")
-    for im in images:
-        for w in im:
-            if len(w) != target.ambient_dim:
-                raise ValueError("image dimension does not match target ambient")
-    # v is in target iff its scaled residual vanishes; the residual is linear
-    # in v and zero on the pivot columns
-    pivots = set(target.pivots)
-    free = [j for j in range(target.ambient_dim) if j not in pivots]
-    residuals = [[target._scaled_residual(w) for w in im] for im in images]
-    equations = [tuple(residuals[a][s][j] for a in range(m))
-                 for s in range(nslots) for j in free]
-    ker = kernel_rows(equations, m) if equations else [unit_vec(m, i) for i in range(m)]
-    amb = len(candidates[0])
-    return Subspace.span(amb, [lincomb(x, candidates, amb) for x in ker])
+    # v lies in target iff its scaled residual vanishes, and the residual is
+    # linear in v: one equation per (slot, column) where a residual is nonzero
+    equations = {}
+    for a, im in enumerate(images):
+        for s, w in enumerate(im):
+            w = _checked(w, target.ambient_dim, "image dimension does not match target ambient")
+            for j, x in target._residual(w).items():
+                equations.setdefault((s, j), {})[a] = x
+    if not equations:
+        return Subspace.span(amb, rows)
+    ker = kernel_rows(list(equations.values()), len(rows))
+    return Subspace.span(amb, [combination(x, rows) for x in ker])
 
 
 class SpanSolver:
@@ -433,17 +498,15 @@ class SpanSolver:
         reduced, pivots, transform = rref_with_transform(rows, ncols)
         if len(pivots) != len(rows):
             raise ValueError("spanning rows are linearly dependent")
-        self._reduced = reduced
-        self._pivots = pivots
+        self._span = Subspace(ncols, tuple(_integer_row(sparse(r)) for r in reduced),
+                              tuple(pivots))
         self._transform = transform
-        self._ncols = ncols
 
-    def coords(self, v: Sequence) -> tuple:
-        """c with v = sum(c[i] * rows[i]); raises if v is outside the span."""
-        c = [v[p] for p in self._pivots]
-        if lincomb(c, self._reduced, self._ncols) != tuple(v):
-            raise ValueError("vector does not lie in the span")
-        return lincomb(c, self._transform, len(self._pivots))
+    def coords(self, v) -> tuple:
+        """c with v = sum(c[i] * rows[i]) for a dense or sparse v; raises if v
+        is outside the span."""
+        c = self._span.coords_of(v)
+        return dense(combination(c, self._transform), len(c))
 
 
 # ---------------------------------------------------------------------------

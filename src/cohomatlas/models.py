@@ -14,30 +14,33 @@ Shipped families:
                         commuting with the realification J of iI,
 * ``direct_sum``        block-diagonal products of the above.
 
-Coordinate vectors are tuples of exact rationals: ints where integral,
-Fractions otherwise, the convention of ``cohomatlas.linalg``.  The structure
-constants and theta of every shipped model are integral and stored as ints,
-so the bracket and theta image of an integer vector stay integer, and the
-Killing and inner-product Grams built from them are int tables too.  Every
-operation is pure, and models are immutable after construction.
+Coordinates are exact rationals: ints where integral, Fractions otherwise,
+the convention of ``cohomatlas.linalg``.  Inside a model a vector is sparse,
+{index: value} over its nonzero entries: brackets (``_bracket_entries``),
+theta images and projections go from subspace rows to ``linalg`` with no
+dense round trip, and theta is applied through its column entries.  The
+public ``bracket``, ``theta_apply`` and ``inner_product`` take and return
+dense tuples.  The structure constants and theta of every shipped model are
+integral and stored as ints, so the bracket and theta image of an integer
+vector stay integer, and the Killing and inner-product Grams built from them
+are int tables too.  Every operation is pure, and models are immutable after
+construction.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import (
     Matrix,
     SpanSolver,
     Subspace,
-    invariant_eigensplit,
+    dense,
     kernel_rows,
     solve_inclusion_constraint,
-    unit_vec,
-    vadd,
+    sparse,
     vdot,
-    vsub,
 )
 
 
@@ -45,9 +48,9 @@ class LieModel:
     """A concrete matrix model of a real semisimple Lie algebra."""
 
     def __init__(self, name: str, basis: Sequence[Matrix], a: Sequence[Matrix],
-                 n: Optional[Sequence[Matrix]] = None):
-        """a and n, when given, are lists of matrices in the span of basis,
-        converted to coordinates by the model's own solver."""
+                 n: Sequence[Matrix]):
+        """a and n are lists of matrices in the span of basis, converted to
+        coordinates by the model's own solver."""
         self.name = name
         self.basis = tuple(basis)
         self.dim = len(self.basis)
@@ -56,24 +59,20 @@ class LieModel:
         self._struct = self._structure_constants()
         self.theta = self._theta_matrix()
         self.killing = self._killing_gram()
-        self._set_iwasawa([self.coords(x) for x in a],
-                          None if n is None else [self.coords(x) for x in n])
+        self._set_iwasawa([self.coords(x) for x in a], [self.coords(x) for x in n])
 
     def _set_iwasawa(self, a_vectors, n_vectors) -> None:
         """k, p, the inner product, a and n, from theta and the Killing form;
-        n defaults to the positive ad-eigenvectors of the first basis vector
-        of a, and k + a + n must be direct.  Since theta^2 = I,
-        k = span(x + theta x) and p = span(x - theta x) are its +1 and -1
-        eigenspaces and k + p is the whole algebra."""
+        k + a + n must be direct.  Since theta^2 = I, k = span(x + theta x)
+        and p = span(x - theta x) are its +1 and -1 eigenspaces and k + p is
+        the whole algebra."""
         full = Subspace.full(self.dim)
-        if any(self.theta.apply(self.theta.apply(e)) != e for e in full.rows):
+        if any(self.theta.apply_sparse(self.theta.apply_sparse(e)) != e for e in full.rows):
             raise ValueError("theta is not an involution on this basis")
         self.k_space = self.project_k_subspace(full)
         self.p_space = self.project_p_subspace(full)
         self.inner = self._inner_gram()
         self.a_space = Subspace.span(self.dim, a_vectors)
-        if n_vectors is None:
-            n_vectors = self._positive_ad_eigenvectors()
         self.n_space = Subspace.span(self.dim, n_vectors)
 
         iwasawa = self.k_space.rows + self.a_space.rows + self.n_space.rows
@@ -104,8 +103,9 @@ class LieModel:
         return Matrix(tuple(tuple(r) for r in rows))
 
     def _structure_constants(self):
-        """{(i, j): ((k, c), ...)} with [e_i, e_j] = sum c * e_k, from the
-        nonzero entries of the basis matrices."""
+        """{i: {j: ((k, c), ...)}} with [e_i, e_j] = sum c * e_k, over the
+        nonzero brackets only, from the nonzero entries of the basis
+        matrices."""
         n = self.matrix_size
         rows_of = [{r: tuple((c, x) for c, x in enumerate(row) if x)
                     for r, row in enumerate(b.rows) if any(row)} for b in self.basis]
@@ -119,14 +119,12 @@ class LieModel:
                         for s, x in entries:
                             for c, y in right.get(s, ()):
                                 comm[r * n + c] = comm.get(r * n + c, 0) + sign * x * y
-                if not any(comm.values()):
+                comm = {t: x for t, x in comm.items() if x}
+                if not comm:
                     continue
-                flat = [0] * (n * n)
-                for t, x in comm.items():
-                    flat[t] = x
-                entry = tuple((k, c) for k, c in enumerate(self._solver.coords(flat)) if c)
-                table[(i, j)] = entry
-                table[(j, i)] = tuple((k, -c) for k, c in entry)
+                entry = tuple((k, c) for k, c in enumerate(self._solver.coords(comm)) if c)
+                table.setdefault(i, {})[j] = entry
+                table.setdefault(j, {})[i] = tuple((k, -c) for k, c in entry)
         return table
 
     def _theta_matrix(self) -> Matrix:
@@ -135,13 +133,7 @@ class LieModel:
 
     def _ad_sparse(self, i: int):
         """ad(e_i) as {(k, j): c} with [e_i, e_j] = sum_k c * e_k."""
-        out = {}
-        for j in range(self.dim):
-            entry = self._struct.get((i, j))
-            if entry:
-                for k, c in entry:
-                    out[(k, j)] = c
-        return out
+        return {(k, j): c for j, entry in self._struct.get(i, {}).items() for k, c in entry}
 
     def _killing_gram(self) -> Matrix:
         ads = [self._ad_sparse(i) for i in range(self.dim)]
@@ -170,33 +162,27 @@ class LieModel:
         # <X, Y> = -B(X, theta Y)
         return -(self.killing @ self.theta)
 
-    def _positive_ad_eigenvectors(self):
-        h = self.a_space.basis[0]
-        parts = invariant_eigensplit(lambda x: self.bracket(h, x), Subspace.full(self.dim))
-        vecs = []
-        for mu, sp in parts:
-            if mu > 0:
-                vecs.extend(sp.basis)
-        return vecs
-
     # -- algebra operations --------------------------------------------------
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
-        return self._bracket_entries(_entries(x), _entries(y))
+        """The bracket of two vectors, as a dense vector."""
+        return dense(self._bracket_entries(sparse(x), sparse(y)), self.dim)
 
-    def _bracket_entries(self, xs: Sequence, ys: Sequence) -> tuple:
-        """The bracket of two vectors given by their nonzero (index, value)
-        pairs, as a dense vector."""
-        out = [0] * self.dim
+    def _bracket_entries(self, x: dict, y: dict) -> dict:
+        """The bracket of two sparse vectors, as a sparse vector: the
+        structure constants of the pairs of their nonzero entries, summed."""
+        out = {}
         table = self._struct
-        for i, xi in xs:
-            for j, yj in ys:
-                entry = table.get((i, j))
-                if entry:
-                    f = xi * yj
-                    for k, c in entry:
-                        out[k] += f * c
-        return tuple(out)
+        for i, xi in x.items():
+            ad_i = table.get(i)
+            if ad_i:
+                for j, yj in y.items():
+                    entry = ad_i.get(j)
+                    if entry:
+                        f = xi * yj
+                        for k, c in entry:
+                            out[k] = out.get(k, 0) + f * c
+        return {k: c for k, c in out.items() if c}
 
     def inner_product(self, x: Sequence, y: Sequence):
         return vdot(x, self.inner.apply(y))
@@ -205,27 +191,38 @@ class LieModel:
         return self.theta.apply(x)
 
     def theta_image(self, sub: Subspace) -> Subspace:
-        return Subspace.span(self.dim, [self.theta.apply(b) for b in sub.rows])
+        return Subspace.span(self.dim, [self.theta.apply_sparse(b) for b in sub.rows])
+
+    def _theta_span(self, sub, sign: int) -> Subspace:
+        """The span of x + sign * theta x over the rows of sub, a Subspace or
+        a list of dense or sparse vectors."""
+        rows = sub.rows if isinstance(sub, Subspace) else map(sparse, sub)
+        vectors = []
+        for b in rows:
+            v = dict(b)
+            for i, x in self.theta.apply_sparse(b).items():
+                v[i] = v.get(i, 0) + sign * x
+            vectors.append({i: x for i, x in v.items() if x})
+        return Subspace.span(self.dim, vectors)
 
     def project_p_subspace(self, sub) -> Subspace:
         """The span of the p-components (x - theta x) / 2 of the rows."""
-        rows = sub.rows if isinstance(sub, Subspace) else sub
-        return Subspace.span(self.dim, [vsub(b, self.theta.apply(b)) for b in rows])
+        return self._theta_span(sub, -1)
 
     def project_k_subspace(self, sub) -> Subspace:
         """The span of the k-components (x + theta x) / 2 of the rows."""
-        rows = sub.rows if isinstance(sub, Subspace) else sub
-        return Subspace.span(self.dim, [vadd(b, self.theta.apply(b)) for b in rows])
+        return self._theta_span(sub, 1)
 
     def bracket_span(self, u: Iterable, v: Iterable) -> Subspace:
-        """Span of pairwise brackets of two generating sets."""
-        ve = [_entries(y) for y in v]
-        rows = [self._bracket_entries(xe, ye) for xe in map(_entries, u) for ye in ve]
-        return Subspace.span(self.dim, rows)
+        """Span of pairwise brackets of two generating sets of dense or
+        sparse vectors."""
+        v = [sparse(y) for y in v]
+        return Subspace.span(self.dim, [self._bracket_entries(x, y)
+                                        for x in map(sparse, u) for y in v])
 
     def is_subalgebra(self, sub: Subspace) -> bool:
         """True iff the brackets of the basis of sub lie in sub."""
-        gens = [_entries(g) for g in sub.rows]
+        gens = sub.rows
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
                 if not sub.contains_vector(self._bracket_entries(gens[a], gens[b])):
@@ -241,15 +238,8 @@ class LieModel:
 
     def _bracket_into(self, domain: Subspace, of: Subspace, target: Subspace) -> Subspace:
         """{X in domain : [X, of] subset of target}."""
-        cands = domain.rows
-        ws = [_entries(w) for w in of.rows]
-        images = [[self._bracket_entries(xe, we) for we in ws] for xe in map(_entries, cands)]
-        return solve_inclusion_constraint(cands, images, target)
-
-
-def _entries(x: Sequence) -> tuple:
-    """The (index, value) pairs of the nonzero entries of a vector."""
-    return tuple((i, c) for i, c in enumerate(x) if c)
+        images = [[self._bracket_entries(x, w) for w in of.rows] for x in domain.rows]
+        return solve_inclusion_constraint(domain, images, target)
 
 
 def _block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
@@ -267,10 +257,9 @@ def _block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
 # concrete families
 
 
-def _basis_entry(n: int, i: int, j: int) -> Matrix:
-    rows = [[0] * n for _ in range(n)]
-    rows[i][j] = 1
-    return Matrix(tuple(tuple(r) for r in rows))
+def _matrix(m: int, entries: dict) -> Matrix:
+    """The m x m matrix with the given {(row, column): value} entries."""
+    return Matrix(tuple(tuple(entries.get((p, q), 0) for q in range(m)) for p in range(m)))
 
 
 def build_sl(n_plus_1: int) -> LieModel:
@@ -278,39 +267,28 @@ def build_sl(n_plus_1: int) -> LieModel:
     if n_plus_1 < 2:
         raise ValueError("sl model needs size >= 2")
     m = n_plus_1
-    basis = []
-    for i in range(m - 1):  # H_i = E_ii - E_{i+1,i+1}
-        h = [[0] * m for _ in range(m)]
-        h[i][i] = 1
-        h[i + 1][i + 1] = -1
-        basis.append(Matrix(tuple(tuple(r) for r in h)))
+    basis = [_matrix(m, {(i, i): 1, (i + 1, i + 1): -1}) for i in range(m - 1)]  # H_i
     uppers = [(i, j) for i in range(m) for j in range(m) if i < j]
     lowers = [(i, j) for i in range(m) for j in range(m) if i > j]
-    for i, j in uppers:
-        basis.append(_basis_entry(m, i, j))
-    for i, j in lowers:
-        basis.append(_basis_entry(m, i, j))
+    basis += [_matrix(m, {ij: 1}) for ij in uppers + lowers]
     return LieModel(f"sl({m})", basis, basis[:m - 1], basis[m - 1:m - 1 + len(uppers)])
 
 
 def build_so1n(n: int) -> LieModel:
-    """so(1,n) = {X : X^T I_{1,n} + I_{1,n} X = 0} with I_{1,n} = diag(-1,1..1)."""
+    """so(1,n) = {X : X^T I_{1,n} + I_{1,n} X = 0} with I_{1,n} = diag(-1,1..1).
+
+    a = R h for the boost h = E_01 + E_10.  With B_i = E_0i + E_i0 and
+    R_1i = E_1i - E_i1, [h, B_i] = R_1i and [h, R_1i] = B_i, so n is spanned
+    by the eigenvalue-1 vectors B_i + R_1i, 2 <= i <= n.
+    """
     if n < 2:
         raise ValueError("so(1,n) model needs n >= 2")
     m = n + 1
-    basis = []
-    for i in range(1, m):  # boosts E_{0i} + E_{i0}, span p
-        b = [[0] * m for _ in range(m)]
-        b[0][i] = 1
-        b[i][0] = 1
-        basis.append(Matrix(tuple(tuple(r) for r in b)))
-    for i in range(1, m):  # rotations E_{ij} - E_{ji}, span k
-        for j in range(i + 1, m):
-            k = [[0] * m for _ in range(m)]
-            k[i][j] = 1
-            k[j][i] = -1
-            basis.append(Matrix(tuple(tuple(r) for r in k)))
-    return LieModel(f"so(1,{n})", basis, basis[:1])  # a = R (E_01 + E_10)
+    basis = [_matrix(m, {(0, i): 1, (i, 0): 1}) for i in range(1, m)]  # boosts, span p
+    basis += [_matrix(m, {(i, j): 1, (j, i): -1})  # rotations, span k
+              for i in range(1, m) for j in range(i + 1, m)]
+    n_basis = [_matrix(m, {(0, i): 1, (i, 0): 1, (1, i): 1, (i, 1): -1}) for i in range(2, m)]
+    return LieModel(f"so(1,{n})", basis, basis[:1], n_basis)
 
 
 def build_su1n(n: int) -> LieModel:
@@ -352,24 +330,27 @@ def build_su1n(n: int) -> LieModel:
     rows.append(tuple(tr_re))
     rows.append(tuple(tr_im))
 
-    basis = []
-    for sol in kernel_rows(rows, nvars):
-        real = [[sol[xv(p, q)] for q in range(m)] for p in range(m)]
-        imag = [[sol[yv(p, q)] for q in range(m)] for p in range(m)]
-        big = [[0] * (2 * m) for _ in range(2 * m)]
-        for p in range(m):
-            for q in range(m):
-                big[p][q] = real[p][q]
-                big[p][q + m] = -imag[p][q]
-                big[p + m][q] = imag[p][q]
-                big[p + m][q + m] = real[p][q]
-        basis.append(Matrix(tuple(tuple(r) for r in big)))
+    def realify(real: dict, imag: dict) -> Matrix:
+        """a + ib -> [[a, -b], [b, a]] for complex m x m entries a + ib."""
+        big = dict(real)
+        big.update({(p + m, q + m): x for (p, q), x in real.items()})
+        big.update({(p, q + m): -x for (p, q), x in imag.items()})
+        big.update({(p + m, q): x for (p, q), x in imag.items()})
+        return _matrix(2 * m, big)
 
-    # a = R * realify(E_01 + E_10)
-    h0 = [[0] * (2 * m) for _ in range(2 * m)]
-    h0[0][1] = h0[1][0] = 1
-    h0[m][m + 1] = h0[m + 1][m] = 1
-    return LieModel(f"su(1,{n})", basis, [Matrix(tuple(tuple(r) for r in h0))])
+    basis = [realify({(p, q): sol[xv(p, q)] for p in range(m) for q in range(m)},
+                     {(p, q): sol[yv(p, q)] for p in range(m) for q in range(m)})
+             for sol in kernel_rows(rows, nvars)]
+
+    # a = R h for h = E_01 + E_10.  n is spanned by the ad(h)-eigenvectors
+    # E_0i + E_i0 + E_1i - E_i1 and i(E_0i - E_i0 + E_1i + E_i1), 2 <= i <= n,
+    # of eigenvalue 1, and i(E_00 - E_01 + E_10 - E_11) of eigenvalue 2.
+    h = realify({(0, 1): 1, (1, 0): 1}, {})
+    n_basis = [realify({}, {(0, 0): 1, (0, 1): -1, (1, 0): 1, (1, 1): -1})]
+    for i in range(2, m):
+        n_basis.append(realify({(0, i): 1, (i, 0): 1, (1, i): 1, (i, 1): -1}, {}))
+        n_basis.append(realify({}, {(0, i): 1, (i, 0): -1, (1, i): 1, (i, 1): 1}))
+    return LieModel(f"su(1,{n})", basis, [h], n_basis)
 
 
 class ProductModel(LieModel):
@@ -402,9 +383,9 @@ class ProductModel(LieModel):
         self.basis = tuple(_block_diagonal(zeros[:idx] + [b] + zeros[idx + 1:])
                            for idx, f in enumerate(factors) for b in f.basis)
         self._struct = {
-            (i + off, j + off): tuple((k + off, c) for k, c in entry)
+            i + off: {j + off: tuple((k + off, c) for k, c in entry) for j, entry in ad_i.items()}
             for f, off in zip(factors, self.block_offsets)
-            for (i, j), entry in f._struct.items()
+            for i, ad_i in f._struct.items()
         }
         self.theta = _block_diagonal([f.theta for f in factors])
         self.killing = _block_diagonal([f.killing for f in factors])
@@ -414,7 +395,7 @@ class ProductModel(LieModel):
 
     def embed_spaces(self, spaces: Iterable[Subspace]) -> Subspace:
         """The span of one subspace per factor, each embedded in its block."""
-        return Subspace.span(self.dim, [self.embed_vector(idx, b)
+        return Subspace.span(self.dim, [self._embed_row(idx, b)
                                         for idx, sp in enumerate(spaces) for b in sp.rows])
 
     def factor_slice(self, idx: int):
@@ -422,32 +403,36 @@ class ProductModel(LieModel):
         return start, start + self.factors[idx].dim
 
     def embed_vector(self, idx: int, v: Sequence) -> tuple:
+        """A dense vector of the idx-th factor, in the product's coordinates."""
         start = self.block_offsets[idx]
         return (0,) * start + tuple(v) + (0,) * (self.dim - start - len(v))
 
+    def _embed_row(self, idx: int, row: dict) -> dict:
+        start = self.block_offsets[idx]
+        return {j + start: x for j, x in row.items()}
+
     def embed_subspace(self, idx: int, sub: Subspace) -> Subspace:
-        return Subspace.span(self.dim, [self.embed_vector(idx, b) for b in sub.rows])
+        return Subspace.span(self.dim, [self._embed_row(idx, b) for b in sub.rows])
 
     def factor_block(self, idx: int) -> Subspace:
-        start, stop = self.factor_slice(idx)
-        return Subspace.span(self.dim, [unit_vec(self.dim, i) for i in range(start, stop)])
+        return Subspace.span(self.dim, [{i: 1} for i in range(*self.factor_slice(idx))])
 
     def other_factor_rows(self, skip: Iterable[int]) -> tuple:
-        """Basis rows of the blocks of every factor whose index is not in skip."""
+        """Sparse basis rows of the blocks of every factor whose index is not
+        in skip."""
         skip = set(skip)
-        return tuple(unit_vec(self.dim, t) for idx in range(len(self.factors)) if idx not in skip
+        return tuple({t: 1} for idx in range(len(self.factors)) if idx not in skip
                      for t in range(*self.factor_slice(idx)))
-
-    def restrict_vector(self, idx: int, v: Sequence) -> tuple:
-        start, stop = self.factor_slice(idx)
-        if any(c for i, c in enumerate(v) if c and not (start <= i < stop)):
-            raise ValueError("vector is not supported on the requested factor")
-        return tuple(v[start:stop])
 
     def restrict_subspace(self, idx: int, sub: Subspace) -> Subspace:
         """A subspace of the idx-th block, in the factor's coordinates."""
-        return Subspace.span(self.factors[idx].dim,
-                             [self.restrict_vector(idx, b) for b in sub.rows])
+        start, stop = self.factor_slice(idx)
+        rows = []
+        for b in sub.rows:
+            if any(not start <= j < stop for j in b):
+                raise ValueError("vector is not supported on the requested factor")
+            rows.append({j - start: x for j, x in b.items()})
+        return Subspace.span(self.factors[idx].dim, rows)
 
 
 def direct_sum(models: Sequence[LieModel]) -> ProductModel:

@@ -21,11 +21,9 @@ from typing import Optional
 from .linalg import (
     Matrix,
     Subspace,
-    is_zero_vec,
     orthocomplement_in,
     subspace_intersect,
     subspace_sum,
-    vadd,
 )
 from .models import LieModel, ProductModel
 from .actions import ActionSpec, SigmaMap
@@ -149,7 +147,7 @@ def slice_cohomogeneity(model: LieModel, h: Subspace, seed: int, samples: int,
                          "the normal space at o")
     if nu.dim == 0:
         return 0, "exact"
-    if nu.dim <= 1 or all(map(is_zero_vec, images)):
+    if nu.dim <= 1 or not any(map(any, images)):
         return nu.dim, "exact"
     sampler = RationalSampler(seed)
     best = 0
@@ -249,7 +247,8 @@ def polar_section(spec: ActionSpec) -> Subspace:
     a_dom: Subspace = spec.payload["a_section_domain"]
     model = spec.model
     images = [sigma.apply(h) for h in a_dom.basis]
-    diagonal = Subspace.span(model.dim, [vadd(h, sh) for h, sh in zip(a_dom.basis, images)])
+    diagonal = Subspace.span(model.dim, [tuple(a + b for a, b in zip(h, sh))
+                                         for h, sh in zip(a_dom.basis, images)])
     flats = Subspace.span(model.dim, list(a_dom.basis) + images)
     return orthocomplement_in(diagonal, flats, model.inner)
 
@@ -269,7 +268,7 @@ def check_polar_certificate(spec: ActionSpec) -> bool | Failure:
     section = polar_section(spec)
     for i, x in enumerate(section.basis):
         for j, y in enumerate(section.basis):
-            if not is_zero_vec(model.bracket(x, y)):
+            if any(model.bracket(x, y)):
                 return Failure("section-not-abelian", (i, j))
     tangent = orbit_tangent_at_o(model, diag)
     for i, x in enumerate(section.basis):
@@ -317,7 +316,7 @@ def product_split_ok(datum: RootDatum, spec: ActionSpec) -> bool:
     f_k0 = model.restrict_subspace(fidx, subspace_intersect(datum.k0, model.factor_block(fidx)))
     pieces = (factor.normalizer_in(f_k0, v_inner), factor.a_space,
               orthocomplement_in(v_inner, factor.n_space, factor.inner))
-    rows = [model.embed_vector(fidx, b) for piece in pieces for b in piece.rows]
+    rows = [b for piece in pieces for b in model.embed_subspace(fidx, piece).rows]
     expected = Subspace.span(model.dim, rows + list(model.other_factor_rows((fidx,))))
     return spec.algebra == expected
 

@@ -277,3 +277,19 @@ def test_prod_rows_are_not_verified_at_product_size(monkeypatch):
     assert kinds["Prod"] == 0
     # the factor tables and the product-level rows are still verified
     assert kinds["FH"] == 3 and kinds["FS"] == 4
+
+
+def test_identical_sl_factors_share_one_table(monkeypatch):
+    # sl(3)*sl(3) builds one factor model and one datum, so one table
+    calls = []
+    original = catalog.sl_table
+
+    def counted(datum, **kwargs):
+        calls.append(datum)
+        return original(datum, **kwargs)
+
+    monkeypatch.setattr(catalog, "sl_table", counted)
+    result = run(parse_space("sl(3)*sl(3)"), RunConfig()).result
+    assert len(calls) == 1
+    assert result.datum.factors[0] is result.datum.factors[1] is calls[0]
+    assert sum(e.label == "Prod" for e in result.entries) == 10

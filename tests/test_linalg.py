@@ -14,7 +14,6 @@ from cohomatlas.linalg import (
     Subspace,
     invariant_eigensplit,
     kernel_rows,
-    lincomb,
     orthocomplement_in,
     rat,
     rref_rows,
@@ -22,12 +21,34 @@ from cohomatlas.linalg import (
     solve_inclusion_constraint,
     subspace_intersect,
     subspace_sum,
-    unit_vec,
-    vadd,
     vdot,
-    vsub,
-    zero_vec,
 )
+
+
+# dense vector helpers the package no longer needs, kept for the tests
+
+
+def zero_vec(n: int) -> tuple:
+    return (0,) * n
+
+
+def unit_vec(n: int, i: int) -> tuple:
+    return tuple(int(j == i) for j in range(n))
+
+
+def vadd(u, v) -> tuple:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def lincomb(coeffs, rows, n: int) -> tuple:
+    """sum(coeffs[i] * rows[i]) as a dense vector of length n."""
+    out = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] += c * x
+    return tuple(out)
 
 
 def vec(entries) -> tuple:
@@ -601,15 +622,6 @@ def test_intersection_matches_the_stacked_transpose_reference(case):
         assert expected.dim == 0
 
 
-@PROPERTY
-@given(st.integers(0, 5).flatmap(lambda n: rational_vectors(n, min_size=2, max_size=2)))
-def test_vadd_and_vsub_are_entrywise(pair):
-    u, v = pair
-    assert vadd(u, v) == tuple(a + b for a, b in zip(u, v))
-    assert vsub(u, v) == tuple(a - b for a, b in zip(u, v))
-    assert all(type(x) is Fraction for x in vadd(u, v) + vsub(u, v))
-
-
 def test_span_of_int_and_str_entries_keeps_integral_values_as_ints():
     sub = Subspace.span(3, [[2, "1/2", 0], ["-4", 3, "0"], [0, 0, 1]])
     assert all(int_iff_integral(x) for row in sub.basis for x in row)
@@ -643,8 +655,8 @@ def test_span_is_canonical_under_rescaling_and_permutation(case, data):
     assert other == sub and hash(other) == hash(sub)
     assert other.rows == sub.rows and other.pivots == sub.pivots
     for row, c in zip(sub.rows, sub.pivots):
-        assert all(type(x) is int for x in row)
-        assert row[c] > 0 and math.gcd(*row) == 1
+        assert all(type(x) is int and x for x in row.values())
+        assert row[c] > 0 and math.gcd(*row.values()) == 1
 
 
 @PROPERTY
@@ -677,6 +689,98 @@ def test_membership_and_coordinates_match_the_rational_loop(case, data):
         assert not sub.contains_vector(outside)
         with pytest.raises(ValueError):
             sub.coords_of(outside)
+
+
+# sparse inputs: wide rows with a few nonzero entries, as the models give them
+
+NONZERO = st.sampled_from([Fraction(k, q) for k in (-4, -3, -1, 1, 2, 3) for q in (1, 2, 5, 6)])
+
+
+@st.composite
+def sparse_rows(draw):
+    """(ncols, rows, as_str): 20 to 80 columns and rows with 1 to 3 nonzero
+    Fractions each, on a few shared columns so that they interact, with zero
+    rows and repeated (rescaled) rows mixed in; in the "descending" order
+    each row's leading column lies left of those before it, so every new
+    pivot is cleared from the earlier pivot rows.  as_str asks for the
+    entries as the strings Fraction parses."""
+    n = draw(st.integers(20, 80))
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        row = [Fraction(0)] * n
+        for c in cols:
+            row[c] = draw(NONZERO)
+        rows.append(tuple(row))
+    for row in draw(st.lists(st.sampled_from(rows), max_size=2)):
+        scale = draw(NONZERO)
+        rows.append(tuple(scale * x for x in row))
+    rows += [tuple([Fraction(0)] * n)] * draw(st.integers(0, 2))
+    order = draw(st.sampled_from(["shuffled", "descending"]))
+    if order == "shuffled":
+        rows = draw(st.permutations(rows))
+    else:
+        rows.sort(key=lambda r: next((j for j, x in enumerate(r) if x), n), reverse=True)
+    return n, rows, draw(st.booleans())
+
+
+def as_strings(rows):
+    return [tuple(str(x) for x in r) for r in rows]
+
+
+@PROPERTY
+@given(sparse_rows())
+def test_sparse_rows_reduce_as_the_rational_loop(case):
+    n, rows, as_str = case
+    given_rows = as_strings(rows) if as_str else rows
+    assert rref_rows(given_rows, n) == reference_rref_rows(rows, n)
+    reduced, pivots, transform = rref_with_transform(given_rows, n)
+    ref_reduced, ref_pivots, ref_transform = reference_rref_with_transform(rows, n)
+    assert (reduced, pivots) == (ref_reduced, ref_pivots)
+    assert transform[:len(pivots)] == ref_transform[:len(pivots)]
+    sub = Subspace.span(n, given_rows)
+    assert (list(sub.basis), list(sub.pivots)) == reference_rref_rows(rows, n)
+    assert all(x for row in sub.rows for x in row.values())
+
+
+@PROPERTY
+@given(sparse_rows(), st.data())
+def test_sparse_membership_matches_the_rational_loop(case, data):
+    n, rows, as_str = case
+    sub = Subspace.span(n, as_strings(rows) if as_str else rows)
+    reduced, pivots = reference_rref_rows(rows, n)
+    coeffs = data.draw(st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]),
+                                min_size=len(reduced), max_size=len(reduced)))
+    member = lincomb(coeffs, reduced, n)
+    assert sub.contains_vector(member)
+    assert sub.coords_of(member) == tuple(coeffs)
+    free = [j for j in range(n) if j not in pivots]
+    outside = vadd(member, unit_vec(n, data.draw(st.sampled_from(free))))
+    assert not sub.contains_vector(outside)
+    with pytest.raises(ValueError):
+        sub.coords_of(outside)
+    for row in rows:
+        assert sub.contains_vector(row)
+
+
+@PROPERTY
+@given(sparse_rows(), st.integers(1, 4), st.integers(1, 2), st.data())
+def test_sparse_inclusion_solver_matches_the_normals_reference(case, m, nslots, data):
+    n, rows, _ = case
+    target = Subspace.span(n, rows)
+    candidates = [unit_vec(m + 1, a) for a in range(m)]
+    images = []
+    for _ in range(m):
+        slots = []
+        for _ in range(nslots):
+            w = data.draw(st.sampled_from(rows))
+            if data.draw(st.booleans()):  # leave the target in some slots
+                w = vadd(w, unit_vec(n, data.draw(st.integers(0, n - 1))))
+            slots.append(w)
+        images.append(slots)
+    expected = reference_solve_inclusion_constraint(candidates, images, target)
+    assert solve_inclusion_constraint(candidates, images, target) == expected
 
 
 def conjugate(p, block) -> Matrix:

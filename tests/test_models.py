@@ -5,8 +5,16 @@ import itertools
 import pytest
 
 from cohomatlas import linalg
-from cohomatlas.linalg import Matrix, Subspace, is_zero_vec, rat, unit_vec, vdot
+from cohomatlas.linalg import Matrix, Subspace, rat, vdot
 from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
+
+
+def is_zero_vec(u) -> bool:
+    return not any(u)
+
+
+def unit_vec(n: int, i: int) -> tuple:
+    return tuple(int(j == i) for j in range(n))
 
 
 def mat(rows) -> Matrix:
@@ -352,3 +360,16 @@ def test_brackets_and_theta_of_unit_vectors_stay_integer(build):
         assert all(type(c) is int for c in g.theta_apply(x))
         for y in units:
             assert all(type(c) is int for c in g.bracket(x, y))
+
+
+@pytest.mark.parametrize("build, n", [(build_so1n, n) for n in range(2, 9)]
+                         + [(build_su1n, n) for n in range(2, 6)])
+def test_rank_one_n_is_the_positive_ad_eigenspaces(build, n):
+    # the constructor passes its root vectors as n, as build_sl does; they
+    # span the eigenspaces of ad(h) with positive eigenvalues on the algebra
+    g = build(n)
+    (h,) = g.a_space.basis
+    parts = linalg.invariant_eigensplit(lambda x: g.bracket(h, x), Subspace.full(g.dim))
+    positive = Subspace.span(g.dim, [b for mu, sp in parts if mu > 0 for b in sp.basis])
+    assert g.n_space == positive
+    assert [mu for mu, _ in parts if mu > 0] == ([1] if build is build_so1n else [1, 2])

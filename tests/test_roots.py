@@ -6,9 +6,18 @@ import pytest
 
 from cohomatlas import roots
 from cohomatlas.cli import parse_space
-from cohomatlas.linalg import Subspace, is_zero_vec, kernel_rows, subspace_sum, vadd
+from cohomatlas.linalg import Subspace, kernel_rows, subspace_sum
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.roots import decompose
+
+
+def is_zero_vec(u) -> bool:
+    return not any(u)
+
+
+def vadd(u, v) -> tuple:
+    """The entrywise sum of two dense vectors."""
+    return tuple(a + b for a, b in zip(u, v))
 
 BUILDERS = {"sl": build_sl, "rh": build_so1n, "ch": build_su1n}
 SMALL_FACTORS = ["sl(2)", "sl(3)", "rh(2)", "rh(3)", "ch(2)"]  # as in test_cli.py
@@ -215,7 +224,7 @@ def int_iff_integral(x) -> bool:
 def test_model_tables_and_root_spaces_keep_integral_values_as_ints(build):
     g = build()
     datum = decompose(g)
-    entries = [c for entry in g._struct.values() for _, c in entry]
+    entries = [c for ad_i in g._struct.values() for entry in ad_i.values() for _, c in entry]
     for table in (g.theta, g.killing, g.inner):
         entries += [x for row in table.rows for x in row]
     for r in datum.roots:

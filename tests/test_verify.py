@@ -12,7 +12,6 @@ from cohomatlas.linalg import (
     rat,
     subspace_intersect,
     subspace_sum,
-    vadd,
 )
 from cohomatlas.models import build_sl, build_so1n, direct_sum
 from cohomatlas.actions import (
@@ -37,6 +36,11 @@ from cohomatlas.verify import (
     slice_cohomogeneity,
     verify,
 )
+
+
+def vadd(u, v) -> tuple:
+    """The entrywise sum of two dense vectors."""
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def mat(rows) -> Matrix:

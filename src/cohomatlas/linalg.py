@@ -40,6 +40,17 @@ vanish.  ``SpanSolver`` gives coordinates in a chosen independent list.  A
 form's positive definiteness, which every orthogonal complement needs, is
 decided once per form matrix (``Matrix.is_positive_definite``).
 
+The solver numbers its m unknowns from the last candidate: unknown a is
+column m - 1 - a.  ``kernel_rows`` gives one vector per free column, which
+lives on that column and the pivot columns left of it, is positive there
+and is zero at the other free columns.  Read in candidate order, each
+vector therefore leads at its free candidate and is zero at the other
+leads: the kernel comes out in RREF.  When the candidates are a subspace's
+canonical rows, each combination then leads at its lead candidate's pivot,
+with a positive value, and is zero at the other leads' pivots.  So the
+combinations are already the canonical rows of the answer, and the
+solver's closing ``Subspace.span`` does no row operations.
+
 The one eigensplit, ``invariant_eigensplit``, needs no characteristic
 polynomial.  With d the common denominator of the action matrix A, every
 rational eigenvalue of A is k/d for an integer k, and |k| is at most the
@@ -466,7 +477,8 @@ def solve_inclusion_constraint(candidates, images: Sequence[Sequence],
     dense vectors.  images[a] lists, slot by slot, the images of candidate a
     under the linear map family, as dense or sparse vectors; the family is
     linear in X, so the solution set is the span of sum(x_a * candidate_a)
-    over the kernel of the induced system.
+    over the kernel of the induced system.  For Subspace candidates those
+    combinations, in order, are positive multiples of the answer's rows.
     """
     if isinstance(candidates, Subspace):
         amb, rows = candidates.ambient_dim, candidates.rows
@@ -478,17 +490,20 @@ def solve_inclusion_constraint(candidates, images: Sequence[Sequence],
     if any(len(im) != nslots for im in images):
         raise ValueError("inconsistent slot counts across candidates")
     # v lies in target iff its scaled residual vanishes, and the residual is
-    # linear in v: one equation per (slot, column) where a residual is nonzero
+    # linear in v: one equation per (slot, column) where a residual is nonzero.
+    # Unknown a is column last - a, so that the kernel, read in candidate
+    # order, is the RREF of the solution space (see the module docstring).
+    last = len(rows) - 1
     equations = {}
     for a, im in enumerate(images):
         for s, w in enumerate(im):
             w = _checked(w, target.ambient_dim, "image dimension does not match target ambient")
             for j, x in target._residual(w).items():
-                equations.setdefault((s, j), {})[a] = x
+                equations.setdefault((s, j), {})[last - a] = x
     if not equations:
         return Subspace.span(amb, rows)
     ker = kernel_rows(list(equations.values()), len(rows))
-    return Subspace.span(amb, [combination(x, rows) for x in ker])
+    return Subspace.span(amb, [combination(x[::-1], rows) for x in reversed(ker)])
 
 
 class SpanSolver:

@@ -55,6 +55,9 @@ class RationalSampler:
                 return sub.from_coords(coeffs)
 
     def subspace_in(self, sub: Subspace, dim: int) -> Subspace:
+        if not 0 <= dim <= sub.dim:
+            raise ValueError(f"cannot sample a {dim}-dimensional subspace "
+                             f"of a {sub.dim}-dimensional one")
         while True:
             rows = [self.vector_in(sub) for _ in range(dim)]
             cand = Subspace.span(sub.ambient_dim, rows)
@@ -186,12 +189,40 @@ def check_nc1(model: LieModel, pd: ParabolicDatum, normalizer: Subspace) -> bool
     return model.project_p_subspace(normalizer).contains(pd.b)
 
 
-def _restriction_matrices(model: LieModel, domain: Subspace, v: Subspace):
+def _basis_scales(v: Subspace) -> list:
+    """L / d_c for each row c of v, with d_c its pivot value and L the lcm of
+    the d_c.  Row c is d_c times ``v.basis[c]``, and the coordinates of a
+    vector of v are its entries at ``v.pivots``, so a coordinate read off
+    the image of row c and scaled by L / d_c is L times the coordinate read
+    off the image of ``v.basis[c]``."""
+    return [v._scale // row[c] for row, c in zip(v.rows, v.pivots)]
+
+
+def _restriction_matrices(model: LieModel, domain: Subspace, v: Subspace) -> list:
+    """ad(t) restricted to v, for each row t of domain, as the rows of a
+    positive integer multiple of its matrix in ``v.basis`` coordinates."""
+    scales = _basis_scales(v)
     mats = []
-    for t in domain.basis:
-        cols = [v.coords_of(model.bracket(t, w)) for w in v.basis]
-        mats.append(tuple(tuple(cols[j][i] for j in range(v.dim)) for i in range(v.dim)))
+    for t in domain.rows:
+        cols = []
+        for row, f in zip(v.rows, scales):
+            image = model._bracket_entries(t, row)
+            if v._residual(image):
+                raise ValueError("the normalizer does not map v into itself")
+            cols.append([f * image.get(p, 0) for p in v.pivots])
+        mats.append(tuple(zip(*cols)))
     return mats
+
+
+def _gram(model: LieModel, v: Subspace) -> Matrix:
+    """L^2 times the Gram matrix of ``v.basis`` for the inner product, with L
+    as in ``_basis_scales``: an integer matrix for the shipped models."""
+    scales = _basis_scales(v)
+    images = [model.inner.apply_sparse(row) for row in v.rows]
+    return Matrix(tuple(
+        tuple(f * g * sum(x * im.get(j, 0) for j, x in row.items())
+              for im, g in zip(images, scales))
+        for row, f in zip(v.rows, scales)))
 
 
 def check_nc2(model: LieModel, pd: ParabolicDatum, v: Subspace, seed: int, samples: int):
@@ -202,16 +233,20 @@ def check_nc2(model: LieModel, pd: ParabolicDatum, v: Subspace, seed: int, sampl
     (b) exact necessary failure: some sampled nonzero u in v has
         span({u} + normalizer.u) proper in v      -> ("no", "failed-witness")
     (c) otherwise, full tangent span at all samples -> ("yes", "sampled-tangent")
+
+    The operators R and the Gram matrix G are integer multiples of their
+    matrices in ``v.basis`` coordinates, by positive factors: no Fraction is
+    built, and none of the verdicts above changes under positive scalings of
+    R or G.  The sampled vectors are in ``v.basis`` coordinates.
     """
     if v.dim < 2:
         raise ValueError("NC2 needs dim v >= 2")
     norm = model.normalizer_in(pd.k_phi, v)
-    mats = _restriction_matrices(model, norm, v)
-    ops = [Matrix(r) for r in mats]
+    ops = [Matrix(r) for r in _restriction_matrices(model, norm, v)]
     m = v.dim
     # the restricted operators are skew for the inner product on v: R^T G + G R
     # = 0, and with G symmetric that is M + M^T = 0 for M = G R
-    gram = Matrix(tuple(tuple(model.inner_product(x, y) for y in v.basis) for x in v.basis))
+    gram = _gram(model, v)
     for op in ops:
         gr = (gram @ op).rows
         if any(gr[i][j] + gr[j][i] for i in range(m) for j in range(i, m)):

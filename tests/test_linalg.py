@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cohomatlas import linalg as linalg_module
 from cohomatlas.linalg import (
     Matrix,
     SpanSolver,
@@ -781,6 +782,87 @@ def test_sparse_inclusion_solver_matches_the_normals_reference(case, m, nslots, 
         images.append(slots)
     expected = reference_solve_inclusion_constraint(candidates, images, target)
     assert solve_inclusion_constraint(candidates, images, target) == expected
+
+
+# the kernel basis and the order in which the solver reads it
+
+
+def reference_kernel_rows(rows, ncols):
+    """For each free column f of the rational RREF, the vector that is 1 at
+    f, -row[f] at the pivot of each reduced row and 0 elsewhere, scaled to
+    the primitive integer vector on its line with a positive entry at f."""
+    reduced, pivots = reference_rref_rows(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            x[p] = -Fraction(row[f])
+        den = math.lcm(*(v.denominator for v in x))
+        ints = [v.numerator * (den // v.denominator) for v in x]
+        g = math.gcd(*ints)
+        basis.append(tuple(v // g for v in ints))
+    return basis
+
+
+@PROPERTY
+@given(st.one_of(rational_rows(), sparse_rows().map(lambda case: case[:2])))
+def test_kernel_rows_is_one_primitive_vector_per_free_column(case):
+    n, rows = case
+    ker = kernel_rows(rows, n)
+    assert ker == reference_kernel_rows(rows, n)
+    free = [f for f in range(n) if f not in reference_rref_rows(rows, n)[1]]
+    assert len(ker) == len(free)
+    for x, f in zip(ker, free):
+        assert all(type(v) is int for v in x) and math.gcd(*x) == 1
+        assert x[f] > 0 and all(x[g] == 0 for g in free if g != f)
+        assert not any(vdot(r, x) for r in rows)
+
+
+def primitive(v: dict) -> dict:
+    """A sparse integer vector divided by the gcd of its entries."""
+    g = math.gcd(*v.values())
+    return {j: x // g for j, x in v.items()}
+
+
+@PROPERTY
+@given(st.one_of(rational_rows(), sparse_rows().map(lambda case: case[:2])),
+       st.integers(1, 4), st.integers(1, 2), st.data())
+def test_the_solvers_combinations_are_the_canonical_rows_of_its_answer(case, k, nslots, data):
+    n, rows = case
+    candidates = Subspace.span(n, rows)
+    assume(candidates.dim)
+    target = Subspace.span(k, data.draw(rational_vectors(k, max_size=k)))
+    images = []
+    for _ in candidates.rows:
+        slots = []
+        for _ in range(nslots):
+            w = data.draw(rational_vectors(k, min_size=1, max_size=1))[0]
+            if target.dim and data.draw(st.booleans()):  # some images in the target
+                coeffs = data.draw(rational_vectors(target.dim, min_size=1, max_size=1))[0]
+                w = lincomb(coeffs, target.basis, k)
+            slots.append(w)
+        images.append(slots)
+    combinations = []
+    combination = linalg_module.combination
+
+    def recorded(coeffs, rows):
+        out = combination(coeffs, rows)
+        combinations.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_module, "combination", recorded)
+        answer = solve_inclusion_constraint(candidates, images, target)
+    assert answer == reference_solve_inclusion_constraint(list(candidates.basis), images, target)
+    if combinations:
+        # already reduced, with positive leads, and in the answer's order: the
+        # closing span has no row operation left to do
+        assert [primitive(c) for c in combinations] == list(answer.rows)
+    else:  # no equation, or only the zero solution
+        assert answer in (candidates, Subspace.zero(n))
 
 
 def conjugate(p, block) -> Matrix:

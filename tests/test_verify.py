@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,9 @@ from cohomatlas.actions import (
     make_fh,
     nilpotent_construct,
 )
+from cohomatlas import catalog
 from cohomatlas.catalog import ce_families
+from cohomatlas.cli import RunConfig, parse_space, run
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.roots import decompose
 from cohomatlas import verify as verify_module
@@ -295,6 +298,56 @@ class TestNc2:
             check_nc2(g, pd, v, seed=7, samples=32)
 
 
+def _nc2_inputs(space: str, nc_search: bool) -> dict:
+    """(model, pd, v) for each distinct v that reaches check_nc2 while the
+    report of space is made at seed 7, from the oracle sweeps and the NC
+    rows alike."""
+    inputs = {}
+
+    def recorded(model, pd, v, seed, samples):
+        inputs.setdefault((id(model), pd.phi, v), (model, pd, v))
+        return check_nc2(model, pd, v, seed, samples)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "check_nc2", recorded)
+        mp.setattr(verify_module, "check_nc2", recorded)
+        run(parse_space(space), RunConfig(seed=7, nc_search=nc_search, su1n=True))
+    return inputs
+
+
+def _positive_multiple(new, old) -> bool:
+    """Whether the int entries new are c times the entries old, for some c > 0."""
+    new, old = list(itertools.chain(*new)), list(itertools.chain(*old))
+    if not all(type(x) is int for x in new):
+        return False
+    i = next((i for i, x in enumerate(old) if x), None)
+    if i is None:
+        return not any(new)
+    c = Fraction(new[i]) / old[i]
+    return c > 0 and all(x == c * y for x, y in zip(new, old))
+
+
+@pytest.mark.parametrize("space,nc_search", [("sl(4)", True), ("ch(3)*ch(3)", False),
+                                             ("rh(5)*rh(5)", False)])
+def test_integer_restrictions_and_gram_are_positive_multiples_of_the_rational_ones(
+        space, nc_search):
+    inputs = _nc2_inputs(space, nc_search)
+    assert inputs
+    if nc_search:  # the probes give rows whose pivot values are not 1
+        assert any(row[c] != 1 for _, _, v in inputs.values()
+                   for row, c in zip(v.rows, v.pivots))
+    for model, pd, v in inputs.values():
+        norm = model.normalizer_in(pd.k_phi, v)
+        ops = verify_module._restriction_matrices(model, norm, v)
+        assert len(ops) == norm.dim
+        for op, t in zip(ops, norm.basis):
+            cols = [v.coords_of(model.bracket(t, w)) for w in v.basis]
+            old = [[col[i] for col in cols] for i in range(v.dim)]
+            assert _positive_multiple(op, old)
+        old_gram = [[model.inner_product(x, y) for y in v.basis] for x in v.basis]
+        assert _positive_multiple(verify_module._gram(model, v).rows, old_gram)
+
+
 class TestPolarCertificate:
     def test_hyperbolic_plane_pair(self):
         p = direct_sum([build_so1n(2), build_so1n(2)])
@@ -426,6 +479,27 @@ class TestVerifyOrchestration:
         assert dict(report.notes)["product-block-split"]
         assert report.nc1 == "yes"
         assert report.nc2 == "yes"
+
+
+def test_sampling_a_subspace_larger_than_the_space_raises():
+    sub = Subspace.span(4, [(1, 0, 2, 0), (0, 1, 0, 3)])
+    sampler = RationalSampler(7)
+    draws = []
+    vector_in = sampler.vector_in
+
+    def bounded(space):  # a draw budget, so a loop that never ends fails
+        draws.append(space)
+        assert len(draws) < 1000, "subspace_in keeps drawing"
+        return vector_in(space)
+
+    sampler.vector_in = bounded
+    for dim in (3, 5, -1):
+        with pytest.raises(ValueError):
+            sampler.subspace_in(sub, dim)
+    assert sampler.subspace_in(sub, 2) == sub
+    assert sampler.subspace_in(sub, 0) == Subspace.zero(4)
+    with pytest.raises(ValueError):
+        sampler.subspace_in(Subspace.zero(4), 1)
 
 
 def test_sampler_determinism():

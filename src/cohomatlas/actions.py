@@ -253,8 +253,12 @@ def make_factor_diagonal(pm: ProductModel, datum: RootDatum, j: int, k: int) -> 
 # nilpotent construction
 
 
-def nilpotent_construct(datum: RootDatum, pd: ParabolicDatum, v: Subspace) -> ActionSpec:
-    """Normalizer-plus-complement algebra from a subspace of the top grade."""
+NC_OVERLAP = "normalizer overlaps the nilpotent complement"
+
+
+def nc_summands(datum: RootDatum, pd: ParabolicDatum, v: Subspace) -> tuple:
+    """(N_l(c), c) for the complement c = n_phi minus v of a subspace v of the
+    top grade: the two summands of the nilpotent construction's algebra."""
     model = datum.model
     if pd.grading is None:
         raise ValueError("nilpotent construction needs phi omitting exactly one root")
@@ -263,12 +267,19 @@ def nilpotent_construct(datum: RootDatum, pd: ParabolicDatum, v: Subspace) -> Ac
     if not pd.grading[1].contains(v):
         raise ValueError("v must lie inside the first graded piece")
     complement = orthocomplement_in(v, pd.n_phi, model.inner)
-    normalizer = model.normalizer_in(pd.l, complement)
+    return model.normalizer_in(pd.l, complement), complement
+
+
+def nilpotent_construct(datum: RootDatum, pd: ParabolicDatum, v: Subspace) -> ActionSpec:
+    """Normalizer-plus-complement algebra N_l(c) + c from a subspace v of the
+    top grade, with c = n_phi minus v; the sum must be direct."""
+    normalizer, complement = nc_summands(datum, pd, v)
     algebra = subspace_sum(normalizer, complement)
     if algebra.dim != normalizer.dim + complement.dim:
-        raise ValueError("normalizer overlaps the nilpotent complement")
+        raise ValueError(NC_OVERLAP)
     (j,) = [i for i in range(datum.rank) if i not in pd.phi]
-    return ActionSpec("NC", model, pd.phi, algebra, {"j": j, "v": v, "normalizer": normalizer})
+    return ActionSpec("NC", datum.model, pd.phi, algebra,
+                      {"j": j, "v": v, "normalizer": normalizer})
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
-from .linalg import Matrix, Subspace, subspace_intersect
+from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
 from .models import LieModel, ProductModel, build_sl
 from .actions import (
+    NC_OVERLAP,
     ActionSpec,
     builtin_cei_catalog,
     canonical_extend,
@@ -42,6 +43,7 @@ from .actions import (
     make_fh,
     make_fs,
     matrix_kernel,
+    nc_summands,
     nilpotent_construct,
     product_assemble,
 )
@@ -423,11 +425,17 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set, *,
     Covers every coordinate subspace of the tensor basis (all 2^dim subsets,
     dimension capped at 6) plus ORACLE_PROBES seeded random subspaces;
     duplicates collapse into one record with a hit count, so the probe
-    budget stays auditable.  Each distinct candidate v with dim v >= 2 is
-    built once by the nilpotent construction; its spec gives exact NC1, and
-    with the three-stage NC2 passing, the singular-orbit tangent compared
-    against the tangents closed under the block coordinate permutations
-    fixing the grading of the j-th simple root.
+    budget stays auditable.
+
+    Each distinct candidate v with dim v >= 2 costs one ``nc_summands``
+    call, the normalizer N = N_l(c) of its complement c = n_phi minus v and
+    c itself, and one projection p(N).  p(N) gives exact NC1; NC2 runs its
+    three stages on v.  When both pass, the singular-orbit tangent, p(N) +
+    p(c), is compared against the known tangents closed under the block
+    coordinate permutations fixing the grading of the j-th simple root.  The
+    NC algebra N + c is never spanned: the sum is direct for every candidate
+    once l and n_phi meet only in 0, because N lies in l and c in n_phi, and
+    that is checked once per sweep.
     """
     datum = result.datum
     model = datum.model
@@ -440,6 +448,8 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set, *,
         raise ValueError("oracle dimension bound exceeded")
     phi = tuple(i for i in range(n) if i != j)
     pd = build_parabolic(datum, phi)
+    if subspace_intersect(pd.l, pd.n_phi).dim:
+        raise ValueError(NC_OVERLAP)
     known = set(tangents)
     for pmap in _permutation_maps(model, j):
         known.update(Subspace.span(model.dim, [pmap.apply_sparse(row) for row in t.rows])
@@ -483,15 +493,16 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set, *,
         if v.dim < 2:
             rec["nc1"] = rec["nc2"] = "not-checked"
             continue
-        spec = nilpotent_construct(datum, pd, v)
-        ok1 = check_nc1(model, pd, spec.payload["normalizer"])
+        normalizer, complement = nc_summands(datum, pd, v)
+        p_normalizer = model.project_p_subspace(normalizer)
+        ok1 = check_nc1(pd, p_normalizer)
         verdict, cert = check_nc2(model, pd, v, seed, samples)
         rec["nc1"] = "yes" if ok1 else "no"
         rec["nc2"] = verdict
         rec["nc2_certificate"] = cert
         if ok1 and verdict == "yes":
             rec["passes"] = True
-            tangent = orbit_tangent_at_o(model, spec.algebra)
+            tangent = subspace_sum(p_normalizer, model.project_p_subspace(complement))
             rec["matches_known_tangent"] = tangent in known
     return {
         "records": records,

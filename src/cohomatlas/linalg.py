@@ -13,9 +13,9 @@ is the one representation inside this module and ``cohomatlas.models``,
 where almost every coordinate is zero, so an operation costs the supports it
 reads, not the ambient dimension.  Dense tuples remain only at the edges
 that hand out values: ``Matrix`` rows, ``Subspace.basis``, ``from_coords``
-and ``coords_of``, and the rows that ``rref_rows``, ``rref_with_transform``
-and ``kernel_rows`` return.  The entry points that take vectors accept
-either form.
+and ``coords_of``, and the rows that ``rref_with_transform`` and
+``kernel_rows`` return.  The entry points that take vectors accept either
+form.
 
 A subspace stores its canonical rows once: the reduced row echelon form of
 whatever spanning set was supplied, each the sparse primitive integer row
@@ -30,6 +30,9 @@ divide each result by its gcd, and a pivot step touches only the rows that
 hold its column.  Every row stays a nonzero multiple of the row a rational
 Gauss-Jordan loop would hold, and pivot rows are picked as that loop picks
 them, so pivots, reduced rows and transforms are the same as that loop's.
+``rref_rows`` returns the reduced rows as ``Subspace`` stores them, sparse
+primitive integer rows with positive pivots, and ``kernel_rows`` builds its
+integer vectors from those rows: the row operations build no Fraction.
 
 Each linear-algebra job has one solver.  ``solve_inclusion_constraint``
 serves normalizers, centralizers, intersections, orthogonal complements and
@@ -48,8 +51,8 @@ vector therefore leads at its free candidate and is zero at the other
 leads: the kernel comes out in RREF.  When the candidates are a subspace's
 canonical rows, each combination then leads at its lead candidate's pivot,
 with a positive value, and is zero at the other leads' pivots.  So the
-combinations are already the canonical rows of the answer, and the
-solver's closing ``Subspace.span`` does no row operations.
+combinations are already the canonical rows of the answer, up to their
+gcds, and the solver returns them as its rows without spanning them again.
 
 The one eigensplit, ``invariant_eigensplit``, needs no characteristic
 polynomial.  With d the common denominator of the action matrix A, every
@@ -166,8 +169,8 @@ def _eliminate(work: list, ncols: int) -> list:
     to be its pivot row, as a Gauss-Jordan loop over the columns picks it.
     Only the rows holding c change: below the pivot row, those with lead c;
     above it, the earlier pivot rows that hold c.  The first len(pivots) rows
-    end up with zeros above and below their pivots, each a nonzero multiple
-    of its reduced row.
+    end up with zeros above and below their pivots, each the primitive
+    integer multiple of its reduced row with a positive pivot.
     """
     leads = [min(row, default=ncols) for row in work]
     pivots = []
@@ -187,19 +190,23 @@ def _eliminate(work: list, ncols: int) -> list:
                 work[i] = row = _reduce(work[i], prow, c)
                 leads[i] = min(row, default=ncols)
         pivots.append(c)
+    for r, c in enumerate(pivots):
+        if work[r][c] < 0:
+            work[r] = {j: -x for j, x in work[r].items()}
     return pivots
 
 
 def rref_rows(rows: Sequence, ncols: int):
     """Reduced row echelon form of dense or sparse rows.
 
-    Returns (reduced nonzero rows, pivot column indices).  Rows are dense
-    tuples of length ncols, fully normalized: pivots are 1 with zeros above
-    and below.
+    Returns (reduced nonzero rows, pivot column indices).  Each row is the
+    sparse primitive integer multiple of its fully normalized RREF row (pivot
+    1, zeros above and below) with a positive pivot, as ``Subspace`` stores
+    it: divided by its pivot value, it is the rational RREF row.
     """
     work = [row for row in (_integer_row(sparse(r)) for r in rows) if row]
     pivots = _eliminate(work, ncols)
-    return [_rational_row(row, row[c], ncols) for row, c in zip(work, pivots)], pivots
+    return work[:len(pivots)], pivots
 
 
 def rref_with_transform(rows: Sequence, ncols: int):
@@ -221,16 +228,21 @@ def rref_with_transform(rows: Sequence, ncols: int):
 def kernel_rows(rows: Sequence, ncols: int) -> list:
     """Basis of {x : R x = 0} for the matrix with the given dense or sparse
     rows: one primitive integer vector per free column f, positive at f and
-    zero at the other free columns, as a dense tuple."""
+    zero at the other free columns, as a dense tuple.
+
+    Reduced row p, with pivot value d_p, gives x[p] = -row_p[f] / d_p when
+    x[f] = 1; scaling by the lcm L of the d_p that hit f keeps x in ints.
+    """
     red, pivots = rref_rows(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
         if f not in pivot_set:
-            x = {f: 1}
-            for row, p in zip(red, pivots):
-                if row[f]:
-                    x[p] = -row[f]
+            hits = [(row, p) for row, p in zip(red, pivots) if f in row]
+            scale = math.lcm(*(row[p] for row, p in hits))
+            x = {f: scale}
+            for row, p in hits:
+                x[p] = -row[f] * (scale // row[p])
             basis.append(dense(_integer_row(x), ncols))
     return basis
 
@@ -339,6 +351,11 @@ class Subspace:
     pivots: tuple = field(compare=False)
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash, built once: the rows are dicts, so each is frozen first."""
         return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.rows)))
 
     @classmethod
@@ -351,9 +368,7 @@ class Subspace:
             if row:
                 work.append(row)
         pivots = _eliminate(work, ambient_dim)
-        rows = tuple(row if row[c] > 0 else {j: -x for j, x in row.items()}
-                     for row, c in zip(work, pivots))
-        return cls(ambient_dim, rows, tuple(pivots))
+        return cls(ambient_dim, tuple(work[:len(pivots)]), tuple(pivots))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -478,9 +493,12 @@ def solve_inclusion_constraint(candidates, images: Sequence[Sequence],
     under the linear map family, as dense or sparse vectors; the family is
     linear in X, so the solution set is the span of sum(x_a * candidate_a)
     over the kernel of the induced system.  For Subspace candidates those
-    combinations, in order, are positive multiples of the answer's rows.
+    combinations, in order, are positive multiples of the answer's canonical
+    rows, so they are returned as its rows, each divided by its gcd, with no
+    closing span.
     """
-    if isinstance(candidates, Subspace):
+    canonical = isinstance(candidates, Subspace)
+    if canonical:
         amb, rows = candidates.ambient_dim, candidates.rows
     else:
         amb, rows = len(candidates[0]) if candidates else 0, [sparse(c) for c in candidates]
@@ -501,9 +519,14 @@ def solve_inclusion_constraint(candidates, images: Sequence[Sequence],
             for j, x in target._residual(w).items():
                 equations.setdefault((s, j), {})[last - a] = x
     if not equations:
-        return Subspace.span(amb, rows)
+        return candidates if canonical else Subspace.span(amb, rows)
     ker = kernel_rows(list(equations.values()), len(rows))
-    return Subspace.span(amb, [combination(x[::-1], rows) for x in reversed(ker)])
+    answer = [combination(x[::-1], rows) for x in reversed(ker)]
+    if not canonical:
+        return Subspace.span(amb, answer)
+    answer = tuple(_integer_row(row) for row in answer)
+    # each row's pivot is its leftmost column, its lead candidate's pivot
+    return Subspace(amb, answer, tuple(min(row) for row in answer))
 
 
 class SpanSolver:

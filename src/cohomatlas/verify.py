@@ -21,7 +21,10 @@ from typing import Optional
 from .linalg import (
     Matrix,
     Subspace,
+    _integer_row,
+    combination,
     orthocomplement_in,
+    rref_rows,
     subspace_intersect,
     subspace_sum,
 )
@@ -46,23 +49,46 @@ class RationalSampler:
     def coefficient(self):
         return self._next() % 7 - 3
 
+    def nonzero_coefficients(self, m: int) -> tuple:
+        """m coefficients, drawn again until one is nonzero."""
+        while True:
+            coeffs = tuple(self.coefficient() for _ in range(m))
+            if any(coeffs):
+                return coeffs
+
     def vector_in(self, sub: Subspace) -> tuple:
         if sub.dim == 0:
             raise ValueError("cannot sample from the zero subspace")
-        while True:
-            coeffs = [self.coefficient() for _ in range(sub.dim)]
-            if any(coeffs):
-                return sub.from_coords(coeffs)
+        return sub.from_coords(self.nonzero_coefficients(sub.dim))
 
     def subspace_in(self, sub: Subspace, dim: int) -> Subspace:
+        """The span of dim vectors drawn as ``vector_in`` draws them, drawn
+        again until they are independent.
+
+        The draws are spanned in the coordinates of ``sub.basis`` B: with C
+        the drawn coefficients, RREF(C B) = RREF(C) B, because B is in RREF
+        with unit pivots.  A reduced row r of C, primitive with a positive
+        pivot, maps to sum(r_q (L / d_q) row_q) over the rows of sub, where d_q
+        is the pivot value of row_q and L their lcm: that is L times r B, so
+        divided by its gcd it is the canonical row of the span.
+        """
         if not 0 <= dim <= sub.dim:
             raise ValueError(f"cannot sample a {dim}-dimensional subspace "
                              f"of a {sub.dim}-dimensional one")
+        if dim == 0:
+            return Subspace.zero(sub.ambient_dim)
         while True:
-            rows = [self.vector_in(sub) for _ in range(dim)]
-            cand = Subspace.span(sub.ambient_dim, rows)
-            if cand.dim == dim:
-                return cand
+            draws = [self.nonzero_coefficients(sub.dim) for _ in range(dim)]
+            reduced, pivots = rref_rows(draws, sub.dim)
+            if len(pivots) == dim:
+                break
+        if dim == sub.dim:
+            return sub
+        scales = _basis_scales(sub)
+        rows = tuple(_integer_row(combination([x * scales[q] for q, x in r.items()],
+                                              [sub.rows[q] for q in r]))
+                     for r in reduced)
+        return Subspace(sub.ambient_dim, rows, tuple(sub.pivots[c] for c in pivots))
 
 
 @dataclass(frozen=True)
@@ -176,17 +202,18 @@ def check_lie_triple(model: LieModel, b: Subspace) -> bool:
 # nilpotent construction conditions
 
 
-def check_nc1(model: LieModel, pd: ParabolicDatum, normalizer: Subspace) -> bool:
+def check_nc1(pd: ParabolicDatum, p_normalizer: Subspace) -> bool:
     """Tangent criterion: p(N_l(n_phi minus v)) covers the boundary tangent b.
 
-    normalizer is N_l(c) for the complement c = n_phi minus v, as
-    ``nilpotent_construct`` builds it.  This is the criterion for the
+    p_normalizer is p(N_l(c)), the p-projection of the normalizer of the
+    complement c = n_phi minus v that ``nc_summands`` builds; the oracle
+    reads it again for the orbit tangent.  This is the criterion for the
     m_phi-normalizer: c is graded and a_phi acts on each graded piece by a
     scalar, so N_l(c) = N_m(c) + a_phi and p(N_l(c)) = p(N_m(c)) + a_phi.
     Both b and p(N_m(c)) lie in m, which is theta invariant and orthogonal
     to a_phi, so b lies in p(N_l(c)) iff it lies in p(N_m(c)).
     """
-    return model.project_p_subspace(normalizer).contains(pd.b)
+    return p_normalizer.contains(pd.b)
 
 
 def _basis_scales(v: Subspace) -> list:
@@ -257,9 +284,7 @@ def check_nc2(model: LieModel, pd: ParabolicDatum, v: Subspace, seed: int, sampl
     sampler = RationalSampler(seed)
     for _ in range(samples):
         # work in restricted coordinates throughout
-        uc = tuple(sampler.coefficient() for _ in range(m))
-        while not any(uc):
-            uc = tuple(sampler.coefficient() for _ in range(m))
+        uc = sampler.nonzero_coefficients(m)
         tangent = Subspace.span(m, [uc] + [op.apply(uc) for op in ops])
         if tangent.dim < m:
             return "no", "failed-witness"
@@ -393,7 +418,7 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
         pd = build_parabolic(datum, spec.phi)
         v = spec.payload["v"]
         normalizer = spec.payload["normalizer"]  # certified by normalizer-theta-dual
-        nc1 = "yes" if check_nc1(model, pd, normalizer) else "no"
+        nc1 = "yes" if check_nc1(pd, model.project_p_subspace(normalizer)) else "no"
         nc2, nc2_cert = check_nc2(model, pd, v, seed, samples)
         theta_dual = model.theta_image(model.normalizer_in(pd.l, v))
         notes.append(("normalizer-theta-dual", theta_dual == normalizer))

@@ -1,5 +1,6 @@
 """Tests for the classification tables and the helpers they share."""
 
+import dataclasses
 import sys
 from collections import Counter
 from functools import cached_property
@@ -9,10 +10,10 @@ import pytest
 from cohomatlas import catalog, linalg
 from cohomatlas.catalog import ce_families, enumerate_sl, known_extension_tangents
 from cohomatlas.cli import RunConfig, parse_space, run
-from cohomatlas.linalg import Matrix, orthocomplement_in
+from cohomatlas.linalg import Matrix, Subspace, orthocomplement_in, subspace_sum
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.parabolic import build_nested, build_parabolic
-from cohomatlas.actions import builtin_cei_catalog, canonical_extend
+from cohomatlas.actions import builtin_cei_catalog, canonical_extend, nilpotent_construct
 from cohomatlas.roots import decompose
 from cohomatlas.verify import orbit_tangent_at_o, verify
 
@@ -107,6 +108,26 @@ def test_oracle_extends_each_interval_once_per_run(monkeypatch):
     assert len(result.oracle) == 3 and len(intervals) == 3
     # one other-end extension per interval, not one per interval and sweep
     assert len(extended) == len(intervals)
+
+
+def test_the_oracle_rejects_a_levi_part_that_meets_the_nilradical(monkeypatch):
+    # the oracle never spans N_l(c) + c; its one check per sweep that l and
+    # n_phi meet only in 0 must raise as nilpotent_construct does
+    result = enumerate_sl(3)
+    datum = result.datum
+    tangents = known_extension_tangents(result)
+    pd = build_parabolic(datum, [1, 2])
+    bad = dataclasses.replace(pd, l=subspace_sum(pd.l, pd.n_phi))
+    v = Subspace.span(datum.model.dim, pd.grading[1].rows[:2])
+    with pytest.raises(ValueError) as built:
+        nilpotent_construct(datum, bad, v)
+    build = catalog.build_parabolic
+    monkeypatch.setattr(catalog, "build_parabolic",
+                        lambda d, phi: bad if tuple(phi) == pd.phi else build(d, phi))
+    with pytest.raises(ValueError) as searched:
+        catalog.nc_oracle_search(result, 0, tangents)
+    assert str(searched.value) == str(built.value)
+    assert str(built.value) == "normalizer overlaps the nilpotent complement"
 
 
 def test_only_rank_one_factors_read_the_builtin_catalog(monkeypatch):

@@ -71,6 +71,20 @@ def S(ambient, *vectors):
     return Subspace.span(ambient, [vec(v) for v in vectors])
 
 
+def divided(result, n: int):
+    """rref_rows's (rows, pivots) as the rational loop gives them: each row
+    divided by its pivot value, as a dense tuple of length n.  Asserts first
+    that each row is a primitive sparse integer row with a positive pivot."""
+    rows, pivots = result
+    assert len(rows) == len(pivots)
+    out = []
+    for row, c in zip(rows, pivots):
+        assert all(type(x) is int and x for x in row.values())
+        assert row[c] > 0 and math.gcd(*row.values()) == 1
+        out.append(tuple(Fraction(row.get(j, 0), row[c]) for j in range(n)))
+    return out, pivots
+
+
 def int_iff_integral(x) -> bool:
     """The core's scalar convention: an int when integral, a Fraction only
     when the denominator is not 1, and never a float."""
@@ -80,7 +94,8 @@ def int_iff_integral(x) -> bool:
 class TestRref:
     def test_identity_fixed_point(self):
         m = identity(3)
-        assert rref_rows(m.rows, 3) == (list(m.rows), [0, 1, 2])
+        assert rref_rows(m.rows, 3) == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2])
+        assert divided(rref_rows(m.rows, 3), 3) == (list(m.rows), [0, 1, 2])
 
     def test_zero_fixed_point(self):
         m = Matrix.zeros(2, 4)
@@ -89,7 +104,8 @@ class TestRref:
     def test_rank_one_two_by_two(self):
         # hand Gaussian elimination: r2 -= r1/2, normalize r1
         m = mat([[2, 4], [1, 2]])
-        assert rref_rows(m.rows, 2) == ([(1, 2)], [0])
+        assert rref_rows(m.rows, 2) == ([{0: 1, 1: 2}], [0])
+        assert divided(rref_rows(m.rows, 2), 2) == ([(1, 2)], [0])
 
     def test_rank_counts_nonzero_rows(self):
         m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
@@ -353,7 +369,7 @@ def test_rref_with_transform_maps_rows_to_reduced_rows(case):
     n, rows = case
     reduced, pivots, transform = rref_with_transform(rows, n)
     assert [lincomb(t, rows, n) for t in transform] == reduced
-    assert (reduced[:len(pivots)], pivots) == rref_rows(rows, n)
+    assert (reduced[:len(pivots)], pivots) == divided(rref_rows(rows, n), n)
     assert all(not any(r) for r in reduced[len(pivots):])
 
 
@@ -532,9 +548,7 @@ def rational_rows(draw):
 @given(rational_rows())
 def test_rref_rows_matches_the_rational_loop(case):
     n, rows = case
-    reduced, pivots = rref_rows(rows, n)
-    assert (reduced, pivots) == reference_rref_rows(rows, n)
-    assert all(int_iff_integral(x) for row in reduced for x in row)
+    assert divided(rref_rows(rows, n), n) == reference_rref_rows(rows, n)
 
 
 @PROPERTY
@@ -665,7 +679,9 @@ def test_span_is_canonical_under_rescaling_and_permutation(case, data):
 def test_basis_is_the_rref_of_the_integer_rows(case):
     n, rows = case
     sub = Subspace.span(n, rows)
-    assert list(sub.basis) == rref_rows(sub.rows, n)[0] == reference_rref_rows(rows, n)[0]
+    assert rref_rows(sub.rows, n) == (list(sub.rows), list(sub.pivots))
+    assert list(sub.basis) == divided(rref_rows(sub.rows, n), n)[0]
+    assert list(sub.basis) == reference_rref_rows(rows, n)[0]
     assert list(sub.pivots) == reference_rref_rows(rows, n)[1]
 
 
@@ -735,7 +751,7 @@ def as_strings(rows):
 def test_sparse_rows_reduce_as_the_rational_loop(case):
     n, rows, as_str = case
     given_rows = as_strings(rows) if as_str else rows
-    assert rref_rows(given_rows, n) == reference_rref_rows(rows, n)
+    assert divided(rref_rows(given_rows, n), n) == reference_rref_rows(rows, n)
     reduced, pivots, transform = rref_with_transform(given_rows, n)
     ref_reduced, ref_pivots, ref_transform = reference_rref_with_transform(rows, n)
     assert (reduced, pivots) == (ref_reduced, ref_pivots)

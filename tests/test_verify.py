@@ -172,7 +172,7 @@ def _m_normalizer_tangent(model, pd, v):
 
 def _nc1(datum, pd, v):
     normalizer = nilpotent_construct(datum, pd, v).payload["normalizer"]
-    return check_nc1(datum.model, pd, normalizer)
+    return check_nc1(pd, datum.model.project_p_subspace(normalizer))
 
 
 def _nc1_cases():
@@ -485,14 +485,14 @@ def test_sampling_a_subspace_larger_than_the_space_raises():
     sub = Subspace.span(4, [(1, 0, 2, 0), (0, 1, 0, 3)])
     sampler = RationalSampler(7)
     draws = []
-    vector_in = sampler.vector_in
+    coefficient = sampler.coefficient
 
-    def bounded(space):  # a draw budget, so a loop that never ends fails
-        draws.append(space)
+    def bounded():  # a draw budget, so a loop that never ends fails
+        draws.append(None)
         assert len(draws) < 1000, "subspace_in keeps drawing"
-        return vector_in(space)
+        return coefficient()
 
-    sampler.vector_in = bounded
+    sampler.coefficient = bounded
     for dim in (3, 5, -1):
         with pytest.raises(ValueError):
             sampler.subspace_in(sub, dim)
@@ -500,6 +500,46 @@ def test_sampling_a_subspace_larger_than_the_space_raises():
     assert sampler.subspace_in(sub, 0) == Subspace.zero(4)
     with pytest.raises(ValueError):
         sampler.subspace_in(Subspace.zero(4), 1)
+
+
+def reference_subspace_in(sampler, sub, dim):
+    """The loop that ``subspace_in`` replaced: draw vectors in the ambient
+    coordinates and span them, again until they are independent.  Returns
+    the span and the number of rank-deficient draws."""
+    redraws = 0
+    while True:
+        cand = Subspace.span(sub.ambient_dim, [sampler.vector_in(sub) for _ in range(dim)])
+        if cand.dim == dim:
+            return cand, redraws
+        redraws += 1
+
+
+def _sampled_spaces():
+    """The top graded pieces of sl(4) for j = 1 and j = 2, and a plane of
+    the root space of so(1,4) whose canonical rows have pivot values 2 and 3."""
+    datum = decompose(build_sl(4))
+    tops = [build_parabolic(datum, [i for i in range(3) if i != j]).grading[1] for j in (0, 1)]
+    rh4 = build_so1n(4)
+    b = rh4.n_space.basis
+    plane = Subspace.span(rh4.dim, [vadd([2 * x for x in b[0]], b[2]),
+                                    vadd([3 * x for x in b[1]], b[2])])
+    assert sorted(row[c] for row, c in zip(plane.rows, plane.pivots)) == [2, 3]
+    return [pytest.param(tops[0], id="sl4-j1"), pytest.param(tops[1], id="sl4-j2"),
+            pytest.param(plane, id="rh4-plane")]
+
+
+@pytest.mark.parametrize("sub", _sampled_spaces())
+def test_subspace_in_draws_as_the_ambient_loop(sub):
+    redraws = 0
+    for seed in range(12):
+        sampler, reference = RationalSampler(seed), RationalSampler(seed)
+        for dim in list(range(sub.dim + 1)) * 4:
+            expected, n = reference_subspace_in(reference, sub, dim)
+            got = sampler.subspace_in(sub, dim)
+            assert got == expected and got.pivots == expected.pivots
+            assert sampler.state == reference.state
+            redraws += n
+    assert redraws  # some draws were rank deficient and drawn again
 
 
 def test_sampler_determinism():

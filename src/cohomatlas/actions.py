@@ -5,7 +5,8 @@ model, the defining roots, and the resulting subalgebra as an exact
 subspace of the ambient model.  An action is its algebra: closure under the
 bracket is a property of that subspace, certified by ``verify`` alone from
 its basis.  Constructors check their inputs, and the payload holds only the
-data ``verify`` reads.  Kinds:
+data ``verify`` reads: subspaces, and an NC row's omitted root ``j``.  A
+diagonal {X + sigma X} is its graph (``_graph``), never a linear map.  Kinds:
 
 * ``FH``   codimension one horospherical foliation, (a minus line) + n
 * ``FS``   solvable foliation, a + (n minus a line in a simple root space)
@@ -25,14 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .linalg import (
-    SpanSolver,
     Subspace,
-    combination,
-    dense,
     orthocomplement_in,
     rat,
     solve_inclusion_constraint,
@@ -118,40 +115,24 @@ def canonical_extend(
 # diagonal subalgebras
 
 
-@dataclass(frozen=True)
-class SigmaMap:
-    """A linear map between two subalgebras, given on an explicit basis."""
-
-    domain_basis: tuple
-    images: tuple
-
-    @cached_property
-    def _solver(self) -> SpanSolver:
-        """Coordinates in the domain basis, built on first use."""
-        return SpanSolver(self.domain_basis, len(self.domain_basis[0]))
-
-    def apply(self, x: Sequence) -> tuple:
-        return dense(combination(self._solver.coords(x), self.images), len(self.images[0]))
-
-    def validate(self, model: LieModel, domain: Subspace, image: Subspace) -> None:
-        if len(self.domain_basis) != domain.dim:
-            raise ValueError("sigma domain basis does not span the domain")
-        img_span = Subspace.span(model.dim, self.images)
-        if img_span != image or img_span.dim != domain.dim:
-            raise ValueError("sigma is not bijective onto the target algebra")
-        for i, x in enumerate(self.domain_basis):
-            for k in range(i + 1, len(self.domain_basis)):
-                y = self.domain_basis[k]
-                lhs = self.apply(model.bracket(x, y))
-                rhs = model.bracket(self.images[i], self.images[k])
-                if lhs != rhs:
-                    raise ValueError("sigma does not preserve the bracket")
-
-    def is_theta_equivariant(self, model: LieModel) -> bool:
-        for x, img in zip(self.domain_basis, self.images):
-            if self.apply(model.theta_apply(x)) != model.theta_apply(img):
-                return False
-        return True
+def _graph(model: LieModel, domain: Subspace, image: Subspace, pairs) -> Subspace:
+    """The graph {x + sigma x} of the bijection sigma: x -> y over the (x, y)
+    pairs, between independent commuting subalgebras.  There the bracket of
+    x + sigma x and y + sigma y is [x, y] + [sigma x, sigma y], so sigma
+    preserves the bracket iff its graph is a subalgebra."""
+    xs, ys = zip(*pairs)
+    if len(xs) != domain.dim or Subspace.span(model.dim, xs) != domain:
+        raise ValueError("sigma domain basis does not span the domain")
+    if Subspace.span(model.dim, ys) != image or image.dim != domain.dim:
+        raise ValueError("sigma is not bijective onto the target algebra")
+    if subspace_sum(domain, image).dim != 2 * domain.dim:
+        raise ValueError("sigma domain and image meet")
+    if model.bracket_span(domain.rows, image.rows).dim:
+        raise ValueError("sigma domain and image do not commute")
+    graph = Subspace.span(model.dim, [tuple(a + b for a, b in zip(x, y)) for x, y in zip(xs, ys)])
+    if not model.is_subalgebra(graph):
+        raise ValueError("sigma does not preserve the bracket")
+    return graph
 
 
 def _sl2_triple(model: LieModel, datum: RootDatum, root) -> tuple:
@@ -181,10 +162,10 @@ def _rational_sqrt(x):
     return rat(rn, rd)
 
 
-def default_cer_sigma(datum: RootDatum, j: int, k: int) -> SigmaMap:
-    """Canonical isomorphism between two rank-one boundary algebras of
-    multiplicity (1,0) roots: the sl2-triple map, rescaled so the result is
-    theta equivariant (requires an exact rational square root)."""
+def default_cer_sigma(datum: RootDatum, j: int, k: int) -> Subspace:
+    """The graph of the canonical isomorphism between two rank-one boundary
+    algebras of multiplicity (1,0) roots: the sl2-triple map, rescaled so the
+    graph is theta invariant (requires an exact rational square root)."""
     model = datum.model
     pd_j = build_parabolic(datum, [j])
     pd_k = build_parabolic(datum, [k])
@@ -196,24 +177,15 @@ def default_cer_sigma(datum: RootDatum, j: int, k: int) -> SigmaMap:
     if t is None:
         raise ValueError("boundary algebras are homothetic but admit no rational "
                          "theta-equivariant identification")
-    dom = (hj, ej, fj_)
-    img = (hk, tuple(t * v for v in ek), tuple((rat(1) / t) * v for v in fk_))
-    sigma = SigmaMap(dom, img)
-    sigma.validate(model, pd_j.s, pd_k.s)
-    if not sigma.is_theta_equivariant(model):
+    pairs = [(hj, hk), (ej, tuple(t * v for v in ek)), (fj_, tuple((rat(1) / t) * v for v in fk_))]
+    graph = _graph(model, pd_j.s, pd_k.s, pairs)
+    if model.theta_image(graph) != graph:
         raise ValueError("default sigma failed theta equivariance")
-    return sigma
-
-
-def _diagonal_subspace(model: LieModel, sigma: SigmaMap) -> Subspace:
-    """{X + sigma X : X in the domain of sigma}."""
-    rows = [tuple(a + b for a, b in zip(x, y)) for x, y in zip(sigma.domain_basis, sigma.images)]
-    return Subspace.span(model.dim, rows)
+    return graph
 
 
 def make_cer(datum: RootDatum, j: int, k: int) -> ActionSpec:
     """Diagonal subalgebra over two orthogonal simple roots, canonically extended."""
-    model = datum.model
     if j == k:
         raise ValueError("CER needs two distinct simple roots")
     if tuple(sorted((j, k))) in datum.dynkin_edges:
@@ -223,11 +195,10 @@ def make_cer(datum: RootDatum, j: int, k: int) -> ActionSpec:
         raise ValueError("CER multiplicities do not match")
     if profile_j != profile_k:
         raise ValueError("CER double root multiplicities do not match")
-    sigma = default_cer_sigma(datum, j, k)
-    diag = _diagonal_subspace(model, sigma)
+    diag = default_cer_sigma(datum, j, k)
     pd = build_parabolic(datum, [j, k])
-    payload = {"sigma": sigma, "diag": diag,
-               "a_section_domain": build_parabolic(datum, [j]).a_upper}
+    payload = {"diag": diag, "a_section_domain": build_parabolic(datum, [j]).a_upper,
+               "a_section_image": build_parabolic(datum, [k]).a_upper}
     return canonical_extend(datum, pd, diag, kind="CER", payload=payload)
 
 
@@ -239,13 +210,11 @@ def make_factor_diagonal(pm: ProductModel, datum: RootDatum, j: int, k: int) -> 
     if pm.factors[j].name != pm.factors[k].name:
         raise ValueError("no canonical sigma between non-identical factors")
     block_j, block_k = pm.factor_block(j), pm.factor_block(k)
-    sigma = SigmaMap(block_j.basis, block_k.basis)
-    sigma.validate(pm, block_j, block_k)
-    diag = _diagonal_subspace(pm, sigma)
+    diag = _graph(pm, block_j, block_k, zip(block_j.basis, block_k.basis))
     algebra = Subspace.span(pm.dim, diag.rows + pm.other_factor_rows((j, k)))
     phi = tuple(sorted(datum.factor_phis[j] + datum.factor_phis[k]))
-    payload = {"sigma": sigma, "diag": diag,
-               "a_section_domain": pm.embed_subspace(j, pm.factors[j].a_space)}
+    payload = {"diag": diag, "a_section_domain": pm.embed_subspace(j, pm.factors[j].a_space),
+               "a_section_image": pm.embed_subspace(k, pm.factors[k].a_space)}
     return ActionSpec("CER", pm, phi, algebra, payload)
 
 

@@ -90,16 +90,17 @@ def parse_space(text: str) -> SpaceSpec:
             pos += 1
         if pos == num_start:
             raise ValueError(f"syntax error at offset {pos}: expected an integer")
-        value = int(text[num_start:pos])
+        digits = text[num_start:pos].lstrip("0") or "0"
         lo, hi = FACTOR_BOUNDS[name]
-        if not lo <= value <= hi:
-            raise ValueError(f"factor {name}({value}) out of bounds "
+        # int() refuses very long digit strings, so compare lengths first
+        if len(digits) > len(str(hi)) or not lo <= int(digits) <= hi:
+            raise ValueError(f"factor {name}({digits}) out of bounds "
                              f"[{lo}, {hi}] at offset {num_start}")
         pos = skip_ws(pos)
         if pos >= n or text[pos] != ")":
             raise ValueError(f"syntax error at offset {pos}: expected ')'")
         pos += 1
-        factors.append((name, value))
+        factors.append((name, int(digits)))
         pos = skip_ws(pos)
         if pos == n:
             break
@@ -204,6 +205,9 @@ def render_markdown(spec: SpaceSpec, config: RunConfig, result: EnumerationResul
     lines.append("- Each FH row stands for the family of horospherical foliations "
                  "parametrized by the choice of a line in the flat; one "
                  "representative line is listed.")
+    # Nothing certifies the orbit equivalences the FS and CER sentences state:
+    # they need k_0 transitive on the unit sphere of the simple root space
+    # (FS), and the automorphisms of a factor that isometries induce (CER).
     lines.append("- Each FS row stands for the solvable foliations from any line "
                  "in the same simple root space; all such choices give orbit "
                  "equivalent actions.")

@@ -29,7 +29,7 @@ from .linalg import (
     subspace_sum,
 )
 from .models import LieModel, ProductModel
-from .actions import ActionSpec, SigmaMap
+from .actions import ActionSpec
 from .parabolic import ParabolicDatum, build_nested, build_parabolic
 from .roots import RootDatum
 
@@ -297,20 +297,18 @@ def check_nc2(model: LieModel, pd: ParabolicDatum, v: Subspace, seed: int, sampl
 
 def polar_section(spec: ActionSpec) -> Subspace:
     """The candidate flat section: the orthogonal complement of the diagonal
-    {H + sigma H : H in the domain flat} inside the flat plus its sigma image.
-
-    It is {H - sigma H} when sigma is an isometry; between homothetic
-    factors it is not, and only the orthogonal complement is normal to the
-    diagonal.
+    {H + sigma H} = diag & flats inside flats, the two flats' sum, which
+    sigma must map onto each other.  It is {H - sigma H} when sigma is an
+    isometry; between homothetic factors it is not, and only the orthogonal
+    complement is normal to the diagonal.
     """
-    sigma: SigmaMap = spec.payload["sigma"]
     a_dom: Subspace = spec.payload["a_section_domain"]
-    model = spec.model
-    images = [sigma.apply(h) for h in a_dom.basis]
-    diagonal = Subspace.span(model.dim, [tuple(a + b for a, b in zip(h, sh))
-                                         for h, sh in zip(a_dom.basis, images)])
-    flats = Subspace.span(model.dim, list(a_dom.basis) + images)
-    return orthocomplement_in(diagonal, flats, model.inner)
+    a_img: Subspace = spec.payload["a_section_image"]
+    flats = subspace_sum(a_dom, a_img)
+    diagonal = subspace_intersect(spec.payload["diag"], flats)
+    if not diagonal.dim == a_dom.dim == a_img.dim:
+        raise ValueError("sigma does not map the domain flat onto the image flat")
+    return orthocomplement_in(diagonal, flats, spec.model.inner)
 
 
 def check_polar_certificate(spec: ActionSpec) -> bool | Failure:

@@ -4,12 +4,15 @@ import inspect
 
 import pytest
 
+from cohomatlas import actions as actions_module
 from cohomatlas import verify as verify_module
 from cohomatlas.catalog import ce_families, enumerate_sl
 from cohomatlas.linalg import Matrix, Subspace, rat, subspace_intersect, subspace_sum
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
     ActionSpec,
+    _graph,
+    _sl2_triple,
     builtin_cei_catalog,
     canonical_extend,
     default_cer_sigma,
@@ -35,6 +38,16 @@ def setup_module(module):
     module.SL3_DATUM = decompose(module.SL3)
     module.SL4 = build_sl(4)
     module.SL4_DATUM = decompose(module.SL4)
+
+
+def _triples(datum, j, k):
+    """The (H, E, F, c) sl2 triples of the j-th and k-th simple roots."""
+    return tuple(_sl2_triple(datum.model, datum, datum.simple[i]) for i in (j, k))
+
+
+def _boundaries(datum, j, k):
+    """The rank-one boundary algebras s_j and s_k."""
+    return tuple(build_parabolic(datum, [i]).s for i in (j, k))
 
 
 class TestFoliations:
@@ -122,7 +135,7 @@ class TestCer:
         # diagonal sl(2): dimension 3, extended by a_phi (1) and n_phi (4)
         assert spec.payload["diag"].dim == 3
         assert spec.algebra.dim == 3 + 1 + 4
-        assert spec.payload["sigma"].is_theta_equivariant(SL4)
+        assert SL4.theta_image(spec.payload["diag"]) == spec.payload["diag"]
 
     def test_rejects_adjacent_pair(self):
         with pytest.raises(ValueError):
@@ -155,18 +168,60 @@ class TestCer:
         datum = decompose(p)
         for spec in (make_cer(datum, 0, 1), make_factor_diagonal(p, datum, 0, 1),
                      make_cer(SL4_DATUM, 0, 2)):
-            assert set(spec.payload) == {"sigma", "diag", "a_section_domain"}
+            assert set(spec.payload) == {"diag", "a_section_domain", "a_section_image"}
 
     def test_factor_diagonal_higher_rank(self):
         p = direct_sum([build_sl(3), build_sl(3)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
         assert fd.algebra.dim == 8
-        assert fd.payload["sigma"].is_theta_equivariant(p)
+        assert p.theta_image(fd.payload["diag"]) == fd.payload["diag"]
 
     def test_default_sigma_theta_equivariant(self):
-        sigma = default_cer_sigma(SL4_DATUM, 0, 2)
-        assert sigma.is_theta_equivariant(SL4)
+        diag = default_cer_sigma(SL4_DATUM, 0, 2)
+        assert SL4.theta_image(diag) == diag
+
+    def test_graph_of_the_sl2_triple_map(self):
+        # c_j = c_k in sl(4), so the triple map needs no rescaling
+        (hj, ej, fj, _), (hk, ek, fk, _) = _triples(SL4_DATUM, 0, 2)
+        graph = _graph(SL4, *_boundaries(SL4_DATUM, 0, 2), [(hj, hk), (ej, ek), (fj, fk)])
+        assert graph == default_cer_sigma(SL4_DATUM, 0, 2)
+
+    def test_graph_rejects_a_map_that_does_not_preserve_the_bracket(self):
+        # [2 e_k, f_k] = 2 h_k, but sigma [e_j, f_j] = sigma h_j = h_k
+        (hj, ej, fj, _), (hk, ek, fk, _) = _triples(SL4_DATUM, 0, 2)
+        pairs = [(hj, hk), (ej, tuple(2 * x for x in ek)), (fj, fk)]
+        with pytest.raises(ValueError, match="does not preserve the bracket"):
+            _graph(SL4, *_boundaries(SL4_DATUM, 0, 2), pairs)
+
+    def test_graph_rejects_a_map_that_is_not_bijective(self):
+        (hj, ej, fj, _), (hk, ek, _, _) = _triples(SL4_DATUM, 0, 2)
+        with pytest.raises(ValueError, match="not bijective"):
+            _graph(SL4, *_boundaries(SL4_DATUM, 0, 2), [(hj, hk), (ej, ek), (fj, ek)])
+
+    def test_graph_rejects_a_basis_that_does_not_span_the_domain(self):
+        (hj, ej, _, _), (hk, ek, fk, _) = _triples(SL4_DATUM, 0, 2)
+        with pytest.raises(ValueError, match="does not span the domain"):
+            _graph(SL4, *_boundaries(SL4_DATUM, 0, 2), [(hj, hk), (ej, ek), (ej, fk)])
+
+    def test_graph_rejects_a_domain_that_meets_the_image(self):
+        s = build_parabolic(SL4_DATUM, [0]).s
+        with pytest.raises(ValueError, match="meet"):
+            _graph(SL4, s, s, [(x, x) for x in s.basis])
+
+    def test_default_sigma_rejects_adjacent_roots_that_do_not_commute(self):
+        # the triple map from s_0 to s_1 is a homomorphism and its graph is
+        # a subalgebra, but [s_0, s_1] != 0, so the graph is no diagonal
+        with pytest.raises(ValueError, match="do not commute"):
+            default_cer_sigma(SL4_DATUM, 0, 1)
+
+    def test_default_sigma_rejects_a_map_that_does_not_commute_with_theta(self, monkeypatch):
+        # e_k -> 2t e_k, f_k -> f_k / 2t is still a homomorphism, but theta
+        # swaps e and -f, so it no longer commutes with theta
+        sqrt = actions_module._rational_sqrt
+        monkeypatch.setattr(actions_module, "_rational_sqrt", lambda x: 2 * sqrt(x))
+        with pytest.raises(ValueError, match="theta equivariance"):
+            default_cer_sigma(SL4_DATUM, 0, 2)
 
 
 class TestNilpotentConstruction:

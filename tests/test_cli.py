@@ -135,13 +135,20 @@ def test_bad_input_exits_2(args, capsys):
     ("sl(\u00a03)", "syntax error at offset 3: expected an integer"),  # no-break space
     ("\u3000sl(3)", "syntax error at offset 0: expected a factor name"),  # ideographic space
     ("sl(10)", "factor sl(10) out of bounds [2, 9] at offset 3"),  # rank above MAX_SL_RANK
+    # past int()'s 4300-digit limit for string conversion
+    (f"sl({'9' * 5000})", f"factor sl({'9' * 5000}) out of bounds [2, 9] at offset 3"),
 ], ids=["unclosed", "plus", "superscript-digit", "arabic-indic-digit", "no-break-space",
-        "ideographic-space", "sl-above-bound"])
+        "ideographic-space", "sl-above-bound", "overlong-integer"])
 def test_parse_error_names_the_offset(text, message):
     with pytest.raises(ValueError) as info:
         parse_space(text)
     assert str(info.value).startswith(message)
     assert exit_status(["--space", text]) == 2
+
+
+def test_leading_zeros_are_not_counted_against_the_bound():
+    assert parse_space("sl(0003)").factors == (("sl", 3),)
+    assert parse_space(f"rh({'0' * 5000}8)").factors == (("rh", 8),)
 
 
 def test_unwritable_report_path_exits_2(tmp_path, capsys):

@@ -8,7 +8,10 @@ import pytest
 
 from cohomatlas.linalg import (
     Matrix,
+    SpanSolver,
     Subspace,
+    combination,
+    dense,
     orthocomplement_in,
     rat,
     subspace_intersect,
@@ -16,6 +19,8 @@ from cohomatlas.linalg import (
 )
 from cohomatlas.models import build_sl, build_so1n, direct_sum
 from cohomatlas.actions import (
+    _rational_sqrt,
+    _sl2_triple,
     make_cer,
     make_factor_diagonal,
     make_fh,
@@ -368,6 +373,64 @@ class TestPolarCertificate:
         spec = make_fh(g, Subspace.span(g.dim, [g.a_space.basis[0]]))
         with pytest.raises(ValueError):
             check_polar_certificate(spec)
+
+
+@pytest.mark.parametrize("wrong", ["off-sigma-line", "too-wide"])
+def test_polar_section_rejects_an_image_flat_sigma_does_not_map_onto(wrong):
+    # sl(4), roots 1 and 3: sigma maps the domain flat onto pd_2.a_upper
+    datum = decompose(build_sl(4))
+    spec = make_cer(datum, 0, 2)
+    e_k = datum.simple[2].space
+    image = spec.payload["a_section_image"]
+    image = e_k if wrong == "off-sigma-line" else subspace_sum(image, e_k)
+    bad = dataclasses.replace(spec, payload={**spec.payload, "a_section_image": image})
+    with pytest.raises(ValueError, match="onto the image flat"):
+        polar_section(bad)
+
+
+def _sigma_section(model, domain_basis, images, a_dom):
+    """The section built from sigma as a map, the reference: each H of the
+    domain flat goes through its coordinates in sigma's domain basis."""
+    solver = SpanSolver(domain_basis, model.dim)
+    sigma_a = [dense(combination(solver.coords(h), images), model.dim) for h in a_dom.basis]
+    diagonal = Subspace.span(model.dim, [vadd(h, sh) for h, sh in zip(a_dom.basis, sigma_a)])
+    flats = Subspace.span(model.dim, list(a_dom.basis) + sigma_a)
+    return orthocomplement_in(diagonal, flats, model.inner)
+
+
+def _sl2_sigma(datum, j, k):
+    """sigma of the sl2 route on bases: (H_j, E_j, F_j) -> (H_k, t E_k, F_k / t)."""
+    hj, ej, fj, cj = _sl2_triple(datum.model, datum, datum.simple[j])
+    hk, ek, fk, ck = _sl2_triple(datum.model, datum, datum.simple[k])
+    t = _rational_sqrt(rat(cj) / ck)
+    return (hj, ej, fj), (hk, tuple(t * x for x in ek), tuple((rat(1) / t) * x for x in fk))
+
+
+@pytest.mark.parametrize("space", ["sl(5)", "sl(3)*sl(2)", "rh(3)*rh(3)", "ch(2)*ch(2)",
+                                   "sl(3)*rh(2)*rh(2)"])
+def test_polar_section_matches_the_section_built_from_sigma(monkeypatch, space):
+    # each CER row's diagonal is recorded with sigma as a map on bases
+    sigmas = []
+
+    def cer(datum, j, k):
+        spec = make_cer(datum, j, k)
+        sigmas.append((spec, *_sl2_sigma(datum, j, k)))
+        return spec
+
+    def factor_diagonal(pm, datum, j, k):
+        spec = make_factor_diagonal(pm, datum, j, k)
+        sigmas.append((spec, pm.factor_block(j).basis, pm.factor_block(k).basis))
+        return spec
+
+    monkeypatch.setattr(catalog, "make_cer", cer)
+    monkeypatch.setattr(catalog, "make_factor_diagonal", factor_diagonal)
+    entries = run(parse_space(space), RunConfig(su1n=True)).result.entries
+    assert len(sigmas) == sum(e.spec.kind == "CER" for e in entries) > 0
+    for spec, domain_basis, images in sigmas:
+        model = spec.model
+        assert spec.payload["diag"] == Subspace.span(model.dim, map(vadd, domain_basis, images))
+        reference = _sigma_section(model, domain_basis, images, spec.payload["a_section_domain"])
+        assert polar_section(spec) == reference
 
 
 def _failing_section(spec, sub_check):

@@ -28,7 +28,7 @@ each sweep closes them under its block coordinate permutations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Tuple
 
 from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
@@ -49,7 +49,8 @@ from .actions import (
 )
 from .parabolic import build_nested, build_parabolic, tensor_model
 from .roots import RootDatum, decompose
-from .verify import RationalSampler, check_nc1, check_nc2, lift_report, orbit_tangent_at_o, verify
+from .verify import (Note, RationalSampler, VerificationReport, check_nc1, check_nc2,
+                     lift_report, orbit_tangent_at_o, verify)
 
 
 MAX_SL_RANK = 8
@@ -64,8 +65,7 @@ class CatalogEntry:
     boundary: str  # boundary component description
     comment: str
     spec: ActionSpec
-    codim: int
-    report: object
+    report: VerificationReport
 
     def to_json(self) -> dict:
         return {
@@ -75,7 +75,7 @@ class CatalogEntry:
             "boundary": self.boundary,
             "comment": self.comment,
             "phi": [i + 1 for i in self.spec.phi] if self.spec.phi is not None else [],
-            "codim": self.codim,
+            "codim": self.report.codim_at_o,
             "report": self.report.to_json(),
         }
 
@@ -85,13 +85,13 @@ class EnumerationResult:
     model: LieModel
     datum: RootDatum
     entries: List[CatalogEntry]
-    identities: List[Tuple[str, bool]]
+    identities: List[Note]
     skipped: List[Tuple[str, str]] = field(default_factory=list)
     oracle: Optional[list] = None
 
     @property
     def all_identities_passed(self) -> bool:
-        return all(ok for _, ok in self.identities)
+        return all(n.passed for n in self.identities)
 
 
 def _structural_identities(model: LieModel, datum: RootDatum) -> list:
@@ -102,9 +102,9 @@ def _structural_identities(model: LieModel, datum: RootDatum) -> list:
         for r in datum.positive
     )
     return [
-        ("iwasawa-direct-sum", kan == model.dim),
-        ("root-space-sum", total == model.dim),
-        ("theta-root-pairing", pairing),
+        Note("iwasawa-direct-sum", kan == model.dim),
+        Note("root-space-sum", total == model.dim),
+        Note("theta-root-pairing", pairing),
     ]
 
 
@@ -116,12 +116,12 @@ def _emit(entries, identities, datum, label, name, boundary, comment, spec,
 
 def _record(entries, identities, label, name, boundary, comment, spec, report, expected_codim):
     tag = f"{label}[{comment}]" if comment else label
-    identities.append((f"exact-checks:{tag}", report.all_exact_checks_passed))
+    identities.append(Note(f"exact-checks:{tag}", report.all_exact_checks_passed))
     if expected_codim is not None:
-        identities.append((f"codim-matches-expected:{tag}",
-                           report.codim_at_o == expected_codim))
+        identities.append(Note(f"codim-matches-expected:{tag}",
+                               report.codim_at_o == expected_codim))
     if report.cohomogeneity != 1:
-        identities.append((f"cohomogeneity-one-gate:{tag}", False))
+        identities.append(Note(f"cohomogeneity-one-gate:{tag}", False))
         return
     entries.append(CatalogEntry(
         label=label,
@@ -129,7 +129,6 @@ def _record(entries, identities, label, name, boundary, comment, spec, report, e
         boundary=boundary,
         comment=comment,
         spec=spec,
-        codim=report.codim_at_o,
         report=report,
     ))
 
@@ -296,7 +295,7 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
             build_nested(datum, phi[:1], phi)
     except ValueError:
         nested_ok = False
-    identities.append(("nested-parabolic-intersection", nested_ok))
+    identities.append(Note("nested-parabolic-intersection", nested_ok))
 
     # FH once, at product level
     _emit(entries, identities, datum, "FH", "(a-line)+n", "-",
@@ -340,8 +339,8 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
                         f"{tag}: {inner.label}[{inner.comment}]",
                         product_assemble(pm, idx, inner.spec),
                         lift_report(inner.report, rest_p), None)
-            for name, ok in inner_result.identities:
-                identities.append((f"{tag}:{name}", ok))
+            identities.extend(replace(n, name=f"{tag}:{n.name}")
+                              for n in inner_result.identities)
         else:
             raise ValueError(f"unsupported factor model {factor.name}")
 

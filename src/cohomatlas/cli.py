@@ -37,6 +37,7 @@ from .catalog import (
     nc_oracle_search,
 )
 from .models import build_sl, build_so1n, build_su1n, direct_sum
+from .verify import Note
 
 SCHEMA_VERSION = 1
 
@@ -151,8 +152,8 @@ def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
                 oracle_doc[f"j={j + 1}"] = sweep
                 passing = [r for r in sweep["records"] if r["passes"]]
                 result.identities.append(
-                    (f"oracle-known-tangent-match:j={j + 1}",
-                     all(r["matches_known_tangent"] for r in passing)))
+                    Note(f"oracle-known-tangent-match:j={j + 1}",
+                         all(r["matches_known_tangent"] for r in passing)))
             result.oracle = oracle_doc
     else:
         if config.nc_search:
@@ -172,7 +173,7 @@ def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
             "features": {"su1n": config.su1n},
         },
         "entries": [e.to_json() for e in result.entries],
-        "identities": [{"name": n, "passed": bool(ok)} for n, ok in result.identities],
+        "identities": [n.to_json() for n in result.identities],
         "skipped": [{"label": l, "reason": r} for l, r in result.skipped],
     }
     if oracle_doc is not None:
@@ -196,7 +197,7 @@ def render_markdown(spec: SpaceSpec, config: RunConfig, result: EnumerationResul
         phi = ",".join(f"a{i + 1}" for i in e.spec.phi) if e.spec.phi else "-"
         certainty = "" if e.report.cohomogeneity_certainty == "exact" else " (sampled)"
         lines.append(
-            f"| {e.label} | {e.name} | {phi} | {e.boundary} | {e.codim} "
+            f"| {e.label} | {e.name} | {phi} | {e.boundary} | {e.report.codim_at_o} "
             f"| {e.report.cohomogeneity}{certainty} | {e.comment} |"
         )
     lines.append("")
@@ -224,8 +225,8 @@ def render_markdown(spec: SpaceSpec, config: RunConfig, result: EnumerationResul
     lines.append("")
     lines.append("## Exact identity checks")
     lines.append("")
-    for name, ok in result.identities:
-        lines.append(f"- {name}: {'PASS' if ok else 'FAIL'}")
+    for n in result.identities:
+        lines.append(f"- {n.name}: {'PASS' if n.passed else 'FAIL'}")
     if result.oracle:
         lines.append("")
         lines.append("## Nilpotent-construction oracle")

@@ -7,10 +7,12 @@ side: bracket closure of the constructed algebra, orbit tangents at the base
 point, Lie triple checks, normalizer tangent criteria for the nilpotent
 construction, the theta-dual check of its normalizer, rotation-algebra
 certificates, and the named subspace identities (extension composition,
-product block split).  The sampled side: the cohomogeneity of the slice
-representation, estimated as the generic isotropy orbit corank over
-seed-fixed rational sample vectors; sampled verdicts are always labeled as
-such and never silently treated as exact.
+product block split).  Each named exact check is one ``Note`` of the row's
+report, the record the run-level identities of ``catalog`` use too.  The
+sampled side: the cohomogeneity of the slice representation, estimated as
+the generic isotropy orbit corank over seed-fixed rational sample vectors;
+sampled verdicts are always labeled as such and never silently treated as
+exact.
 """
 
 from __future__ import annotations
@@ -92,24 +94,22 @@ class RationalSampler:
 
 
 @dataclass(frozen=True)
-class Failure:
-    """A failed exact check: the sub-check that failed and a witness, given
-    as basis indices into the subspaces that sub-check compares.  Falsy, so
-    it stands in a note wherever False does."""
+class Note:
+    """One exact check of a row or of a run: its name and verdict, and for a
+    failed check that names them, the sub-check that failed and a witness,
+    given as basis indices into the subspaces that sub-check compares."""
 
-    sub_check: str
-    witness: tuple
+    name: str
+    passed: bool
+    sub_check: Optional[str] = None
+    witness: tuple = ()
 
-    def __bool__(self) -> bool:
-        return False
-
-
-def _note_json(name: str, passed) -> dict:
-    out = {"name": name, "passed": bool(passed)}
-    if isinstance(passed, Failure):
-        out["sub_check"] = passed.sub_check
-        out["witness"] = list(passed.witness)
-    return out
+    def to_json(self) -> dict:
+        out = {"name": self.name, "passed": self.passed}
+        if self.sub_check is not None:
+            out["sub_check"] = self.sub_check
+            out["witness"] = list(self.witness)
+        return out
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class VerificationReport:
     nc2_certificate: Optional[str]
     seed: int
     samples: int
-    notes: tuple = field(default_factory=tuple)  # (name, bool or Failure) pairs
+    notes: tuple = field(default_factory=tuple)  # of Note, one per exact check
 
     def to_json(self) -> dict:
         return {
@@ -140,12 +140,12 @@ class VerificationReport:
             "nc2_certificate": self.nc2_certificate,
             "seed": self.seed,
             "samples": self.samples,
-            "notes": [_note_json(n, p) for n, p in self.notes],
+            "notes": [n.to_json() for n in self.notes],
         }
 
     @property
     def all_exact_checks_passed(self) -> bool:
-        return all(p for _, p in self.notes)
+        return all(n.passed for n in self.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -311,51 +311,51 @@ def polar_section(spec: ActionSpec) -> Subspace:
     return orthocomplement_in(diagonal, flats, spec.model.inner)
 
 
-def check_polar_certificate(spec: ActionSpec) -> bool | Failure:
+def check_polar_certificate(spec: ActionSpec) -> Note:
     """Exact polarity certificate for a diagonal action.
 
     (i) the section candidate is abelian, (ii) it is normal to the orbit
     tangent at o, (iii) the diagonal algebra is orthogonal to the section
-    plus its derived span.  Returns True, or the Failure of the first
-    condition that fails with the basis indices of a witness pair.
+    plus its derived span.  The note fails on the first condition that
+    fails, with the basis indices of a witness pair.
     """
     if spec.kind != "CER":
         raise ValueError("polar certificate applies to diagonal actions")
+    name = "polar-section-certificate"
     model = spec.model
     diag: Subspace = spec.payload["diag"]
     section = polar_section(spec)
     for i, x in enumerate(section.basis):
         for j, y in enumerate(section.basis):
             if any(model.bracket(x, y)):
-                return Failure("section-not-abelian", (i, j))
+                return Note(name, False, "section-not-abelian", (i, j))
     tangent = orbit_tangent_at_o(model, diag)
     for i, x in enumerate(section.basis):
         for j, y in enumerate(tangent.basis):
             if model.inner_product(x, y) != 0:
-                return Failure("section-not-normal-to-orbit", (i, j))
+                return Note(name, False, "section-not-normal-to-orbit", (i, j))
     derived = model.bracket_span(section.rows, section.rows)
     target = subspace_sum(section, derived)
     for i, x in enumerate(diag.basis):
         for j, y in enumerate(target.basis):
             if model.inner_product(x, y) != 0:
-                return Failure("diagonal-not-orthogonal", (i, j))
-    return True
+                return Note(name, False, "diagonal-not-orthogonal", (i, j))
+    return Note(name, True)
 
 
 # ---------------------------------------------------------------------------
 # named subspace identities
 
 
-def extension_composition_ok(datum: RootDatum, psi, phi, h_psi: Subspace) -> bool:
-    """Iterated extension psi -> phi -> everything equals the one-step one."""
+def extension_composition_ok(datum: RootDatum, psi, phi) -> bool:
+    """Iterated extension psi -> phi -> everything equals the one-step one,
+    piece by piece: a_np + a_phi = a_psi and n_np + n_phi = n_psi.  Adding
+    any h_psi to both sides keeps them equal."""
     nd = build_nested(datum, psi, phi)
     pd_phi = build_parabolic(datum, phi)
     pd_psi = build_parabolic(datum, psi)
-    d = datum.model.dim
-    two_step = Subspace.span(d, h_psi.rows + nd.a_np.rows + nd.n_np.rows
-                             + pd_phi.a_phi.rows + pd_phi.n_phi.rows)
-    one_step = Subspace.span(d, h_psi.rows + pd_psi.a_phi.rows + pd_psi.n_phi.rows)
-    return two_step == one_step
+    return (subspace_sum(nd.a_np, pd_phi.a_phi) == pd_psi.a_phi
+            and subspace_sum(nd.n_np, pd_phi.n_phi) == pd_psi.n_phi)
 
 
 def product_split_ok(datum: RootDatum, spec: ActionSpec) -> bool:
@@ -395,7 +395,7 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
     if cohom > codim:
         raise ValueError("cohomogeneity exceeds the orbit codimension")
 
-    notes = [("bracket-closure", model.is_subalgebra(spec.algebra))]
+    notes = [Note("bracket-closure", model.is_subalgebra(spec.algebra))]
     tg = "not-checked"
     nc1 = nc2 = "not-checked"
     nc2_cert = None
@@ -405,12 +405,12 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
         if model.theta_image(inner_h) == inner_h:
             tg = "yes" if check_lie_triple(model, model.project_p_subspace(inner_h)) else "no"
         if spec.kind == "CER":
-            notes.append(("polar-section-certificate", check_polar_certificate(spec)))
+            notes.append(check_polar_certificate(spec))
         if 0 < len(spec.phi) < datum.rank:
             missing = [i for i in range(datum.rank) if i not in spec.phi]
             phi2 = tuple(sorted(set(spec.phi) | {missing[0]}))
-            notes.append(("extension-composition",
-                          extension_composition_ok(datum, spec.phi, phi2, inner_h)))
+            notes.append(Note("extension-composition",
+                              extension_composition_ok(datum, spec.phi, phi2)))
 
     if spec.kind == "NC":
         pd = build_parabolic(datum, spec.phi)
@@ -419,9 +419,9 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
         nc1 = "yes" if check_nc1(pd, model.project_p_subspace(normalizer)) else "no"
         nc2, nc2_cert = check_nc2(model, pd, v, seed, samples)
         theta_dual = model.theta_image(model.normalizer_in(pd.l, v))
-        notes.append(("normalizer-theta-dual", theta_dual == normalizer))
+        notes.append(Note("normalizer-theta-dual", theta_dual == normalizer))
         if isinstance(model, ProductModel):
-            notes.append(("product-block-split", product_split_ok(datum, spec)))
+            notes.append(Note("product-block-split", product_split_ok(datum, spec)))
 
     return VerificationReport(
         kind=spec.kind,
@@ -451,4 +451,4 @@ def lift_report(report: VerificationReport, rest_p: int) -> VerificationReport:
     return replace(report, kind="Prod", orbit_dim_at_o=report.orbit_dim_at_o + rest_p,
                    singular_orbit_totally_geodesic="not-checked", nc1="not-checked",
                    nc2="not-checked", nc2_certificate=None,
-                   notes=tuple(n for n in report.notes if n[0] == "bracket-closure"))
+                   notes=tuple(n for n in report.notes if n.name == "bracket-closure"))

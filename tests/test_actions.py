@@ -240,8 +240,8 @@ class TestNilpotentConstruction:
             SL4.a_space, orthocomplement_in(v, SL4.n_space, SL4.inner)
         )
         assert spec.algebra.contains(target)
-        notes = dict(verify(spec, datum).notes)
-        assert notes["normalizer-theta-dual"]
+        (note,) = [n for n in verify(spec, datum).notes if n.name == "normalizer-theta-dual"]
+        assert note.passed
 
     def test_product_split(self):
         p = direct_sum([build_so1n(4), build_so1n(2)])
@@ -382,7 +382,8 @@ def test_non_closed_algebra_fails_the_closure_note():
     e23 = SL3.coords(mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]]))
     spec = ActionSpec("FH", SL3, None, Subspace.span(SL3.dim, [e12, e23]))
     report = verify(spec, SL3_DATUM)
-    assert dict(report.notes)["bracket-closure"] is False
+    (note,) = [n for n in report.notes if n.name == "bracket-closure"]
+    assert note.to_json() == {"name": "bracket-closure", "passed": False}
     assert not report.all_exact_checks_passed
 
 

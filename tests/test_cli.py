@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -74,9 +75,33 @@ def exit_status(argv) -> int:
                                    itertools.product(SMALL_FACTORS, repeat=2)])
 def test_every_small_pair_passes_its_exact_checks(space):
     result = run(parse_space(space), RunConfig(su1n=True))
-    failing = [name for name, ok in result.result.identities if not ok]
+    failing = [n.name for n in result.result.identities if not n.passed]
     assert failing == []
     assert result.exit_code == 0
+
+
+def _pop_seeds(node) -> list:
+    """Remove every "seed" key from a JSON document, and return their values."""
+    seeds = []
+    if isinstance(node, dict):
+        if "seed" in node:
+            seeds.append(node.pop("seed"))
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            seeds.extend(_pop_seeds(item))
+    return seeds
+
+
+@pytest.mark.parametrize("space", ["sl(5)", "ch(2)*ch(2)", "rh(3)*rh(3)*rh(3)"])
+def test_reports_at_two_seeds_differ_only_in_their_seeds(space):
+    # without --nc-search, whose probes depend on the seed
+    docs = [json.loads(run(parse_space(space), RunConfig(seed=seed, su1n=True)).json_text)
+            for seed in (7, 8)]
+    seeds = [_pop_seeds(doc) for doc in docs]
+    assert len(seeds[0]) > 1
+    assert seeds == [[7] * len(seeds[0]), [8] * len(seeds[0])]
+    assert docs[0] == docs[1]
 
 
 def test_identical_factors_are_built_once(monkeypatch):

@@ -29,16 +29,17 @@ from cohomatlas.actions import (
 from cohomatlas import catalog
 from cohomatlas.catalog import ce_families
 from cohomatlas.cli import RunConfig, parse_space, run
-from cohomatlas.parabolic import build_parabolic, tensor_model
+from cohomatlas.parabolic import build_nested, build_parabolic, tensor_model
 from cohomatlas.roots import decompose
 from cohomatlas import verify as verify_module
 from cohomatlas.verify import (
-    Failure,
+    Note,
     RationalSampler,
     check_lie_triple,
     check_nc1,
     check_nc2,
     check_polar_certificate,
+    extension_composition_ok,
     orbit_tangent_at_o,
     polar_section,
     slice_cohomogeneity,
@@ -54,6 +55,12 @@ def vadd(u, v) -> tuple:
 def mat(rows) -> Matrix:
     """An exact rational matrix with the given rows."""
     return Matrix(tuple(tuple(rat(x) for x in r) for r in rows))
+
+
+def note_named(report, name: str) -> Note:
+    """The report's one note with the given name."""
+    (note,) = [n for n in report.notes if n.name == name]
+    return note
 
 
 class TestOrbitTangent:
@@ -358,14 +365,14 @@ class TestPolarCertificate:
         p = direct_sum([build_so1n(2), build_so1n(2)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
-        assert check_polar_certificate(fd)
+        assert check_polar_certificate(fd).passed
         assert polar_section(fd).dim == 1
 
     def test_higher_rank_pair_still_polar(self):
         p = direct_sum([build_sl(3), build_sl(3)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
-        assert check_polar_certificate(fd)
+        assert check_polar_certificate(fd).passed
         assert polar_section(fd).dim == 2
 
     def test_requires_diagonal_kind(self):
@@ -453,8 +460,7 @@ def test_failing_polar_certificate_names_sub_check_and_witness(monkeypatch, sub_
     section = _failing_section(spec, sub_check)
     monkeypatch.setattr(verify_module, "polar_section", lambda s: section)
     result = check_polar_certificate(spec)
-    assert not result
-    assert isinstance(result, Failure)
+    assert not result.passed
     assert result.sub_check == sub_check
     i, j = result.witness
     diag = spec.payload["diag"]
@@ -477,6 +483,59 @@ def test_passing_polar_note_has_name_and_verdict_only():
     report = verify(make_cer(datum, 0, 2), datum)
     (note,) = [n for n in report.to_json()["notes"] if n["name"] == "polar-section-certificate"]
     assert note == {"name": "polar-section-certificate", "passed": True}
+
+
+def _whole_algebra_composition_ok(datum, psi, phi, h_psi) -> bool:
+    """The extension-composition identity on whole algebras: h_psi plus the
+    iterated extension psi -> phi -> everything spans h_psi plus the
+    one-step extension over psi."""
+    nd = build_nested(datum, psi, phi)
+    pd_phi = build_parabolic(datum, phi)
+    pd_psi = build_parabolic(datum, psi)
+    d = datum.model.dim
+    two_step = Subspace.span(d, h_psi.rows + nd.a_np.rows + nd.n_np.rows
+                             + pd_phi.a_phi.rows + pd_phi.n_phi.rows)
+    one_step = Subspace.span(d, h_psi.rows + pd_psi.a_phi.rows + pd_psi.n_phi.rows)
+    return two_step == one_step
+
+
+@pytest.mark.parametrize("space", ["sl(5)", "sl(3)*rh(2)*rh(2)"])
+def test_extension_composition_agrees_with_the_whole_algebra_identity(space):
+    result = run(parse_space(space), RunConfig()).result
+    datum = result.datum
+    checked = 0
+    for entry in result.entries:
+        spec = entry.spec
+        if spec.kind not in ("CEI", "CER") or not 0 < len(spec.phi) < datum.rank:
+            continue
+        missing = [i for i in range(datum.rank) if i not in spec.phi]
+        phi = tuple(sorted(spec.phi + (missing[0],)))
+        h_psi = spec.payload["diag" if spec.kind == "CER" else "h_phi"]
+        old = _whole_algebra_composition_ok(datum, spec.phi, phi, h_psi)
+        assert extension_composition_ok(datum, spec.phi, phi) is old is True
+        assert note_named(entry.report, "extension-composition").passed
+        checked += 1
+    carrying = [e for e in result.entries
+                if any(n.name == "extension-composition" for n in e.report.notes)]
+    assert checked == len(carrying) > 0
+
+
+def test_extension_composition_note_fails_when_a_nested_piece_is_short(monkeypatch):
+    datum = decompose(build_sl(4))
+    spec = next(row[4] for row in ce_families(datum) if row[0] == "CE-row-1")
+    assert note_named(verify(spec, datum), "extension-composition").passed
+    build = verify_module.build_nested
+
+    def short_a_np(datum, psi, phi):  # a_np without its first row
+        nd = build(datum, psi, phi)
+        assert nd.a_np.dim > 0
+        return dataclasses.replace(nd, a_np=Subspace.span(datum.model.dim, nd.a_np.rows[1:]))
+
+    monkeypatch.setattr(verify_module, "build_nested", short_a_np)
+    report = verify(spec, datum)
+    assert note_named(report, "extension-composition").to_json() == {
+        "name": "extension-composition", "passed": False}
+    assert not report.all_exact_checks_passed
 
 
 class TestVerifyOrchestration:
@@ -521,7 +580,7 @@ class TestVerifyOrchestration:
         assert report.codim_at_o == 2
         assert report.cohomogeneity == 1
         assert report.singular_orbit_totally_geodesic == "yes"
-        assert dict(report.notes)["polar-section-certificate"]
+        assert note_named(report, "polar-section-certificate").passed
 
     def test_cei_spec_without_its_boundary_subalgebra_raises(self):
         # every CEI constructor writes h_phi, so a spec without it is an error
@@ -539,7 +598,7 @@ class TestVerifyOrchestration:
         v = p.embed_subspace(0, Subspace.span(f0.dim, f0.n_space.basis[:2]))
         spec = nilpotent_construct(datum, pd, v)
         report = verify(spec, datum)
-        assert dict(report.notes)["product-block-split"]
+        assert note_named(report, "product-block-split").passed
         assert report.nc1 == "yes"
         assert report.nc2 == "yes"
 

@@ -1,6 +1,10 @@
 """Enumeration of the cohomogeneity one classification tables.
 
-``sl_table`` emits one representative per family for the root datum of a
+An ``EnumerationResult`` is a table as it is built, with one seed and
+sample count: its ``add`` verifies a row, notes its exact checks, expected
+codimension and cohomogeneity one gate, and lists it if the gate passes.
+
+``sl_table`` adds one representative per family for the root datum of a
 split real special linear model (``enumerate_sl`` builds it from the
 rank): the two foliations, the isotropy extension over a single root, the
 Levi-plus-center extension over an interval of roots, the symplectic
@@ -21,8 +25,10 @@ coordinate subspace of the top graded piece in the tensor basis plus a
 seeded batch of random subspaces, records the two nilpotent-construction
 conditions for each, and checks every passing candidate's singular-orbit
 tangent against the tangents of the canonical-extension rows that the
-table lists.  ``known_extension_tangents`` computes those once per run;
-each sweep closes them under its block coordinate permutations.
+table lists.  ``nc_oracle`` computes those once per run
+(``known_extension_tangents``), sweeps each simple root, closing them under
+the sweep's block coordinate permutations, and notes whether every passing
+candidate of the sweep matched one.
 """
 
 from __future__ import annotations
@@ -82,55 +88,52 @@ class CatalogEntry:
 
 @dataclass
 class EnumerationResult:
-    model: LieModel
+    """A classification table as it is built; it opens with the structural
+    identities of its datum."""
     datum: RootDatum
-    entries: List[CatalogEntry]
-    identities: List[Note]
+    seed: int
+    samples: int
+    entries: List[CatalogEntry] = field(default_factory=list)
+    identities: List[Note] = field(init=False)
     skipped: List[Tuple[str, str]] = field(default_factory=list)
-    oracle: Optional[list] = None
+    oracle: Optional[dict] = None
+
+    def __post_init__(self):
+        model, datum = self.model, self.datum
+        total = datum.zero_space.dim + sum(r.space.dim for r in datum.roots)
+        kan = model.k_space.dim + model.a_space.dim + model.n_space.dim
+        pairing = all(
+            model.theta_image(r.space) == datum.root_with_coeff(tuple(-c for c in r.coeffs)).space
+            for r in datum.positive
+        )
+        self.identities = [
+            Note("iwasawa-direct-sum", kan == model.dim),
+            Note("root-space-sum", total == model.dim),
+            Note("theta-root-pairing", pairing),
+        ]
+
+    @property
+    def model(self) -> LieModel:
+        return self.datum.model
 
     @property
     def all_identities_passed(self) -> bool:
         return all(n.passed for n in self.identities)
 
-
-def _structural_identities(model: LieModel, datum: RootDatum) -> list:
-    total = datum.zero_space.dim + sum(r.space.dim for r in datum.roots)
-    kan = model.k_space.dim + model.a_space.dim + model.n_space.dim
-    pairing = all(
-        model.theta_image(r.space) == datum.root_with_coeff(tuple(-c for c in r.coeffs)).space
-        for r in datum.positive
-    )
-    return [
-        Note("iwasawa-direct-sum", kan == model.dim),
-        Note("root-space-sum", total == model.dim),
-        Note("theta-root-pairing", pairing),
-    ]
-
-
-def _emit(entries, identities, datum, label, name, boundary, comment, spec,
-          expected_codim, seed, samples):
-    _record(entries, identities, label, name, boundary, comment, spec,
-            verify(spec, datum, seed=seed, samples=samples), expected_codim)
-
-
-def _record(entries, identities, label, name, boundary, comment, spec, report, expected_codim):
-    tag = f"{label}[{comment}]" if comment else label
-    identities.append(Note(f"exact-checks:{tag}", report.all_exact_checks_passed))
-    if expected_codim is not None:
-        identities.append(Note(f"codim-matches-expected:{tag}",
-                               report.codim_at_o == expected_codim))
-    if report.cohomogeneity != 1:
-        identities.append(Note(f"cohomogeneity-one-gate:{tag}", False))
-        return
-    entries.append(CatalogEntry(
-        label=label,
-        name=name,
-        boundary=boundary,
-        comment=comment,
-        spec=spec,
-        report=report,
-    ))
+    def add(self, label, name, boundary, comment, spec, expected_codim=None, report=None):
+        """Verify a row unless its report is given; note its checks; list it
+        if its action has cohomogeneity one."""
+        if report is None:
+            report = verify(spec, self.datum, seed=self.seed, samples=self.samples)
+        tag = f"{label}[{comment}]" if comment else label
+        self.identities.append(Note(f"exact-checks:{tag}", report.all_exact_checks_passed))
+        if expected_codim is not None:
+            self.identities.append(Note(f"codim-matches-expected:{tag}",
+                                        report.codim_at_o == expected_codim))
+        if report.cohomogeneity != 1:
+            self.identities.append(Note(f"cohomogeneity-one-gate:{tag}", False))
+            return
+        self.entries.append(CatalogEntry(label, name, boundary, comment, spec, report))
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +207,14 @@ def enumerate_sl(n: int, *, seed: int = 7, samples: int = 32) -> EnumerationResu
 def sl_table(datum: RootDatum, *, seed: int = 7, samples: int = 32) -> EnumerationResult:
     """Classification table families for the root datum of a split special
     linear model."""
-    model = datum.model
-    n = datum.rank
-    entries: list = []
-    identities = _structural_identities(model, datum)
-
-    _emit(entries, identities, datum, "FH", "(a-line)+n", "-",
-          "one representative line", _fh(datum), None, seed, samples)
+    result = EnumerationResult(datum, seed, samples)
+    result.add("FH", "(a-line)+n", "-", "one representative line", _fh(datum))
     # FS: one entry per simple root (one line up to orbit equivalence)
-    for j in range(n):
-        _emit(entries, identities, datum, "FS", "a+(n-line)", "-",
-              f"j={j + 1}", make_fs(datum, j), None, seed, samples)
-    for label, name, boundary, comment, spec, codim in ce_families(datum):
-        _emit(entries, identities, datum, label, name, boundary, comment, spec,
-              codim, seed, samples)
-    return EnumerationResult(model, datum, entries, identities)
+    for j in range(datum.rank):
+        result.add("FS", "a+(n-line)", "-", f"j={j + 1}", make_fs(datum, j))
+    for row in ce_families(datum):
+        result.add(*row)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +276,7 @@ def _hyperbolic_name(profile: tuple) -> str:
 def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> EnumerationResult:
     """Classification families for a product of shipped factor models."""
     datum = decompose(pm)
-    entries: list = []
-    identities = _structural_identities(pm, datum)
-    skipped: list = []
+    result = EnumerationResult(datum, seed, samples)
     factor_phis = datum.factor_phis
     profiles = [fd.profile(fd.simple[0]) if fd.rank == 1 else None for fd in datum.factors]
     tables = {}  # identical factors share one datum, and so one sl table
@@ -295,11 +289,10 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
             build_nested(datum, phi[:1], phi)
     except ValueError:
         nested_ok = False
-    identities.append(Note("nested-parabolic-intersection", nested_ok))
+    result.identities.append(Note("nested-parabolic-intersection", nested_ok))
 
     # FH once, at product level
-    _emit(entries, identities, datum, "FH", "(a-line)+n", "-",
-          "one representative line", _fh(datum), None, seed, samples)
+    result.add("FH", "(a-line)+n", "-", "one representative line", _fh(datum))
 
     for idx, (factor, fd) in enumerate(zip(pm.factors, datum.factors)):
         profile = profiles[idx]
@@ -307,26 +300,21 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
         if profile is not None:
             (i_root,) = factor_phis[idx]
             # FS per factor
-            _emit(entries, identities, datum, "FS", "a+(n-line)", "-",
-                  f"{tag}: j={i_root + 1}", make_fs(datum, i_root), None,
-                  seed, samples)
+            result.add("FS", "a+(n-line)", "-", f"{tag}: j={i_root + 1}",
+                       make_fs(datum, i_root))
             # CEI rows from the built-in reductive catalog
             rest = pm.other_factor_rows((idx,))
             for name, sub in builtin_cei_catalog(fd, [0]):
                 h_phi = pm.embed_subspace(idx, sub)
                 algebra = Subspace.span(pm.dim, h_phi.rows + rest)
                 spec = ActionSpec("CEI", pm, (i_root,), algebra, {"h_phi": h_phi})
-                _emit(entries, identities, datum, "CEI", name,
-                      _hyperbolic_name(profile), f"{tag}: {name}", spec,
-                      None, seed, samples)
+                result.add("CEI", name, _hyperbolic_name(profile), f"{tag}: {name}", spec)
             # NC rows per protohomogeneous representative
             pd = build_parabolic(datum, [i for i in range(datum.rank) if i != i_root])
             for desc, v_inner in _rank_one_nc_subspaces(factor, fd, profile):
                 v = pm.embed_subspace(idx, v_inner)
-                spec = nilpotent_construct(datum, pd, v)
-                _emit(entries, identities, datum, "NC", f"v={desc}",
-                      _hyperbolic_name(profile), f"{tag}: dim v={v.dim}",
-                      spec, None, seed, samples)
+                result.add("NC", f"v={desc}", _hyperbolic_name(profile),
+                           f"{tag}: dim v={v.dim}", nilpotent_construct(datum, pd, v))
         elif factor.name.startswith("sl("):
             if fd not in tables:
                 tables[fd] = sl_table(fd, seed=seed, samples=samples)
@@ -335,38 +323,33 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
             for inner in inner_result.entries:
                 if inner.label == "FH":
                     continue  # folds into the product-level FH row
-                _record(entries, identities, "Prod", inner.name, inner.boundary,
-                        f"{tag}: {inner.label}[{inner.comment}]",
-                        product_assemble(pm, idx, inner.spec),
-                        lift_report(inner.report, rest_p), None)
-            identities.extend(replace(n, name=f"{tag}:{n.name}")
-                              for n in inner_result.identities)
+                result.add("Prod", inner.name, inner.boundary,
+                           f"{tag}: {inner.label}[{inner.comment}]",
+                           product_assemble(pm, idx, inner.spec),
+                           report=lift_report(inner.report, rest_p))
+            result.identities.extend(replace(n, name=f"{tag}:{n.name}")
+                                     for n in inner_result.identities)
         else:
             raise ValueError(f"unsupported factor model {factor.name}")
 
-    # CER: pairs of rank-one boundary pieces from different factors
-    for idx_j in range(len(pm.factors)):
-        for idx_k in range(idx_j + 1, len(pm.factors)):
-            for a in factor_phis[idx_j]:
-                for b in factor_phis[idx_k]:
-                    profile = datum.profile(datum.simple[a])
-                    if profile != datum.profile(datum.simple[b]):
-                        continue
-                    whole = None not in (profiles[idx_j], profiles[idx_k])
-                    try:
-                        if whole and pm.factors[idx_j].name == pm.factors[idx_k].name:
-                            spec = make_factor_diagonal(pm, datum, idx_j, idx_k)
-                        else:
-                            spec = make_cer(datum, a, b)
-                    except ValueError as exc:
-                        skipped.append((f"CER[{a + 1},{b + 1}]", str(exc)))
-                        continue
-                    _emit(entries, identities, datum, "CER",
-                          "diag", f"{_hyperbolic_name(profile)} x {_hyperbolic_name(profile)}",
-                          f"j={a + 1}, k={b + 1}",
-                          spec, None, seed, samples)
-
-    return EnumerationResult(pm, datum, entries, identities, skipped=skipped)
+    # CER: pairs of rank-one boundary pieces from different factors; the
+    # reports list them factor pair by factor pair
+    for (idx_j, phi_j), (idx_k, phi_k) in itertools.combinations(enumerate(factor_phis), 2):
+        whole = None not in (profiles[idx_j], profiles[idx_k])
+        same = whole and pm.factors[idx_j].name == pm.factors[idx_k].name
+        for a, b in itertools.product(phi_j, phi_k):
+            profile = datum.profile(datum.simple[a])
+            if profile != datum.profile(datum.simple[b]):
+                continue
+            try:
+                spec = make_factor_diagonal(pm, datum, idx_j, idx_k) if same \
+                    else make_cer(datum, a, b)
+            except ValueError as exc:
+                result.skipped.append((f"CER[{a + 1},{b + 1}]", str(exc)))
+                continue
+            space = _hyperbolic_name(profile)
+            result.add("CER", "diag", f"{space} x {space}", f"j={a + 1}, k={b + 1}", spec)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +398,11 @@ def known_extension_tangents(result: EnumerationResult) -> set:
     return {orbit_tangent_at_o(model, spec.algebra) for spec in specs}
 
 
-def nc_oracle_search(result: EnumerationResult, j: int, tangents: set, *,
-                     seed: int = 7, samples: int = 32) -> dict:
+def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
     """Brute-force sweep of candidate subspaces of the top graded piece,
     checked against the rows of the sl table result, whose tangents are
-    ``known_extension_tangents(result)``.
+    ``known_extension_tangents(result)``.  The probes and the sampled NC2
+    stage use the table's seed and sample count.
 
     Covers every coordinate subspace of the tensor basis (all 2^dim subsets,
     dimension capped at 6) plus ORACLE_PROBES seeded random subspaces;
@@ -460,7 +443,7 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set, *,
         for subset in itertools.combinations(keys, size):
             candidates.append(("coordinate", sorted(subset),
                                tm.subspace(subset) if subset else Subspace.zero(model.dim)))
-    sampler = RationalSampler(seed)
+    sampler = RationalSampler(result.seed)
     top = pd.grading[1]
     for t in range(ORACLE_PROBES):
         vdim = 2 + (t % max(1, dim - 1))
@@ -495,7 +478,7 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set, *,
         normalizer, complement = nc_summands(datum, pd, v)
         p_normalizer = model.project_p_subspace(normalizer)
         ok1 = check_nc1(pd, p_normalizer)
-        verdict, cert = check_nc2(model, pd, v, seed, samples)
+        verdict, cert = check_nc2(model, pd, v, result.seed, result.samples)
         rec["nc1"] = "yes" if ok1 else "no"
         rec["nc2"] = verdict
         rec["nc2_certificate"] = cert
@@ -509,3 +492,17 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set, *,
         "coordinate_subsets": 2 ** dim,
         "distinct_candidates": len(records),
     }
+
+
+def nc_oracle(result: EnumerationResult) -> None:
+    """Sweep every simple root of an sl table with ``nc_oracle_search`` into
+    ``result.oracle``, computing the known tangents once, and note for each
+    sweep whether every passing candidate matched one of them."""
+    tangents = known_extension_tangents(result)
+    result.oracle = {}
+    for j in range(result.datum.rank):
+        sweep = nc_oracle_search(result, j, tangents)
+        result.oracle[f"j={j + 1}"] = sweep
+        result.identities.append(Note(
+            f"oracle-known-tangent-match:j={j + 1}",
+            all(r["matches_known_tangent"] for r in sweep["records"] if r["passes"])))

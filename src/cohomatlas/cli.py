@@ -33,11 +33,9 @@ from .catalog import (
     MAX_SL_RANK,
     enumerate_product,
     enumerate_sl,
-    known_extension_tangents,
-    nc_oracle_search,
+    nc_oracle,
 )
 from .models import build_sl, build_so1n, build_su1n, direct_sum
-from .verify import Note
 
 SCHEMA_VERSION = 1
 
@@ -135,26 +133,14 @@ class RunResult:
 
 def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
     """Build the space, enumerate and verify, and render both report formats."""
-    single_sl = len(spec.factors) == 1 and spec.factors[0][0] == "sl"
-    oracle_doc = None
-    if single_sl:
+    if len(spec.factors) == 1 and spec.factors[0][0] == "sl":
         k = spec.factors[0][1]
         if config.nc_search and k - 1 > MAX_ORACLE_RANK:
             raise ValueError("the oracle search is desk scale only "
                              f"(sl(k) with k <= {MAX_ORACLE_RANK + 1})")
         result = enumerate_sl(k - 1, seed=config.seed, samples=config.samples)
         if config.nc_search:
-            oracle_doc = {}
-            tangents = known_extension_tangents(result)
-            for j in range(k - 1):
-                sweep = nc_oracle_search(result, j, tangents, seed=config.seed,
-                                         samples=config.samples)
-                oracle_doc[f"j={j + 1}"] = sweep
-                passing = [r for r in sweep["records"] if r["passes"]]
-                result.identities.append(
-                    Note(f"oracle-known-tangent-match:j={j + 1}",
-                         all(r["matches_known_tangent"] for r in passing)))
-            result.oracle = oracle_doc
+            nc_oracle(result)
     else:
         if config.nc_search:
             raise ValueError("--nc-search is supported for single sl spaces only")
@@ -176,8 +162,8 @@ def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
         "identities": [n.to_json() for n in result.identities],
         "skipped": [{"label": l, "reason": r} for l, r in result.skipped],
     }
-    if oracle_doc is not None:
-        document["oracle"] = oracle_doc
+    if result.oracle is not None:
+        document["oracle"] = result.oracle
 
     json_text = json.dumps(document, sort_keys=True, indent=2) + "\n"
     markdown_text = render_markdown(spec, config, result)

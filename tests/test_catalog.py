@@ -110,6 +110,58 @@ def test_oracle_extends_each_interval_once_per_run(monkeypatch):
     assert len(extended) == len(intervals)
 
 
+def new_notes(result, add):
+    """(name, passed) of the notes that ``add()`` appends to the result."""
+    start = len(result.identities)
+    add()
+    return [(n.name, n.passed) for n in result.identities[start:]]
+
+
+def test_a_row_above_cohomogeneity_one_is_gated_and_not_listed():
+    result = enumerate_sl(1)
+    row = result.entries[-1]
+    notes = new_notes(result, lambda: result.add(
+        "FS", row.name, row.boundary, "gated", row.spec,
+        report=dataclasses.replace(row.report, cohomogeneity=2)))
+    assert notes == [("exact-checks:FS[gated]", True),
+                     ("cohomogeneity-one-gate:FS[gated]", False)]
+    assert result.entries[-1] is row
+    assert not result.all_identities_passed
+
+
+def test_a_row_with_a_wrong_expected_codim_is_listed_and_its_note_fails():
+    result = enumerate_sl(2)
+    row = next(e for e in result.entries if e.label == "CE-row-1")
+    notes = new_notes(result, lambda: result.add(
+        row.label, row.name, row.boundary, row.comment, row.spec,
+        expected_codim=row.report.codim_at_o + 1, report=row.report))
+    assert notes == [("exact-checks:CE-row-1[j=1]", True),
+                     ("codim-matches-expected:CE-row-1[j=1]", False)]
+    assert result.entries[-1].spec is row.spec
+    assert not result.all_identities_passed
+
+
+def test_the_oracle_stage_notes_each_sweep_of_the_table():
+    result = enumerate_sl(2)
+    notes = new_notes(result, lambda: catalog.nc_oracle(result))
+    assert sorted(result.oracle) == ["j=1", "j=2"]
+    assert notes == [("oracle-known-tangent-match:j=1", True),
+                     ("oracle-known-tangent-match:j=2", True)]
+
+
+def test_a_passing_candidate_off_the_known_tangents_fails_its_sweep(monkeypatch):
+    def sweep(result, j, tangents):
+        return {"records": [{"passes": True, "matches_known_tangent": j != 0},
+                            {"passes": False, "matches_known_tangent": None}]}
+
+    monkeypatch.setattr(catalog, "nc_oracle_search", sweep)
+    result = enumerate_sl(2)
+    notes = new_notes(result, lambda: catalog.nc_oracle(result))
+    assert notes == [("oracle-known-tangent-match:j=1", False),
+                     ("oracle-known-tangent-match:j=2", True)]
+    assert result.oracle["j=1"] == sweep(result, 0, set())
+
+
 def test_the_oracle_rejects_a_levi_part_that_meets_the_nilradical(monkeypatch):
     # the oracle never spans N_l(c) + c; its one check per sweep that l and
     # n_phi meet only in 0 must raise as nilpotent_construct does

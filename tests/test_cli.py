@@ -52,10 +52,17 @@ GOLDEN_DIGESTS = {
         "bf6b01f1e4f284a103d93a0cbff190f6e0f59ef05ecd19b0ebe94f304631bd38",
     "sl(4) --nc-search --seed 2007":
         "e28043724074b2e25a17ef0e1e9391e1c12f088a4ee1048cf841f654502675ee",
+    # the two spaces the installed console script runs: both CER routes in
+    # one report, and all three factor kinds; recorded before the table
+    # builder recorded its own rows
+    "sl(3)*rh(2)*rh(2)": "bca3f759bd1b3520b874c978dd3b19ebe9fc07a91d616ec180f5d2cb8771cd3d",
+    "sl(4)*ch(3)*rh(3)": "41aee780cb6b5f266e9dd9d65ea864c876572023e67a1601b68e73ae0e306f68",
 }
 # sha256 of the markdown report, with the same arguments otherwise
 GOLDEN_MARKDOWN_DIGESTS = {
     "sl(4) --nc-search": "fb4fe30480dc5c5588fb75bdbe85d97f84a5a908dcd11a559c44d3c8841f29f2",
+    "sl(3)*rh(2)*rh(2)": "1c78d6c1bd9c3326cc47f0903a3754f95f7b8d858c5c60e13e4cd22000e7a49f",
+    "sl(4)*ch(3)*rh(3)": "857188d41df5d5c7aadf654ce118cb71d10eb585b791443fdd030ff3cfe24530",
 }
 # The oracle flags known CE tangents for j=1 and j=3 as unknown (a false
 # alarm), so the nc-search reports exit 1.

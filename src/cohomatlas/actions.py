@@ -5,8 +5,9 @@ model, the defining roots, and the resulting subalgebra as an exact
 subspace of the ambient model.  An action is its algebra: closure under the
 bracket is a property of that subspace, certified by ``verify`` alone from
 its basis.  Constructors check their inputs, and the payload holds only the
-data ``verify`` reads: subspaces, and an NC row's omitted root ``j``.  A
-diagonal {X + sigma X} is its graph (``_graph``), never a linear map.  Kinds:
+subspaces ``verify`` reads: an NC payload holds v and the normalizer, not
+the omitted root.  A diagonal {X + sigma X} is its graph (``_graph``),
+never a linear map.  Kinds:
 
 * ``FH``   codimension one horospherical foliation, (a minus line) + n
 * ``FS``   solvable foliation, a + (n minus a line in a simple root space)
@@ -246,9 +247,7 @@ def nilpotent_construct(datum: RootDatum, pd: ParabolicDatum, v: Subspace) -> Ac
     algebra = subspace_sum(normalizer, complement)
     if algebra.dim != normalizer.dim + complement.dim:
         raise ValueError(NC_OVERLAP)
-    (j,) = [i for i in range(datum.rank) if i not in pd.phi]
-    return ActionSpec("NC", datum.model, pd.phi, algebra,
-                      {"j": j, "v": v, "normalizer": normalizer})
+    return ActionSpec("NC", datum.model, pd.phi, algebra, {"v": v, "normalizer": normalizer})
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,9 @@ def nilpotent_construct(datum: RootDatum, pd: ParabolicDatum, v: Subspace) -> Ac
 
 
 def product_assemble(pm: ProductModel, j: int, inner: ActionSpec) -> ActionSpec:
-    """Factor action on the j-th block plus all remaining full factors."""
+    """Factor action on the j-th block plus all remaining full factors.  Its
+    roots are the factor action's, shifted past the simple roots of the
+    earlier factors, one per dimension of their a."""
     if not 0 <= j < len(pm.factors):
         raise ValueError("factor index out of range")
     factor = pm.factors[j]
@@ -264,7 +265,9 @@ def product_assemble(pm: ProductModel, j: int, inner: ActionSpec) -> ActionSpec:
         raise ValueError("inner action does not live on the requested factor")
     rest = pm.other_factor_rows((j,))
     algebra = Subspace.span(pm.dim, pm.embed_subspace(j, inner.algebra).rows + rest)
-    return ActionSpec("Prod", pm, None, algebra)
+    shift = sum(f.a_space.dim for f in pm.factors[:j])
+    phi = None if inner.phi is None else tuple(i + shift for i in inner.phi)
+    return ActionSpec("Prod", pm, phi, algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ distant pair.  Each extension row builds only its own boundary subalgebra
 (s_phi & k, the Levi piece of s_phi for phi minus its last root, or the
 sp(2,R) kernel in s_phi) and hands it to ``canonical_extend``.
 
-``enumerate_product`` handles products: one horospherical row at product
-level, per-factor rows (solvable foliation, the reductive boundary
-subalgebras of ``builtin_cei_catalog`` and nilpotent constructions on
-rank-one factors, or each row but FH of a split special linear factor's own
-table, wrapped as a Prod action that carries the factor row's certificate),
-and diagonal rows for matching pairs of rank-one boundary pieces.
+``rank_one_table`` adds a rank-one model's rows: the solvable foliation,
+the extensions of the ``builtin_cei_catalog`` boundary subalgebras, and
+the nilpotent constructions.  ``enumerate_product`` builds one table per
+distinct factor datum (``sl_table`` above rank one) and lifts each row but
+FH into the product one way, with the factor row's certificate; it adds
+one horospherical row and diagonal rows for matching pairs of rank-one
+boundary pieces at product level.
 
 ``nc_oracle_search`` is the independent brute-force oracle: it sweeps every
 coordinate subspace of the top graded piece in the tensor basis plus a
@@ -56,7 +57,7 @@ from .actions import (
 from .parabolic import build_nested, build_parabolic, tensor_model
 from .roots import RootDatum, decompose
 from .verify import (Note, RationalSampler, VerificationReport, check_nc1, check_nc2,
-                     lift_report, orbit_tangent_at_o, verify)
+                     orbit_tangent_at_o, verify)
 
 
 MAX_SL_RANK = 8
@@ -273,13 +274,27 @@ def _hyperbolic_name(profile: tuple) -> str:
     return f"CH^{(m_a // 2) + 1}"
 
 
+def rank_one_table(datum: RootDatum, *, seed: int, samples: int) -> EnumerationResult:
+    """Classification families for the root datum of a rank-one model."""
+    result = EnumerationResult(datum, seed, samples)
+    profile = datum.profile(datum.simple[0])
+    space = _hyperbolic_name(profile)
+    result.add("FS", "a+(n-line)", "-", "j=1", make_fs(datum, 0))
+    for name, sub in builtin_cei_catalog(datum, [0]):
+        result.add("CEI", name, space, name,
+                   canonical_extend(datum, build_parabolic(datum, [0]), sub))
+    for desc, v in _rank_one_nc_subspaces(datum.model, datum, profile):
+        result.add("NC", f"v={desc}", space, f"dim v={v.dim}",
+                   nilpotent_construct(datum, build_parabolic(datum, []), v))
+    return result
+
+
 def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> EnumerationResult:
     """Classification families for a product of shipped factor models."""
     datum = decompose(pm)
     result = EnumerationResult(datum, seed, samples)
     factor_phis = datum.factor_phis
-    profiles = [fd.profile(fd.simple[0]) if fd.rank == 1 else None for fd in datum.factors]
-    tables = {}  # identical factors share one datum, and so one sl table
+    tables = {}  # identical factors share one datum, and so one table
 
     # nested-parabolic spot check per factor
     nested_ok = True
@@ -294,49 +309,33 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
     # FH once, at product level
     result.add("FH", "(a-line)+n", "-", "one representative line", _fh(datum))
 
+    # H = H_i + (g_j, j != i) has H_i's normal space, slice representation and
+    # checks, because the g_j are ideals that commute with g_i; its orbit grows
+    # by their p.  An sl factor's rows are listed as Prod rows.
     for idx, (factor, fd) in enumerate(zip(pm.factors, datum.factors)):
-        profile = profiles[idx]
+        if fd not in tables:
+            table = rank_one_table if fd.rank == 1 else sl_table
+            tables[fd] = table(fd, seed=seed, samples=samples)
         tag = f"factor {idx + 1}"
-        if profile is not None:
-            (i_root,) = factor_phis[idx]
-            # FS per factor
-            result.add("FS", "a+(n-line)", "-", f"{tag}: j={i_root + 1}",
-                       make_fs(datum, i_root))
-            # CEI rows from the built-in reductive catalog
-            rest = pm.other_factor_rows((idx,))
-            for name, sub in builtin_cei_catalog(fd, [0]):
-                h_phi = pm.embed_subspace(idx, sub)
-                algebra = Subspace.span(pm.dim, h_phi.rows + rest)
-                spec = ActionSpec("CEI", pm, (i_root,), algebra, {"h_phi": h_phi})
-                result.add("CEI", name, _hyperbolic_name(profile), f"{tag}: {name}", spec)
-            # NC rows per protohomogeneous representative
-            pd = build_parabolic(datum, [i for i in range(datum.rank) if i != i_root])
-            for desc, v_inner in _rank_one_nc_subspaces(factor, fd, profile):
-                v = pm.embed_subspace(idx, v_inner)
-                result.add("NC", f"v={desc}", _hyperbolic_name(profile),
-                           f"{tag}: dim v={v.dim}", nilpotent_construct(datum, pd, v))
-        elif factor.name.startswith("sl("):
-            if fd not in tables:
-                tables[fd] = sl_table(fd, seed=seed, samples=samples)
-            inner_result = tables[fd]
-            rest_p = pm.p_space.dim - factor.p_space.dim
-            for inner in inner_result.entries:
-                if inner.label == "FH":
-                    continue  # folds into the product-level FH row
-                result.add("Prod", inner.name, inner.boundary,
-                           f"{tag}: {inner.label}[{inner.comment}]",
-                           product_assemble(pm, idx, inner.spec),
-                           report=lift_report(inner.report, rest_p))
-            result.identities.extend(replace(n, name=f"{tag}:{n.name}")
-                                     for n in inner_result.identities)
-        else:
-            raise ValueError(f"unsupported factor model {factor.name}")
+        rest_p = pm.p_space.dim - factor.p_space.dim
+        for inner in tables[fd].entries:
+            if inner.label == "FH":
+                continue  # folds into the product-level FH row
+            if fd.rank == 1:
+                label, kind, comment = inner.label, inner.spec.kind, inner.comment
+            else:
+                label, kind, comment = "Prod", "Prod", f"{inner.label}[{inner.comment}]"
+            spec = replace(product_assemble(pm, idx, inner.spec), kind=kind)
+            report = replace(inner.report, kind=kind,
+                             orbit_dim_at_o=inner.report.orbit_dim_at_o + rest_p)
+            result.add(label, inner.name, inner.boundary, f"{tag}: {comment}", spec, report=report)
+        result.identities.extend(replace(n, name=f"{tag}:{n.name}")
+                                 for n in tables[fd].identities)
 
     # CER: pairs of rank-one boundary pieces from different factors; the
     # reports list them factor pair by factor pair
     for (idx_j, phi_j), (idx_k, phi_k) in itertools.combinations(enumerate(factor_phis), 2):
-        whole = None not in (profiles[idx_j], profiles[idx_k])
-        same = whole and pm.factors[idx_j].name == pm.factors[idx_k].name
+        same = len(phi_j) == 1 and pm.factors[idx_j].name == pm.factors[idx_k].name
         for a, b in itertools.product(phi_j, phi_k):
             profile = datum.profile(datum.simple[a])
             if profile != datum.profile(datum.simple[b]):

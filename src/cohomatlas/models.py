@@ -30,7 +30,7 @@ construction.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .linalg import (
     Matrix,
@@ -222,12 +222,17 @@ class LieModel:
 
     def is_subalgebra(self, sub: Subspace) -> bool:
         """True iff the brackets of the basis of sub lie in sub."""
+        return self.bracket_leaving_pair(sub) is None
+
+    def bracket_leaving_pair(self, sub: Subspace) -> Optional[tuple]:
+        """The indices (a, b), a < b, of the first pair of ``sub.rows`` whose
+        bracket leaves sub, or None if sub is a subalgebra."""
         gens = sub.rows
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
                 if not sub.contains_vector(self._bracket_entries(gens[a], gens[b])):
-                    return False
-        return True
+                    return a, b
+        return None
 
     def normalizer_in(self, domain: Subspace, of: Subspace) -> Subspace:
         """{X in domain : [X, of] subset of of}, computed exactly."""

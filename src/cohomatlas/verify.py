@@ -1,13 +1,13 @@
 """Exact and sampled certificates for constructed actions.
 
-``verify`` is the one place that certifies a constructed action; a Prod row
-carries its factor row's certificate (``lift_report``), because the other
-factors are ideals that commute with that factor.  The exact
-side: bracket closure of the constructed algebra, orbit tangents at the base
-point, Lie triple checks, normalizer tangent criteria for the nilpotent
-construction, the theta-dual check of its normalizer, rotation-algebra
-certificates, and the named subspace identities (extension composition,
-product block split).  Each named exact check is one ``Note`` of the row's
+``verify`` is the one place that certifies a constructed action; a product's
+row from one factor is certified at factor size and lifted with its
+certificate (``catalog.enumerate_product``).  The exact side: bracket
+closure of the constructed algebra, witnessed by a pair of basis rows,
+orbit tangents at the base point, Lie triple checks, normalizer tangent
+criteria for the nilpotent construction, the theta-dual check of its
+normalizer, rotation-algebra certificates, and the extension composition
+identity.  Each named exact check is one ``Note`` of the row's
 report, the record the run-level identities of ``catalog`` use too.  The
 sampled side: the cohomogeneity of the slice representation, estimated as
 the generic isotropy orbit corank over seed-fixed rational sample vectors;
@@ -17,7 +17,7 @@ exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .linalg import (
@@ -30,7 +30,7 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .models import LieModel, ProductModel
+from .models import LieModel
 from .actions import ActionSpec
 from .parabolic import ParabolicDatum, build_nested, build_parabolic
 from .roots import RootDatum
@@ -358,27 +358,6 @@ def extension_composition_ok(datum: RootDatum, psi, phi) -> bool:
             and subspace_sum(nd.n_np, pd_phi.n_phi) == pd_psi.n_phi)
 
 
-def product_split_ok(datum: RootDatum, spec: ActionSpec) -> bool:
-    """NC algebra on a product equals other blocks + factor-level pieces.
-
-    The factor's k0 is read off the product datum: the centralizer of a in
-    k of a product is the direct sum of the factors' centralizers.
-    """
-    model = spec.model
-    if not isinstance(model, ProductModel):
-        raise ValueError("product split applies to product models")
-    v: Subspace = spec.payload["v"]
-    fidx = next(idx for idx, phi in enumerate(datum.factor_phis) if spec.payload["j"] in phi)
-    factor = model.factors[fidx]
-    v_inner = model.restrict_subspace(fidx, v)
-    f_k0 = model.restrict_subspace(fidx, subspace_intersect(datum.k0, model.factor_block(fidx)))
-    pieces = (factor.normalizer_in(f_k0, v_inner), factor.a_space,
-              orthocomplement_in(v_inner, factor.n_space, factor.inner))
-    rows = [b for piece in pieces for b in model.embed_subspace(fidx, piece).rows]
-    expected = Subspace.span(model.dim, rows + list(model.other_factor_rows((fidx,))))
-    return spec.algebra == expected
-
-
 # ---------------------------------------------------------------------------
 # orchestration
 
@@ -395,7 +374,9 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
     if cohom > codim:
         raise ValueError("cohomogeneity exceeds the orbit codimension")
 
-    notes = [Note("bracket-closure", model.is_subalgebra(spec.algebra))]
+    pair = model.bracket_leaving_pair(spec.algebra)
+    notes = [Note("bracket-closure", True) if pair is None
+             else Note("bracket-closure", False, "bracket-leaves-algebra", pair)]
     tg = "not-checked"
     nc1 = nc2 = "not-checked"
     nc2_cert = None
@@ -420,8 +401,6 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
         nc2, nc2_cert = check_nc2(model, pd, v, seed, samples)
         theta_dual = model.theta_image(model.normalizer_in(pd.l, v))
         notes.append(Note("normalizer-theta-dual", theta_dual == normalizer))
-        if isinstance(model, ProductModel):
-            notes.append(Note("product-block-split", product_split_ok(datum, spec)))
 
     return VerificationReport(
         kind=spec.kind,
@@ -437,18 +416,3 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
         samples=samples,
         notes=tuple(notes),
     )
-
-
-def lift_report(report: VerificationReport, rest_p: int) -> VerificationReport:
-    """The report of a Prod row H = H_i + (g_j, j != i), read off H_i's.
-
-    The tangent of H at o is T_i + (p_j, j != i): the orbit grows by rest_p,
-    the sum of dim p_j, and its codimension stays.  The normal space and the
-    slice representation are factor i's, because k_j commutes with p_i.  H is
-    closed under the bracket iff H_i is, because the g_j are ideals that
-    commute with g_i.  The other checks stay not-checked, as for a Prod spec.
-    """
-    return replace(report, kind="Prod", orbit_dim_at_o=report.orbit_dim_at_o + rest_p,
-                   singular_orbit_totally_geodesic="not-checked", nc1="not-checked",
-                   nc2="not-checked", nc2_certificate=None,
-                   notes=tuple(n for n in report.notes if n.name == "bracket-closure"))

@@ -382,9 +382,35 @@ def test_non_closed_algebra_fails_the_closure_note():
     e23 = SL3.coords(mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]]))
     spec = ActionSpec("FH", SL3, None, Subspace.span(SL3.dim, [e12, e23]))
     report = verify(spec, SL3_DATUM)
-    (note,) = [n for n in report.notes if n.name == "bracket-closure"]
-    assert note.to_json() == {"name": "bracket-closure", "passed": False}
+    (note,) = [n for n in report.to_json()["notes"] if n["name"] == "bracket-closure"]
+    assert note == {"name": "bracket-closure", "passed": False,
+                    "sub_check": "bracket-leaves-algebra", "witness": [0, 1]}
     assert not report.all_exact_checks_passed
+
+
+def test_the_closure_witness_is_the_first_pair_whose_bracket_leaves():
+    # h = diag(1, -1, 0), E12 and E23: h normalizes both, and [E12, E23] = E13
+    # leaves the span, so the first pair of rows whose bracket leaves is not
+    # the first pair of rows
+    gens = [SL3.coords(mat(rows)) for rows in ([[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+                                               [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+                                               [[0, 0, 0], [0, 0, 1], [0, 0, 0]])]
+    algebra = Subspace.span(SL3.dim, gens)
+    pairs = [(a, b) for a in range(algebra.dim) for b in range(a + 1, algebra.dim)]
+    leaving = [(a, b) for a, b in pairs
+               if not algebra.contains_vector(SL3.bracket(algebra.basis[a], algebra.basis[b]))]
+    assert leaving and leaving[0] != pairs[0]
+    assert SL3.bracket_leaving_pair(algebra) == leaving[0]
+    report = verify(ActionSpec("FH", SL3, None, algebra), SL3_DATUM)
+    (note,) = [n for n in report.to_json()["notes"] if n["name"] == "bracket-closure"]
+    assert note == {"name": "bracket-closure", "passed": False,
+                    "sub_check": "bracket-leaves-algebra", "witness": list(leaving[0])}
+    # a subalgebra has no such pair, and its note is its name and verdict only
+    fh = make_fh(SL3, Subspace.span(SL3.dim, [SL3_DATUM.simple[0].root_vector]))
+    assert SL3.bracket_leaving_pair(fh.algebra) is None
+    (note,) = [n for n in verify(fh, SL3_DATUM).to_json()["notes"]
+               if n["name"] == "bracket-closure"]
+    assert note == {"name": "bracket-closure", "passed": True}
 
 
 def _payload_specs():

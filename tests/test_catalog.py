@@ -8,12 +8,15 @@ from functools import cached_property
 import pytest
 
 from cohomatlas import catalog, linalg
-from cohomatlas.catalog import ce_families, enumerate_sl, known_extension_tangents
+from cohomatlas.catalog import (_rank_one_nc_subspaces, ce_families, enumerate_sl,
+                                known_extension_tangents)
 from cohomatlas.cli import RunConfig, parse_space, run
-from cohomatlas.linalg import Matrix, Subspace, orthocomplement_in, subspace_sum
-from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
+from cohomatlas.linalg import (Matrix, Subspace, orthocomplement_in, subspace_intersect,
+                               subspace_sum)
+from cohomatlas.models import ProductModel, build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.parabolic import build_nested, build_parabolic
-from cohomatlas.actions import builtin_cei_catalog, canonical_extend, nilpotent_construct
+from cohomatlas.actions import (ActionSpec, builtin_cei_catalog, canonical_extend, make_fs,
+                                nilpotent_construct)
 from cohomatlas.roots import decompose
 from cohomatlas.verify import orbit_tangent_at_o, verify
 
@@ -286,12 +289,31 @@ def test_homothetic_rank_one_factors_get_their_diagonal_row(factors):
 
 
 @pytest.mark.parametrize("space", ["rh(3)*rh(3)", "ch(2)*ch(2)"])
-def test_product_cei_rows_carry_a_boundary_subalgebra(space):
+def test_product_cei_rows_carry_a_boundary_subalgebra(monkeypatch, space):
+    tables = []
+    original = catalog.rank_one_table
+
+    def recorded(datum, **kwargs):
+        tables.append(original(datum, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(catalog, "rank_one_table", recorded)
     result = run(parse_space(space), RunConfig(su1n=True)).result
-    rows = [e for e in result.entries if e.label == "CEI"]
+    pm = result.model
+    (table,) = tables  # the two factors are one model
+    rows = [e for e in table.entries if e.label == "CEI"]
     assert rows
     for e in rows:
-        assert build_parabolic(result.datum, e.spec.phi).s.contains(e.spec.payload["h_phi"])
+        # the factor row's h_phi lies in the factor's s_phi, and the row is
+        # lifted to h_phi plus the other factor in each factor of the product
+        assert build_parabolic(table.datum, e.spec.phi).s.contains(e.spec.payload["h_phi"])
+        for idx in range(2):
+            (lifted,) = [p for p in result.entries
+                         if p.comment == f"factor {idx + 1}: {e.name}"]
+            assert lifted.spec.kind == "CEI"
+            assert lifted.spec.algebra == Subspace.span(
+                pm.dim, pm.embed_subspace(idx, e.spec.payload["h_phi"]).rows
+                + pm.other_factor_rows((idx,)))
 
 
 def test_one_sl5_run_decides_each_form_once(monkeypatch):
@@ -327,13 +349,100 @@ def test_single_sl_factor_product_lists_fh_once():
     assert result.all_identities_passed
 
 
-@pytest.mark.parametrize("space", ["sl(3)*sl(3)", "sl(3)*rh(2)*sl(2)", "sl(4)*ch(2)"])
-def test_prod_rows_carry_the_report_of_product_level_verify(space):
+def product_split_ok(datum, algebra: Subspace, fidx: int, v: Subspace) -> bool:
+    """The NC algebra over v in the fidx-th factor of a product equals the
+    other blocks plus the factor-level pieces N_(k0)(v) + a + (n minus v).
+
+    The factor's k0 is read off the product datum: the centralizer of a in
+    k of a product is the direct sum of the factors' centralizers.
+    """
+    model = datum.model
+    factor = model.factors[fidx]
+    v_inner = model.restrict_subspace(fidx, v)
+    f_k0 = model.restrict_subspace(fidx, subspace_intersect(datum.k0, model.factor_block(fidx)))
+    pieces = (factor.normalizer_in(f_k0, v_inner), factor.a_space,
+              orthocomplement_in(v_inner, factor.n_space, factor.inner))
+    rows = [b for piece in pieces for b in model.embed_subspace(fidx, piece).rows]
+    return algebra == Subspace.span(model.dim, rows + list(model.other_factor_rows((fidx,))))
+
+
+def product_size_reference(datum, fidx: int, entry):
+    """The spec that the product-size construction builds for a lifted row of
+    a rank-one factor, and for an NC row its v: FS by ``make_fs`` on the
+    product datum, CEI as h_phi plus the other factors, NC over the product
+    parabolic that omits the factor's root."""
+    pm = datum.model
+    fd = datum.factors[fidx]
+    (root,) = datum.factor_phis[fidx]
+    if entry.label == "FS":
+        return make_fs(datum, root), None
+    if entry.label == "CEI":
+        (sub,) = [sub for name, sub in builtin_cei_catalog(fd, [0]) if name == entry.name]
+        h_phi = pm.embed_subspace(fidx, sub)
+        algebra = Subspace.span(pm.dim, h_phi.rows + pm.other_factor_rows((fidx,)))
+        return ActionSpec("CEI", pm, (root,), algebra, {"h_phi": h_phi}), None
+    profile = fd.profile(fd.simple[0])
+    (v,) = [pm.embed_subspace(fidx, v) for desc, v in
+            _rank_one_nc_subspaces(fd.model, fd, profile) if f"v={desc}" == entry.name]
+    pd = build_parabolic(datum, [i for i in range(datum.rank) if i != root])
+    return nilpotent_construct(datum, pd, v), v
+
+
+CORE_FIELDS = ("orbit_dim_at_o", "codim_at_o", "cohomogeneity", "cohomogeneity_certainty")
+RANK_ONE_FIELDS = ("singular_orbit_totally_geodesic", "nc1", "nc2", "nc2_certificate")
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("space", ["rh(3)*rh(3)", "ch(2)*ch(2)", "sl(3)*sl(3)", "sl(4)*ch(2)",
+                                   "sl(3)*rh(2)*sl(2)", "sl(4)*ch(3)*rh(3)"])
+def test_every_lifted_row_matches_product_level_verify(space, seed):
+    result = run(parse_space(space), RunConfig(seed=seed, su1n=True)).result
+    datum = result.datum
+    # FH and CER rows are verified at product size; every other row is lifted
+    lifted = [e for e in result.entries if e.label not in ("FH", "CER")]
+    assert lifted and all(e.comment.startswith("factor ") for e in lifted)
+    assert {e.label for e in lifted} <= {"FS", "CEI", "NC", "Prod"}
+    nc_rows = 0
+    for e in lifted:
+        fidx = int(e.comment.split(":")[0].split()[1]) - 1
+        if e.label == "Prod":
+            # product_assemble spans a Prod row's algebra at product size
+            reference, v, fields = e.spec, None, CORE_FIELDS
+        else:
+            reference, v = product_size_reference(datum, fidx, e)
+            fields = CORE_FIELDS + RANK_ONE_FIELDS
+        expected = verify(reference, datum, seed=seed, samples=32)
+        for name in fields:
+            assert getattr(e.report, name) == getattr(expected, name), (e.comment, name)
+        if v is not None:
+            nc_rows += 1
+            assert e.spec.algebra == reference.algebra
+            assert product_split_ok(datum, e.spec.algebra, fidx, v)
+    assert nc_rows == sum(e.label == "NC" for e in result.entries)
+
+
+@pytest.mark.parametrize("space", ["rh(8)*rh(8)", "ch(3)*ch(3)", "ch(4)*ch(4)"])
+def test_each_rank_one_row_is_verified_once_at_factor_size(monkeypatch, space):
+    tables, kinds = [], Counter()
+    original = catalog.rank_one_table
+
+    def recorded(datum, **kwargs):
+        tables.append(datum)
+        return original(datum, **kwargs)
+
+    def counted(spec, datum, **kwargs):
+        kinds[spec.kind, isinstance(spec.model, ProductModel)] += 1
+        return verify(spec, datum, **kwargs)
+
+    monkeypatch.setattr(catalog, "rank_one_table", recorded)
+    monkeypatch.setattr(catalog, "verify", counted)
     result = run(parse_space(space), RunConfig(su1n=True)).result
-    rows = [e for e in result.entries if e.label == "Prod"]
-    assert rows
-    for e in rows:
-        assert e.report.to_json() == verify(e.spec, result.datum, seed=7, samples=32).to_json()
+    assert result.all_identities_passed
+    assert len(tables) == 1
+    assert {kind for kind, product in kinds if product} == {"FH", "CER"}
+    # each factor row is verified once and listed once per factor
+    factor_rows = sum(n for (kind, product), n in kinds.items() if not product)
+    assert factor_rows * 2 == sum(e.label not in ("FH", "CER") for e in result.entries)
 
 
 def test_prod_rows_are_not_verified_at_product_size(monkeypatch):

@@ -499,14 +499,17 @@ def _whole_algebra_composition_ok(datum, psi, phi, h_psi) -> bool:
     return two_step == one_step
 
 
-@pytest.mark.parametrize("space", ["sl(5)", "sl(3)*rh(2)*rh(2)"])
-def test_extension_composition_agrees_with_the_whole_algebra_identity(space):
-    result = run(parse_space(space), RunConfig()).result
+def composition_notes_checked(result) -> int:
+    """Check the extension-composition note of every row that the table
+    verified in its own datum against the whole-algebra identity, and return
+    how many rows carry it.  A product's rows lifted from a factor's table
+    carry that table's notes, and are checked there."""
     datum = result.datum
     checked = 0
     for entry in result.entries:
         spec = entry.spec
-        if spec.kind not in ("CEI", "CER") or not 0 < len(spec.phi) < datum.rank:
+        if entry.comment.startswith("factor ") or spec.kind not in ("CEI", "CER") \
+                or not 0 < len(spec.phi) < datum.rank:
             continue
         missing = [i for i in range(datum.rank) if i not in spec.phi]
         phi = tuple(sorted(spec.phi + (missing[0],)))
@@ -515,9 +518,28 @@ def test_extension_composition_agrees_with_the_whole_algebra_identity(space):
         assert extension_composition_ok(datum, spec.phi, phi) is old is True
         assert note_named(entry.report, "extension-composition").passed
         checked += 1
-    carrying = [e for e in result.entries
-                if any(n.name == "extension-composition" for n in e.report.notes)]
-    assert checked == len(carrying) > 0
+    carrying = [e for e in result.entries if not e.comment.startswith("factor ")
+                and any(n.name == "extension-composition" for n in e.report.notes)]
+    assert checked == len(carrying)
+    return checked
+
+
+@pytest.mark.parametrize("space", ["sl(5)", "sl(3)*rh(2)*rh(2)"])
+def test_extension_composition_agrees_with_the_whole_algebra_identity(space):
+    result = run(parse_space(space), RunConfig()).result
+    # sl(5)'s rows, and the product's CER rows across factors
+    assert composition_notes_checked(result) > 0
+    # a Prod row carries the notes of its row in its sl factor's table
+    prod = {e.comment: e.report.notes for e in result.entries if e.label == "Prod"}
+    rows = {}
+    for idx, fd in enumerate(result.datum.factors):
+        if fd.rank > 1:
+            table = catalog.sl_table(fd)
+            assert composition_notes_checked(table) > 0
+            rows.update((f"factor {idx + 1}: {e.label}[{e.comment}]", e.report.notes)
+                        for e in table.entries if e.label != "FH")
+    assert prod == rows
+    assert bool(prod) == (space != "sl(5)")
 
 
 def test_extension_composition_note_fails_when_a_nested_piece_is_short(monkeypatch):
@@ -589,18 +611,6 @@ class TestVerifyOrchestration:
         assert spec.kind == "CEI" and len(spec.phi) < datum.rank
         with pytest.raises(KeyError):
             verify(dataclasses.replace(spec, payload={}), datum)
-
-    def test_product_nc_split_note(self):
-        p = direct_sum([build_so1n(4), build_so1n(2)])
-        datum = decompose(p)
-        pd = build_parabolic(datum, [1])
-        f0 = p.factors[0]
-        v = p.embed_subspace(0, Subspace.span(f0.dim, f0.n_space.basis[:2]))
-        spec = nilpotent_construct(datum, pd, v)
-        report = verify(spec, datum)
-        assert note_named(report, "product-block-split").passed
-        assert report.nc1 == "yes"
-        assert report.nc2 == "yes"
 
 
 def test_sampling_a_subspace_larger_than_the_space_raises():

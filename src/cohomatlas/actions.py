@@ -3,10 +3,13 @@
 Each constructor returns an :class:`ActionSpec`: the action kind, the
 model, the defining roots, and the resulting subalgebra as an exact
 subspace of the ambient model.  An action is its algebra: closure under the
-bracket is a property of that subspace, certified by ``verify`` alone from
-its basis.  Constructors check their inputs, and the payload holds only the
-subspaces ``verify`` reads: an NC payload holds v and the normalizer, not
-the omitted root.  A diagonal {X + sigma X} is its graph (``_graph``),
+bracket is a property of that subspace, which ``verify`` certifies from the
+algebra's pieces and the root grading (``verify.graded_closure_failure``).
+Constructors check their inputs, among them the closure of the small pieces
+that the grading does not decide: ``canonical_extend`` checks h_phi, and
+``_graph`` a diagonal.  The payload holds only the subspaces ``verify``
+reads: an NC payload holds v, the normalizer and the complement, not the
+omitted root.  A diagonal {X + sigma X} is its graph (``_graph``),
 never a linear map.  Kinds:
 
 * ``FH``   codimension one horospherical foliation, (a minus line) + n
@@ -247,7 +250,8 @@ def nilpotent_construct(datum: RootDatum, pd: ParabolicDatum, v: Subspace) -> Ac
     algebra = subspace_sum(normalizer, complement)
     if algebra.dim != normalizer.dim + complement.dim:
         raise ValueError(NC_OVERLAP)
-    return ActionSpec("NC", datum.model, pd.phi, algebra, {"v": v, "normalizer": normalizer})
+    return ActionSpec("NC", datum.model, pd.phi, algebra,
+                      {"v": v, "normalizer": normalizer, "complement": complement})
 
 
 # ---------------------------------------------------------------------------

@@ -296,12 +296,15 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
     factor_phis = datum.factor_phis
     tables = {}  # identical factors share one datum, and so one table
 
-    # nested-parabolic spot check per factor
+    # nested-parabolic spot check once per distinct factor datum, in its own
+    # datum: the product's nested data over one factor's roots are that
+    # factor's, embedded
     nested_ok = True
     try:
-        for phi in factor_phis:
-            build_nested(datum, (), phi)
-            build_nested(datum, phi[:1], phi)
+        for fd in dict.fromkeys(datum.factors):
+            whole = tuple(range(fd.rank))
+            build_nested(fd, (), whole)
+            build_nested(fd, whole[:1], whole)
     except ValueError:
         nested_ok = False
     result.identities.append(Note("nested-parabolic-intersection", nested_ok))

@@ -73,6 +73,25 @@ def _root_rows(roots: Iterable, start: Sequence = ()) -> list:
     return list(start) + [v for r in roots for v in r.space.rows]
 
 
+def a_piece(datum: RootDatum, phi: tuple) -> Subspace:
+    """a_phi = {H in a : alpha(H) = 0 for alpha in phi}, the common kernel in
+    a of the simple roots indexed by the sorted tuple phi; a covector lists
+    the values of its root on the basis of a.  The roots in phi are
+    independent, so dim a_phi = rank - |phi|.  ``build_parabolic`` reads its
+    a_phi here, and ``verify.extension_composition_ok`` compares two of them."""
+    a = datum.model.a_space
+    values = [[tuple(datum.simple[i].covector[t] for i in phi)] for t in range(a.dim)]
+    return solve_inclusion_constraint(a.basis, values, Subspace.zero(len(phi)))
+
+
+def nilpotent_roots(datum: RootDatum, psi: tuple, phi: Optional[tuple] = None) -> list:
+    """The positive roots outside the span of psi and, when phi is given,
+    inside the span of phi: the roots whose spaces span n_psi, or for psi
+    inside phi the nested piece n_np of s_phi."""
+    return [r for r in datum.positive
+            if not r.in_span(psi) and (phi is None or r.in_span(phi))]
+
+
 def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     """All parabolic pieces for a subset of simple roots (cached per datum)."""
     phi = _check_phi(datum, phi)
@@ -87,18 +106,13 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
 
     l = Subspace.span(d, _root_rows(inside, datum.zero_space.rows))
 
-    # a_phi = {H in a : alpha(H) = 0 for alpha in phi}; a covector lists the
-    # values of its root on the basis of a
-    a = model.a_space
-    values = [[tuple(datum.simple[i].covector[t] for i in phi)] for t in range(a.dim)]
-    a_phi = solve_inclusion_constraint(a.basis, values, Subspace.zero(len(phi)))
-
-    outside_pos = [r for r in datum.positive if not r.in_span(phi)]
+    a_phi = a_piece(datum, phi)
+    outside_pos = nilpotent_roots(datum, phi)
     n_phi = Subspace.span(d, _root_rows(outside_pos))
 
     # k0 lies in k and a_upper in p, so projecting them too leaves each one
     # spanning itself
-    a_upper = orthocomplement_in(a_phi, a, model.inner)
+    a_upper = orthocomplement_in(a_phi, model.a_space, model.inner)
     k_phi = model.project_k_subspace(_root_rows(inside_pos, datum.k0.rows))
     n_upper = Subspace.span(d, _root_rows(inside_pos))
     b = model.project_p_subspace(_root_rows(inside_pos, a_upper.rows))
@@ -148,8 +162,7 @@ def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> Ne
     pd_phi = build_parabolic(datum, phi)
     pd_psi = build_parabolic(datum, psi)
 
-    n_np = Subspace.span(d, _root_rows([r for r in datum.positive
-                                        if r.in_span(phi) and not r.in_span(psi)]))
+    n_np = Subspace.span(d, _root_rows(nilpotent_roots(datum, psi, phi)))
     if n_np != subspace_intersect(pd_phi.n_upper, pd_psi.n_phi):
         raise ValueError("nested nilpotent piece fails its intersection identity")
 

@@ -5,9 +5,10 @@ exact simultaneous eigendecomposition: each eigenspace of ad(h) for one
 basis vector h of a is split again by the next (``invariant_eigensplit``).
 It then chooses the positive system matching the model's stored nilpotent
 part, and extracts simple roots, multiplicities, root vectors and Dynkin
-adjacency.  A product's root data is its factors' root data: ``decompose``
-assembles it from the decomposed factors, block by block, without splitting
-the product, and the product datum keeps the factor data in ``factors``.
+adjacency.  It also checks that the bracket respects the root grading.  A
+product's root data is its factors' root data: ``decompose`` assembles it
+from the decomposed factors, block by block, without splitting the product,
+and the product datum keeps the factor data in ``factors``.
 
 Each root is a complete record: its covector (values on the RREF basis of
 a), its dual vector in a, its integer coefficients over the ordered simple
@@ -94,7 +95,13 @@ class RootDatum:
 
 def decompose(model: LieModel) -> RootDatum:
     """Exact restricted root space decomposition with respect to a; a
-    product's is assembled from its factors' (see ``_product_datum``)."""
+    product's is assembled from its factors' (see ``_product_datum``).
+
+    A simple model's decomposition raises unless the bracket respects the
+    grading, [g_lam, g_mu] in g_{lam+mu} (``_check_grading``), as
+    ``build_nested`` raises on a failed identity.  The check runs once per
+    simple datum; a product inherits it from its factors, because brackets
+    across different factors vanish."""
     if isinstance(model, ProductModel):
         # a factor model that occurs more than once is decomposed once
         data = {f: decompose(f) for f in dict.fromkeys(model.factors)}
@@ -120,6 +127,7 @@ def decompose(model: LieModel) -> RootDatum:
     total = zero_space.dim + sum(sp.dim for sp in raw.values())
     if total != d:
         raise ValueError("weight spaces do not fill the model")
+    _check_grading(model, raw, zero_space)
 
     # theta pairing: theta g_lam = g_{-lam}
     for wt, sp in raw.items():
@@ -218,6 +226,25 @@ def decompose(model: LieModel) -> RootDatum:
         dynkin_edges=edges,
         factors=(),
     )
+
+
+def _check_grading(model: LieModel, raw: dict, zero_space: Subspace) -> None:
+    """Raise unless [g_lam, g_mu] lies in g_{lam+mu} for all weights lam, mu,
+    the zero weight included, with g_{lam+mu} = 0 when lam + mu is no weight.
+    Each weight space is an ad(a)-eigenspace by construction, so this one
+    identity is what makes every sum of root spaces that is closed under
+    adding roots a subalgebra (``verify.graded_closure_failure``)."""
+    by_weight = dict(raw)
+    by_weight[(0,) * model.a_space.dim] = zero_space
+    spaces = list(by_weight.items())
+    for i, (lam, u) in enumerate(spaces):
+        for mu, v in spaces[i:]:
+            target = by_weight.get(tuple(x + y for x, y in zip(lam, mu)))
+            for x in u.rows:
+                for y in v.rows:
+                    image = model._bracket_entries(x, y)
+                    if image and (target is None or not target.contains_vector(image)):
+                        raise ValueError("the bracket does not respect the root grading")
 
 
 def _order_simple_roots(simple_cov, adj):

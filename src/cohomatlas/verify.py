@@ -3,16 +3,25 @@
 ``verify`` is the one place that certifies a constructed action; a product's
 row from one factor is certified at factor size and lifted with its
 certificate (``catalog.enumerate_product``).  The exact side: bracket
-closure of the constructed algebra, witnessed by a pair of basis rows,
-orbit tangents at the base point, Lie triple checks, normalizer tangent
-criteria for the nilpotent construction, the theta-dual check of its
-normalizer, rotation-algebra certificates, and the extension composition
-identity.  Each named exact check is one ``Note`` of the row's
-report, the record the run-level identities of ``catalog`` use too.  The
-sampled side: the cohomogeneity of the slice representation, estimated as
-the generic isotropy orbit corank over seed-fixed rational sample vectors;
-sampled verdicts are always labeled as such and never silently treated as
-exact.
+closure of the constructed algebra, orbit tangents at the base point, Lie
+triple checks, normalizer tangent criteria for the nilpotent construction,
+the theta-dual check of its normalizer, rotation-algebra certificates, and
+the extension composition identity.  Each named exact check is one ``Note``
+of the row's report, the record the run-level identities of ``catalog``
+use too.  The sampled side: the cohomogeneity of the slice representation,
+estimated as the generic isotropy orbit corank over seed-fixed rational
+sample vectors; sampled verdicts are always labeled as such and never
+silently treated as exact.
+
+Bracket closure is decided from the grading, not pair by pair.
+``decompose`` checks once per simple datum that [g_lam, g_mu] lies in
+g_{lam+mu}; each kind's algebra is then closed when its pieces pass a few
+containments and dimension counts (``graded_closure_failure``), and the
+constructors have checked the closure of the small pieces the grading does
+not decide.  Only when a condition fails does ``closure_note`` run the pair
+loop, to name the first pair of algebra rows whose bracket leaves.  The
+extension composition identity likewise compares a-pieces and sets of
+positive roots, and spans nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .linalg import (
 )
 from .models import LieModel
 from .actions import ActionSpec
-from .parabolic import ParabolicDatum, build_nested, build_parabolic
+from .parabolic import ParabolicDatum, a_piece, build_parabolic, nilpotent_roots
 from .roots import RootDatum
 
 _MASK = (1 << 64) - 1
@@ -347,15 +356,106 @@ def check_polar_certificate(spec: ActionSpec) -> Note:
 # named subspace identities
 
 
-def extension_composition_ok(datum: RootDatum, psi, phi) -> bool:
+def extension_composition_ok(datum: RootDatum, psi: tuple, phi: tuple) -> bool:
     """Iterated extension psi -> phi -> everything equals the one-step one,
-    piece by piece: a_np + a_phi = a_psi and n_np + n_phi = n_psi.  Adding
-    any h_psi to both sides keeps them equal."""
-    nd = build_nested(datum, psi, phi)
-    pd_phi = build_parabolic(datum, phi)
-    pd_psi = build_parabolic(datum, psi)
-    return (subspace_sum(nd.a_np, pd_phi.a_phi) == pd_psi.a_phi
-            and subspace_sum(nd.n_np, pd_phi.n_phi) == pd_psi.n_phi)
+    piece by piece: a_np + a_phi = a_psi and n_np + n_phi = n_psi, for
+    sorted psi inside phi.  Adding any h_psi to both sides keeps them equal.
+
+    a-part: a_np is a_psi & a^phi, the orthogonal complement of a_phi in
+    a_psi when a_phi lies in a_psi, so the sum is a_psi exactly when a_phi
+    lies in a_psi; the nested rank of s_phi makes dim a_np = |phi| - |psi|.
+    n-part: the roots that span n_np and n_phi together are the roots that
+    span n_psi (``nilpotent_roots``), and distinct root spaces are
+    independent, so equal root sets span equal pieces.  Nothing is spanned.
+    """
+    a_psi, a_phi = a_piece(datum, psi), a_piece(datum, phi)
+    nested, outer, whole = ({r.coeffs for r in nilpotent_roots(datum, *args)}
+                            for args in ((psi, phi), (phi,), (psi,)))
+    return (a_psi.contains(a_phi) and a_psi.dim - a_phi.dim == len(phi) - len(psi)
+            and nested | outer == whole)
+
+
+# ---------------------------------------------------------------------------
+# bracket closure from the root grading
+
+
+def graded_closure_failure(spec: ActionSpec, datum: RootDatum) -> Optional[str]:
+    """The first condition of the graded closure proof of the spec's kind
+    that fails, or None when the proof holds.
+
+    Every condition is a containment or a dimension count.  With the
+    grading identity [g_lam, g_mu] in g_{lam+mu}, which ``decompose`` checks
+    once per simple datum, each kind's algebra is closed when its conditions
+    hold:
+
+    * FH: n lies in the algebra, which lies in a + n.  So the algebra is n
+      plus a subspace of a, and a is abelian and normalizes n.
+    * FS: a lies in the algebra, which lies in a + n and holds every
+      positive root space but g_{alpha_j}.  [n, n] has no simple root.
+    * CEI and CER over phi: h in l_phi and the algebra is h + a_phi + n_phi.
+      a_phi commutes with l_phi, and l_phi, a_phi and n_phi each carry
+      n_phi into itself.  ``canonical_extend`` has checked that h closes.
+    * The factor-diagonal CER, told from the other route by its dimension:
+      the algebra is the graph plus the factors outside phi, which are
+      ideals.  ``_graph`` has checked that the graph closes.
+    * NC: the algebra is N + c with N in l and c in n_phi containing every
+      grade >= 2.  ``nilpotent_construct`` built N as N_l(c), which
+      normalizes c and is closed because l is, and [c, c] lies in the
+      grades >= 2.
+    """
+    model, algebra, payload = spec.model, spec.algebra, spec.payload
+    if spec.kind in ("FH", "FS"):
+        if not subspace_sum(model.a_space, model.n_space).contains(algebra):
+            return "algebra-outside-a-plus-n"
+        if spec.kind == "FH":
+            return None if algebra.contains(model.n_space) else "n-not-in-algebra"
+        if not algebra.contains(model.a_space):
+            return "a-not-in-algebra"
+        (j,) = spec.phi
+        simple = datum.simple[j].coeffs
+        if not all(algebra.contains(r.space) for r in datum.positive if r.coeffs != simple):
+            return "root-space-not-in-algebra"
+        return None
+    if spec.kind in ("CEI", "CER"):
+        pd = build_parabolic(datum, spec.phi)
+        h = payload["diag" if spec.kind == "CER" else "h_phi"]
+        if not pd.l.contains(h):
+            return "h-outside-levi"
+        pieces = (h, pd.a_phi, pd.n_phi)
+        if spec.kind == "CER" and datum.factors and algebra.dim != sum(p.dim for p in pieces):
+            # a factor diagonal holds the factors outside phi whole
+            touched = [i for i, fp in enumerate(datum.factor_phis) if set(fp) & set(spec.phi)]
+            pieces = (h, Subspace.span(model.dim, model.other_factor_rows(touched)))
+    elif spec.kind == "NC":
+        pd = build_parabolic(datum, spec.phi)
+        normalizer, complement = payload["normalizer"], payload["complement"]
+        if not pd.l.contains(normalizer):
+            return "normalizer-outside-levi"
+        if pd.grading is None or not pd.n_phi.contains(complement) or not all(
+                complement.contains(sp) for nu, sp in pd.grading.items() if nu >= 2):
+            return "complement-misses-a-grade"
+        pieces = (normalizer, complement)
+    else:
+        raise ValueError(f"no graded closure proof for kind {spec.kind}")
+    if algebra.dim == sum(p.dim for p in pieces) and all(map(algebra.contains, pieces)):
+        return None
+    return "algebra-not-its-pieces"
+
+
+def closure_note(spec: ActionSpec, datum: RootDatum) -> Note:
+    """The bracket-closure note.  A kind with a graded proof passes when the
+    proof holds.  When it fails, and for a Prod spec, which has no pieces,
+    the pair loop decides: the note fails with the first pair of algebra
+    rows whose bracket leaves, and otherwise a failed proof fails the note
+    with the name of its condition and a Prod spec passes."""
+    graded = spec.kind != "Prod"
+    failed = graded_closure_failure(spec, datum) if graded else None
+    if graded and failed is None:
+        return Note("bracket-closure", True)
+    pair = spec.model.bracket_leaving_pair(spec.algebra)
+    if pair is not None:
+        return Note("bracket-closure", False, "bracket-leaves-algebra", pair)
+    return Note("bracket-closure", not graded, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +474,7 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
     if cohom > codim:
         raise ValueError("cohomogeneity exceeds the orbit codimension")
 
-    pair = model.bracket_leaving_pair(spec.algebra)
-    notes = [Note("bracket-closure", True) if pair is None
-             else Note("bracket-closure", False, "bracket-leaves-algebra", pair)]
+    notes = [closure_note(spec, datum)]
     tg = "not-checked"
     nc1 = nc2 = "not-checked"
     nc2_cert = None

@@ -475,3 +475,38 @@ def test_identical_sl_factors_share_one_table(monkeypatch):
     assert len(calls) == 1
     assert result.datum.factors[0] is result.datum.factors[1] is calls[0]
     assert sum(e.label == "Prod" for e in result.entries) == 10
+
+
+@pytest.mark.parametrize("space", ["sl(3)*sl(3)", "ch(3)*ch(3)", "sl(4)*ch(3)*rh(3)"])
+def test_the_nested_parabolic_check_runs_once_per_distinct_factor(monkeypatch, space):
+    # the spot check is the only caller with psi = (): once per distinct
+    # factor datum, over all its roots, and never in the product's datum
+    calls = []
+    original = catalog.build_nested
+
+    def recorded(datum, psi, phi):
+        calls.append((datum, tuple(psi), tuple(phi)))
+        return original(datum, psi, phi)
+
+    monkeypatch.setattr(catalog, "build_nested", recorded)
+    result = run(parse_space(space), RunConfig(su1n=True)).result
+    factors = list(dict.fromkeys(result.datum.factors))
+    assert all(datum is not result.datum for datum, _, _ in calls)
+    assert [(d, phi) for d, psi, phi in calls if psi == ()] == [
+        (fd, tuple(range(fd.rank))) for fd in factors]
+    (note,) = [n for n in result.identities if n.name == "nested-parabolic-intersection"]
+    assert note.passed
+
+
+def test_the_nested_parabolic_note_fails_when_a_factor_check_raises(monkeypatch):
+    original = catalog.build_nested
+
+    def failing(datum, psi, phi):
+        if psi == ():
+            raise ValueError("nested parabolic fails q_{psi,phi} = q_psi & s_phi")
+        return original(datum, psi, phi)
+
+    monkeypatch.setattr(catalog, "build_nested", failing)
+    result = catalog.enumerate_product(direct_sum([build_so1n(3), build_so1n(2)]))
+    (note,) = [n for n in result.identities if n.name == "nested-parabolic-intersection"]
+    assert not note.passed and not result.all_identities_passed

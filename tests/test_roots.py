@@ -246,3 +246,37 @@ def test_a_repeated_factor_is_decomposed_once(monkeypatch):
     assert calls == ["su(1,2)", "so(1,2)"]
     assert datum.factors[0] is datum.factors[1]
     assert datum.rank == 3
+
+
+@pytest.mark.parametrize("build, arg", [(build_sl, 3), (build_so1n, 3), (build_su1n, 2)])
+def test_the_grading_identity_holds_on_the_shipped_models(build, arg):
+    # [g_lam, g_mu] lies in g_{lam+mu}, computed here from the root records
+    datum = decompose(build(arg))
+    g = datum.model
+    spaces = {r.coeffs: r.space for r in datum.roots}
+    spaces[(0,) * datum.rank] = datum.zero_space
+    for lam, u in spaces.items():
+        for mu, v in spaces.items():
+            image = g.bracket_span(u.rows, v.rows)
+            target = spaces.get(tuple(x + y for x, y in zip(lam, mu)))
+            assert image.dim == 0 or (target is not None and target.contains(image))
+
+
+@pytest.mark.parametrize("build, arg", [(build_sl, 3), (build_sl, 4), (build_so1n, 3)])
+def test_decompose_raises_on_one_corrupted_structure_constant(build, arg):
+    # the bracket of two basis vectors outside a gains a term on another basis
+    # vector; ad(a), theta and n are untouched, so only the grading identity
+    # sees it
+    g = build(arg)
+    decompose(g)
+    in_a = {i for row in g.a_space.rows for i in row}
+    struct = {i: dict(ad) for i, ad in g._struct.items()}
+    i, j, entry = next((i, j, entry) for i, ad in sorted(struct.items()) if i not in in_a
+                       for j, entry in sorted(ad.items()) if j not in in_a and entry)
+    k = next(k for k in range(g.dim) if k not in in_a and k not in dict(entry)
+             and k not in (i, j))
+    struct[i][j] = entry + ((k, 1),)
+    struct[j][i] = tuple((t, -c) for t, c in struct[i][j])
+    g._struct = struct
+    with pytest.raises(ValueError, match="does not respect the root grading"):
+        decompose(g)

@@ -17,10 +17,11 @@ from cohomatlas.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from cohomatlas.models import build_sl, build_so1n, direct_sum
+from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
     _rational_sqrt,
     _sl2_triple,
+    canonical_extend,
     make_cer,
     make_factor_diagonal,
     make_fh,
@@ -29,6 +30,7 @@ from cohomatlas.actions import (
 from cohomatlas import catalog
 from cohomatlas.catalog import ce_families
 from cohomatlas.cli import RunConfig, parse_space, run
+from cohomatlas import parabolic as parabolic_module
 from cohomatlas.parabolic import build_nested, build_parabolic, tensor_model
 from cohomatlas.roots import decompose
 from cohomatlas import verify as verify_module
@@ -39,7 +41,9 @@ from cohomatlas.verify import (
     check_nc1,
     check_nc2,
     check_polar_certificate,
+    closure_note,
     extension_composition_ok,
+    graded_closure_failure,
     orbit_tangent_at_o,
     polar_section,
     slice_cohomogeneity,
@@ -543,21 +547,188 @@ def test_extension_composition_agrees_with_the_whole_algebra_identity(space):
 
 
 def test_extension_composition_note_fails_when_a_nested_piece_is_short(monkeypatch):
+    # a_np is a_psi minus a_phi: an a_psi without its first row leaves the
+    # nested a-piece short of the nested rank |phi| - |psi|
     datum = decompose(build_sl(4))
     spec = next(row[4] for row in ce_families(datum) if row[0] == "CE-row-1")
     assert note_named(verify(spec, datum), "extension-composition").passed
-    build = verify_module.build_nested
+    piece = verify_module.a_piece
 
-    def short_a_np(datum, psi, phi):  # a_np without its first row
-        nd = build(datum, psi, phi)
-        assert nd.a_np.dim > 0
-        return dataclasses.replace(nd, a_np=Subspace.span(datum.model.dim, nd.a_np.rows[1:]))
+    def short_a_psi(datum, phi):
+        a = piece(datum, phi)
+        if phi != spec.phi:
+            return a
+        assert a.dim > 0
+        return Subspace.span(datum.model.dim, a.rows[1:])
 
-    monkeypatch.setattr(verify_module, "build_nested", short_a_np)
+    monkeypatch.setattr(verify_module, "a_piece", short_a_psi)
     report = verify(spec, datum)
     assert note_named(report, "extension-composition").to_json() == {
         "name": "extension-composition", "passed": False}
     assert not report.all_exact_checks_passed
+
+
+def composition_pairs(datum) -> list:
+    """The distinct (psi, phi) pairs whose extension composition ``verify``
+    checks on the canonical-extension rows of an sl table: psi is the row's
+    roots and phi adds the first simple root that psi misses."""
+    pairs = []
+    for row in ce_families(datum):
+        psi = row[4].phi
+        if 0 < len(psi) < datum.rank:
+            missing = [i for i in range(datum.rank) if i not in psi]
+            pairs.append((psi, tuple(sorted(psi + (missing[0],)))))
+    return list(dict.fromkeys(pairs))
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_nested_data_of_every_composition_pair_pass_their_identities(m):
+    # extension_composition_ok no longer builds the nested data of these
+    # pairs; build_nested raises on a failed intersection identity, and the
+    # two span identities the note used to compare still hold
+    datum = decompose(build_sl(m))
+    pairs = composition_pairs(datum)
+    assert len(pairs) == {4: 6, 5: 12, 6: 20, 7: 30}[m]
+    for psi, phi in pairs:
+        nd = build_nested(datum, psi, phi)
+        pd_phi, pd_psi = build_parabolic(datum, phi), build_parabolic(datum, psi)
+        assert subspace_sum(nd.a_np, pd_phi.a_phi) == pd_psi.a_phi
+        assert subspace_sum(nd.n_np, pd_phi.n_phi) == pd_psi.n_phi
+        assert nd.a_np.dim == len(phi) - len(psi)
+        assert extension_composition_ok(datum, psi, phi)
+
+
+def test_extension_composition_builds_no_parabolic_data(monkeypatch):
+    pairs = composition_pairs(decompose(build_sl(6)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("extension composition built parabolic data")
+
+    for module in (verify_module, parabolic_module):
+        for name in ("build_parabolic", "build_nested"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    datum = decompose(build_sl(6))
+    assert all(extension_composition_ok(datum, psi, phi) for psi, phi in pairs)
+    assert datum._parabolic_cache == {} and datum._nested_cache == {}
+
+
+CLOSURE_SPACES = ["sl(5)", "sl(7)", "ch(3)*ch(3)", "rh(3)*rh(3)", "sl(3)*rh(2)*rh(2)",
+                  "sl(4)*ch(3)*rh(3)"]
+
+
+@pytest.mark.parametrize("space", CLOSURE_SPACES)
+def test_every_row_is_closed_by_its_graded_proof(monkeypatch, space):
+    # every spec a table verifies, in the run's datum or a factor's, passes
+    # its graded proof without the pair loop, and the generic check agrees;
+    # so does every listed row, lifted ones at product size
+    verified, pair_calls, inside = [], [], []
+    leaving = LieModel.bracket_leaving_pair
+
+    def counted_pairs(self, sub):
+        if inside:
+            pair_calls.append(sub)
+        return leaving(self, sub)
+
+    def recorded(spec, datum, **kwargs):
+        verified.append((spec, datum))
+        inside.append(spec)
+        try:
+            return verify(spec, datum, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LieModel, "bracket_leaving_pair", counted_pairs)
+    monkeypatch.setattr(catalog, "verify", recorded)
+    result = run(parse_space(space), RunConfig(su1n=True)).result
+    monkeypatch.undo()
+    assert result.all_identities_passed
+    assert pair_calls == []
+    assert verified
+    for spec, datum in verified:
+        assert graded_closure_failure(spec, datum) is None, (space, spec.kind, spec.phi)
+        assert spec.model.is_subalgebra(spec.algebra)
+    for entry in result.entries:
+        assert note_named(entry.report, "bracket-closure").passed
+        assert entry.spec.model.is_subalgebra(entry.spec.algebra)
+
+
+def _closure_note(spec, datum) -> dict:
+    return closure_note(spec, datum).to_json()
+
+
+def test_canonical_extension_refuses_a_boundary_subalgebra_that_is_not_closed():
+    # the graded proof of a CEI or CER row trusts the closure of h, which the
+    # constructors check: E12 and E23 lie in s_phi = sl(3) but [E12, E23] = E13
+    datum = decompose(build_sl(3))
+    g = datum.model
+    h = Subspace.span(g.dim, [datum.simple[0].space.rows[0], datum.simple[1].space.rows[0]])
+    pd = build_parabolic(datum, (0, 1))
+    assert pd.s.contains(h) and not g.is_subalgebra(h)
+    with pytest.raises(ValueError, match="not closed under the bracket"):
+        canonical_extend(datum, pd, h)
+
+
+def test_closure_note_fails_for_a_boundary_subalgebra_outside_the_levi_piece():
+    # h = g_{alpha_2} over phi = {alpha_1}: the algebra a_phi + n_phi is closed,
+    # so the pair loop finds nothing and the note names the condition
+    datum = decompose(build_sl(4))
+    spec = next(row[4] for row in ce_families(datum) if row[0] == "CE-row-1")
+    assert spec.phi == (0,)
+    h = datum.simple[1].space
+    pd = build_parabolic(datum, spec.phi)
+    algebra = Subspace.span(datum.model.dim, h.rows + pd.a_phi.rows + pd.n_phi.rows)
+    bad = dataclasses.replace(spec, algebra=algebra, payload={"h_phi": h})
+    assert graded_closure_failure(bad, datum) == "h-outside-levi"
+    assert _closure_note(bad, datum) == {"name": "bracket-closure", "passed": False,
+                                         "sub_check": "h-outside-levi", "witness": []}
+
+
+def test_closure_note_fails_for_an_algebra_that_is_not_the_sum_of_its_pieces():
+    datum = decompose(build_sl(4))
+    g = datum.model
+    spec = next(row[4] for row in ce_families(datum) if row[0] == "CE-row-1")
+    assert graded_closure_failure(spec, datum) is None
+    # a + n is closed but is not so(2) + a_phi + n_phi: the condition is named
+    borel = dataclasses.replace(spec, algebra=subspace_sum(g.a_space, g.n_space))
+    assert _closure_note(borel, datum) == {"name": "bracket-closure", "passed": False,
+                                           "sub_check": "algebra-not-its-pieces",
+                                           "witness": []}
+    # without the highest root space the brackets leave: the first leaving
+    # pair is the witness
+    top = datum.positive[-1].space
+    pd = build_parabolic(datum, spec.phi)
+    rest = [r for r in pd.n_phi.rows if not top.contains_vector(r)]
+    short = Subspace.span(g.dim, spec.payload["h_phi"].rows + pd.a_phi.rows + tuple(rest))
+    assert short.dim == spec.algebra.dim - 1
+    pair = g.bracket_leaving_pair(short)
+    assert pair is not None
+    assert _closure_note(dataclasses.replace(spec, algebra=short), datum) == {
+        "name": "bracket-closure", "passed": False, "sub_check": "bracket-leaves-algebra",
+        "witness": list(pair)}
+
+
+@pytest.mark.parametrize("v_name, witness", [("v=R^2", None), ("v=C^1", [1, 4])])
+def test_closure_note_fails_for_an_nc_complement_that_misses_grade_two(v_name, witness):
+    # ch(3): n_phi is grade 1 (dim 4) plus grade 2 (dim 1); keep only the
+    # complement's grade-1 part
+    datum = decompose(build_su1n(3))
+    (spec,) = [e.spec for e in catalog.rank_one_table(datum, seed=7, samples=32).entries
+               if e.label == "NC" and e.name == v_name]
+    assert graded_closure_failure(spec, datum) is None
+    pd = build_parabolic(datum, spec.phi)
+    assert set(pd.grading) == {1, 2}
+    c1 = subspace_intersect(spec.payload["complement"], pd.grading[1])
+    algebra = subspace_sum(spec.payload["normalizer"], c1)
+    bad = dataclasses.replace(spec, algebra=algebra,
+                              payload={**spec.payload, "complement": c1})
+    assert graded_closure_failure(bad, datum) == "complement-misses-a-grade"
+    expected = {"name": "bracket-closure", "passed": False}
+    if witness is None:
+        expected.update(sub_check="complement-misses-a-grade", witness=[])
+    else:
+        expected.update(sub_check="bracket-leaves-algebra", witness=witness)
+    assert _closure_note(bad, datum) == expected
 
 
 class TestVerifyOrchestration:

@@ -183,7 +183,7 @@ def ce_families(datum: RootDatum) -> Iterator[tuple]:
     for j in range(n):
         for k in range(j + 1, n):
             phi = tuple(range(j, k + 1))
-            levi = build_nested(datum, phi[:-1], phi).l_np
+            levi = build_nested(datum, phi[:-1], phi)
             yield ("CE-row-2", f"sl({k - j + 1})+R", f"SL({k - j + 2},R)/SO({k - j + 2})",
                    f"j={j + 1}, k={k + 1}", _extend(datum, phi, levi), k - j + 1)
     # CE row 3: symplectic extension over each three-root interval
@@ -297,8 +297,8 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
     tables = {}  # identical factors share one datum, and so one table
 
     # nested-parabolic spot check once per distinct factor datum, in its own
-    # datum: the product's nested data over one factor's roots are that
-    # factor's, embedded
+    # datum, whose nested data the product's embed.  Its verdict is the graded
+    # check of s_phi in build_parabolic, which proves q_{psi,phi} = q_psi & s_phi
     nested_ok = True
     try:
         for fd in dict.fromkeys(datum.factors):
@@ -395,8 +395,8 @@ def known_extension_tangents(result: EnumerationResult) -> set:
             specs.append(entry.spec)
         if entry.label == "CE-row-2":
             phi = entry.spec.phi
-            nd = build_nested(datum, phi[1:], phi)
-            specs.append(canonical_extend(datum, build_parabolic(datum, phi), nd.l_np))
+            levi = build_nested(datum, phi[1:], phi)
+            specs.append(canonical_extend(datum, build_parabolic(datum, phi), levi))
     return {orbit_tangent_at_o(model, spec.algebra) for spec in specs}
 
 

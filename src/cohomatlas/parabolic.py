@@ -3,19 +3,22 @@
 For a subset phi of the simple roots (given as 0-based indices into
 ``datum.simple``) this module materializes the pieces the rest of the
 pipeline reads: the Levi piece l, the abelian piece a_phi, the nilpotent
-piece n_phi, the compact piece k_phi, the split pieces a^phi and n^phi, the
-boundary tangent b (a Lie triple system), the boundary isometry algebra
+piece n_phi, the compact piece k_phi, the split piece a^phi, the boundary
+tangent b (a Lie triple system), the boundary isometry algebra
 s = [b,b] + b, the coarse grading of n_phi when phi omits exactly one
-simple root, and nested data for chains psi inside phi.  For sl models
-``tensor_model`` indexes the top graded piece as a matrix space.
+simple root, and the nested Levi piece for chains psi inside phi.  For sl
+models ``tensor_model`` indexes the top graded piece as a matrix space.
 
 Each piece is spanned from the root records' own spaces.  Which roots go
 into it is decided by ``Root.in_span``, which reads a root's coefficients
 over the simple roots, and a grade is a root's coefficient outside phi.
 
-Everything is an exact Subspace of the model; nested data is always
-cross-validated against the intersection identity q_{psi,phi} = q_psi & s_phi
-and construction aborts on mismatch.
+Everything is an exact Subspace of the model.  ``build_parabolic`` checks
+once per phi that s_phi is graded by the roots inside phi, s_phi = s0 plus
+their root spaces, and raises otherwise.  The nested parabolic
+q_{psi,phi} = q_psi & s_phi is then s0 plus the spaces of the roots inside
+phi that are positive or inside psi, so ``build_nested`` spans its Levi
+piece from the root sets and checks nothing further.
 """
 
 from __future__ import annotations
@@ -41,23 +44,10 @@ class ParabolicDatum:
     n_phi: Subspace  # positive root spaces outside span(phi)
     k_phi: Subspace  # k_0 + projected root spaces inside span(phi)
     a_upper: Subspace  # a minus a_phi
-    n_upper: Subspace  # positive root spaces inside span(phi)
     b: Subspace  # boundary tangent: a_upper + p-projections
     s: Subspace  # [b, b] + b
     s0: Subspace  # s intersect g_0
     grading: Optional[dict]  # nu -> Subspace, only when phi omits one root
-
-
-@dataclass(frozen=True)
-class NestedParabolicDatum:
-    """Parabolic pieces of s_phi for psi inside phi: the Levi piece l_np,
-    which contains the abelian piece a_np, and the nilpotent piece n_np."""
-
-    psi: tuple
-    phi: tuple
-    l_np: Subspace
-    n_np: Subspace
-    a_np: Subspace
 
 
 def _check_phi(datum: RootDatum, phi: Iterable[int]) -> tuple:
@@ -87,7 +77,7 @@ def a_piece(datum: RootDatum, phi: tuple) -> Subspace:
 def nilpotent_roots(datum: RootDatum, psi: tuple, phi: Optional[tuple] = None) -> list:
     """The positive roots outside the span of psi and, when phi is given,
     inside the span of phi: the roots whose spaces span n_psi, or for psi
-    inside phi the nested piece n_np of s_phi."""
+    inside phi the nilpotent piece of q_psi & s_phi."""
     return [r for r in datum.positive
             if not r.in_span(psi) and (phi is None or r.in_span(phi))]
 
@@ -114,12 +104,16 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     # spanning itself
     a_upper = orthocomplement_in(a_phi, model.a_space, model.inner)
     k_phi = model.project_k_subspace(_root_rows(inside_pos, datum.k0.rows))
-    n_upper = Subspace.span(d, _root_rows(inside_pos))
     b = model.project_p_subspace(_root_rows(inside_pos, a_upper.rows))
 
     bb = model.bracket_span(b.rows, b.rows)
     s = subspace_sum(bb, b)
     s0 = subspace_intersect(s, datum.zero_space)
+    # distinct root spaces and g_0 are independent, so s = s0 + the root
+    # spaces inside phi when s holds each of them and the dimensions add up
+    if not (all(s.contains(r.space) for r in inside)
+            and s.dim == s0.dim + sum(r.space.dim for r in inside)):
+        raise ValueError("s_phi is not graded by the roots inside phi")
 
     grading = None
     if len(phi) == datum.rank - 1:
@@ -137,7 +131,6 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
         n_phi=n_phi,
         k_phi=k_phi,
         a_upper=a_upper,
-        n_upper=n_upper,
         b=b,
         s=s,
         s0=s0,
@@ -147,40 +140,19 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     return pd
 
 
-def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> NestedParabolicDatum:
-    """Parabolic data of s_phi for psi inside phi, with the intersection check."""
+def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> Subspace:
+    """The Levi piece of q_psi & s_phi for psi inside phi: s0 of s_phi plus
+    the root spaces inside psi.  With the root spaces of
+    ``nilpotent_roots(datum, psi, phi)`` it spans q_psi & s_phi, because
+    ``build_parabolic`` has checked that s_phi is graded by the roots inside
+    phi."""
     psi = _check_phi(datum, psi)
     phi = _check_phi(datum, phi)
     if not set(psi) <= set(phi):
         raise ValueError("psi must be contained in phi")
-    key = (psi, phi)
-    cached = datum._nested_cache.get(key)
-    if cached is not None:
-        return cached
-
-    d = datum.model.dim
-    pd_phi = build_parabolic(datum, phi)
-    pd_psi = build_parabolic(datum, psi)
-
-    n_np = Subspace.span(d, _root_rows(nilpotent_roots(datum, psi, phi)))
-    if n_np != subspace_intersect(pd_phi.n_upper, pd_psi.n_phi):
-        raise ValueError("nested nilpotent piece fails its intersection identity")
-
-    a_np = subspace_intersect(pd_phi.a_upper, pd_psi.a_phi)
-
-    l_np = Subspace.span(d, _root_rows([r for r in datum.roots if r.in_span(psi)],
-                                       pd_phi.s0.rows))
-    if not l_np.contains(a_np):
-        raise ValueError("nested abelian piece does not lie in the nested Levi piece")
-
-    q_np = subspace_sum(l_np, n_np)
-    q_psi = subspace_sum(pd_psi.l, pd_psi.n_phi)
-    if q_np != subspace_intersect(q_psi, pd_phi.s):
-        raise ValueError("nested parabolic fails q_{psi,phi} = q_psi & s_phi")
-
-    nd = NestedParabolicDatum(psi=psi, phi=phi, l_np=l_np, n_np=n_np, a_np=a_np)
-    datum._nested_cache[key] = nd
-    return nd
+    s0 = build_parabolic(datum, phi).s0
+    return Subspace.span(datum.model.dim,
+                         _root_rows([r for r in datum.roots if r.in_span(psi)], s0.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +169,6 @@ class TensorModel:
     summing the simple roots from position j+1-i to j+l-1 (0-based).
     """
 
-    j: int
     nrows: int
     ncols: int
     generators: dict  # (i, l) -> ambient coordinate vector
@@ -227,4 +198,4 @@ def tensor_model(datum: RootDatum, j: int) -> TensorModel:
             if sp.dim != 1:
                 raise ValueError("sl root spaces must be one dimensional")
             gens[(i, l)] = sp.basis[0]
-    return TensorModel(j=j, nrows=nrows, ncols=ncols, generators=gens)
+    return TensorModel(nrows=nrows, ncols=ncols, generators=gens)

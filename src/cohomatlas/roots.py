@@ -63,7 +63,6 @@ class RootDatum:
         self.dynkin_edges = frozenset(dynkin_edges)  # pairs (i, j), i < j
         self.factors = tuple(factors)  # factor RootDatums, () unless a product
         self._parabolic_cache: dict = {}
-        self._nested_cache: dict = {}
 
     @property
     def rank(self) -> int:
@@ -99,7 +98,8 @@ def decompose(model: LieModel) -> RootDatum:
 
     A simple model's decomposition raises unless the bracket respects the
     grading, [g_lam, g_mu] in g_{lam+mu} (``_check_grading``), as
-    ``build_nested`` raises on a failed identity.  The check runs once per
+    ``build_parabolic`` raises unless s_phi is graded by the roots inside
+    phi.  The check runs once per
     simple datum; a product inherits it from its factors, because brackets
     across different factors vanish."""
     if isinstance(model, ProductModel):

@@ -113,6 +113,11 @@ class Note:
     sub_check: Optional[str] = None
     witness: tuple = ()
 
+    @classmethod
+    def first_failure(cls, name: str, failures: list) -> "Note":
+        """Failed with the first (sub_check, witness) of failures, or passed."""
+        return cls(name, False, *failures[0]) if failures else cls(name, True)
+
     def to_json(self) -> dict:
         out = {"name": self.name, "passed": self.passed}
         if self.sub_check is not None:
@@ -183,8 +188,6 @@ def slice_cohomogeneity(model: LieModel, h: Subspace, seed: int, samples: int,
     if not all(nu.contains_vector(y) for y in images):
         raise ValueError("slice closure violated: isotropy does not preserve "
                          "the normal space at o")
-    if nu.dim == 0:
-        return 0, "exact"
     if nu.dim <= 1 or not any(map(any, images)):
         return nu.dim, "exact"
     sampler = RationalSampler(seed)
@@ -356,7 +359,12 @@ def check_polar_certificate(spec: ActionSpec) -> Note:
 # named subspace identities
 
 
-def extension_composition_ok(datum: RootDatum, psi: tuple, phi: tuple) -> bool:
+def _rows_outside(sub_check: str, sub: Subspace, other: Subspace) -> list:
+    """(sub_check, (i,)) for each basis row i of sub that other misses."""
+    return [(sub_check, (i,)) for i, row in enumerate(sub.rows) if not other.contains_vector(row)]
+
+
+def extension_composition_ok(datum: RootDatum, psi: tuple, phi: tuple) -> Note:
     """Iterated extension psi -> phi -> everything equals the one-step one,
     piece by piece: a_np + a_phi = a_psi and n_np + n_phi = n_psi, for
     sorted psi inside phi.  Adding any h_psi to both sides keeps them equal.
@@ -367,12 +375,18 @@ def extension_composition_ok(datum: RootDatum, psi: tuple, phi: tuple) -> bool:
     n-part: the roots that span n_np and n_phi together are the roots that
     span n_psi (``nilpotent_roots``), and distinct root spaces are
     independent, so equal root sets span equal pieces.  Nothing is spanned.
+    A failed note names a row of a_phi outside a_psi, the dimension count,
+    or the index in ``datum.positive`` of a root on one side only.
     """
     a_psi, a_phi = a_piece(datum, psi), a_piece(datum, phi)
+    failures = _rows_outside("a-piece-not-contained", a_phi, a_psi)
+    if a_psi.dim - a_phi.dim != len(phi) - len(psi):
+        failures.append(("a-piece-dimension", ()))
     nested, outer, whole = ({r.coeffs for r in nilpotent_roots(datum, *args)}
                             for args in ((psi, phi), (phi,), (psi,)))
-    return (a_psi.contains(a_phi) and a_psi.dim - a_phi.dim == len(phi) - len(psi)
-            and nested | outer == whole)
+    failures += [("root-sets-differ", (i,)) for i, r in enumerate(datum.positive)
+                 if (r.coeffs in nested or r.coeffs in outer) != (r.coeffs in whole)]
+    return Note.first_failure("extension-composition", failures)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +502,7 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
         if 0 < len(spec.phi) < datum.rank:
             missing = [i for i in range(datum.rank) if i not in spec.phi]
             phi2 = tuple(sorted(set(spec.phi) | {missing[0]}))
-            notes.append(Note("extension-composition",
-                              extension_composition_ok(datum, spec.phi, phi2)))
+            notes.append(extension_composition_ok(datum, spec.phi, phi2))
 
     if spec.kind == "NC":
         pd = build_parabolic(datum, spec.phi)
@@ -498,7 +511,9 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
         nc1 = "yes" if check_nc1(pd, model.project_p_subspace(normalizer)) else "no"
         nc2, nc2_cert = check_nc2(model, pd, v, seed, samples)
         theta_dual = model.theta_image(model.normalizer_in(pd.l, v))
-        notes.append(Note("normalizer-theta-dual", theta_dual == normalizer))
+        notes.append(Note.first_failure("normalizer-theta-dual", (
+            _rows_outside("theta-dual-not-in-normalizer", theta_dual, normalizer)
+            + _rows_outside("normalizer-not-in-theta-dual", normalizer, theta_dual))))
 
     return VerificationReport(
         kind=spec.kind,

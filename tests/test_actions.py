@@ -26,6 +26,7 @@ from cohomatlas.actions import (
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.roots import decompose
 from cohomatlas.verify import verify
+from nested_reference import nested_pieces
 
 
 def mat(rows) -> Matrix:
@@ -109,14 +110,12 @@ class TestCanonicalExtension:
         for psi, phi in (((0,), (0, 1)), ((1,), (0, 1)), ((0,), (0, 2)), ((), (1,))):
             pd_phi = build_parabolic(datum, phi)
             pd_psi = build_parabolic(datum, psi)
-            from cohomatlas.parabolic import build_nested
-
-            nd = build_nested(datum, psi, phi)
+            a_np, n_np = nested_pieces(datum, psi, phi)
             if psi:
                 h_psi = subspace_intersect(pd_psi.s, SL4.k_space)
             else:
                 h_psi = Subspace.zero(SL4.dim)
-            inner = subspace_sum(subspace_sum(h_psi, nd.a_np), nd.n_np)
+            inner = subspace_sum(subspace_sum(h_psi, a_np), n_np)
             two_step = canonical_extend(datum, pd_phi, inner).algebra
             one_step = canonical_extend(datum, pd_psi, h_psi).algebra
             assert two_step == one_step

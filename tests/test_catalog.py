@@ -82,7 +82,7 @@ def test_every_table_ce_tangent_is_known_to_the_oracle(n):
         if e.label == "CE-row-2":
             phi = e.spec.phi
             ext = canonical_extend(datum, build_parabolic(datum, phi),
-                                   build_nested(datum, phi[1:], phi).l_np)
+                                   build_nested(datum, phi[1:], phi))
             assert orbit_tangent_at_o(model, ext.algebra) in known
 
 
@@ -414,6 +414,16 @@ def test_every_lifted_row_matches_product_level_verify(space, seed):
         expected = verify(reference, datum, seed=seed, samples=32)
         for name in fields:
             assert getattr(e.report, name) == getattr(expected, name), (e.comment, name)
+        assert datum.model.is_subalgebra(reference.algebra), e.comment
+        # a CEI reference holds the other factors whole, so it is not
+        # h + a_phi + n_phi and fails the graded closure proof; is_subalgebra
+        # decides its closure instead
+        reference_notes = {n.name: n for n in expected.notes}
+        if e.label == "CEI":
+            assert reference_notes["bracket-closure"].sub_check == "algebra-not-its-pieces"
+        for n in e.report.notes:
+            if n.name in reference_notes and (e.label, n.name) != ("CEI", "bracket-closure"):
+                assert n.passed == reference_notes[n.name].passed, (e.comment, n.name)
         if v is not None:
             nc_rows += 1
             assert e.spec.algebra == reference.algebra
@@ -503,7 +513,7 @@ def test_the_nested_parabolic_note_fails_when_a_factor_check_raises(monkeypatch)
 
     def failing(datum, psi, phi):
         if psi == ():
-            raise ValueError("nested parabolic fails q_{psi,phi} = q_psi & s_phi")
+            raise ValueError("s_phi is not graded by the roots inside phi")
         return original(datum, psi, phi)
 
     monkeypatch.setattr(catalog, "build_nested", failing)

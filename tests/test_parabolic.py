@@ -18,6 +18,7 @@ from cohomatlas.parabolic import (
     tensor_model,
 )
 from cohomatlas.roots import decompose
+from nested_reference import nested_pieces
 
 
 def sl4():
@@ -57,7 +58,7 @@ class TestBuildParabolic:
             for phi in itertools.combinations(range(3), size):
                 pd = build_parabolic(datum, phi)
                 assert subspace_sum(pd.a_phi, pd.a_upper) == g.a_space
-                assert subspace_sum(pd.n_phi, pd.n_upper) == g.n_space
+                assert subspace_sum(pd.n_phi, subspace_intersect(pd.s, g.n_space)) == g.n_space
                 m = orthocomplement_in(pd.a_phi, pd.l, g.inner)
                 assert subspace_sum(m, pd.a_phi) == pd.l
                 assert pd.s.dim == pd.b.dim + g.bracket_span(pd.b.basis, pd.b.basis).dim
@@ -176,19 +177,16 @@ class TestGrading:
 class TestNested:
     def test_psi_equals_phi(self):
         _, datum = sl4()
-        nd = build_nested(datum, [0, 1], [0, 1])
-        assert nd.n_np.dim == 0
+        assert nested_pieces(datum, [0, 1], [0, 1])[1].dim == 0
 
     def test_psi_empty(self):
-        _, datum = sl4()
+        g, datum = sl4()
         pd = build_parabolic(datum, [0, 1])
-        nd = build_nested(datum, [], [0, 1])
-        assert nd.n_np == pd.n_upper
+        assert nested_pieces(datum, [], [0, 1])[1] == subspace_intersect(pd.s, g.n_space)
 
     def test_sl4_chain_dimension(self):
         _, datum = sl4()
-        nd = build_nested(datum, [0], [0, 1])
-        assert nd.n_np.dim == 2  # roots a_2 and a_1+a_2
+        assert nested_pieces(datum, [0], [0, 1])[1].dim == 2  # roots a_2 and a_1+a_2
 
     def test_nested_identities_all_chains(self):
         g, datum = sl4()
@@ -197,15 +195,53 @@ class TestNested:
                 pd = build_parabolic(datum, phi)
                 for psi_size in range(phi_size + 1):
                     for psi in itertools.combinations(phi, psi_size):
-                        nd = build_nested(datum, psi, phi)
+                        a_np, n_np = nested_pieces(datum, psi, phi)
                         pd_psi = build_parabolic(datum, psi)
-                        assert subspace_sum(pd.a_phi, nd.a_np) == pd_psi.a_phi
-                        assert subspace_sum(pd.n_phi, nd.n_np) == pd_psi.n_phi
+                        assert subspace_sum(pd.a_phi, a_np) == pd_psi.a_phi
+                        assert subspace_sum(pd.n_phi, n_np) == pd_psi.n_phi
 
     def test_inclusion_violated(self):
         _, datum = sl4()
         with pytest.raises(ValueError):
             build_nested(datum, [2], [0, 1])
+
+
+def chains(rank: int):
+    """Every pair (psi, phi) of subsets of range(rank) with psi inside phi."""
+    subsets = [phi for size in range(rank + 1)
+               for phi in itertools.combinations(range(rank), size)]
+    return [(psi, phi) for phi in subsets for psi in subsets if set(psi) <= set(phi)]
+
+
+@pytest.mark.parametrize("build", [lambda: build_sl(4), lambda: build_sl(5),
+                                   lambda: direct_sum([build_su1n(2), build_so1n(2)]),
+                                   lambda: direct_sum([build_sl(3), build_so1n(3)])],
+                         ids=["sl4", "sl5", "ch2xrh2", "sl3xrh3"])
+def test_nested_levi_and_roots_span_q_psi_and_s_phi(build):
+    # the identities build_parabolic's graded check of s_phi proves:
+    # l_np + n_np = q_psi & s_phi with q_psi = l_psi + n_psi, and a_np lies in l_np
+    g = build()
+    datum = decompose(g)
+    for psi, phi in chains(datum.rank):
+        levi = build_nested(datum, psi, phi)
+        a_np, n_np = nested_pieces(datum, psi, phi)
+        pd_psi, pd_phi = build_parabolic(datum, psi), build_parabolic(datum, phi)
+        q_psi = subspace_sum(pd_psi.l, pd_psi.n_phi)
+        assert subspace_sum(levi, n_np) == subspace_intersect(q_psi, pd_phi.s), (psi, phi)
+        assert levi.contains(a_np), (psi, phi)
+
+
+def test_s_one_row_short_is_not_graded(monkeypatch):
+    g, datum = sl4()
+    span = g.bracket_span
+
+    def short(xs, ys):
+        bb = span(xs, ys)
+        return Subspace.span(g.dim, bb.rows[1:])
+
+    monkeypatch.setattr(g, "bracket_span", short)
+    with pytest.raises(ValueError, match="s_phi is not graded by the roots inside phi"):
+        build_parabolic(datum, [0])
 
 
 def root_space_sum(start, roots):
@@ -229,7 +265,8 @@ def test_pieces_equal_the_incremental_sums(build):
         inside = [r for r in datum.roots if r.in_span(phi)]
         inside_pos = [r for r in datum.positive if r.in_span(phi)]
         assert pd.l == root_space_sum(datum.zero_space, inside)
-        assert pd.n_upper == root_space_sum(Subspace.zero(g.dim), inside_pos)
+        assert subspace_intersect(pd.s, g.n_space) == root_space_sum(Subspace.zero(g.dim),
+                                                                     inside_pos)
         k_phi, b = datum.k0, orthocomplement_in(pd.a_phi, g.a_space, g.inner)
         assert pd.a_upper == b
         for r in inside_pos:
@@ -239,11 +276,12 @@ def test_pieces_equal_the_incremental_sums(build):
         for psi in subsets:
             if not set(psi) <= set(phi):
                 continue
-            nd = build_nested(datum, psi, phi)
             psi_pos = {r.coeffs for r in datum.positive if r.in_span(psi)}
             outside = [r for r in inside_pos if r.coeffs not in psi_pos]
-            assert nd.n_np == root_space_sum(Subspace.zero(g.dim), outside)
-            assert nd.l_np == root_space_sum(pd.s0, [r for r in datum.roots if r.in_span(psi)])
+            assert nested_pieces(datum, psi, phi)[1] == root_space_sum(Subspace.zero(g.dim),
+                                                                       outside)
+            assert build_nested(datum, psi, phi) == root_space_sum(
+                pd.s0, [r for r in datum.roots if r.in_span(psi)])
 
 
 class TestTensorModel:

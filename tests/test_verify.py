@@ -31,7 +31,7 @@ from cohomatlas import catalog
 from cohomatlas.catalog import ce_families
 from cohomatlas.cli import RunConfig, parse_space, run
 from cohomatlas import parabolic as parabolic_module
-from cohomatlas.parabolic import build_nested, build_parabolic, tensor_model
+from cohomatlas.parabolic import build_parabolic, nilpotent_roots, tensor_model
 from cohomatlas.roots import decompose
 from cohomatlas import verify as verify_module
 from cohomatlas.verify import (
@@ -49,6 +49,7 @@ from cohomatlas.verify import (
     slice_cohomogeneity,
     verify,
 )
+from nested_reference import nested_pieces
 
 
 def vadd(u, v) -> tuple:
@@ -493,11 +494,11 @@ def _whole_algebra_composition_ok(datum, psi, phi, h_psi) -> bool:
     """The extension-composition identity on whole algebras: h_psi plus the
     iterated extension psi -> phi -> everything spans h_psi plus the
     one-step extension over psi."""
-    nd = build_nested(datum, psi, phi)
+    a_np, n_np = nested_pieces(datum, psi, phi)
     pd_phi = build_parabolic(datum, phi)
     pd_psi = build_parabolic(datum, psi)
     d = datum.model.dim
-    two_step = Subspace.span(d, h_psi.rows + nd.a_np.rows + nd.n_np.rows
+    two_step = Subspace.span(d, h_psi.rows + a_np.rows + n_np.rows
                              + pd_phi.a_phi.rows + pd_phi.n_phi.rows)
     one_step = Subspace.span(d, h_psi.rows + pd_psi.a_phi.rows + pd_psi.n_phi.rows)
     return two_step == one_step
@@ -519,7 +520,7 @@ def composition_notes_checked(result) -> int:
         phi = tuple(sorted(spec.phi + (missing[0],)))
         h_psi = spec.payload["diag" if spec.kind == "CER" else "h_phi"]
         old = _whole_algebra_composition_ok(datum, spec.phi, phi, h_psi)
-        assert extension_composition_ok(datum, spec.phi, phi) is old is True
+        assert extension_composition_ok(datum, spec.phi, phi).passed is old is True
         assert note_named(entry.report, "extension-composition").passed
         checked += 1
     carrying = [e for e in result.entries if not e.comment.startswith("factor ")
@@ -546,25 +547,87 @@ def test_extension_composition_agrees_with_the_whole_algebra_identity(space):
     assert bool(prod) == (space != "sl(5)")
 
 
-def test_extension_composition_note_fails_when_a_nested_piece_is_short(monkeypatch):
-    # a_np is a_psi minus a_phi: an a_psi without its first row leaves the
-    # nested a-piece short of the nested rank |phi| - |psi|
+def composition_note_with_a_psi(monkeypatch, a_psi):
+    """The extension-composition note of the first sl(4) CE-row-1 row, which
+    passes, recomputed with a_psi(a) in place of the row's own a-piece a."""
     datum = decompose(build_sl(4))
     spec = next(row[4] for row in ce_families(datum) if row[0] == "CE-row-1")
     assert note_named(verify(spec, datum), "extension-composition").passed
     piece = verify_module.a_piece
 
-    def short_a_psi(datum, phi):
+    def patched(datum, phi):
         a = piece(datum, phi)
-        if phi != spec.phi:
-            return a
-        assert a.dim > 0
-        return Subspace.span(datum.model.dim, a.rows[1:])
+        return a if phi != spec.phi else a_psi(a, datum.model)
 
-    monkeypatch.setattr(verify_module, "a_piece", short_a_psi)
+    monkeypatch.setattr(verify_module, "a_piece", patched)
     report = verify(spec, datum)
-    assert note_named(report, "extension-composition").to_json() == {
-        "name": "extension-composition", "passed": False}
+    assert not report.all_exact_checks_passed
+    return note_named(report, "extension-composition").to_json()
+
+
+def test_extension_composition_note_fails_when_a_nested_piece_is_short(monkeypatch):
+    # a_np is a_psi minus a_phi: an a_psi without its first row misses the
+    # first row of a_phi
+    short = composition_note_with_a_psi(
+        monkeypatch, lambda a, g: Subspace.span(g.dim, a.rows[1:]))
+    assert short == {"name": "extension-composition", "passed": False,
+                     "sub_check": "a-piece-not-contained", "witness": [0]}
+
+
+def test_extension_composition_note_fails_when_a_nested_piece_is_long(monkeypatch):
+    # all of a holds a_phi, with a nested piece past the nested rank |phi| - |psi|
+    long = composition_note_with_a_psi(monkeypatch, lambda a, g: g.a_space)
+    assert long == {"name": "extension-composition", "passed": False,
+                    "sub_check": "a-piece-dimension", "witness": []}
+
+
+def test_extension_composition_note_names_a_root_on_one_side_only(monkeypatch):
+    # without its first nested root, the two-step side misses a root of n_psi
+    datum = decompose(build_sl(4))
+    psi, phi = (0,), (0, 1)
+    dropped = nilpotent_roots(datum, psi, phi)[0]
+
+    def patched(datum, psi_, phi_=None):
+        roots = nilpotent_roots(datum, psi_, phi_)
+        return roots[1:] if (psi_, phi_) == (psi, phi) else roots
+
+    monkeypatch.setattr(verify_module, "nilpotent_roots", patched)
+    assert extension_composition_ok(datum, psi, phi).to_json() == {
+        "name": "extension-composition", "passed": False, "sub_check": "root-sets-differ",
+        "witness": [datum.positive.index(dropped)]}
+
+
+def sl4_nc_spec():
+    """The sl(4) nilpotent construction over phi = {a_1, a_3} with v the
+    middle column g_{a2} + g_{a1+a2} of the top graded piece."""
+    datum = decompose(build_sl(4))
+    v = tensor_model(datum, 1).subspace([(1, 1), (2, 1)])
+    return datum, nilpotent_construct(datum, build_parabolic(datum, [0, 2]), v)
+
+
+@pytest.mark.parametrize("sub_check", ["theta-dual-not-in-normalizer",
+                                       "normalizer-not-in-theta-dual"])
+def test_theta_dual_note_names_a_row_on_one_side_only(sub_check):
+    datum, spec = sl4_nc_spec()
+    g, normalizer, v = datum.model, spec.payload["normalizer"], spec.payload["v"]
+    assert note_named(verify(spec, datum), "normalizer-theta-dual").to_json() == {
+        "name": "normalizer-theta-dual", "passed": True}
+    theta_dual = g.theta_image(g.normalizer_in(build_parabolic(datum, spec.phi).l, v))
+    assert theta_dual == normalizer
+    if sub_check == "theta-dual-not-in-normalizer":
+        bad = Subspace.span(g.dim, normalizer.rows[1:])
+        side, other = theta_dual, bad
+    else:
+        bad = subspace_sum(normalizer, v)
+        side, other = bad, theta_dual
+    report = verify(dataclasses.replace(spec, payload={**spec.payload, "normalizer": bad}),
+                    datum)
+    note = note_named(report, "normalizer-theta-dual")
+    (i,) = note.witness
+    assert note.to_json() == {"name": "normalizer-theta-dual", "passed": False,
+                              "sub_check": sub_check, "witness": [i]}
+    assert not other.contains_vector(side.rows[i])
+    assert all(other.contains_vector(row) for row in side.rows[:i])
     assert not report.all_exact_checks_passed
 
 
@@ -583,19 +646,18 @@ def composition_pairs(datum) -> list:
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_nested_data_of_every_composition_pair_pass_their_identities(m):
-    # extension_composition_ok no longer builds the nested data of these
-    # pairs; build_nested raises on a failed intersection identity, and the
-    # two span identities the note used to compare still hold
+    # extension_composition_ok builds no nested data for these pairs; the
+    # two span identities it decides from the a-pieces and root sets hold
     datum = decompose(build_sl(m))
     pairs = composition_pairs(datum)
     assert len(pairs) == {4: 6, 5: 12, 6: 20, 7: 30}[m]
     for psi, phi in pairs:
-        nd = build_nested(datum, psi, phi)
+        a_np, n_np = nested_pieces(datum, psi, phi)
         pd_phi, pd_psi = build_parabolic(datum, phi), build_parabolic(datum, psi)
-        assert subspace_sum(nd.a_np, pd_phi.a_phi) == pd_psi.a_phi
-        assert subspace_sum(nd.n_np, pd_phi.n_phi) == pd_psi.n_phi
-        assert nd.a_np.dim == len(phi) - len(psi)
-        assert extension_composition_ok(datum, psi, phi)
+        assert subspace_sum(a_np, pd_phi.a_phi) == pd_psi.a_phi
+        assert subspace_sum(n_np, pd_phi.n_phi) == pd_psi.n_phi
+        assert a_np.dim == len(phi) - len(psi)
+        assert extension_composition_ok(datum, psi, phi) == Note("extension-composition", True)
 
 
 def test_extension_composition_builds_no_parabolic_data(monkeypatch):
@@ -609,8 +671,8 @@ def test_extension_composition_builds_no_parabolic_data(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     datum = decompose(build_sl(6))
-    assert all(extension_composition_ok(datum, psi, phi) for psi, phi in pairs)
-    assert datum._parabolic_cache == {} and datum._nested_cache == {}
+    assert all(extension_composition_ok(datum, psi, phi).passed for psi, phi in pairs)
+    assert datum._parabolic_cache == {}
 
 
 CLOSURE_SPACES = ["sl(5)", "sl(7)", "ch(3)*ch(3)", "rh(3)*rh(3)", "sl(3)*rh(2)*rh(2)",

@@ -4,10 +4,10 @@ Each constructor returns an :class:`ActionSpec`: the action kind, the
 model, the defining roots, and the resulting subalgebra as an exact
 subspace of the ambient model.  An action is its algebra: closure under the
 bracket is a property of that subspace, which ``verify`` certifies from the
-algebra's pieces and the root grading (``verify.graded_closure_failure``).
-Constructors check their inputs, among them the closure of the small pieces
-that the grading does not decide: ``canonical_extend`` checks h_phi, and
-``_graph`` a diagonal.  The payload holds only the subspaces ``verify``
+algebra's pieces and the root grading (``verify.graded_closure_failure``),
+the closure of a boundary subalgebra h_phi included.  Constructors check
+their inputs; ``_graph`` checks that a diagonal closes, since that is what
+makes sigma preserve the bracket.  The payload holds only the subspaces ``verify``
 reads: an NC payload holds v, the normalizer and the complement, not the
 omitted root.  A diagonal {X + sigma X} is its graph (``_graph``),
 never a linear map.  Kinds:
@@ -21,7 +21,7 @@ never a linear map.  Kinds:
 * ``Prod`` factor action assembled with the remaining full factors
 
 ``canonical_extend`` is the one place that checks a boundary subalgebra
-lies in s_phi and closes under the bracket.  The sl table builds each
+lies in s_phi; ``verify`` certifies that it closes.  The sl table builds each
 row's boundary subalgebra itself (``cohomatlas.catalog.ce_families``);
 ``builtin_cei_catalog`` names those of rank-one factors.
 """
@@ -102,12 +102,12 @@ def canonical_extend(
     """Extend a boundary subalgebra h_phi over phi: h_phi + a_phi + n_phi.
 
     The payload is the caller's, or {"h_phi": h_phi} when it passes none.
+    That h_phi closes under the bracket is certified by ``verify``'s
+    bracket-closure note, not here.
     """
     model = datum.model
     if not pd.s.contains(h_phi):
         raise ValueError("boundary subalgebra must lie in s_phi")
-    if not model.is_subalgebra(h_phi):
-        raise ValueError("boundary subalgebra is not closed under the bracket")
     algebra = Subspace.span(model.dim, h_phi.rows + pd.a_phi.rows + pd.n_phi.rows)
     if algebra.dim != h_phi.dim + pd.a_phi.dim + pd.n_phi.dim:
         raise ValueError("extension pieces are not in direct sum")

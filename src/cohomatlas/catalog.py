@@ -162,8 +162,8 @@ def _symplectic_kernel(model: LieModel, s_phi: Subspace, lo: int) -> Subspace:
 
 def _extend(datum: RootDatum, phi: tuple, h_phi: Subspace) -> ActionSpec:
     """Canonical extension over phi of a theta-invariant boundary subalgebra;
-    verify reads theta invariance to decide whether to run the Lie-triple
-    check, so a subalgebra without it is rejected here."""
+    verify reads theta invariance to decide whether a Lie-triple verdict
+    applies, so a subalgebra without it is rejected here."""
     if datum.model.theta_image(h_phi) != h_phi:
         raise ValueError("boundary subalgebra is not theta invariant")
     return canonical_extend(datum, build_parabolic(datum, phi), h_phi)

@@ -54,11 +54,8 @@ with a positive value, and is zero at the other leads' pivots.  So the
 combinations are already the canonical rows of the answer, up to their
 gcds, and the solver returns them as its rows without spanning them again.
 
-The one eigensplit, ``invariant_eigensplit``, needs no characteristic
-polynomial.  With d the common denominator of the action matrix A, every
-rational eigenvalue of A is k/d for an integer k, and |k| is at most the
-largest absolute row sum of dA; it takes the kernel of dA - kI for each such
-k.
+No eigenvalue problem is solved here: every model basis is a weight basis,
+so ``roots.decompose`` reads the root grading off the structure constants.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Rat
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 def rat(x, y=None):
@@ -75,6 +72,12 @@ def rat(x, y=None):
     if y is None:
         return Rat(x)
     return Rat(x, y)
+
+
+def exact_scalar(x):
+    """An exact rational as an int when it is integral: a sum of Fractions
+    stays a Fraction even when its denominator comes out 1."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def sparse(v) -> dict:
@@ -530,7 +533,11 @@ def solve_inclusion_constraint(candidates, images: Sequence[Sequence],
 
 
 class SpanSolver:
-    """Coefficient extraction relative to a fixed independent spanning list."""
+    """Coefficient extraction relative to a fixed independent spanning list.
+
+    The transform is kept as integer rows over one common denominator d, so
+    the coordinates of an integer vector are summed in the integers and
+    divided by d once: ints where integral, Fractions otherwise."""
 
     def __init__(self, rows: Sequence[Sequence], ncols: int):
         reduced, pivots, transform = rref_with_transform(rows, ncols)
@@ -538,58 +545,14 @@ class SpanSolver:
             raise ValueError("spanning rows are linearly dependent")
         self._span = Subspace(ncols, tuple(_integer_row(sparse(r)) for r in reduced),
                               tuple(pivots))
-        self._transform = transform
+        self._den = d = math.lcm(*(x.denominator for row in transform for x in row))
+        self._transform = [{i: int(x * d) for i, x in enumerate(row) if x} for row in transform]
 
     def coords(self, v) -> tuple:
-        """c with v = sum(c[i] * rows[i]) for a dense or sparse v; raises if v
-        is outside the span."""
+        """c with v = sum(c[i] * rows[i]) for a dense or sparse v, ints where
+        integral; raises if v is outside the span."""
         c = self._span.coords_of(v)
-        return dense(combination(c, self._transform), len(c))
-
-
-# ---------------------------------------------------------------------------
-# exact eigensplitting of a diagonalizable operator with rational spectrum
-
-
-def invariant_eigensplit(apply_fn: Callable[[Sequence], tuple], space: Subspace) -> list:
-    """Exact eigenspace decomposition of an operator restricted to a space.
-
-    apply_fn must map the space into itself and be diagonalizable with
-    rational eigenvalues there; otherwise ValueError is raised.  Returns a
-    list of (eigenvalue, eigenspace) pairs sorted by eigenvalue, eigenspaces
-    given in the ambient coordinates.
-
-    The eigenvalues come from a bounded scan.  Let A be the action matrix on
-    ``space.basis`` and d the lcm of the denominators of its entries.  dA is
-    an integer matrix, so its characteristic polynomial is monic with integer
-    coefficients and, by the rational root theorem, each rational eigenvalue
-    of dA is an integer k.  No eigenvalue of dA exceeds in absolute value its
-    largest absolute row sum dB (for Ax = mu x, |mu| max|x_j| <= B max|x_j|).
-    So the rational eigenspaces of A are the nonzero kernels of dA - kI over
-    the integers |k| <= dB, each for the eigenvalue k/d, and A is
-    diagonalizable over Q exactly when their dimensions add up to dim space.
-    The scan stops once they do.  It takes at most 2dB + 1 kernels: few for
-    ad(h) in the models' bases, where d = 1, but linear in the size of the
-    entries in general.
-    """
-    m = space.dim
-    if m == 0:
-        return []
-    # action matrix in the restricted coordinates: columns are images
-    cols = [space.coords_of(apply_fn(row)) for row in space.basis]  # raises if not invariant
-    d = math.lcm(*(x.denominator for col in cols for x in col))
-    act = [[int(d * col[i]) for col in cols] for i in range(m)]  # act[i][j] = d A[i][j]
-    bound = max(sum(map(abs, row)) for row in act)
-    out = []
-    found = 0
-    for k in range(-bound, bound + 1):
-        shifted = [[x - k if i == j else x for j, x in enumerate(row)] for i, row in enumerate(act)]
-        ker = kernel_rows(shifted, m)
-        if ker:
-            amb = [space.from_coords(x) for x in ker]
-            mu = Rat(k, d) if k % d else k // d
-            out.append((mu, Subspace.span(space.ambient_dim, amb)))
-            found += len(ker)
-            if found == m:
-                return out
-    raise ValueError("operator is not diagonalizable over the rationals")
+        d = self._den
+        out = combination(c, self._transform)
+        return dense({i: x // d if type(x) is int and x % d == 0 else exact_scalar(Rat(x, d))
+                      for i, x in out.items()}, len(c))

@@ -14,6 +14,12 @@ Shipped families:
                         commuting with the realification J of iI,
 * ``direct_sum``        block-diagonal products of the above.
 
+Every shipped basis is a weight basis: a, then a basis of k_0, then root
+vectors, each basis vector an eigenvector of ad(a), and n is spanned by
+basis vectors.  ``roots.decompose`` reads the restricted root grading off
+the structure constants and raises on a basis that is not of this kind;
+``LieModel`` itself accepts any basis.
+
 Coordinates are exact rationals: ints where integral, Fractions otherwise,
 the convention of ``cohomatlas.linalg``.  Inside a model a vector is sparse,
 {index: value} over its nonzero entries: brackets (``_bracket_entries``),
@@ -37,7 +43,6 @@ from .linalg import (
     SpanSolver,
     Subspace,
     dense,
-    kernel_rows,
     solve_inclusion_constraint,
     sparse,
     vdot,
@@ -268,7 +273,9 @@ def _matrix(m: int, entries: dict) -> Matrix:
 
 
 def build_sl(n_plus_1: int) -> LieModel:
-    """Traceless (n+1) x (n+1) real matrices; a = diagonal, n = strictly upper."""
+    """Traceless (n+1) x (n+1) real matrices, in the weight basis of the
+    H_i = E_ii - E_{i+1,i+1}, which span a (k_0 is zero), then the matrix
+    units above the diagonal, which span n, then those below it."""
     if n_plus_1 < 2:
         raise ValueError("sl model needs size >= 2")
     m = n_plus_1
@@ -280,60 +287,44 @@ def build_sl(n_plus_1: int) -> LieModel:
 
 
 def build_so1n(n: int) -> LieModel:
-    """so(1,n) = {X : X^T I_{1,n} + I_{1,n} X = 0} with I_{1,n} = diag(-1,1..1).
+    """so(1,n) = {X : X^T I_{1,n} + I_{1,n} X = 0} with I_{1,n} = diag(-1,1..1),
+    in a weight basis.
 
-    a = R h for the boost h = E_01 + E_10.  With B_i = E_0i + E_i0 and
-    R_1i = E_1i - E_i1, [h, B_i] = R_1i and [h, R_1i] = B_i, so n is spanned
-    by the eigenvalue-1 vectors B_i + R_1i, 2 <= i <= n.
+    With B_i = E_0i + E_i0 and R_ij = E_ij - E_ji, a = R h for the boost
+    h = B_1, and [h, B_i] = R_1i, [h, R_1i] = B_i.  The basis is h, then the
+    R_ij for 2 <= i < j, which span k_0 and commute with h, then the root
+    vectors B_i + R_1i of weight 1, which span n, then B_i - R_1i of weight
+    -1, the negatives of their theta images, for 2 <= i <= n.
     """
     if n < 2:
         raise ValueError("so(1,n) model needs n >= 2")
     m = n + 1
-    basis = [_matrix(m, {(0, i): 1, (i, 0): 1}) for i in range(1, m)]  # boosts, span p
-    basis += [_matrix(m, {(i, j): 1, (j, i): -1})  # rotations, span k
-              for i in range(1, m) for j in range(i + 1, m)]
-    n_basis = [_matrix(m, {(0, i): 1, (i, 0): 1, (1, i): 1, (i, 1): -1}) for i in range(2, m)]
+
+    def root_vector(i, sign):
+        return _matrix(m, {(0, i): 1, (i, 0): 1, (1, i): sign, (i, 1): -sign})
+
+    basis = [_matrix(m, {(0, 1): 1, (1, 0): 1})]
+    basis += [_matrix(m, {(i, j): 1, (j, i): -1}) for i in range(2, m) for j in range(i + 1, m)]
+    n_basis = [root_vector(i, 1) for i in range(2, m)]
+    basis += n_basis + [root_vector(i, -1) for i in range(2, m)]
     return LieModel(f"so(1,{n})", basis, basis[:1], n_basis)
 
 
 def build_su1n(n: int) -> LieModel:
-    """su(1,n) realified: 2(n+1) x 2(n+1) real matrices commuting with J.
+    """su(1,n) = {X : X^H I_{1,n} + I_{1,n} X = 0, tr X = 0} realified via
+    a + ib -> [[a, -b], [b, a]], in a weight basis; J is the realification
+    of iI.
 
-    The complex model {X : X^H I_{1,n} + I_{1,n} X = 0, tr X = 0} is solved
-    exactly over the real and imaginary entry variables, then realified via
-    a + ib -> [[a, -b], [b, a]].  J is the realification of iI.
+    a = R h for h = E_01 + E_10.  The basis is h; then k_0 = u(n-1): i(E_00 +
+    E_11 - 2E_22), then E_ij - E_ji and i(E_ij + E_ji) for 2 <= i < j <= n,
+    then i(E_ii - E_{i+1,i+1}) for 2 <= i < n; then the root vectors that
+    span n: i(E_00 - E_01 + E_10 - E_11) of weight 2, and E_0i + E_i0 + E_1i
+    - E_i1 and i(E_0i - E_i0 + E_1i + E_i1) of weight 1 for 2 <= i <= n;
+    then their theta images -X^T.
     """
     if n < 2:
         raise ValueError("su(1,n) model needs n >= 2")
     m = n + 1
-    sig = [-1] + [1] * n
-    nvars = 2 * m * m  # x_{pq} then y_{pq}, row-major
-
-    def xv(p, q):
-        return p * m + q
-
-    def yv(p, q):
-        return m * m + p * m + q
-
-    rows = []
-    for p in range(m):
-        for q in range(m):
-            # (X^H I + I X)_{pq} = 0 : real and imaginary parts
-            r = [0] * nvars
-            r[xv(q, p)] += sig[q]
-            r[xv(p, q)] += sig[p]
-            rows.append(tuple(r))
-            r = [0] * nvars
-            r[yv(q, p)] -= sig[q]
-            r[yv(p, q)] += sig[p]
-            rows.append(tuple(r))
-    tr_re = [0] * nvars
-    tr_im = [0] * nvars
-    for p in range(m):
-        tr_re[xv(p, p)] = 1
-        tr_im[yv(p, p)] = 1
-    rows.append(tuple(tr_re))
-    rows.append(tuple(tr_im))
 
     def realify(real: dict, imag: dict) -> Matrix:
         """a + ib -> [[a, -b], [b, a]] for complex m x m entries a + ib."""
@@ -343,18 +334,17 @@ def build_su1n(n: int) -> LieModel:
         big.update({(p + m, q): x for (p, q), x in imag.items()})
         return _matrix(2 * m, big)
 
-    basis = [realify({(p, q): sol[xv(p, q)] for p in range(m) for q in range(m)},
-                     {(p, q): sol[yv(p, q)] for p in range(m) for q in range(m)})
-             for sol in kernel_rows(rows, nvars)]
-
-    # a = R h for h = E_01 + E_10.  n is spanned by the ad(h)-eigenvectors
-    # E_0i + E_i0 + E_1i - E_i1 and i(E_0i - E_i0 + E_1i + E_i1), 2 <= i <= n,
-    # of eigenvalue 1, and i(E_00 - E_01 + E_10 - E_11) of eigenvalue 2.
     h = realify({(0, 1): 1, (1, 0): 1}, {})
+    k0 = [realify({}, {(0, 0): 1, (1, 1): 1, (2, 2): -2})]
+    for i in range(2, m):
+        for j in range(i + 1, m):
+            k0 += [realify({(i, j): 1, (j, i): -1}, {}), realify({}, {(i, j): 1, (j, i): 1})]
+    k0 += [realify({}, {(i, i): 1, (i + 1, i + 1): -1}) for i in range(2, n)]
     n_basis = [realify({}, {(0, 0): 1, (0, 1): -1, (1, 0): 1, (1, 1): -1})]
     for i in range(2, m):
         n_basis.append(realify({(0, i): 1, (i, 0): 1, (1, i): 1, (i, 1): -1}, {}))
         n_basis.append(realify({}, {(0, i): 1, (i, 0): -1, (1, i): 1, (i, 1): 1}))
+    basis = [h] + k0 + n_basis + [-x.transpose() for x in n_basis]
     return LieModel(f"su(1,{n})", basis, [h], n_basis)
 
 

@@ -1,11 +1,12 @@
 """Restricted root space decomposition and simple root combinatorics.
 
-``decompose`` splits a simple model into the joint ad(a)-eigenspaces by
-exact simultaneous eigendecomposition: each eigenspace of ad(h) for one
-basis vector h of a is split again by the next (``invariant_eigensplit``).
-It then chooses the positive system matching the model's stored nilpotent
-part, and extracts simple roots, multiplicities, root vectors and Dynkin
-adjacency.  It also checks that the bracket respects the root grading.  A
+``decompose`` reads the root grading of a simple model off its weight
+basis: each basis vector is an ad(a)-eigenvector, its weight is read from
+the structure constants, and each weight space is spanned by the basis
+vectors of that weight.  It then chooses the positive system matching the
+model's stored nilpotent part, and extracts simple roots, multiplicities,
+root vectors and Dynkin adjacency.  It also checks, by one scan of the
+structure constants, that the bracket respects the root grading.  A
 product's root data is its factors' root data: ``decompose`` assembles it
 from the decomposed factors, block by block, without splitting the product,
 and the product datum keeps the factor data in ``factors``.
@@ -27,8 +28,11 @@ from typing import Sequence
 from .linalg import (
     SpanSolver,
     Subspace,
-    invariant_eigensplit,
+    combination,
+    dense,
+    exact_scalar,
     orthocomplement_in,
+    sparse,
 )
 from .models import LieModel, ProductModel
 
@@ -96,38 +100,26 @@ def decompose(model: LieModel) -> RootDatum:
     """Exact restricted root space decomposition with respect to a; a
     product's is assembled from its factors' (see ``_product_datum``).
 
-    A simple model's decomposition raises unless the bracket respects the
-    grading, [g_lam, g_mu] in g_{lam+mu} (``_check_grading``), as
+    A simple model's basis must be a weight basis (``_basis_weights``), and
+    its decomposition raises unless the bracket respects the grading,
+    [g_lam, g_mu] in g_{lam+mu} (``_check_grading``), as
     ``build_parabolic`` raises unless s_phi is graded by the roots inside
-    phi.  The check runs once per
-    simple datum; a product inherits it from its factors, because brackets
-    across different factors vanish."""
+    phi.  The check runs once per simple datum; a product inherits it from
+    its factors, because brackets across different factors vanish."""
     if isinstance(model, ProductModel):
         # a factor model that occurs more than once is decomposed once
         data = {f: decompose(f) for f in dict.fromkeys(model.factors)}
         return _product_datum(model, [data[f] for f in model.factors])
     d = model.dim
-    blocks = [((), Subspace.full(d))]
-    for h in model.a_space.basis:
-        nxt = []
-        for wt, sp in blocks:
-            for mu, esp in invariant_eigensplit(lambda x: model.bracket(h, x), sp):
-                nxt.append((wt + (mu,), esp))
-        blocks = nxt
-
-    zero_space = None
-    raw = {}
-    for wt, sp in blocks:
-        if all(not c for c in wt):
-            zero_space = sp
-        else:
-            raw[wt] = sp
+    weights = _basis_weights(model)
+    _check_grading(model, weights)
+    indices = {}
+    for i, wt in enumerate(weights):
+        indices.setdefault(wt, []).append(i)
+    raw = {wt: Subspace(d, tuple({i: 1} for i in idx), tuple(idx)) for wt, idx in indices.items()}
+    zero_space = raw.pop((0,) * model.a_space.dim, None)
     if zero_space is None:
         raise ValueError("missing zero weight space")
-    total = zero_space.dim + sum(sp.dim for sp in raw.values())
-    if total != d:
-        raise ValueError("weight spaces do not fill the model")
-    _check_grading(model, raw, zero_space)
 
     # theta pairing: theta g_lam = g_{-lam}
     for wt, sp in raw.items():
@@ -159,12 +151,12 @@ def decompose(model: LieModel) -> RootDatum:
         if not decomposable:
             simple_cov.append(lam)
 
-    # dual vectors H_lam: coordinates of lam in the rows of the (symmetric)
-    # Gram matrix of a
+    # dual vectors H_lam of the simple roots: coordinates of lam in the rows
+    # of the (symmetric) Gram matrix of a
     a_basis = model.a_space.basis
     gram_a = SpanSolver([[model.inner_product(x, y) for y in a_basis] for x in a_basis],
                         len(a_basis))
-    duals = {wt: model.a_space.from_coords(gram_a.coords(wt)) for wt in raw}
+    duals = {wt: model.a_space.from_coords(gram_a.coords(wt)) for wt in simple_cov}
 
     def pairing(u, v):
         return model.inner_product(duals[u], duals[v])
@@ -182,19 +174,21 @@ def decompose(model: LieModel) -> RootDatum:
     if r != model.a_space.dim:
         raise ValueError("number of simple roots does not match the rank")
 
-    # coefficients of every root over the ordered simple roots
+    # coefficients of every root over the ordered simple roots; H_lam is
+    # linear in lam, so every other dual vector is the combination of the
+    # simple ones with lam's coefficients
     simple_solver = SpanSolver(ordered_simple, r)
+    simple_duals = [duals[s] for s in ordered_simple]
     coeffs = {}
     for wt in raw:
         c = simple_solver.coords(wt)
-        ints = []
-        for x in c:
-            if x.denominator != 1:
-                raise ValueError("root is not an integer combination of simple roots")
-            ints.append(int(x))
-        if wt in pos_set and any(v < 0 for v in ints):
+        if any(type(x) is not int for x in c):
+            raise ValueError("root is not an integer combination of simple roots")
+        if wt in pos_set and any(v < 0 for v in c):
             raise ValueError("positive root with negative simple coefficient")
-        coeffs[wt] = tuple(ints)
+        coeffs[wt] = c
+        if wt not in duals:
+            duals[wt] = tuple(exact_scalar(x) for x in dense(combination(c, simple_duals), d))
 
     edges = set()
     for i in range(r):
@@ -228,23 +222,38 @@ def decompose(model: LieModel) -> RootDatum:
     )
 
 
-def _check_grading(model: LieModel, raw: dict, zero_space: Subspace) -> None:
-    """Raise unless [g_lam, g_mu] lies in g_{lam+mu} for all weights lam, mu,
-    the zero weight included, with g_{lam+mu} = 0 when lam + mu is no weight.
-    Each weight space is an ad(a)-eigenspace by construction, so this one
-    identity is what makes every sum of root spaces that is closed under
-    adding roots a subalgebra (``verify.graded_closure_failure``)."""
-    by_weight = dict(raw)
-    by_weight[(0,) * model.a_space.dim] = zero_space
-    spaces = list(by_weight.items())
-    for i, (lam, u) in enumerate(spaces):
-        for mu, v in spaces[i:]:
-            target = by_weight.get(tuple(x + y for x, y in zip(lam, mu)))
-            for x in u.rows:
-                for y in v.rows:
-                    image = model._bracket_entries(x, y)
-                    if image and (target is None or not target.contains_vector(image)):
-                        raise ValueError("the bracket does not respect the root grading")
+def _basis_weights(model: LieModel) -> list:
+    """The weight of each basis vector e_i, read from the structure
+    constants: the tuple of the values mu_t with [h_t, e_i] = mu_t e_i for
+    the rows h_t of ``a_space.basis``.  Raises unless every basis vector is
+    an ad(a)-eigenvector, that is, unless the basis is a weight basis."""
+    columns = []
+    for h in model.a_space.basis:
+        h = sparse(h)
+        column = []
+        for i in range(model.dim):
+            image = model._bracket_entries(h, {i: 1})
+            mu = image.get(i, 0)
+            if len(image) != (1 if mu else 0):
+                raise ValueError(f"basis vector {i} is not an ad(a)-eigenvector")
+            column.append(mu)
+        columns.append(column)
+    return list(zip(*columns))
+
+
+def _check_grading(model: LieModel, weights: list) -> None:
+    """Raise unless c_ij^k != 0 implies wt(i) + wt(j) = wt(k), one scan of
+    the structure constants.  For basis vectors of a weight basis this is
+    [g_lam, g_mu] in g_{lam+mu}, the zero weight included and with
+    g_{lam+mu} = 0 when lam + mu is no weight, and it extends to the weight
+    spaces by bilinearity.  This one identity is what makes every sum of
+    root spaces that is closed under adding roots a subalgebra
+    (``verify.graded_closure_failure``)."""
+    for i, ad_i in model._struct.items():
+        for j, entry in ad_i.items():
+            target = tuple(x + y for x, y in zip(weights[i], weights[j]))
+            if any(weights[k] != target for k, _ in entry):
+                raise ValueError("the bracket does not respect the root grading")
 
 
 def _order_simple_roots(simple_cov, adj):

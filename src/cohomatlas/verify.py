@@ -17,11 +17,13 @@ Bracket closure is decided from the grading, not pair by pair.
 ``decompose`` checks once per simple datum that [g_lam, g_mu] lies in
 g_{lam+mu}; each kind's algebra is then closed when its pieces pass a few
 containments and dimension counts (``graded_closure_failure``), and the
-constructors have checked the closure of the small pieces the grading does
-not decide.  Only when a condition fails does ``closure_note`` run the pair
-loop, to name the first pair of algebra rows whose bracket leaves.  The
-extension composition identity likewise compares a-pieces and sets of
-positive roots, and spans nothing.
+closure of the small piece the grading does not decide, a boundary
+subalgebra h, is checked there too.  Only when a condition fails does
+``closure_note`` run the pair loop, to name the first pair of algebra rows
+whose bracket leaves.  A theta invariant h that the note certifies closed
+has a Lie triple p(h) = h & p, so the Lie triple check runs only when the
+note fails.  The extension composition identity likewise compares a-pieces
+and sets of positive roots, and spans nothing.
 """
 
 from __future__ import annotations
@@ -406,12 +408,13 @@ def graded_closure_failure(spec: ActionSpec, datum: RootDatum) -> Optional[str]:
       plus a subspace of a, and a is abelian and normalizes n.
     * FS: a lies in the algebra, which lies in a + n and holds every
       positive root space but g_{alpha_j}.  [n, n] has no simple root.
-    * CEI and CER over phi: h in l_phi and the algebra is h + a_phi + n_phi.
-      a_phi commutes with l_phi, and l_phi, a_phi and n_phi each carry
-      n_phi into itself.  ``canonical_extend`` has checked that h closes.
+    * CEI and CER over phi: h in l_phi, h closed (checked pair by pair
+      here; h is the small piece the grading does not decide), and the
+      algebra is h + a_phi + n_phi.  a_phi commutes with l_phi, and l_phi,
+      a_phi and n_phi each carry n_phi into itself.
     * The factor-diagonal CER, told from the other route by its dimension:
-      the algebra is the graph plus the factors outside phi, which are
-      ideals.  ``_graph`` has checked that the graph closes.
+      h is the graph, closed as above, and the algebra is the graph plus
+      the factors outside phi, which are ideals.
     * NC: the algebra is N + c with N in l and c in n_phi containing every
       grade >= 2.  ``nilpotent_construct`` built N as N_l(c), which
       normalizes c and is closed because l is, and [c, c] lies in the
@@ -435,6 +438,8 @@ def graded_closure_failure(spec: ActionSpec, datum: RootDatum) -> Optional[str]:
         h = payload["diag" if spec.kind == "CER" else "h_phi"]
         if not pd.l.contains(h):
             return "h-outside-levi"
+        if not model.is_subalgebra(h):
+            return "h-not-closed"
         pieces = (h, pd.a_phi, pd.n_phi)
         if spec.kind == "CER" and datum.factors and algebra.dim != sum(p.dim for p in pieces):
             # a factor diagonal holds the factors outside phi whole
@@ -488,7 +493,8 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
     if cohom > codim:
         raise ValueError("cohomogeneity exceeds the orbit codimension")
 
-    notes = [closure_note(spec, datum)]
+    closure = closure_note(spec, datum)
+    notes = [closure]
     tg = "not-checked"
     nc1 = nc2 = "not-checked"
     nc2_cert = None
@@ -496,7 +502,11 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
     if spec.kind in ("CEI", "CER"):
         inner_h = spec.payload["diag" if spec.kind == "CER" else "h_phi"]
         if model.theta_image(inner_h) == inner_h:
-            tg = "yes" if check_lie_triple(model, model.project_p_subspace(inner_h)) else "no"
+            # p(h) = h & p, and a passing note certifies that h is closed, so
+            # [[h & p, h & p], h & p] lies in h and in p
+            lie_triple = closure.passed or check_lie_triple(model,
+                                                            model.project_p_subspace(inner_h))
+            tg = "yes" if lie_triple else "no"
         if spec.kind == "CER":
             notes.append(check_polar_certificate(spec))
         if 0 < len(spec.phi) < datum.rank:

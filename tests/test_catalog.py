@@ -7,7 +7,7 @@ from functools import cached_property
 
 import pytest
 
-from cohomatlas import catalog, linalg
+from cohomatlas import catalog, roots
 from cohomatlas.catalog import (_rank_one_nc_subspaces, ce_families, enumerate_sl,
                                 known_extension_tangents)
 from cohomatlas.cli import RunConfig, parse_space, run
@@ -256,19 +256,16 @@ def test_product_enumeration_decomposes_each_factor_once(monkeypatch, build):
                                      lambda: [build_sl(3), build_sl(2)]],
                          ids=["rh3xrh3", "sl3xsl2"])
 def test_product_enumeration_splits_no_product_size_space(monkeypatch, factors):
+    # the weights are read off each factor's basis, never the product's
     pm = direct_sum(factors())
     split_dims = []
-    original = linalg.invariant_eigensplit
+    original = roots._basis_weights
 
-    def recorded(apply_fn, space):
-        split_dims.append(space.ambient_dim)
-        return original(apply_fn, space)
+    def recorded(model):
+        split_dims.append(model.dim)
+        return original(model)
 
-    # every module that imported invariant_eigensplit by name holds its own binding
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cohomatlas") and getattr(module, "invariant_eigensplit",
-                                                     None) is original:
-            monkeypatch.setattr(module, "invariant_eigensplit", recorded)
+    monkeypatch.setattr(roots, "_basis_weights", recorded)
     result = catalog.enumerate_product(pm)
     assert result.all_identities_passed
     assert set(split_dims) == {f.dim for f in pm.factors}

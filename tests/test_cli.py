@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from cohomatlas import cli
+from cohomatlas import catalog, cli
 from cohomatlas.cli import RunConfig, main, parse_space, run
+from cohomatlas.verify import check_lie_triple, verify
 
 SMALL_FACTORS = ["sl(2)", "sl(3)", "rh(2)", "rh(3)", "ch(2)"]
 
@@ -71,6 +72,27 @@ GOLDEN_MARKDOWN_DIGESTS = {
 # alarm), so the nc-search reports exit 1.
 GOLDEN_EXIT_STATUS = {"sl(4) --nc-search": 1, "sl(4) --nc-search --seed 1007": 1,
                       "sl(4) --nc-search --seed 2007": 1}
+
+
+@pytest.mark.parametrize("space", sorted({key.split(" --")[0] for key in GOLDEN_DIGESTS}))
+def test_derived_lie_triple_verdicts_equal_check_lie_triple(monkeypatch, space):
+    # a theta invariant h certified closed by its bracket-closure note reads
+    # "yes" without check_lie_triple; the check itself agrees on every row
+    checked = []
+
+    def recorded(spec, datum, **kwargs):
+        report = verify(spec, datum, **kwargs)
+        if spec.kind in ("CEI", "CER"):
+            g, h = spec.model, spec.payload["diag" if spec.kind == "CER" else "h_phi"]
+            if g.theta_image(h) == h:
+                expected = "yes" if check_lie_triple(g, g.project_p_subspace(h)) else "no"
+                assert report.singular_orbit_totally_geodesic == expected
+                checked.append(spec)
+        return report
+
+    monkeypatch.setattr(catalog, "verify", recorded)
+    assert run(parse_space(space), RunConfig(su1n=True)).exit_code == 0
+    assert checked
 
 
 def exit_status(argv) -> int:

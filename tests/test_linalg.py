@@ -13,7 +13,6 @@ from cohomatlas.linalg import (
     Matrix,
     SpanSolver,
     Subspace,
-    invariant_eigensplit,
     kernel_rows,
     orthocomplement_in,
     rat,
@@ -266,49 +265,6 @@ class TestInclusionSolver:
         assert sol.dim == 2
 
 
-class TestEigensplit:
-    def test_diagonal_operator(self):
-        m = mat([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
-        parts = invariant_eigensplit(m.apply, Subspace.full(3))
-        assert [(mu, sp.dim) for mu, sp in parts] == [(1, 2), (5, 1)]
-
-    def test_rotation_like_operator_rejected(self):
-        m = mat([[0, -1], [1, 0]])  # eigenvalues +-i
-        with pytest.raises(ValueError):
-            invariant_eigensplit(m.apply, Subspace.full(2))
-
-    def test_nilpotent_rejected(self):
-        m = mat([[0, 1], [0, 0]])
-        with pytest.raises(ValueError):
-            invariant_eigensplit(m.apply, Subspace.full(2))
-
-    def test_restricted_to_invariant_subspace(self):
-        m = mat([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
-        space = S(3, [1, 0, 0], [0, 1, 1])
-        parts = invariant_eigensplit(m.apply, space)
-        assert [(mu, sp.dim) for mu, sp in parts] == [(2, 1), (3, 1)]
-
-    def test_fractional_eigenvalues(self):
-        m = mat([[rat(1, 2), 0], [0, rat(-3, 4)]])
-        parts = invariant_eigensplit(m.apply, Subspace.full(2))
-        assert [mu for mu, _ in parts] == [rat(-3, 4), rat(1, 2)]
-
-    def test_eigenvalues_on_the_row_sum_bound(self):
-        # +-2 equal the largest absolute row sum, the end points of the scan
-        parts = invariant_eigensplit(mat([[0, 2], [2, 0]]).apply, Subspace.full(2))
-        assert parts == [(-2, S(2, [1, -1])), (2, S(2, [1, 1]))]
-
-    def test_irrational_eigenvalues_rejected(self):
-        m = mat([[0, 2], [1, 0]])  # companion matrix of t^2 - 2
-        with pytest.raises(ValueError):
-            invariant_eigensplit(m.apply, Subspace.full(2))
-
-    def test_non_invariant_space_rejected(self):
-        m = mat([[0, 0], [1, 0]])
-        with pytest.raises(ValueError):
-            invariant_eigensplit(m.apply, S(2, [1, 0]))
-
-
 def test_determinism_bitwise():
     rng = random.Random(4242)
     rows = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(4)]
@@ -380,7 +336,9 @@ def test_span_solver_coords_round_trip(case, data):
     basis = independent(rows, n)
     solver = SpanSolver(basis, n)
     c = vec(data.draw(st.lists(ENTRY, min_size=len(basis), max_size=len(basis))))
-    assert solver.coords(lincomb(c, basis, n)) == c
+    coords = solver.coords(lincomb(c, basis, n))
+    assert coords == c
+    assert all(int_iff_integral(x) for x in coords)
     span = Subspace.span(n, basis)
     for u in (unit_vec(n, t) for t in range(n)):
         if not span.contains_vector(u):
@@ -879,73 +837,3 @@ def test_the_solvers_combinations_are_the_canonical_rows_of_its_answer(case, k, 
         assert [primitive(c) for c in combinations] == list(answer.rows)
     else:  # no equation, or only the zero solution
         assert answer in (candidates, Subspace.zero(n))
-
-
-def conjugate(p, block) -> Matrix:
-    """P @ block @ P^-1 for an invertible P given by its rows."""
-    inverse = rref_with_transform(p, len(p))[2]  # T with T @ P == I
-    return mat(p) @ mat(block) @ Matrix(tuple(inverse))
-
-
-def diagonal(entries) -> list:
-    return [[x if i == j else 0 for j, x in enumerate(entries)] for i in range(len(entries))]
-
-
-EIGENVALUE = st.fractions(-2, 2, max_denominator=4)
-UNIT_TRIANGLE_ENTRY = st.integers(-1, 1)
-SCALE = st.sampled_from([Fraction(k, q) for k in (-3, -1, 1, 2) for q in (1, 2, 5)])
-
-
-@st.composite
-def diagonalizations(draw, min_size=1):
-    """(P, diagonal of D): a rational P = L U S with L unit lower and U unit
-    upper triangular integer matrices and S an invertible rational diagonal,
-    and small fractional eigenvalues with repeats and zeros among them.
-    P^-1 = S^-1 U^-1 L^-1 is an integer matrix up to the row scaling S^-1,
-    so P D P^-1 keeps a small common denominator and small row sums: the
-    eigensplit's scan stays short."""
-    n = draw(st.integers(min_size, 4))
-    values = draw(st.lists(EIGENVALUE, min_size=1, max_size=3)) + [Fraction(0)]
-    diag = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
-    lower = [[1 if i == j else draw(UNIT_TRIANGLE_ENTRY) if j < i else 0 for j in range(n)]
-             for i in range(n)]
-    upper = [[1 if i == j else draw(UNIT_TRIANGLE_ENTRY) if j > i else 0 for j in range(n)]
-             for i in range(n)]
-    scale = draw(st.lists(SCALE, min_size=n, max_size=n))
-    p = mat(lower) @ mat(upper) @ mat(diagonal(scale))
-    return p.rows, diag
-
-
-@PROPERTY
-@given(diagonalizations(), st.data())
-def test_eigensplit_recovers_a_rational_diagonalization(case, data):
-    p, diag = case
-    n = len(p)
-    op = conjugate(p, diagonal(diag))
-    columns = list(zip(*p))
-
-    def expected(picked):
-        return [(mu, Subspace.span(n, [columns[j] for j in picked if diag[j] == mu]))
-                for mu in sorted({diag[j] for j in picked})]
-
-    assert invariant_eigensplit(op.apply, Subspace.full(n)) == expected(range(n))
-    # the span of some columns of P is invariant, and split by their eigenvalues
-    picked = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-    space = Subspace.span(n, [columns[j] for j in picked])
-    assert invariant_eigensplit(op.apply, space) == expected(picked)
-
-
-@PROPERTY
-@given(diagonalizations(min_size=2), st.sampled_from(["jordan", "t^2 - 2"]))
-def test_eigensplit_rejects_operators_not_diagonalizable_over_q(case, kind):
-    p, diag = case
-    block = diagonal(diag)
-    if kind == "jordan":  # a 2 x 2 Jordan block
-        block[0][1], block[1][1] = 1, block[0][0]
-    else:  # the companion matrix of t^2 - 2
-        block[0][0], block[0][1], block[1][0], block[1][1] = 0, 2, 1, 0
-    op = conjugate(p, block)
-    columns = list(zip(*p))
-    for space in (Subspace.full(len(p)), Subspace.span(len(p), columns[:2])):
-        with pytest.raises(ValueError):
-            invariant_eigensplit(op.apply, space)

@@ -365,11 +365,34 @@ def test_brackets_and_theta_of_unit_vectors_stay_integer(build):
 @pytest.mark.parametrize("build, n", [(build_so1n, n) for n in range(2, 9)]
                          + [(build_su1n, n) for n in range(2, 6)])
 def test_rank_one_n_is_the_positive_ad_eigenspaces(build, n):
-    # the constructor passes its root vectors as n, as build_sl does; they
-    # span the eigenspaces of ad(h) with positive eigenvalues on the algebra
+    # the constructor passes its root vectors as n, as build_sl does; ad(h),
+    # read on the basis, is diagonal, and n is spanned by the basis vectors
+    # of positive weight
     g = build(n)
     (h,) = g.a_space.basis
-    parts = linalg.invariant_eigensplit(lambda x: g.bracket(h, x), Subspace.full(g.dim))
-    positive = Subspace.span(g.dim, [b for mu, sp in parts if mu > 0 for b in sp.basis])
-    assert g.n_space == positive
-    assert [mu for mu, _ in parts if mu > 0] == ([1] if build is build_so1n else [1, 2])
+    weights = []
+    for i in range(g.dim):
+        unit = unit_vec(g.dim, i)
+        image = g.bracket(h, unit)
+        assert image == tuple(image[i] * x for x in unit)
+        weights.append(image[i])
+    positive = [i for i, mu in enumerate(weights) if mu > 0]
+    assert g.n_space == Subspace.span(g.dim, [{i: 1} for i in positive])
+    assert sorted({weights[i] for i in positive}) == ([1] if build is build_so1n else [1, 2])
+
+
+@pytest.mark.parametrize("build, n", [(build_so1n, n) for n in range(2, 6)]
+                         + [(build_su1n, n) for n in range(2, 5)])
+def test_weight_basis_lies_in_the_algebra(build, n):
+    # X^T I + I X = 0 for the realified I = I_{1,n} (on each complex copy),
+    # and the complex trace a + ib of X vanishes
+    g = build(n)
+    m = n + 1
+    copies = g.matrix_size // m
+    sig = mat([[(-1 if p % m == 0 else 1) if p == q else 0 for q in range(g.matrix_size)]
+               for p in range(g.matrix_size)])
+    for x in g.basis:
+        assert x.transpose() @ sig + sig @ x == Matrix.zeros(g.matrix_size, g.matrix_size)
+        if copies == 2:
+            assert sum(x.rows[p][p] for p in range(m)) == 0
+            assert sum(x.rows[p + m][p] for p in range(m)) == 0

@@ -7,7 +7,7 @@ import pytest
 from cohomatlas import roots
 from cohomatlas.cli import parse_space
 from cohomatlas.linalg import Subspace, kernel_rows, subspace_sum
-from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
+from cohomatlas.models import LieModel, _matrix, build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.roots import decompose
 
 
@@ -262,7 +262,8 @@ def test_the_grading_identity_holds_on_the_shipped_models(build, arg):
             assert image.dim == 0 or (target is not None and target.contains(image))
 
 
-@pytest.mark.parametrize("build, arg", [(build_sl, 3), (build_sl, 4), (build_so1n, 3)])
+@pytest.mark.parametrize("build, arg", [(build_sl, 3), (build_sl, 4), (build_so1n, 3),
+                                       (build_su1n, 2)])
 def test_decompose_raises_on_one_corrupted_structure_constant(build, arg):
     # the bracket of two basis vectors outside a gains a term on another basis
     # vector; ad(a), theta and n are untouched, so only the grading identity
@@ -280,3 +281,17 @@ def test_decompose_raises_on_one_corrupted_structure_constant(build, arg):
     g._struct = struct
     with pytest.raises(ValueError, match="does not respect the root grading"):
         decompose(g)
+
+
+def test_decompose_raises_on_a_basis_that_is_not_a_weight_basis():
+    # the boost basis of so(1,3): B_i = E_0i + E_i0, then R_ij = E_ij - E_ji;
+    # [B_1, B_2] = -R_12 is no multiple of B_2
+    m = 4
+    basis = [_matrix(m, {(0, i): 1, (i, 0): 1}) for i in range(1, m)]
+    basis += [_matrix(m, {(i, j): 1, (j, i): -1}) for i in range(1, m) for j in range(i + 1, m)]
+    n_basis = [_matrix(m, {(0, i): 1, (i, 0): 1, (1, i): 1, (i, 1): -1}) for i in range(2, m)]
+    g = LieModel("so(1,3)", basis, basis[:1], n_basis)
+    assert g.dim == build_so1n(3).dim
+    with pytest.raises(ValueError, match="basis vector 1 is not an ad\\(a\\)-eigenvector"):
+        decompose(g)
+

@@ -19,6 +19,7 @@ from cohomatlas.linalg import (
 )
 from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
+    ActionSpec,
     _rational_sqrt,
     _sl2_triple,
     canonical_extend,
@@ -682,14 +683,18 @@ CLOSURE_SPACES = ["sl(5)", "sl(7)", "ch(3)*ch(3)", "rh(3)*rh(3)", "sl(3)*rh(2)*r
 @pytest.mark.parametrize("space", CLOSURE_SPACES)
 def test_every_row_is_closed_by_its_graded_proof(monkeypatch, space):
     # every spec a table verifies, in the run's datum or a factor's, passes
-    # its graded proof without the pair loop, and the generic check agrees;
-    # so does every listed row, lifted ones at product size
+    # its graded proof with no pair loop over its algebra, and the generic
+    # check agrees; so does every listed row, lifted ones at product size.
+    # The pair loop runs only over a CEI or CER row's boundary piece h.
     verified, pair_calls, inside = [], [], []
     leaving = LieModel.bracket_leaving_pair
 
     def counted_pairs(self, sub):
         if inside:
-            pair_calls.append(sub)
+            spec = inside[-1]
+            h = spec.payload.get("diag" if spec.kind == "CER" else "h_phi")
+            if sub is not h:
+                pair_calls.append(sub)
         return leaving(self, sub)
 
     def recorded(spec, datum, **kwargs):
@@ -719,16 +724,51 @@ def _closure_note(spec, datum) -> dict:
     return closure_note(spec, datum).to_json()
 
 
-def test_canonical_extension_refuses_a_boundary_subalgebra_that_is_not_closed():
-    # the graded proof of a CEI or CER row trusts the closure of h, which the
-    # constructors check: E12 and E23 lie in s_phi = sl(3) but [E12, E23] = E13
+def test_closure_note_fails_for_a_boundary_subalgebra_that_is_not_closed():
+    # the graded proof of a CEI or CER row checks the closure of h itself:
+    # E12 and E23 lie in s_phi = sl(3) but [E12, E23] = E13, and over
+    # phi = (0, 1) the algebra is h, so the pair loop names the leaving pair
     datum = decompose(build_sl(3))
     g = datum.model
     h = Subspace.span(g.dim, [datum.simple[0].space.rows[0], datum.simple[1].space.rows[0]])
     pd = build_parabolic(datum, (0, 1))
     assert pd.s.contains(h) and not g.is_subalgebra(h)
-    with pytest.raises(ValueError, match="not closed under the bracket"):
-        canonical_extend(datum, pd, h)
+    spec = ActionSpec("CEI", g, (0, 1), h, {"h_phi": h})
+    assert canonical_extend(datum, pd, h) == spec
+    assert graded_closure_failure(spec, datum) == "h-not-closed"
+    assert _closure_note(spec, datum) == {"name": "bracket-closure", "passed": False,
+                                          "sub_check": "bracket-leaves-algebra",
+                                          "witness": [0, 1]}
+    report = verify(spec, datum)
+    assert not report.all_exact_checks_passed
+    assert report.singular_orbit_totally_geodesic == "not-checked"  # theta h is not h
+
+
+def test_the_lie_triple_check_runs_only_when_the_closure_note_fails(monkeypatch):
+    # p(n) of sl(3), the symmetric off-diagonal matrices, is theta invariant
+    # and not closed, and [[E12 + E21, E13 + E31], E23 + E32] is diagonal, so
+    # it is no Lie triple either
+    datum = decompose(build_sl(3))
+    g = datum.model
+    h = g.project_p_subspace(g.n_space)
+    spec = ActionSpec("CEI", g, (0, 1), h, {"h_phi": h})
+    assert g.theta_image(h) == h and not check_lie_triple(g, h)
+    calls = []
+
+    def counted(model, b):
+        calls.append(b)
+        return check_lie_triple(model, b)
+
+    monkeypatch.setattr(verify_module, "check_lie_triple", counted)
+    report = verify(spec, datum)
+    assert note_named(report, "bracket-closure").sub_check == "bracket-leaves-algebra"
+    assert report.singular_orbit_totally_geodesic == "no"
+    assert calls == [h]
+    # every row of a table passes its closure note, so none runs the check
+    calls.clear()
+    assert all(e.report.all_exact_checks_passed
+               for e in catalog.sl_table(decompose(build_sl(4)), seed=7, samples=32).entries)
+    assert calls == []
 
 
 def test_closure_note_fails_for_a_boundary_subalgebra_outside_the_levi_piece():
@@ -770,7 +810,7 @@ def test_closure_note_fails_for_an_algebra_that_is_not_the_sum_of_its_pieces():
         "witness": list(pair)}
 
 
-@pytest.mark.parametrize("v_name, witness", [("v=R^2", None), ("v=C^1", [1, 4])])
+@pytest.mark.parametrize("v_name, witness", [("v=R^2", None), ("v=C^1", [3, 4])])
 def test_closure_note_fails_for_an_nc_complement_that_misses_grade_two(v_name, witness):
     # ch(3): n_phi is grade 1 (dim 4) plus grade 2 (dim 1); keep only the
     # complement's grade-1 part

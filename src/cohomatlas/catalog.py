@@ -161,9 +161,11 @@ def _symplectic_kernel(model: LieModel, s_phi: Subspace, lo: int) -> Subspace:
 
 
 def _extend(datum: RootDatum, phi: tuple, h_phi: Subspace) -> ActionSpec:
-    """Canonical extension over phi of a theta-invariant boundary subalgebra;
+    """Canonical extension over phi of a theta invariant boundary subalgebra,
+    for the CE rows of an sl table and the CEI rows of a rank-one one.
     verify reads theta invariance to decide whether a Lie-triple verdict
-    applies, so a subalgebra without it is rejected here."""
+    applies, so a subalgebra without it is rejected here; ``canonical_extend``
+    checks that it lies in s_phi, and verify that it closes."""
     if datum.model.theta_image(h_phi) != h_phi:
         raise ValueError("boundary subalgebra is not theta invariant")
     return canonical_extend(datum, build_parabolic(datum, phi), h_phi)
@@ -281,8 +283,7 @@ def rank_one_table(datum: RootDatum, *, seed: int, samples: int) -> EnumerationR
     space = _hyperbolic_name(profile)
     result.add("FS", "a+(n-line)", "-", "j=1", make_fs(datum, 0))
     for name, sub in builtin_cei_catalog(datum, [0]):
-        result.add("CEI", name, space, name,
-                   canonical_extend(datum, build_parabolic(datum, [0]), sub))
+        result.add("CEI", name, space, name, _extend(datum, (0,), sub))
     for desc, v in _rank_one_nc_subspaces(datum.model, datum, profile):
         result.add("NC", f"v={desc}", space, f"dim v={v.dim}",
                    nilpotent_construct(datum, build_parabolic(datum, []), v))

@@ -16,14 +16,15 @@ silently treated as exact.
 Bracket closure is decided from the grading, not pair by pair.
 ``decompose`` checks once per simple datum that [g_lam, g_mu] lies in
 g_{lam+mu}; each kind's algebra is then closed when its pieces pass a few
-containments and dimension counts (``graded_closure_failure``), and the
-closure of the small piece the grading does not decide, a boundary
-subalgebra h, is checked there too.  Only when a condition fails does
-``closure_note`` run the pair loop, to name the first pair of algebra rows
-whose bracket leaves.  A theta invariant h that the note certifies closed
-has a Lie triple p(h) = h & p, so the Lie triple check runs only when the
-note fails.  The extension composition identity likewise compares a-pieces
-and sets of positive roots, and spans nothing.
+containments and dimension counts (``graded_closure_failure``).  The one
+piece the grading does not decide is the boundary subalgebra h of a CEI or
+CER row, which is h + a_phi + n_phi with h as its payload "h_phi"; its
+closure is checked there and by no constructor.  Only when a condition
+fails does ``closure_note`` run the pair loop, to name the first pair of
+algebra rows whose bracket leaves.  A theta invariant h that the note
+certifies closed has a Lie triple p(h) = h & p, so the Lie triple check
+runs only when the note fails.  The extension composition identity
+likewise compares a-pieces and sets of positive roots, and spans nothing.
 """
 
 from __future__ import annotations
@@ -309,23 +310,25 @@ def check_nc2(model: LieModel, pd: ParabolicDatum, v: Subspace, seed: int, sampl
 # polar certificate for diagonal actions
 
 
-def polar_section(spec: ActionSpec) -> Subspace:
-    """The candidate flat section: the orthogonal complement of the diagonal
-    {H + sigma H} = diag & flats inside flats, the two flats' sum, which
-    sigma must map onto each other.  It is {H - sigma H} when sigma is an
-    isometry; between homothetic factors it is not, and only the orthogonal
-    complement is normal to the diagonal.
+def polar_section(spec: ActionSpec, datum: RootDatum) -> Subspace:
+    """The candidate flat section of a diagonal over phi: the orthogonal
+    complement of the diagonal {H + sigma H} = h_phi & flats inside flats.
+
+    The flats are a^phi (``a_upper``), the sum of the two boundary pieces'
+    flats, which sigma must map onto each other.  The diagonal embeds into
+    each of them, so that holds iff it has half the dimension of their sum.
+    The section is {H - sigma H} when sigma is an isometry; between
+    homothetic factors it is not, and only the orthogonal complement is
+    normal to the diagonal.
     """
-    a_dom: Subspace = spec.payload["a_section_domain"]
-    a_img: Subspace = spec.payload["a_section_image"]
-    flats = subspace_sum(a_dom, a_img)
-    diagonal = subspace_intersect(spec.payload["diag"], flats)
-    if not diagonal.dim == a_dom.dim == a_img.dim:
+    flats = build_parabolic(datum, spec.phi).a_upper
+    diagonal = subspace_intersect(spec.payload["h_phi"], flats)
+    if 2 * diagonal.dim != flats.dim:
         raise ValueError("sigma does not map the domain flat onto the image flat")
     return orthocomplement_in(diagonal, flats, spec.model.inner)
 
 
-def check_polar_certificate(spec: ActionSpec) -> Note:
+def check_polar_certificate(spec: ActionSpec, datum: RootDatum) -> Note:
     """Exact polarity certificate for a diagonal action.
 
     (i) the section candidate is abelian, (ii) it is normal to the orbit
@@ -337,8 +340,8 @@ def check_polar_certificate(spec: ActionSpec) -> Note:
         raise ValueError("polar certificate applies to diagonal actions")
     name = "polar-section-certificate"
     model = spec.model
-    diag: Subspace = spec.payload["diag"]
-    section = polar_section(spec)
+    diag: Subspace = spec.payload["h_phi"]
+    section = polar_section(spec, datum)
     for i, x in enumerate(section.basis):
         for j, y in enumerate(section.basis):
             if any(model.bracket(x, y)):
@@ -408,13 +411,11 @@ def graded_closure_failure(spec: ActionSpec, datum: RootDatum) -> Optional[str]:
       plus a subspace of a, and a is abelian and normalizes n.
     * FS: a lies in the algebra, which lies in a + n and holds every
       positive root space but g_{alpha_j}.  [n, n] has no simple root.
-    * CEI and CER over phi: h in l_phi, h closed (checked pair by pair
-      here; h is the small piece the grading does not decide), and the
-      algebra is h + a_phi + n_phi.  a_phi commutes with l_phi, and l_phi,
-      a_phi and n_phi each carry n_phi into itself.
-    * The factor-diagonal CER, told from the other route by its dimension:
-      h is the graph, closed as above, and the algebra is the graph plus
-      the factors outside phi, which are ideals.
+    * CEI and CER over phi, a factor diagonal included: h in l_phi, h
+      closed (checked pair by pair here, the one closure check of h, which
+      the grading does not decide), and the algebra is h + a_phi + n_phi.
+      a_phi commutes with l_phi, and l_phi, a_phi and n_phi each carry
+      n_phi into itself.
     * NC: the algebra is N + c with N in l and c in n_phi containing every
       grade >= 2.  ``nilpotent_construct`` built N as N_l(c), which
       normalizes c and is closed because l is, and [c, c] lies in the
@@ -435,16 +436,12 @@ def graded_closure_failure(spec: ActionSpec, datum: RootDatum) -> Optional[str]:
         return None
     if spec.kind in ("CEI", "CER"):
         pd = build_parabolic(datum, spec.phi)
-        h = payload["diag" if spec.kind == "CER" else "h_phi"]
+        h = payload["h_phi"]
         if not pd.l.contains(h):
             return "h-outside-levi"
         if not model.is_subalgebra(h):
             return "h-not-closed"
         pieces = (h, pd.a_phi, pd.n_phi)
-        if spec.kind == "CER" and datum.factors and algebra.dim != sum(p.dim for p in pieces):
-            # a factor diagonal holds the factors outside phi whole
-            touched = [i for i, fp in enumerate(datum.factor_phis) if set(fp) & set(spec.phi)]
-            pieces = (h, Subspace.span(model.dim, model.other_factor_rows(touched)))
     elif spec.kind == "NC":
         pd = build_parabolic(datum, spec.phi)
         normalizer, complement = payload["normalizer"], payload["complement"]
@@ -500,7 +497,7 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
     nc2_cert = None
 
     if spec.kind in ("CEI", "CER"):
-        inner_h = spec.payload["diag" if spec.kind == "CER" else "h_phi"]
+        inner_h = spec.payload["h_phi"]
         if model.theta_image(inner_h) == inner_h:
             # p(h) = h & p, and a passing note certifies that h is closed, so
             # [[h & p, h & p], h & p] lies in h and in p
@@ -508,7 +505,7 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
                                                             model.project_p_subspace(inner_h))
             tg = "yes" if lie_triple else "no"
         if spec.kind == "CER":
-            notes.append(check_polar_certificate(spec))
+            notes.append(check_polar_certificate(spec, datum))
         if 0 < len(spec.phi) < datum.rank:
             missing = [i for i in range(datum.rank) if i not in spec.phi]
             phi2 = tuple(sorted(set(spec.phi) | {missing[0]}))

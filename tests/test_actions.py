@@ -132,9 +132,9 @@ class TestCer:
         datum = SL4_DATUM
         spec = make_cer(datum, 0, 2)
         # diagonal sl(2): dimension 3, extended by a_phi (1) and n_phi (4)
-        assert spec.payload["diag"].dim == 3
+        assert spec.payload["h_phi"].dim == 3
         assert spec.algebra.dim == 3 + 1 + 4
-        assert SL4.theta_image(spec.payload["diag"]) == spec.payload["diag"]
+        assert SL4.theta_image(spec.payload["h_phi"]) == spec.payload["h_phi"]
 
     def test_rejects_adjacent_pair(self):
         with pytest.raises(ValueError):
@@ -144,7 +144,7 @@ class TestCer:
         p = direct_sum([build_so1n(2), build_so1n(2)])
         datum = decompose(p)
         spec = make_cer(datum, 0, 1)
-        assert spec.payload["diag"].dim == 3
+        assert spec.payload["h_phi"].dim == 3
         assert spec.algebra.dim == 3  # phi = everything, nothing to extend
 
     def test_multiplicity_mismatch_rejected(self):
@@ -158,23 +158,26 @@ class TestCer:
         datum = decompose(p)
         cer = make_cer(datum, 0, 1)
         fd = make_factor_diagonal(p, datum, 0, 1)
-        assert cer.payload["diag"] == fd.payload["diag"]
+        assert cer.payload["h_phi"] == fd.payload["h_phi"]
         assert fd.algebra == cer.algebra
 
     def test_both_routes_carry_the_same_payload_keys(self):
-        # the diagonal is carried once, as "diag"; no "h_phi" copy
+        # a CER row is a canonical extension: its payload is its h_phi, the
+        # diagonal, as a CEI row's is; the flats come from the root data
         p = direct_sum([build_so1n(2), build_so1n(2)])
         datum = decompose(p)
-        for spec in (make_cer(datum, 0, 1), make_factor_diagonal(p, datum, 0, 1),
+        iso = subspace_intersect(build_parabolic(SL4_DATUM, [0]).s, SL4.k_space)
+        for spec in (canonical_extend(SL4_DATUM, build_parabolic(SL4_DATUM, [0]), iso),
+                     make_cer(datum, 0, 1), make_factor_diagonal(p, datum, 0, 1),
                      make_cer(SL4_DATUM, 0, 2)):
-            assert set(spec.payload) == {"diag", "a_section_domain", "a_section_image"}
+            assert set(spec.payload) == {"h_phi"}
 
     def test_factor_diagonal_higher_rank(self):
         p = direct_sum([build_sl(3), build_sl(3)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
         assert fd.algebra.dim == 8
-        assert p.theta_image(fd.payload["diag"]) == fd.payload["diag"]
+        assert p.theta_image(fd.payload["h_phi"]) == fd.payload["h_phi"]
 
     def test_default_sigma_theta_equivariant(self):
         diag = default_cer_sigma(SL4_DATUM, 0, 2)
@@ -186,12 +189,24 @@ class TestCer:
         graph = _graph(SL4, *_boundaries(SL4_DATUM, 0, 2), [(hj, hk), (ej, ek), (fj, fk)])
         assert graph == default_cer_sigma(SL4_DATUM, 0, 2)
 
-    def test_graph_rejects_a_map_that_does_not_preserve_the_bracket(self):
-        # [2 e_k, f_k] = 2 h_k, but sigma [e_j, f_j] = sigma h_j = h_k
+    def test_closure_note_rejects_a_graph_that_does_not_preserve_the_bracket(self):
+        # sigma (h_j, e_j, f_j) -> (2 h_k, e_k, f_k) is theta equivariant,
+        # bijective and between commuting pieces, so _graph returns its
+        # graph; but sigma [e_j, f_j] = 2 h_k while [e_k, f_k] = h_k, so the
+        # graph is no subalgebra, and verify's closure note says so
         (hj, ej, fj, _), (hk, ek, fk, _) = _triples(SL4_DATUM, 0, 2)
-        pairs = [(hj, hk), (ej, tuple(2 * x for x in ek)), (fj, fk)]
-        with pytest.raises(ValueError, match="does not preserve the bracket"):
-            _graph(SL4, *_boundaries(SL4_DATUM, 0, 2), pairs)
+        pairs = [(hj, tuple(2 * x for x in hk)), (ej, ek), (fj, fk)]
+        graph = _graph(SL4, *_boundaries(SL4_DATUM, 0, 2), pairs)
+        assert SL4.theta_image(graph) == graph and not SL4.is_subalgebra(graph)
+        spec = canonical_extend(SL4_DATUM, build_parabolic(SL4_DATUM, [0, 2]), graph,
+                                kind="CER")
+        note = verify_module.closure_note(spec, SL4_DATUM)
+        assert (note.passed, note.sub_check, note.witness) == \
+            (False, "bracket-leaves-algebra", (0, 2))
+        assert verify_module.graded_closure_failure(spec, SL4_DATUM) == "h-not-closed"
+        # the slice check runs before the notes and meets the open algebra first
+        with pytest.raises(ValueError, match="slice closure violated"):
+            verify(spec, SL4_DATUM)
 
     def test_graph_rejects_a_map_that_is_not_bijective(self):
         (hj, ej, fj, _), (hk, ek, _, _) = _triples(SL4_DATUM, 0, 2)

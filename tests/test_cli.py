@@ -83,7 +83,7 @@ def test_derived_lie_triple_verdicts_equal_check_lie_triple(monkeypatch, space):
     def recorded(spec, datum, **kwargs):
         report = verify(spec, datum, **kwargs)
         if spec.kind in ("CEI", "CER"):
-            g, h = spec.model, spec.payload["diag" if spec.kind == "CER" else "h_phi"]
+            g, h = spec.model, spec.payload["h_phi"]
             if g.theta_image(h) == h:
                 expected = "yes" if check_lie_triple(g, g.project_p_subspace(h)) else "no"
                 assert report.singular_orbit_totally_geodesic == expected

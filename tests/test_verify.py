@@ -20,6 +20,7 @@ from cohomatlas.linalg import (
 from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
     ActionSpec,
+    _graph,
     _rational_sqrt,
     _sl2_triple,
     canonical_extend,
@@ -85,7 +86,7 @@ class TestOrbitTangent:
             # direct_sum of the same object twice embeds two copies
             datum = decompose(p)
             fd = make_factor_diagonal(p, datum, 0, 1)
-            assert orbit_tangent_at_o(p, fd.payload["diag"]).dim == expected
+            assert orbit_tangent_at_o(p, fd.payload["h_phi"]).dim == expected
 
 
 class TestSliceCohomogeneity:
@@ -164,7 +165,7 @@ class TestLieTriple:
         p = direct_sum([build_so1n(2), build_so1n(2)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
-        assert check_lie_triple(p, orbit_tangent_at_o(p, fd.payload["diag"]))
+        assert check_lie_triple(p, orbit_tangent_at_o(p, fd.payload["h_phi"]))
 
     def test_non_triple_rejected_value(self):
         g = build_sl(3)
@@ -371,34 +372,35 @@ class TestPolarCertificate:
         p = direct_sum([build_so1n(2), build_so1n(2)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
-        assert check_polar_certificate(fd).passed
-        assert polar_section(fd).dim == 1
+        assert check_polar_certificate(fd, datum).passed
+        assert polar_section(fd, datum).dim == 1
 
     def test_higher_rank_pair_still_polar(self):
         p = direct_sum([build_sl(3), build_sl(3)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
-        assert check_polar_certificate(fd).passed
-        assert polar_section(fd).dim == 2
+        assert check_polar_certificate(fd, datum).passed
+        assert polar_section(fd, datum).dim == 2
 
     def test_requires_diagonal_kind(self):
         g = build_sl(3)
         spec = make_fh(g, Subspace.span(g.dim, [g.a_space.basis[0]]))
-        with pytest.raises(ValueError):
-            check_polar_certificate(spec)
+        with pytest.raises(ValueError, match="applies to diagonal actions"):
+            check_polar_certificate(spec, decompose(g))
 
 
-@pytest.mark.parametrize("wrong", ["off-sigma-line", "too-wide"])
-def test_polar_section_rejects_an_image_flat_sigma_does_not_map_onto(wrong):
-    # sl(4), roots 1 and 3: sigma maps the domain flat onto pd_2.a_upper
+def test_polar_section_rejects_an_image_flat_sigma_does_not_map_onto():
+    # sl(4), roots 1 and 3: sigma (H_j, E_j, F_j) -> (E_k, H_k, F_k) maps the
+    # domain flat onto the line of E_k, off the image flat, so the diagonal
+    # meets the flats a^phi only in 0
     datum = decompose(build_sl(4))
-    spec = make_cer(datum, 0, 2)
-    e_k = datum.simple[2].space
-    image = spec.payload["a_section_image"]
-    image = e_k if wrong == "off-sigma-line" else subspace_sum(image, e_k)
-    bad = dataclasses.replace(spec, payload={**spec.payload, "a_section_image": image})
+    (hj, ej, fj), (hk, ek, fk) = _sl2_sigma(datum, 0, 2)
+    boundaries = [build_parabolic(datum, [i]).s for i in (0, 2)]
+    graph = _graph(datum.model, *boundaries, [(hj, ek), (ej, hk), (fj, fk)])
+    spec = canonical_extend(datum, build_parabolic(datum, [0, 2]), graph, kind="CER")
+    assert subspace_intersect(graph, build_parabolic(datum, [0, 2]).a_upper).dim == 0
     with pytest.raises(ValueError, match="onto the image flat"):
-        polar_section(bad)
+        polar_section(spec, datum)
 
 
 def _sigma_section(model, domain_basis, images, a_dom):
@@ -422,33 +424,85 @@ def _sl2_sigma(datum, j, k):
 @pytest.mark.parametrize("space", ["sl(5)", "sl(3)*sl(2)", "rh(3)*rh(3)", "ch(2)*ch(2)",
                                    "sl(3)*rh(2)*rh(2)"])
 def test_polar_section_matches_the_section_built_from_sigma(monkeypatch, space):
-    # each CER row's diagonal is recorded with sigma as a map on bases
+    # each CER row's diagonal is recorded with its datum, the roots of
+    # sigma's domain, and sigma as a map on bases
     sigmas = []
 
     def cer(datum, j, k):
         spec = make_cer(datum, j, k)
-        sigmas.append((spec, *_sl2_sigma(datum, j, k)))
+        sigmas.append((spec, datum, [j], *_sl2_sigma(datum, j, k)))
         return spec
 
     def factor_diagonal(pm, datum, j, k):
         spec = make_factor_diagonal(pm, datum, j, k)
-        sigmas.append((spec, pm.factor_block(j).basis, pm.factor_block(k).basis))
+        sigmas.append((spec, datum, datum.factor_phis[j], pm.factor_block(j).basis,
+                       pm.factor_block(k).basis))
         return spec
 
     monkeypatch.setattr(catalog, "make_cer", cer)
     monkeypatch.setattr(catalog, "make_factor_diagonal", factor_diagonal)
     entries = run(parse_space(space), RunConfig(su1n=True)).result.entries
     assert len(sigmas) == sum(e.spec.kind == "CER" for e in entries) > 0
-    for spec, domain_basis, images in sigmas:
+    for spec, datum, domain_roots, domain_basis, images in sigmas:
         model = spec.model
-        assert spec.payload["diag"] == Subspace.span(model.dim, map(vadd, domain_basis, images))
-        reference = _sigma_section(model, domain_basis, images, spec.payload["a_section_domain"])
-        assert polar_section(spec) == reference
+        assert spec.payload["h_phi"] == Subspace.span(model.dim, map(vadd, domain_basis, images))
+        a_dom = build_parabolic(datum, domain_roots).a_upper
+        reference = _sigma_section(model, domain_basis, images, a_dom)
+        assert polar_section(spec, datum) == reference
+
+
+def graph_plus_other_factors(spec, j: int, k: int):
+    """The reference shape of a factor diagonal: its graph plus the factors
+    other than j and k whole, where the canonical extension holds only their
+    AN part a_phi + n_phi."""
+    pm, graph = spec.model, spec.payload["h_phi"]
+    algebra = Subspace.span(pm.dim, graph.rows + pm.other_factor_rows((j, k)))
+    return dataclasses.replace(spec, algebra=algebra)
+
+
+REPORT_FIELDS = ("orbit_dim_at_o", "codim_at_o", "cohomogeneity", "cohomogeneity_certainty",
+                 "singular_orbit_totally_geodesic", "nc1", "nc2", "nc2_certificate")
+
+
+@pytest.mark.parametrize("space", ["rh(3)*rh(3)*rh(3)", "sl(3)*rh(2)*rh(2)",
+                                   "ch(3)*ch(3)*rh(4)", "rh(2)*rh(2)*rh(2)*rh(2)"])
+def test_factor_diagonal_is_orbit_equivalent_to_the_graph_plus_the_other_factors(
+        monkeypatch, space):
+    # the two shapes differ by k of the other factors, isotropy that acts
+    # trivially on the normal space: equal orbit tangents and normal spaces
+    # at o, and equal reports but for the bracket-closure note, which the
+    # reference fails by its shape alone
+    built = []
+
+    def factor_diagonal(pm, datum, j, k):
+        spec = make_factor_diagonal(pm, datum, j, k)
+        built.append((spec, datum, j, k))
+        return spec
+
+    monkeypatch.setattr(catalog, "make_factor_diagonal", factor_diagonal)
+    assert run(parse_space(space), RunConfig(su1n=True)).exit_code == 0
+    assert built
+    for spec, datum, j, k in built:
+        pm = spec.model
+        reference = graph_plus_other_factors(spec, j, k)
+        assert reference.algebra.dim > spec.algebra.dim
+        assert reference.algebra.contains(spec.algebra) and pm.is_subalgebra(reference.algebra)
+        tangents = [orbit_tangent_at_o(pm, s.algebra) for s in (spec, reference)]
+        assert tangents[0] == tangents[1]
+        normals = [orthocomplement_in(t, pm.p_space, pm.inner) for t in tangents]
+        assert normals[0] == normals[1]
+        new, old = (verify(s, datum) for s in (spec, reference))
+        for name in REPORT_FIELDS:
+            assert getattr(new, name) == getattr(old, name), (space, j, k, name)
+        assert new.notes[0] == Note("bracket-closure", True)
+        assert old.notes[0] == Note("bracket-closure", False, "algebra-not-its-pieces")
+        assert new.notes[1:] == old.notes[1:]
+        assert any(n.name == "polar-section-certificate" for n in new.notes)
 
 
 def _failing_section(spec, sub_check):
     """A section candidate whose first failing polar sub-check is sub_check."""
-    model, diag = spec.model, spec.payload["diag"]
+    model, diag = spec.model, spec.payload["h_phi"]
     if sub_check == "section-not-abelian":
         return Subspace.full(model.dim)
     if sub_check == "section-not-normal-to-orbit":  # a line in the orbit tangent
@@ -464,12 +518,12 @@ def test_failing_polar_certificate_names_sub_check_and_witness(monkeypatch, sub_
     datum = decompose(g)
     spec = make_cer(datum, 0, 2)
     section = _failing_section(spec, sub_check)
-    monkeypatch.setattr(verify_module, "polar_section", lambda s: section)
-    result = check_polar_certificate(spec)
+    monkeypatch.setattr(verify_module, "polar_section", lambda s, d: section)
+    result = check_polar_certificate(spec, datum)
     assert not result.passed
     assert result.sub_check == sub_check
     i, j = result.witness
-    diag = spec.payload["diag"]
+    diag = spec.payload["h_phi"]
     if sub_check == "section-not-abelian":
         assert any(g.bracket(section.basis[i], section.basis[j]))
     elif sub_check == "section-not-normal-to-orbit":
@@ -519,7 +573,7 @@ def composition_notes_checked(result) -> int:
             continue
         missing = [i for i in range(datum.rank) if i not in spec.phi]
         phi = tuple(sorted(spec.phi + (missing[0],)))
-        h_psi = spec.payload["diag" if spec.kind == "CER" else "h_phi"]
+        h_psi = spec.payload["h_phi"]
         old = _whole_algebra_composition_ok(datum, spec.phi, phi, h_psi)
         assert extension_composition_ok(datum, spec.phi, phi).passed is old is True
         assert note_named(entry.report, "extension-composition").passed
@@ -692,7 +746,7 @@ def test_every_row_is_closed_by_its_graded_proof(monkeypatch, space):
     def counted_pairs(self, sub):
         if inside:
             spec = inside[-1]
-            h = spec.payload.get("diag" if spec.kind == "CER" else "h_phi")
+            h = spec.payload.get("h_phi")
             if sub is not h:
                 pair_calls.append(sub)
         return leaving(self, sub)

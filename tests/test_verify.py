@@ -389,16 +389,24 @@ class TestPolarCertificate:
             check_polar_certificate(spec, decompose(g))
 
 
-def test_polar_section_rejects_an_image_flat_sigma_does_not_map_onto():
-    # sl(4), roots 1 and 3: sigma (H_j, E_j, F_j) -> (E_k, H_k, F_k) maps the
-    # domain flat onto the line of E_k, off the image flat, so the diagonal
-    # meets the flats a^phi only in 0
+@pytest.mark.parametrize("wrong", ["off-sigma-line", "too-wide"])
+def test_polar_section_rejects_an_image_flat_sigma_does_not_map_onto(wrong):
+    # sl(4), roots 1 and 3.  off-sigma-line: sigma (H_j, E_j, F_j) ->
+    # (E_k, H_k, F_k) maps the domain flat onto the line of E_k, off the
+    # image flat, so the diagonal meets the flats a^phi only in 0.
+    # too-wide: the sl2 sigma extended over all three roots, whose flats a
+    # are wider than sigma's domain and image flats together.
     datum = decompose(build_sl(4))
     (hj, ej, fj), (hk, ek, fk) = _sl2_sigma(datum, 0, 2)
     boundaries = [build_parabolic(datum, [i]).s for i in (0, 2)]
-    graph = _graph(datum.model, *boundaries, [(hj, ek), (ej, hk), (fj, fk)])
-    spec = canonical_extend(datum, build_parabolic(datum, [0, 2]), graph, kind="CER")
-    assert subspace_intersect(graph, build_parabolic(datum, [0, 2]).a_upper).dim == 0
+    if wrong == "off-sigma-line":
+        phi, pairs = [0, 2], [(hj, ek), (ej, hk), (fj, fk)]
+    else:
+        phi, pairs = [0, 1, 2], [(hj, hk), (ej, ek), (fj, fk)]
+    graph = _graph(datum.model, *boundaries, pairs)
+    pd = build_parabolic(datum, phi)
+    spec = canonical_extend(datum, pd, graph, kind="CER")
+    assert 2 * subspace_intersect(graph, pd.a_upper).dim != pd.a_upper.dim
     with pytest.raises(ValueError, match="onto the image flat"):
         polar_section(spec, datum)
 

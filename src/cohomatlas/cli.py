@@ -181,7 +181,8 @@ def render_markdown(spec: SpaceSpec, config: RunConfig, result: EnumerationResul
     lines.append("|---|---|---|---|---|---|---|")
     for e in result.entries:
         phi = ",".join(f"a{i + 1}" for i in e.spec.phi) if e.spec.phi else "-"
-        certainty = "" if e.report.cohomogeneity_certainty == "exact" else " (sampled)"
+        certainty = e.report.cohomogeneity_certainty
+        certainty = "" if certainty == "exact" else f" ({certainty})"
         lines.append(
             f"| {e.label} | {e.name} | {phi} | {e.boundary} | {e.report.codim_at_o} "
             f"| {e.report.cohomogeneity}{certainty} | {e.comment} |"

@@ -164,8 +164,18 @@ class LieModel:
         return Matrix(tuple(rows))
 
     def _inner_gram(self) -> Matrix:
-        # <X, Y> = -B(X, theta Y)
-        return -(self.killing @ self.theta)
+        """<X, Y> = -B(X, theta Y), the product -K theta summed over the
+        nonzero entries of K and theta only: on a weight basis theta is a
+        signed permutation."""
+        theta_rows = self.theta.row_entries
+        rows = []
+        for entries in self.killing.row_entries:
+            row = [0] * self.dim
+            for k, x in entries:
+                for j, y in theta_rows[k]:
+                    row[j] -= x * y
+            rows.append(tuple(row))
+        return Matrix(tuple(rows))
 
     # -- algebra operations --------------------------------------------------
 

@@ -13,12 +13,16 @@ Each piece is spanned from the root records' own spaces.  Which roots go
 into it is decided by ``Root.in_span``, which reads a root's coefficients
 over the simple roots, and a grade is a root's coefficient outside phi.
 
-Everything is an exact Subspace of the model.  ``build_parabolic`` checks
-once per phi that s_phi is graded by the roots inside phi, s_phi = s0 plus
-their root spaces, and raises otherwise.  The nested parabolic
-q_{psi,phi} = q_psi & s_phi is then s0 plus the spaces of the roots inside
-phi that are positive or inside psi, so ``build_nested`` spans its Levi
-piece from the root sets and checks nothing further.
+Everything is an exact Subspace of the model.  The boundary isometry
+algebra is spanned from the root grading too, never as [b, b]:
+``build_parabolic`` takes s0 = a^phi plus the brackets [g_lam, g_-lam] of
+the positive roots inside phi, and s_phi = s0 plus the root spaces inside
+phi, and checks once per phi that p(s0) = a^phi; its docstring proves that
+this is [b, b] + b.  s_phi is graded by the roots inside phi by
+construction, so the nested parabolic q_{psi,phi} = q_psi & s_phi is s0
+plus the spaces of the roots inside phi that are positive or inside psi,
+and ``build_nested`` spans its Levi piece from the root sets and checks
+nothing further.
 """
 
 from __future__ import annotations
@@ -26,13 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .linalg import (
-    Subspace,
-    orthocomplement_in,
-    solve_inclusion_constraint,
-    subspace_intersect,
-    subspace_sum,
-)
+from .linalg import Subspace, orthocomplement_in, solve_inclusion_constraint
 from .roots import RootDatum
 
 
@@ -83,7 +81,33 @@ def nilpotent_roots(datum: RootDatum, psi: tuple, phi: Optional[tuple] = None) -
 
 
 def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
-    """All parabolic pieces for a subset of simple roots (cached per datum)."""
+    """All parabolic pieces for a subset of simple roots (cached per datum).
+
+    s_phi, the isometry algebra of the boundary component B_phi, is spanned
+    from its root spaces: s0 = a^phi + [g_lam, g_-lam] over the positive
+    roots lam inside phi, and s_phi = s0 + the root spaces inside phi, which
+    costs sum (dim g_lam)^2 brackets.  With ``decompose``'s checks, the
+    grading [g_lam, g_mu] in g_{lam+mu} and theta g_lam = g_-lam, and the
+    one check made here, p(s0) = a^phi, this is [b, b] + b:
+
+    * s_phi is a subalgebra.  Brackets of root spaces inside phi lie in a
+      root space inside phi, or in s0 for opposite roots.  s0 lies in g_0,
+      so it carries each g_lam into itself; a^phi commutes with [X, Y] for
+      X in g_lam and Y in g_-lam, since lam(H) - lam(H) = 0; and by the
+      Jacobi identity [[X, Y], [Z, W]] = [[[X, Y], Z], W] + [Z, [[X, Y], W]]
+      lies in [g_mu, g_-mu], inside s0, for Z in g_mu and W in g_-mu.
+    * s_phi is theta stable, since theta is -1 on a and
+      theta [X, Y] = [theta X, theta Y] lies in [g_-lam, g_lam].  So
+      s_phi & p = p(s_phi) = p(s0) + the p-parts of the root spaces inside
+      phi = b, where p(theta X) = -p(X) and p(s0) = a^phi are used.
+    * Hence b is a Lie triple system, [[b, b], b] in s_phi & p = b, and
+      [b, b] + b is a subalgebra inside s_phi.
+    * Conversely, for X in g_lam with lam inside phi and H in a^phi,
+      [H, X - theta X] = lam(H) (X + theta X), and the dual vector H_lam
+      lies in a^phi (lam vanishes on a_phi) with lam(H_lam) = |lam|^2 > 0.
+      So g_lam lies in [b, b] + b, then so does [g_lam, g_-lam], and
+      a^phi lies in b: s_phi lies in [b, b] + b.
+    """
     phi = _check_phi(datum, phi)
     cached = datum._parabolic_cache.get(phi)
     if cached is not None:
@@ -106,14 +130,14 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     k_phi = model.project_k_subspace(_root_rows(inside_pos, datum.k0.rows))
     b = model.project_p_subspace(_root_rows(inside_pos, a_upper.rows))
 
-    bb = model.bracket_span(b.rows, b.rows)
-    s = subspace_sum(bb, b)
-    s0 = subspace_intersect(s, datum.zero_space)
-    # distinct root spaces and g_0 are independent, so s = s0 + the root
-    # spaces inside phi when s holds each of them and the dimensions add up
-    if not (all(s.contains(r.space) for r in inside)
-            and s.dim == s0.dim + sum(r.space.dim for r in inside)):
-        raise ValueError("s_phi is not graded by the roots inside phi")
+    # datum.roots lists the negatives in the order of the positives
+    negative = datum.roots[len(datum.positive):]
+    s0 = Subspace.span(d, a_upper.rows + tuple(
+        model._bracket_entries(x, y) for r, n in zip(datum.positive, negative) if r.in_span(phi)
+        for x in r.space.rows for y in n.space.rows))
+    if model.project_p_subspace(s0) != a_upper:
+        raise ValueError("the p-part of s0 is not a^phi")
+    s = Subspace.span(d, _root_rows(inside, s0.rows))
 
     grading = None
     if len(phi) == datum.rank - 1:

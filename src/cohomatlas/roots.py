@@ -102,10 +102,13 @@ def decompose(model: LieModel) -> RootDatum:
 
     A simple model's basis must be a weight basis (``_basis_weights``), and
     its decomposition raises unless the bracket respects the grading,
-    [g_lam, g_mu] in g_{lam+mu} (``_check_grading``), as
-    ``build_parabolic`` raises unless s_phi is graded by the roots inside
-    phi.  The check runs once per simple datum; a product inherits it from
-    its factors, because brackets across different factors vanish."""
+    [g_lam, g_mu] in g_{lam+mu} (``_check_grading``), and unless the inner
+    product pairs only basis vectors of equal weight
+    (``_check_inner_pairing``).  ``build_parabolic`` proves s_phi = [b, b]
+    + b from the first, and ``verify`` reads a canonical extension's slice
+    on B_phi by the second.  The checks run once per simple datum; a
+    product inherits them from its factors, because brackets and inner
+    products across different factors vanish."""
     if isinstance(model, ProductModel):
         # a factor model that occurs more than once is decomposed once
         data = {f: decompose(f) for f in dict.fromkeys(model.factors)}
@@ -113,6 +116,7 @@ def decompose(model: LieModel) -> RootDatum:
     d = model.dim
     weights = _basis_weights(model)
     _check_grading(model, weights)
+    _check_inner_pairing(model, weights)
     indices = {}
     for i, wt in enumerate(weights):
         indices.setdefault(wt, []).append(i)
@@ -254,6 +258,17 @@ def _check_grading(model: LieModel, weights: list) -> None:
             target = tuple(x + y for x, y in zip(weights[i], weights[j]))
             if any(weights[k] != target for k, _ in entry):
                 raise ValueError("the bracket does not respect the root grading")
+
+
+def _check_inner_pairing(model: LieModel, weights: list) -> None:
+    """Raise unless the inner product pairs only basis vectors of equal
+    weight, one scan of its nonzero entries.  Distinct weight spaces are
+    then orthogonal, so p = a_phi + b + p(n_phi) is an orthogonal sum for
+    every phi, the decomposition ``verify`` reads a canonical extension's
+    slice from."""
+    for i, entries in enumerate(model.inner.row_entries):
+        if any(weights[j] != weights[i] for j, _ in entries):
+            raise ValueError("the inner product pairs basis vectors of different weights")
 
 
 def _order_simple_roots(simple_cov, adj):

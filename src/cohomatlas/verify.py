@@ -25,6 +25,14 @@ algebra rows whose bracket leaves.  A theta invariant h that the note
 certifies closed has a Lie triple p(h) = h & p, so the Lie triple check
 runs only when the note fails.  The extension composition identity
 likewise compares a-pieces and sets of positive roots, and spans nothing.
+
+The slice is read after the closure note, and not at all when the note
+names a pair of rows whose bracket leaves the algebra.  A canonical
+extension h + a_phi + n_phi whose note passed has the slice of h on the
+boundary component B_phi, whose tangent is b: its orbit tangent, normal
+space and isotropy are p(h) plus a_phi and p(n_phi), b minus p(h), and
+h & k (``slice_pieces``), so nothing is solved for inside all of p.  Every
+other action is read in p.
 """
 
 from __future__ import annotations
@@ -135,7 +143,7 @@ class VerificationReport:
     orbit_dim_at_o: int
     codim_at_o: int
     cohomogeneity: int
-    cohomogeneity_certainty: str  # "exact" | "sampled"
+    cohomogeneity_certainty: str  # "exact" | "sampled" | "not-checked"
     singular_orbit_totally_geodesic: str  # "yes" | "no" | "not-checked"
     nc1: str  # "yes" | "no" | "not-checked"
     nc2: str
@@ -174,19 +182,26 @@ def orbit_tangent_at_o(model: LieModel, h: Subspace) -> Subspace:
     return model.project_p_subspace(h)
 
 
-def slice_cohomogeneity(model: LieModel, h: Subspace, seed: int, samples: int,
-                        tangent: Optional[Subspace] = None):
+def slice_cohomogeneity(model: LieModel, h: Subspace, ambient: Subspace, tangent: Subspace,
+                        seed: int, samples: int):
     """Cohomogeneity of the isotropy action on the normal space at o.
 
-    Returns (value, certainty).  Exact when the normal space is at most a
-    line or the isotropy algebra acts trivially; otherwise the generic orbit
-    rank is sampled and the verdict is labeled "sampled".  tangent is the
-    orbit tangent at o when the caller has it already.
+    The normal space is ambient minus tangent (orthogonal complement, with
+    tangent inside ambient) and the isotropy algebra is h & k: ambient p,
+    tangent p(H) and h = H for an action algebra H, or the boundary pieces
+    of ``slice_pieces``.  Returns (value, certainty).  The isotropy is
+    computed first, and when it is 0 the value is dim ambient - dim tangent,
+    exact, with no normal space solved for: a trivial isotropy fixes every
+    normal vector and preserves the normal space.
+    Otherwise the isotropy must preserve the normal space (the slice
+    closure check), and the value is exact when the normal space is at most
+    a line or the isotropy acts trivially on it; else the generic orbit
+    rank is sampled and the verdict is labeled "sampled".
     """
-    if tangent is None:
-        tangent = orbit_tangent_at_o(model, h)
-    nu = orthocomplement_in(tangent, model.p_space, model.inner)
     isotropy = subspace_intersect(h, model.k_space)
+    if isotropy.dim == 0:
+        return ambient.dim - tangent.dim, "exact"
+    nu = orthocomplement_in(tangent, ambient, model.inner)
     images = [model.bracket(t, x) for t in isotropy.rows for x in nu.rows]
     if not all(nu.contains_vector(y) for y in images):
         raise ValueError("slice closure violated: isotropy does not preserve "
@@ -202,6 +217,38 @@ def slice_cohomogeneity(model: LieModel, h: Subspace, seed: int, samples: int,
         if best == nu.dim - 1:
             break
     return nu.dim - best, "sampled"
+
+
+def slice_pieces(spec: ActionSpec, datum: RootDatum, closed: bool) -> tuple:
+    """(h, ambient, tangent, orbit_dim) for ``slice_cohomogeneity`` and the
+    orbit through o: the slice at o is ambient minus tangent, acted on by
+    h & k, and orbit_dim is the dimension of the orbit.
+
+    A CEI or CER row whose closure note passed (``closed``) and whose p(h)
+    lies in b, for h its payload "h_phi", is read on the boundary component
+    B_phi: (h, b, p(h), dim p(h) + dim a_phi + dim n_phi).  The passing note
+    certifies H = h + a_phi + n_phi.  p = a_phi + b + p(n_phi) is an
+    orthogonal sum: ``decompose`` checks that the inner product pairs only
+    equal weights, a_phi and a^phi are orthogonal in a, and p(g_lam) lies
+    in g_lam + g_-lam; the sum fills p, as p = a + p(n) and n & k = 0 by the
+    model's Iwasawa decomposition.  So p(H) = p(h) + a_phi + p(n_phi), of
+    dimension dim p(h) + dim a_phi + dim n_phi, and its normal space is b
+    minus p(h).  And H & k = h & k: the p-parts of x_h + x_a + x_n in k add
+    to 0 in that direct sum, so x_a = 0 and x_n lies in n & k = 0.  Every
+    row built by ``actions.canonical_extend`` has p(h) in b = s_phi & p.
+
+    Every other action, and a canonical extension that fails either
+    condition, is read in p: (H, p, p(H), dim p(H)).
+    """
+    model = spec.model
+    if closed and spec.kind in ("CEI", "CER"):
+        pd = build_parabolic(datum, spec.phi)
+        h = spec.payload["h_phi"]
+        tangent = orbit_tangent_at_o(model, h)
+        if pd.b.contains(tangent):
+            return h, pd.b, tangent, tangent.dim + pd.a_phi.dim + pd.n_phi.dim
+    tangent = orbit_tangent_at_o(model, spec.algebra)
+    return spec.algebra, model.p_space, tangent, tangent.dim
 
 
 def check_lie_triple(model: LieModel, b: Subspace) -> bool:
@@ -480,17 +527,25 @@ def closure_note(spec: ActionSpec, datum: RootDatum) -> Note:
 
 def verify(spec: ActionSpec, datum: RootDatum, *,
            seed: int = 7, samples: int = 32) -> VerificationReport:
-    """Fill a full report for one constructed action over its root datum."""
-    model = spec.model
-    tangent = orbit_tangent_at_o(model, spec.algebra)
-    orbit_dim = tangent.dim
-    dim_m = model.p_space.dim
-    codim = dim_m - orbit_dim
-    cohom, certainty = slice_cohomogeneity(model, spec.algebra, seed, samples, tangent)
-    if cohom > codim:
-        raise ValueError("cohomogeneity exceeds the orbit codimension")
+    """Fill a full report for one constructed action over its root datum.
 
+    The closure note comes first.  When it names a pair of rows whose
+    bracket leaves the algebra, the slice is not computed: an open algebra
+    has no slice representation to read, so the report gives the orbit
+    codimension as the cohomogeneity, "not-checked", and the failing note
+    names its witness.  A note that fails on a condition of the graded
+    proof alone leaves a closed algebra, whose slice is read in p."""
+    model = spec.model
     closure = closure_note(spec, datum)
+    h, ambient, tangent, orbit_dim = slice_pieces(spec, datum, closure.passed)
+    codim = model.p_space.dim - orbit_dim
+    if closure.sub_check == "bracket-leaves-algebra":
+        cohom, certainty = codim, "not-checked"
+    else:
+        cohom, certainty = slice_cohomogeneity(model, h, ambient, tangent, seed, samples)
+        if cohom > codim:
+            raise ValueError("cohomogeneity exceeds the orbit codimension")
+
     notes = [closure]
     tg = "not-checked"
     nc1 = nc2 = "not-checked"

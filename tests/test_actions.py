@@ -204,9 +204,14 @@ class TestCer:
         assert (note.passed, note.sub_check, note.witness) == \
             (False, "bracket-leaves-algebra", (0, 2))
         assert verify_module.graded_closure_failure(spec, SL4_DATUM) == "h-not-closed"
-        # the slice check runs before the notes and meets the open algebra first
-        with pytest.raises(ValueError, match="slice closure violated"):
-            verify(spec, SL4_DATUM)
+        # verify reads no slice of an open algebra: it reports the failing
+        # note with its witness and the codimension as a cohomogeneity it
+        # did not check, so the row's exact checks fail (exit 1, not 2)
+        report = verify(spec, SL4_DATUM)
+        assert report.notes[0] == note
+        assert (report.cohomogeneity, report.cohomogeneity_certainty) == \
+            (report.codim_at_o, "not-checked")
+        assert not report.all_exact_checks_passed
 
     def test_graph_rejects_a_map_that_is_not_bijective(self):
         (hj, ej, fj, _), (hk, ek, _, _) = _triples(SL4_DATUM, 0, 2)

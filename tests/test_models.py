@@ -396,3 +396,14 @@ def test_weight_basis_lies_in_the_algebra(build, n):
         if copies == 2:
             assert sum(x.rows[p][p] for p in range(m)) == 0
             assert sum(x.rows[p + m][p] for p in range(m)) == 0
+
+
+@pytest.mark.parametrize("build", [lambda: build_sl(2), lambda: build_sl(5),
+                                   lambda: build_so1n(4), lambda: build_su1n(3),
+                                   lambda: direct_sum([build_su1n(2), build_sl(3)])],
+                         ids=["sl2", "sl5", "rh4", "ch3", "ch2xsl3"])
+def test_inner_gram_is_the_dense_product(build):
+    # the dense product -K theta as the reference for the sparse one
+    g = build()
+    assert g.inner == -(g.killing @ g.theta)
+    assert all(type(x) is int for row in g.inner.rows for x in row)

@@ -231,17 +231,50 @@ def test_nested_levi_and_roots_span_q_psi_and_s_phi(build):
         assert levi.contains(a_np), (psi, phi)
 
 
-def test_s_one_row_short_is_not_graded(monkeypatch):
+def test_a_patched_opposite_root_bracket_is_rejected(monkeypatch):
+    # the root vectors of the first simple root and of its negative bracket
+    # to a spanning vector of a^phi for phi = (0,); a bracket that gains a
+    # component in a_phi gives s0 a p-part outside a^phi
     g, datum = sl4()
-    span = g.bracket_span
+    pos = datum.simple[0].space.rows[0]
+    neg = datum.root_with_coeff((-1, 0, 0)).space.rows[0]
+    extra = build_parabolic(datum, (0,)).a_phi.rows[0]
+    datum._parabolic_cache.clear()
+    bracket = g._bracket_entries
 
-    def short(xs, ys):
-        bb = span(xs, ys)
-        return Subspace.span(g.dim, bb.rows[1:])
+    def patched(x, y):
+        out = bracket(x, y)
+        if (x, y) == (pos, neg):
+            for i, c in extra.items():
+                out[i] = out.get(i, 0) + c
+        return out
 
-    monkeypatch.setattr(g, "bracket_span", short)
-    with pytest.raises(ValueError, match="s_phi is not graded by the roots inside phi"):
-        build_parabolic(datum, [0])
+    monkeypatch.setattr(g, "_bracket_entries", patched)
+    with pytest.raises(ValueError, match="the p-part of s0 is not a\\^phi"):
+        build_parabolic(datum, (0,))
+
+
+SPAN_SPACES = {
+    "sl2": lambda: build_sl(2), "sl3": lambda: build_sl(3), "sl4": lambda: build_sl(4),
+    "sl5": lambda: build_sl(5), "sl6": lambda: build_sl(6),
+    "rh2": lambda: build_so1n(2), "rh3": lambda: build_so1n(3), "rh4": lambda: build_so1n(4),
+    "rh5": lambda: build_so1n(5),
+    "ch2": lambda: build_su1n(2), "ch3": lambda: build_su1n(3), "ch4": lambda: build_su1n(4),
+    "ch2xrh3": lambda: direct_sum([build_su1n(2), build_so1n(3)]),
+    "sl3xsl3": lambda: direct_sum([build_sl(3), build_sl(3)]),
+}
+
+
+@pytest.mark.parametrize("build", SPAN_SPACES.values(), ids=SPAN_SPACES.keys())
+def test_s_phi_spanned_from_root_spaces_is_b_b_plus_b(build):
+    # the old construction as the reference: span([b, b] + b), and s0 = s_phi & g_0
+    g = build()
+    datum = decompose(g)
+    for size in range(datum.rank + 1):
+        for phi in itertools.combinations(range(datum.rank), size):
+            pd = build_parabolic(datum, phi)
+            assert pd.s == subspace_sum(g.bracket_span(pd.b.rows, pd.b.rows), pd.b), phi
+            assert pd.s0 == subspace_intersect(pd.s, datum.zero_space), phi
 
 
 def root_space_sum(start, roots):

@@ -6,7 +6,7 @@ import pytest
 
 from cohomatlas import roots
 from cohomatlas.cli import parse_space
-from cohomatlas.linalg import Subspace, kernel_rows, subspace_sum
+from cohomatlas.linalg import Matrix, Subspace, kernel_rows, subspace_sum
 from cohomatlas.models import LieModel, _matrix, build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.roots import decompose
 
@@ -295,3 +295,16 @@ def test_decompose_raises_on_a_basis_that_is_not_a_weight_basis():
     with pytest.raises(ValueError, match="basis vector 1 is not an ad\\(a\\)-eigenvector"):
         decompose(g)
 
+
+@pytest.mark.parametrize("build, arg", [(build_sl, 3), (build_so1n, 3), (build_su1n, 2)])
+def test_decompose_raises_on_an_inner_product_pairing_different_weights(build, arg):
+    # <e_0, e_k> = <e_k, e_0> = 1 for e_0 in a and e_k the first basis vector
+    # of n: the form stays symmetric, but pairs weight 0 with a root
+    g = build(arg)
+    decompose(g)
+    k = min(i for row in g.n_space.rows for i in row)
+    rows = [list(r) for r in g.inner.rows]
+    rows[0][k] = rows[k][0] = 1
+    g.inner = Matrix(tuple(tuple(r) for r in rows))
+    with pytest.raises(ValueError, match="pairs basis vectors of different weights"):
+        decompose(g)

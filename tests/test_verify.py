@@ -23,10 +23,12 @@ from cohomatlas.actions import (
     _graph,
     _rational_sqrt,
     _sl2_triple,
+    builtin_cei_catalog,
     canonical_extend,
     make_cer,
     make_factor_diagonal,
     make_fh,
+    make_fs,
     nilpotent_construct,
 )
 from cohomatlas import catalog
@@ -49,6 +51,7 @@ from cohomatlas.verify import (
     orbit_tangent_at_o,
     polar_section,
     slice_cohomogeneity,
+    slice_pieces,
     verify,
 )
 from nested_reference import nested_pieces
@@ -62,6 +65,12 @@ def vadd(u, v) -> tuple:
 def mat(rows) -> Matrix:
     """An exact rational matrix with the given rows."""
     return Matrix(tuple(tuple(rat(x) for x in r) for r in rows))
+
+
+def full_slice(model, algebra) -> tuple:
+    """The slice pieces of an action algebra read in p: the algebra, p and
+    its orbit tangent at o."""
+    return algebra, model.p_space, orbit_tangent_at_o(model, algebra)
 
 
 def note_named(report, name: str) -> Note:
@@ -93,18 +102,18 @@ class TestSliceCohomogeneity:
     def test_transitive_action(self):
         g = build_sl(3)
         an = subspace_sum(g.a_space, g.n_space)
-        assert slice_cohomogeneity(g, an, seed=7, samples=8) == (0, "exact")
+        assert slice_cohomogeneity(g, *full_slice(g, an), seed=7, samples=8) == (0, "exact")
 
     def test_fh_exact_one(self):
         g = build_sl(4)
         spec = make_fh(g, Subspace.span(g.dim, [g.a_space.basis[0]]))
-        assert slice_cohomogeneity(g, spec.algebra, seed=7, samples=8) == (1, "exact")
+        assert slice_cohomogeneity(g, *full_slice(g, spec.algebra), seed=7, samples=8) == (1, "exact")
 
     def test_diagonal_rank_one_pair(self):
         p = direct_sum([build_so1n(2), build_so1n(2)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
-        cohom, certainty = slice_cohomogeneity(p, fd.algebra, seed=7, samples=32)
+        cohom, certainty = slice_cohomogeneity(p, *full_slice(p, fd.algebra), seed=7, samples=32)
         assert cohom == 1
         assert certainty == "sampled"
 
@@ -112,14 +121,14 @@ class TestSliceCohomogeneity:
         p = direct_sum([build_sl(3), build_sl(3)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
-        cohom, _ = slice_cohomogeneity(p, fd.algebra, seed=7, samples=32)
+        cohom, _ = slice_cohomogeneity(p, *full_slice(p, fd.algebra), seed=7, samples=32)
         assert cohom == 2  # equals the factor rank, so not cohomogeneity one
 
     def test_stability_across_seeds(self):
         p = direct_sum([build_so1n(3), build_so1n(3)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
-        values = {slice_cohomogeneity(p, fd.algebra, seed=s, samples=32)[0]
+        values = {slice_cohomogeneity(p, *full_slice(p, fd.algebra), seed=s, samples=32)[0]
                   for s in (7, 11, 13)}
         assert values == {1}
 
@@ -142,8 +151,86 @@ class TestSliceCohomogeneity:
             return bracket(x, y)
 
         monkeypatch.setattr(g, "bracket", counted)
-        assert slice_cohomogeneity(g, spec.algebra, seed=7, samples=1) == (1, "sampled")
+        assert slice_cohomogeneity(g, *full_slice(g, spec.algebra), seed=7, samples=1) == (1, "sampled")
         assert len(calls) == iso_dim * nu_dim + iso_dim
+
+
+    def test_trivial_isotropy_solves_for_no_normal_space(self, monkeypatch):
+        # FH and FS algebras meet k in 0: the value is the codimension
+        g = build_sl(4)
+        datum = decompose(g)
+        specs = [make_fh(g, Subspace.span(g.dim, [g.a_space.basis[0]]))]
+        specs += [make_fs(datum, j) for j in range(datum.rank)]
+
+        def refused(*args):
+            raise AssertionError("a normal space was solved for")
+
+        monkeypatch.setattr(verify_module, "orthocomplement_in", refused)
+        for spec in specs:
+            assert slice_cohomogeneity(g, *full_slice(g, spec.algebra), seed=7,
+                                       samples=8) == (1, "exact")
+
+
+CE_BUILDERS = {"sl": build_sl, "rh": build_so1n, "ch": build_su1n}
+
+
+def ce_specs(space: str) -> list:
+    """(datum, spec) for every CEI and CER row of a space: the CE rows of an
+    sl table, the built-in boundary subalgebras of a rank-one model
+    extended, and the factor diagonals of a product of identical factors."""
+    factors = [CE_BUILDERS[f[:2]](int(f[3:-1])) for f in space.split("*")]
+    if len(factors) > 1:
+        pm = direct_sum(factors)
+        datum = decompose(pm)
+        return [(datum, make_factor_diagonal(pm, datum, j, k))
+                for j, k in itertools.combinations(range(len(factors)), 2)]
+    datum = decompose(factors[0])
+    if space.startswith("sl"):
+        return [(datum, row[4]) for row in ce_families(datum)]
+    pd = build_parabolic(datum, (0,))
+    return [(datum, canonical_extend(datum, pd, h)) for _, h in builtin_cei_catalog(datum, (0,))]
+
+
+@pytest.mark.parametrize("space", ["sl(3)", "sl(4)", "sl(5)", "sl(6)", "sl(7)", "rh(2)",
+                                   "rh(3)", "rh(5)", "ch(2)", "ch(3)", "ch(4)", "ch(3)*ch(3)",
+                                   "rh(3)*rh(3)*rh(3)"])
+def test_a_canonical_extension_reads_its_slice_on_the_boundary_component(space):
+    # the B_phi pieces against the whole-algebra ones: p(H), p minus p(H), H & k
+    specs = ce_specs(space)
+    assert specs
+    for datum, spec in specs:
+        model, algebra = spec.model, spec.algebra
+        assert closure_note(spec, datum).passed
+        h, ambient, tangent, orbit_dim = slice_pieces(spec, datum, True)
+        assert (h, ambient) == (spec.payload["h_phi"], build_parabolic(datum, spec.phi).b)
+        full = orbit_tangent_at_o(model, algebra)
+        assert orbit_dim == full.dim, (space, spec.phi)
+        assert orthocomplement_in(tangent, ambient, model.inner) == \
+            orthocomplement_in(full, model.p_space, model.inner), (space, spec.phi)
+        assert subspace_intersect(h, model.k_space) == \
+            subspace_intersect(algebra, model.k_space), (space, spec.phi)
+
+
+@pytest.mark.parametrize("space", ["sl(5)", "rh(4)", "ch(3)", "ch(3)*ch(3)"])
+def test_a_canonical_extension_solves_for_no_normal_space_in_p(monkeypatch, space):
+    ambients = []
+    complement = verify_module.orthocomplement_in
+
+    def recorded(v, w, form):
+        ambients.append(w)
+        return complement(v, w, form)
+
+    monkeypatch.setattr(verify_module, "orthocomplement_in", recorded)
+    specs = ce_specs(space)
+    for datum, spec in specs:
+        verify(spec, datum)
+    # b is p itself where phi holds every simple root, so the route is told
+    # by the object: the model's p_space is never the ambient
+    assert ambients and all(w is not spec.model.p_space for w in ambients)
+    # the same algebra as a Prod spec, which has no boundary piece, is read in p
+    datum, spec = specs[0]
+    verify(dataclasses.replace(spec, kind="Prod"), datum)
+    assert ambients[-1] is spec.model.p_space
 
 
 class TestLieTriple:

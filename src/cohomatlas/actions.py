@@ -213,7 +213,7 @@ def make_factor_diagonal(pm: ProductModel, datum: RootDatum, j: int, k: int) -> 
         raise ValueError("factor diagonal needs two distinct factor indices")
     if pm.factors[j].name != pm.factors[k].name:
         raise ValueError("no canonical sigma between non-identical factors")
-    block_j, block_k = pm.factor_block(j), pm.factor_block(k)
+    block_j, block_k = (pm.embed({i: Subspace.full(pm.factors[i].dim)}) for i in (j, k))
     graph = _graph(pm, block_j, block_k, zip(block_j.basis, block_k.basis))
     pd = build_parabolic(datum, datum.factor_phis[j] + datum.factor_phis[k])
     return canonical_extend(datum, pd, graph, kind="CER")
@@ -256,16 +256,14 @@ def nilpotent_construct(datum: RootDatum, pd: ParabolicDatum, v: Subspace) -> Ac
 
 
 def product_assemble(pm: ProductModel, j: int, inner: ActionSpec) -> ActionSpec:
-    """Factor action on the j-th block plus all remaining full factors.  Its
-    roots are the factor action's, shifted past the simple roots of the
-    earlier factors, one per dimension of their a."""
+    """Factor action on the j-th block plus all remaining full factors, placed
+    by ``pm.embed`` with no span.  Its roots are the factor action's, shifted
+    past the simple roots of the earlier factors, one per dimension of their
+    a."""
     if not 0 <= j < len(pm.factors):
         raise ValueError("factor index out of range")
-    factor = pm.factors[j]
-    if inner.algebra.ambient_dim != factor.dim:
-        raise ValueError("inner action does not live on the requested factor")
-    rest = pm.other_factor_rows((j,))
-    algebra = Subspace.span(pm.dim, pm.embed_subspace(j, inner.algebra).rows + rest)
+    algebra = pm.embed({i: inner.algebra if i == j else Subspace.full(f.dim)
+                        for i, f in enumerate(pm.factors)})
     shift = sum(f.a_space.dim for f in pm.factors[:j])
     phi = None if inner.phi is None else tuple(i + shift for i in inner.phi)
     return ActionSpec("Prod", pm, phi, algebra)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
 from .models import LieModel, ProductModel, build_sl
@@ -96,7 +96,6 @@ class EnumerationResult:
     samples: int
     entries: List[CatalogEntry] = field(default_factory=list)
     identities: List[Note] = field(init=False)
-    skipped: List[Tuple[str, str]] = field(default_factory=list)
     oracle: Optional[dict] = None
 
     def __post_init__(self):
@@ -337,19 +336,16 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
                                  for n in tables[fd].identities)
 
     # CER: pairs of rank-one boundary pieces from different factors; the
-    # reports list them factor pair by factor pair
+    # reports list them factor pair by factor pair.  A constructor error
+    # propagates, as every other row's does
     for (idx_j, phi_j), (idx_k, phi_k) in itertools.combinations(enumerate(factor_phis), 2):
         same = len(phi_j) == 1 and pm.factors[idx_j].name == pm.factors[idx_k].name
         for a, b in itertools.product(phi_j, phi_k):
             profile = datum.profile(datum.simple[a])
             if profile != datum.profile(datum.simple[b]):
                 continue
-            try:
-                spec = make_factor_diagonal(pm, datum, idx_j, idx_k) if same \
-                    else make_cer(datum, a, b)
-            except ValueError as exc:
-                result.skipped.append((f"CER[{a + 1},{b + 1}]", str(exc)))
-                continue
+            spec = make_factor_diagonal(pm, datum, idx_j, idx_k) if same \
+                else make_cer(datum, a, b)
             space = _hyperbolic_name(profile)
             result.add("CER", "diag", f"{space} x {space}", f"j={a + 1}, k={b + 1}", spec)
     return result

@@ -160,7 +160,7 @@ def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
         },
         "entries": [e.to_json() for e in result.entries],
         "identities": [n.to_json() for n in result.identities],
-        "skipped": [{"label": l, "reason": r} for l, r in result.skipped],
+        "skipped": [],  # schema 1 has the key; a constructor error exits 2
     }
     if result.oracle is not None:
         document["oracle"] = result.oracle
@@ -203,12 +203,6 @@ def render_markdown(spec: SpaceSpec, config: RunConfig, result: EnumerationResul
         lines.append("- CER rows do not depend on the identification used for the "
                      "diagonal: different identifications give orbit equivalent "
                      "actions.")
-    if result.skipped:
-        lines.append("")
-        lines.append("## Skipped representatives")
-        lines.append("")
-        for label, reason in result.skipped:
-            lines.append(f"- {label}: {reason}")
     lines.append("")
     lines.append("## Exact identity checks")
     lines.append("")

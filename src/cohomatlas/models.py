@@ -12,7 +12,8 @@ Shipped families:
 * ``build_so1n(n)``     the Lorentz algebra so(1,n),
 * ``build_su1n(n)``     su(1,n) realified to 2(n+1) x 2(n+1) real matrices
                         commuting with the realification J of iI,
-* ``direct_sum``        block-diagonal products of the above.
+* ``direct_sum``        block-diagonal products of the above, built from
+                        the factors (``ProductModel``).
 
 Every shipped basis is a weight basis: a, then a basis of k_0, then root
 vectors, each basis vector an eigenvector of ad(a), and n is spanned by
@@ -55,7 +56,7 @@ class LieModel:
     def __init__(self, name: str, basis: Sequence[Matrix], a: Sequence[Matrix],
                  n: Sequence[Matrix]):
         """a and n are lists of matrices in the span of basis, converted to
-        coordinates by the model's own solver."""
+        coordinates by the model's own solver and spanned."""
         self.name = name
         self.basis = tuple(basis)
         self.dim = len(self.basis)
@@ -64,21 +65,22 @@ class LieModel:
         self._struct = self._structure_constants()
         self.theta = self._theta_matrix()
         self.killing = self._killing_gram()
-        self._set_iwasawa([self.coords(x) for x in a], [self.coords(x) for x in n])
+        self._set_iwasawa(Subspace.span(self.dim, map(self.coords, a)),
+                          Subspace.span(self.dim, map(self.coords, n)))
 
-    def _set_iwasawa(self, a_vectors, n_vectors) -> None:
-        """k, p, the inner product, a and n, from theta and the Killing form;
-        k + a + n must be direct.  Since theta^2 = I, k = span(x + theta x)
-        and p = span(x - theta x) are its +1 and -1 eigenspaces and k + p is
-        the whole algebra."""
+    def _set_iwasawa(self, a_space: Subspace, n_space: Subspace) -> None:
+        """k, p and the inner product from theta and the Killing form, and the
+        given a and n; k + a + n must be direct.  Since theta^2 = I,
+        k = span(x + theta x) and p = span(x - theta x) are its +1 and -1
+        eigenspaces and k + p is the whole algebra."""
         full = Subspace.full(self.dim)
         if any(self.theta.apply_sparse(self.theta.apply_sparse(e)) != e for e in full.rows):
             raise ValueError("theta is not an involution on this basis")
         self.k_space = self.project_k_subspace(full)
         self.p_space = self.project_p_subspace(full)
         self.inner = self._inner_gram()
-        self.a_space = Subspace.span(self.dim, a_vectors)
-        self.n_space = Subspace.span(self.dim, n_vectors)
+        self.a_space = a_space
+        self.n_space = n_space
 
         iwasawa = self.k_space.rows + self.a_space.rows + self.n_space.rows
         if len(iwasawa) != self.dim or Subspace.span(self.dim, iwasawa).dim != self.dim:
@@ -364,13 +366,16 @@ class ProductModel(LieModel):
     The basis is the factors' bases placed on the diagonal blocks;
     coordinates run factor by factor from ``block_offsets``.  The structure
     constants, theta and the Killing form are the factors' own, shifted by
-    the block offsets, and a, n are the factors' side by side, given to
-    ``_set_iwasawa`` in coordinates: cross-factor brackets and Killing
-    entries are zero.  Each factor has already checked that its brackets
-    close and that its own k + a + n is direct.  The product, like any
-    model, checks that theta^2 = I, takes k and p from theta, and checks
-    that k + a + n is direct.  Its root data is assembled from the factors'
-    root data in the same way, by ``decompose``.
+    the block offsets, and a, n are the factors' side by side: cross-factor
+    brackets and Killing entries are zero.  Each factor has already checked
+    that its brackets close and that its own k + a + n is direct.  The
+    product, like any model, checks that theta^2 = I, takes k and p from
+    theta, and checks that k + a + n is direct.  Its root data is assembled
+    from the factors' root data in the same way, by ``decompose``.
+
+    ``embed`` is the one way factor subspaces enter the product: a and n
+    here, root spaces, zero space and k0 in ``roots._product_datum``, and
+    lifted rows and factor diagonals in ``actions``.  It eliminates nothing.
     """
 
     def __init__(self, factors: Sequence[LieModel]):
@@ -394,50 +399,34 @@ class ProductModel(LieModel):
         }
         self.theta = _block_diagonal([f.theta for f in factors])
         self.killing = _block_diagonal([f.killing for f in factors])
-        a_vecs = self.embed_spaces(f.a_space for f in factors).rows
-        n_vecs = self.embed_spaces(f.n_space for f in factors).rows
-        self._set_iwasawa(a_vecs, n_vecs)
+        self._set_iwasawa(self.embed(dict(enumerate(f.a_space for f in factors))),
+                          self.embed(dict(enumerate(f.n_space for f in factors))))
 
-    def embed_spaces(self, spaces: Iterable[Subspace]) -> Subspace:
-        """The span of one subspace per factor, each embedded in its block."""
-        return Subspace.span(self.dim, [self._embed_row(idx, b)
-                                        for idx, sp in enumerate(spaces) for b in sp.rows])
+    def embed(self, parts: dict) -> Subspace:
+        """The direct sum of {factor index: factor subspace}: each part's
+        canonical rows and pivots shifted into its factor's block.
 
-    def factor_slice(self, idx: int):
-        start = self.block_offsets[idx]
-        return start, start + self.factors[idx].dim
+        This equals ``Subspace.span`` of the shifted rows.  A part's rows are
+        its RREF rows, primitive with positive, increasing pivots, each zero
+        left of its pivot and at the other pivots; shifting keeps that.  The
+        blocks are disjoint and in order, so taken factor by factor the rows
+        are zero at the other blocks' pivots and the pivots still increase:
+        they are the RREF of their span, which is unique.
+        """
+        rows, pivots = [], []
+        for idx in sorted(parts):
+            sub, start = parts[idx], self.block_offsets[idx]
+            if sub.ambient_dim != self.factors[idx].dim:
+                raise ValueError(f"a part of dimension {sub.ambient_dim} does not live on "
+                                 f"factor {idx}, of dimension {self.factors[idx].dim}")
+            rows.extend({j + start: x for j, x in row.items()} for row in sub.rows)
+            pivots.extend(p + start for p in sub.pivots)
+        return Subspace(self.dim, tuple(rows), tuple(pivots))
 
     def embed_vector(self, idx: int, v: Sequence) -> tuple:
         """A dense vector of the idx-th factor, in the product's coordinates."""
         start = self.block_offsets[idx]
         return (0,) * start + tuple(v) + (0,) * (self.dim - start - len(v))
-
-    def _embed_row(self, idx: int, row: dict) -> dict:
-        start = self.block_offsets[idx]
-        return {j + start: x for j, x in row.items()}
-
-    def embed_subspace(self, idx: int, sub: Subspace) -> Subspace:
-        return Subspace.span(self.dim, [self._embed_row(idx, b) for b in sub.rows])
-
-    def factor_block(self, idx: int) -> Subspace:
-        return Subspace.span(self.dim, [{i: 1} for i in range(*self.factor_slice(idx))])
-
-    def other_factor_rows(self, skip: Iterable[int]) -> tuple:
-        """Sparse basis rows of the blocks of every factor whose index is not
-        in skip."""
-        skip = set(skip)
-        return tuple({t: 1} for idx in range(len(self.factors)) if idx not in skip
-                     for t in range(*self.factor_slice(idx)))
-
-    def restrict_subspace(self, idx: int, sub: Subspace) -> Subspace:
-        """A subspace of the idx-th block, in the factor's coordinates."""
-        start, stop = self.factor_slice(idx)
-        rows = []
-        for b in sub.rows:
-            if any(not start <= j < stop for j in b):
-                raise ValueError("vector is not supported on the requested factor")
-            rows.append({j - start: x for j, x in b.items()})
-        return Subspace.span(self.factors[idx].dim, rows)
 
 
 def direct_sum(models: Sequence[LieModel]) -> ProductModel:

@@ -292,21 +292,23 @@ def _product_datum(pm: ProductModel, factors: Sequence[RootDatum]) -> RootDatum:
     a, theta and the inner product are block diagonal, and the RREF basis of
     a is the factors' bases in factor order, so a factor root is a product
     root: its covector and coefficients are the factor's padded with zeros,
-    and its root vector and space are embedded in the factor's block.  The
-    zero space, k0 and the Dynkin edges are the factors' own, embedded or
-    shifted.  Simple roots come factor by factor.  That is the order a split
-    of the whole product gives when it sorts the Dynkin components by their
-    first simple covector, descending: each shipped factor's first simple
-    root is positive on the first vector of its own a, where every later
-    factor's roots vanish.  Positive roots are sorted by (height,
-    coefficients), and the negatives follow in matching order.
+    and its root vector and space are placed in the factor's block.  The
+    zero space, k0 and the Dynkin edges are the factors' own, placed in the
+    blocks or shifted.  ``ProductModel.embed`` places each subspace, so the
+    assembly eliminates nothing.  Simple roots come factor by factor.  That
+    is the order a split of the whole product gives when it sorts the
+    Dynkin components by their first simple covector, descending: each
+    shipped factor's first simple root is positive on the first vector of
+    its own a, where every later factor's roots vanish.  Positive roots are
+    sorted by (height, coefficients), and the negatives follow in matching
+    order.
     """
     starts = list(accumulate((fd.rank for fd in factors), initial=0))
 
     def embed(idx, root):
         pad_left, pad_right = (0,) * starts[idx], (0,) * (starts[-1] - starts[idx + 1])
         return Root(pad_left + root.covector + pad_right, pm.embed_vector(idx, root.root_vector),
-                    pad_left + root.coeffs + pad_right, pm.embed_subspace(idx, root.space))
+                    pad_left + root.coeffs + pad_right, pm.embed({idx: root.space}))
 
     # each factor lists its negatives in the order of its positives
     pairs = sorted(((embed(idx, p), embed(idx, n)) for idx, fd in enumerate(factors)
@@ -318,8 +320,8 @@ def _product_datum(pm: ProductModel, factors: Sequence[RootDatum]) -> RootDatum:
         roots=positive + [n for _, n in pairs],
         positive=positive,
         simple=[embed(idx, s) for idx, fd in enumerate(factors) for s in fd.simple],
-        zero_space=pm.embed_spaces(fd.zero_space for fd in factors),
-        k0=pm.embed_spaces(fd.k0 for fd in factors),
+        zero_space=pm.embed(dict(enumerate(fd.zero_space for fd in factors))),
+        k0=pm.embed(dict(enumerate(fd.k0 for fd in factors))),
         dynkin_edges={(i + s, j + s) for fd, s in zip(factors, starts) for i, j in fd.dynkin_edges},
         factors=factors,
     )

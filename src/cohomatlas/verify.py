@@ -375,8 +375,9 @@ def polar_section(spec: ActionSpec, datum: RootDatum) -> Subspace:
     return orthocomplement_in(diagonal, flats, spec.model.inner)
 
 
-def check_polar_certificate(spec: ActionSpec, datum: RootDatum) -> Note:
-    """Exact polarity certificate for a diagonal action.
+def check_polar_certificate(spec: ActionSpec, datum: RootDatum, tangent: Subspace) -> Note:
+    """Exact polarity certificate for a diagonal action, whose diagonal h_phi
+    has the orbit tangent p(h_phi) at o given as tangent.
 
     (i) the section candidate is abelian, (ii) it is normal to the orbit
     tangent at o, (iii) the diagonal algebra is orthogonal to the section
@@ -393,7 +394,6 @@ def check_polar_certificate(spec: ActionSpec, datum: RootDatum) -> Note:
         for j, y in enumerate(section.basis):
             if any(model.bracket(x, y)):
                 return Note(name, False, "section-not-abelian", (i, j))
-    tangent = orbit_tangent_at_o(model, diag)
     for i, x in enumerate(section.basis):
         for j, y in enumerate(tangent.basis):
             if model.inner_product(x, y) != 0:
@@ -416,21 +416,24 @@ def _rows_outside(sub_check: str, sub: Subspace, other: Subspace) -> list:
     return [(sub_check, (i,)) for i, row in enumerate(sub.rows) if not other.contains_vector(row)]
 
 
-def extension_composition_ok(datum: RootDatum, psi: tuple, phi: tuple) -> Note:
+def extension_composition_ok(datum: RootDatum, pd: ParabolicDatum, phi: tuple) -> Note:
     """Iterated extension psi -> phi -> everything equals the one-step one,
-    piece by piece: a_np + a_phi = a_psi and n_np + n_phi = n_psi, for
-    sorted psi inside phi.  Adding any h_psi to both sides keeps them equal.
+    piece by piece: a_np + a_phi = a_psi and n_np + n_phi = n_psi, for psi
+    = pd.phi inside the sorted phi.  Adding any h_psi to both sides keeps
+    them equal.
 
     a-part: a_np is a_psi & a^phi, the orthogonal complement of a_phi in
     a_psi when a_phi lies in a_psi, so the sum is a_psi exactly when a_phi
     lies in a_psi; the nested rank of s_phi makes dim a_np = |phi| - |psi|.
+    a_psi is read from pd, the parabolic datum ``verify`` has already built
+    for a row over psi, so only a_phi is solved for.
     n-part: the roots that span n_np and n_phi together are the roots that
     span n_psi (``nilpotent_roots``), and distinct root spaces are
     independent, so equal root sets span equal pieces.  Nothing is spanned.
     A failed note names a row of a_phi outside a_psi, the dimension count,
     or the index in ``datum.positive`` of a root on one side only.
     """
-    a_psi, a_phi = a_piece(datum, psi), a_piece(datum, phi)
+    psi, a_psi, a_phi = pd.phi, pd.a_phi, a_piece(datum, phi)
     failures = _rows_outside("a-piece-not-contained", a_phi, a_psi)
     if a_psi.dim - a_phi.dim != len(phi) - len(psi):
         failures.append(("a-piece-dimension", ()))
@@ -553,18 +556,20 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
 
     if spec.kind in ("CEI", "CER"):
         inner_h = spec.payload["h_phi"]
+        # a slice read on B_phi has p(h) as its tangent already
+        p_h = tangent if h is inner_h else orbit_tangent_at_o(model, inner_h)
         if model.theta_image(inner_h) == inner_h:
             # p(h) = h & p, and a passing note certifies that h is closed, so
             # [[h & p, h & p], h & p] lies in h and in p
-            lie_triple = closure.passed or check_lie_triple(model,
-                                                            model.project_p_subspace(inner_h))
+            lie_triple = closure.passed or check_lie_triple(model, p_h)
             tg = "yes" if lie_triple else "no"
         if spec.kind == "CER":
-            notes.append(check_polar_certificate(spec, datum))
+            notes.append(check_polar_certificate(spec, datum, p_h))
         if 0 < len(spec.phi) < datum.rank:
             missing = [i for i in range(datum.rank) if i not in spec.phi]
             phi2 = tuple(sorted(set(spec.phi) | {missing[0]}))
-            notes.append(extension_composition_ok(datum, spec.phi, phi2))
+            notes.append(extension_composition_ok(datum, build_parabolic(datum, spec.phi),
+                                                  phi2))
 
     if spec.kind == "NC":
         pd = build_parabolic(datum, spec.phi)

@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from cohomatlas import actions as actions_module
+from cohomatlas import linalg
 from cohomatlas import verify as verify_module
 from cohomatlas.catalog import ce_families, enumerate_sl
 from cohomatlas.linalg import Matrix, Subspace, rat, subspace_intersect, subspace_sum
@@ -268,18 +269,19 @@ class TestNilpotentConstruction:
         pd = build_parabolic(datum, [1])  # remove the first factor's root
         f0 = p.factors[0]
         v_inner = Subspace.span(f0.dim, f0.n_space.basis[:2])
-        v = p.embed_subspace(0, v_inner)
+        v = p.embed({0: v_inner})
         spec = nilpotent_construct(datum, pd, v)
         # block split: g_2 + N_{(k_1)_0}(v) + a_1 + (n_1 minus v)
         from cohomatlas.linalg import orthocomplement_in
 
         f0_datum = decompose(f0)
         inner_norm = f0.normalizer_in(f0_datum.k0, v_inner)
-        expected = subspace_sum(p.factor_block(1), p.embed_subspace(0, inner_norm))
-        expected = subspace_sum(expected, p.embed_subspace(0, f0.a_space))
+        expected = subspace_sum(p.embed({1: Subspace.full(p.factors[1].dim)}),
+                                p.embed({0: inner_norm}))
+        expected = subspace_sum(expected, p.embed({0: f0.a_space}))
         expected = subspace_sum(
             expected,
-            p.embed_subspace(0, orthocomplement_in(v_inner, f0.n_space, f0.inner)),
+            p.embed({0: orthocomplement_in(v_inner, f0.n_space, f0.inner)}),
         )
         assert spec.algebra == expected
 
@@ -296,7 +298,7 @@ class TestNilpotentConstruction:
         datum = decompose(p)
         pd = build_parabolic(datum, [1])
         # the whole factor nilpotent includes grade two: not allowed as v
-        v = p.embed_subspace(0, p.factors[0].n_space)
+        v = p.embed({0: p.factors[0].n_space})
         with pytest.raises(ValueError):
             nilpotent_construct(datum, pd, v)
 
@@ -319,9 +321,32 @@ class TestProductAssembly:
         inner = make_fs(f_datum, 0)
         spec = product_assemble(p, 0, inner)
         pd = build_parabolic(datum, [0])  # phi = the first factor's root
-        h_phi = p.embed_subspace(0, inner.algebra)
+        h_phi = p.embed({0: inner.algebra})
         ext = canonical_extend(datum, pd, h_phi)
         assert spec.algebra.contains(ext.algebra)
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_assembly_eliminates_nothing_at_product_size(self, monkeypatch, j):
+        # the factor algebra and the other blocks in full are shifted into
+        # their blocks, and equal the span of the shifted rows
+        p = direct_sum([build_so1n(3), build_sl(3), build_so1n(3)])
+        inner = make_fs(decompose(p.factors[j]), 0)
+        rows = [{t + off: x for t, x in row.items()}
+                for idx, (f, off) in enumerate(zip(p.factors, p.block_offsets))
+                for row in (inner.algebra if idx == j else Subspace.full(f.dim)).rows]
+        widths = []
+        eliminate = linalg._eliminate
+
+        def recorded(work, ncols):
+            widths.append(ncols)
+            return eliminate(work, ncols)
+
+        monkeypatch.setattr(linalg, "_eliminate", recorded)
+        spec = product_assemble(p, j, inner)
+        assert p.dim not in widths
+        monkeypatch.undo()
+        assert spec.algebra == Subspace.span(p.dim, rows)
+        assert spec.algebra.dim == inner.algebra.dim + p.dim - p.factors[j].dim
 
     def test_block_mismatch_rejected(self):
         p = direct_sum([build_so1n(2), build_so1n(3)])

@@ -1,6 +1,7 @@
 """Tests for the classification tables and the helpers they share."""
 
 import dataclasses
+import json
 import sys
 from collections import Counter
 from functools import cached_property
@@ -10,7 +11,7 @@ import pytest
 from cohomatlas import catalog, roots
 from cohomatlas.catalog import (_rank_one_nc_subspaces, ce_families, enumerate_sl,
                                 known_extension_tangents)
-from cohomatlas.cli import RunConfig, parse_space, run
+from cohomatlas.cli import RunConfig, main, parse_space, run
 from cohomatlas.linalg import (Matrix, Subspace, orthocomplement_in, subspace_intersect,
                                subspace_sum)
 from cohomatlas.models import ProductModel, build_sl, build_so1n, build_su1n, direct_sum
@@ -27,6 +28,29 @@ def paper_row_counts(n: int) -> Counter:
                     "CE-row-3": max(n - 2, 0), "CE-row-4": (n - 1) * (n - 2) // 2})
 
 
+def block(pm: ProductModel, idx: int) -> Subspace:
+    """The idx-th block of pm in full."""
+    return pm.embed({idx: Subspace.full(pm.factors[idx].dim)})
+
+
+def other_blocks(pm: ProductModel, skip) -> tuple:
+    """The rows of every block of pm whose index is not in skip, in full."""
+    return pm.embed({i: Subspace.full(f.dim) for i, f in enumerate(pm.factors)
+                     if i not in skip}).rows
+
+
+def restrict(pm: ProductModel, idx: int, sub: Subspace) -> Subspace:
+    """A subspace of the idx-th block of pm, in the factor's coordinates."""
+    start = pm.block_offsets[idx]
+    stop = start + pm.factors[idx].dim
+    rows = []
+    for b in sub.rows:
+        if any(not start <= j < stop for j in b):
+            raise ValueError("vector is not supported on the requested factor")
+        rows.append({j - start: x for j, x in b.items()})
+    return Subspace.span(pm.factors[idx].dim, rows)
+
+
 def test_factor_lookup_puts_each_simple_root_in_its_factor():
     pm = direct_sum([build_sl(3), build_so1n(2)])
     datum = decompose(pm)
@@ -34,7 +58,7 @@ def test_factor_lookup_puts_each_simple_root_in_its_factor():
     assert sorted(owners) == [0, 0, 1]
     assert datum.factor_phis == ((0, 1), (2,))
     for r, owner in zip(datum.simple, owners):
-        assert pm.factor_block(owner).contains(r.space)
+        assert block(pm, owner).contains(r.space)
 
 
 @pytest.mark.parametrize("build, arg, profile", [
@@ -272,17 +296,32 @@ def test_product_enumeration_splits_no_product_size_space(monkeypatch, factors):
     assert pm.dim not in split_dims
 
 
-@pytest.mark.parametrize("factors", [[build_sl(2), build_so1n(2)], [build_so1n(2), build_sl(2)]],
-                         ids=["sl2xrh2", "rh2xsl2"])
-def test_homothetic_rank_one_factors_get_their_diagonal_row(factors):
+@pytest.mark.parametrize("space", ["sl(2)*rh(2)", "rh(2)*sl(2)"], ids=["sl2xrh2", "rh2xsl2"])
+def test_homothetic_rank_one_factors_get_their_diagonal_row(space):
     # both factors model RH^2; the diagonal goes through the sl2-triple sigma
-    result = catalog.enumerate_product(direct_sum(factors))
+    run_result = run(parse_space(space), RunConfig())
+    result = run_result.result
     cer = [e for e in result.entries if e.label == "CER"]
     assert [e.comment for e in cer] == ["j=1, k=2"]
     assert cer[0].report.all_exact_checks_passed
     assert cer[0].report.cohomogeneity == 1
     assert result.all_identities_passed
-    assert result.skipped == []
+    assert json.loads(run_result.json_text)["skipped"] == []
+
+
+@pytest.mark.parametrize("constructor, space", [("make_cer", "sl(2)*rh(2)"),
+                                                ("make_factor_diagonal", "rh(2)*rh(2)")])
+def test_a_cer_constructor_error_propagates(monkeypatch, capsys, constructor, space):
+    # no product row is skipped silently: the error ends the run, as any
+    # other constructor's does, with an error line and exit status 2
+    def failing(*args):
+        raise ValueError("no diagonal here")
+
+    monkeypatch.setattr(catalog, constructor, failing)
+    with pytest.raises(ValueError, match="no diagonal here"):
+        run(parse_space(space), RunConfig())
+    assert main(["--space", space]) == 2
+    assert capsys.readouterr() == ("", "error: no diagonal here\n")
 
 
 @pytest.mark.parametrize("space", ["rh(3)*rh(3)", "ch(2)*ch(2)"])
@@ -309,8 +348,8 @@ def test_product_cei_rows_carry_a_boundary_subalgebra(monkeypatch, space):
                          if p.comment == f"factor {idx + 1}: {e.name}"]
             assert lifted.spec.kind == "CEI"
             assert lifted.spec.algebra == Subspace.span(
-                pm.dim, pm.embed_subspace(idx, e.spec.payload["h_phi"]).rows
-                + pm.other_factor_rows((idx,)))
+                pm.dim, pm.embed({idx: e.spec.payload["h_phi"]}).rows
+                + other_blocks(pm, (idx,)))
 
 
 def test_one_sl5_run_decides_each_form_once(monkeypatch):
@@ -355,12 +394,12 @@ def product_split_ok(datum, algebra: Subspace, fidx: int, v: Subspace) -> bool:
     """
     model = datum.model
     factor = model.factors[fidx]
-    v_inner = model.restrict_subspace(fidx, v)
-    f_k0 = model.restrict_subspace(fidx, subspace_intersect(datum.k0, model.factor_block(fidx)))
+    v_inner = restrict(model, fidx, v)
+    f_k0 = restrict(model, fidx, subspace_intersect(datum.k0, block(model, fidx)))
     pieces = (factor.normalizer_in(f_k0, v_inner), factor.a_space,
               orthocomplement_in(v_inner, factor.n_space, factor.inner))
-    rows = [b for piece in pieces for b in model.embed_subspace(fidx, piece).rows]
-    return algebra == Subspace.span(model.dim, rows + list(model.other_factor_rows((fidx,))))
+    rows = [b for piece in pieces for b in model.embed({fidx: piece}).rows]
+    return algebra == Subspace.span(model.dim, rows + list(other_blocks(model, (fidx,))))
 
 
 def product_size_reference(datum, fidx: int, entry):
@@ -375,11 +414,11 @@ def product_size_reference(datum, fidx: int, entry):
         return make_fs(datum, root), None
     if entry.label == "CEI":
         (sub,) = [sub for name, sub in builtin_cei_catalog(fd, [0]) if name == entry.name]
-        h_phi = pm.embed_subspace(fidx, sub)
-        algebra = Subspace.span(pm.dim, h_phi.rows + pm.other_factor_rows((fidx,)))
+        h_phi = pm.embed({fidx: sub})
+        algebra = Subspace.span(pm.dim, h_phi.rows + other_blocks(pm, (fidx,)))
         return ActionSpec("CEI", pm, (root,), algebra, {"h_phi": h_phi}), None
     profile = fd.profile(fd.simple[0])
-    (v,) = [pm.embed_subspace(fidx, v) for desc, v in
+    (v,) = [pm.embed({fidx: v}) for desc, v in
             _rank_one_nc_subspaces(fd.model, fd, profile) if f"v={desc}" == entry.name]
     pd = build_parabolic(datum, [i for i in range(datum.rank) if i != root])
     return nilpotent_construct(datum, pd, v), v

@@ -61,6 +61,11 @@ GOLDEN_DIGESTS = {
     # builder recorded its own rows
     "sl(3)*rh(2)*rh(2)": "92774f36086b0682a04a870daa72c76783755f506276df9d13a48fcb25a5ad46",
     "sl(4)*ch(3)*rh(3)": "8efccae5b19b26dedc48c0c6f128157b50f8f688bb1343b6ac1d525713d64e6a",
+    # a lifted sl block between two identical rank-one blocks that are not
+    # adjacent, whose factor diagonal spans the gap; recorded before product
+    # subspaces were placed in their blocks without elimination
+    "rh(3)*sl(3)*rh(3)*ch(2)":
+        "4bfea2ab86ec969929f0cb9eb18b8945445fdb0bcd53e711ba19138a44144a07",
 }
 # sha256 of the markdown report, with the same arguments otherwise
 GOLDEN_MARKDOWN_DIGESTS = {

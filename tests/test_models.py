@@ -1,8 +1,11 @@
 """Tests for the matrix Lie algebra models."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomatlas import linalg
 from cohomatlas.linalg import Matrix, Subspace, rat, vdot
@@ -166,8 +169,7 @@ class TestProducts:
 
     def test_cross_blocks_commute_and_are_orthogonal(self):
         p = direct_sum([build_so1n(2), build_sl(2)])
-        b0 = p.factor_block(0)
-        b1 = p.factor_block(1)
+        b0, b1 = (p.embed({i: Subspace.full(f.dim)}) for i, f in enumerate(p.factors))
         for x in b0.basis:
             for y in b1.basis:
                 assert is_zero_vec(p.bracket(x, y))
@@ -193,6 +195,56 @@ class TestProducts:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             direct_sum([])
+
+    def test_embed_rejects_a_part_of_another_dimension(self):
+        p = direct_sum([build_so1n(2), build_sl(3)])
+        with pytest.raises(ValueError, match="does not live on factor 1"):
+            p.embed({1: Subspace.full(p.factors[0].dim)})
+        with pytest.raises(ValueError, match="does not live on factor 0"):
+            p.embed({0: Subspace.zero(p.dim)})
+
+
+EMBED_FACTORS = (build_sl(2), build_so1n(3), build_sl(3))  # of dimension 3, 6 and 8
+
+
+@functools.lru_cache(maxsize=None)
+def embed_product(choice: tuple):
+    """The product of the chosen EMBED_FACTORS, built once per choice."""
+    return direct_sum([EMBED_FACTORS[i] for i in choice])
+
+
+@st.composite
+def embed_cases(draw):
+    """(product, parts): a product of one to four factors and a part for
+    some of its blocks, each empty, full or the span of a few small integer
+    rows, in a shuffled order; a block without a part is a gap."""
+    choice = draw(st.lists(st.integers(0, len(EMBED_FACTORS) - 1), min_size=1, max_size=4))
+    pm = embed_product(tuple(choice))
+    parts = {}
+    for idx, f in enumerate(pm.factors):
+        kind = draw(st.sampled_from(["gap", "empty", "full", "rows"]))
+        if kind == "empty":
+            parts[idx] = Subspace.zero(f.dim)
+        elif kind == "full":
+            parts[idx] = Subspace.full(f.dim)
+        elif kind == "rows":
+            rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=f.dim, max_size=f.dim),
+                                 max_size=4))
+            parts[idx] = Subspace.span(f.dim, rows)
+    order = draw(st.permutations(sorted(parts)))
+    return pm, {idx: parts[idx] for idx in order}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(embed_cases())
+def test_embed_is_the_span_of_the_shifted_rows(case):
+    pm, parts = case
+    shifted = [{j + pm.block_offsets[idx]: x for j, x in row.items()}
+               for idx, sub in parts.items() for row in sub.rows]
+    expected = Subspace.span(pm.dim, shifted)
+    embedded = pm.embed(parts)
+    assert embedded.rows == expected.rows
+    assert embedded.pivots == expected.pivots
 
 
 MODELS = {

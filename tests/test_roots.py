@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cohomatlas import roots
+from cohomatlas import linalg, roots
 from cohomatlas.cli import parse_space
 from cohomatlas.linalg import Matrix, Subspace, kernel_rows, subspace_sum
 from cohomatlas.models import LieModel, _matrix, build_sl, build_so1n, build_su1n, direct_sum
@@ -121,7 +121,7 @@ def test_product_roots_are_the_joint_eigenspaces_of_their_covectors(space):
     owners = [idx for idx, phi in enumerate(datum.factor_phis) for _ in phi]
     assert len(owners) == datum.rank
     for r, owner in zip(datum.simple, owners):
-        assert pm.factor_block(owner).contains(r.space)
+        assert pm.embed({owner: Subspace.full(pm.factors[owner].dim)}).contains(r.space)
 
 
 def test_simple_root_order_is_path_order():
@@ -246,6 +246,24 @@ def test_a_repeated_factor_is_decomposed_once(monkeypatch):
     assert calls == ["su(1,2)", "so(1,2)"]
     assert datum.factors[0] is datum.factors[1]
     assert datum.rank == 3
+
+
+@pytest.mark.parametrize("space", ["rh(3)*sl(3)*rh(3)*ch(2)", "sl(2)*sl(2)"])
+def test_a_product_datum_is_assembled_with_no_elimination_at_product_size(monkeypatch, space):
+    # the factors' root spaces, zero spaces and k0 are shifted into their
+    # blocks; only the factors' own decompositions eliminate
+    pm = direct_sum([BUILDERS[name](n) for name, n in parse_space(space).factors])
+    widths = []
+    eliminate = linalg._eliminate
+
+    def recorded(work, ncols):
+        widths.append(ncols)
+        return eliminate(work, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", recorded)
+    datum = decompose(pm)
+    assert widths and pm.dim not in widths
+    assert datum.zero_space.dim + sum(r.space.dim for r in datum.roots) == pm.dim
 
 
 @pytest.mark.parametrize("build, arg", [(build_sl, 3), (build_so1n, 3), (build_su1n, 2)])

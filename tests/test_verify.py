@@ -337,7 +337,7 @@ class TestNc1:
         datum = decompose(p)
         pd = build_parabolic(datum, [1])
         f0 = p.factors[0]
-        v = p.embed_subspace(0, Subspace.span(f0.dim, f0.n_space.basis[:2]))
+        v = p.embed({0: Subspace.span(f0.dim, f0.n_space.basis[:2])})
         assert _nc1(datum, pd, v)
 
     @pytest.mark.parametrize("datum, pd, candidates", _nc1_cases())
@@ -365,7 +365,7 @@ class TestNc2:
         datum = decompose(p)
         pd = build_parabolic(datum, [1])
         f0 = p.factors[0]
-        v = p.embed_subspace(0, Subspace.span(f0.dim, f0.n_space.basis[:2]))
+        v = p.embed({0: Subspace.span(f0.dim, f0.n_space.basis[:2])})
         assert check_nc2(p, pd, v, seed=7, samples=32) == ("yes", "contains-so")
 
     def test_skew_mixed_family_fails_with_witness(self):
@@ -454,26 +454,31 @@ def test_integer_restrictions_and_gram_are_positive_multiples_of_the_rational_on
         assert _positive_multiple(verify_module._gram(model, v).rows, old_gram)
 
 
+def diagonal_tangent(spec) -> Subspace:
+    """The orbit tangent p(h_phi) at o of a CER row's diagonal."""
+    return orbit_tangent_at_o(spec.model, spec.payload["h_phi"])
+
+
 class TestPolarCertificate:
     def test_hyperbolic_plane_pair(self):
         p = direct_sum([build_so1n(2), build_so1n(2)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
-        assert check_polar_certificate(fd, datum).passed
+        assert check_polar_certificate(fd, datum, diagonal_tangent(fd)).passed
         assert polar_section(fd, datum).dim == 1
 
     def test_higher_rank_pair_still_polar(self):
         p = direct_sum([build_sl(3), build_sl(3)])
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
-        assert check_polar_certificate(fd, datum).passed
+        assert check_polar_certificate(fd, datum, diagonal_tangent(fd)).passed
         assert polar_section(fd, datum).dim == 2
 
     def test_requires_diagonal_kind(self):
         g = build_sl(3)
         spec = make_fh(g, Subspace.span(g.dim, [g.a_space.basis[0]]))
         with pytest.raises(ValueError, match="applies to diagonal actions"):
-            check_polar_certificate(spec, decompose(g))
+            check_polar_certificate(spec, decompose(g), orbit_tangent_at_o(g, spec.algebra))
 
 
 @pytest.mark.parametrize("wrong", ["off-sigma-line", "too-wide"])
@@ -530,8 +535,8 @@ def test_polar_section_matches_the_section_built_from_sigma(monkeypatch, space):
 
     def factor_diagonal(pm, datum, j, k):
         spec = make_factor_diagonal(pm, datum, j, k)
-        sigmas.append((spec, datum, datum.factor_phis[j], pm.factor_block(j).basis,
-                       pm.factor_block(k).basis))
+        block_j, block_k = (pm.embed({i: Subspace.full(pm.factors[i].dim)}) for i in (j, k))
+        sigmas.append((spec, datum, datum.factor_phis[j], block_j.basis, block_k.basis))
         return spec
 
     monkeypatch.setattr(catalog, "make_cer", cer)
@@ -551,7 +556,8 @@ def graph_plus_other_factors(spec, j: int, k: int):
     other than j and k whole, where the canonical extension holds only their
     AN part a_phi + n_phi."""
     pm, graph = spec.model, spec.payload["h_phi"]
-    algebra = Subspace.span(pm.dim, graph.rows + pm.other_factor_rows((j, k)))
+    rest = pm.embed({i: Subspace.full(f.dim) for i, f in enumerate(pm.factors) if i not in (j, k)})
+    algebra = Subspace.span(pm.dim, graph.rows + rest.rows)
     return dataclasses.replace(spec, algebra=algebra)
 
 
@@ -614,7 +620,7 @@ def test_failing_polar_certificate_names_sub_check_and_witness(monkeypatch, sub_
     spec = make_cer(datum, 0, 2)
     section = _failing_section(spec, sub_check)
     monkeypatch.setattr(verify_module, "polar_section", lambda s, d: section)
-    result = check_polar_certificate(spec, datum)
+    result = check_polar_certificate(spec, datum, diagonal_tangent(spec))
     assert not result.passed
     assert result.sub_check == sub_check
     i, j = result.witness
@@ -631,6 +637,66 @@ def test_failing_polar_certificate_names_sub_check_and_witness(monkeypatch, sub_
     assert note == {"name": "polar-section-certificate", "passed": False,
                     "sub_check": sub_check, "witness": [i, j]}
     assert not report.all_exact_checks_passed
+
+
+def diagonal_spec(sigma: str) -> tuple:
+    """(spec, datum) of a CER row of either sigma: the sl2-triple diagonal of
+    sl(5) over roots 1 and 3, or the factor diagonal of rh(3)*rh(3)."""
+    if sigma == "sl2-triple":
+        datum = decompose(build_sl(5))
+        return make_cer(datum, 0, 2), datum
+    pm = direct_sum([build_so1n(3), build_so1n(3)])
+    datum = decompose(pm)
+    return make_factor_diagonal(pm, datum, 0, 1), datum
+
+
+@pytest.mark.parametrize("fails_closure", [False, True], ids=["on-B_phi", "in-p"])
+@pytest.mark.parametrize("sigma", ["sl2-triple", "factor-diagonal"])
+def test_verify_projects_a_diagonal_once(monkeypatch, sigma, fails_closure):
+    # the polar certificate reads the p(h) that the slice, or on the p route
+    # verify itself, has already computed
+    spec, datum = diagonal_spec(sigma)
+    if fails_closure:  # a graded proof that fails alone leaves the slice in p
+        monkeypatch.setattr(verify_module, "graded_closure_failure",
+                            lambda spec, datum: "algebra-not-its-pieces")
+    projected = []
+    project = LieModel.project_p_subspace
+
+    def recorded(self, sub):
+        projected.append(sub)
+        return project(self, sub)
+
+    monkeypatch.setattr(LieModel, "project_p_subspace", recorded)
+    report = verify(spec, datum)
+    h = spec.payload["h_phi"]
+    assert sum(sub is h for sub in projected) == 1
+    assert note_named(report, "polar-section-certificate").passed
+    assert report.singular_orbit_totally_geodesic == "yes"
+
+
+def test_extension_composition_solves_only_the_outer_a_piece(monkeypatch):
+    # a_psi is the row's own a_phi, which its parabolic datum holds; only the
+    # a-piece of phi = psi plus the first missing root is solved for
+    datum = decompose(build_sl(5))
+    specs = [row[4] for row in ce_families(datum)]  # builds each row's parabolic datum
+    piece, solved = verify_module.a_piece, []
+
+    def recorded(datum, phi):
+        solved.append(tuple(phi))
+        return piece(datum, phi)
+
+    monkeypatch.setattr(verify_module, "a_piece", recorded)
+    monkeypatch.setattr(parabolic_module, "a_piece", recorded)
+    composed = 0
+    for spec in specs:
+        solved.clear()
+        report = verify(spec, datum)
+        if 0 < len(spec.phi) < datum.rank:
+            missing = [i for i in range(datum.rank) if i not in spec.phi]
+            assert solved == [tuple(sorted(spec.phi + (missing[0],)))]
+            assert note_named(report, "extension-composition").passed
+            composed += 1
+    assert composed == len(specs) - 1  # all but the CE-row-2 row over every root
 
 
 def test_passing_polar_note_has_name_and_verdict_only():
@@ -670,7 +736,8 @@ def composition_notes_checked(result) -> int:
         phi = tuple(sorted(spec.phi + (missing[0],)))
         h_psi = spec.payload["h_phi"]
         old = _whole_algebra_composition_ok(datum, spec.phi, phi, h_psi)
-        assert extension_composition_ok(datum, spec.phi, phi).passed is old is True
+        assert extension_composition_ok(datum, build_parabolic(datum, spec.phi),
+                                        phi).passed is old is True
         assert note_named(entry.report, "extension-composition").passed
         checked += 1
     carrying = [e for e in result.entries if not e.comment.startswith("factor ")
@@ -703,13 +770,13 @@ def composition_note_with_a_psi(monkeypatch, a_psi):
     datum = decompose(build_sl(4))
     spec = next(row[4] for row in ce_families(datum) if row[0] == "CE-row-1")
     assert note_named(verify(spec, datum), "extension-composition").passed
-    piece = verify_module.a_piece
+    compose = verify_module.extension_composition_ok
 
-    def patched(datum, phi):
-        a = piece(datum, phi)
-        return a if phi != spec.phi else a_psi(a, datum.model)
+    def patched(datum, pd, phi):
+        assert pd.phi == spec.phi
+        return compose(datum, dataclasses.replace(pd, a_phi=a_psi(pd.a_phi, datum.model)), phi)
 
-    monkeypatch.setattr(verify_module, "a_piece", patched)
+    monkeypatch.setattr(verify_module, "extension_composition_ok", patched)
     report = verify(spec, datum)
     assert not report.all_exact_checks_passed
     return note_named(report, "extension-composition").to_json()
@@ -742,7 +809,7 @@ def test_extension_composition_note_names_a_root_on_one_side_only(monkeypatch):
         return roots[1:] if (psi_, phi_) == (psi, phi) else roots
 
     monkeypatch.setattr(verify_module, "nilpotent_roots", patched)
-    assert extension_composition_ok(datum, psi, phi).to_json() == {
+    assert extension_composition_ok(datum, build_parabolic(datum, psi), phi).to_json() == {
         "name": "extension-composition", "passed": False, "sub_check": "root-sets-differ",
         "witness": [datum.positive.index(dropped)]}
 
@@ -807,11 +874,14 @@ def test_nested_data_of_every_composition_pair_pass_their_identities(m):
         assert subspace_sum(a_np, pd_phi.a_phi) == pd_psi.a_phi
         assert subspace_sum(n_np, pd_phi.n_phi) == pd_psi.n_phi
         assert a_np.dim == len(phi) - len(psi)
-        assert extension_composition_ok(datum, psi, phi) == Note("extension-composition", True)
+        assert extension_composition_ok(datum, pd_psi, phi) == Note("extension-composition", True)
 
 
 def test_extension_composition_builds_no_parabolic_data(monkeypatch):
-    pairs = composition_pairs(decompose(build_sl(6)))
+    # it is handed psi's parabolic datum, and builds none for phi
+    datum = decompose(build_sl(6))
+    pairs = [(build_parabolic(datum, psi), phi) for psi, phi in composition_pairs(datum)]
+    cached = dict(datum._parabolic_cache)
 
     def refuse(*args, **kwargs):
         raise AssertionError("extension composition built parabolic data")
@@ -820,9 +890,8 @@ def test_extension_composition_builds_no_parabolic_data(monkeypatch):
         for name in ("build_parabolic", "build_nested"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    datum = decompose(build_sl(6))
-    assert all(extension_composition_ok(datum, psi, phi).passed for psi, phi in pairs)
-    assert datum._parabolic_cache == {}
+    assert all(extension_composition_ok(datum, pd, phi).passed for pd, phi in pairs)
+    assert datum._parabolic_cache == cached
 
 
 CLOSURE_SPACES = ["sl(5)", "sl(7)", "ch(3)*ch(3)", "rh(3)*rh(3)", "sl(3)*rh(2)*rh(2)",

@@ -35,9 +35,11 @@ from typing import Iterable, Optional
 
 from .linalg import (
     Subspace,
+    combination,
     orthocomplement_in,
     rat,
     solve_inclusion_constraint,
+    sparse,
     subspace_intersect,
     subspace_sum,
 )
@@ -121,40 +123,57 @@ def canonical_extend(
 
 def _graph(model: LieModel, domain: Subspace, image: Subspace, pairs) -> Subspace:
     """The graph {x + sigma x} of the bijection sigma: x -> y over the (x, y)
-    pairs, between independent commuting subalgebras.  There the bracket of
-    x + sigma x and y + sigma y is [x, y] + [sigma x, sigma y], so sigma
-    preserves the bracket iff its graph is a subalgebra.  That is not checked
-    here: the graph is a CER row's h_phi, whose closure ``verify`` certifies
-    (``h-not-closed`` in ``verify.graded_closure_failure``)."""
-    xs, ys = zip(*pairs)
-    if len(xs) != domain.dim or Subspace.span(model.dim, xs) != domain:
+    pairs of dense or sparse vectors, between independent commuting
+    subalgebras.  There the bracket of x + sigma x and y + sigma y is
+    [x, y] + [sigma x, sigma y], so sigma preserves the bracket iff its
+    graph is a subalgebra.  That is not checked here: the graph is a CER
+    row's h_phi, whose closure ``verify`` certifies (``h-not-closed`` in
+    ``verify.graded_closure_failure``).
+
+    Rows that are a subspace's canonical rows span it, and subspaces with
+    disjoint supports meet only in 0, so neither is spanned again; the two
+    sides commute when every bracket of their rows vanishes."""
+    xs, ys = (list(map(sparse, side)) for side in zip(*pairs))
+    if not _spans(model, xs, domain):
         raise ValueError("sigma domain basis does not span the domain")
-    if Subspace.span(model.dim, ys) != image or image.dim != domain.dim:
+    if not _spans(model, ys, image):
         raise ValueError("sigma is not bijective onto the target algebra")
-    if subspace_sum(domain, image).dim != 2 * domain.dim:
+    if not domain.support.isdisjoint(image.support) and \
+            subspace_sum(domain, image).dim != 2 * domain.dim:
         raise ValueError("sigma domain and image meet")
-    if model.bracket_span(domain.rows, image.rows).dim:
+    if any(model._bracket_entries(x, y) for x in domain.rows for y in image.rows):
         raise ValueError("sigma domain and image do not commute")
-    return Subspace.span(model.dim, [tuple(a + b for a, b in zip(x, y)) for x, y in zip(xs, ys)])
+    return Subspace.span(model.dim, [combination((1, 1), xy) for xy in zip(xs, ys)])
+
+
+def _spans(model: LieModel, vectors: list, sub: Subspace) -> bool:
+    """Whether the sparse vectors are a basis of sub."""
+    return len(vectors) == sub.dim and (
+        vectors == list(sub.rows) or Subspace.span(model.dim, vectors) == sub)
 
 
 def _sl2_triple(model: LieModel, datum: RootDatum, root) -> tuple:
-    """Canonical (H, E, F) with [H,E]=2E, [H,F]=-2F, [E,F]=H for a (1,0) root."""
+    """Canonical (H, E, F) with [H,E]=2E, [H,F]=-2F, [E,F]=H for a (1,0)
+    root, as sparse vectors, with E the canonical row of its root space, and
+    the value c = root(H_raw) that normalizes H_raw = [E, -theta E]."""
     sp = root.space
     if sp.dim != 1:
         raise ValueError("sl2 triple needs a multiplicity one root")
-    e = sp.basis[0]
-    f_raw = tuple(-c for c in model.theta_apply(e))
-    h_raw = model.bracket(e, f_raw)
+    e = sp.rows[0]
+    f_raw = {i: -x for i, x in model.theta.apply_sparse(e).items()}
+    h_raw = model._bracket_entries(e, f_raw)
     if not model.a_space.contains_vector(h_raw):
         raise ValueError("bracket of the root pair leaves a (unsupported model)")
     c = datum.evaluate(root, h_raw)
     if c <= 0:
         raise ValueError("degenerate root normalization")
     scale = rat(2) / c
-    h = tuple(scale * t for t in h_raw)
-    f = tuple(scale * t for t in f_raw)
-    return h, e, f, c
+    return _scaled(scale, h_raw), e, _scaled(scale, f_raw), c
+
+
+def _scaled(t, v: dict) -> dict:
+    """t * v for a sparse vector v and a nonzero scalar t."""
+    return {i: t * x for i, x in v.items()}
 
 
 def _rational_sqrt(x):
@@ -180,7 +199,7 @@ def default_cer_sigma(datum: RootDatum, j: int, k: int) -> Subspace:
     if t is None:
         raise ValueError("boundary algebras are homothetic but admit no rational "
                          "theta-equivariant identification")
-    pairs = [(hj, hk), (ej, tuple(t * v for v in ek)), (fj_, tuple((rat(1) / t) * v for v in fk_))]
+    pairs = [(hj, hk), (ej, _scaled(t, ek)), (fj_, _scaled(rat(1) / t, fk_))]
     graph = _graph(model, pd_j.s, pd_k.s, pairs)
     if model.theta_image(graph) != graph:
         raise ValueError("default sigma failed theta equivariance")
@@ -214,7 +233,7 @@ def make_factor_diagonal(pm: ProductModel, datum: RootDatum, j: int, k: int) -> 
     if pm.factors[j].name != pm.factors[k].name:
         raise ValueError("no canonical sigma between non-identical factors")
     block_j, block_k = (pm.embed({i: Subspace.full(pm.factors[i].dim)}) for i in (j, k))
-    graph = _graph(pm, block_j, block_k, zip(block_j.basis, block_k.basis))
+    graph = _graph(pm, block_j, block_k, zip(block_j.rows, block_k.rows))
     pd = build_parabolic(datum, datum.factor_phis[j] + datum.factor_phis[k])
     return canonical_extend(datum, pd, graph, kind="CER")
 
@@ -274,16 +293,27 @@ def product_assemble(pm: ProductModel, j: int, inner: ActionSpec) -> ActionSpec:
 
 
 def matrix_kernel(model: LieModel, inside: Subspace, condition) -> Subspace:
-    """{x in inside : condition(matrix(x)) = 0} for a linear, tuple-valued
-    condition and a nonzero subspace inside."""
-    values = [[condition(model.matrix(row))] for row in inside.basis]
-    return solve_inclusion_constraint(inside.basis, values, Subspace.zero(len(values[0][0])))
+    """{x in inside : condition(matrix(x)) = 0} for a linear condition that
+    maps a matrix, as its sparse entries {(row, column): value}, to a matrix
+    of the model's size in the same form.  Each row of inside gives its
+    matrix from the basis matrices' entries (``LieModel.matrix_entries``)."""
+    size = model.matrix_size
+    entries = model.matrix_entries
+    values = []
+    for row in inside.rows:
+        mat = {}
+        for i, c in row.items():
+            for pq, x in entries[i].items():
+                mat[pq] = mat.get(pq, 0) + c * x
+        image = condition({pq: x for pq, x in mat.items() if x})
+        values.append([{p * size + q: x for (p, q), x in image.items() if x}])
+    return solve_inclusion_constraint(inside, values, Subspace.zero(size * size))
 
 
 def _entries_zero_subspace(model: LieModel, positions) -> Subspace:
     """{x in g : matrix(x) vanishes at the given positions}."""
     return matrix_kernel(model, Subspace.full(model.dim),
-                         lambda mat: tuple(mat.rows[p][q] for p, q in positions))
+                         lambda mat: {pq: mat[pq] for pq in positions if pq in mat})
 
 
 def builtin_cei_catalog(datum: RootDatum, phi: Iterable[int]) -> list:

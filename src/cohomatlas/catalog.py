@@ -148,15 +148,24 @@ def _fh(datum: RootDatum) -> ActionSpec:
 
 def _symplectic_kernel(model: LieModel, s_phi: Subspace, lo: int) -> Subspace:
     """sp(2,R) inside s_phi: {X : X^T J + J X = 0} for the standard
-    symplectic form J on the coordinates lo, ..., lo + 3."""
-    size = model.matrix_size
-    jmat = [[0] * size for _ in range(size)]
+    symplectic form J on the coordinates lo, ..., lo + 3, summed over the
+    nonzero entries of X and J."""
+    jmat = {}
     for p in (lo, lo + 1):
-        jmat[p][p + 2] = 1
-        jmat[p + 2][p] = -1
-    jm = Matrix(tuple(tuple(r) for r in jmat))
-    return matrix_kernel(model, s_phi,
-                         lambda mat: ((mat.transpose() @ jm) + (jm @ mat)).flatten())
+        jmat[p, p + 2] = 1
+        jmat[p + 2, p] = -1
+
+    def condition(mat: dict) -> dict:
+        out = {}
+        for (r, c), x in mat.items():
+            for (p, q), y in jmat.items():
+                if p == r:  # X^T J at (c, q)
+                    out[c, q] = out.get((c, q), 0) + x * y
+                if q == r:  # J X at (p, c)
+                    out[p, c] = out.get((p, c), 0) + y * x
+        return out
+
+    return matrix_kernel(model, s_phi, condition)
 
 
 def _extend(datum: RootDatum, phi: tuple, h_phi: Subspace) -> ActionSpec:

@@ -13,15 +13,20 @@ is the one representation inside this module and ``cohomatlas.models``,
 where almost every coordinate is zero, so an operation costs the supports it
 reads, not the ambient dimension.  Dense tuples remain only at the edges
 that hand out values: ``Matrix`` rows, ``Subspace.basis``, ``from_coords``
-and ``coords_of``, and the rows that ``rref_with_transform`` and
-``kernel_rows`` return.  The entry points that take vectors accept either
+and ``coords_of``, the rows that ``rref_with_transform`` and
+``kernel_rows`` return, the public ``LieModel.bracket`` and
+``inner_product``, and a root's dual vector.  The parabolic pieces, the
+sl2 triples, graphs and matrix kernels of ``cohomatlas.actions`` and the
+coweights are sparse.  The entry points that take vectors accept either
 form.
 
 A subspace stores its canonical rows once: the reduced row echelon form of
 whatever spanning set was supplied, each the sparse primitive integer row
 with a positive pivot, so two subspaces are equal iff their ``rows`` are.
 Membership walks the nonzeros of the vector and the rows whose pivots they
-hit: in RREF the coefficient of the row with pivot p is v[p].
+hit: in RREF the coefficient of the row with pivot p is v[p].  The sum of
+subspaces whose supports are disjoint is their rows merged by pivot
+(``disjoint_sum``), with no elimination.
 
 One kernel, ``_eliminate``, runs ``Subspace.span``, ``rref_rows`` and
 ``rref_with_transform``: fraction-free Gauss-Jordan (Bareiss, Math. Comp.
@@ -394,6 +399,12 @@ class Subspace:
         return tuple(_rational_row(row, row[c], n) for row, c in zip(self.rows, self.pivots))
 
     @cached_property
+    def support(self) -> frozenset:
+        """The columns where some row is nonzero: every vector of the
+        subspace is zero outside them."""
+        return frozenset(j for row in self.rows for j in row)
+
+    @cached_property
     def _scale(self) -> int:
         """d, the lcm of the pivot values d_p = row_p[p]."""
         return math.lcm(*(row[c] for row, c in zip(self.rows, self.pivots)))
@@ -448,6 +459,29 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     return Subspace.span(u.ambient_dim, u.rows + v.rows)
+
+
+def disjoint_sum(ambient_dim: int, parts: Iterable[Subspace]) -> Subspace:
+    """The sum of subspaces of Q^ambient_dim whose supports are pairwise
+    disjoint: their canonical rows, merged by pivot, with no elimination.
+
+    This equals ``Subspace.span`` of those rows.  Each part's rows are its
+    RREF rows: primitive, with a positive pivot at their leftmost column,
+    and zero at the part's other pivots.  A row is zero off its part's
+    support, so it is zero at every other part's pivots too, and sorted by
+    pivot the merged rows are in RREF, which is unique.  Raises if two
+    supports meet, or if a part has another ambient dimension.
+    """
+    keyed, seen = [], set()
+    for part in parts:
+        if part.ambient_dim != ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        if not seen.isdisjoint(part.support):
+            raise ValueError("the supports of the summands meet")
+        seen.update(part.support)
+        keyed.extend(zip(part.pivots, part.rows))
+    keyed.sort(key=lambda pr: pr[0])
+    return Subspace(ambient_dim, tuple(row for _, row in keyed), tuple(p for p, _ in keyed))
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:

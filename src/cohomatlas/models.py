@@ -26,11 +26,11 @@ the convention of ``cohomatlas.linalg``.  Inside a model a vector is sparse,
 {index: value} over its nonzero entries: brackets (``_bracket_entries``),
 theta images and projections go from subspace rows to ``linalg`` with no
 dense round trip, and theta is applied through its column entries.  The
-public ``bracket``, ``theta_apply`` and ``inner_product`` take and return
-dense tuples.  The structure constants and theta of every shipped model are
-integral and stored as ints, so the bracket and theta image of an integer
-vector stay integer, and the Killing and inner-product Grams built from them
-are int tables too.  Every operation is pure, and models are immutable after
+public ``bracket`` and ``inner_product`` take and return dense tuples.  The
+structure constants and theta of every shipped model are integral and
+stored as ints, so the bracket and theta image of an integer vector stay
+integer, and the Killing and inner-product Grams built from them are int
+tables too.  Every operation is pure, and models are immutable after
 construction.
 """
 
@@ -44,6 +44,7 @@ from .linalg import (
     SpanSolver,
     Subspace,
     dense,
+    disjoint_sum,
     solve_inclusion_constraint,
     sparse,
     vdot,
@@ -97,17 +98,11 @@ class LieModel:
         """Coordinates of a matrix in the model basis; raises if outside."""
         return self._solver.coords(mat.flatten())
 
-    def matrix(self, x: Sequence) -> Matrix:
-        n = self.matrix_size
-        rows = [[0] * n for _ in range(n)]
-        for c, b in zip(x, self.basis):
-            if c:
-                for i in range(n):
-                    br = b.rows[i]
-                    for j in range(n):
-                        if br[j]:
-                            rows[i][j] += c * br[j]
-        return Matrix(tuple(tuple(r) for r in rows))
+    @cached_property
+    def matrix_entries(self) -> tuple:
+        """Per basis matrix, its nonzero entries {(row, column): value}."""
+        return tuple({(p, q): x for p, row in enumerate(b.rows) for q, x in enumerate(row) if x}
+                     for b in self.basis)
 
     def _structure_constants(self):
         """{i: {j: ((k, c), ...)}} with [e_i, e_j] = sum c * e_k, over the
@@ -143,27 +138,23 @@ class LieModel:
         return {(k, j): c for j, entry in self._struct.get(i, {}).items() for k, c in entry}
 
     def _killing_gram(self) -> Matrix:
-        ads = [self._ad_sparse(i) for i in range(self.dim)]
-        rows = []
+        """B(e_i, e_j) = tr(ad e_i ad e_j) = sum over (k, l) of ad_i[k, l] *
+        ad_j[l, k], with the structure constants indexed by (k, l): each
+        index pair pairs the constants at (k, l) with those at (l, k), so
+        only pairs that meet are summed."""
+        by_index = {}
         for i in range(self.dim):
-            row = []
-            ai = ads[i]
-            for j in range(self.dim):
-                aj = ads[j]
-                s = 0
-                if len(ai) <= len(aj):
-                    for (k, l), c in ai.items():
-                        d = aj.get((l, k))
-                        if d:
-                            s += c * d
-                else:
-                    for (k, l), c in aj.items():
-                        d = ai.get((l, k))
-                        if d:
-                            s += c * d
-                row.append(s)
-            rows.append(tuple(row))
-        return Matrix(tuple(rows))
+            for kl, c in self._ad_sparse(i).items():
+                by_index.setdefault(kl, []).append((i, c))
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for (k, l), left in by_index.items():
+            right = by_index.get((l, k))
+            if right:
+                for i, c in left:
+                    row = rows[i]
+                    for j, d in right:
+                        row[j] += c * d
+        return Matrix(tuple(map(tuple, rows)))
 
     def _inner_gram(self) -> Matrix:
         """<X, Y> = -B(X, theta Y), the product -K theta summed over the
@@ -203,9 +194,6 @@ class LieModel:
 
     def inner_product(self, x: Sequence, y: Sequence):
         return vdot(x, self.inner.apply(y))
-
-    def theta_apply(self, x: Sequence) -> tuple:
-        return self.theta.apply(x)
 
     def theta_image(self, sub: Subspace) -> Subspace:
         return Subspace.span(self.dim, [self.theta.apply_sparse(b) for b in sub.rows])
@@ -404,24 +392,19 @@ class ProductModel(LieModel):
 
     def embed(self, parts: dict) -> Subspace:
         """The direct sum of {factor index: factor subspace}: each part's
-        canonical rows and pivots shifted into its factor's block.
-
-        This equals ``Subspace.span`` of the shifted rows.  A part's rows are
-        its RREF rows, primitive with positive, increasing pivots, each zero
-        left of its pivot and at the other pivots; shifting keeps that.  The
-        blocks are disjoint and in order, so taken factor by factor the rows
-        are zero at the other blocks' pivots and the pivots still increase:
-        they are the RREF of their span, which is unique.
+        canonical rows and pivots shifted into its factor's block, and the
+        blocks' rows merged by ``disjoint_sum``.  A part's rows are its RREF
+        rows, and shifting keeps them so; distinct blocks are disjoint.
         """
-        rows, pivots = [], []
-        for idx in sorted(parts):
-            sub, start = parts[idx], self.block_offsets[idx]
+        shifted = []
+        for idx, sub in parts.items():
+            start = self.block_offsets[idx]
             if sub.ambient_dim != self.factors[idx].dim:
                 raise ValueError(f"a part of dimension {sub.ambient_dim} does not live on "
                                  f"factor {idx}, of dimension {self.factors[idx].dim}")
-            rows.extend({j + start: x for j, x in row.items()} for row in sub.rows)
-            pivots.extend(p + start for p in sub.pivots)
-        return Subspace(self.dim, tuple(rows), tuple(pivots))
+            rows = tuple({j + start: x for j, x in row.items()} for row in sub.rows)
+            shifted.append(Subspace(self.dim, rows, tuple(p + start for p in sub.pivots)))
+        return disjoint_sum(self.dim, shifted)
 
     def embed_vector(self, idx: int, v: Sequence) -> tuple:
         """A dense vector of the idx-th factor, in the product's coordinates."""

@@ -9,28 +9,43 @@ s = [b,b] + b, the coarse grading of n_phi when phi omits exactly one
 simple root, and the nested Levi piece for chains psi inside phi.  For sl
 models ``tensor_model`` indexes the top graded piece as a matrix space.
 
-Each piece is spanned from the root records' own spaces.  Which roots go
-into it is decided by ``Root.in_span``, which reads a root's coefficients
-over the simple roots, and a grade is a root's coefficient outside phi.
+Which roots go into a piece is decided by ``Root.in_span``, which reads a
+root's coefficients over the simple roots, and a grade is a root's
+coefficient outside phi.  Everything is an exact Subspace of the model.
 
-Everything is an exact Subspace of the model.  The boundary isometry
-algebra is spanned from the root grading too, never as [b, b]:
-``build_parabolic`` takes s0 = a^phi plus the brackets [g_lam, g_-lam] of
-the positive roots inside phi, and s_phi = s0 plus the root spaces inside
-phi, and checks once per phi that p(s0) = a^phi; its docstring proves that
-this is [b, b] + b.  s_phi is graded by the roots inside phi by
-construction, so the nested parabolic q_{psi,phi} = q_psi & s_phi is s0
-plus the spaces of the roots inside phi that are positive or inside psi,
-and ``build_nested`` spans its Levi piece from the root sets and checks
-nothing further.
+Every piece but s0, a^phi and a_phi is a direct sum placed by
+``disjoint_sum``, with no elimination, because its summands have disjoint
+supports.  The model basis is a weight basis, so each weight space, g_0
+included, is spanned by its own set of basis vectors, and distinct weights
+have disjoint sets; every vector of a weight space is zero off its set.
+So l = g_0 + the root spaces inside phi, n_phi, each grade, s_phi = s0 +
+the root spaces inside phi and the nested Levi piece s0 + the root spaces
+inside psi are direct sums, s0 lying in g_0.  theta pairs g_lam with
+g_-lam (``decompose`` checks it), so the k- and p-parts of g_lam lie in
+g_lam + g_-lam, disjoint for distinct positive roots and from g_0: k_phi =
+k0 + the k-parts and b = a^phi + the p-parts of the positive roots inside
+phi are direct sums too.  Each root's k- and p-parts are spanned once per
+datum (``RootDatum.theta_parts``).
+
+The boundary isometry algebra is spanned from the root grading, never as
+[b, b]: ``build_parabolic`` spans s0 from the dual vectors H_alpha of the
+simple roots in phi and the brackets [g_lam, g_-lam] of the positive roots
+inside phi, and reads a^phi as p(s0), which it checks has dimension |phi|;
+its docstring proves that s_phi is [b, b] + b.  These two are the only
+eliminations of a new phi besides a_phi, the span of the fundamental
+coweights outside phi (``a_piece``).  s_phi is graded by the roots inside
+phi by construction, so the nested parabolic q_{psi,phi} = q_psi & s_phi
+is s0 plus the spaces of the roots inside phi that are positive or inside
+psi, and ``build_nested`` places its Levi piece from the root sets and
+checks nothing further.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
-from .linalg import Subspace, orthocomplement_in, solve_inclusion_constraint
+from .linalg import Subspace, disjoint_sum
 from .roots import RootDatum
 
 
@@ -56,20 +71,15 @@ def _check_phi(datum: RootDatum, phi: Iterable[int]) -> tuple:
     return phi
 
 
-def _root_rows(roots: Iterable, start: Sequence = ()) -> list:
-    """The rows of start followed by the integer rows of each root space."""
-    return list(start) + [v for r in roots for v in r.space.rows]
-
-
 def a_piece(datum: RootDatum, phi: tuple) -> Subspace:
     """a_phi = {H in a : alpha(H) = 0 for alpha in phi}, the common kernel in
-    a of the simple roots indexed by the sorted tuple phi; a covector lists
-    the values of its root on the basis of a.  The roots in phi are
-    independent, so dim a_phi = rank - |phi|.  ``build_parabolic`` reads its
-    a_phi here, and ``verify.extension_composition_ok`` compares two of them."""
-    a = datum.model.a_space
-    values = [[tuple(datum.simple[i].covector[t] for i in phi)] for t in range(a.dim)]
-    return solve_inclusion_constraint(a.basis, values, Subspace.zero(len(phi)))
+    a of the simple roots indexed by the sorted tuple phi: the span of the
+    fundamental coweights omega_i for i outside phi, since alpha_j(omega_i)
+    = delta_ij and the coweights are a basis of a.  So dim a_phi = rank -
+    |phi|.  ``build_parabolic`` reads its a_phi here, and
+    ``verify.extension_composition_ok`` compares two of them."""
+    return Subspace.span(datum.model.dim, [w for i, w in enumerate(datum.coweights)
+                                           if i not in phi])
 
 
 def nilpotent_roots(datum: RootDatum, psi: tuple, phi: Optional[tuple] = None) -> list:
@@ -83,12 +93,20 @@ def nilpotent_roots(datum: RootDatum, psi: tuple, phi: Optional[tuple] = None) -
 def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     """All parabolic pieces for a subset of simple roots (cached per datum).
 
+    The pieces other than s0, a^phi and a_phi are direct sums of root
+    spaces, their k- and p-parts, g_0, k0, s0 and a^phi; the module
+    docstring proves that their supports are disjoint.
+
     s_phi, the isometry algebra of the boundary component B_phi, is spanned
     from its root spaces: s0 = a^phi + [g_lam, g_-lam] over the positive
     roots lam inside phi, and s_phi = s0 + the root spaces inside phi, which
-    costs sum (dim g_lam)^2 brackets.  With ``decompose``'s checks, the
-    grading [g_lam, g_mu] in g_{lam+mu} and theta g_lam = g_-lam, and the
-    one check made here, p(s0) = a^phi, this is [b, b] + b:
+    costs sum (dim g_lam)^2 brackets.  a^phi = span{H_alpha : alpha in phi}
+    is the orthogonal complement of a_phi in a, since <H_alpha, H> =
+    alpha(H), and it is read as p(s0): s0 is spanned from the H_alpha, which
+    lie in a inside p, so p(s0) contains a^phi, and the one check made
+    here, dim p(s0) = |phi|, makes p(s0) = a^phi.  With ``decompose``'s
+    checks, the grading [g_lam, g_mu] in g_{lam+mu} and theta g_lam =
+    g_-lam, this is [b, b] + b:
 
     * s_phi is a subalgebra.  Brackets of root spaces inside phi lie in a
       root space inside phi, or in s0 for opposite roots.  s0 lies in g_0,
@@ -115,29 +133,18 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
 
     model = datum.model
     d = model.dim
-    inside = [r for r in datum.roots if r.in_span(phi)]
-    inside_pos = [r for r in datum.positive if r.in_span(phi)]
-
-    l = Subspace.span(d, _root_rows(inside, datum.zero_space.rows))
-
-    a_phi = a_piece(datum, phi)
+    inside = [r.space for r in datum.roots if r.in_span(phi)]
     outside_pos = nilpotent_roots(datum, phi)
-    n_phi = Subspace.span(d, _root_rows(outside_pos))
-
-    # k0 lies in k and a_upper in p, so projecting them too leaves each one
-    # spanning itself
-    a_upper = orthocomplement_in(a_phi, model.a_space, model.inner)
-    k_phi = model.project_k_subspace(_root_rows(inside_pos, datum.k0.rows))
-    b = model.project_p_subspace(_root_rows(inside_pos, a_upper.rows))
 
     # datum.roots lists the negatives in the order of the positives
     negative = datum.roots[len(datum.positive):]
-    s0 = Subspace.span(d, a_upper.rows + tuple(
+    s0 = Subspace.span(d, [datum.simple[i].root_vector for i in phi] + [
         model._bracket_entries(x, y) for r, n in zip(datum.positive, negative) if r.in_span(phi)
-        for x in r.space.rows for y in n.space.rows))
-    if model.project_p_subspace(s0) != a_upper:
+        for x in r.space.rows for y in n.space.rows])
+    a_upper = model.project_p_subspace(s0)
+    if a_upper.dim != len(phi):
         raise ValueError("the p-part of s0 is not a^phi")
-    s = Subspace.span(d, _root_rows(inside, s0.rows))
+    parts = [kp for r, kp in zip(datum.positive, datum.theta_parts) if r.in_span(phi)]
 
     grading = None
     if len(phi) == datum.rank - 1:
@@ -145,18 +152,18 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
         grading = {}
         for r in outside_pos:
             nu = sum(c for i, c in enumerate(r.coeffs) if i not in phi)
-            grading.setdefault(nu, []).append(r)
-        grading = {nu: Subspace.span(d, _root_rows(rs)) for nu, rs in grading.items()}
+            grading.setdefault(nu, []).append(r.space)
+        grading = {nu: disjoint_sum(d, spaces) for nu, spaces in grading.items()}
 
     pd = ParabolicDatum(
         phi=phi,
-        l=l,
-        a_phi=a_phi,
-        n_phi=n_phi,
-        k_phi=k_phi,
+        l=disjoint_sum(d, [datum.zero_space] + inside),
+        a_phi=a_piece(datum, phi),
+        n_phi=disjoint_sum(d, [r.space for r in outside_pos]),
+        k_phi=disjoint_sum(d, [datum.k0] + [k for k, _ in parts]),
         a_upper=a_upper,
-        b=b,
-        s=s,
+        b=disjoint_sum(d, [a_upper] + [p for _, p in parts]),
+        s=disjoint_sum(d, [s0] + inside),
         s0=s0,
         grading=grading,
     )
@@ -166,7 +173,7 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
 
 def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> Subspace:
     """The Levi piece of q_psi & s_phi for psi inside phi: s0 of s_phi plus
-    the root spaces inside psi.  With the root spaces of
+    the root spaces inside psi, a direct sum.  With the root spaces of
     ``nilpotent_roots(datum, psi, phi)`` it spans q_psi & s_phi, because
     ``build_parabolic`` has checked that s_phi is graded by the roots inside
     phi."""
@@ -175,8 +182,8 @@ def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> Su
     if not set(psi) <= set(phi):
         raise ValueError("psi must be contained in phi")
     s0 = build_parabolic(datum, phi).s0
-    return Subspace.span(datum.model.dim,
-                         _root_rows([r for r in datum.roots if r.in_span(psi)], s0.rows))
+    return disjoint_sum(datum.model.dim,
+                        [s0] + [r.space for r in datum.roots if r.in_span(psi)])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ of whether a root lies in the span of a subset of simple roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -47,9 +48,14 @@ class Root:
     coeffs: tuple  # integers over the ordered simple roots
     space: Subspace
 
+    @cached_property
+    def support(self) -> frozenset:
+        """The indices of the simple roots with a nonzero coefficient."""
+        return frozenset(i for i, c in enumerate(self.coeffs) if c)
+
     def in_span(self, phi) -> bool:
         """Whether the root lies in the span of the simple roots indexed by phi."""
-        return all(c == 0 for i, c in enumerate(self.coeffs) if i not in phi)
+        return self.support.issubset(phi)
 
 
 class RootDatum:
@@ -77,6 +83,28 @@ class RootDatum:
         """The indices of each factor's simple roots, factor by factor."""
         ends = accumulate(fd.rank for fd in self.factors)
         return tuple(tuple(range(e - fd.rank, e)) for fd, e in zip(self.factors, ends))
+
+    @cached_property
+    def coweights(self) -> tuple:
+        """The fundamental coweights: omega_i in a with alpha_j(omega_i) =
+        delta_ij for the ordered simple roots, as sparse vectors.  In the
+        coordinates of ``a_space.basis`` they are the columns of the inverse
+        of the matrix of simple covectors, solved once per datum: omega_i's
+        coordinates are those of e_i in the rows (alpha_j(h_t))_j, one row
+        per basis vector h_t."""
+        a = self.model.a_space
+        inverse = SpanSolver([tuple(s.covector[t] for s in self.simple) for t in range(a.dim)],
+                             self.rank)
+        return tuple(combination(inverse.coords({i: 1}), a.basis) for i in range(self.rank))
+
+    @cached_property
+    def theta_parts(self) -> tuple:
+        """(k-part, p-part) of each positive root space, in the order of
+        ``positive``: the spans of x + theta x and of x - theta x over its
+        rows.  theta pairs g_lam with g_-lam, so both lie in g_lam + g_-lam."""
+        model = self.model
+        return tuple((model.project_k_subspace(r.space), model.project_p_subspace(r.space))
+                     for r in self.positive)
 
     def profile(self, root: Root) -> tuple:
         """(m_alpha, m_2alpha): the multiplicities of a root and of its double."""

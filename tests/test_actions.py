@@ -7,8 +7,9 @@ import pytest
 from cohomatlas import actions as actions_module
 from cohomatlas import linalg
 from cohomatlas import verify as verify_module
-from cohomatlas.catalog import ce_families, enumerate_sl
-from cohomatlas.linalg import Matrix, Subspace, rat, subspace_intersect, subspace_sum
+from cohomatlas.catalog import _symplectic_kernel, ce_families, enumerate_sl
+from cohomatlas.linalg import (Matrix, Subspace, rat, solve_inclusion_constraint,
+                               subspace_intersect, subspace_sum)
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
     ActionSpec,
@@ -196,7 +197,7 @@ class TestCer:
         # graph; but sigma [e_j, f_j] = 2 h_k while [e_k, f_k] = h_k, so the
         # graph is no subalgebra, and verify's closure note says so
         (hj, ej, fj, _), (hk, ek, fk, _) = _triples(SL4_DATUM, 0, 2)
-        pairs = [(hj, tuple(2 * x for x in hk)), (ej, ek), (fj, fk)]
+        pairs = [(hj, {i: 2 * x for i, x in hk.items()}), (ej, ek), (fj, fk)]
         graph = _graph(SL4, *_boundaries(SL4_DATUM, 0, 2), pairs)
         assert SL4.theta_image(graph) == graph and not SL4.is_subalgebra(graph)
         spec = canonical_extend(SL4_DATUM, build_parabolic(SL4_DATUM, [0, 2]), graph,
@@ -410,6 +411,77 @@ class TestBuiltinCatalog:
         dims = dict((n, s.dim) for n, s in entries)
         assert dims["u(2)"] == 4
         assert dims["so(1,2)"] == 3
+
+
+def dense_matrix_kernel(model, inside, condition):
+    """The reference matrix kernel: each row's matrix built dense from the
+    basis matrices, and a tuple-valued condition on that Matrix."""
+    n = model.matrix_size
+    values = []
+    for x in inside.basis:
+        mat = Matrix.zeros(n, n)
+        for c, b in zip(x, model.basis):
+            if c:
+                mat = mat + Matrix(tuple(tuple(c * y for y in row) for row in b.rows))
+        values.append([condition(mat)])
+    return solve_inclusion_constraint(inside.basis, values, Subspace.zero(len(values[0][0])))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_symplectic_kernel_equals_the_dense_matrix_product(n):
+    # X^T J + J X by dense Matrix products is the reference
+    datum = decompose(build_sl(n))
+    g = datum.model
+    for j in range(datum.rank - 2):
+        s_phi = build_parabolic(datum, (j, j + 1, j + 2)).s
+        jm = Matrix(tuple(tuple(1 if (p, q) in ((j, j + 2), (j + 1, j + 3)) else
+                                -1 if (q, p) in ((j, j + 2), (j + 1, j + 3)) else 0
+                                for q in range(n)) for p in range(n)))
+        sp2 = _symplectic_kernel(g, s_phi, j)
+        assert sp2 == dense_matrix_kernel(
+            g, s_phi, lambda mat: ((mat.transpose() @ jm) + (jm @ mat)).flatten())
+        assert sp2.dim == 10
+
+
+@pytest.mark.parametrize("build", [lambda: build_so1n(3), lambda: build_so1n(5),
+                                   lambda: build_su1n(2), lambda: build_su1n(4)],
+                         ids=["rh3", "rh5", "ch2", "ch4"])
+def test_entries_zero_subspaces_equal_the_dense_matrix_reference(monkeypatch, build):
+    # every matrix block the rank-one catalog cuts out, read off dense matrices
+    calls = []
+    entries_zero = actions_module._entries_zero_subspace
+
+    def recorded(model, positions):
+        calls.append((model, positions, entries_zero(model, positions)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(actions_module, "_entries_zero_subspace", recorded)
+    builtin_cei_catalog(decompose(build()), [0])
+    assert calls
+    for model, positions, sub in calls:
+        assert sub == dense_matrix_kernel(model, Subspace.full(model.dim),
+                                          lambda mat: tuple(mat.rows[p][q] for p, q in positions))
+
+
+def test_a_factor_diagonal_spans_only_its_graph_at_product_size(monkeypatch):
+    # the blocks' canonical rows are compared, not spanned; blocks with
+    # disjoint supports meet only in 0, and commute when every bracket of
+    # their rows vanishes: the one span is the graph's
+    p = direct_sum([build_so1n(3), build_sl(3), build_so1n(3)])
+    blocks = [p.embed({i: Subspace.full(p.factors[i].dim)}) for i in (0, 2)]
+    widths = []
+    eliminate = linalg._eliminate
+
+    def recorded(work, ncols):
+        widths.append(ncols)
+        return eliminate(work, ncols)
+
+    monkeypatch.setattr(linalg, "_eliminate", recorded)
+    graph = _graph(p, *blocks, zip(blocks[0].rows, blocks[1].rows))
+    assert widths == [p.dim]
+    monkeypatch.undo()
+    assert graph == Subspace.span(p.dim, [{**x, **y} for x, y in zip(*(b.rows for b in blocks))])
+    assert graph.dim == p.factors[0].dim
 
 
 def test_catalog_entry_phi_is_one_based():

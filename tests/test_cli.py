@@ -66,6 +66,9 @@ GOLDEN_DIGESTS = {
     # subspaces were placed in their blocks without elimination
     "rh(3)*sl(3)*rh(3)*ch(2)":
         "4bfea2ab86ec969929f0cb9eb18b8945445fdb0bcd53e711ba19138a44144a07",
+    # the largest sl table, 28 CE-row-2 and 21 CE-row-4 rows; recorded before
+    # the parabolic pieces were placed from the root spaces without elimination
+    "sl(9)": "5d148934bb155e6f8ac81186b3684294be5cc93c4337a3a2a1fbb7eb3b9d5d48",
 }
 # sha256 of the markdown report, with the same arguments otherwise
 GOLDEN_MARKDOWN_DIGESTS = {

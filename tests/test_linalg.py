@@ -13,6 +13,7 @@ from cohomatlas.linalg import (
     Matrix,
     SpanSolver,
     Subspace,
+    disjoint_sum,
     kernel_rows,
     orthocomplement_in,
     rat,
@@ -837,3 +838,46 @@ def test_the_solvers_combinations_are_the_canonical_rows_of_its_answer(case, k, 
         assert [primitive(c) for c in combinations] == list(answer.rows)
     else:  # no equation, or only the zero solution
         assert answer in (candidates, Subspace.zero(n))
+
+
+@st.composite
+def disjoint_parts(draw):
+    """(n, parts): subspaces of Q^n, each spanned by a few small integer rows
+    on its own set of columns; the sets interleave and some columns belong
+    to no part."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 4))
+    owner = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))  # k: no part
+    parts = []
+    for g in range(k):
+        cols = [j for j in range(n) if owner[j] == g]
+        rows = draw(st.lists(st.lists(ENTRY, min_size=len(cols), max_size=len(cols)),
+                             max_size=4))
+        parts.append(Subspace.span(n, [{j: x for j, x in zip(cols, row) if x} for row in rows]))
+    return n, draw(st.permutations(parts))
+
+
+@PROPERTY
+@given(disjoint_parts())
+def test_disjoint_sum_is_the_span_of_the_rows(case):
+    n, parts = case
+    total = disjoint_sum(n, parts)
+    reference = Subspace.span(n, [row for part in parts for row in part.rows])
+    assert (total.rows, total.pivots) == (reference.rows, reference.pivots)
+
+
+@PROPERTY
+@given(disjoint_parts(), st.data())
+def test_disjoint_sum_rejects_parts_whose_supports_meet(case, data):
+    n, parts = case
+    nonzero = [part for part in parts if part.dim]
+    assume(nonzero)
+    # a line through a column of one part's support, and maybe another column
+    col = data.draw(st.sampled_from(sorted(data.draw(st.sampled_from(nonzero)).support)))
+    row = {col: data.draw(st.sampled_from([-2, -1, 1, 3]))}
+    row[data.draw(st.integers(0, n - 1))] = 1
+    line = Subspace.span(n, [row])
+    with pytest.raises(ValueError, match="supports of the summands meet"):
+        disjoint_sum(n, parts + [line])
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        disjoint_sum(n + 1, parts)

@@ -51,6 +51,25 @@ def killing(g, x, y):
     return vdot(x, g.killing.apply(y))
 
 
+def matrix_of(g, x) -> Matrix:
+    """The matrix of a dense vector x, summed over the sparse entries of the
+    basis matrices (``LieModel.matrix_entries``)."""
+    n = g.matrix_size
+    rows = [[0] * n for _ in range(n)]
+    for c, entries in zip(x, g.matrix_entries):
+        for (p, q), y in entries.items():
+            rows[p][q] += c * y
+    return Matrix(tuple(map(tuple, rows)))
+
+
+def dense_killing_gram(g) -> Matrix:
+    """The Killing Gram by the loop over all dim^2 pairs of ad matrices, as
+    the reference for the sparse one: B(e_i, e_j) = tr(ad e_i ad e_j)."""
+    ads = [g._ad_sparse(i) for i in range(g.dim)]
+    return Matrix(tuple(tuple(sum(c * ads[j].get((l, k), 0) for (k, l), c in ads[i].items())
+                              for j in range(g.dim)) for i in range(g.dim)))
+
+
 def E(n, i, j):
     rows = [[0] * n for _ in range(n)]
     rows[i][j] = 1
@@ -188,7 +207,7 @@ class TestProducts:
     def test_coords_inverts_matrix(self):
         p = direct_sum([build_sl(2), build_sl(2)])
         x = tuple(rat(i - 2, 1 + i % 2) for i in range(p.dim))
-        assert p.coords(p.matrix(x)) == x
+        assert p.coords(matrix_of(p, x)) == x
         with pytest.raises(ValueError):
             p.coords(E(p.matrix_size, 0, 2))  # outside the diagonal blocks
 
@@ -280,8 +299,8 @@ class TestStructuralInvariants:
         g = model
         basis = [tuple(int(t == i) for t in range(g.dim)) for i in range(g.dim)]
         for x, y in itertools.combinations(basis, 2):
-            lhs = g.theta_apply(g.bracket(x, y))
-            rhs = g.bracket(g.theta_apply(x), g.theta_apply(y))
+            lhs = g.theta.apply(g.bracket(x, y))
+            rhs = g.bracket(g.theta.apply(x), g.theta.apply(y))
             assert lhs == rhs
 
     def test_theta_squares_to_identity(self, model):
@@ -313,7 +332,7 @@ class TestStructuralInvariants:
         g = model
         basis = [tuple(int(t == i) for t in range(g.dim)) for i in range(g.dim)]
         for x in basis[: min(3, g.dim)]:
-            tx = g.theta_apply(x)
+            tx = g.theta.apply(x)
             for y in basis:
                 for z in basis:
                     lhs = g.inner_product(g.bracket(x, y), z)
@@ -337,7 +356,7 @@ class TestStructuralInvariants:
         basis = [unit_vec(g.dim, i) for i in range(g.dim)]
         for x, bx in zip(basis, g.basis):
             for y, by in zip(basis, g.basis):
-                assert g.matrix(g.bracket(x, y)) == bx @ by + -(by @ bx)
+                assert matrix_of(g, g.bracket(x, y)) == bx @ by + -(by @ bx)
 
     def test_p_and_k_projections_match_the_dense_projectors(self, model):
         g = model
@@ -367,8 +386,8 @@ class TestStructuralInvariants:
 ], ids=["rh2xrh3", "sl3xsl2", "ch2xrh2"])
 def test_assembled_product_matches_the_generic_construction(factors):
     pm = direct_sum(factors())
-    ref = LieModel(pm.name, pm.basis, [pm.matrix(x) for x in pm.a_space.basis],
-                   [pm.matrix(x) for x in pm.n_space.basis])
+    ref = LieModel(pm.name, pm.basis, [matrix_of(pm, x) for x in pm.a_space.basis],
+                   [matrix_of(pm, x) for x in pm.n_space.basis])
     assert pm._struct == ref._struct
     assert pm.theta == ref.theta
     assert pm.killing == ref.killing
@@ -378,8 +397,8 @@ def test_assembled_product_matches_the_generic_construction(factors):
     for i, b in enumerate(pm.basis):
         assert ref.coords(b) == unit_vec(pm.dim, i)
     x = tuple(rat(i % 5 - 2, 1 + i % 3) for i in range(pm.dim))
-    assert pm.matrix(x) == ref.matrix(x)
-    assert ref.coords(pm.matrix(x)) == x
+    assert matrix_of(pm, x) == matrix_of(ref, x)
+    assert ref.coords(matrix_of(pm, x)) == x
     off_block = pm.factors[0].matrix_size
     with pytest.raises(ValueError):
         ref.coords(E(pm.matrix_size, 0, off_block))  # outside the diagonal blocks
@@ -409,7 +428,7 @@ def test_brackets_and_theta_of_unit_vectors_stay_integer(build):
     g = build()
     units = [tuple(int(i == j) for j in range(g.dim)) for i in range(g.dim)]
     for x in units:
-        assert all(type(c) is int for c in g.theta_apply(x))
+        assert all(type(c) is int for c in g.theta.apply(x))
         for y in units:
             assert all(type(c) is int for c in g.bracket(x, y))
 
@@ -459,3 +478,13 @@ def test_inner_gram_is_the_dense_product(build):
     g = build()
     assert g.inner == -(g.killing @ g.theta)
     assert all(type(x) is int for row in g.inner.rows for x in row)
+
+
+@pytest.mark.parametrize("build", [lambda: build_sl(4), lambda: build_su1n(3),
+                                   lambda: build_so1n(4),
+                                   lambda: direct_sum([build_sl(3), build_su1n(2)])],
+                         ids=["sl4", "su13", "so14", "sl3xch2"])
+def test_killing_gram_equals_the_loop_over_all_pairs(build):
+    g = build()
+    assert g.killing == dense_killing_gram(g)
+    assert all(type(x) is int for row in g.killing.rows for x in row)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from cohomatlas import linalg as linalg_module
 from cohomatlas.linalg import (
     Subspace,
     orthocomplement_in,
@@ -13,12 +14,14 @@ from cohomatlas.linalg import (
 from cohomatlas.actions import nilpotent_construct
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.parabolic import (
+    ParabolicDatum,
     build_nested,
     build_parabolic,
     tensor_model,
 )
 from cohomatlas.roots import decompose
 from nested_reference import nested_pieces
+from parabolic_reference import in_span, reference_nested, reference_pieces
 
 
 def sl4():
@@ -371,3 +374,61 @@ def test_in_span_is_vanishing_on_a_phi(build):
             for r in datum.roots:
                 vanishes = all(datum.evaluate(r, h) == 0 for h in a_phi.basis)
                 assert r.in_span(phi) == vanishes
+
+
+REFERENCE_SPACES = {
+    "sl4": lambda: build_sl(4), "sl5": lambda: build_sl(5), "rh4": lambda: build_so1n(4),
+    "ch3": lambda: build_su1n(3),
+    "ch2xrh2": lambda: direct_sum([build_su1n(2), build_so1n(2)]),
+    "sl3xrh3": lambda: direct_sum([build_sl(3), build_so1n(3)]),
+}
+
+
+def canonical(piece):
+    """A subspace's rows and pivots, or each grade's, for comparison: two
+    subspaces compare equal by their rows alone."""
+    if isinstance(piece, Subspace):
+        return piece.ambient_dim, piece.rows, piece.pivots
+    if isinstance(piece, dict):
+        return {nu: canonical(sp) for nu, sp in piece.items()}
+    return piece
+
+
+@pytest.mark.parametrize("build", REFERENCE_SPACES.values(), ids=REFERENCE_SPACES.keys())
+def test_every_piece_equals_its_span_built_form(build):
+    # the spans and solves build_parabolic made before it placed its pieces
+    # as direct sums of root spaces are the reference, rows and pivots
+    g = build()
+    datum = decompose(g)
+    for psi, phi in chains(datum.rank):
+        ref = reference_pieces(datum, phi)
+        if psi == phi:
+            pd = build_parabolic(datum, phi)
+            for name in ParabolicDatum.__dataclass_fields__:
+                assert canonical(getattr(pd, name)) == canonical(ref[name]), (phi, name)
+            for r in datum.roots:
+                assert r.in_span(phi) == in_span(r, phi), (phi, r.coeffs)
+        assert canonical(build_nested(datum, psi, phi)) == \
+            canonical(reference_nested(datum, psi, ref["s0"])), (psi, phi)
+
+
+@pytest.mark.parametrize("build", REFERENCE_SPACES.values(), ids=REFERENCE_SPACES.keys())
+def test_only_s0_its_p_part_and_a_phi_are_eliminated(monkeypatch, build):
+    # once a datum has its coweights and each root's k- and p-parts, a new phi
+    # costs three eliminations: s0, p(s0) and the span of the coweights
+    # outside phi; the nested Levi piece of a built phi costs none
+    datum = decompose(build())
+    assert (len(datum.coweights), len(datum.theta_parts)) == (datum.rank, len(datum.positive))
+    widths = []
+    eliminate = linalg_module._eliminate
+
+    def recorded(work, ncols):
+        widths.append(ncols)
+        return eliminate(work, ncols)
+
+    monkeypatch.setattr(linalg_module, "_eliminate", recorded)
+    for psi, phi in chains(datum.rank):
+        before = len(widths)
+        built = phi in datum._parabolic_cache
+        build_nested(datum, psi, phi)
+        assert len(widths) - before == (0 if built else 3), (psi, phi)

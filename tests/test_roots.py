@@ -55,9 +55,8 @@ def test_sl_root_spaces_are_matrix_units():
             coeff = tuple(1 if j <= i <= k else 0 for i in range(3))
             sp = datum.root_with_coeff(coeff).space
             assert sp.dim == 1
-            mat = g.matrix(sp.basis[0])
-            nz = [(a, b) for a in range(4) for b in range(4) if mat.rows[a][b]]
-            assert nz == [(j, k + 1)]
+            (i,) = sp.rows[0]
+            assert list(g.matrix_entries[i]) == [(j, k + 1)]
 
 
 def test_so1n_single_root():
@@ -326,3 +325,12 @@ def test_decompose_raises_on_an_inner_product_pairing_different_weights(build, a
     g.inner = Matrix(tuple(tuple(r) for r in rows))
     with pytest.raises(ValueError, match="pairs basis vectors of different weights"):
         decompose(g)
+
+
+@pytest.mark.parametrize("space", ["sl(2)", "sl(5)", "rh(4)", "ch(3)", "sl(3)*ch(2)*rh(3)"])
+def test_coweights_are_dual_to_the_simple_roots(space):
+    factors = [BUILDERS[name](n) for name, n in parse_space(space).factors]
+    datum = decompose(factors[0] if len(factors) == 1 else direct_sum(factors))
+    assert [[datum.evaluate(s, w) for s in datum.simple] for w in datum.coweights] == \
+        [[int(i == j) for j in range(datum.rank)] for i in range(datum.rank)]
+    assert all(datum.model.a_space.contains_vector(w) for w in datum.coweights)

@@ -514,11 +514,13 @@ def _sigma_section(model, domain_basis, images, a_dom):
 
 
 def _sl2_sigma(datum, j, k):
-    """sigma of the sl2 route on bases: (H_j, E_j, F_j) -> (H_k, t E_k, F_k / t)."""
+    """sigma of the sl2 route on bases: (H_j, E_j, F_j) -> (H_k, t E_k, F_k / t),
+    as dense vectors."""
     hj, ej, fj, cj = _sl2_triple(datum.model, datum, datum.simple[j])
     hk, ek, fk, ck = _sl2_triple(datum.model, datum, datum.simple[k])
     t = _rational_sqrt(rat(cj) / ck)
-    return (hj, ej, fj), (hk, tuple(t * x for x in ek), tuple((rat(1) / t) * x for x in fk))
+    sigma = ((hj, ej, fj), (hk, {i: t * x for i, x in ek.items()}, {i: x / t for i, x in fk.items()}))
+    return tuple(tuple(dense(v, datum.model.dim) for v in side) for side in sigma)
 
 
 @pytest.mark.parametrize("space", ["sl(5)", "sl(3)*sl(2)", "rh(3)*rh(3)", "ch(2)*ch(2)",

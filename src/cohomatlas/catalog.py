@@ -26,10 +26,16 @@ coordinate subspace of the top graded piece in the tensor basis plus a
 seeded batch of random subspaces, records the two nilpotent-construction
 conditions for each, and checks every passing candidate's singular-orbit
 tangent against the tangents of the canonical-extension rows that the
-table lists.  ``nc_oracle`` computes those once per run
-(``known_extension_tangents``), sweeps each simple root, closing them under
-the sweep's block coordinate permutations, and notes whether every passing
-candidate of the sweep matched one.
+table lists.  With the j-th root removed the top piece is the a x b
+matrices, a = j + 1 and b = n - j, and K_phi acts on it by X -> A X B^T.
+A candidate v = U (x) W is a tensor pattern of shape (dim U, dim W), and
+all candidates of one shape are K_phi-conjugate once K_phi contains SO(a) x
+SO(b), which each sweep certifies exactly (``block_rotation_certificate``):
+then one evaluation per shape serves every candidate of that shape, and
+only the other candidates are evaluated one by one.  ``nc_oracle`` computes
+the known tangents once per run (``known_extension_tangents``), sweeps each
+simple root, and notes whether every passing candidate of the sweep matched
+one, naming the first that did not.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional
 
-from .linalg import Matrix, Subspace, subspace_intersect, subspace_sum
+from .linalg import Subspace, subspace_intersect, subspace_sum
 from .models import LieModel, ProductModel, build_sl
 from .actions import (
     NC_OVERLAP,
@@ -54,7 +60,8 @@ from .actions import (
     nilpotent_construct,
     product_assemble,
 )
-from .parabolic import build_nested, build_parabolic, tensor_model
+from .parabolic import (ParabolicDatum, TensorModel, build_nested, build_parabolic,
+                        tensor_model)
 from .roots import RootDatum, decompose
 from .verify import (Note, RationalSampler, VerificationReport, check_nc1, check_nc2,
                      orbit_tangent_at_o, verify)
@@ -102,14 +109,10 @@ class EnumerationResult:
         model, datum = self.model, self.datum
         total = datum.zero_space.dim + sum(r.space.dim for r in datum.roots)
         kan = model.k_space.dim + model.a_space.dim + model.n_space.dim
-        pairing = all(
-            model.theta_image(r.space) == datum.root_with_coeff(tuple(-c for c in r.coeffs)).space
-            for r in datum.positive
-        )
         self.identities = [
             Note("iwasawa-direct-sum", kan == model.dim),
             Note("root-space-sum", total == model.dim),
-            Note("theta-root-pairing", pairing),
+            Note("theta-root-pairing", datum.theta_pairs_roots),
         ]
 
     @property
@@ -364,36 +367,11 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
 # brute-force oracle for the nilpotent construction on sl models
 
 
-def _permutation_maps(model: LieModel, j: int) -> list:
-    """Coordinate maps of Ad(P) for the block permutations of {0..j} and
-    {j+1..n} other than the identity."""
-    size = model.matrix_size
-    blocks = (list(range(j + 1)), list(range(j + 1, size)))
-    maps = []
-    for pa in itertools.permutations(blocks[0]):
-        for pb in itertools.permutations(blocks[1]):
-            perm = list(pa) + list(pb)
-            if perm == list(range(size)):
-                continue  # identity
-            cols = []
-            for b in model.basis:
-                rows = [[0] * size for _ in range(size)]
-                for r in range(size):
-                    br = b.rows[r]
-                    for c in range(size):
-                        if br[c]:
-                            rows[perm[r]][perm[c]] = br[c]
-                cols.append(model.coords(Matrix(tuple(tuple(x) for x in rows))))
-            maps.append(Matrix(tuple(tuple(cols[jj][ii] for jj in range(model.dim))
-                                     for ii in range(model.dim))))
-    return maps
-
-
 def known_extension_tangents(result: EnumerationResult) -> set:
     """Singular-orbit tangents of the canonical-extension rows of an sl
     table, each CE-row-2 interval also extended from its other end drop
-    psi = phi[1:].  Only their block permutation closure depends on the
-    removed root, so one set serves every sweep of nc_oracle_search."""
+    psi = phi[1:].  They do not depend on the removed root, so one set
+    serves every sweep of nc_oracle_search."""
     datum, model = result.datum, result.model
     specs = []
     for entry in result.entries:
@@ -404,6 +382,61 @@ def known_extension_tangents(result: EnumerationResult) -> set:
             levi = build_nested(datum, phi[1:], phi)
             specs.append(canonical_extend(datum, build_parabolic(datum, phi), levi))
     return {orbit_tangent_at_o(model, spec.algebra) for spec in specs}
+
+
+def _tensor_shape(tm: TensorModel, v: Subspace) -> Optional[tuple]:
+    """(dim U, dim W) if v = U (x) W, else None.
+
+    Read each X in v as a matrix; U is the span of the columns of all X in
+    v and W the span of their rows.  v lies in U (x) W, so the two are equal
+    iff dim v = dim U dim W.  The columns and rows of the basis of v span
+    U and W.  With one row, or one column, U = R^1 and W = v, or the other
+    way round, so every v is a tensor pattern and nothing is spanned."""
+    if tm.nrows == 1:
+        return 1, v.dim
+    if tm.ncols == 1:
+        return v.dim, 1
+    cols, rows = {}, {}
+    for k, vector in enumerate(v.rows):
+        for (r, c), x in tm.entries(vector).items():
+            cols.setdefault((k, c), {})[r] = x
+            rows.setdefault((k, r), {})[c] = x
+    p = Subspace.span(tm.nrows, cols.values()).dim
+    if v.dim % p:
+        return None
+    q = Subspace.span(tm.ncols, rows.values()).dim
+    return (p, q) if p * q == v.dim else None
+
+
+def block_rotation_certificate(model: LieModel, pd: ParabolicDatum, tm: TensorModel) -> bool:
+    """Whether k_phi restricted to the top piece spans so(a) (x) 1 + 1 (x)
+    so(b), the algebra of X -> A X - X B with A, B skew, on the top piece
+    read as a x b matrices (a = tm.nrows, b = tm.ncols).
+
+    Each operator is flattened to the images of the matrix units, and the
+    span of the restrictions of the rows of k_phi is compared with the span
+    of the elementary rotations E_rs - E_sr acting on either side, of
+    dimension a(a - 1)/2 + b(b - 1)/2.  When they agree, the identity
+    component of K_phi acts on the top piece as SO(a) x SO(b) by X -> A X
+    B^T."""
+    a, b = tm.nrows, tm.ncols
+    cells = [(r, c) for r in range(a) for c in range(b)]
+
+    def flat(image) -> dict:
+        # image(r, c): the entries of the operator's image of the unit at (r, c)
+        return {(k * a + i) * b + l: x for k, cell in enumerate(cells)
+                for (i, l), x in image(*cell).items()}
+
+    units = {cell: {p: x for p, x in enumerate(tm.generators[cell[0] + 1, cell[1] + 1]) if x}
+             for cell in cells}
+    restricted = [flat(lambda r, c: tm.entries(model._bracket_entries(t, units[r, c])))
+                  for t in pd.k_phi.rows]
+    # (E_rs - E_sr) E_ic and E_ic (E_cd - E_dc), over i and c
+    rotations = [flat(lambda i, c: {(r, c): 1} if i == s else {(s, c): -1} if i == r else {})
+                 for r, s in itertools.combinations(range(a), 2)]
+    rotations += [flat(lambda i, e: {(i, d): 1} if e == c else {(i, c): -1} if e == d else {})
+                  for c, d in itertools.combinations(range(b), 2)]
+    return Subspace.span(a * b * a * b, restricted) == Subspace.span(a * b * a * b, rotations)
 
 
 def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
@@ -417,15 +450,32 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
     duplicates collapse into one record with a hit count, so the probe
     budget stays auditable.
 
-    Each distinct candidate v with dim v >= 2 costs one ``nc_summands``
+    Evaluating a candidate v with dim v >= 2 costs one ``nc_summands``
     call, the normalizer N = N_l(c) of its complement c = n_phi minus v and
     c itself, and one projection p(N).  p(N) gives exact NC1; NC2 runs its
     three stages on v.  When both pass, the singular-orbit tangent, p(N) +
-    p(c), is compared against the known tangents closed under the block
-    coordinate permutations fixing the grading of the j-th simple root.  The
-    NC algebra N + c is never spanned: the sum is direct for every candidate
-    once l and n_phi meet only in 0, because N lies in l and c in n_phi, and
-    that is checked once per sweep.
+    p(c), is compared with the known tangents.  The NC algebra N + c is
+    never spanned: the sum is direct for every candidate once l and n_phi
+    meet only in 0, because N lies in l and c in n_phi, and that is checked
+    once per sweep.
+
+    Candidates fall into shape classes.  A record's ``tensor_shape`` is (p,
+    q) when v = U (x) W with dim U = p and dim W = q (``_tensor_shape``).
+    K_phi = S(O(a) x O(b)) acts on the a x b top piece by X -> A X B^T, and
+    SO(a) x SO(b) is transitive on pairs (U, W) of given dimensions, so all
+    candidates of one shape are K_phi-conjugate.  Conjugation by K_phi
+    fixes the parabolic data and the inner product, so NC1, transitivity
+    on the unit sphere of v (NC2) and the known-tangent match are the same
+    along a class.  The sweep proves
+    K_phi contains SO(a) x SO(b) once (``block_rotation_certificate``, noted
+    as ``so_block_certificate``); then each shape is evaluated once, on its
+    first candidate, which is a coordinate rectangle because the coordinate
+    subsets come first, and every later candidate of that shape copies its
+    verdicts.  Without the certificate every candidate is evaluated.  A
+    passing record notes how its match was proven: ``tangent``, its own
+    tangent is known, or ``tensor-pattern``, its shape's first candidate
+    matched.  ``check_nc2`` seeds its own sampler on every call, so the
+    skipped evaluations move no other record.
     """
     datum = result.datum
     model = datum.model
@@ -440,10 +490,7 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
     pd = build_parabolic(datum, phi)
     if subspace_intersect(pd.l, pd.n_phi).dim:
         raise ValueError(NC_OVERLAP)
-    known = set(tangents)
-    for pmap in _permutation_maps(model, j):
-        known.update(Subspace.span(model.dim, [pmap.apply_sparse(row) for row in t.rows])
-                     for t in tangents)
+    certified = block_rotation_certificate(model, pd, tm)
 
     keys = sorted(tm.generators)
     candidates = []
@@ -460,6 +507,7 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
 
     records = []
     by_space = {}
+    by_shape = {}  # (p, q) -> the record of the first candidate of that shape
     for source, subset, v in candidates:
         rec = by_space.get(v)
         if rec is not None:
@@ -472,17 +520,30 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
             "count": 1,
             "subset": [list(k) for k in subset] if subset else None,
             "dim": v.dim,
+            "tensor_shape": None,
             "nc1": None,
             "nc2": None,
             "nc2_certificate": None,
             "passes": False,
             "matches_known_tangent": None,
+            "matched_by": None,
         }
         by_space[v] = rec
         records.append(rec)
         if v.dim < 2:
             rec["nc1"] = rec["nc2"] = "not-checked"
             continue
+        shape = _tensor_shape(tm, v)
+        rec["tensor_shape"] = list(shape) if shape else None
+        first = by_shape.get(shape) if certified else None
+        if first is not None:
+            for key in ("nc1", "nc2", "nc2_certificate", "passes", "matches_known_tangent"):
+                rec[key] = first[key]
+            if first["matches_known_tangent"]:
+                rec["matched_by"] = "tensor-pattern"
+            continue
+        if shape:
+            by_shape[shape] = rec
         normalizer, complement = nc_summands(datum, pd, v)
         p_normalizer = model.project_p_subspace(normalizer)
         ok1 = check_nc1(pd, p_normalizer)
@@ -493,24 +554,31 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
         if ok1 and verdict == "yes":
             rec["passes"] = True
             tangent = subspace_sum(p_normalizer, model.project_p_subspace(complement))
-            rec["matches_known_tangent"] = tangent in known
+            rec["matches_known_tangent"] = tangent in tangents
+            if rec["matches_known_tangent"]:
+                rec["matched_by"] = "tangent"
     return {
         "records": records,
         "probes": ORACLE_PROBES,
         "coordinate_subsets": 2 ** dim,
         "distinct_candidates": len(records),
+        "so_block_certificate": certified,
     }
 
 
 def nc_oracle(result: EnumerationResult) -> None:
     """Sweep every simple root of an sl table with ``nc_oracle_search`` into
     ``result.oracle``, computing the known tangents once, and note for each
-    sweep whether every passing candidate matched one of them."""
+    sweep whether every passing candidate matched one of them; a failing
+    note names the first passing record that did not match, as its (index,
+    sources, subset, dim)."""
     tangents = known_extension_tangents(result)
     result.oracle = {}
     for j in range(result.datum.rank):
         sweep = nc_oracle_search(result, j, tangents)
         result.oracle[f"j={j + 1}"] = sweep
-        result.identities.append(Note(
+        result.identities.append(Note.first_failure(
             f"oracle-known-tangent-match:j={j + 1}",
-            all(r["matches_known_tangent"] for r in sweep["records"] if r["passes"])))
+            [("unmatched-candidate", (k, r["sources"], r["subset"], r["dim"]))
+             for k, r in enumerate(sweep["records"])
+             if r["passes"] and not r["matches_known_tangent"]][:1]))

@@ -43,6 +43,7 @@ checks nothing further.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .linalg import Subspace, disjoint_sum
@@ -207,6 +208,20 @@ class TensorModel:
     def subspace(self, keys: Iterable[tuple]) -> Subspace:
         amb = len(next(iter(self.generators.values())))
         return Subspace.span(amb, [self.generators[k] for k in keys])
+
+    @cached_property
+    def _cells(self) -> dict:
+        """(i - 1, l - 1) of generator (i, l), keyed by its pivot column."""
+        return {next(p for p, x in enumerate(g) if x): (i - 1, l - 1)
+                for (i, l), g in self.generators.items()}
+
+    def entries(self, vector: dict) -> dict:
+        """The nonzero entries {(i - 1, l - 1): x} of a sparse vector of the
+        top piece read as an nrows x ncols matrix, x its coordinate on
+        generator (i, l).  Each generator is a canonical root space row,
+        pivot 1, and the root spaces have disjoint supports, so that
+        coordinate is the vector's entry at the generator's pivot."""
+        return {self._cells[p]: x for p, x in vector.items()}
 
 
 def tensor_model(datum: RootDatum, j: int) -> TensorModel:

@@ -106,6 +106,18 @@ class RootDatum:
         return tuple((model.project_k_subspace(r.space), model.project_p_subspace(r.space))
                      for r in self.positive)
 
+    @cached_property
+    def theta_pairs_roots(self) -> bool:
+        """Whether theta g_lam = g_-lam for every positive root lam.  A
+        product's root spaces are its factors' placed in their blocks, and
+        its theta is block diagonal, so it reads the verdicts of its distinct
+        factor data, each decided once at factor size."""
+        if self.factors:
+            return all(fd.theta_pairs_roots for fd in dict.fromkeys(self.factors))
+        return all(self.model.theta_image(r.space)
+                   == self.root_with_coeff(tuple(-c for c in r.coeffs)).space
+                   for r in self.positive)
+
     def profile(self, root: Root) -> tuple:
         """(m_alpha, m_2alpha): the multiplicities of a root and of its double."""
         double = tuple(2 * c for c in root.coeffs)

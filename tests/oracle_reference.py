@@ -1,0 +1,86 @@
+"""The nilpotent-construction oracle sweep as it was before candidates were
+grouped by tensor shape: every distinct candidate is evaluated in full, and
+its tangent is compared with the known tangents closed under the block
+coordinate permutations that fix the grading of the removed root."""
+
+import itertools
+
+from cohomatlas.actions import nc_summands
+from cohomatlas.catalog import ORACLE_PROBES
+from cohomatlas.linalg import Matrix, Subspace, subspace_sum
+from cohomatlas.parabolic import build_parabolic, tensor_model
+from cohomatlas.verify import RationalSampler, check_nc1, check_nc2
+
+
+def permutation_maps(model, j: int) -> list:
+    """Coordinate maps of Ad(P) for the block permutations of {0..j} and
+    {j+1..n} other than the identity."""
+    size = model.matrix_size
+    blocks = (list(range(j + 1)), list(range(j + 1, size)))
+    maps = []
+    for pa in itertools.permutations(blocks[0]):
+        for pb in itertools.permutations(blocks[1]):
+            perm = list(pa) + list(pb)
+            if perm == list(range(size)):
+                continue
+            cols = []
+            for entries in model.matrix_entries:
+                rows = [[0] * size for _ in range(size)]
+                for (r, c), x in entries.items():
+                    rows[perm[r]][perm[c]] = x
+                cols.append(model.coords(Matrix(tuple(tuple(x) for x in rows))))
+            maps.append(Matrix(tuple(tuple(cols[jj][ii] for jj in range(model.dim))
+                                     for ii in range(model.dim))))
+    return maps
+
+
+def reference_sweep(result, j: int, tangents: set) -> list:
+    """The records of the full sweep of the j-th simple root, in sweep order,
+    each with its candidate subspace under "space"."""
+    datum, model = result.datum, result.model
+    tm = tensor_model(datum, j)
+    dim = tm.nrows * tm.ncols
+    pd = build_parabolic(datum, [i for i in range(datum.rank) if i != j])
+    known = set(tangents)
+    for pmap in permutation_maps(model, j):
+        known.update(Subspace.span(model.dim, [pmap.apply_sparse(row) for row in t.rows])
+                     for t in tangents)
+    keys = sorted(tm.generators)
+    candidates = [("coordinate", sorted(subset),
+                   tm.subspace(subset) if subset else Subspace.zero(model.dim))
+                  for size in range(len(keys) + 1)
+                  for subset in itertools.combinations(keys, size)]
+    sampler = RationalSampler(result.seed)
+    for t in range(ORACLE_PROBES):
+        vdim = min(2 + (t % max(1, dim - 1)), dim)
+        candidates.append(("probe", None, sampler.subspace_in(pd.grading[1], vdim)))
+
+    records, by_space = [], {}
+    for source, subset, v in candidates:
+        rec = by_space.get(v)
+        if rec is not None:
+            rec["count"] += 1
+            if source not in rec["sources"]:
+                rec["sources"].append(source)
+            continue
+        rec = {"sources": [source], "count": 1,
+               "subset": [list(k) for k in subset] if subset else None, "dim": v.dim,
+               "nc1": None, "nc2": None, "nc2_certificate": None, "passes": False,
+               "matches_known_tangent": None, "space": v}
+        by_space[v] = rec
+        records.append(rec)
+        if v.dim < 2:
+            rec["nc1"] = rec["nc2"] = "not-checked"
+            continue
+        normalizer, complement = nc_summands(datum, pd, v)
+        p_normalizer = model.project_p_subspace(normalizer)
+        ok1 = check_nc1(pd, p_normalizer)
+        verdict, cert = check_nc2(model, pd, v, result.seed, result.samples)
+        rec["nc1"] = "yes" if ok1 else "no"
+        rec["nc2"] = verdict
+        rec["nc2_certificate"] = cert
+        if ok1 and verdict == "yes":
+            rec["passes"] = True
+            tangent = subspace_sum(p_normalizer, model.project_p_subspace(complement))
+            rec["matches_known_tangent"] = tangent in known
+    return records

@@ -14,12 +14,15 @@ from cohomatlas.catalog import (_rank_one_nc_subspaces, ce_families, enumerate_s
 from cohomatlas.cli import RunConfig, main, parse_space, run
 from cohomatlas.linalg import (Matrix, Subspace, orthocomplement_in, subspace_intersect,
                                subspace_sum)
-from cohomatlas.models import ProductModel, build_sl, build_so1n, build_su1n, direct_sum
-from cohomatlas.parabolic import build_nested, build_parabolic
+from cohomatlas.models import (LieModel, ProductModel, build_sl, build_so1n, build_su1n,
+                               direct_sum)
+from cohomatlas.parabolic import build_nested, build_parabolic, tensor_model
 from cohomatlas.actions import (ActionSpec, builtin_cei_catalog, canonical_extend, make_fs,
-                                nilpotent_construct)
+                                nc_summands, nilpotent_construct)
 from cohomatlas.roots import decompose
 from cohomatlas.verify import orbit_tangent_at_o, verify
+
+from oracle_reference import reference_sweep
 
 
 def paper_row_counts(n: int) -> Counter:
@@ -178,8 +181,13 @@ def test_the_oracle_stage_notes_each_sweep_of_the_table():
 
 def test_a_passing_candidate_off_the_known_tangents_fails_its_sweep(monkeypatch):
     def sweep(result, j, tangents):
-        return {"records": [{"passes": True, "matches_known_tangent": j != 0},
-                            {"passes": False, "matches_known_tangent": None}]}
+        return {"records": [
+            {"passes": False, "matches_known_tangent": None, "sources": ["coordinate"],
+             "subset": [[1, 1]], "dim": 1},
+            {"passes": True, "matches_known_tangent": j != 0, "sources": ["coordinate", "probe"],
+             "subset": [[1, 1], [1, 2]], "dim": 2},
+            {"passes": True, "matches_known_tangent": j != 0, "sources": ["probe"],
+             "subset": None, "dim": 2}]}
 
     monkeypatch.setattr(catalog, "nc_oracle_search", sweep)
     result = enumerate_sl(2)
@@ -187,6 +195,13 @@ def test_a_passing_candidate_off_the_known_tangents_fails_its_sweep(monkeypatch)
     assert notes == [("oracle-known-tangent-match:j=1", False),
                      ("oracle-known-tangent-match:j=2", True)]
     assert result.oracle["j=1"] == sweep(result, 0, set())
+    # the failing note names the first unmatched record; a passing one keeps
+    # its two keys
+    failed, passed = (n.to_json() for n in result.identities[-2:])
+    assert failed == {"name": "oracle-known-tangent-match:j=1", "passed": False,
+                      "sub_check": "unmatched-candidate",
+                      "witness": [1, ["coordinate", "probe"], [[1, 1], [1, 2]], 2]}
+    assert passed == {"name": "oracle-known-tangent-match:j=2", "passed": True}
 
 
 def test_the_oracle_rejects_a_levi_part_that_meets_the_nilradical(monkeypatch):
@@ -244,13 +259,140 @@ def test_oracle_builds_the_table_once_and_each_candidate_once(monkeypatch):
     result = run(parse_space("sl(4)"), RunConfig(nc_search=True)).result
     datum = result.datum
     assert families["calls"] == 1
-    # n_phi minus v is taken once per distinct candidate of dim >= 2
+    # n_phi minus v is taken once per evaluated candidate: once per tensor
+    # shape, and once for each other candidate of dim >= 2
     n_phis = {build_parabolic(datum, [i for i in range(datum.rank) if i != j]).n_phi
               for j in range(datum.rank)}
-    checked = sum(1 for sweep in result.oracle.values()
-                  for rec in sweep["records"] if rec["dim"] >= 2)
-    assert checked > 0
-    assert sum(1 for w in complements if w in n_phis) == checked
+    evaluated = 0
+    for sweep in result.oracle.values():
+        checked = [rec for rec in sweep["records"] if rec["dim"] >= 2]
+        shapes = {tuple(rec["tensor_shape"]) for rec in checked if rec["tensor_shape"]}
+        evaluated += len(shapes) + sum(rec["tensor_shape"] is None for rec in checked)
+        assert len(shapes) < sum(rec["tensor_shape"] is not None for rec in checked)
+    assert sum(1 for w in complements if w in n_phis) == evaluated
+
+
+ORACLE_SEEDS = [0, 3, 7, 8, 13, 1007, 2007]
+
+
+def sweeps(seed: int) -> list:
+    """(j, tensor model, new records, reference records) of every sweep of
+    the sl(4) table at seed."""
+    result = enumerate_sl(3, seed=seed)
+    tangents = known_extension_tangents(result)
+    return [(j, tensor_model(result.datum, j),
+             catalog.nc_oracle_search(result, j, tangents)["records"],
+             reference_sweep(result, j, tangents)) for j in range(result.datum.rank)]
+
+
+def false_alarms(seed: int) -> dict:
+    """{j + 1: [(record, reference record)]} over the records that pass and
+    match no known tangent in the reference sweep."""
+    return {j + 1: [(rec, ref) for rec, ref in zip(records, reference)
+                    if ref["passes"] and not ref["matches_known_tangent"]]
+            for j, _, records, reference in sweeps(seed)}
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_the_class_sweep_keeps_every_verdict_of_the_full_sweep(seed):
+    for j, _, records, reference in sweeps(seed):
+        assert len(records) == len(reference)
+        for rec, ref in zip(records, reference):
+            for key in ("sources", "count", "subset", "dim", "nc1", "nc2", "nc2_certificate",
+                        "passes"):
+                assert rec[key] == ref[key], (j, key)
+            # only a false alarm of the full sweep may change its match
+            if rec["matches_known_tangent"] != ref["matches_known_tangent"]:
+                assert ref["passes"] and ref["matches_known_tangent"] is False
+                assert rec["matches_known_tangent"] is True
+            assert rec["passes"] == (rec["matched_by"] is not None)
+
+
+def test_the_seed_7_false_alarms_are_tensor_patterns():
+    alarms = false_alarms(7)
+    assert {j: len(pairs) for j, pairs in alarms.items()} == {1: 85, 2: 0, 3: 85}
+    for j, shape in ((1, [1, 2]), (3, [2, 1])):
+        for rec, _ in alarms[j]:
+            assert rec["matches_known_tangent"] is True
+            assert (rec["matched_by"], rec["tensor_shape"]) == ("tensor-pattern", shape)
+
+
+def test_the_seed_8_probe_is_the_tensor_pattern_span_e1_e2_times_1_minus_1():
+    (pair,) = false_alarms(8)[2]
+    rec, ref = pair
+    assert rec["sources"] == ["probe"] and rec["dim"] == 2
+    assert (rec["matches_known_tangent"], rec["matched_by"], rec["tensor_shape"]) == (
+        True, "tensor-pattern", [2, 1])
+    # v = span(e1, e2) (x) (1, -1) in the 2 x 2 top block of j=2
+    tm = tensor_model(enumerate_sl(3, seed=8).datum, 1)
+    g = tm.generators
+    assert ref["space"] == Subspace.span(len(g[1, 1]), [
+        [x - y for x, y in zip(g[i, 1], g[i, 2])] for i in (1, 2)])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_k_phi_rotates_each_top_block_by_so_a_times_so_b(n):
+    datum = decompose(build_sl(n + 1))
+    for j in range(n):
+        tm = tensor_model(datum, j)
+        a, b = tm.nrows, tm.ncols
+        assert (a, b) == (j + 1, n - j)
+        pd = build_parabolic(datum, [i for i in range(n) if i != j])
+        assert catalog.block_rotation_certificate(datum.model, pd, tm)
+        assert pd.k_phi.dim == a * (a - 1) // 2 + b * (b - 1) // 2
+        # a k_phi short of one rotation does not certify
+        short = dataclasses.replace(pd, k_phi=Subspace.span(datum.model.dim, pd.k_phi.rows[1:]))
+        assert not catalog.block_rotation_certificate(datum.model, short, tm)
+
+
+def test_without_the_rotation_certificate_every_candidate_is_evaluated(monkeypatch):
+    result = enumerate_sl(3)
+    tangents = known_extension_tangents(result)
+    pd = build_parabolic(result.datum, [1, 2])
+    short = dataclasses.replace(pd, k_phi=Subspace.span(result.model.dim, pd.k_phi.rows[1:]))
+    build = catalog.build_parabolic
+    monkeypatch.setattr(catalog, "build_parabolic",
+                        lambda d, phi: short if tuple(phi) == pd.phi else build(d, phi))
+    evaluated = []
+
+    def counted(datum, pd, v):
+        evaluated.append(v)
+        return nc_summands(datum, pd, v)
+
+    monkeypatch.setattr(catalog, "nc_summands", counted)
+    sweep = catalog.nc_oracle_search(result, 0, tangents)
+    assert sweep["so_block_certificate"] is False
+    checked = [rec for rec in sweep["records"] if rec["dim"] >= 2]
+    assert len(evaluated) == len(set(evaluated)) == len(checked)
+    assert all(rec["tensor_shape"] for rec in checked)
+    assert "tensor-pattern" not in {rec["matched_by"] for rec in checked}
+
+
+def test_a_product_decides_theta_root_pairing_at_factor_size(monkeypatch):
+    sl3 = build_sl(3)
+    datum = decompose(direct_sum([sl3, build_so1n(3), sl3]))
+    widths = []
+    theta_image = LieModel.theta_image
+
+    def recorded(model, sub):
+        widths.append(model.dim)
+        return theta_image(model, sub)
+
+    monkeypatch.setattr(LieModel, "theta_image", recorded)
+    result = catalog.EnumerationResult(datum, 7, 32)
+    assert ("theta-root-pairing", True) in [(n.name, n.passed) for n in result.identities]
+    # once per positive root of each distinct factor datum, none at product width
+    factors = list(dict.fromkeys(datum.factors))
+    assert len(factors) == 2
+    assert sorted(widths) == sorted(fd.model.dim for fd in factors for _ in fd.positive)
+    catalog.EnumerationResult(datum.factors[0], 7, 32)
+    assert len(widths) == sum(len(fd.positive) for fd in factors)
+    # the product's verdict is its factors'
+    bad = decompose(direct_sum([build_sl(3), build_so1n(3)]))
+    bad.factors[1].theta_pairs_roots = False
+    (note,) = [n for n in catalog.EnumerationResult(bad, 7, 32).identities
+               if n.name == "theta-root-pairing"]
+    assert not note.passed
 
 
 @pytest.mark.parametrize("build", [build_sl, build_so1n], ids=["sl3xsl3", "rh3xrh3"])

@@ -30,8 +30,7 @@ subalgebra itself (``cohomatlas.catalog.ce_families``);
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .linalg import (
     Subspace,
@@ -48,16 +47,19 @@ from .parabolic import ParabolicDatum, build_parabolic
 from .roots import RootDatum
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(NamedTuple):
     """A constructed action: kind, model, defining roots, resulting
-    subalgebra, and the payload that :func:`cohomatlas.verify.verify` reads."""
+    subalgebra, and the payload that :func:`cohomatlas.verify.verify` reads.
+
+    The default payload is one empty dict shared by every FH, FS and Prod
+    spec; nothing writes to a payload, and a changed one is a new dict
+    (``spec._replace(payload={**spec.payload, ...})``)."""
 
     kind: str
     model: LieModel
     phi: Optional[tuple]
     algebra: Subspace
-    payload: dict = field(repr=False, default_factory=dict)
+    payload: dict = {}
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,7 @@ one, naming the first that did not.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional
+from typing import Iterator, List, NamedTuple, Optional
 
 from .linalg import Subspace, subspace_intersect, subspace_sum
 from .models import LieModel, ProductModel, build_sl
@@ -72,8 +71,7 @@ MAX_ORACLE_RANK = 3
 ORACLE_PROBES = 200  # seeded random candidates per oracle sweep
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     label: str  # FH | FS | CE-row-1..4 | CEI | CER | NC | Prod
     name: str  # subalgebra description
     boundary: str  # boundary component description
@@ -94,22 +92,20 @@ class CatalogEntry:
         }
 
 
-@dataclass
 class EnumerationResult:
     """A classification table as it is built; it opens with the structural
     identities of its datum."""
-    datum: RootDatum
-    seed: int
-    samples: int
-    entries: List[CatalogEntry] = field(default_factory=list)
-    identities: List[Note] = field(init=False)
-    oracle: Optional[dict] = None
 
-    def __post_init__(self):
-        model, datum = self.model, self.datum
+    def __init__(self, datum: RootDatum, seed: int, samples: int):
+        self.datum = datum
+        self.seed = seed
+        self.samples = samples
+        self.entries: List[CatalogEntry] = []
+        self.oracle: Optional[dict] = None
+        model = datum.model
         total = datum.zero_space.dim + sum(r.space.dim for r in datum.roots)
         kan = model.k_space.dim + model.a_space.dim + model.n_space.dim
-        self.identities = [
+        self.identities: List[Note] = [
             Note("iwasawa-direct-sum", kan == model.dim),
             Note("root-space-sum", total == model.dim),
             Note("theta-root-pairing", datum.theta_pairs_roots),
@@ -340,11 +336,11 @@ def enumerate_product(pm: ProductModel, *, seed: int = 7, samples: int = 32) -> 
                 label, kind, comment = inner.label, inner.spec.kind, inner.comment
             else:
                 label, kind, comment = "Prod", "Prod", f"{inner.label}[{inner.comment}]"
-            spec = replace(product_assemble(pm, idx, inner.spec), kind=kind)
-            report = replace(inner.report, kind=kind,
-                             orbit_dim_at_o=inner.report.orbit_dim_at_o + rest_p)
+            spec = product_assemble(pm, idx, inner.spec)._replace(kind=kind)
+            report = inner.report._replace(kind=kind,
+                                           orbit_dim_at_o=inner.report.orbit_dim_at_o + rest_p)
             result.add(label, inner.name, inner.boundary, f"{tag}: {comment}", spec, report=report)
-        result.identities.extend(replace(n, name=f"{tag}:{n.name}")
+        result.identities.extend(n._replace(name=f"{tag}:{n.name}")
                                  for n in tables[fd].identities)
 
     # CER: pairs of rank-one boundary pieces from different factors; the

@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import string
 import sys
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .catalog import (
     EnumerationResult,
@@ -40,10 +38,12 @@ from .models import build_sl, build_so1n, build_su1n, direct_sum
 SCHEMA_VERSION = 1
 
 FACTOR_BOUNDS = {"sl": (2, MAX_SL_RANK + 1), "rh": (2, 8), "ch": (2, 5)}
+WHITESPACE = " \t\n\r\v\f"  # the ASCII whitespace characters
+LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+DIGITS = "0123456789"
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(NamedTuple):
     factors: tuple  # of (name, integer)
 
     @property
@@ -51,8 +51,7 @@ class SpaceSpec:
         return "*".join(f"{n}({v})" for n, v in self.factors)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     seed: int = 7
     samples: int = 32
     nc_search: bool = False
@@ -66,14 +65,14 @@ def parse_space(text: str) -> SpaceSpec:
     n = len(text)
 
     def skip_ws(p):
-        while p < n and text[p] in string.whitespace:
+        while p < n and text[p] in WHITESPACE:
             p += 1
         return p
 
     while True:
         pos = skip_ws(pos)
         start = pos
-        while pos < n and text[pos] in string.ascii_letters:
+        while pos < n and text[pos] in LETTERS:
             pos += 1
         name = text[start:pos]
         if name not in FACTOR_BOUNDS:
@@ -85,7 +84,7 @@ def parse_space(text: str) -> SpaceSpec:
         pos += 1
         pos = skip_ws(pos)
         num_start = pos
-        while pos < n and text[pos] in string.digits:
+        while pos < n and text[pos] in DIGITS:
             pos += 1
         if pos == num_start:
             raise ValueError(f"syntax error at offset {pos}: expected an integer")
@@ -123,16 +122,26 @@ def _build_factor(name: str, value: int, su1n: bool):
     raise ValueError(f"unknown factor {name}")
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
+    """A finished run.  Each report format renders when it is read, so a
+    run renders only the format that it writes."""
+
+    spec: SpaceSpec
+    config: RunConfig
     result: EnumerationResult
-    json_text: str
-    markdown_text: str
     exit_code: int
+
+    @property
+    def json_text(self) -> str:
+        return render_json(self.spec, self.config, self.result)
+
+    @property
+    def markdown_text(self) -> str:
+        return render_markdown(self.spec, self.config, self.result)
 
 
 def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
-    """Build the space, enumerate and verify, and render both report formats."""
+    """Build the space, enumerate and verify."""
     if len(spec.factors) == 1 and spec.factors[0][0] == "sl":
         k = spec.factors[0][1]
         if config.nc_search and k - 1 > MAX_ORACLE_RANK:
@@ -148,7 +157,10 @@ def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
         built = {f: _build_factor(*f, config.su1n) for f in dict.fromkeys(spec.factors)}
         pm = direct_sum([built[f] for f in spec.factors])
         result = enumerate_product(pm, seed=config.seed, samples=config.samples)
+    return RunResult(spec, config, result, 0 if result.all_identities_passed else 1)
 
+
+def render_json(spec: SpaceSpec, config: RunConfig, result: EnumerationResult) -> str:
     document = {
         "schema": SCHEMA_VERSION,
         "space": spec.canonical,
@@ -165,10 +177,7 @@ def run(spec: SpaceSpec, config: RunConfig) -> RunResult:
     if result.oracle is not None:
         document["oracle"] = result.oracle
 
-    json_text = json.dumps(document, sort_keys=True, indent=2) + "\n"
-    markdown_text = render_markdown(spec, config, result)
-    exit_code = 0 if result.all_identities_passed else 1
-    return RunResult(result, json_text, markdown_text, exit_code)
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def render_markdown(spec: SpaceSpec, config: RunConfig, result: EnumerationResult) -> str:

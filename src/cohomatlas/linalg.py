@@ -66,7 +66,6 @@ so ``roots.decompose`` reads the root grading off the structure constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction as Rat
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -259,11 +258,18 @@ def kernel_rows(rows: Sequence, ncols: int) -> list:
 # matrices
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable exact matrix, row-major, of ints and Fractions."""
+    """Immutable exact matrix, row-major, of ints and Fractions; equal by its
+    rows."""
 
-    rows: tuple
+    def __init__(self, rows: tuple):
+        self.rows = rows
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.rows!r})"
+
+    def __eq__(self, other) -> bool:
+        return self.rows == other.rows if isinstance(other, Matrix) else NotImplemented
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "Matrix":
@@ -345,18 +351,28 @@ class Matrix:
 # subspaces
 
 
-@dataclass(frozen=True)
 class Subspace:
     """Subspace of Q^n as its canonical row-space basis: the RREF rows, each
     stored once, as the sparse primitive integer row with a positive pivot.
 
     Membership walks the nonzeros of the vector and the rows whose pivots
     they hit; ``basis`` gives the rows as dense RREF rows with pivots 1.
+    Two subspaces are equal when their dimensions and rows are: the pivots
+    follow from the rows.
     """
 
-    ambient_dim: int
-    rows: tuple  # sparse primitive integer RREF rows with positive pivots, no zero rows
-    pivots: tuple = field(compare=False)
+    def __init__(self, ambient_dim: int, rows: tuple, pivots: tuple):
+        self.ambient_dim = ambient_dim
+        self.rows = rows  # sparse primitive integer RREF rows with positive pivots, no zero rows
+        self.pivots = pivots
+
+    def __repr__(self) -> str:
+        return f"Subspace({self.ambient_dim!r}, {self.rows!r}, {self.pivots!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self) -> int:
         return self._hash

@@ -42,16 +42,14 @@ checks nothing further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .linalg import Subspace, disjoint_sum
 from .roots import RootDatum
 
 
-@dataclass(frozen=True)
-class ParabolicDatum:
+class ParabolicDatum(NamedTuple):
     phi: tuple  # sorted 0-based indices into datum.simple
     l: Subspace  # Levi: g_0 + sum of root spaces inside span(phi)
     a_phi: Subspace  # common kernel of the roots in phi, inside a
@@ -191,7 +189,6 @@ def build_nested(datum: RootDatum, psi: Iterable[int], phi: Iterable[int]) -> Su
 # tensor picture of the top grade for sl models
 
 
-@dataclass(frozen=True)
 class TensorModel:
     """Identification of n_{Lambda minus one root} with a matrix space.
 
@@ -201,9 +198,10 @@ class TensorModel:
     summing the simple roots from position j+1-i to j+l-1 (0-based).
     """
 
-    nrows: int
-    ncols: int
-    generators: dict  # (i, l) -> ambient coordinate vector
+    def __init__(self, nrows: int, ncols: int, generators: dict):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.generators = generators  # (i, l) -> ambient coordinate vector
 
     def subspace(self, keys: Iterable[tuple]) -> Subspace:
         amb = len(next(iter(self.generators.values())))

@@ -21,7 +21,6 @@ of whether a root lies in the span of a subset of simple roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
@@ -38,15 +37,15 @@ from .linalg import (
 from .models import LieModel, ProductModel
 
 
-@dataclass(frozen=True)
 class Root:
     """A restricted root: covector on a, the dual vector H in a, the integer
     coefficients over the ordered simple roots and the root space."""
 
-    covector: tuple  # values on the RREF basis of a
-    root_vector: tuple  # ambient coordinates of H with lam(H') = <H, H'>
-    coeffs: tuple  # integers over the ordered simple roots
-    space: Subspace
+    def __init__(self, covector: tuple, root_vector: tuple, coeffs: tuple, space: Subspace):
+        self.covector = covector  # values on the RREF basis of a
+        self.root_vector = root_vector  # ambient coordinates of H with lam(H') = <H, H'>
+        self.coeffs = coeffs  # integers over the ordered simple roots
+        self.space = space
 
     @cached_property
     def support(self) -> frozenset:

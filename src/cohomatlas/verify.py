@@ -37,8 +37,7 @@ other action is read in p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linalg import (
     Matrix,
@@ -113,8 +112,7 @@ class RationalSampler:
         return Subspace(sub.ambient_dim, rows, tuple(sub.pivots[c] for c in pivots))
 
 
-@dataclass(frozen=True)
-class Note:
+class Note(NamedTuple):
     """One exact check of a row or of a run: its name and verdict, and for a
     failed check that names them, the sub-check that failed and a witness,
     given as basis indices into the subspaces that sub-check compares."""
@@ -137,8 +135,7 @@ class Note:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     kind: str
     orbit_dim_at_o: int
     codim_at_o: int
@@ -150,7 +147,7 @@ class VerificationReport:
     nc2_certificate: Optional[str]
     seed: int
     samples: int
-    notes: tuple = field(default_factory=tuple)  # of Note, one per exact check
+    notes: tuple = ()  # of Note, one per exact check
 
     def to_json(self) -> dict:
         return {

@@ -1,6 +1,5 @@
 """Tests for the classification tables and the helpers they share."""
 
-import dataclasses
 import json
 import sys
 from collections import Counter
@@ -152,7 +151,7 @@ def test_a_row_above_cohomogeneity_one_is_gated_and_not_listed():
     row = result.entries[-1]
     notes = new_notes(result, lambda: result.add(
         "FS", row.name, row.boundary, "gated", row.spec,
-        report=dataclasses.replace(row.report, cohomogeneity=2)))
+        report=row.report._replace(cohomogeneity=2)))
     assert notes == [("exact-checks:FS[gated]", True),
                      ("cohomogeneity-one-gate:FS[gated]", False)]
     assert result.entries[-1] is row
@@ -211,7 +210,7 @@ def test_the_oracle_rejects_a_levi_part_that_meets_the_nilradical(monkeypatch):
     datum = result.datum
     tangents = known_extension_tangents(result)
     pd = build_parabolic(datum, [1, 2])
-    bad = dataclasses.replace(pd, l=subspace_sum(pd.l, pd.n_phi))
+    bad = pd._replace(l=subspace_sum(pd.l, pd.n_phi))
     v = Subspace.span(datum.model.dim, pd.grading[1].rows[:2])
     with pytest.raises(ValueError) as built:
         nilpotent_construct(datum, bad, v)
@@ -341,7 +340,7 @@ def test_k_phi_rotates_each_top_block_by_so_a_times_so_b(n):
         assert catalog.block_rotation_certificate(datum.model, pd, tm)
         assert pd.k_phi.dim == a * (a - 1) // 2 + b * (b - 1) // 2
         # a k_phi short of one rotation does not certify
-        short = dataclasses.replace(pd, k_phi=Subspace.span(datum.model.dim, pd.k_phi.rows[1:]))
+        short = pd._replace(k_phi=Subspace.span(datum.model.dim, pd.k_phi.rows[1:]))
         assert not catalog.block_rotation_certificate(datum.model, short, tm)
 
 
@@ -349,7 +348,7 @@ def test_without_the_rotation_certificate_every_candidate_is_evaluated(monkeypat
     result = enumerate_sl(3)
     tangents = known_extension_tangents(result)
     pd = build_parabolic(result.datum, [1, 2])
-    short = dataclasses.replace(pd, k_phi=Subspace.span(result.model.dim, pd.k_phi.rows[1:]))
+    short = pd._replace(k_phi=Subspace.span(result.model.dim, pd.k_phi.rows[1:]))
     build = catalog.build_parabolic
     monkeypatch.setattr(catalog, "build_parabolic",
                         lambda d, phi: short if tuple(phi) == pd.phi else build(d, phi))

@@ -3,6 +3,10 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +248,26 @@ def test_help_states_the_exit_status_contract(capsys):
     assert exit_status(["--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
     assert "0 every exact check passed, 1 an exact check failed, 2 bad input" in help_text
+
+
+@pytest.mark.parametrize("fmt, unused", [("json", "render_markdown"), ("markdown", "render_json")])
+def test_a_run_renders_only_the_format_it_writes(monkeypatch, capsys, fmt, unused):
+    def refuse(*args):
+        raise AssertionError(f"{unused} called for a {fmt} report")
+
+    monkeypatch.setattr(cli, unused, refuse)
+    assert exit_status(["--space", "sl(3)", "--format", fmt]) == 0
+    assert capsys.readouterr().out
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_string():
+    """These modules cost start-up time in every report process.  The check
+    is on the modules the import adds, because some Python versions load
+    ``inspect`` at start-up."""
+    code = ("import sys; before = set(sys.modules); import cohomatlas.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'string'} & (set(sys.modules) - before)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []

@@ -404,7 +404,7 @@ def test_every_piece_equals_its_span_built_form(build):
         ref = reference_pieces(datum, phi)
         if psi == phi:
             pd = build_parabolic(datum, phi)
-            for name in ParabolicDatum.__dataclass_fields__:
+            for name in ParabolicDatum._fields:
                 assert canonical(getattr(pd, name)) == canonical(ref[name]), (phi, name)
             for r in datum.roots:
                 assert r.in_span(phi) == in_span(r, phi), (phi, r.coeffs)

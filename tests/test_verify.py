@@ -1,6 +1,5 @@
 """Tests for the verification layer."""
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -229,7 +228,7 @@ def test_a_canonical_extension_solves_for_no_normal_space_in_p(monkeypatch, spac
     assert ambients and all(w is not spec.model.p_space for w in ambients)
     # the same algebra as a Prod spec, which has no boundary piece, is read in p
     datum, spec = specs[0]
-    verify(dataclasses.replace(spec, kind="Prod"), datum)
+    verify(spec._replace(kind="Prod"), datum)
     assert ambients[-1] is spec.model.p_space
 
 
@@ -560,7 +559,7 @@ def graph_plus_other_factors(spec, j: int, k: int):
     pm, graph = spec.model, spec.payload["h_phi"]
     rest = pm.embed({i: Subspace.full(f.dim) for i, f in enumerate(pm.factors) if i not in (j, k)})
     algebra = Subspace.span(pm.dim, graph.rows + rest.rows)
-    return dataclasses.replace(spec, algebra=algebra)
+    return spec._replace(algebra=algebra)
 
 
 REPORT_FIELDS = ("orbit_dim_at_o", "codim_at_o", "cohomogeneity", "cohomogeneity_certainty",
@@ -776,7 +775,7 @@ def composition_note_with_a_psi(monkeypatch, a_psi):
 
     def patched(datum, pd, phi):
         assert pd.phi == spec.phi
-        return compose(datum, dataclasses.replace(pd, a_phi=a_psi(pd.a_phi, datum.model)), phi)
+        return compose(datum, pd._replace(a_phi=a_psi(pd.a_phi, datum.model)), phi)
 
     monkeypatch.setattr(verify_module, "extension_composition_ok", patched)
     report = verify(spec, datum)
@@ -839,7 +838,7 @@ def test_theta_dual_note_names_a_row_on_one_side_only(sub_check):
     else:
         bad = subspace_sum(normalizer, v)
         side, other = bad, theta_dual
-    report = verify(dataclasses.replace(spec, payload={**spec.payload, "normalizer": bad}),
+    report = verify(spec._replace(payload={**spec.payload, "normalizer": bad}),
                     datum)
     note = note_named(report, "normalizer-theta-dual")
     (i,) = note.witness
@@ -1000,7 +999,7 @@ def test_closure_note_fails_for_a_boundary_subalgebra_outside_the_levi_piece():
     h = datum.simple[1].space
     pd = build_parabolic(datum, spec.phi)
     algebra = Subspace.span(datum.model.dim, h.rows + pd.a_phi.rows + pd.n_phi.rows)
-    bad = dataclasses.replace(spec, algebra=algebra, payload={"h_phi": h})
+    bad = spec._replace(algebra=algebra, payload={"h_phi": h})
     assert graded_closure_failure(bad, datum) == "h-outside-levi"
     assert _closure_note(bad, datum) == {"name": "bracket-closure", "passed": False,
                                          "sub_check": "h-outside-levi", "witness": []}
@@ -1012,7 +1011,7 @@ def test_closure_note_fails_for_an_algebra_that_is_not_the_sum_of_its_pieces():
     spec = next(row[4] for row in ce_families(datum) if row[0] == "CE-row-1")
     assert graded_closure_failure(spec, datum) is None
     # a + n is closed but is not so(2) + a_phi + n_phi: the condition is named
-    borel = dataclasses.replace(spec, algebra=subspace_sum(g.a_space, g.n_space))
+    borel = spec._replace(algebra=subspace_sum(g.a_space, g.n_space))
     assert _closure_note(borel, datum) == {"name": "bracket-closure", "passed": False,
                                            "sub_check": "algebra-not-its-pieces",
                                            "witness": []}
@@ -1025,7 +1024,7 @@ def test_closure_note_fails_for_an_algebra_that_is_not_the_sum_of_its_pieces():
     assert short.dim == spec.algebra.dim - 1
     pair = g.bracket_leaving_pair(short)
     assert pair is not None
-    assert _closure_note(dataclasses.replace(spec, algebra=short), datum) == {
+    assert _closure_note(spec._replace(algebra=short), datum) == {
         "name": "bracket-closure", "passed": False, "sub_check": "bracket-leaves-algebra",
         "witness": list(pair)}
 
@@ -1042,8 +1041,8 @@ def test_closure_note_fails_for_an_nc_complement_that_misses_grade_two(v_name, w
     assert set(pd.grading) == {1, 2}
     c1 = subspace_intersect(spec.payload["complement"], pd.grading[1])
     algebra = subspace_sum(spec.payload["normalizer"], c1)
-    bad = dataclasses.replace(spec, algebra=algebra,
-                              payload={**spec.payload, "complement": c1})
+    bad = spec._replace(algebra=algebra,
+                        payload={**spec.payload, "complement": c1})
     assert graded_closure_failure(bad, datum) == "complement-misses-a-grade"
     expected = {"name": "bracket-closure", "passed": False}
     if witness is None:
@@ -1103,7 +1102,7 @@ class TestVerifyOrchestration:
         spec = next(row[4] for row in ce_families(datum) if row[0] == "CE-row-1")
         assert spec.kind == "CEI" and len(spec.phi) < datum.rank
         with pytest.raises(KeyError):
-            verify(dataclasses.replace(spec, payload={}), datum)
+            verify(spec._replace(payload={}), datum)
 
 
 def test_sampling_a_subspace_larger_than_the_space_raises():

@@ -203,7 +203,7 @@ def default_cer_sigma(datum: RootDatum, j: int, k: int) -> Subspace:
                          "theta-equivariant identification")
     pairs = [(hj, hk), (ej, _scaled(t, ek)), (fj_, _scaled(rat(1) / t, fk_))]
     graph = _graph(model, pd_j.s, pd_k.s, pairs)
-    if model.theta_image(graph) != graph:
+    if not model.theta_maps_onto(graph, graph):
         raise ValueError("default sigma failed theta equivariance")
     return graph
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, List, NamedTuple, Optional
 
-from .linalg import Subspace, subspace_intersect, subspace_sum
+from .linalg import Subspace, orthocomplement_in, subspace_intersect, subspace_sum
 from .models import LieModel, ProductModel, build_sl
 from .actions import (
     NC_OVERLAP,
@@ -55,7 +55,6 @@ from .actions import (
     make_fh,
     make_fs,
     matrix_kernel,
-    nc_summands,
     nilpotent_construct,
     product_assemble,
 )
@@ -63,11 +62,11 @@ from .parabolic import (ParabolicDatum, TensorModel, build_nested, build_parabol
                         tensor_model)
 from .roots import RootDatum, decompose
 from .verify import (Note, RationalSampler, VerificationReport, check_nc1, check_nc2,
-                     orbit_tangent_at_o, verify)
+                     levi_normalizer, orbit_tangent_at_o, verify)
 
 
 MAX_SL_RANK = 8
-MAX_ORACLE_RANK = 3
+MAX_ORACLE_RANK = 4
 ORACLE_PROBES = 200  # seeded random candidates per oracle sweep
 
 
@@ -173,7 +172,7 @@ def _extend(datum: RootDatum, phi: tuple, h_phi: Subspace) -> ActionSpec:
     verify reads theta invariance to decide whether a Lie-triple verdict
     applies, so a subalgebra without it is rejected here; ``canonical_extend``
     checks that it lies in s_phi, and verify that it closes."""
-    if datum.model.theta_image(h_phi) != h_phi:
+    if not datum.model.theta_maps_onto(h_phi, h_phi):
         raise ValueError("boundary subalgebra is not theta invariant")
     return canonical_extend(datum, build_parabolic(datum, phi), h_phi)
 
@@ -387,11 +386,15 @@ def _tensor_shape(tm: TensorModel, v: Subspace) -> Optional[tuple]:
     v and W the span of their rows.  v lies in U (x) W, so the two are equal
     iff dim v = dim U dim W.  The columns and rows of the basis of v span
     U and W.  With one row, or one column, U = R^1 and W = v, or the other
-    way round, so every v is a tensor pattern and nothing is spanned."""
+    way round, so every v is a tensor pattern and nothing is spanned.  Nor
+    is anything spanned when dim v is no product p q with p <= nrows and q
+    <= ncols, since dim U <= nrows and dim W <= ncols."""
     if tm.nrows == 1:
         return 1, v.dim
     if tm.ncols == 1:
         return v.dim, 1
+    if not any(v.dim % p == 0 and v.dim // p <= tm.ncols for p in range(1, tm.nrows + 1)):
+        return None
     cols, rows = {}, {}
     for k, vector in enumerate(v.rows):
         for (r, c), x in tm.entries(vector).items():
@@ -446,14 +449,17 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
     duplicates collapse into one record with a hit count, so the probe
     budget stays auditable.
 
-    Evaluating a candidate v with dim v >= 2 costs one ``nc_summands``
-    call, the normalizer N = N_l(c) of its complement c = n_phi minus v and
-    c itself, and one projection p(N).  p(N) gives exact NC1; NC2 runs its
-    three stages on v.  When both pass, the singular-orbit tangent, p(N) +
-    p(c), is compared with the known tangents.  The NC algebra N + c is
-    never spanned: the sum is direct for every candidate once l and n_phi
-    meet only in 0, because N lies in l and c in n_phi, and that is checked
-    once per sweep.
+    Evaluating a candidate v with dim v >= 2 costs one bracket solve,
+    N_l(v) over the split basis l = (l & p) + k_phi (``levi_normalizer``).
+    The NC algebra's normalizer is N = N_l(c) for the complement c = n_phi
+    minus v, and N = theta N_l(v) by theta duality, so p(N) = p(N_l(v)) is
+    the solve's l & p block, which gives exact NC1, and its k_phi block is
+    N_{k_phi}(v), on which NC2 runs its stages.  Neither N nor c is built
+    for a candidate that fails either condition.  When both pass, c is
+    solved for and the singular-orbit tangent, p(N) + p(c), is compared
+    with the known tangents.  The NC algebra N + c is never spanned: the
+    sum is direct for every candidate once l and n_phi meet only in 0,
+    because N lies in l and c in n_phi, and that is checked once per sweep.
 
     Candidates fall into shape classes.  A record's ``tensor_shape`` is (p,
     q) when v = U (x) W with dim U = p and dim W = q (``_tensor_shape``).
@@ -540,16 +546,16 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
             continue
         if shape:
             by_shape[shape] = rec
-        normalizer, complement = nc_summands(datum, pd, v)
-        p_normalizer = model.project_p_subspace(normalizer)
-        ok1 = check_nc1(pd, p_normalizer)
-        verdict, cert = check_nc2(model, pd, v, result.seed, result.samples)
+        split = levi_normalizer(model, pd, v)
+        ok1 = check_nc1(pd, split.p_part)
+        verdict, cert = check_nc2(model, v, split.k_part, result.seed, result.samples)
         rec["nc1"] = "yes" if ok1 else "no"
         rec["nc2"] = verdict
         rec["nc2_certificate"] = cert
         if ok1 and verdict == "yes":
             rec["passes"] = True
-            tangent = subspace_sum(p_normalizer, model.project_p_subspace(complement))
+            complement = orthocomplement_in(v, pd.n_phi, model.inner)
+            tangent = subspace_sum(split.p_part, model.project_p_subspace(complement))
             rec["matches_known_tangent"] = tangent in tangents
             if rec["matches_known_tangent"]:
                 rec["matched_by"] = "tangent"

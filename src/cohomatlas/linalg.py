@@ -286,10 +286,6 @@ class Matrix:
         bt = list(zip(*other.rows))
         return Matrix(tuple(tuple(vdot(r, c) for c in bt) for r in self.rows))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(tuple(tuple(a + b if b else a for a, b in zip(x, y))
-                            for x, y in zip(self.rows, other.rows)))
-
     def __neg__(self) -> "Matrix":
         return Matrix(tuple(tuple(-x for x in r) for r in self.rows))
 

@@ -198,6 +198,14 @@ class LieModel:
     def theta_image(self, sub: Subspace) -> Subspace:
         return Subspace.span(self.dim, [self.theta.apply_sparse(b) for b in sub.rows])
 
+    def theta_maps_onto(self, sub: Subspace, other: Subspace) -> bool:
+        """Whether theta(sub) = other, decided by containment with no span:
+        theta is a bijection, so theta(sub) has the dimension of sub, and
+        it equals other iff the dimensions agree and other contains theta
+        of every row of sub.  With other = sub this is theta invariance."""
+        return sub.dim == other.dim and all(
+            other.contains_vector(self.theta.apply_sparse(b)) for b in sub.rows)
+
     def _theta_span(self, sub, sign: int) -> Subspace:
         """The span of x + sign * theta x over the rows of sub, a Subspace or
         a list of dense or sparse vectors."""

@@ -2,12 +2,13 @@
 
 For a subset phi of the simple roots (given as 0-based indices into
 ``datum.simple``) this module materializes the pieces the rest of the
-pipeline reads: the Levi piece l, the abelian piece a_phi, the nilpotent
-piece n_phi, the compact piece k_phi, the split piece a^phi, the boundary
-tangent b (a Lie triple system), the boundary isometry algebra
-s = [b,b] + b, the coarse grading of n_phi when phi omits exactly one
-simple root, and the nested Levi piece for chains psi inside phi.  For sl
-models ``tensor_model`` indexes the top graded piece as a matrix space.
+pipeline reads: the Levi piece l and its p-part l & p, the abelian piece
+a_phi, the nilpotent piece n_phi, the compact piece k_phi = l & k, the
+split piece a^phi, the boundary tangent b (a Lie triple system), the
+boundary isometry algebra s = [b,b] + b, the coarse grading of n_phi when
+phi omits exactly one simple root, and the nested Levi piece for chains
+psi inside phi.  For sl models ``tensor_model`` indexes the top graded
+piece as a matrix space.
 
 Which roots go into a piece is decided by ``Root.in_span``, which reads a
 root's coefficients over the simple roots, and a grade is a root's
@@ -23,9 +24,11 @@ the root spaces inside phi and the nested Levi piece s0 + the root spaces
 inside psi are direct sums, s0 lying in g_0.  theta pairs g_lam with
 g_-lam (``decompose`` checks it), so the k- and p-parts of g_lam lie in
 g_lam + g_-lam, disjoint for distinct positive roots and from g_0: k_phi =
-k0 + the k-parts and b = a^phi + the p-parts of the positive roots inside
-phi are direct sums too.  Each root's k- and p-parts are spanned once per
-datum (``RootDatum.theta_parts``).
+k0 + the k-parts, l & p = a + the p-parts and b = a^phi + the p-parts of
+the positive roots inside phi are direct sums too.  l is theta stable and
+g_0 = a + k0 with k0 in k, so l & p and k_phi are the p- and k-parts of l,
+and l is their direct sum.  Each root's k- and p-parts are spanned once
+per datum (``RootDatum.theta_parts``).
 
 The boundary isometry algebra is spanned from the root grading, never as
 [b, b]: ``build_parabolic`` spans s0 from the dual vectors H_alpha of the
@@ -52,6 +55,7 @@ from .roots import RootDatum
 class ParabolicDatum(NamedTuple):
     phi: tuple  # sorted 0-based indices into datum.simple
     l: Subspace  # Levi: g_0 + sum of root spaces inside span(phi)
+    l_p: Subspace  # l & p: a + p-projected root spaces inside span(phi)
     a_phi: Subspace  # common kernel of the roots in phi, inside a
     n_phi: Subspace  # positive root spaces outside span(phi)
     k_phi: Subspace  # k_0 + projected root spaces inside span(phi)
@@ -93,7 +97,7 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     """All parabolic pieces for a subset of simple roots (cached per datum).
 
     The pieces other than s0, a^phi and a_phi are direct sums of root
-    spaces, their k- and p-parts, g_0, k0, s0 and a^phi; the module
+    spaces, their k- and p-parts, g_0, a, k0, s0 and a^phi; the module
     docstring proves that their supports are disjoint.
 
     s_phi, the isometry algebra of the boundary component B_phi, is spanned
@@ -157,6 +161,7 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     pd = ParabolicDatum(
         phi=phi,
         l=disjoint_sum(d, [datum.zero_space] + inside),
+        l_p=disjoint_sum(d, [model.a_space] + [p for _, p in parts]),
         a_phi=a_piece(datum, phi),
         n_phi=disjoint_sum(d, [r.space for r in outside_pos]),
         k_phi=disjoint_sum(d, [datum.k0] + [k for k, _ in parts]),

@@ -113,9 +113,9 @@ class RootDatum:
         factor data, each decided once at factor size."""
         if self.factors:
             return all(fd.theta_pairs_roots for fd in dict.fromkeys(self.factors))
-        return all(self.model.theta_image(r.space)
-                   == self.root_with_coeff(tuple(-c for c in r.coeffs)).space
-                   for r in self.positive)
+        return all(self.model.theta_maps_onto(
+            r.space, self.root_with_coeff(tuple(-c for c in r.coeffs)).space)
+            for r in self.positive)
 
     def profile(self, root: Root) -> tuple:
         """(m_alpha, m_2alpha): the multiplicities of a root and of its double."""
@@ -169,7 +169,7 @@ def decompose(model: LieModel) -> RootDatum:
         neg = tuple(-c for c in wt)
         if neg not in raw:
             raise ValueError("weights are not symmetric under negation")
-        if model.theta_image(sp) != raw[neg]:
+        if not model.theta_maps_onto(sp, raw[neg]):
             raise ValueError("theta does not pair opposite root spaces")
 
     # positivity from the stored nilpotent part

@@ -46,6 +46,7 @@ from .linalg import (
     combination,
     orthocomplement_in,
     rref_rows,
+    solve_inclusion_constraint,
     subspace_intersect,
     subspace_sum,
 )
@@ -261,16 +262,78 @@ def check_lie_triple(model: LieModel, b: Subspace) -> bool:
 # nilpotent construction conditions
 
 
+class LeviNormalizer(NamedTuple):
+    """N_l(v) read in the split basis l = (l & p) + k_phi (``levi_normalizer``)."""
+
+    p_part: Subspace  # p(N_l(v)), which is p(N_l(n_phi minus v))
+    k_part: Subspace  # N_l(v) & k = N_{k_phi}(v)
+    blocks: tuple  # (l & p block, k_phi block) of each solution row, sparse
+
+    def theta_dual(self) -> Subspace:
+        """theta N_l(v) = N_l(n_phi minus v): the solution rows with their
+        l & p blocks negated, spanned."""
+        return Subspace.span(self.p_part.ambient_dim,
+                             [combination((-1, 1), pk) for pk in self.blocks])
+
+
+def levi_normalizer(model: LieModel, pd: ParabolicDatum, v: Subspace) -> LeviNormalizer:
+    """N_l(v) for a subspace v of the first graded piece g_1, by one bracket
+    solve over the split basis of l, and what the nilpotent construction
+    reads off it.
+
+    *Split basis.*  l is theta stable, so it is the direct sum of its p-part
+    l & p (``pd.l_p``) and its k-part k_phi = l & k; their rows together are
+    dim l independent rows, since p & k = 0, and this raises unless they
+    number dim l.  Number the unknowns over the split rows, those of l & p
+    first, and solve for the combinations that map v into itself: the
+    solver returns their RREF in coefficients.  The rows whose pivot lies
+    in the k_phi block are zero on the l & p block, and in RREF they span
+    the solutions there, N_l(v) & k = N_{k_phi}(v).  The l & p blocks of the
+    other rows are independent and span the l & p blocks of all solutions,
+    p(N_l(v)).  Each block is in RREF and combines the canonical rows of
+    l & p or of k_phi, so its combinations are the canonical rows of p(N_l(v))
+    and of N_{k_phi}(v), as ``linalg.solve_inclusion_constraint`` argues for
+    its answers: nothing is spanned again.  theta is -1 on p and +1 on k, so
+    negating the l & p block of every solution row gives theta N_l(v).
+
+    *theta duality.*  For x in l, w in n_phi and u in v, <[x, w], u> =
+    -<w, [theta x, u]>, because <X, Y> = -B(X, theta Y), B is ad invariant
+    and theta is an automorphism.  l preserves each grade, so [x, c] lies
+    in n_phi for c = n_phi minus v, and [theta x, v] lies in g_1.  Hence x
+    normalizes c iff [x, c] is orthogonal to v iff [theta x, v] is
+    orthogonal to c iff theta x normalizes v: N_l(c) = theta N_l(v), and
+    p(N_l(c)) = p(N_l(v)) since p(theta X) = -p(X).  ``verify`` certifies
+    the identity for every NC row (the ``normalizer-theta-dual`` note).
+    """
+    if pd.grading is None or not pd.grading[1].contains(v):
+        raise ValueError("v must lie inside the first graded piece")
+    lp, kp = pd.l_p, pd.k_phi
+    if lp.dim + kp.dim != pd.l.dim:
+        raise ValueError("l & p and k_phi do not split l")
+    split = lp.rows + kp.rows
+    images = [[model._bracket_entries(x, w) for w in v.rows] for x in split]
+    solution = solve_inclusion_constraint(Subspace.full(len(split)), images, v)
+    cut = lp.dim
+    blocks = tuple((combination([row.get(a, 0) for a in range(cut)], lp.rows),
+                    combination([row.get(cut + a, 0) for a in range(kp.dim)], kp.rows))
+                   for row in solution.rows)
+    p_rows = tuple(_integer_row(p) for (p, _), c in zip(blocks, solution.pivots) if c < cut)
+    k_rows = tuple(_integer_row(k) for (_, k), c in zip(blocks, solution.pivots) if c >= cut)
+    return LeviNormalizer(Subspace(model.dim, p_rows, tuple(min(row) for row in p_rows)),
+                          Subspace(model.dim, k_rows, tuple(min(row) for row in k_rows)),
+                          blocks)
+
+
 def check_nc1(pd: ParabolicDatum, p_normalizer: Subspace) -> bool:
     """Tangent criterion: p(N_l(n_phi minus v)) covers the boundary tangent b.
 
-    p_normalizer is p(N_l(c)), the p-projection of the normalizer of the
-    complement c = n_phi minus v that ``nc_summands`` builds; the oracle
-    reads it again for the orbit tangent.  This is the criterion for the
-    m_phi-normalizer: c is graded and a_phi acts on each graded piece by a
-    scalar, so N_l(c) = N_m(c) + a_phi and p(N_l(c)) = p(N_m(c)) + a_phi.
-    Both b and p(N_m(c)) lie in m, which is theta invariant and orthogonal
-    to a_phi, so b lies in p(N_l(c)) iff it lies in p(N_m(c)).
+    p_normalizer is p(N_l(c)) for the complement c = n_phi minus v, which is
+    p(N_l(v)) by theta duality (``levi_normalizer``): the l & p block of the
+    one bracket solve over l, with c never built.  This is the criterion
+    for the m_phi-normalizer: c is graded and a_phi acts on each graded
+    piece by a scalar, so N_l(c) = N_m(c) + a_phi and p(N_l(c)) = p(N_m(c))
+    + a_phi.  Both b and p(N_m(c)) lie in m, which is theta invariant and
+    orthogonal to a_phi, so b lies in p(N_l(c)) iff it lies in p(N_m(c)).
     """
     return p_normalizer.contains(pd.b)
 
@@ -311,14 +374,21 @@ def _gram(model: LieModel, v: Subspace) -> Matrix:
         for row, f in zip(v.rows, scales)))
 
 
-def check_nc2(model: LieModel, pd: ParabolicDatum, v: Subspace, seed: int, samples: int):
-    """Transitivity on the unit sphere of v, as a three-stage verdict.
+def check_nc2(model: LieModel, v: Subspace, normalizer: Subspace, seed: int, samples: int):
+    """Transitivity on the unit sphere of v of the k_phi-normalizer
+    N_{k_phi}(v), given as normalizer (the k_phi block of
+    ``levi_normalizer``), as a three-stage verdict.
 
-    (a) exact sufficient: the restriction of the k_phi-normalizer spans the
+    (a) exact sufficient: the restriction of the normalizer spans the
         full rotation algebra of (v, <,>)         -> ("yes", "contains-so")
     (b) exact necessary failure: some sampled nonzero u in v has
         span({u} + normalizer.u) proper in v      -> ("no", "failed-witness")
     (c) otherwise, full tangent span at all samples -> ("yes", "sampled-tangent")
+
+    A normalizer of dimension 0 gives (b) at once: with no operator, (a)
+    fails, since so(v) is not 0 for dim v >= 2, and the first sample's
+    tangent is the line of u.  That needs a first sample, so samples must
+    be at least 1.
 
     The operators R and the Gram matrix G are integer multiples of their
     matrices in ``v.basis`` coordinates, by positive factors: no Fraction is
@@ -327,8 +397,11 @@ def check_nc2(model: LieModel, pd: ParabolicDatum, v: Subspace, seed: int, sampl
     """
     if v.dim < 2:
         raise ValueError("NC2 needs dim v >= 2")
-    norm = model.normalizer_in(pd.k_phi, v)
-    ops = [Matrix(r) for r in _restriction_matrices(model, norm, v)]
+    if samples < 1:
+        raise ValueError("NC2 needs at least one sample")
+    if normalizer.dim == 0:
+        return "no", "failed-witness"
+    ops = [Matrix(r) for r in _restriction_matrices(model, normalizer, v)]
     m = v.dim
     # the restricted operators are skew for the inner product on v: R^T G + G R
     # = 0, and with G symmetric that is M + M^T = 0 for M = G R
@@ -555,7 +628,7 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
         inner_h = spec.payload["h_phi"]
         # a slice read on B_phi has p(h) as its tangent already
         p_h = tangent if h is inner_h else orbit_tangent_at_o(model, inner_h)
-        if model.theta_image(inner_h) == inner_h:
+        if model.theta_maps_onto(inner_h, inner_h):
             # p(h) = h & p, and a passing note certifies that h is closed, so
             # [[h & p, h & p], h & p] lies in h and in p
             lie_triple = closure.passed or check_lie_triple(model, p_h)
@@ -569,12 +642,14 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
                                                   phi2))
 
     if spec.kind == "NC":
+        # one solve for N_l(v) gives NC1, NC2 and theta N_l(v), which the note
+        # compares with the payload's N_l(n_phi minus v), built on its own
         pd = build_parabolic(datum, spec.phi)
-        v = spec.payload["v"]
-        normalizer = spec.payload["normalizer"]  # certified by normalizer-theta-dual
-        nc1 = "yes" if check_nc1(pd, model.project_p_subspace(normalizer)) else "no"
-        nc2, nc2_cert = check_nc2(model, pd, v, seed, samples)
-        theta_dual = model.theta_image(model.normalizer_in(pd.l, v))
+        v, normalizer = spec.payload["v"], spec.payload["normalizer"]
+        split = levi_normalizer(model, pd, v)
+        nc1 = "yes" if check_nc1(pd, split.p_part) else "no"
+        nc2, nc2_cert = check_nc2(model, v, split.k_part, seed, samples)
+        theta_dual = split.theta_dual()
         notes.append(Note.first_failure("normalizer-theta-dual", (
             _rows_outside("theta-dual-not-in-normalizer", theta_dual, normalizer)
             + _rows_outside("normalizer-not-in-theta-dual", normalizer, theta_dual))))

@@ -75,7 +75,8 @@ def reference_sweep(result, j: int, tangents: set) -> list:
         normalizer, complement = nc_summands(datum, pd, v)
         p_normalizer = model.project_p_subspace(normalizer)
         ok1 = check_nc1(pd, p_normalizer)
-        verdict, cert = check_nc2(model, pd, v, result.seed, result.samples)
+        verdict, cert = check_nc2(model, v, model.normalizer_in(pd.k_phi, v), result.seed,
+                                  result.samples)
         rec["nc1"] = "yes" if ok1 else "no"
         rec["nc2"] = verdict
         rec["nc2_certificate"] = cert

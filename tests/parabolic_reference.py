@@ -18,8 +18,8 @@ def _root_rows(roots, start=()) -> list:
 def reference_pieces(datum, phi: tuple) -> dict:
     """{field of ParabolicDatum: value} for the sorted tuple phi, each
     subspace spanned from its generators: a_phi solved as the common kernel
-    of the roots in phi, a^phi as its orthogonal complement in a, k_phi and
-    b projected from their root spaces, and each grade spanned."""
+    of the roots in phi, a^phi as its orthogonal complement in a, l & p,
+    k_phi and b projected from their root spaces, and each grade spanned."""
     model = datum.model
     d = model.dim
     inside = [r for r in datum.roots if in_span(r, phi)]
@@ -42,6 +42,7 @@ def reference_pieces(datum, phi: tuple) -> dict:
     return {
         "phi": phi,
         "l": Subspace.span(d, _root_rows(inside, datum.zero_space.rows)),
+        "l_p": model.project_p_subspace(_root_rows(inside, datum.zero_space.rows)),
         "a_phi": a_phi,
         "n_phi": Subspace.span(d, _root_rows(outside_pos)),
         "k_phi": model.project_k_subspace(_root_rows(inside_pos, datum.k0.rows)),

@@ -413,6 +413,11 @@ class TestBuiltinCatalog:
         assert dims["so(1,2)"] == 3
 
 
+def matrix_sum(x: Matrix, y: Matrix) -> Matrix:
+    """The entrywise sum of two matrices of one shape."""
+    return Matrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(x.rows, y.rows)))
+
+
 def dense_matrix_kernel(model, inside, condition):
     """The reference matrix kernel: each row's matrix built dense from the
     basis matrices, and a tuple-valued condition on that Matrix."""
@@ -422,7 +427,7 @@ def dense_matrix_kernel(model, inside, condition):
         mat = Matrix.zeros(n, n)
         for c, b in zip(x, model.basis):
             if c:
-                mat = mat + Matrix(tuple(tuple(c * y for y in row) for row in b.rows))
+                mat = matrix_sum(mat, Matrix(tuple(tuple(c * y for y in row) for row in b.rows)))
         values.append([condition(mat)])
     return solve_inclusion_constraint(inside.basis, values, Subspace.zero(len(values[0][0])))
 
@@ -439,7 +444,7 @@ def test_symplectic_kernel_equals_the_dense_matrix_product(n):
                                 for q in range(n)) for p in range(n)))
         sp2 = _symplectic_kernel(g, s_phi, j)
         assert sp2 == dense_matrix_kernel(
-            g, s_phi, lambda mat: ((mat.transpose() @ jm) + (jm @ mat)).flatten())
+            g, s_phi, lambda mat: matrix_sum(mat.transpose() @ jm, jm @ mat).flatten())
         assert sp2.dim == 10
 
 

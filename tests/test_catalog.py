@@ -8,6 +8,7 @@ from functools import cached_property
 import pytest
 
 from cohomatlas import catalog, roots
+from cohomatlas import verify as verify_module
 from cohomatlas.catalog import (_rank_one_nc_subspaces, ce_families, enumerate_sl,
                                 known_extension_tangents)
 from cohomatlas.cli import RunConfig, main, parse_space, run
@@ -17,9 +18,9 @@ from cohomatlas.models import (LieModel, ProductModel, build_sl, build_so1n, bui
                                direct_sum)
 from cohomatlas.parabolic import build_nested, build_parabolic, tensor_model
 from cohomatlas.actions import (ActionSpec, builtin_cei_catalog, canonical_extend, make_fs,
-                                nc_summands, nilpotent_construct)
+                                nilpotent_construct)
 from cohomatlas.roots import decompose
-from cohomatlas.verify import orbit_tangent_at_o, verify
+from cohomatlas.verify import levi_normalizer, orbit_tangent_at_o, verify
 
 from oracle_reference import reference_sweep
 
@@ -238,9 +239,21 @@ def test_only_rank_one_factors_read_the_builtin_catalog(monkeypatch):
     assert calls == Counter({"so(1,3)": 2})
 
 
+def evaluated_records(records: list) -> list:
+    """The records of a sweep whose candidate was evaluated: the first
+    candidate of each tensor shape, and every other candidate of dim >= 2."""
+    firsts = {}
+    for rec in records:
+        if rec["dim"] >= 2 and rec["tensor_shape"]:
+            firsts.setdefault(tuple(rec["tensor_shape"]), rec)
+    return list(firsts.values()) + [rec for rec in records
+                                    if rec["dim"] >= 2 and rec["tensor_shape"] is None]
+
+
 def test_oracle_builds_the_table_once_and_each_candidate_once(monkeypatch):
     families = Counter()
     complements = []
+    solves = []
 
     def counted_families(datum):
         families["calls"] += 1
@@ -250,7 +263,12 @@ def test_oracle_builds_the_table_once_and_each_candidate_once(monkeypatch):
         complements.append(w)
         return orthocomplement_in(v, w, form)
 
+    def counted_split(model, pd, v):
+        solves.append(v)
+        return levi_normalizer(model, pd, v)
+
     monkeypatch.setattr(catalog, "ce_families", counted_families)
+    monkeypatch.setattr(catalog, "levi_normalizer", counted_split)
     for name, module in list(sys.modules.items()):
         if name.startswith("cohomatlas") and getattr(module, "orthocomplement_in", None) \
                 is orthocomplement_in:
@@ -258,17 +276,94 @@ def test_oracle_builds_the_table_once_and_each_candidate_once(monkeypatch):
     result = run(parse_space("sl(4)"), RunConfig(nc_search=True)).result
     datum = result.datum
     assert families["calls"] == 1
-    # n_phi minus v is taken once per evaluated candidate: once per tensor
-    # shape, and once for each other candidate of dim >= 2
+    # one split solve per evaluated candidate: once per tensor shape, on its
+    # first candidate, and once for each other candidate of dim >= 2; n_phi
+    # minus v is taken only for an evaluated candidate that passes
     n_phis = {build_parabolic(datum, [i for i in range(datum.rank) if i != j]).n_phi
               for j in range(datum.rank)}
-    evaluated = 0
+    evaluated = passing = 0
     for sweep in result.oracle.values():
         checked = [rec for rec in sweep["records"] if rec["dim"] >= 2]
         shapes = {tuple(rec["tensor_shape"]) for rec in checked if rec["tensor_shape"]}
         evaluated += len(shapes) + sum(rec["tensor_shape"] is None for rec in checked)
+        passing += sum(rec["passes"] for rec in evaluated_records(sweep["records"]))
         assert len(shapes) < sum(rec["tensor_shape"] is not None for rec in checked)
-    assert sum(1 for w in complements if w in n_phis) == evaluated
+    assert len(solves) == evaluated
+    assert 0 < sum(1 for w in complements if w in n_phis) == passing < evaluated
+
+
+def test_each_evaluated_candidate_makes_exactly_one_bracket_solve(monkeypatch):
+    result = enumerate_sl(3)
+    tangents = known_extension_tangents(result)
+    calls = Counter()
+    bracket_into = LieModel._bracket_into
+    solve = verify_module.solve_inclusion_constraint
+
+    def counted_bracket_into(model, domain, of, target):
+        calls["bracket_into"] += 1
+        return bracket_into(model, domain, of, target)
+
+    def counted_solve(candidates, images, target):
+        calls["solve"] += 1
+        return solve(candidates, images, target)
+
+    def counted_split(model, pd, v):
+        calls["split"] += 1
+        return levi_normalizer(model, pd, v)
+
+    monkeypatch.setattr(LieModel, "_bracket_into", counted_bracket_into)
+    monkeypatch.setattr(verify_module, "solve_inclusion_constraint", counted_solve)
+    monkeypatch.setattr(catalog, "levi_normalizer", counted_split)
+    sweeps = [catalog.nc_oracle_search(result, j, tangents) for j in range(result.datum.rank)]
+    evaluated = sum(len(evaluated_records(sweep["records"])) for sweep in sweeps)
+    # no normalizer or centralizer solve, and one split solve per evaluation
+    assert calls["bracket_into"] == 0
+    assert calls["solve"] == calls["split"] == evaluated > 0
+
+
+def test_the_sl5_oracle_at_seed_7_exits_0_with_its_pinned_counts(monkeypatch):
+    splits = Counter()
+
+    def counted_split(model, pd, v):
+        splits[pd.phi] += 1
+        return levi_normalizer(model, pd, v)
+
+    monkeypatch.setattr(catalog, "levi_normalizer", counted_split)
+    run_result = run(parse_space("sl(5)"), RunConfig(seed=7, nc_search=True))
+    assert run_result.exit_code == 0
+    oracle = run_result.result.oracle
+    assert {j: sweep["distinct_candidates"] for j, sweep in oracle.items()} == {
+        "j=1": 148, "j=2": 224, "j=3": 224, "j=4": 148}
+    assert {j: sum(rec["passes"] for rec in sweep["records"]) for j, sweep in oracle.items()} \
+        == {"j=1": 143, "j=2": 11, "j=3": 11, "j=4": 143}
+    assert all(sweep["so_block_certificate"] for sweep in oracle.values())
+    # one evaluation per tensor shape, and one per other candidate of dim >= 2
+    assert splits == Counter({(1, 2, 3): 3, (0, 2, 3): 207, (0, 1, 3): 207, (0, 1, 2): 3})
+    checked = [rec for sweep in oracle.values() for rec in sweep["records"] if rec["dim"] >= 2]
+    assert Counter(rec["nc2_certificate"] for rec in checked if not rec["passes"]) == Counter(
+        {"failed-witness": 412})
+
+
+@pytest.mark.parametrize("n, j, dim, fits", [(3, 1, 3, False), (4, 1, 5, False),
+                                             (4, 2, 5, False), (4, 1, 4, True)])
+def test_a_dimension_with_no_fitting_shape_spans_nothing(monkeypatch, n, j, dim, fits):
+    # a 2 x 2 block has no shape of dim 3, a 2 x 3 or 3 x 2 block none of
+    # dim 5, but a 2 x 3 block has the shape (2, 2) of dim 4
+    datum = decompose(build_sl(n + 1))
+    tm = tensor_model(datum, j)
+    v = tm.subspace(sorted(tm.generators)[:dim])
+    spans = []
+    span = Subspace.span.__func__
+
+    def counted(cls, ambient_dim, vectors):
+        spans.append(ambient_dim)
+        return span(cls, ambient_dim, vectors)
+
+    monkeypatch.setattr(Subspace, "span", classmethod(counted))
+    shape = catalog._tensor_shape(tm, v)
+    assert (spans == []) == (not fits)
+    if not fits:
+        assert shape is None
 
 
 ORACLE_SEEDS = [0, 3, 7, 8, 13, 1007, 2007]
@@ -347,18 +442,14 @@ def test_k_phi_rotates_each_top_block_by_so_a_times_so_b(n):
 def test_without_the_rotation_certificate_every_candidate_is_evaluated(monkeypatch):
     result = enumerate_sl(3)
     tangents = known_extension_tangents(result)
-    pd = build_parabolic(result.datum, [1, 2])
-    short = pd._replace(k_phi=Subspace.span(result.model.dim, pd.k_phi.rows[1:]))
-    build = catalog.build_parabolic
-    monkeypatch.setattr(catalog, "build_parabolic",
-                        lambda d, phi: short if tuple(phi) == pd.phi else build(d, phi))
+    monkeypatch.setattr(catalog, "block_rotation_certificate", lambda model, pd, tm: False)
     evaluated = []
 
-    def counted(datum, pd, v):
+    def counted(model, pd, v):
         evaluated.append(v)
-        return nc_summands(datum, pd, v)
+        return levi_normalizer(model, pd, v)
 
-    monkeypatch.setattr(catalog, "nc_summands", counted)
+    monkeypatch.setattr(catalog, "levi_normalizer", counted)
     sweep = catalog.nc_oracle_search(result, 0, tangents)
     assert sweep["so_block_certificate"] is False
     checked = [rec for rec in sweep["records"] if rec["dim"] >= 2]
@@ -371,13 +462,13 @@ def test_a_product_decides_theta_root_pairing_at_factor_size(monkeypatch):
     sl3 = build_sl(3)
     datum = decompose(direct_sum([sl3, build_so1n(3), sl3]))
     widths = []
-    theta_image = LieModel.theta_image
+    theta_maps_onto = LieModel.theta_maps_onto
 
-    def recorded(model, sub):
+    def recorded(model, sub, other):
         widths.append(model.dim)
-        return theta_image(model, sub)
+        return theta_maps_onto(model, sub, other)
 
-    monkeypatch.setattr(LieModel, "theta_image", recorded)
+    monkeypatch.setattr(LieModel, "theta_maps_onto", recorded)
     result = catalog.EnumerationResult(datum, 7, 32)
     assert ("theta-root-pairing", True) in [(n.name, n.passed) for n in result.identities]
     # once per positive root of each distinct factor datum, none at product width

@@ -195,7 +195,7 @@ def test_the_sl4_oracle_exits_0(seed, capsys):
     ["--space", "rh(1)"],  # factor out of bounds
     ["--space", "ch(2)"],  # needs --feature su1n
     ["--space", "sl(2)*sl(2)", "--nc-search"],  # oracle on a product
-    ["--space", "sl(5)", "--nc-search"],  # oracle above desk scale
+    ["--space", "sl(6)", "--nc-search"],  # oracle above desk scale
     ["--space", "sl(2)", "--samples", "0"],
     ["--space", "sl(2)", "--samples", "-1"],
     ["--space", "sl(2)", "--samples", "many"],

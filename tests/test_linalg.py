@@ -67,6 +67,12 @@ def identity(n: int, c=1) -> Matrix:
     return mat([[c if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+def msum(*terms: Matrix) -> Matrix:
+    """The entrywise sum of matrices of one shape."""
+    return Matrix(tuple(tuple(sum(xs) for xs in zip(*rows))
+                        for rows in zip(*(t.rows for t in terms))))
+
+
 def S(ambient, *vectors):
     return Subspace.span(ambient, [vec(v) for v in vectors])
 
@@ -369,7 +375,7 @@ def test_orthocomplement_dimension_and_orthogonality(case, data):
     # a positive definite form A^T A + I with a small integer A
     a = mat(data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
                                min_size=n, max_size=n)))
-    form = a.transpose() @ a + identity(n)
+    form = msum(a.transpose() @ a, identity(n))
     c = orthocomplement_in(v, w, form)
     assert c.dim == w.dim - v.dim
     assert w.contains(c)
@@ -393,12 +399,12 @@ def symmetric_forms(draw):
                           min_size=n, max_size=n)))
     kind = draw(st.sampled_from(["gram+I", "gram", "sum", "gram-cI"]))
     if kind == "gram+I":
-        return a.transpose() @ a + identity(n)
+        return msum(a.transpose() @ a, identity(n))
     if kind == "gram":
         return a.transpose() @ a
     if kind == "sum":
-        return a + a.transpose()
-    return a.transpose() @ a + identity(n, -draw(st.integers(1, 4)))
+        return msum(a, a.transpose())
+    return msum(a.transpose() @ a, identity(n, -draw(st.integers(1, 4))))
 
 
 @PROPERTY

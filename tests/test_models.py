@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,12 @@ def mat(rows) -> Matrix:
 def identity(n: int, c=1) -> Matrix:
     """c times the n x n identity."""
     return mat([[c if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def msum(*terms: Matrix) -> Matrix:
+    """The entrywise sum of matrices of one shape."""
+    return Matrix(tuple(tuple(sum(xs) for xs in zip(*rows))
+                        for rows in zip(*(t.rows for t in terms))))
 
 
 def leading_minors_positive(g: Matrix) -> bool:
@@ -123,10 +130,10 @@ class TestSo1n:
         assert g.dim == 6
         # independent oracle: [H, X_u] = X_u by raw matrix arithmetic for the
         # two generators X_u = E_{0,i} + E_{i,0} + E_{1,i} - E_{i,1}, i = 2, 3
-        h = E(4, 0, 1) + E(4, 1, 0)
+        h = msum(E(4, 0, 1), E(4, 1, 0))
         for i in (2, 3):
-            xu = E(4, 0, i) + E(4, i, 0) + E(4, 1, i) + -E(4, i, 1)
-            comm = h @ xu + -(xu @ h)
+            xu = msum(E(4, 0, i), E(4, i, 0), E(4, 1, i), -E(4, i, 1))
+            comm = msum(h @ xu, -(xu @ h))
             assert comm == xu
             assert g.n_space.contains_vector(g.coords(xu))
         assert g.n_space.dim == 2
@@ -356,13 +363,13 @@ class TestStructuralInvariants:
         basis = [unit_vec(g.dim, i) for i in range(g.dim)]
         for x, bx in zip(basis, g.basis):
             for y, by in zip(basis, g.basis):
-                assert matrix_of(g, g.bracket(x, y)) == bx @ by + -(by @ bx)
+                assert matrix_of(g, g.bracket(x, y)) == msum(bx @ by, -(by @ bx))
 
     def test_p_and_k_projections_match_the_dense_projectors(self, model):
         g = model
         ident = identity(g.dim)
-        proj_p = mat([[rat(1, 2) * x for x in r] for r in (ident + -g.theta).rows])
-        proj_k = mat([[rat(1, 2) * x for x in r] for r in (ident + g.theta).rows])
+        proj_p = mat([[rat(1, 2) * x for x in r] for r in msum(ident, -g.theta).rows])
+        proj_k = mat([[rat(1, 2) * x for x in r] for r in msum(ident, g.theta).rows])
         rows = [unit_vec(g.dim, i) for i in range(g.dim)]
         assert g.project_p_subspace(Subspace.span(g.dim, rows)) == g.p_space
         assert g.project_k_subspace(Subspace.span(g.dim, rows)) == g.k_space
@@ -402,6 +409,25 @@ def test_assembled_product_matches_the_generic_construction(factors):
     off_block = pm.factors[0].matrix_size
     with pytest.raises(ValueError):
         ref.coords(E(pm.matrix_size, 0, off_block))  # outside the diagonal blocks
+
+
+@pytest.mark.parametrize("build", [lambda: build_sl(3), lambda: build_so1n(3),
+                                   lambda: build_su1n(2)], ids=["sl3", "rh3", "ch2"])
+def test_theta_maps_onto_agrees_with_the_spanned_theta_image(build):
+    from cohomatlas.roots import decompose
+
+    g = build()
+    datum = decompose(g)
+    n = g.n_space
+    subs = [r.space for r in datum.roots] + [n, g.theta_image(n), g.k_space, g.p_space,
+                                              g.a_space, Subspace.span(g.dim, n.rows[:1]),
+                                              Subspace.zero(g.dim)]
+    verdicts = Counter()
+    for sub, other in itertools.product(subs, repeat=2):
+        verdict = g.theta_maps_onto(sub, other)
+        assert verdict == (g.theta_image(sub) == other)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_normalizer_borel_sl2():
@@ -463,7 +489,7 @@ def test_weight_basis_lies_in_the_algebra(build, n):
     sig = mat([[(-1 if p % m == 0 else 1) if p == q else 0 for q in range(g.matrix_size)]
                for p in range(g.matrix_size)])
     for x in g.basis:
-        assert x.transpose() @ sig + sig @ x == Matrix.zeros(g.matrix_size, g.matrix_size)
+        assert msum(x.transpose() @ sig, sig @ x) == Matrix.zeros(g.matrix_size, g.matrix_size)
         if copies == 2:
             assert sum(x.rows[p][p] for p in range(m)) == 0
             assert sum(x.rows[p + m][p] for p in range(m)) == 0

@@ -357,7 +357,8 @@ class TestNc2:
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
         v = tm.subspace([(1, 1), (2, 1)])
-        assert check_nc2(g, pd, v, seed=7, samples=32) == ("yes", "contains-so")
+        assert check_nc2(g, v, g.normalizer_in(pd.k_phi, v), seed=7, samples=32) == (
+            "yes", "contains-so")
 
     def test_any_subspace_of_real_hyperbolic_root_space(self):
         p = direct_sum([build_so1n(4), build_so1n(2)])
@@ -365,7 +366,8 @@ class TestNc2:
         pd = build_parabolic(datum, [1])
         f0 = p.factors[0]
         v = p.embed({0: Subspace.span(f0.dim, f0.n_space.basis[:2])})
-        assert check_nc2(p, pd, v, seed=7, samples=32) == ("yes", "contains-so")
+        assert check_nc2(p, v, p.normalizer_in(pd.k_phi, v), seed=7, samples=32) == (
+            "yes", "contains-so")
 
     def test_skew_mixed_family_fails_with_witness(self):
         g = build_sl(4)
@@ -375,7 +377,7 @@ class TestNc2:
         v = Subspace.span(
             g.dim, [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]]
         )
-        verdict, cert = check_nc2(g, pd, v, seed=7, samples=32)
+        verdict, cert = check_nc2(g, v, g.normalizer_in(pd.k_phi, v), seed=7, samples=32)
         assert (verdict, cert) == ("no", "failed-witness")
 
     def test_witness_is_monotone(self):
@@ -387,7 +389,7 @@ class TestNc2:
             g.dim, [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]]
         )
         for samples in (8, 32, 128):
-            verdict, _ = check_nc2(g, pd, v, seed=11, samples=samples)
+            verdict, _ = check_nc2(g, v, g.normalizer_in(pd.k_phi, v), seed=11, samples=samples)
             assert verdict == "no"
 
     @pytest.mark.parametrize("op", [((1, 0), (0, 1)), ((0, 1), (0, 0))],
@@ -400,18 +402,18 @@ class TestNc2:
         monkeypatch.setattr(verify_module, "_restriction_matrices",
                             lambda model, domain, sub: [op])
         with pytest.raises(ValueError, match="not skew on v"):
-            check_nc2(g, pd, v, seed=7, samples=32)
+            check_nc2(g, v, g.normalizer_in(pd.k_phi, v), seed=7, samples=32)
 
 
 def _nc2_inputs(space: str, nc_search: bool) -> dict:
-    """(model, pd, v) for each distinct v that reaches check_nc2 while the
-    report of space is made at seed 7, from the oracle sweeps and the NC
-    rows alike."""
+    """(model, normalizer, v) for each distinct pair of v and its
+    k_phi-normalizer that reaches check_nc2 while the report of space is
+    made at seed 7, from the oracle sweeps and the NC rows alike."""
     inputs = {}
 
-    def recorded(model, pd, v, seed, samples):
-        inputs.setdefault((id(model), pd.phi, v), (model, pd, v))
-        return check_nc2(model, pd, v, seed, samples)
+    def recorded(model, v, normalizer, seed, samples):
+        inputs.setdefault((id(model), normalizer, v), (model, normalizer, v))
+        return check_nc2(model, v, normalizer, seed, samples)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(catalog, "check_nc2", recorded)
@@ -441,8 +443,7 @@ def test_integer_restrictions_and_gram_are_positive_multiples_of_the_rational_on
     if nc_search:  # the probes give rows whose pivot values are not 1
         assert any(row[c] != 1 for _, _, v in inputs.values()
                    for row, c in zip(v.rows, v.pivots))
-    for model, pd, v in inputs.values():
-        norm = model.normalizer_in(pd.k_phi, v)
+    for model, norm, v in inputs.values():
         ops = verify_module._restriction_matrices(model, norm, v)
         assert len(ops) == norm.dim
         for op, t in zip(ops, norm.basis):
@@ -451,6 +452,88 @@ def test_integer_restrictions_and_gram_are_positive_multiples_of_the_rational_on
             assert _positive_multiple(op, old)
         old_gram = [[model.inner_product(x, y) for y in v.basis] for x in v.basis]
         assert _positive_multiple(verify_module._gram(model, v).rows, old_gram)
+
+
+def _split_cases():
+    """(model, pd, candidates) for the split normalizer solve: each j of
+    sl(3), sl(4) and sl(5), with seeded subspaces of the top graded piece
+    of every dimension from 2 up, and the v of every NC row of rh(4) and
+    ch(3), whose phi is empty."""
+    cases = []
+    for m in (3, 4, 5):
+        datum = decompose(build_sl(m))
+        for j in range(datum.rank):
+            pd = build_parabolic(datum, [i for i in range(datum.rank) if i != j])
+            top, sampler = pd.grading[1], RationalSampler(100 * m + j)
+            probes = [sampler.subspace_in(top, d) for d in range(2, top.dim + 1)
+                      for _ in range(2)]
+            cases.append(pytest.param(datum.model, pd, probes, id=f"sl{m}-j{j + 1}"))
+    for name, model in (("rh4", build_so1n(4)), ("ch3", build_su1n(3))):
+        datum = decompose(model)
+        profile = datum.profile(datum.simple[0])
+        vs = [v for _, v in catalog._rank_one_nc_subspaces(model, datum, profile)]
+        cases.append(pytest.param(model, build_parabolic(datum, []), vs, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("model, pd, candidates", _split_cases())
+def test_the_split_solve_gives_both_blocks_and_the_theta_dual(model, pd, candidates):
+    assert candidates
+    for v in candidates:
+        split = verify_module.levi_normalizer(model, pd, v)
+        dual = model.normalizer_in(pd.l, orthocomplement_in(v, pd.n_phi, model.inner))
+        # the k-block is N_{k_phi}(v), row for row
+        assert split.k_part == model.normalizer_in(pd.k_phi, v)
+        # the p-block spans p(N_l(n_phi minus v))
+        assert split.p_part == model.project_p_subspace(dual)
+        # negating the p-block gives N_l(n_phi minus v) = theta N_l(v)
+        assert split.theta_dual() == dual
+        assert len(split.blocks) == dual.dim == split.p_part.dim + split.k_part.dim
+
+
+def test_the_split_solve_needs_a_split_levi_piece_and_v_in_the_first_grade():
+    datum = decompose(build_sl(4))
+    g = datum.model
+    pd = build_parabolic(datum, [0, 2])
+    v = tensor_model(datum, 1).subspace([(1, 1), (2, 1)])
+    short = pd._replace(k_phi=Subspace.span(g.dim, pd.k_phi.rows[1:]))
+    with pytest.raises(ValueError, match="do not split l"):
+        verify_module.levi_normalizer(g, short, v)
+    # a root space inside phi is grade 0
+    outside = Subspace.span(g.dim, datum.simple[0].space.rows + v.rows[:1])
+    with pytest.raises(ValueError, match="first graded piece"):
+        verify_module.levi_normalizer(g, pd, outside)
+
+
+class TestNc2ShortCut:
+    def _skew_mixed(self):
+        g = build_sl(4)
+        datum = decompose(g)
+        pd = build_parabolic(datum, [0, 2])
+        tm = tensor_model(datum, 1)
+        v = Subspace.span(
+            g.dim, [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]])
+        return g, pd, v
+
+    def test_a_zero_normalizer_fails_at_once_with_the_witness_verdict(self, monkeypatch):
+        g, pd, v = self._skew_mixed()
+        assert g.normalizer_in(pd.k_phi, v).dim == 0
+        zero = Subspace.zero(g.dim)
+        expected = check_nc2(g, v, zero, seed=7, samples=1)
+        assert expected == ("no", "failed-witness")
+
+        def unused(*args):
+            raise AssertionError("no Gram, operator or sample for a zero normalizer")
+
+        for name in ("_gram", "_restriction_matrices", "RationalSampler"):
+            monkeypatch.setattr(verify_module, name, unused)
+        assert check_nc2(g, v, zero, seed=7, samples=32) == expected
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_sample_is_rejected(self, samples):
+        g, pd, v = self._skew_mixed()
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_nc2(g, v, g.normalizer_in(pd.k_phi, v), seed=7, samples=samples)
 
 
 def diagonal_tangent(spec) -> Subspace:

@@ -380,24 +380,28 @@ def known_extension_tangents(result: EnumerationResult) -> set:
 
 
 def _tensor_shape(tm: TensorModel, v: Subspace) -> Optional[tuple]:
-    """(dim U, dim W) if v = U (x) W, else None.
+    """(dim U, dim W) if v = U (x) W, else None, for v given in the
+    coordinates of the top piece (``TensorModel.coordinates``).
 
-    Read each X in v as a matrix; U is the span of the columns of all X in
-    v and W the span of their rows.  v lies in U (x) W, so the two are equal
-    iff dim v = dim U dim W.  The columns and rows of the basis of v span
-    U and W.  With one row, or one column, U = R^1 and W = v, or the other
-    way round, so every v is a tensor pattern and nothing is spanned.  Nor
-    is anything spanned when dim v is no product p q with p <= nrows and q
-    <= ncols, since dim U <= nrows and dim W <= ncols."""
+    Read each X in v as a matrix, coordinate t in the cell ``tm.cells[t]``;
+    U is the span of the columns of all X in v and W the span of their rows.
+    v lies in U (x) W, so the two are equal iff dim v = dim U dim W.  The
+    columns and rows of the basis of v span U and W.  With one row, or one
+    column, U = R^1 and W = v, or the other way round, so every v is a
+    tensor pattern and nothing is spanned.  Nor is anything spanned when
+    dim v is no product p q with p <= nrows and q <= ncols, since dim U <=
+    nrows and dim W <= ncols."""
     if tm.nrows == 1:
         return 1, v.dim
     if tm.ncols == 1:
         return v.dim, 1
     if not any(v.dim % p == 0 and v.dim // p <= tm.ncols for p in range(1, tm.nrows + 1)):
         return None
+    cells = tm.cells
     cols, rows = {}, {}
     for k, vector in enumerate(v.rows):
-        for (r, c), x in tm.entries(vector).items():
+        for t, x in vector.items():
+            r, c = cells[t]
             cols.setdefault((k, c), {})[r] = x
             rows.setdefault((k, r), {})[c] = x
     p = Subspace.span(tm.nrows, cols.values()).dim
@@ -449,14 +453,24 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
     duplicates collapse into one record with a hit count, so the probe
     budget stays auditable.
 
-    Evaluating a candidate v with dim v >= 2 costs one bracket solve,
-    N_l(v) over the split basis l = (l & p) + k_phi (``levi_normalizer``).
-    The NC algebra's normalizer is N = N_l(c) for the complement c = n_phi
-    minus v, and N = theta N_l(v) by theta duality, so p(N) = p(N_l(v)) is
-    the solve's l & p block, which gives exact NC1, and its k_phi block is
-    N_{k_phi}(v), on which NC2 runs its stages.  Neither N nor c is built
-    for a candidate that fails either condition.  When both pass, c is
-    solved for and the singular-orbit tangent, p(N) + p(c), is compared
+    Candidates live in the coordinates of the top piece g_1, whose
+    canonical rows are the generators, unit rows in column order: a
+    coordinate subset is its unit rows and a probe is drawn inside
+    Q^(a b) (``TensorModel.coordinates``), which makes the draws and the
+    reduced rows of a draw inside g_1, so nothing is spanned per subset.
+    Only an evaluated candidate is placed at model width, relabelled with
+    no elimination (``TensorModel.place``), for NC2 and the tangent.
+    Evaluating a candidate v with dim v >= 2 costs one solve, N_l(v) over
+    the split basis l = (l & p) + k_phi (``levi_normalizer``), whose
+    equations are read off the table of ad(l) on g_1 that the sweep's first
+    evaluation builds, dim l x dim g_1 brackets: no bracket is taken per
+    candidate.  The NC algebra's normalizer is N = N_l(c) for the
+    complement c = n_phi minus v, and N = theta N_l(v) by theta duality, so
+    p(N) = p(N_l(v)) is spanned by the solve's l & p blocks, which decide
+    NC1 exactly in l & p coordinates (``check_nc1``), and its k_phi blocks
+    give N_{k_phi}(v), on which NC2 runs its stages.  Neither N nor c is
+    built for a candidate that fails either condition.  When both pass, c
+    is solved for and the singular-orbit tangent, p(N) + p(c), is compared
     with the known tangents.  The NC algebra N + c is never spanned: the
     sum is direct for every candidate once l and n_phi meet only in 0,
     because N lies in l and c in n_phi, and that is checked once per sweep.
@@ -498,10 +512,9 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
     candidates = []
     for size in range(len(keys) + 1):
         for subset in itertools.combinations(keys, size):
-            candidates.append(("coordinate", sorted(subset),
-                               tm.subspace(subset) if subset else Subspace.zero(model.dim)))
+            candidates.append(("coordinate", sorted(subset), tm.coordinates(subset)))
     sampler = RationalSampler(result.seed)
-    top = pd.grading[1]
+    top = Subspace.full(dim)
     for t in range(ORACLE_PROBES):
         vdim = 2 + (t % max(1, dim - 1))
         vdim = min(vdim, dim)
@@ -546,8 +559,9 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
             continue
         if shape:
             by_shape[shape] = rec
+        v = tm.place(v)
         split = levi_normalizer(model, pd, v)
-        ok1 = check_nc1(pd, split.p_part)
+        ok1 = check_nc1(split)
         verdict, cert = check_nc2(model, v, split.k_part, result.seed, result.samples)
         rec["nc1"] = "yes" if ok1 else "no"
         rec["nc2"] = verdict

@@ -195,9 +195,6 @@ class LieModel:
     def inner_product(self, x: Sequence, y: Sequence):
         return vdot(x, self.inner.apply(y))
 
-    def theta_image(self, sub: Subspace) -> Subspace:
-        return Subspace.span(self.dim, [self.theta.apply_sparse(b) for b in sub.rows])
-
     def theta_maps_onto(self, sub: Subspace, other: Subspace) -> bool:
         """Whether theta(sub) = other, decided by containment with no span:
         theta is a bijection, so theta(sub) has the dimension of sub, and

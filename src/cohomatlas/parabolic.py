@@ -208,15 +208,41 @@ class TensorModel:
         self.ncols = ncols
         self.generators = generators  # (i, l) -> ambient coordinate vector
 
-    def subspace(self, keys: Iterable[tuple]) -> Subspace:
-        amb = len(next(iter(self.generators.values())))
-        return Subspace.span(amb, [self.generators[k] for k in keys])
-
     @cached_property
     def _cells(self) -> dict:
         """(i - 1, l - 1) of generator (i, l), keyed by its pivot column."""
         return {next(p for p, x in enumerate(g) if x): (i - 1, l - 1)
                 for (i, l), g in self.generators.items()}
+
+    @cached_property
+    def columns(self) -> tuple:
+        """The pivot columns of the generators, increasing.  The generators
+        are unit vectors and span the top piece, so they are its canonical
+        rows, and the coordinate t of a vector of the top piece is its entry
+        at columns[t]."""
+        return tuple(sorted(self._cells))
+
+    @cached_property
+    def cells(self) -> tuple:
+        """The cell (i - 1, l - 1) of each coordinate of the top piece."""
+        return tuple(self._cells[c] for c in self.columns)
+
+    def coordinates(self, keys: Iterable[tuple]) -> Subspace:
+        """The span of the generators of keys, in the coordinates of the top
+        piece: the unit rows of their coordinates, with no elimination."""
+        index = {(i + 1, l + 1): t for t, (i, l) in enumerate(self.cells)}
+        coords = sorted(index[k] for k in keys)
+        return Subspace(len(self.cells), tuple({t: 1} for t in coords), tuple(coords))
+
+    def place(self, v: Subspace) -> Subspace:
+        """A subspace given in the coordinates of the top piece, at model
+        width: each coordinate t relabelled as the column columns[t].  The
+        relabelling keeps the column order, so the rows stay canonical and
+        nothing is eliminated."""
+        amb = len(next(iter(self.generators.values())))
+        cols = self.columns
+        return Subspace(amb, tuple({cols[t]: x for t, x in row.items()} for row in v.rows),
+                        tuple(cols[t] for t in v.pivots))
 
     def entries(self, vector: dict) -> dict:
         """The nonzero entries {(i - 1, l - 1): x} of a sparse vector of the
@@ -244,7 +270,7 @@ def tensor_model(datum: RootDatum, j: int) -> TensorModel:
             lo, hi = j + 1 - i, j + l - 1
             coeff = tuple(1 if lo <= t <= hi else 0 for t in range(n))
             sp = datum.root_with_coeff(coeff).space
-            if sp.dim != 1:
-                raise ValueError("sl root spaces must be one dimensional")
+            if sp.dim != 1 or len(sp.support) != 1:
+                raise ValueError("sl root spaces must be spanned by one basis vector")
             gens[(i, l)] = sp.basis[0]
     return TensorModel(nrows=nrows, ncols=ncols, generators=gens)

@@ -100,7 +100,21 @@ class RootDatum:
     def theta_parts(self) -> tuple:
         """(k-part, p-part) of each positive root space, in the order of
         ``positive``: the spans of x + theta x and of x - theta x over its
-        rows.  theta pairs g_lam with g_-lam, so both lie in g_lam + g_-lam."""
+        rows.  theta pairs g_lam with g_-lam, so both lie in g_lam + g_-lam.
+
+        A product's positive root is a factor's, placed in its block, and
+        its theta is block diagonal, so its parts are that factor datum's,
+        placed by ``ProductModel.embed``: nothing is spanned at product
+        width.  The product sorts its positive roots by height, not factor
+        by factor, so each is found by its coefficients."""
+        if self.factors:
+            placed = {}
+            for idx, (fd, phi) in enumerate(zip(self.factors, self.factor_phis)):
+                pad_left, pad_right = (0,) * phi[0], (0,) * (self.rank - 1 - phi[-1])
+                for r, (k, p) in zip(fd.positive, fd.theta_parts):
+                    placed[pad_left + r.coeffs + pad_right] = (self.model.embed({idx: k}),
+                                                               self.model.embed({idx: p}))
+            return tuple(placed[r.coeffs] for r in self.positive)
         model = self.model
         return tuple((model.project_k_subspace(r.space), model.project_p_subspace(r.space))
                      for r in self.positive)
@@ -172,13 +186,14 @@ def decompose(model: LieModel) -> RootDatum:
         if not model.theta_maps_onto(sp, raw[neg]):
             raise ValueError("theta does not pair opposite root spaces")
 
-    # positivity from the stored nilpotent part
-    theta_n = model.theta_image(model.n_space)
+    # positivity from the stored nilpotent part; theta is an involution, so
+    # g_lam lies in theta(n) iff n contains theta of its rows
     pos_cov = []
     for wt, sp in raw.items():
         if model.n_space.contains(sp):
             pos_cov.append(wt)
-        elif not theta_n.contains(sp):
+        elif not all(model.n_space.contains_vector(model.theta.apply_sparse(b))
+                     for b in sp.rows):
             raise ValueError("root space lies in neither n nor theta(n)")
     if sum(raw[wt].dim for wt in pos_cov) != model.n_space.dim:
         raise ValueError("positive root spaces do not fill n")

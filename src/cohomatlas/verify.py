@@ -37,6 +37,7 @@ other action is read in p.
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 from .linalg import (
@@ -44,9 +45,11 @@ from .linalg import (
     Subspace,
     _integer_row,
     combination,
+    dense,
+    kernel_rows,
     orthocomplement_in,
     rref_rows,
-    solve_inclusion_constraint,
+    sparse,
     subspace_intersect,
     subspace_sum,
 )
@@ -92,7 +95,8 @@ class RationalSampler:
         with unit pivots.  A reduced row r of C, primitive with a positive
         pivot, maps to sum(r_q (L / d_q) row_q) over the rows of sub, where d_q
         is the pivot value of row_q and L their lcm: that is L times r B, so
-        divided by its gcd it is the canonical row of the span.
+        divided by its gcd it is the canonical row of the span.  When sub is
+        all of Q^n, B is the identity and the reduced rows are the span's.
         """
         if not 0 <= dim <= sub.dim:
             raise ValueError(f"cannot sample a {dim}-dimensional subspace "
@@ -106,6 +110,8 @@ class RationalSampler:
                 break
         if dim == sub.dim:
             return sub
+        if sub.dim == sub.ambient_dim:
+            return Subspace(sub.ambient_dim, tuple(reduced), tuple(pivots))
         scales = _basis_scales(sub)
         rows = tuple(_integer_row(combination([x * scales[q] for q, x in r.items()],
                                               [sub.rows[q] for q in r]))
@@ -262,39 +268,129 @@ def check_lie_triple(model: LieModel, b: Subspace) -> bool:
 # nilpotent construction conditions
 
 
-class LeviNormalizer(NamedTuple):
-    """N_l(v) read in the split basis l = (l & p) + k_phi (``levi_normalizer``)."""
+class LeviAction:
+    """ad(l) on the first graded piece g_1 of a parabolic datum, over the
+    split rows of l, those of l & p first (``levi_normalizer``): dim l x
+    dim g_1 brackets, taken once per datum, as ``_levi_action`` caches it
+    by the pieces it reads.  Raises unless the canonical rows of g_1 are
+    unit rows."""
 
-    p_part: Subspace  # p(N_l(v)), which is p(N_l(n_phi minus v))
-    k_part: Subspace  # N_l(v) & k = N_{k_phi}(v)
-    blocks: tuple  # (l & p block, k_phi block) of each solution row, sparse
+    def __init__(self, model: LieModel, l_p: Subspace, k_phi: Subspace, g1: Subspace,
+                 b: Subspace):
+        if any(row != {c: 1} for row, c in zip(g1.rows, g1.pivots)):
+            raise ValueError("the first graded piece has no unit rows")
+        self.l_p, self.k_phi = l_p, k_phi
+        self.coordinate = {c: t for t, c in enumerate(g1.pivots)}  # g_1 coordinate of a pivot
+        split = l_p.rows + k_phi.rows
+        last = len(split) - 1
+        # table[s][t][last - a]: coordinate t of [x_a, e_s], the unknowns
+        # numbered as ``solve_inclusion_constraint`` numbers them
+        self.table = tuple({} for _ in g1.pivots)
+        for a, x in enumerate(split):
+            for s, c in enumerate(g1.pivots):
+                for col, y in model._bracket_entries(x, {c: 1}).items():
+                    self.table[s].setdefault(self.coordinate[col], {})[last - a] = y
+        # each row of b in the coordinates of the rows of l & p, times L
+        scales = _basis_scales(l_p)
+        self.b_coords = tuple({q: y[c] * f for q, (c, f) in enumerate(zip(l_p.pivots, scales))
+                               if c in y} for y in b.rows)
+
+
+_levi_action = lru_cache(maxsize=16)(LeviAction)
+
+
+def _placed(sub: Subspace, coefficients: list) -> Subspace:
+    """The span of the combinations of the canonical rows of sub with the
+    given coefficient rows, which are in RREF: the combinations, each
+    divided by its gcd, are its canonical rows (``levi_normalizer``)."""
+    rows = tuple(_integer_row(combination(c, sub.rows)) for c in coefficients)
+    return Subspace(sub.ambient_dim, rows, tuple(min(row) for row in rows))
+
+
+class LeviNormalizer:
+    """N_l(v) in the split basis l = (l & p) + k_phi (``levi_normalizer``):
+    the solution rows, in RREF over the split rows of l, and what is read
+    off them.  Only the l & p blocks are read by NC1; the pieces at model
+    width are placed on first use."""
+
+    def __init__(self, action: LeviAction, rows: list):
+        self.action = action
+        self.rows = rows  # sparse, {a: coefficient of split row a}
+
+    @cached_property
+    def p_coords(self) -> Subspace:
+        """The l & p blocks of the solutions, in the coordinates of the rows
+        of l & p: the blocks of the rows whose pivot lies there."""
+        cut = self.action.l_p.dim
+        rows = tuple(_integer_row({a: x for a, x in row.items() if a < cut})
+                     for row in self.rows if min(row) < cut)
+        return Subspace(cut, rows, tuple(min(row) for row in rows))
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """(l & p block, k_phi block) of each solution row, placed."""
+        lp, kp = self.action.l_p, self.action.k_phi
+        cut = lp.dim
+        return tuple((combination([row.get(a, 0) for a in range(cut)], lp.rows),
+                      combination([row.get(cut + a, 0) for a in range(kp.dim)], kp.rows))
+                     for row in self.rows)
+
+    @cached_property
+    def p_part(self) -> Subspace:
+        """p(N_l(v)), which is p(N_l(n_phi minus v)): p_coords, placed."""
+        lp = self.action.l_p
+        return _placed(lp, [dense(row, lp.dim) for row in self.p_coords.rows])
+
+    @cached_property
+    def k_part(self) -> Subspace:
+        """N_l(v) & k = N_{k_phi}(v): the k_phi blocks of the rows whose
+        pivot lies there, placed."""
+        kp, cut = self.action.k_phi, self.action.l_p.dim
+        return _placed(kp, [[row.get(cut + a, 0) for a in range(kp.dim)]
+                            for row in self.rows if min(row) >= cut])
 
     def theta_dual(self) -> Subspace:
         """theta N_l(v) = N_l(n_phi minus v): the solution rows with their
         l & p blocks negated, spanned."""
-        return Subspace.span(self.p_part.ambient_dim,
+        return Subspace.span(self.action.l_p.ambient_dim,
                              [combination((-1, 1), pk) for pk in self.blocks])
 
 
 def levi_normalizer(model: LieModel, pd: ParabolicDatum, v: Subspace) -> LeviNormalizer:
-    """N_l(v) for a subspace v of the first graded piece g_1, by one bracket
-    solve over the split basis of l, and what the nilpotent construction
-    reads off it.
+    """N_l(v) for a subspace v of the first graded piece g_1, by one solve
+    over the split basis of l whose equations are read off a table of
+    ad(l) on g_1, and what the nilpotent construction reads off it.
 
     *Split basis.*  l is theta stable, so it is the direct sum of its p-part
     l & p (``pd.l_p``) and its k-part k_phi = l & k; their rows together are
     dim l independent rows, since p & k = 0, and this raises unless they
     number dim l.  Number the unknowns over the split rows, those of l & p
-    first, and solve for the combinations that map v into itself: the
-    solver returns their RREF in coefficients.  The rows whose pivot lies
-    in the k_phi block are zero on the l & p block, and in RREF they span
-    the solutions there, N_l(v) & k = N_{k_phi}(v).  The l & p blocks of the
-    other rows are independent and span the l & p blocks of all solutions,
-    p(N_l(v)).  Each block is in RREF and combines the canonical rows of
-    l & p or of k_phi, so its combinations are the canonical rows of p(N_l(v))
-    and of N_{k_phi}(v), as ``linalg.solve_inclusion_constraint`` argues for
-    its answers: nothing is spanned again.  theta is -1 on p and +1 on k, so
-    negating the l & p block of every solution row gives theta N_l(v).
+    first, and solve for the combinations that map v into itself: in RREF
+    over the unknowns, as ``linalg.solve_inclusion_constraint`` numbers and
+    reads them.  The rows whose pivot lies in the k_phi block are zero on
+    the l & p block, and in RREF they span the solutions there, N_l(v) & k
+    = N_{k_phi}(v).  The l & p blocks of the other rows are independent and
+    span the l & p blocks of all solutions, p(N_l(v)).  Each block is in
+    RREF and combines the canonical rows of l & p or of k_phi, so its
+    combinations are the canonical rows of p(N_l(v)) and of N_{k_phi}(v):
+    nothing is spanned again.  theta is -1 on p and +1 on k, so negating the
+    l & p block of every solution row gives theta N_l(v).
+
+    *The table.*  Every shipped basis is a weight basis, so g_1, a sum of
+    root spaces, is spanned by basis vectors: its canonical rows are unit
+    rows e_s, in increasing column order, and the g_1 coordinates of a
+    vector of g_1 are its entries at the pivots of g_1.  This raises unless
+    they are unit rows.  l preserves g_1, so ad(x_a) e_s lies in g_1 for
+    every split row x_a, and the table T[(t, s)], the coordinate t of
+    [x_a, e_s] as a sparse row over the unknowns, is dim l x dim g_1
+    brackets, built once per datum.  Let v have canonical rows W_k with
+    pivots p_k and pivot values d_k, in g_1 coordinates, and D the lcm of
+    the d_k.  For each free column f of v, z_f = D e_f - sum_k (D / d_k)
+    W_k[f] e_{p_k} is the residual functional of ``Subspace._residual`` at
+    f, and the equation (f, k) is sum over (t, s) of z_f[t] W_k[s] T[(t,
+    s)]: the residual of [x, W_k] against v at f.  Those are all the
+    equations of the solve, since a residual is zero at the pivots of v and
+    off g_1, so no bracket is taken per v.
 
     *theta duality.*  For x in l, w in n_phi and u in v, <[x, w], u> =
     -<w, [theta x, u]>, because <X, Y> = -B(X, theta Y), B is ad invariant
@@ -305,37 +401,56 @@ def levi_normalizer(model: LieModel, pd: ParabolicDatum, v: Subspace) -> LeviNor
     p(N_l(c)) = p(N_l(v)) since p(theta X) = -p(X).  ``verify`` certifies
     the identity for every NC row (the ``normalizer-theta-dual`` note).
     """
-    if pd.grading is None or not pd.grading[1].contains(v):
+    if pd.grading is None:
         raise ValueError("v must lie inside the first graded piece")
     lp, kp = pd.l_p, pd.k_phi
     if lp.dim + kp.dim != pd.l.dim:
         raise ValueError("l & p and k_phi do not split l")
-    split = lp.rows + kp.rows
-    images = [[model._bracket_entries(x, w) for w in v.rows] for x in split]
-    solution = solve_inclusion_constraint(Subspace.full(len(split)), images, v)
-    cut = lp.dim
-    blocks = tuple((combination([row.get(a, 0) for a in range(cut)], lp.rows),
-                    combination([row.get(cut + a, 0) for a in range(kp.dim)], kp.rows))
-                   for row in solution.rows)
-    p_rows = tuple(_integer_row(p) for (p, _), c in zip(blocks, solution.pivots) if c < cut)
-    k_rows = tuple(_integer_row(k) for (_, k), c in zip(blocks, solution.pivots) if c >= cut)
-    return LeviNormalizer(Subspace(model.dim, p_rows, tuple(min(row) for row in p_rows)),
-                          Subspace(model.dim, k_rows, tuple(min(row) for row in k_rows)),
-                          blocks)
+    action = _levi_action(model, lp, kp, pd.grading[1], pd.b)
+    try:
+        rows = [{action.coordinate[c]: x for c, x in row.items()} for row in v.rows]
+    except KeyError:
+        raise ValueError("v must lie inside the first graded piece") from None
+    # z[f]: the residual functional z_f of v at each free column f
+    scale = v._scale
+    pivots = [min(row) for row in rows]
+    z = {f: {f: scale} for f in range(len(action.table)) if f not in pivots}
+    for row, p in zip(rows, pivots):
+        for f, x in row.items():
+            if f in z:
+                z[f][p] = -(scale // row[p]) * x
+    equations = []
+    for row in rows:
+        image = {}  # coordinate t of [x, W_k], as a sparse row over the unknowns
+        for s, x in row.items():
+            for t, col in action.table[s].items():
+                acc = image.setdefault(t, {})
+                for a, y in col.items():
+                    acc[a] = acc.get(a, 0) + x * y
+        for zf in z.values():
+            eq = {}
+            for t, w in zf.items():
+                for a, y in image.get(t, {}).items():
+                    eq[a] = eq.get(a, 0) + w * y
+            equations.append({a: y for a, y in eq.items() if y})
+    ker = kernel_rows(equations, lp.dim + kp.dim)
+    return LeviNormalizer(action, [sparse(x[::-1]) for x in reversed(ker)])
 
 
-def check_nc1(pd: ParabolicDatum, p_normalizer: Subspace) -> bool:
+def check_nc1(split: LeviNormalizer) -> bool:
     """Tangent criterion: p(N_l(n_phi minus v)) covers the boundary tangent b.
 
-    p_normalizer is p(N_l(c)) for the complement c = n_phi minus v, which is
-    p(N_l(v)) by theta duality (``levi_normalizer``): the l & p block of the
-    one bracket solve over l, with c never built.  This is the criterion
-    for the m_phi-normalizer: c is graded and a_phi acts on each graded
-    piece by a scalar, so N_l(c) = N_m(c) + a_phi and p(N_l(c)) = p(N_m(c))
-    + a_phi.  Both b and p(N_m(c)) lie in m, which is theta invariant and
-    orthogonal to a_phi, so b lies in p(N_l(c)) iff it lies in p(N_m(c)).
+    p(N_l(c)) for the complement c = n_phi minus v is p(N_l(v)) by theta
+    duality (``levi_normalizer``), with c never built.  b lies in l & p, and
+    the rows of l & p are independent, so b lies in p(N_l(v)) iff the
+    coordinates of its rows over them, read once per datum, lie in the span
+    of the solution's l & p blocks.  This is the criterion for the
+    m_phi-normalizer: c is graded and a_phi acts on each graded piece by a
+    scalar, so N_l(c) = N_m(c) + a_phi and p(N_l(c)) = p(N_m(c)) + a_phi.
+    Both b and p(N_m(c)) lie in m, which is theta invariant and orthogonal
+    to a_phi, so b lies in p(N_l(c)) iff it lies in p(N_m(c)).
     """
-    return p_normalizer.contains(pd.b)
+    return all(map(split.p_coords.contains_vector, split.action.b_coords))
 
 
 def _basis_scales(v: Subspace) -> list:
@@ -647,7 +762,7 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
         pd = build_parabolic(datum, spec.phi)
         v, normalizer = spec.payload["v"], spec.payload["normalizer"]
         split = levi_normalizer(model, pd, v)
-        nc1 = "yes" if check_nc1(pd, split.p_part) else "no"
+        nc1 = "yes" if check_nc1(split) else "no"
         nc2, nc2_cert = check_nc2(model, v, split.k_part, seed, samples)
         theta_dual = split.theta_dual()
         notes.append(Note.first_failure("normalizer-theta-dual", (

@@ -1,0 +1,38 @@
+"""The split Levi solve as it was before its equations were read off a
+table of ad(l) on the first graded piece: every split row of l bracketed
+with every row of v at model width, and the images handed to the
+constraint solver.  The reference for ``verify.levi_normalizer``."""
+
+from typing import NamedTuple
+
+from cohomatlas.linalg import Subspace, _integer_row, combination, solve_inclusion_constraint
+
+
+class ReferenceNormalizer(NamedTuple):
+    p_part: Subspace  # p(N_l(v))
+    k_part: Subspace  # N_{k_phi}(v)
+    blocks: tuple  # (l & p block, k_phi block) of each solution row
+
+    def theta_dual(self) -> Subspace:
+        return Subspace.span(self.p_part.ambient_dim,
+                             [combination((-1, 1), pk) for pk in self.blocks])
+
+
+def reference_levi_normalizer(model, pd, v: Subspace) -> ReferenceNormalizer:
+    """N_l(v) over the split rows [l & p ; k_phi], one bracket per split row
+    and row of v, and its blocks placed at model width."""
+    if pd.grading is None or not pd.grading[1].contains(v):
+        raise ValueError("v must lie inside the first graded piece")
+    lp, kp = pd.l_p, pd.k_phi
+    split = lp.rows + kp.rows
+    images = [[model._bracket_entries(x, w) for w in v.rows] for x in split]
+    solution = solve_inclusion_constraint(Subspace.full(len(split)), images, v)
+    cut = lp.dim
+    blocks = tuple((combination([row.get(a, 0) for a in range(cut)], lp.rows),
+                    combination([row.get(cut + a, 0) for a in range(kp.dim)], kp.rows))
+                   for row in solution.rows)
+    p_rows = tuple(_integer_row(p) for (p, _), c in zip(blocks, solution.pivots) if c < cut)
+    k_rows = tuple(_integer_row(k) for (_, k), c in zip(blocks, solution.pivots) if c >= cut)
+    return ReferenceNormalizer(Subspace(model.dim, p_rows, tuple(min(row) for row in p_rows)),
+                               Subspace(model.dim, k_rows, tuple(min(row) for row in k_rows)),
+                               blocks)

@@ -9,7 +9,9 @@ from cohomatlas.actions import nc_summands
 from cohomatlas.catalog import ORACLE_PROBES
 from cohomatlas.linalg import Matrix, Subspace, subspace_sum
 from cohomatlas.parabolic import build_parabolic, tensor_model
-from cohomatlas.verify import RationalSampler, check_nc1, check_nc2
+from cohomatlas.verify import RationalSampler, check_nc2
+
+from span_reference import generator_span
 
 
 def permutation_maps(model, j: int) -> list:
@@ -47,7 +49,7 @@ def reference_sweep(result, j: int, tangents: set) -> list:
                      for t in tangents)
     keys = sorted(tm.generators)
     candidates = [("coordinate", sorted(subset),
-                   tm.subspace(subset) if subset else Subspace.zero(model.dim))
+                   generator_span(tm, subset) if subset else Subspace.zero(model.dim))
                   for size in range(len(keys) + 1)
                   for subset in itertools.combinations(keys, size)]
     sampler = RationalSampler(result.seed)
@@ -74,7 +76,7 @@ def reference_sweep(result, j: int, tangents: set) -> list:
             continue
         normalizer, complement = nc_summands(datum, pd, v)
         p_normalizer = model.project_p_subspace(normalizer)
-        ok1 = check_nc1(pd, p_normalizer)
+        ok1 = p_normalizer.contains(pd.b)
         verdict, cert = check_nc2(model, v, model.normalizer_in(pd.k_phi, v), result.seed,
                                   result.samples)
         rec["nc1"] = "yes" if ok1 else "no"

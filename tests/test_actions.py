@@ -29,6 +29,7 @@ from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.roots import decompose
 from cohomatlas.verify import verify
 from nested_reference import nested_pieces
+from span_reference import generator_span, theta_image
 
 
 def mat(rows) -> Matrix:
@@ -136,7 +137,7 @@ class TestCer:
         # diagonal sl(2): dimension 3, extended by a_phi (1) and n_phi (4)
         assert spec.payload["h_phi"].dim == 3
         assert spec.algebra.dim == 3 + 1 + 4
-        assert SL4.theta_image(spec.payload["h_phi"]) == spec.payload["h_phi"]
+        assert theta_image(SL4, spec.payload["h_phi"]) == spec.payload["h_phi"]
 
     def test_rejects_adjacent_pair(self):
         with pytest.raises(ValueError):
@@ -179,11 +180,11 @@ class TestCer:
         datum = decompose(p)
         fd = make_factor_diagonal(p, datum, 0, 1)
         assert fd.algebra.dim == 8
-        assert p.theta_image(fd.payload["h_phi"]) == fd.payload["h_phi"]
+        assert theta_image(p, fd.payload["h_phi"]) == fd.payload["h_phi"]
 
     def test_default_sigma_theta_equivariant(self):
         diag = default_cer_sigma(SL4_DATUM, 0, 2)
-        assert SL4.theta_image(diag) == diag
+        assert theta_image(SL4, diag) == diag
 
     def test_graph_of_the_sl2_triple_map(self):
         # c_j = c_k in sl(4), so the triple map needs no rescaling
@@ -199,7 +200,7 @@ class TestCer:
         (hj, ej, fj, _), (hk, ek, fk, _) = _triples(SL4_DATUM, 0, 2)
         pairs = [(hj, {i: 2 * x for i, x in hk.items()}), (ej, ek), (fj, fk)]
         graph = _graph(SL4, *_boundaries(SL4_DATUM, 0, 2), pairs)
-        assert SL4.theta_image(graph) == graph and not SL4.is_subalgebra(graph)
+        assert theta_image(SL4, graph) == graph and not SL4.is_subalgebra(graph)
         spec = canonical_extend(SL4_DATUM, build_parabolic(SL4_DATUM, [0, 2]), graph,
                                 kind="CER")
         note = verify_module.closure_note(spec, SL4_DATUM)
@@ -250,7 +251,7 @@ class TestNilpotentConstruction:
         datum = SL4_DATUM
         pd = build_parabolic(datum, [0, 2])  # removes a_2
         tm = tensor_model(datum, 1)
-        v = tm.subspace([(1, 1), (2, 1)])  # g_{a2} + g_{a1+a2}
+        v = generator_span(tm, [(1, 1), (2, 1)])  # g_{a2} + g_{a1+a2}
         assert v.dim == 2
         spec = nilpotent_construct(datum, pd, v)
         # contains a + (n minus v)
@@ -544,7 +545,7 @@ def _payload_specs():
     cer = make_cer(SL4_DATUM, 0, 2)
     p = direct_sum([build_sl(3), build_sl(3)])
     factor_cer = make_factor_diagonal(p, decompose(p), 0, 1)
-    v = tensor_model(SL4_DATUM, 1).subspace([(1, 1), (2, 1)])
+    v = generator_span(tensor_model(SL4_DATUM, 1), [(1, 1), (2, 1)])
     nc = nilpotent_construct(SL4_DATUM, build_parabolic(SL4_DATUM, [0, 2]), v)
     rh = direct_sum([build_so1n(3), build_so1n(2)])
     prod = product_assemble(rh, 0, make_fh(rh.factors[0], rh.factors[0].a_space))

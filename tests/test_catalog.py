@@ -20,7 +20,7 @@ from cohomatlas.parabolic import build_nested, build_parabolic, tensor_model
 from cohomatlas.actions import (ActionSpec, builtin_cei_catalog, canonical_extend, make_fs,
                                 nilpotent_construct)
 from cohomatlas.roots import decompose
-from cohomatlas.verify import levi_normalizer, orbit_tangent_at_o, verify
+from cohomatlas.verify import RationalSampler, levi_normalizer, orbit_tangent_at_o, verify
 
 from oracle_reference import reference_sweep
 
@@ -297,22 +297,22 @@ def test_each_evaluated_candidate_makes_exactly_one_bracket_solve(monkeypatch):
     tangents = known_extension_tangents(result)
     calls = Counter()
     bracket_into = LieModel._bracket_into
-    solve = verify_module.solve_inclusion_constraint
+    solve = verify_module.kernel_rows
 
     def counted_bracket_into(model, domain, of, target):
         calls["bracket_into"] += 1
         return bracket_into(model, domain, of, target)
 
-    def counted_solve(candidates, images, target):
+    def counted_solve(rows, ncols):
         calls["solve"] += 1
-        return solve(candidates, images, target)
+        return solve(rows, ncols)
 
     def counted_split(model, pd, v):
         calls["split"] += 1
         return levi_normalizer(model, pd, v)
 
     monkeypatch.setattr(LieModel, "_bracket_into", counted_bracket_into)
-    monkeypatch.setattr(verify_module, "solve_inclusion_constraint", counted_solve)
+    monkeypatch.setattr(verify_module, "kernel_rows", counted_solve)
     monkeypatch.setattr(catalog, "levi_normalizer", counted_split)
     sweeps = [catalog.nc_oracle_search(result, j, tangents) for j in range(result.datum.rank)]
     evaluated = sum(len(evaluated_records(sweep["records"])) for sweep in sweeps)
@@ -351,7 +351,7 @@ def test_a_dimension_with_no_fitting_shape_spans_nothing(monkeypatch, n, j, dim,
     # dim 5, but a 2 x 3 block has the shape (2, 2) of dim 4
     datum = decompose(build_sl(n + 1))
     tm = tensor_model(datum, j)
-    v = tm.subspace(sorted(tm.generators)[:dim])
+    v = tm.coordinates(sorted(tm.generators)[:dim])
     spans = []
     span = Subspace.span.__func__
 
@@ -364,6 +364,25 @@ def test_a_dimension_with_no_fitting_shape_spans_nothing(monkeypatch, n, j, dim,
     assert (spans == []) == (not fits)
     if not fits:
         assert shape is None
+
+
+@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_the_tensor_coordinate_probes_are_the_probes_of_the_first_graded_piece(m, seed):
+    # the oracle draws its probes in the coordinates of the top piece; placed
+    # at model width they are the draws of the same stream inside g_1
+    datum = decompose(build_sl(m))
+    for j in range(datum.rank):
+        tm = tensor_model(datum, j)
+        dim = tm.nrows * tm.ncols
+        top = build_parabolic(datum, [i for i in range(datum.rank) if i != j]).grading[1]
+        in_coordinates, in_top = RationalSampler(seed), RationalSampler(seed)
+        for t in range(catalog.ORACLE_PROBES):
+            vdim = min(2 + t % max(1, dim - 1), dim)
+            v = tm.place(in_coordinates.subspace_in(Subspace.full(dim), vdim))
+            w = in_top.subspace_in(top, vdim)
+            assert (v, v.pivots) == (w, w.pivots)
+        assert in_coordinates.state == in_top.state
 
 
 ORACLE_SEEDS = [0, 3, 7, 8, 13, 1007, 2007]

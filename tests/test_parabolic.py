@@ -22,6 +22,7 @@ from cohomatlas.parabolic import (
 from cohomatlas.roots import decompose
 from nested_reference import nested_pieces
 from parabolic_reference import in_span, reference_nested, reference_pieces
+from span_reference import generator_span
 
 
 def sl4():
@@ -342,7 +343,25 @@ class TestTensorModel:
             jj, n = j + 1, m - 1
             assert len(tm.generators) == jj * (n - jj + 1)
             assert pd.n_phi.dim == jj * (n - jj + 1)
-            assert tm.subspace(tm.generators) == pd.n_phi
+            assert generator_span(tm, tm.generators) == pd.n_phi
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_coordinate_subspaces_place_as_the_span_of_their_generators(self, m):
+        datum = decompose(build_sl(m))
+        for j in range(datum.rank):
+            tm = tensor_model(datum, j)
+            top = build_parabolic(datum, [i for i in range(datum.rank) if i != j]).grading[1]
+            # the coordinates of the top piece are its unit rows, in column order
+            assert tm.columns == top.pivots and all(row == {c: 1} for row, c in
+                                                    zip(top.rows, top.pivots))
+            assert [tm.generators[i + 1, l + 1] for i, l in tm.cells] == list(top.basis)
+            keys = sorted(tm.generators)
+            for size in range(len(keys) + 1):
+                for subset in itertools.combinations(keys, size):
+                    v = tm.coordinates(subset)
+                    assert v.ambient_dim == tm.nrows * tm.ncols
+                    placed, spanned = tm.place(v), generator_span(tm, subset)
+                    assert (placed, placed.pivots) == (spanned, spanned.pivots)
 
     def test_row_model_for_first_root(self):
         datum = decompose(build_sl(4))

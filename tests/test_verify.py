@@ -53,7 +53,9 @@ from cohomatlas.verify import (
     slice_pieces,
     verify,
 )
+from levi_reference import reference_levi_normalizer
 from nested_reference import nested_pieces
+from span_reference import generator_span, theta_image
 
 
 def vadd(u, v) -> tuple:
@@ -276,8 +278,7 @@ def _m_normalizer_tangent(model, pd, v):
 
 
 def _nc1(datum, pd, v):
-    normalizer = nilpotent_construct(datum, pd, v).payload["normalizer"]
-    return check_nc1(pd, datum.model.project_p_subspace(normalizer))
+    return check_nc1(verify_module.levi_normalizer(datum.model, pd, v))
 
 
 def _nc1_cases():
@@ -289,7 +290,7 @@ def _nc1_cases():
     for j in range(datum.rank):
         tm = tensor_model(datum, j)
         keys = sorted(tm.generators)
-        coordinate = [tm.subspace(subset) for size in range(2, len(keys) + 1)
+        coordinate = [generator_span(tm, subset) for size in range(2, len(keys) + 1)
                       for subset in itertools.combinations(keys, size)]
         cases.append((f"sl4-j{j + 1}", datum,
                       build_parabolic(datum, [i for i in range(datum.rank) if i != j]),
@@ -315,7 +316,7 @@ class TestNc1:
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
-        assert _nc1(datum, pd, tm.subspace([(1, 1), (2, 1)]))
+        assert _nc1(datum, pd, generator_span(tm, [(1, 1), (2, 1)]))
 
     def test_two_diagonal_components_fail(self):
         g = build_sl(4)
@@ -356,7 +357,7 @@ class TestNc2:
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
-        v = tm.subspace([(1, 1), (2, 1)])
+        v = generator_span(tm, [(1, 1), (2, 1)])
         assert check_nc2(g, v, g.normalizer_in(pd.k_phi, v), seed=7, samples=32) == (
             "yes", "contains-so")
 
@@ -398,7 +399,7 @@ class TestNc2:
         g = build_sl(4)
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
-        v = tensor_model(datum, 1).subspace([(1, 1), (2, 1)])
+        v = generator_span(tensor_model(datum, 1), [(1, 1), (2, 1)])
         monkeypatch.setattr(verify_module, "_restriction_matrices",
                             lambda model, domain, sub: [op])
         with pytest.raises(ValueError, match="not skew on v"):
@@ -476,6 +477,18 @@ def _split_cases():
     return cases
 
 
+def assert_equals_the_bracket_route(model, pd, v):
+    """The table route of levi_normalizer gives the reference's pieces."""
+    split = verify_module.levi_normalizer(model, pd, v)
+    ref = reference_levi_normalizer(model, pd, v)
+    assert (split.p_part, split.p_part.pivots) == (ref.p_part, ref.p_part.pivots)
+    assert (split.k_part, split.k_part.pivots) == (ref.k_part, ref.k_part.pivots)
+    assert split.blocks == ref.blocks
+    assert split.theta_dual() == ref.theta_dual()
+    # NC1 in l & p coordinates is b inside the placed p-part
+    assert check_nc1(split) == ref.p_part.contains(pd.b)
+
+
 @pytest.mark.parametrize("model, pd, candidates", _split_cases())
 def test_the_split_solve_gives_both_blocks_and_the_theta_dual(model, pd, candidates):
     assert candidates
@@ -489,13 +502,68 @@ def test_the_split_solve_gives_both_blocks_and_the_theta_dual(model, pd, candida
         # negating the p-block gives N_l(n_phi minus v) = theta N_l(v)
         assert split.theta_dual() == dual
         assert len(split.blocks) == dual.dim == split.p_part.dim + split.k_part.dim
+        assert_equals_the_bracket_route(model, pd, v)
+
+
+@pytest.mark.parametrize("seed", [7, 1007, 2007])
+def test_the_table_route_equals_the_bracket_route_on_every_oracle_candidate(seed):
+    evaluated = []
+
+    def recorded(model, pd, v):
+        evaluated.append((model, pd, v))
+        return verify_module.levi_normalizer(model, pd, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(catalog, "levi_normalizer", recorded)
+        run(parse_space("sl(4)"), RunConfig(seed=seed, nc_search=True))
+    assert len(evaluated) > 100
+    for model, pd, v in evaluated:
+        assert_equals_the_bracket_route(model, pd, v)
+
+
+def test_the_table_is_built_once_per_datum(monkeypatch):
+    datum = decompose(build_sl(5))
+    g = datum.model
+    pd = build_parabolic(datum, [0, 2, 3])
+    sampler = RationalSampler(5)
+    probes = [sampler.subspace_in(pd.grading[1], d) for d in (2, 3, 4, 5) for _ in range(5)]
+    brackets = []
+    bracket_entries = LieModel._bracket_entries
+
+    def counted(model, x, y):
+        brackets.append(model)
+        return bracket_entries(model, x, y)
+
+    monkeypatch.setattr(LieModel, "_bracket_entries", counted)
+    first = verify_module.levi_normalizer(g, pd, probes[0])
+    # one bracket per row of l and unit row of g_1
+    assert len(brackets) == pd.l.dim * pd.grading[1].dim
+    for v in probes[1:]:
+        verify_module.levi_normalizer(g, pd, v)
+    assert len(brackets) == pd.l.dim * pd.grading[1].dim
+    # a p-part placed at model width still takes no bracket
+    assert first.p_part.dim and len(brackets) == pd.l.dim * pd.grading[1].dim
+
+
+def test_a_first_graded_piece_without_unit_rows_raises():
+    datum = decompose(build_sl(4))
+    g = datum.model
+    pd = build_parabolic(datum, [0, 2])
+    top = pd.grading[1]
+    # the first row mixes in a column of a, left of every column of g_1
+    mixed = Subspace.span(g.dim, [{0: 1, top.pivots[0]: 1}] + list(top.rows[1:]))
+    assert mixed.dim == top.dim and mixed.rows[0] == {0: 1, top.pivots[0]: 1}
+    bad = pd._replace(grading={**pd.grading, 1: mixed})
+    v = Subspace.span(g.dim, top.rows[1:3])
+    with pytest.raises(ValueError, match="no unit rows"):
+        verify_module.levi_normalizer(g, bad, v)
 
 
 def test_the_split_solve_needs_a_split_levi_piece_and_v_in_the_first_grade():
     datum = decompose(build_sl(4))
     g = datum.model
     pd = build_parabolic(datum, [0, 2])
-    v = tensor_model(datum, 1).subspace([(1, 1), (2, 1)])
+    v = generator_span(tensor_model(datum, 1), [(1, 1), (2, 1)])
     short = pd._replace(k_phi=Subspace.span(g.dim, pd.k_phi.rows[1:]))
     with pytest.raises(ValueError, match="do not split l"):
         verify_module.levi_normalizer(g, short, v)
@@ -902,7 +970,7 @@ def sl4_nc_spec():
     """The sl(4) nilpotent construction over phi = {a_1, a_3} with v the
     middle column g_{a2} + g_{a1+a2} of the top graded piece."""
     datum = decompose(build_sl(4))
-    v = tensor_model(datum, 1).subspace([(1, 1), (2, 1)])
+    v = generator_span(tensor_model(datum, 1), [(1, 1), (2, 1)])
     return datum, nilpotent_construct(datum, build_parabolic(datum, [0, 2]), v)
 
 
@@ -913,7 +981,7 @@ def test_theta_dual_note_names_a_row_on_one_side_only(sub_check):
     g, normalizer, v = datum.model, spec.payload["normalizer"], spec.payload["v"]
     assert note_named(verify(spec, datum), "normalizer-theta-dual").to_json() == {
         "name": "normalizer-theta-dual", "passed": True}
-    theta_dual = g.theta_image(g.normalizer_in(build_parabolic(datum, spec.phi).l, v))
+    theta_dual = theta_image(g, g.normalizer_in(build_parabolic(datum, spec.phi).l, v))
     assert theta_dual == normalizer
     if sub_check == "theta-dual-not-in-normalizer":
         bad = Subspace.span(g.dim, normalizer.rows[1:])
@@ -1054,7 +1122,7 @@ def test_the_lie_triple_check_runs_only_when_the_closure_note_fails(monkeypatch)
     g = datum.model
     h = g.project_p_subspace(g.n_space)
     spec = ActionSpec("CEI", g, (0, 1), h, {"h_phi": h})
-    assert g.theta_image(h) == h and not check_lie_triple(g, h)
+    assert theta_image(g, h) == h and not check_lie_triple(g, h)
     calls = []
 
     def counted(model, b):
@@ -1161,7 +1229,7 @@ class TestVerifyOrchestration:
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
-        spec = nilpotent_construct(datum, pd, tm.subspace([(1, 1), (2, 1)]))
+        spec = nilpotent_construct(datum, pd, generator_span(tm, [(1, 1), (2, 1)]))
         report = verify(spec, datum)
         assert report.nc1 == "yes"
         assert report.nc2 == "yes"

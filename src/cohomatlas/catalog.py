@@ -30,10 +30,11 @@ table lists.  With the j-th root removed the top piece is the a x b
 matrices, a = j + 1 and b = n - j, and K_phi acts on it by X -> A X B^T.
 A candidate v = U (x) W is a tensor pattern of shape (dim U, dim W), and
 all candidates of one shape are K_phi-conjugate once K_phi contains SO(a) x
-SO(b), which each sweep certifies exactly (``block_rotation_certificate``):
-then one evaluation per shape serves every candidate of that shape, and
-only the other candidates are evaluated one by one.  ``nc_oracle`` computes
-the known tangents once per run (``known_extension_tangents``), sweeps each
+SO(b), which each sweep certifies exactly (``block_rotation_certificate``)
+off the table of ad(l) on g_1 that its evaluations read: then one
+evaluation per shape serves every candidate of that shape, and only the
+other candidates are evaluated one by one.  ``nc_oracle`` computes the
+known tangents once per run (``known_extension_tangents``), sweeps each
 simple root, and notes whether every passing candidate of the sweep matched
 one, naming the first that did not.
 """
@@ -61,8 +62,8 @@ from .actions import (
 from .parabolic import (ParabolicDatum, TensorModel, build_nested, build_parabolic,
                         tensor_model)
 from .roots import RootDatum, decompose
-from .verify import (Note, RationalSampler, VerificationReport, check_nc1, check_nc2,
-                     levi_normalizer, orbit_tangent_at_o, verify)
+from .verify import (Note, RationalSampler, VerificationReport, _levi_action, check_nc1,
+                     check_nc2, levi_normalizer, orbit_tangent_at_o, verify)
 
 
 MAX_SL_RANK = 8
@@ -416,30 +417,27 @@ def block_rotation_certificate(model: LieModel, pd: ParabolicDatum, tm: TensorMo
     so(b), the algebra of X -> A X - X B with A, B skew, on the top piece
     read as a x b matrices (a = tm.nrows, b = tm.ncols).
 
-    Each operator is flattened to the images of the matrix units, and the
-    span of the restrictions of the rows of k_phi is compared with the span
-    of the elementary rotations E_rs - E_sr acting on either side, of
-    dimension a(a - 1)/2 + b(b - 1)/2.  When they agree, the identity
+    The restrictions of the rows of k_phi are the k_phi block of the cached
+    table of ad(l) on g_1 (``verify.LeviAction``), the top piece, whose
+    coordinate t is the cell ``tm.cells[t]``: the sweep's evaluations read
+    the same table.  Their span, each operator flattened, is compared with
+    the span of the elementary rotations E_rs - E_sr acting on either side,
+    of dimension a(a - 1)/2 + b(b - 1)/2.  When they agree, the identity
     component of K_phi acts on the top piece as SO(a) x SO(b) by X -> A X
     B^T."""
-    a, b = tm.nrows, tm.ncols
-    cells = [(r, c) for r in range(a) for c in range(b)]
-
-    def flat(image) -> dict:
-        # image(r, c): the entries of the operator's image of the unit at (r, c)
-        return {(k * a + i) * b + l: x for k, cell in enumerate(cells)
-                for (i, l), x in image(*cell).items()}
-
-    units = {cell: {p: x for p, x in enumerate(tm.generators[cell[0] + 1, cell[1] + 1]) if x}
-             for cell in cells}
-    restricted = [flat(lambda r, c: tm.entries(model._bracket_entries(t, units[r, c])))
-                  for t in pd.k_phi.rows]
-    # (E_rs - E_sr) E_ic and E_ic (E_cd - E_dc), over i and c
-    rotations = [flat(lambda i, c: {(r, c): 1} if i == s else {(s, c): -1} if i == r else {})
-                 for r, s in itertools.combinations(range(a), 2)]
-    rotations += [flat(lambda i, e: {(i, d): 1} if e == c else {(i, c): -1} if e == d else {})
-                  for c, d in itertools.combinations(range(b), 2)]
-    return Subspace.span(a * b * a * b, restricted) == Subspace.span(a * b * a * b, rotations)
+    action = _levi_action(model, pd.l_p, pd.k_phi, pd.grading[1], pd.b)
+    if tuple(action.coordinate) != tm.columns:
+        raise ValueError("the top piece is not the first graded piece")
+    index = {cell: t for t, cell in enumerate(tm.cells)}
+    n = len(index)
+    # (E_rs - E_sr) E_ic and E_ic (E_cd - E_dc), flattened as k_phi_operators flattens
+    rotations = [{index[i, c] * n + index[r + s - i, c]: 1 if i == s else -1
+                  for i, c in index if i in (r, s)}
+                 for r, s in itertools.combinations(range(tm.nrows), 2)]
+    rotations += [{index[i, e] * n + index[i, c + d - e]: 1 if e == c else -1
+                   for i, e in index if e in (c, d)}
+                  for c, d in itertools.combinations(range(tm.ncols), 2)]
+    return Subspace.span(n * n, action.k_phi_operators()) == Subspace.span(n * n, rotations)
 
 
 def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
@@ -462,14 +460,15 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
     no elimination (``TensorModel.place``), for NC2 and the tangent.
     Evaluating a candidate v with dim v >= 2 costs one solve, N_l(v) over
     the split basis l = (l & p) + k_phi (``levi_normalizer``), whose
-    equations are read off the table of ad(l) on g_1 that the sweep's first
-    evaluation builds, dim l x dim g_1 brackets: no bracket is taken per
-    candidate.  The NC algebra's normalizer is N = N_l(c) for the
-    complement c = n_phi minus v, and N = theta N_l(v) by theta duality, so
-    p(N) = p(N_l(v)) is spanned by the solve's l & p blocks, which decide
-    NC1 exactly in l & p coordinates (``check_nc1``), and its k_phi blocks
-    give N_{k_phi}(v), on which NC2 runs its stages.  Neither N nor c is
-    built for a candidate that fails either condition.  When both pass, c
+    equations are read off the table of ad(l) on g_1 that the sweep's
+    certificate builds, dim l x dim g_1 brackets, the only brackets of the
+    sweep.  The NC algebra's normalizer is N = N_l(c) for the complement c
+    = n_phi minus v, and N = theta N_l(v) by theta duality, so p(N) =
+    p(N_l(v)) is spanned by the solve's l & p blocks, which decide NC1
+    exactly in l & p coordinates (``check_nc1``), and its k_phi rows,
+    applied to the images the solve formed, restrict N_{k_phi}(v) to v
+    (``LeviNormalizer.operators``), on which NC2 runs its stages.  Neither
+    N nor c is built for a candidate that fails either condition.  When both pass, c
     is solved for and the singular-orbit tangent, p(N) + p(c), is compared
     with the known tangents.  The NC algebra N + c is never spanned: the
     sum is direct for every candidate once l and n_phi meet only in 0,
@@ -562,7 +561,7 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
         v = tm.place(v)
         split = levi_normalizer(model, pd, v)
         ok1 = check_nc1(split)
-        verdict, cert = check_nc2(model, v, split.k_part, result.seed, result.samples)
+        verdict, cert = check_nc2(model, v, split.operators, result.seed, result.samples)
         rec["nc1"] = "yes" if ok1 else "no"
         rec["nc2"] = verdict
         rec["nc2_certificate"] = cert

@@ -244,14 +244,6 @@ class TensorModel:
         return Subspace(amb, tuple({cols[t]: x for t, x in row.items()} for row in v.rows),
                         tuple(cols[t] for t in v.pivots))
 
-    def entries(self, vector: dict) -> dict:
-        """The nonzero entries {(i - 1, l - 1): x} of a sparse vector of the
-        top piece read as an nrows x ncols matrix, x its coordinate on
-        generator (i, l).  Each generator is a canonical root space row,
-        pivot 1, and the root spaces have disjoint supports, so that
-        coordinate is the vector's entry at the generator's pivot."""
-        return {self._cells[p]: x for p, x in vector.items()}
-
 
 def tensor_model(datum: RootDatum, j: int) -> TensorModel:
     """The indexed generator basis of the top nilpotent piece of an sl model."""

@@ -273,7 +273,10 @@ class LeviAction:
     split rows of l, those of l & p first (``levi_normalizer``): dim l x
     dim g_1 brackets, taken once per datum, as ``_levi_action`` caches it
     by the pieces it reads.  Raises unless the canonical rows of g_1 are
-    unit rows."""
+    unit rows.  Its three readers: ``levi_normalizer`` (each candidate's
+    Levi equations), ``LeviNormalizer.operators`` (NC2, through the solve's
+    images) and ``catalog.block_rotation_certificate`` (its k_phi block,
+    ``k_phi_operators``)."""
 
     def __init__(self, model: LieModel, l_p: Subspace, k_phi: Subspace, g1: Subspace,
                  b: Subspace):
@@ -295,27 +298,28 @@ class LeviAction:
         self.b_coords = tuple({q: y[c] * f for q, (c, f) in enumerate(zip(l_p.pivots, scales))
                                if c in y} for y in b.rows)
 
+    def k_phi_operators(self) -> list:
+        """ad(y) on g_1 for each row y of k_phi, the unknowns 0, ...,
+        dim k_phi - 1, flattened: coordinate t of [y, e_s] at s dim g_1 + t."""
+        n = len(self.table)
+        return [{s * n + t: col[u] for s, column in enumerate(self.table)
+                 for t, col in column.items() if u in col} for u in range(self.k_phi.dim)]
+
 
 _levi_action = lru_cache(maxsize=16)(LeviAction)
 
 
-def _placed(sub: Subspace, coefficients: list) -> Subspace:
-    """The span of the combinations of the canonical rows of sub with the
-    given coefficient rows, which are in RREF: the combinations, each
-    divided by its gcd, are its canonical rows (``levi_normalizer``)."""
-    rows = tuple(_integer_row(combination(c, sub.rows)) for c in coefficients)
-    return Subspace(sub.ambient_dim, rows, tuple(min(row) for row in rows))
-
-
 class LeviNormalizer:
     """N_l(v) in the split basis l = (l & p) + k_phi (``levi_normalizer``):
-    the solution rows, in RREF over the split rows of l, and what is read
-    off them.  Only the l & p blocks are read by NC1; the pieces at model
-    width are placed on first use."""
+    the solution rows, in RREF over the split rows of l, v in g_1
+    coordinates and the images the solve formed, and what is read off them.
+    The pieces at model width are placed on first use."""
 
-    def __init__(self, action: LeviAction, rows: list):
+    def __init__(self, action: LeviAction, rows: list, v: Subspace, images: list):
         self.action = action
         self.rows = rows  # sparse, {a: coefficient of split row a}
+        self.v = v  # in g_1 coordinates
+        self.images = images  # per row W_k of v: {t: coordinate t of [x, W_k] over the unknowns}
 
     @cached_property
     def p_coords(self) -> Subspace:
@@ -339,15 +343,29 @@ class LeviNormalizer:
     def p_part(self) -> Subspace:
         """p(N_l(v)), which is p(N_l(n_phi minus v)): p_coords, placed."""
         lp = self.action.l_p
-        return _placed(lp, [dense(row, lp.dim) for row in self.p_coords.rows])
+        rows = tuple(_integer_row(combination(dense(row, lp.dim), lp.rows))
+                     for row in self.p_coords.rows)
+        return Subspace(lp.ambient_dim, rows, tuple(min(row) for row in rows))
 
     @cached_property
-    def k_part(self) -> Subspace:
-        """N_l(v) & k = N_{k_phi}(v): the k_phi blocks of the rows whose
-        pivot lies there, placed."""
-        kp, cut = self.action.k_phi, self.action.l_p.dim
-        return _placed(kp, [[row.get(cut + a, 0) for a in range(kp.dim)]
-                            for row in self.rows if min(row) >= cut])
+    def operators(self) -> list:
+        """ad(y) restricted to v for each y spanning N_l(v) & k = N_{k_phi}(v),
+        as the rows of a positive integer multiple of its matrix in
+        ``v.basis`` coordinates: y is a solution row whose pivot lies in the
+        k_phi block, and the coordinate t of [y, W_k] is y applied to the
+        image formed for W_k, so no bracket is taken.  Raises if one leaves v."""
+        v, cut = self.v, self.action.l_p.dim
+        last = cut + self.action.k_phi.dim - 1
+        scales, ops = _basis_scales(v), []
+        for y in (row for row in self.rows if min(row) >= cut):
+            cols = [{t: x for t, col in image.items()
+                     if (x := sum(c * y.get(last - u, 0) for u, c in col.items()))}
+                    for image in self.images]
+            if any(map(v._residual, cols)):
+                raise ValueError("the normalizer does not map v into itself")
+            ops.append(tuple(tuple(f * w.get(p, 0) for w, f in zip(cols, scales))
+                             for p in v.pivots))
+        return ops
 
     def theta_dual(self) -> Subspace:
         """theta N_l(v) = N_l(n_phi minus v): the solution rows with their
@@ -370,11 +388,11 @@ def levi_normalizer(model: LieModel, pd: ParabolicDatum, v: Subspace) -> LeviNor
     reads them.  The rows whose pivot lies in the k_phi block are zero on
     the l & p block, and in RREF they span the solutions there, N_l(v) & k
     = N_{k_phi}(v).  The l & p blocks of the other rows are independent and
-    span the l & p blocks of all solutions, p(N_l(v)).  Each block is in
-    RREF and combines the canonical rows of l & p or of k_phi, so its
-    combinations are the canonical rows of p(N_l(v)) and of N_{k_phi}(v):
-    nothing is spanned again.  theta is -1 on p and +1 on k, so negating the
-    l & p block of every solution row gives theta N_l(v).
+    span the l & p blocks of all solutions, p(N_l(v)).  That block is in
+    RREF and combines the canonical rows of l & p, so its combinations are
+    the canonical rows of p(N_l(v)): nothing is spanned again.  theta is -1
+    on p and +1 on k, so negating the l & p block of every solution row
+    gives theta N_l(v).
 
     *The table.*  Every shipped basis is a weight basis, so g_1, a sum of
     root spaces, is spanned by basis vectors: its canonical rows are unit
@@ -390,7 +408,8 @@ def levi_normalizer(model: LieModel, pd: ParabolicDatum, v: Subspace) -> LeviNor
     f, and the equation (f, k) is sum over (t, s) of z_f[t] W_k[s] T[(t,
     s)]: the residual of [x, W_k] against v at f.  Those are all the
     equations of the solve, since a residual is zero at the pivots of v and
-    off g_1, so no bracket is taken per v.
+    off g_1, so no bracket is taken per v.  NC2 reads the images [x, W_k]
+    again (``LeviNormalizer.operators``).
 
     *theta duality.*  For x in l, w in n_phi and u in v, <[x, w], u> =
     -<w, [theta x, u]>, because <X, Y> = -B(X, theta Y), B is ad invariant
@@ -408,20 +427,21 @@ def levi_normalizer(model: LieModel, pd: ParabolicDatum, v: Subspace) -> LeviNor
         raise ValueError("l & p and k_phi do not split l")
     action = _levi_action(model, lp, kp, pd.grading[1], pd.b)
     try:
-        rows = [{action.coordinate[c]: x for c, x in row.items()} for row in v.rows]
+        rows = tuple({action.coordinate[c]: x for c, x in row.items()} for row in v.rows)
     except KeyError:
         raise ValueError("v must lie inside the first graded piece") from None
-    # z[f]: the residual functional z_f of v at each free column f
+    # v in g_1 coordinates, and z[f]: the residual functional z_f of v at each free column f
+    coords = Subspace(len(action.table), rows, tuple(min(row) for row in rows))
     scale = v._scale
-    pivots = [min(row) for row in rows]
-    z = {f: {f: scale} for f in range(len(action.table)) if f not in pivots}
-    for row, p in zip(rows, pivots):
+    z = {f: {f: scale} for f in range(len(action.table)) if f not in coords.pivots}
+    for row, p in zip(rows, coords.pivots):
         for f, x in row.items():
             if f in z:
                 z[f][p] = -(scale // row[p]) * x
-    equations = []
+    equations, images = [], []
     for row in rows:
         image = {}  # coordinate t of [x, W_k], as a sparse row over the unknowns
+        images.append(image)
         for s, x in row.items():
             for t, col in action.table[s].items():
                 acc = image.setdefault(t, {})
@@ -434,7 +454,7 @@ def levi_normalizer(model: LieModel, pd: ParabolicDatum, v: Subspace) -> LeviNor
                     eq[a] = eq.get(a, 0) + w * y
             equations.append({a: y for a, y in eq.items() if y})
     ker = kernel_rows(equations, lp.dim + kp.dim)
-    return LeviNormalizer(action, [sparse(x[::-1]) for x in reversed(ker)])
+    return LeviNormalizer(action, [sparse(x[::-1]) for x in reversed(ker)], coords, images)
 
 
 def check_nc1(split: LeviNormalizer) -> bool:
@@ -462,22 +482,6 @@ def _basis_scales(v: Subspace) -> list:
     return [v._scale // row[c] for row, c in zip(v.rows, v.pivots)]
 
 
-def _restriction_matrices(model: LieModel, domain: Subspace, v: Subspace) -> list:
-    """ad(t) restricted to v, for each row t of domain, as the rows of a
-    positive integer multiple of its matrix in ``v.basis`` coordinates."""
-    scales = _basis_scales(v)
-    mats = []
-    for t in domain.rows:
-        cols = []
-        for row, f in zip(v.rows, scales):
-            image = model._bracket_entries(t, row)
-            if v._residual(image):
-                raise ValueError("the normalizer does not map v into itself")
-            cols.append([f * image.get(p, 0) for p in v.pivots])
-        mats.append(tuple(zip(*cols)))
-    return mats
-
-
 def _gram(model: LieModel, v: Subspace) -> Matrix:
     """L^2 times the Gram matrix of ``v.basis`` for the inner product, with L
     as in ``_basis_scales``: an integer matrix for the shipped models."""
@@ -489,34 +493,36 @@ def _gram(model: LieModel, v: Subspace) -> Matrix:
         for row, f in zip(v.rows, scales)))
 
 
-def check_nc2(model: LieModel, v: Subspace, normalizer: Subspace, seed: int, samples: int):
+def check_nc2(model: LieModel, v: Subspace, ops: list, seed: int, samples: int):
     """Transitivity on the unit sphere of v of the k_phi-normalizer
-    N_{k_phi}(v), given as normalizer (the k_phi block of
-    ``levi_normalizer``), as a three-stage verdict.
+    N_{k_phi}(v), given by ops, its restrictions to v, which both callers
+    read off the Levi solve of NC1 (``LeviNormalizer.operators``), as a
+    three-stage verdict.
 
-    (a) exact sufficient: the restriction of the normalizer spans the
+    (a) exact sufficient: the operators span the
         full rotation algebra of (v, <,>)         -> ("yes", "contains-so")
     (b) exact necessary failure: some sampled nonzero u in v has
-        span({u} + normalizer.u) proper in v      -> ("no", "failed-witness")
+        span({u} + ops.u) proper in v             -> ("no", "failed-witness")
     (c) otherwise, full tangent span at all samples -> ("yes", "sampled-tangent")
 
-    A normalizer of dimension 0 gives (b) at once: with no operator, (a)
+    A normalizer of dimension 0, with no operator, gives (b) at once: (a)
     fails, since so(v) is not 0 for dim v >= 2, and the first sample's
     tangent is the line of u.  That needs a first sample, so samples must
     be at least 1.
 
-    The operators R and the Gram matrix G are integer multiples of their
-    matrices in ``v.basis`` coordinates, by positive factors: no Fraction is
-    built, and none of the verdicts above changes under positive scalings of
-    R or G.  The sampled vectors are in ``v.basis`` coordinates.
+    The operators R, each given by its rows, and the Gram matrix G are
+    integer multiples of their matrices in ``v.basis`` coordinates, by
+    positive factors: no Fraction is built, and none of the verdicts above
+    changes under positive scalings of R or G.  The sampled vectors are in
+    ``v.basis`` coordinates.
     """
     if v.dim < 2:
         raise ValueError("NC2 needs dim v >= 2")
     if samples < 1:
         raise ValueError("NC2 needs at least one sample")
-    if normalizer.dim == 0:
+    if not ops:
         return "no", "failed-witness"
-    ops = [Matrix(r) for r in _restriction_matrices(model, normalizer, v)]
+    ops = [Matrix(op) for op in ops]
     m = v.dim
     # the restricted operators are skew for the inner product on v: R^T G + G R
     # = 0, and with G symmetric that is M + M^T = 0 for M = G R
@@ -763,7 +769,7 @@ def verify(spec: ActionSpec, datum: RootDatum, *,
         v, normalizer = spec.payload["v"], spec.payload["normalizer"]
         split = levi_normalizer(model, pd, v)
         nc1 = "yes" if check_nc1(split) else "no"
-        nc2, nc2_cert = check_nc2(model, v, split.k_part, seed, samples)
+        nc2, nc2_cert = check_nc2(model, v, split.operators, seed, samples)
         theta_dual = split.theta_dual()
         notes.append(Note.first_failure("normalizer-theta-dual", (
             _rows_outside("theta-dual-not-in-normalizer", theta_dual, normalizer)

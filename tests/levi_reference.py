@@ -1,7 +1,8 @@
 """The split Levi solve as it was before its equations were read off a
 table of ad(l) on the first graded piece: every split row of l bracketed
 with every row of v at model width, and the images handed to the
-constraint solver.  The reference for ``verify.levi_normalizer``."""
+constraint solver.  The reference for ``verify.levi_normalizer``, and, by
+``restriction_matrices``, for the NC2 operators it reads off the table."""
 
 from typing import NamedTuple
 
@@ -36,3 +37,20 @@ def reference_levi_normalizer(model, pd, v: Subspace) -> ReferenceNormalizer:
     return ReferenceNormalizer(Subspace(model.dim, p_rows, tuple(min(row) for row in p_rows)),
                                Subspace(model.dim, k_rows, tuple(min(row) for row in k_rows)),
                                blocks)
+
+
+def restriction_matrices(model, domain: Subspace, v: Subspace) -> list:
+    """ad(t) restricted to v, for each row t of domain, bracketed at model
+    width, as the rows of a positive integer multiple of its matrix in
+    ``v.basis`` coordinates: the operators ``verify.check_nc2`` takes."""
+    scales = [v._scale // row[c] for row, c in zip(v.rows, v.pivots)]
+    mats = []
+    for t in domain.rows:
+        cols = []
+        for row, f in zip(v.rows, scales):
+            image = model._bracket_entries(t, row)
+            if v._residual(image):
+                raise ValueError("the normalizer does not map v into itself")
+            cols.append([f * image.get(p, 0) for p in v.pivots])
+        mats.append(tuple(zip(*cols)))
+    return mats

@@ -1,7 +1,10 @@
 """The nilpotent-construction oracle sweep as it was before candidates were
 grouped by tensor shape: every distinct candidate is evaluated in full, and
 its tangent is compared with the known tangents closed under the block
-coordinate permutations that fix the grading of the removed root."""
+coordinate permutations that fix the grading of the removed root.  Also the
+SO(a) x SO(b) block certificate as it was before it read the table of ad(l)
+on the first graded piece: every row of k_phi bracketed with every
+generator at model width."""
 
 import itertools
 
@@ -11,6 +14,7 @@ from cohomatlas.linalg import Matrix, Subspace, subspace_sum
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.verify import RationalSampler, check_nc2
 
+from levi_reference import restriction_matrices
 from span_reference import generator_span
 
 
@@ -34,6 +38,31 @@ def permutation_maps(model, j: int) -> list:
             maps.append(Matrix(tuple(tuple(cols[jj][ii] for jj in range(model.dim))
                                      for ii in range(model.dim))))
     return maps
+
+
+def reference_block_rotation_certificate(model, pd, tm) -> bool:
+    """Whether the restrictions of the rows of k_phi to the a x b top piece,
+    each row bracketed with each generator, span the same operators as the
+    elementary rotations acting on either side."""
+    a, b = tm.nrows, tm.ncols
+    cells = [(r, c) for r in range(a) for c in range(b)]
+    cell_of = dict(zip(tm.columns, tm.cells))
+
+    def flat(image) -> dict:
+        # image(r, c): the entries of the operator's image of the unit at (r, c)
+        return {(k * a + i) * b + l: x for k, cell in enumerate(cells)
+                for (i, l), x in image(*cell).items()}
+
+    units = {cell: {p: x for p, x in enumerate(tm.generators[cell[0] + 1, cell[1] + 1]) if x}
+             for cell in cells}
+    restricted = [flat(lambda r, c: {cell_of[p]: x for p, x in
+                                     model._bracket_entries(t, units[r, c]).items()})
+                  for t in pd.k_phi.rows]
+    rotations = [flat(lambda i, c: {(r, c): 1} if i == s else {(s, c): -1} if i == r else {})
+                 for r, s in itertools.combinations(range(a), 2)]
+    rotations += [flat(lambda i, e: {(i, d): 1} if e == c else {(i, c): -1} if e == d else {})
+                  for c, d in itertools.combinations(range(b), 2)]
+    return Subspace.span(a * b * a * b, restricted) == Subspace.span(a * b * a * b, rotations)
 
 
 def reference_sweep(result, j: int, tangents: set) -> list:
@@ -77,8 +106,8 @@ def reference_sweep(result, j: int, tangents: set) -> list:
         normalizer, complement = nc_summands(datum, pd, v)
         p_normalizer = model.project_p_subspace(normalizer)
         ok1 = p_normalizer.contains(pd.b)
-        verdict, cert = check_nc2(model, v, model.normalizer_in(pd.k_phi, v), result.seed,
-                                  result.samples)
+        ops = restriction_matrices(model, model.normalizer_in(pd.k_phi, v), v)
+        verdict, cert = check_nc2(model, v, ops, result.seed, result.samples)
         rec["nc1"] = "yes" if ok1 else "no"
         rec["nc2"] = verdict
         rec["nc2_certificate"] = cert

@@ -22,7 +22,7 @@ from cohomatlas.actions import (ActionSpec, builtin_cei_catalog, canonical_exten
 from cohomatlas.roots import decompose
 from cohomatlas.verify import RationalSampler, levi_normalizer, orbit_tangent_at_o, verify
 
-from oracle_reference import reference_sweep
+from oracle_reference import reference_block_rotation_certificate, reference_sweep
 
 
 def paper_row_counts(n: int) -> Counter:
@@ -443,7 +443,7 @@ def test_the_seed_8_probe_is_the_tensor_pattern_span_e1_e2_times_1_minus_1():
         [x - y for x, y in zip(g[i, 1], g[i, 2])] for i in (1, 2)])
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_k_phi_rotates_each_top_block_by_so_a_times_so_b(n):
     datum = decompose(build_sl(n + 1))
     for j in range(n):
@@ -452,10 +452,42 @@ def test_k_phi_rotates_each_top_block_by_so_a_times_so_b(n):
         assert (a, b) == (j + 1, n - j)
         pd = build_parabolic(datum, [i for i in range(n) if i != j])
         assert catalog.block_rotation_certificate(datum.model, pd, tm)
+        assert reference_block_rotation_certificate(datum.model, pd, tm)
         assert pd.k_phi.dim == a * (a - 1) // 2 + b * (b - 1) // 2
         # a k_phi short of one rotation does not certify
         short = pd._replace(k_phi=Subspace.span(datum.model.dim, pd.k_phi.rows[1:]))
         assert not catalog.block_rotation_certificate(datum.model, short, tm)
+        assert not reference_block_rotation_certificate(datum.model, short, tm)
+
+
+def test_the_rotation_certificate_needs_the_top_piece_of_its_datum():
+    datum = decompose(build_sl(4))
+    pd = build_parabolic(datum, [0, 2])
+    with pytest.raises(ValueError, match="not the first graded piece"):
+        catalog.block_rotation_certificate(datum.model, pd, tensor_model(datum, 0))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_sweep_brackets_only_for_its_table(n, monkeypatch):
+    # the certificate builds the table of ad(l) on g_1, and no evaluation
+    # brackets again: dim l x dim g_1 brackets per sweep
+    result = enumerate_sl(n)
+    tangents = known_extension_tangents(result)
+    datum = result.datum
+    bracket_entries = LieModel._bracket_entries
+    for j in range(n):
+        pd = build_parabolic(datum, [i for i in range(n) if i != j])
+        brackets = []
+
+        def counted(model, x, y):
+            brackets.append(model)
+            return bracket_entries(model, x, y)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(LieModel, "_bracket_entries", counted)
+            sweep = catalog.nc_oracle_search(result, j, tangents)
+        assert sweep["so_block_certificate"] is True
+        assert len(brackets) == pd.l.dim * pd.grading[1].dim
 
 
 def test_without_the_rotation_certificate_every_candidate_is_evaluated(monkeypatch):

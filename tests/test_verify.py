@@ -53,7 +53,7 @@ from cohomatlas.verify import (
     slice_pieces,
     verify,
 )
-from levi_reference import reference_levi_normalizer
+from levi_reference import reference_levi_normalizer, restriction_matrices
 from nested_reference import nested_pieces
 from span_reference import generator_span, theta_image
 
@@ -351,6 +351,11 @@ class TestNc1:
         assert True in verdicts
 
 
+def _operators(model, pd, v) -> list:
+    """The NC2 operators of v, read off its Levi solve."""
+    return verify_module.levi_normalizer(model, pd, v).operators
+
+
 class TestNc2:
     def test_column_family_contains_rotations(self):
         g = build_sl(4)
@@ -358,7 +363,7 @@ class TestNc2:
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
         v = generator_span(tm, [(1, 1), (2, 1)])
-        assert check_nc2(g, v, g.normalizer_in(pd.k_phi, v), seed=7, samples=32) == (
+        assert check_nc2(g, v, _operators(g, pd, v), seed=7, samples=32) == (
             "yes", "contains-so")
 
     def test_any_subspace_of_real_hyperbolic_root_space(self):
@@ -367,7 +372,7 @@ class TestNc2:
         pd = build_parabolic(datum, [1])
         f0 = p.factors[0]
         v = p.embed({0: Subspace.span(f0.dim, f0.n_space.basis[:2])})
-        assert check_nc2(p, v, p.normalizer_in(pd.k_phi, v), seed=7, samples=32) == (
+        assert check_nc2(p, v, _operators(p, pd, v), seed=7, samples=32) == (
             "yes", "contains-so")
 
     def test_skew_mixed_family_fails_with_witness(self):
@@ -378,7 +383,7 @@ class TestNc2:
         v = Subspace.span(
             g.dim, [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]]
         )
-        verdict, cert = check_nc2(g, v, g.normalizer_in(pd.k_phi, v), seed=7, samples=32)
+        verdict, cert = check_nc2(g, v, _operators(g, pd, v), seed=7, samples=32)
         assert (verdict, cert) == ("no", "failed-witness")
 
     def test_witness_is_monotone(self):
@@ -390,35 +395,53 @@ class TestNc2:
             g.dim, [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]]
         )
         for samples in (8, 32, 128):
-            verdict, _ = check_nc2(g, v, g.normalizer_in(pd.k_phi, v), seed=11, samples=samples)
+            verdict, _ = check_nc2(g, v, _operators(g, pd, v), seed=11, samples=samples)
             assert verdict == "no"
 
     @pytest.mark.parametrize("op", [((1, 0), (0, 1)), ((0, 1), (0, 0))],
                              ids=["diagonal", "off-diagonal"])
-    def test_operator_that_is_not_skew_is_rejected(self, op, monkeypatch):
+    def test_operator_that_is_not_skew_is_rejected(self, op):
+        datum = decompose(build_sl(4))
+        v = generator_span(tensor_model(datum, 1), [(1, 1), (2, 1)])
+        with pytest.raises(ValueError, match="not skew on v"):
+            check_nc2(datum.model, v, [op], seed=7, samples=32)
+
+    def test_an_operator_that_leaves_v_raises(self):
         g = build_sl(4)
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         v = generator_span(tensor_model(datum, 1), [(1, 1), (2, 1)])
-        monkeypatch.setattr(verify_module, "_restriction_matrices",
-                            lambda model, domain, sub: [op])
-        with pytest.raises(ValueError, match="not skew on v"):
-            check_nc2(g, v, g.normalizer_in(pd.k_phi, v), seed=7, samples=32)
+        split = verify_module.levi_normalizer(g, pd, v)
+        assert len(split.operators) == 1
+        # every row of k_phi as a solution row: the rotation of the columns
+        # moves the column of v off it
+        cut = pd.l_p.dim
+        rows = [{cut + a: 1} for a in range(pd.k_phi.dim)]
+        every = verify_module.LeviNormalizer(split.action, rows, split.v, split.images)
+        with pytest.raises(ValueError, match="does not map v into itself"):
+            every.operators
 
 
 def _nc2_inputs(space: str, nc_search: bool) -> dict:
-    """(model, normalizer, v) for each distinct pair of v and its
-    k_phi-normalizer that reaches check_nc2 while the report of space is
-    made at seed 7, from the oracle sweeps and the NC rows alike."""
-    inputs = {}
+    """(model, pd, v, ops) for each distinct v whose operators reach
+    check_nc2 while the report of space is made at seed 7, from the oracle
+    sweeps and the NC rows alike, with the parabolic datum of its Levi
+    solve."""
+    inputs, data = {}, {}
+    solve = verify_module.levi_normalizer
 
-    def recorded(model, v, normalizer, seed, samples):
-        inputs.setdefault((id(model), normalizer, v), (model, normalizer, v))
-        return check_nc2(model, v, normalizer, seed, samples)
+    def solved(model, pd, v):
+        data[id(model), v] = pd
+        return solve(model, pd, v)
+
+    def recorded(model, v, ops, seed, samples):
+        inputs.setdefault((id(model), v), (model, data[id(model), v], v, ops))
+        return check_nc2(model, v, ops, seed, samples)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(catalog, "check_nc2", recorded)
-        mp.setattr(verify_module, "check_nc2", recorded)
+        for module in (catalog, verify_module):
+            mp.setattr(module, "levi_normalizer", solved)
+            mp.setattr(module, "check_nc2", recorded)
         run(parse_space(space), RunConfig(seed=7, nc_search=nc_search, su1n=True))
     return inputs
 
@@ -442,15 +465,19 @@ def test_integer_restrictions_and_gram_are_positive_multiples_of_the_rational_on
     inputs = _nc2_inputs(space, nc_search)
     assert inputs
     if nc_search:  # the probes give rows whose pivot values are not 1
-        assert any(row[c] != 1 for _, _, v in inputs.values()
+        assert any(row[c] != 1 for _, _, v, _ in inputs.values()
                    for row, c in zip(v.rows, v.pivots))
-    for model, norm, v in inputs.values():
-        ops = verify_module._restriction_matrices(model, norm, v)
-        assert len(ops) == norm.dim
-        for op, t in zip(ops, norm.basis):
+    assert any(ops for _, _, _, ops in inputs.values())
+    for model, pd, v, ops in inputs.values():
+        norm = model.normalizer_in(pd.k_phi, v)
+        ref = restriction_matrices(model, norm, v)
+        # the table's operators are the reference's, row for row, up to scale
+        assert len(ops) == len(ref) == norm.dim
+        for op, ref_op, t in zip(ops, ref, norm.basis):
+            assert _positive_multiple(op, ref_op)
             cols = [v.coords_of(model.bracket(t, w)) for w in v.basis]
             old = [[col[i] for col in cols] for i in range(v.dim)]
-            assert _positive_multiple(op, old)
+            assert _positive_multiple(ref_op, old)
         old_gram = [[model.inner_product(x, y) for y in v.basis] for x in v.basis]
         assert _positive_multiple(verify_module._gram(model, v).rows, old_gram)
 
@@ -477,12 +504,18 @@ def _split_cases():
     return cases
 
 
+def _same_operators(ops, ref) -> bool:
+    """Whether each operator is a positive multiple of the reference's at
+    its place."""
+    return len(ops) == len(ref) and all(map(_positive_multiple, ops, ref))
+
+
 def assert_equals_the_bracket_route(model, pd, v):
     """The table route of levi_normalizer gives the reference's pieces."""
     split = verify_module.levi_normalizer(model, pd, v)
     ref = reference_levi_normalizer(model, pd, v)
     assert (split.p_part, split.p_part.pivots) == (ref.p_part, ref.p_part.pivots)
-    assert (split.k_part, split.k_part.pivots) == (ref.k_part, ref.k_part.pivots)
+    assert _same_operators(split.operators, restriction_matrices(model, ref.k_part, v))
     assert split.blocks == ref.blocks
     assert split.theta_dual() == ref.theta_dual()
     # NC1 in l & p coordinates is b inside the placed p-part
@@ -495,13 +528,14 @@ def test_the_split_solve_gives_both_blocks_and_the_theta_dual(model, pd, candida
     for v in candidates:
         split = verify_module.levi_normalizer(model, pd, v)
         dual = model.normalizer_in(pd.l, orthocomplement_in(v, pd.n_phi, model.inner))
-        # the k-block is N_{k_phi}(v), row for row
-        assert split.k_part == model.normalizer_in(pd.k_phi, v)
+        # the k-block's operators are those of N_{k_phi}(v), row for row
+        norm = model.normalizer_in(pd.k_phi, v)
+        assert _same_operators(split.operators, restriction_matrices(model, norm, v))
         # the p-block spans p(N_l(n_phi minus v))
         assert split.p_part == model.project_p_subspace(dual)
         # negating the p-block gives N_l(n_phi minus v) = theta N_l(v)
         assert split.theta_dual() == dual
-        assert len(split.blocks) == dual.dim == split.p_part.dim + split.k_part.dim
+        assert len(split.blocks) == dual.dim == split.p_part.dim + len(split.operators)
         assert_equals_the_bracket_route(model, pd, v)
 
 
@@ -586,22 +620,22 @@ class TestNc2ShortCut:
     def test_a_zero_normalizer_fails_at_once_with_the_witness_verdict(self, monkeypatch):
         g, pd, v = self._skew_mixed()
         assert g.normalizer_in(pd.k_phi, v).dim == 0
-        zero = Subspace.zero(g.dim)
-        expected = check_nc2(g, v, zero, seed=7, samples=1)
+        assert _operators(g, pd, v) == []
+        expected = check_nc2(g, v, [], seed=7, samples=1)
         assert expected == ("no", "failed-witness")
 
         def unused(*args):
             raise AssertionError("no Gram, operator or sample for a zero normalizer")
 
-        for name in ("_gram", "_restriction_matrices", "RationalSampler"):
+        for name in ("_gram", "Matrix", "RationalSampler"):
             monkeypatch.setattr(verify_module, name, unused)
-        assert check_nc2(g, v, zero, seed=7, samples=32) == expected
+        assert check_nc2(g, v, [], seed=7, samples=32) == expected
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_sample_is_rejected(self, samples):
         g, pd, v = self._skew_mixed()
         with pytest.raises(ValueError, match="at least one sample"):
-            check_nc2(g, v, g.normalizer_in(pd.k_phi, v), seed=7, samples=samples)
+            check_nc2(g, v, _operators(g, pd, v), seed=7, samples=samples)
 
 
 def diagonal_tangent(spec) -> Subspace:

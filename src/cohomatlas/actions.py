@@ -298,9 +298,9 @@ def matrix_kernel(model: LieModel, inside: Subspace, condition) -> Subspace:
     """{x in inside : condition(matrix(x)) = 0} for a linear condition that
     maps a matrix, as its sparse entries {(row, column): value}, to a matrix
     of the model's size in the same form.  Each row of inside gives its
-    matrix from the basis matrices' entries (``LieModel.matrix_entries``)."""
+    matrix from the basis matrices' entries (``LieModel.basis``)."""
     size = model.matrix_size
-    entries = model.matrix_entries
+    entries = model.basis
     values = []
     for row in inside.rows:
         mat = {}

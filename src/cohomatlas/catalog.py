@@ -440,6 +440,34 @@ def block_rotation_certificate(model: LieModel, pd: ParabolicDatum, tm: TensorMo
     return Subspace.span(n * n, action.k_phi_operators()) == Subspace.span(n * n, rotations)
 
 
+def evaluate_nc_candidate(model: LieModel, pd: ParabolicDatum, v: Subspace, tangents: set,
+                          seed: int, samples: int) -> dict:
+    """The oracle's verdicts on one candidate v of the top piece, dim v >= 2,
+    at model width: its record's "nc1", "nc2", "nc2_certificate", "passes"
+    and, when it passes, "matches_known_tangent".
+
+    One solve, N_l(v) over the split basis l = (l & p) + k_phi
+    (``levi_normalizer``), decides both conditions.  The NC algebra's
+    normalizer is N = N_l(c) for the complement c = n_phi minus v, and N =
+    theta N_l(v) by theta duality, so p(N) = p(N_l(v)) is spanned by the
+    solve's l & p blocks, which decide NC1 exactly in l & p coordinates
+    (``check_nc1``), and its k_phi rows, applied to the images the solve
+    formed, restrict N_{k_phi}(v) to v (``LeviNormalizer.operators``), on
+    which NC2 runs its stages.  Neither N nor c is built for a candidate
+    that fails either condition.  When both pass, c is solved for and the
+    singular-orbit tangent, p(N) + p(c), is looked up in tangents."""
+    split = levi_normalizer(model, pd, v)
+    ok1 = check_nc1(split)
+    verdict, cert = check_nc2(model, v, split.operators, seed, samples)
+    out = {"nc1": "yes" if ok1 else "no", "nc2": verdict, "nc2_certificate": cert,
+           "passes": ok1 and verdict == "yes"}
+    if out["passes"]:
+        complement = orthocomplement_in(v, pd.n_phi, model.inner)
+        tangent = subspace_sum(split.p_part, model.project_p_subspace(complement))
+        out["matches_known_tangent"] = tangent in tangents
+    return out
+
+
 def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
     """Brute-force sweep of candidate subspaces of the top graded piece,
     checked against the rows of the sl table result, whose tangents are
@@ -457,22 +485,13 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
     Q^(a b) (``TensorModel.coordinates``), which makes the draws and the
     reduced rows of a draw inside g_1, so nothing is spanned per subset.
     Only an evaluated candidate is placed at model width, relabelled with
-    no elimination (``TensorModel.place``), for NC2 and the tangent.
-    Evaluating a candidate v with dim v >= 2 costs one solve, N_l(v) over
-    the split basis l = (l & p) + k_phi (``levi_normalizer``), whose
-    equations are read off the table of ad(l) on g_1 that the sweep's
-    certificate builds, dim l x dim g_1 brackets, the only brackets of the
-    sweep.  The NC algebra's normalizer is N = N_l(c) for the complement c
-    = n_phi minus v, and N = theta N_l(v) by theta duality, so p(N) =
-    p(N_l(v)) is spanned by the solve's l & p blocks, which decide NC1
-    exactly in l & p coordinates (``check_nc1``), and its k_phi rows,
-    applied to the images the solve formed, restrict N_{k_phi}(v) to v
-    (``LeviNormalizer.operators``), on which NC2 runs its stages.  Neither
-    N nor c is built for a candidate that fails either condition.  When both pass, c
-    is solved for and the singular-orbit tangent, p(N) + p(c), is compared
-    with the known tangents.  The NC algebra N + c is never spanned: the
-    sum is direct for every candidate once l and n_phi meet only in 0,
-    because N lies in l and c in n_phi, and that is checked once per sweep.
+    no elimination (``TensorModel.place``), and evaluated by
+    ``evaluate_nc_candidate``, whose equations are read off the table of
+    ad(l) on g_1 that the sweep's certificate builds, dim l x dim g_1
+    brackets, the only brackets of the sweep.  The NC algebra N + c is
+    never spanned: the sum is direct for every candidate once l and n_phi
+    meet only in 0, because N lies in l and c in n_phi, and that is checked
+    once per sweep.
 
     Candidates fall into shape classes.  A record's ``tensor_shape`` is (p,
     q) when v = U (x) W with dim U = p and dim W = q (``_tensor_shape``).
@@ -558,20 +577,10 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
             continue
         if shape:
             by_shape[shape] = rec
-        v = tm.place(v)
-        split = levi_normalizer(model, pd, v)
-        ok1 = check_nc1(split)
-        verdict, cert = check_nc2(model, v, split.operators, result.seed, result.samples)
-        rec["nc1"] = "yes" if ok1 else "no"
-        rec["nc2"] = verdict
-        rec["nc2_certificate"] = cert
-        if ok1 and verdict == "yes":
-            rec["passes"] = True
-            complement = orthocomplement_in(v, pd.n_phi, model.inner)
-            tangent = subspace_sum(split.p_part, model.project_p_subspace(complement))
-            rec["matches_known_tangent"] = tangent in tangents
-            if rec["matches_known_tangent"]:
-                rec["matched_by"] = "tangent"
+        rec.update(evaluate_nc_candidate(model, pd, tm.place(v), tangents, result.seed,
+                                         result.samples))
+        if rec["matches_known_tangent"]:
+            rec["matched_by"] = "tangent"
     return {
         "records": records,
         "probes": ORACLE_PROBES,

@@ -11,14 +11,15 @@ as ``Rat(x) / y``, never ``x / y``, since two ints would divide to a float.
 A vector is sparse: a dict {index: value} over its nonzero entries.  That
 is the one representation inside this module and ``cohomatlas.models``,
 where almost every coordinate is zero, so an operation costs the supports it
-reads, not the ambient dimension.  Dense tuples remain only at the edges
-that hand out values: ``Matrix`` rows, ``Subspace.basis``, ``from_coords``
-and ``coords_of``, the rows that ``rref_with_transform`` and
-``kernel_rows`` return, the public ``LieModel.bracket`` and
-``inner_product``, and a root's dual vector.  The parabolic pieces, the
-sl2 triples, graphs and matrix kernels of ``cohomatlas.actions`` and the
-coweights are sparse.  The entry points that take vectors accept either
-form.
+reads, not the ambient dimension.  A ``Matrix`` is square and held by its
+sparse rows, so theta, the Killing form and the inner product of a model
+cost their nonzero entries.  Dense tuples remain only at the edges that
+hand out values: ``Subspace.basis``, ``from_coords`` and ``coords_of``, the
+rows that ``rref_with_transform`` and ``kernel_rows`` return,
+``Matrix.apply``, the public ``LieModel.bracket`` and ``inner_product``,
+and a root's dual vector.  The parabolic pieces, the sl2 triples, graphs
+and matrix kernels of ``cohomatlas.actions`` and the coweights are sparse.
+The entry points that take vectors accept either form.
 
 A subspace stores its canonical rows once: the reduced row echelon form of
 whatever spanning set was supplied, each the sparse primitive integer row
@@ -259,8 +260,8 @@ def kernel_rows(rows: Sequence, ncols: int) -> list:
 
 
 class Matrix:
-    """Immutable exact matrix, row-major, of ints and Fractions; equal by its
-    rows."""
+    """Immutable exact square matrix held by its sparse rows, each {column:
+    value} over its nonzero ints and Fractions; equal by its rows."""
 
     def __init__(self, rows: tuple):
         self.rows = rows
@@ -271,33 +272,14 @@ class Matrix:
     def __eq__(self, other) -> bool:
         return self.rows == other.rows if isinstance(other, Matrix) else NotImplemented
 
-    @classmethod
-    def zeros(cls, r: int, c: int) -> "Matrix":
-        return cls(((0,) * c,) * r)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.rows))) if self.rows else self
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        bt = list(zip(*other.rows))
-        return Matrix(tuple(tuple(vdot(r, c) for c in bt) for r in self.rows))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-x for x in r) for r in self.rows))
-
-    @cached_property
-    def row_entries(self) -> tuple:
-        """Per row, the (column, value) pairs of its nonzero entries."""
-        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.rows)
-
     @cached_property
     def col_entries(self) -> tuple:
         """Per column, the (row, value) pairs of its nonzero entries."""
-        return self.transpose().row_entries
+        cols = [[] for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j].append((i, x))
+        return tuple(map(tuple, cols))
 
     @cached_property
     def is_positive_definite(self) -> bool:
@@ -308,9 +290,10 @@ class Matrix:
         k-th and (k-1)-th leading principal minors, so all pivots are
         positive iff all those minors are (Sylvester's criterion).
         """
-        if self.rows != self.transpose().rows:
+        rows = self.rows
+        if any(rows[j].get(i, 0) != x for i, row in enumerate(rows) for j, x in row.items()):
             return False
-        upper = [{j: x for j, x in entries if j >= i} for i, entries in enumerate(self.row_entries)]
+        upper = [{j: x for j, x in row.items() if j >= i} for i, row in enumerate(rows)]
         for k, row in enumerate(upper):
             p = row.get(k, 0)
             if p <= 0:
@@ -338,9 +321,6 @@ class Matrix:
             for i, y in cols[j]:
                 out[i] = out.get(i, 0) + y * x
         return {i: x for i, x in out.items() if x}
-
-    def flatten(self) -> tuple:
-        return tuple(x for r in self.rows for x in r)
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +488,11 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
 def orthocomplement_in(v: Subspace, w: Subspace, form: Matrix) -> Subspace:
     """w minus v: the complement of v inside w orthogonal w.r.t. form.
 
-    form must be a symmetric positive definite matrix, which is decided once
-    per form (``Matrix.is_positive_definite``), and v must be contained in w.
-    The complement is the constraint solver's answer for the rows w_i of w,
-    the images (<w_i, v_1>, ..., <w_i, v_k>) and the zero target.
+    form is a ``Matrix``, read through its column entries, and must be
+    symmetric positive definite, which is decided once per form
+    (``Matrix.is_positive_definite``); v must be contained in w.  The
+    complement is the constraint solver's answer for the rows w_i of w, the
+    images (<w_i, v_1>, ..., <w_i, v_k>) and the zero target.
     """
     if not w.contains(v):
         raise ValueError("v is not contained in w")

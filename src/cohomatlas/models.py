@@ -1,10 +1,15 @@
 """Matrix models of the ambient real semisimple Lie algebras.
 
-A model fixes a basis of g inside N x N rational matrices and precomputes
-everything coordinate computations need: sparse structure constants, the
-Cartan involution theta(X) = -X^T in coordinates, the Killing form B (by the
-ad-trace definition), the inner product <X,Y> = -B(X, theta Y), and the
-Iwasawa pieces k, a, n together with p.
+A model fixes a basis of g inside N x N rational matrices, each basis
+matrix stored once as its nonzero entries {(row, column): value}
+(``LieModel.basis``), and precomputes everything coordinate computations
+need: sparse structure constants, the Cartan involution theta(X) = -X^T in
+coordinates, the Killing form B (by the ad-trace definition), the inner
+product <X,Y> = -B(X, theta Y), and the Iwasawa pieces k, a, n together
+with p.  The one ``SpanSolver`` of the flattened entries gives the
+coordinates of each commutator and of each -b^T.  theta, B and <,> are
+``linalg.Matrix``es held by their sparse rows, and a product shifts its
+factors' entries and rows into its blocks: no dense table is built.
 
 Shipped families:
 
@@ -25,13 +30,13 @@ Coordinates are exact rationals: ints where integral, Fractions otherwise,
 the convention of ``cohomatlas.linalg``.  Inside a model a vector is sparse,
 {index: value} over its nonzero entries: brackets (``_bracket_entries``),
 theta images and projections go from subspace rows to ``linalg`` with no
-dense round trip, and theta is applied through its column entries.  The
-public ``bracket`` and ``inner_product`` take and return dense tuples.  The
-structure constants and theta of every shipped model are integral and
-stored as ints, so the bracket and theta image of an integer vector stay
-integer, and the Killing and inner-product Grams built from them are int
-tables too.  Every operation is pure, and models are immutable after
-construction.
+dense round trip, and theta is applied through its column entries.  Only
+the public ``bracket`` and ``inner_product`` hand out values, and they take
+and return dense tuples.  The structure constants and theta of every
+shipped model are integral and stored as ints, so the bracket and theta
+image of an integer vector stay integer, and the Killing and inner-product
+rows built from them hold ints too.  Every operation is pure, and models
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -54,14 +59,15 @@ from .linalg import (
 class LieModel:
     """A concrete matrix model of a real semisimple Lie algebra."""
 
-    def __init__(self, name: str, basis: Sequence[Matrix], a: Sequence[Matrix],
-                 n: Sequence[Matrix]):
-        """a and n are lists of matrices in the span of basis, converted to
-        coordinates by the model's own solver and spanned."""
+    def __init__(self, name: str, matrix_size: int, basis: Sequence[dict],
+                 a: Sequence[dict], n: Sequence[dict]):
+        """basis, a and n are matrix_size x matrix_size matrices, each given
+        by its nonzero entries {(row, column): value}; a and n lie in the
+        span of basis and are converted to coordinates and spanned."""
         self.name = name
+        self.matrix_size = matrix_size
         self.basis = tuple(basis)
         self.dim = len(self.basis)
-        self.matrix_size = self.basis[0].nrows
 
         self._struct = self._structure_constants()
         self.theta = self._theta_matrix()
@@ -91,26 +97,26 @@ class LieModel:
 
     @cached_property
     def _solver(self) -> SpanSolver:
-        """Coordinates in the basis matrices, built on first use."""
-        return SpanSolver([b.flatten() for b in self.basis], self.matrix_size ** 2)
+        """Coordinates in the basis matrices, flattened, built on first use."""
+        n = self.matrix_size
+        return SpanSolver([{p * n + q: x for (p, q), x in b.items()} for b in self.basis],
+                          n * n)
 
-    def coords(self, mat: Matrix) -> tuple:
-        """Coordinates of a matrix in the model basis; raises if outside."""
-        return self._solver.coords(mat.flatten())
-
-    @cached_property
-    def matrix_entries(self) -> tuple:
-        """Per basis matrix, its nonzero entries {(row, column): value}."""
-        return tuple({(p, q): x for p, row in enumerate(b.rows) for q, x in enumerate(row) if x}
-                     for b in self.basis)
+    def coords(self, entries: dict) -> tuple:
+        """Coordinates of a matrix, given by its nonzero entries {(row,
+        column): value}, in the model basis; raises if outside."""
+        n = self.matrix_size
+        return self._solver.coords({p * n + q: x for (p, q), x in entries.items()})
 
     def _structure_constants(self):
         """{i: {j: ((k, c), ...)}} with [e_i, e_j] = sum c * e_k, over the
-        nonzero brackets only, from the nonzero entries of the basis
-        matrices."""
+        nonzero brackets only, from the entries of the basis matrices
+        grouped by row."""
         n = self.matrix_size
-        rows_of = [{r: tuple((c, x) for c, x in enumerate(row) if x)
-                    for r, row in enumerate(b.rows) if any(row)} for b in self.basis]
+        rows_of = [{} for _ in self.basis]
+        for rows, b in zip(rows_of, self.basis):
+            for (r, c), x in b.items():
+                rows.setdefault(r, []).append((c, x))
         table = {}
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -130,8 +136,13 @@ class LieModel:
         return table
 
     def _theta_matrix(self) -> Matrix:
-        cols = [self.coords(-b.transpose()) for b in self.basis]
-        return Matrix(tuple(zip(*cols)))
+        """Column j is the coordinates of -b_j^T."""
+        rows = [{} for _ in range(self.dim)]
+        for j, b in enumerate(self.basis):
+            for i, x in enumerate(self.coords(_minus_transpose(b))):
+                if x:
+                    rows[i][j] = x
+        return Matrix(tuple(rows))
 
     def _ad_sparse(self, i: int):
         """ad(e_i) as {(k, j): c} with [e_i, e_j] = sum_k c * e_k."""
@@ -146,28 +157,28 @@ class LieModel:
         for i in range(self.dim):
             for kl, c in self._ad_sparse(i).items():
                 by_index.setdefault(kl, []).append((i, c))
-        rows = [[0] * self.dim for _ in range(self.dim)]
+        rows = [{} for _ in range(self.dim)]
         for (k, l), left in by_index.items():
             right = by_index.get((l, k))
             if right:
                 for i, c in left:
                     row = rows[i]
                     for j, d in right:
-                        row[j] += c * d
-        return Matrix(tuple(map(tuple, rows)))
+                        row[j] = row.get(j, 0) + c * d
+        return Matrix(tuple({j: x for j, x in row.items() if x} for row in rows))
 
     def _inner_gram(self) -> Matrix:
         """<X, Y> = -B(X, theta Y), the product -K theta summed over the
         nonzero entries of K and theta only: on a weight basis theta is a
         signed permutation."""
-        theta_rows = self.theta.row_entries
+        theta_rows = self.theta.rows
         rows = []
-        for entries in self.killing.row_entries:
-            row = [0] * self.dim
-            for k, x in entries:
-                for j, y in theta_rows[k]:
-                    row[j] -= x * y
-            rows.append(tuple(row))
+        for killing_row in self.killing.rows:
+            row = {}
+            for k, x in killing_row.items():
+                for j, y in theta_rows[k].items():
+                    row[j] = row.get(j, 0) - x * y
+            rows.append({j: x for j, x in row.items() if x})
         return Matrix(tuple(rows))
 
     # -- algebra operations --------------------------------------------------
@@ -257,24 +268,20 @@ class LieModel:
         return solve_inclusion_constraint(domain, images, target)
 
 
-def _block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
-    """The block-diagonal matrix with the given square blocks."""
-    size = sum(b.nrows for b in blocks)
-    rows, off = [], 0
-    for b in blocks:
-        left, right = (0,) * off, (0,) * (size - off - b.nrows)
-        rows.extend(left + tuple(r) + right for r in b.rows)
-        off += b.nrows
-    return Matrix(tuple(rows))
+def _minus_transpose(entries: dict) -> dict:
+    """The entries of -b^T for a matrix b given by its entries."""
+    return {(q, p): -x for (p, q), x in entries.items()}
+
+
+def _shifted_rows(blocks: Sequence[Matrix], offsets: Sequence[int]) -> Matrix:
+    """The block-diagonal matrix of square blocks: each block's rows in
+    turn, their columns shifted by the block's offset."""
+    return Matrix(tuple({j + off: x for j, x in row.items()}
+                        for block, off in zip(blocks, offsets) for row in block.rows))
 
 
 # ---------------------------------------------------------------------------
 # concrete families
-
-
-def _matrix(m: int, entries: dict) -> Matrix:
-    """The m x m matrix with the given {(row, column): value} entries."""
-    return Matrix(tuple(tuple(entries.get((p, q), 0) for q in range(m)) for p in range(m)))
 
 
 def build_sl(n_plus_1: int) -> LieModel:
@@ -284,11 +291,11 @@ def build_sl(n_plus_1: int) -> LieModel:
     if n_plus_1 < 2:
         raise ValueError("sl model needs size >= 2")
     m = n_plus_1
-    basis = [_matrix(m, {(i, i): 1, (i + 1, i + 1): -1}) for i in range(m - 1)]  # H_i
+    basis = [{(i, i): 1, (i + 1, i + 1): -1} for i in range(m - 1)]  # H_i
     uppers = [(i, j) for i in range(m) for j in range(m) if i < j]
     lowers = [(i, j) for i in range(m) for j in range(m) if i > j]
-    basis += [_matrix(m, {ij: 1}) for ij in uppers + lowers]
-    return LieModel(f"sl({m})", basis, basis[:m - 1], basis[m - 1:m - 1 + len(uppers)])
+    basis += [{ij: 1} for ij in uppers + lowers]
+    return LieModel(f"sl({m})", m, basis, basis[:m - 1], basis[m - 1:m - 1 + len(uppers)])
 
 
 def build_so1n(n: int) -> LieModel:
@@ -306,13 +313,13 @@ def build_so1n(n: int) -> LieModel:
     m = n + 1
 
     def root_vector(i, sign):
-        return _matrix(m, {(0, i): 1, (i, 0): 1, (1, i): sign, (i, 1): -sign})
+        return {(0, i): 1, (i, 0): 1, (1, i): sign, (i, 1): -sign}
 
-    basis = [_matrix(m, {(0, 1): 1, (1, 0): 1})]
-    basis += [_matrix(m, {(i, j): 1, (j, i): -1}) for i in range(2, m) for j in range(i + 1, m)]
+    basis = [{(0, 1): 1, (1, 0): 1}]
+    basis += [{(i, j): 1, (j, i): -1} for i in range(2, m) for j in range(i + 1, m)]
     n_basis = [root_vector(i, 1) for i in range(2, m)]
     basis += n_basis + [root_vector(i, -1) for i in range(2, m)]
-    return LieModel(f"so(1,{n})", basis, basis[:1], n_basis)
+    return LieModel(f"so(1,{n})", m, basis, basis[:1], n_basis)
 
 
 def build_su1n(n: int) -> LieModel:
@@ -331,13 +338,13 @@ def build_su1n(n: int) -> LieModel:
         raise ValueError("su(1,n) model needs n >= 2")
     m = n + 1
 
-    def realify(real: dict, imag: dict) -> Matrix:
+    def realify(real: dict, imag: dict) -> dict:
         """a + ib -> [[a, -b], [b, a]] for complex m x m entries a + ib."""
         big = dict(real)
         big.update({(p + m, q + m): x for (p, q), x in real.items()})
         big.update({(p, q + m): -x for (p, q), x in imag.items()})
         big.update({(p + m, q): x for (p, q), x in imag.items()})
-        return _matrix(2 * m, big)
+        return big
 
     h = realify({(0, 1): 1, (1, 0): 1}, {})
     k0 = [realify({}, {(0, 0): 1, (1, 1): 1, (2, 2): -2})]
@@ -349,22 +356,23 @@ def build_su1n(n: int) -> LieModel:
     for i in range(2, m):
         n_basis.append(realify({(0, i): 1, (i, 0): 1, (1, i): 1, (i, 1): -1}, {}))
         n_basis.append(realify({}, {(0, i): 1, (i, 0): -1, (1, i): 1, (i, 1): 1}))
-    basis = [h] + k0 + n_basis + [-x.transpose() for x in n_basis]
-    return LieModel(f"su(1,{n})", basis, [h], n_basis)
+    basis = [h] + k0 + n_basis + [_minus_transpose(x) for x in n_basis]
+    return LieModel(f"su(1,{n})", 2 * m, basis, [h], n_basis)
 
 
 class ProductModel(LieModel):
     """Block-diagonal direct sum of factor models, assembled from the factors.
 
-    The basis is the factors' bases placed on the diagonal blocks;
-    coordinates run factor by factor from ``block_offsets``.  The structure
-    constants, theta and the Killing form are the factors' own, shifted by
-    the block offsets, and a, n are the factors' side by side: cross-factor
-    brackets and Killing entries are zero.  Each factor has already checked
-    that its brackets close and that its own k + a + n is direct.  The
-    product, like any model, checks that theta^2 = I, takes k and p from
-    theta, and checks that k + a + n is direct.  Its root data is assembled
-    from the factors' root data in the same way, by ``decompose``.
+    The basis is the factors' basis entries shifted into the diagonal
+    blocks; coordinates run factor by factor from ``block_offsets``.  The
+    structure constants and the rows of theta and the Killing form are the
+    factors' own, shifted by the block offsets, and a, n are the factors'
+    side by side: cross-factor brackets and Killing entries are zero.  Each
+    factor has already checked that its brackets close and that its own k +
+    a + n is direct.  The product, like any model, checks that theta^2 = I,
+    takes k and p from theta, and checks that k + a + n is direct.  Its root
+    data is assembled from the factors' root data in the same way, by
+    ``decompose``.
 
     ``embed`` is the one way factor subspaces enter the product: a and n
     here, root spaces, zero space and k0 in ``roots._product_datum``, and
@@ -377,21 +385,21 @@ class ProductModel(LieModel):
         self.factors = tuple(factors)
         sizes = [f.matrix_size for f in factors]
         dims = [f.dim for f in factors]
-        self.block_offsets = tuple(sum(dims[:i]) for i in range(len(factors)))
+        self.block_offsets = offsets = tuple(sum(dims[:i]) for i in range(len(factors)))
         self.name = "*".join(f.name for f in factors)
         self.matrix_size = sum(sizes)
         self.dim = sum(dims)
 
-        zeros = [Matrix.zeros(s, s) for s in sizes]
-        self.basis = tuple(_block_diagonal(zeros[:idx] + [b] + zeros[idx + 1:])
-                           for idx, f in enumerate(factors) for b in f.basis)
+        starts = [sum(sizes[:i]) for i in range(len(factors))]
+        self.basis = tuple({(p + start, q + start): x for (p, q), x in b.items()}
+                           for f, start in zip(factors, starts) for b in f.basis)
         self._struct = {
             i + off: {j + off: tuple((k + off, c) for k, c in entry) for j, entry in ad_i.items()}
-            for f, off in zip(factors, self.block_offsets)
+            for f, off in zip(factors, offsets)
             for i, ad_i in f._struct.items()
         }
-        self.theta = _block_diagonal([f.theta for f in factors])
-        self.killing = _block_diagonal([f.killing for f in factors])
+        self.theta = _shifted_rows([f.theta for f in factors], offsets)
+        self.killing = _shifted_rows([f.killing for f in factors], offsets)
         self._set_iwasawa(self.embed(dict(enumerate(f.a_space for f in factors))),
                           self.embed(dict(enumerate(f.n_space for f in factors))))
 

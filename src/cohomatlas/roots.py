@@ -320,8 +320,8 @@ def _check_inner_pairing(model: LieModel, weights: list) -> None:
     then orthogonal, so p = a_phi + b + p(n_phi) is an orthogonal sum for
     every phi, the decomposition ``verify`` reads a canonical extension's
     slice from."""
-    for i, entries in enumerate(model.inner.row_entries):
-        if any(weights[j] != weights[i] for j, _ in entries):
+    for i, row in enumerate(model.inner.rows):
+        if any(weights[j] != weights[i] for j in row):
             raise ValueError("the inner product pairs basis vectors of different weights")
 
 

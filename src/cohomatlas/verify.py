@@ -41,7 +41,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 from .linalg import (
-    Matrix,
     Subspace,
     _integer_row,
     combination,
@@ -482,15 +481,16 @@ def _basis_scales(v: Subspace) -> list:
     return [v._scale // row[c] for row, c in zip(v.rows, v.pivots)]
 
 
-def _gram(model: LieModel, v: Subspace) -> Matrix:
+def _gram(model: LieModel, v: Subspace) -> tuple:
     """L^2 times the Gram matrix of ``v.basis`` for the inner product, with L
-    as in ``_basis_scales``: an integer matrix for the shipped models."""
+    as in ``_basis_scales``, as its rows: an integer matrix for the shipped
+    models."""
     scales = _basis_scales(v)
     images = [model.inner.apply_sparse(row) for row in v.rows]
-    return Matrix(tuple(
+    return tuple(
         tuple(f * g * sum(x * im.get(j, 0) for j, x in row.items())
               for im, g in zip(images, scales))
-        for row, f in zip(v.rows, scales)))
+        for row, f in zip(v.rows, scales))
 
 
 def check_nc2(model: LieModel, v: Subspace, ops: list, seed: int, samples: int):
@@ -522,23 +522,23 @@ def check_nc2(model: LieModel, v: Subspace, ops: list, seed: int, samples: int):
         raise ValueError("NC2 needs at least one sample")
     if not ops:
         return "no", "failed-witness"
-    ops = [Matrix(op) for op in ops]
     m = v.dim
     # the restricted operators are skew for the inner product on v: R^T G + G R
     # = 0, and with G symmetric that is M + M^T = 0 for M = G R
     gram = _gram(model, v)
     for op in ops:
-        gr = (gram @ op).rows
+        gr = [[sum(g * op[k][j] for k, g in enumerate(row)) for j in range(m)] for row in gram]
         if any(gr[i][j] + gr[j][i] for i in range(m) for j in range(i, m)):
             raise ValueError("normalizer restriction is not skew on v")
-    op_span = Subspace.span(m * m, [op.flatten() for op in ops])
+    op_span = Subspace.span(m * m, [[x for row in op for x in row] for op in ops])
     if op_span.dim == m * (m - 1) // 2:
         return "yes", "contains-so"
     sampler = RationalSampler(seed)
     for _ in range(samples):
         # work in restricted coordinates throughout
         uc = sampler.nonzero_coefficients(m)
-        tangent = Subspace.span(m, [uc] + [op.apply(uc) for op in ops])
+        tangent = Subspace.span(m, [uc] + [[sum(x * u for x, u in zip(row, uc)) for row in op]
+                                           for op in ops])
         if tangent.dim < m:
             return "no", "failed-witness"
     return "yes", "sampled-tangent"

@@ -10,10 +10,11 @@ import itertools
 
 from cohomatlas.actions import nc_summands
 from cohomatlas.catalog import ORACLE_PROBES
-from cohomatlas.linalg import Matrix, Subspace, subspace_sum
+from cohomatlas.linalg import Subspace, subspace_sum
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.verify import RationalSampler, check_nc2
 
+from dense_reference import to_matrix, transpose
 from levi_reference import restriction_matrices
 from span_reference import generator_span
 
@@ -29,14 +30,9 @@ def permutation_maps(model, j: int) -> list:
             perm = list(pa) + list(pb)
             if perm == list(range(size)):
                 continue
-            cols = []
-            for entries in model.matrix_entries:
-                rows = [[0] * size for _ in range(size)]
-                for (r, c), x in entries.items():
-                    rows[perm[r]][perm[c]] = x
-                cols.append(model.coords(Matrix(tuple(tuple(x) for x in rows))))
-            maps.append(Matrix(tuple(tuple(cols[jj][ii] for jj in range(model.dim))
-                                     for ii in range(model.dim))))
+            cols = [model.coords({(perm[r], perm[c]): x for (r, c), x in entries.items()})
+                    for entries in model.basis]
+            maps.append(to_matrix(transpose(cols)))
     return maps
 
 

@@ -8,8 +8,8 @@ from cohomatlas import actions as actions_module
 from cohomatlas import linalg
 from cohomatlas import verify as verify_module
 from cohomatlas.catalog import _symplectic_kernel, ce_families, enumerate_sl
-from cohomatlas.linalg import (Matrix, Subspace, rat, solve_inclusion_constraint,
-                               subspace_intersect, subspace_sum)
+from cohomatlas.linalg import (Subspace, solve_inclusion_constraint, subspace_intersect,
+                               subspace_sum)
 from cohomatlas.models import build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.actions import (
     ActionSpec,
@@ -28,13 +28,9 @@ from cohomatlas.actions import (
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.roots import decompose
 from cohomatlas.verify import verify
+from dense_reference import flatten, mat, matrix_of, msum, product, to_entries, transpose
 from nested_reference import nested_pieces
 from span_reference import generator_span, theta_image
-
-
-def mat(rows) -> Matrix:
-    """An exact rational matrix with the given rows."""
-    return Matrix(tuple(tuple(rat(x) for x in r) for r in rows))
 
 
 def setup_module(module):
@@ -414,38 +410,26 @@ class TestBuiltinCatalog:
         assert dims["so(1,2)"] == 3
 
 
-def matrix_sum(x: Matrix, y: Matrix) -> Matrix:
-    """The entrywise sum of two matrices of one shape."""
-    return Matrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(x.rows, y.rows)))
-
-
 def dense_matrix_kernel(model, inside, condition):
     """The reference matrix kernel: each row's matrix built dense from the
-    basis matrices, and a tuple-valued condition on that Matrix."""
-    n = model.matrix_size
-    values = []
-    for x in inside.basis:
-        mat = Matrix.zeros(n, n)
-        for c, b in zip(x, model.basis):
-            if c:
-                mat = matrix_sum(mat, Matrix(tuple(tuple(c * y for y in row) for row in b.rows)))
-        values.append([condition(mat)])
+    basis matrices, and a tuple-valued condition on that dense matrix."""
+    values = [[condition(matrix_of(model, x))] for x in inside.basis]
     return solve_inclusion_constraint(inside.basis, values, Subspace.zero(len(values[0][0])))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_symplectic_kernel_equals_the_dense_matrix_product(n):
-    # X^T J + J X by dense Matrix products is the reference
+    # X^T J + J X by dense matrix products is the reference
     datum = decompose(build_sl(n))
     g = datum.model
     for j in range(datum.rank - 2):
         s_phi = build_parabolic(datum, (j, j + 1, j + 2)).s
-        jm = Matrix(tuple(tuple(1 if (p, q) in ((j, j + 2), (j + 1, j + 3)) else
-                                -1 if (q, p) in ((j, j + 2), (j + 1, j + 3)) else 0
-                                for q in range(n)) for p in range(n)))
+        jm = tuple(tuple(1 if (p, q) in ((j, j + 2), (j + 1, j + 3)) else
+                         -1 if (q, p) in ((j, j + 2), (j + 1, j + 3)) else 0
+                         for q in range(n)) for p in range(n))
         sp2 = _symplectic_kernel(g, s_phi, j)
         assert sp2 == dense_matrix_kernel(
-            g, s_phi, lambda mat: matrix_sum(mat.transpose() @ jm, jm @ mat).flatten())
+            g, s_phi, lambda x: flatten(msum(product(transpose(x), jm), product(jm, x))))
         assert sp2.dim == 10
 
 
@@ -466,7 +450,7 @@ def test_entries_zero_subspaces_equal_the_dense_matrix_reference(monkeypatch, bu
     assert calls
     for model, positions, sub in calls:
         assert sub == dense_matrix_kernel(model, Subspace.full(model.dim),
-                                          lambda mat: tuple(mat.rows[p][q] for p, q in positions))
+                                          lambda x: tuple(x[p][q] for p, q in positions))
 
 
 def test_a_factor_diagonal_spans_only_its_graph_at_product_size(monkeypatch):
@@ -500,8 +484,8 @@ def test_catalog_entry_phi_is_one_based():
 
 def test_non_closed_algebra_fails_the_closure_note():
     # E12 and E23 span no subalgebra: [E12, E23] = E13 lies outside
-    e12 = SL3.coords(mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
-    e23 = SL3.coords(mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]]))
+    e12 = SL3.coords(to_entries(mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])))
+    e23 = SL3.coords(to_entries(mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])))
     spec = ActionSpec("FH", SL3, None, Subspace.span(SL3.dim, [e12, e23]))
     report = verify(spec, SL3_DATUM)
     (note,) = [n for n in report.to_json()["notes"] if n["name"] == "bracket-closure"]
@@ -514,7 +498,7 @@ def test_the_closure_witness_is_the_first_pair_whose_bracket_leaves():
     # h = diag(1, -1, 0), E12 and E23: h normalizes both, and [E12, E23] = E13
     # leaves the span, so the first pair of rows whose bracket leaves is not
     # the first pair of rows
-    gens = [SL3.coords(mat(rows)) for rows in ([[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+    gens = [SL3.coords(to_entries(mat(rows))) for rows in ([[1, 0, 0], [0, -1, 0], [0, 0, 0]],
                                                [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
                                                [[0, 0, 0], [0, 0, 1], [0, 0, 0]])]
     algebra = Subspace.span(SL3.dim, gens)

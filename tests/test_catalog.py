@@ -1,9 +1,11 @@
 """Tests for the classification tables and the helpers they share."""
 
+import itertools
 import json
 import sys
 from collections import Counter
 from functools import cached_property
+from math import comb
 
 import pytest
 
@@ -22,6 +24,7 @@ from cohomatlas.actions import (ActionSpec, builtin_cei_catalog, canonical_exten
 from cohomatlas.roots import decompose
 from cohomatlas.verify import RationalSampler, levi_normalizer, orbit_tangent_at_o, verify
 
+from census import expected_cer_rows
 from oracle_reference import reference_block_rotation_certificate, reference_sweep
 
 
@@ -441,6 +444,71 @@ def test_the_seed_8_probe_is_the_tensor_pattern_span_e1_e2_times_1_minus_1():
     g = tm.generators
     assert ref["space"] == Subspace.span(len(g[1, 1]), [
         [x - y for x, y in zip(g[i, 1], g[i, 2])] for i in (1, 2)])
+
+
+@pytest.mark.parametrize("space, rows", [
+    ("sl(3)*sl(3)", 4), ("sl(3)*rh(2)", 2), ("sl(3)*rh(3)", 0), ("rh(3)*rh(3)", 1),
+    ("rh(2)*sl(2)", 1), ("ch(2)*ch(2)", 1), ("ch(2)*rh(3)", 0), ("sl(3)*rh(2)*rh(2)", 5)])
+def test_cer_rows_are_the_cross_factor_pairs_of_same_type_rank_one_pieces(space, rows):
+    # the product reduction: each simple root of sl(k) and rh(2) gives an RH^2
+    # piece, rh(n) an RH^n and ch(n) a CH^n piece, and each pair of pieces
+    # of one type in different factors gives one CER row
+    assert expected_cer_rows(space) == rows
+    run_result = run(parse_space(space), RunConfig(su1n=True))
+    assert run_result.exit_code == 0
+    assert sum(e.label == "CER" for e in run_result.result.entries) == rows
+
+
+def structured_planes(tm) -> list:
+    """(name, plane) for the conformal plane {[[x, -y], [y, x]]} and the
+    traceless symmetric plane {[[x, y], [y, -x]]} in every 2 x 2 square of
+    the top piece, rows r < s and columns c < d, in its coordinates."""
+    index = {cell: t for t, cell in enumerate(tm.cells)}
+    planes = []
+    for r, s in itertools.combinations(range(tm.nrows), 2):
+        for c, d in itertools.combinations(range(tm.ncols), 2):
+            x = {index[r, c]: 1, index[s, d]: 1}
+            y = {index[r, d]: -1, index[s, c]: 1}
+            planes.append(("conformal", Subspace.span(len(index), [x, y])))
+            x = {index[r, c]: 1, index[s, d]: -1}
+            y = {index[r, d]: 1, index[s, c]: 1}
+            planes.append(("symmetric", Subspace.span(len(index), [x, y])))
+    return planes
+
+
+@pytest.mark.parametrize("m, j", [(4, 2), (5, 2), (5, 3)])
+def test_one_oracle_evaluation_decides_the_structured_planes(m, j):
+    # the diagonal SO(2) of a 2 x 2 square preserves both planes and rotates
+    # each of them, so NC2 passes with the rotation algebra; their
+    # normalizers are too small for NC1.  No plane is a tensor pattern.  A
+    # candidate that passes both conditions must match a known tangent
+    result = enumerate_sl(m - 1, seed=7)
+    datum = result.datum
+    tangents = known_extension_tangents(result)
+    tm = tensor_model(datum, j - 1)
+    pd = build_parabolic(datum, [i for i in range(datum.rank) if i != j - 1])
+
+    def evaluate(v):
+        return catalog.evaluate_nc_candidate(result.model, pd, tm.place(v), tangents,
+                                             result.seed, result.samples)
+
+    planes = structured_planes(tm)
+    assert len(planes) == 2 * comb(tm.nrows, 2) * comb(tm.ncols, 2)
+    for name, v in planes:
+        assert catalog._tensor_shape(tm, v) is None
+        out = evaluate(v)
+        assert (out["nc1"], out["nc2"], out["nc2_certificate"], out["passes"]) == (
+            "no", "yes", "contains-so", False), name
+    # the sweep evaluates the first coordinate subset of each tensor shape
+    firsts = {}
+    keys = sorted(tm.generators)
+    for size in range(2, len(keys) + 1):
+        for subset in itertools.combinations(keys, size):
+            v = tm.coordinates(subset)
+            firsts.setdefault(catalog._tensor_shape(tm, v), v)
+    firsts.pop(None, None)
+    passing = [out for out in map(evaluate, firsts.values()) if out["passes"]]
+    assert passing and all(out["matches_known_tangent"] for out in passing)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cohomatlas import linalg as linalg_module
 from cohomatlas.linalg import (
-    Matrix,
     SpanSolver,
     Subspace,
     disjoint_sum,
@@ -24,6 +23,8 @@ from cohomatlas.linalg import (
     subspace_sum,
     vdot,
 )
+
+from dense_reference import identity, mat, msum, product, to_matrix, transpose
 
 
 # dense vector helpers the package no longer needs, kept for the tests
@@ -57,22 +58,6 @@ def vec(entries) -> tuple:
     return tuple(rat(x) for x in entries)
 
 
-def mat(rows) -> Matrix:
-    """An exact rational matrix with the given rows."""
-    return Matrix(tuple(vec(r) for r in rows))
-
-
-def identity(n: int, c=1) -> Matrix:
-    """c times the n x n identity."""
-    return mat([[c if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def msum(*terms: Matrix) -> Matrix:
-    """The entrywise sum of matrices of one shape."""
-    return Matrix(tuple(tuple(sum(xs) for xs in zip(*rows))
-                        for rows in zip(*(t.rows for t in terms))))
-
-
 def S(ambient, *vectors):
     return Subspace.span(ambient, [vec(v) for v in vectors])
 
@@ -100,22 +85,22 @@ def int_iff_integral(x) -> bool:
 class TestRref:
     def test_identity_fixed_point(self):
         m = identity(3)
-        assert rref_rows(m.rows, 3) == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2])
-        assert divided(rref_rows(m.rows, 3), 3) == (list(m.rows), [0, 1, 2])
+        assert rref_rows(m, 3) == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2])
+        assert divided(rref_rows(m, 3), 3) == (list(m), [0, 1, 2])
 
     def test_zero_fixed_point(self):
-        m = Matrix.zeros(2, 4)
-        assert rref_rows(m.rows, 4) == ([], [])
+        m = [(0,) * 4] * 2
+        assert rref_rows(m, 4) == ([], [])
 
     def test_rank_one_two_by_two(self):
         # hand Gaussian elimination: r2 -= r1/2, normalize r1
         m = mat([[2, 4], [1, 2]])
-        assert rref_rows(m.rows, 2) == ([{0: 1, 1: 2}], [0])
-        assert divided(rref_rows(m.rows, 2), 2) == ([(1, 2)], [0])
+        assert rref_rows(m, 2) == ([{0: 1, 1: 2}], [0])
+        assert divided(rref_rows(m, 2), 2) == ([(1, 2)], [0])
 
     def test_rank_counts_nonzero_rows(self):
         m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        _, pivots = rref_rows(m.rows, 3)
+        _, pivots = rref_rows(m, 3)
         assert len(pivots) == 2
 
     def test_idempotent(self):
@@ -186,36 +171,36 @@ class TestOrthocomplement:
     def test_axis_complement(self):
         w = Subspace.full(2)
         v = S(2, [1, 0])
-        assert orthocomplement_in(v, w, identity(2)) == S(2, [0, 1])
+        assert orthocomplement_in(v, w, to_matrix(identity(2))) == S(2, [0, 1])
 
     def test_self_complement_is_zero(self):
         w = S(3, [1, 0, 0], [0, 1, 1])
-        assert orthocomplement_in(w, w, identity(3)) == Subspace.zero(3)
+        assert orthocomplement_in(w, w, to_matrix(identity(3))) == Subspace.zero(3)
 
     def test_gram_schmidt_step(self):
         # w = span{e1, e1+e2}; removing e1 orthogonally leaves span{e2}
         w = S(2, [1, 0], [1, 1])
         v = S(2, [1, 0])
-        assert orthocomplement_in(v, w, identity(2)) == S(2, [0, 1])
+        assert orthocomplement_in(v, w, to_matrix(identity(2))) == S(2, [0, 1])
 
     def test_not_contained_rejected(self):
         with pytest.raises(ValueError):
-            orthocomplement_in(S(2, [0, 1]), S(2, [1, 0]), identity(2))
+            orthocomplement_in(S(2, [0, 1]), S(2, [1, 0]), to_matrix(identity(2)))
 
     def test_degenerate_form_rejected(self):
-        form = mat([[1, 0], [0, 0]])
+        form = to_matrix(mat([[1, 0], [0, 0]]))
         with pytest.raises(ValueError):
             orthocomplement_in(S(2, [1, 0]), Subspace.full(2), form)
 
     def test_indefinite_form_rejected(self):
         # nondegenerate on Q^2, but not positive definite
-        form = mat([[1, 0], [0, -1]])
+        form = to_matrix(mat([[1, 0], [0, -1]]))
         with pytest.raises(ValueError, match="not positive definite"):
             orthocomplement_in(S(2, [1, 0]), Subspace.full(2), form)
 
     def test_involution(self):
         rng = random.Random(55)
-        form = identity(4)
+        form = to_matrix(identity(4))
         for _ in range(25):
             w = S(4, *[[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)])
             if w.dim == 0:
@@ -375,7 +360,7 @@ def test_orthocomplement_dimension_and_orthogonality(case, data):
     # a positive definite form A^T A + I with a small integer A
     a = mat(data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
                                min_size=n, max_size=n)))
-    form = msum(a.transpose() @ a, identity(n))
+    form = to_matrix(msum(product(transpose(a), a), identity(n)))
     c = orthocomplement_in(v, w, form)
     assert c.dim == w.dim - v.dim
     assert w.contains(c)
@@ -398,34 +383,35 @@ def symmetric_forms(draw):
     a = mat(draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
                           min_size=n, max_size=n)))
     kind = draw(st.sampled_from(["gram+I", "gram", "sum", "gram-cI"]))
+    gram = product(transpose(a), a)
     if kind == "gram+I":
-        return msum(a.transpose() @ a, identity(n))
+        return msum(gram, identity(n))
     if kind == "gram":
-        return a.transpose() @ a
+        return gram
     if kind == "sum":
-        return msum(a, a.transpose())
-    return msum(a.transpose() @ a, identity(n, -draw(st.integers(1, 4))))
+        return msum(a, transpose(a))
+    return msum(gram, identity(n, -draw(st.integers(1, 4))))
 
 
 @PROPERTY
 @given(symmetric_forms())
 def test_positive_definite_agrees_with_sylvesters_criterion(form):
-    rows = [list(r) for r in form.rows]
-    minors = [determinant([r[:k] for r in rows[:k]]) for k in range(1, form.nrows + 1)]
-    assert form.is_positive_definite == all(m > 0 for m in minors)
+    rows = [list(r) for r in form]
+    minors = [determinant([r[:k] for r in rows[:k]]) for k in range(1, len(form) + 1)]
+    assert to_matrix(form).is_positive_definite == all(m > 0 for m in minors)
 
 
 def test_positive_definite_needs_a_symmetric_matrix():
     # the symmetric part diag(1, 1) + (1/2)(E_12 + E_21) is positive definite
-    assert not mat([[1, 1], [0, 1]]).is_positive_definite
-    assert mat([[2, 1], [1, 1]]).is_positive_definite
+    assert not to_matrix(mat([[1, 1], [0, 1]])).is_positive_definite
+    assert to_matrix(mat([[2, 1], [1, 1]])).is_positive_definite
 
 
 def test_positive_definite_divides_exactly_on_int_entries():
     # the second pivot is (N - 1) - (N - 1)^2 / N = (N - 1) / N > 0; a float
     # quotient rounds (N - 1)^2 / N to N - 1 and the pivot to 0
     n = 10 ** 17
-    assert Matrix(((n, n - 1), (n - 1, n - 1))).is_positive_definite
+    assert to_matrix(((n, n - 1), (n - 1, n - 1))).is_positive_definite
 
 
 # ---------------------------------------------------------------------------
@@ -534,19 +520,21 @@ def test_rref_with_transform_matches_the_rational_loop(case):
 
 @PROPERTY
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.lists(RATIONAL, min_size=n, max_size=n), min_size=1, max_size=5),
+    st.just(n), st.lists(st.lists(RATIONAL, min_size=n, max_size=n), min_size=n, max_size=n),
     rational_vectors(n, min_size=1, max_size=1))))
 def test_matrix_apply_matches_dense_products(case):
+    # a Matrix is square, held by its sparse rows
     n, rows, (v,) = case
     rows[0] = [Fraction(0)] * n  # a zero row
-    m = Matrix(tuple(map(tuple, rows)))
+    m = to_matrix(rows)
     dense = tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows)
     assert m.apply(v) == dense
     assert all(type(x) in (int, Fraction) for x in m.apply(v))
     # an integer matrix keeps an integer vector integer
-    ints = Matrix(tuple(tuple(x.numerator for x in r) for r in rows))
+    int_rows = [[x.numerator for x in r] for r in rows]
+    ints = to_matrix(int_rows)
     iv = tuple(x.numerator for x in v)
-    assert ints.apply(iv) == tuple(sum(a * b for a, b in zip(r, iv)) for r in ints.rows)
+    assert ints.apply(iv) == tuple(sum(a * b for a, b in zip(r, iv)) for r in int_rows)
     assert all(type(x) is int for x in ints.apply(iv))
 
 

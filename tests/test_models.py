@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohomatlas import linalg
-from cohomatlas.linalg import Matrix, Subspace, rat, vdot
+from cohomatlas.linalg import Subspace, rat, vdot
 from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
 
+from dense_reference import (commutator, from_entries, from_matrix, identity, mat, matrix_of,
+                             msum, product, scaled, to_entries, transpose)
 from span_reference import theta_image
 
 
@@ -23,26 +25,10 @@ def unit_vec(n: int, i: int) -> tuple:
     return tuple(int(j == i) for j in range(n))
 
 
-def mat(rows) -> Matrix:
-    """An exact rational matrix with the given rows."""
-    return Matrix(tuple(tuple(rat(x) for x in r) for r in rows))
-
-
-def identity(n: int, c=1) -> Matrix:
-    """c times the n x n identity."""
-    return mat([[c if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def msum(*terms: Matrix) -> Matrix:
-    """The entrywise sum of matrices of one shape."""
-    return Matrix(tuple(tuple(sum(xs) for xs in zip(*rows))
-                        for rows in zip(*(t.rows for t in terms))))
-
-
-def leading_minors_positive(g: Matrix) -> bool:
+def leading_minors_positive(g: tuple) -> bool:
     """Exact positive-definiteness test: all pivots of symmetric elimination > 0."""
-    n = g.nrows
-    work = [list(r) for r in g.rows]
+    n = len(g)
+    work = [[rat(x) for x in r] for r in g]
     for k in range(n):
         piv = work[k][k]
         if piv <= 0:
@@ -60,29 +46,17 @@ def killing(g, x, y):
     return vdot(x, g.killing.apply(y))
 
 
-def matrix_of(g, x) -> Matrix:
-    """The matrix of a dense vector x, summed over the sparse entries of the
-    basis matrices (``LieModel.matrix_entries``)."""
-    n = g.matrix_size
-    rows = [[0] * n for _ in range(n)]
-    for c, entries in zip(x, g.matrix_entries):
-        for (p, q), y in entries.items():
-            rows[p][q] += c * y
-    return Matrix(tuple(map(tuple, rows)))
-
-
-def dense_killing_gram(g) -> Matrix:
+def dense_killing_gram(g) -> tuple:
     """The Killing Gram by the loop over all dim^2 pairs of ad matrices, as
     the reference for the sparse one: B(e_i, e_j) = tr(ad e_i ad e_j)."""
     ads = [g._ad_sparse(i) for i in range(g.dim)]
-    return Matrix(tuple(tuple(sum(c * ads[j].get((l, k), 0) for (k, l), c in ads[i].items())
-                              for j in range(g.dim)) for i in range(g.dim)))
+    return tuple(tuple(sum(c * ads[j].get((l, k), 0) for (k, l), c in ads[i].items())
+                       for j in range(g.dim)) for i in range(g.dim))
 
 
-def E(n, i, j):
-    rows = [[0] * n for _ in range(n)]
-    rows[i][j] = 1
-    return Matrix(tuple(tuple(r) for r in rows))
+def E(n, i, j) -> tuple:
+    """The dense n x n matrix unit at (i, j)."""
+    return from_entries({(i, j): 1}, n)
 
 
 class TestSl:
@@ -98,7 +72,7 @@ class TestSl:
 
     def test_sl3_nilpotent_part(self):
         g = build_sl(3)
-        gens = [g.coords(E(3, 0, 1)), g.coords(E(3, 0, 2)), g.coords(E(3, 1, 2))]
+        gens = [g.coords(to_entries(E(3, i, j))) for i, j in ((0, 1), (0, 2), (1, 2))]
         assert g.n_space == Subspace.span(g.dim, gens)
         assert g.n_space.dim == 3
 
@@ -108,15 +82,15 @@ class TestSl:
 
     def test_classical_bracket(self):
         g = build_sl(2)
-        h = g.coords(mat([[1, 0], [0, -1]]))
-        e = g.coords(E(2, 0, 1))
+        h = g.coords(to_entries(mat([[1, 0], [0, -1]])))
+        e = g.coords(to_entries(E(2, 0, 1)))
         assert g.bracket(h, e) == tuple(2 * c for c in e)
         assert is_zero_vec(g.bracket(e, e))
 
     def test_killing_sl2(self):
         # trace of (ad H)^2 over (H, E, F): eigenvalues 0, 2, -2 -> 8
         g = build_sl(2)
-        h = g.coords(mat([[1, 0], [0, -1]]))
+        h = g.coords(to_entries(mat([[1, 0], [0, -1]])))
         assert killing(g, h, h) == 8
 
 
@@ -134,10 +108,9 @@ class TestSo1n:
         # two generators X_u = E_{0,i} + E_{i,0} + E_{1,i} - E_{i,1}, i = 2, 3
         h = msum(E(4, 0, 1), E(4, 1, 0))
         for i in (2, 3):
-            xu = msum(E(4, 0, i), E(4, i, 0), E(4, 1, i), -E(4, i, 1))
-            comm = msum(h @ xu, -(xu @ h))
-            assert comm == xu
-            assert g.n_space.contains_vector(g.coords(xu))
+            xu = msum(E(4, 0, i), E(4, i, 0), E(4, 1, i), scaled(-1, E(4, i, 1)))
+            assert commutator(h, xu) == xu
+            assert g.n_space.contains_vector(g.coords(to_entries(xu)))
         assert g.n_space.dim == 2
 
     def test_rejects_small(self):
@@ -158,9 +131,10 @@ class TestSu1n:
         m = g.matrix_size // 2  # J realifies i: a + ib -> [[a, -b], [b, a]]
         j = mat([[-1 if q == p + m else 1 if p == q + m else 0
                   for q in range(2 * m)] for p in range(2 * m)])
-        assert j @ j == identity(j.nrows, -1)
+        assert product(j, j) == identity(len(j), -1)
         for b in g.basis:
-            assert j @ b == b @ j
+            b = from_entries(b, g.matrix_size)
+            assert product(j, b) == product(b, j)
 
     def test_basis_is_eliminated_once(self, monkeypatch):
         # su(1,3): a 15-dimensional basis of 8 x 8 real matrices
@@ -211,14 +185,14 @@ class TestProducts:
             for j, y in enumerate(f.basis):
                 xx = p.embed_vector(0, tuple(int(t == i) for t in range(f.dim)))
                 yy = p.embed_vector(0, tuple(int(t == j) for t in range(f.dim)))
-                assert killing(p, xx, yy) == f.killing.rows[i][j]
+                assert killing(p, xx, yy) == from_matrix(f.killing)[i][j]
 
     def test_coords_inverts_matrix(self):
         p = direct_sum([build_sl(2), build_sl(2)])
         x = tuple(rat(i - 2, 1 + i % 2) for i in range(p.dim))
-        assert p.coords(matrix_of(p, x)) == x
+        assert p.coords(to_entries(matrix_of(p, x))) == x
         with pytest.raises(ValueError):
-            p.coords(E(p.matrix_size, 0, 2))  # outside the diagonal blocks
+            p.coords(to_entries(E(p.matrix_size, 0, 2)))  # outside the diagonal blocks
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -314,7 +288,8 @@ class TestStructuralInvariants:
 
     def test_theta_squares_to_identity(self, model):
         g = model
-        assert g.theta @ g.theta == identity(g.dim)
+        th = from_matrix(g.theta)
+        assert product(th, th) == identity(g.dim)
 
     def test_killing_invariance(self, model):
         g = model
@@ -328,13 +303,14 @@ class TestStructuralInvariants:
 
     def test_killing_theta_invariant(self, model):
         g = model
-        th = g.theta
-        assert th.transpose() @ g.killing @ th == g.killing
+        th, kf = from_matrix(g.theta), from_matrix(g.killing)
+        assert product(product(transpose(th), kf), th) == kf
 
     def test_inner_product_positive_definite(self, model):
         g = model
-        assert g.inner == g.inner.transpose()
-        assert leading_minors_positive(g.inner)
+        inner = from_matrix(g.inner)
+        assert inner == transpose(inner)
+        assert leading_minors_positive(inner)
 
     def test_ad_skew_symmetry_identity(self, model):
         # <ad(X)Y, Z> = -<Y, ad(theta X) Z>
@@ -363,22 +339,24 @@ class TestStructuralInvariants:
     def test_brackets_are_matrix_commutators(self, model):
         g = model
         basis = [unit_vec(g.dim, i) for i in range(g.dim)]
-        for x, bx in zip(basis, g.basis):
-            for y, by in zip(basis, g.basis):
-                assert matrix_of(g, g.bracket(x, y)) == msum(bx @ by, -(by @ bx))
+        dense = [from_entries(b, g.matrix_size) for b in g.basis]
+        for x, bx in zip(basis, dense):
+            for y, by in zip(basis, dense):
+                assert matrix_of(g, g.bracket(x, y)) == commutator(bx, by)
 
     def test_p_and_k_projections_match_the_dense_projectors(self, model):
         g = model
-        ident = identity(g.dim)
-        proj_p = mat([[rat(1, 2) * x for x in r] for r in msum(ident, -g.theta).rows])
-        proj_k = mat([[rat(1, 2) * x for x in r] for r in msum(ident, g.theta).rows])
+        ident, th = identity(g.dim), from_matrix(g.theta)
+        proj_p = scaled(rat(1, 2), msum(ident, scaled(-1, th)))
+        proj_k = scaled(rat(1, 2), msum(ident, th))
         rows = [unit_vec(g.dim, i) for i in range(g.dim)]
         assert g.project_p_subspace(Subspace.span(g.dim, rows)) == g.p_space
         assert g.project_k_subspace(Subspace.span(g.dim, rows)) == g.k_space
         pairs = [tuple(a + b for a, b in zip(rows[i], rows[-1 - i])) for i in range(g.dim // 2)]
         for sub in (pairs, rows[::3]):
-            assert g.project_p_subspace(sub) == Subspace.span(g.dim, [proj_p.apply(x) for x in sub])
-            assert g.project_k_subspace(sub) == Subspace.span(g.dim, [proj_k.apply(x) for x in sub])
+            for proj, project in ((proj_p, g.project_p_subspace), (proj_k, g.project_k_subspace)):
+                images = [tuple(vdot(row, x) for row in proj) for x in sub]
+                assert project(sub) == Subspace.span(g.dim, images)
 
     def test_a_abelian_inside_p(self, model):
         g = model
@@ -395,8 +373,9 @@ class TestStructuralInvariants:
 ], ids=["rh2xrh3", "sl3xsl2", "ch2xrh2"])
 def test_assembled_product_matches_the_generic_construction(factors):
     pm = direct_sum(factors())
-    ref = LieModel(pm.name, pm.basis, [matrix_of(pm, x) for x in pm.a_space.basis],
-                   [matrix_of(pm, x) for x in pm.n_space.basis])
+    ref = LieModel(pm.name, pm.matrix_size, pm.basis,
+                   [to_entries(matrix_of(pm, x)) for x in pm.a_space.basis],
+                   [to_entries(matrix_of(pm, x)) for x in pm.n_space.basis])
     assert pm._struct == ref._struct
     assert pm.theta == ref.theta
     assert pm.killing == ref.killing
@@ -407,10 +386,10 @@ def test_assembled_product_matches_the_generic_construction(factors):
         assert ref.coords(b) == unit_vec(pm.dim, i)
     x = tuple(rat(i % 5 - 2, 1 + i % 3) for i in range(pm.dim))
     assert matrix_of(pm, x) == matrix_of(ref, x)
-    assert ref.coords(matrix_of(pm, x)) == x
+    assert ref.coords(to_entries(matrix_of(pm, x))) == x
     off_block = pm.factors[0].matrix_size
     with pytest.raises(ValueError):
-        ref.coords(E(pm.matrix_size, 0, off_block))  # outside the diagonal blocks
+        ref.coords(to_entries(E(pm.matrix_size, 0, off_block)))  # outside the diagonal blocks
 
 
 @pytest.mark.parametrize("build", [lambda: build_sl(3), lambda: build_so1n(3),
@@ -434,17 +413,17 @@ def test_theta_maps_onto_agrees_with_the_spanned_theta_image(build):
 
 def test_normalizer_borel_sl2():
     g = build_sl(2)
-    e_line = Subspace.span(g.dim, [g.coords(E(2, 0, 1))])
-    nz = g.normalizer_in(Subspace.full(g.dim), e_line)
-    h = g.coords(mat([[1, 0], [0, -1]]))
-    expected = Subspace.span(g.dim, [h, g.coords(E(2, 0, 1))])
+    e = g.coords(to_entries(E(2, 0, 1)))
+    nz = g.normalizer_in(Subspace.full(g.dim), Subspace.span(g.dim, [e]))
+    h = g.coords(to_entries(mat([[1, 0], [0, -1]])))
+    expected = Subspace.span(g.dim, [h, e])
     assert nz == expected
 
 
 def test_bracket_escape_detected():
     g = build_sl(2)
     with pytest.raises(ValueError):
-        g.coords(mat([[1, 0], [0, 1]]))  # not traceless
+        g.coords(to_entries(mat([[1, 0], [0, 1]])))  # not traceless
 
 
 @pytest.mark.parametrize("build", [lambda: build_sl(3), lambda: build_so1n(3),
@@ -491,10 +470,11 @@ def test_weight_basis_lies_in_the_algebra(build, n):
     sig = mat([[(-1 if p % m == 0 else 1) if p == q else 0 for q in range(g.matrix_size)]
                for p in range(g.matrix_size)])
     for x in g.basis:
-        assert msum(x.transpose() @ sig, sig @ x) == Matrix.zeros(g.matrix_size, g.matrix_size)
+        x = from_entries(x, g.matrix_size)
+        assert msum(product(transpose(x), sig), product(sig, x)) == identity(g.matrix_size, 0)
         if copies == 2:
-            assert sum(x.rows[p][p] for p in range(m)) == 0
-            assert sum(x.rows[p + m][p] for p in range(m)) == 0
+            assert sum(x[p][p] for p in range(m)) == 0
+            assert sum(x[p + m][p] for p in range(m)) == 0
 
 
 @pytest.mark.parametrize("build", [lambda: build_sl(2), lambda: build_sl(5),
@@ -504,8 +484,8 @@ def test_weight_basis_lies_in_the_algebra(build, n):
 def test_inner_gram_is_the_dense_product(build):
     # the dense product -K theta as the reference for the sparse one
     g = build()
-    assert g.inner == -(g.killing @ g.theta)
-    assert all(type(x) is int for row in g.inner.rows for x in row)
+    assert from_matrix(g.inner) == scaled(-1, product(from_matrix(g.killing), from_matrix(g.theta)))
+    assert all(type(x) is int for row in g.inner.rows for x in row.values())
 
 
 @pytest.mark.parametrize("build", [lambda: build_sl(4), lambda: build_su1n(3),
@@ -514,5 +494,5 @@ def test_inner_gram_is_the_dense_product(build):
                          ids=["sl4", "su13", "so14", "sl3xch2"])
 def test_killing_gram_equals_the_loop_over_all_pairs(build):
     g = build()
-    assert g.killing == dense_killing_gram(g)
-    assert all(type(x) is int for row in g.killing.rows for x in row)
+    assert from_matrix(g.killing) == dense_killing_gram(g)
+    assert all(type(x) is int for row in g.killing.rows for x in row.values())

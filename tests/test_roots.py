@@ -7,7 +7,7 @@ import pytest
 from cohomatlas import linalg, roots
 from cohomatlas.cli import parse_space
 from cohomatlas.linalg import Matrix, Subspace, kernel_rows, subspace_sum
-from cohomatlas.models import LieModel, _matrix, build_sl, build_so1n, build_su1n, direct_sum
+from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.roots import decompose
 
 from span_reference import theta_image
@@ -58,7 +58,7 @@ def test_sl_root_spaces_are_matrix_units():
             sp = datum.root_with_coeff(coeff).space
             assert sp.dim == 1
             (i,) = sp.rows[0]
-            assert list(g.matrix_entries[i]) == [(j, k + 1)]
+            assert list(g.basis[i]) == [(j, k + 1)]
 
 
 def test_so1n_single_root():
@@ -227,7 +227,7 @@ def test_model_tables_and_root_spaces_keep_integral_values_as_ints(build):
     datum = decompose(g)
     entries = [c for ad_i in g._struct.values() for entry in ad_i.values() for _, c in entry]
     for table in (g.theta, g.killing, g.inner):
-        entries += [x for row in table.rows for x in row]
+        entries += [x for row in table.rows for x in row.values()]
     for r in datum.roots:
         entries += [x for row in r.space.basis for x in row] + list(r.covector + r.root_vector)
     assert entries and all(int_iff_integral(x) for x in entries)
@@ -306,10 +306,10 @@ def test_decompose_raises_on_a_basis_that_is_not_a_weight_basis():
     # the boost basis of so(1,3): B_i = E_0i + E_i0, then R_ij = E_ij - E_ji;
     # [B_1, B_2] = -R_12 is no multiple of B_2
     m = 4
-    basis = [_matrix(m, {(0, i): 1, (i, 0): 1}) for i in range(1, m)]
-    basis += [_matrix(m, {(i, j): 1, (j, i): -1}) for i in range(1, m) for j in range(i + 1, m)]
-    n_basis = [_matrix(m, {(0, i): 1, (i, 0): 1, (1, i): 1, (i, 1): -1}) for i in range(2, m)]
-    g = LieModel("so(1,3)", basis, basis[:1], n_basis)
+    basis = [{(0, i): 1, (i, 0): 1} for i in range(1, m)]
+    basis += [{(i, j): 1, (j, i): -1} for i in range(1, m) for j in range(i + 1, m)]
+    n_basis = [{(0, i): 1, (i, 0): 1, (1, i): 1, (i, 1): -1} for i in range(2, m)]
+    g = LieModel("so(1,3)", m, basis, basis[:1], n_basis)
     assert g.dim == build_so1n(3).dim
     with pytest.raises(ValueError, match="basis vector 1 is not an ad\\(a\\)-eigenvector"):
         decompose(g)
@@ -322,9 +322,9 @@ def test_decompose_raises_on_an_inner_product_pairing_different_weights(build, a
     g = build(arg)
     decompose(g)
     k = min(i for row in g.n_space.rows for i in row)
-    rows = [list(r) for r in g.inner.rows]
+    rows = [dict(r) for r in g.inner.rows]
     rows[0][k] = rows[k][0] = 1
-    g.inner = Matrix(tuple(tuple(r) for r in rows))
+    g.inner = Matrix(tuple(rows))
     with pytest.raises(ValueError, match="pairs basis vectors of different weights"):
         decompose(g)
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from cohomatlas.linalg import (
-    Matrix,
     SpanSolver,
     Subspace,
     combination,
@@ -53,6 +52,7 @@ from cohomatlas.verify import (
     slice_pieces,
     verify,
 )
+from dense_reference import mat, to_entries
 from levi_reference import reference_levi_normalizer, restriction_matrices
 from nested_reference import nested_pieces
 from span_reference import generator_span, theta_image
@@ -61,11 +61,6 @@ from span_reference import generator_span, theta_image
 def vadd(u, v) -> tuple:
     """The entrywise sum of two dense vectors."""
     return tuple(a + b for a, b in zip(u, v))
-
-
-def mat(rows) -> Matrix:
-    """An exact rational matrix with the given rows."""
-    return Matrix(tuple(tuple(rat(x) for x in r) for r in rows))
 
 
 def full_slice(model, algebra) -> tuple:
@@ -260,7 +255,7 @@ class TestLieTriple:
         # span{E_12 + E_21, diag(0,1,-1)}: the double bracket escapes
         sym = mat([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         dia = mat([[0, 0, 0], [0, 1, 0], [0, 0, -1]])
-        b = Subspace.span(g.dim, [g.coords(sym), g.coords(dia)])
+        b = Subspace.span(g.dim, [g.coords(to_entries(sym)), g.coords(to_entries(dia))])
         assert not check_lie_triple(g, b)
 
     def test_requires_subspace_of_p(self):
@@ -479,7 +474,7 @@ def test_integer_restrictions_and_gram_are_positive_multiples_of_the_rational_on
             old = [[col[i] for col in cols] for i in range(v.dim)]
             assert _positive_multiple(ref_op, old)
         old_gram = [[model.inner_product(x, y) for y in v.basis] for x in v.basis]
-        assert _positive_multiple(verify_module._gram(model, v).rows, old_gram)
+        assert _positive_multiple(verify_module._gram(model, v), old_gram)
 
 
 def _split_cases():
@@ -627,7 +622,7 @@ class TestNc2ShortCut:
         def unused(*args):
             raise AssertionError("no Gram, operator or sample for a zero normalizer")
 
-        for name in ("_gram", "Matrix", "RationalSampler"):
+        for name in ("_gram", "RationalSampler"):
             monkeypatch.setattr(verify_module, name, unused)
         assert check_nc2(g, v, [], seed=7, samples=32) == expected
 

@@ -38,7 +38,6 @@ from .linalg import (
     orthocomplement_in,
     rat,
     solve_inclusion_constraint,
-    sparse,
     subspace_intersect,
     subspace_sum,
 )
@@ -125,7 +124,7 @@ def canonical_extend(
 
 def _graph(model: LieModel, domain: Subspace, image: Subspace, pairs) -> Subspace:
     """The graph {x + sigma x} of the bijection sigma: x -> y over the (x, y)
-    pairs of dense or sparse vectors, between independent commuting
+    pairs of sparse vectors, between independent commuting
     subalgebras.  There the bracket of x + sigma x and y + sigma y is
     [x, y] + [sigma x, sigma y], so sigma preserves the bracket iff its
     graph is a subalgebra.  That is not checked here: the graph is a CER
@@ -135,7 +134,7 @@ def _graph(model: LieModel, domain: Subspace, image: Subspace, pairs) -> Subspac
     Rows that are a subspace's canonical rows span it, and subspaces with
     disjoint supports meet only in 0, so neither is spanned again; the two
     sides commute when every bracket of their rows vanishes."""
-    xs, ys = (list(map(sparse, side)) for side in zip(*pairs))
+    xs, ys = (list(side) for side in zip(*pairs))
     if not _spans(model, xs, domain):
         raise ValueError("sigma domain basis does not span the domain")
     if not _spans(model, ys, image):
@@ -143,7 +142,7 @@ def _graph(model: LieModel, domain: Subspace, image: Subspace, pairs) -> Subspac
     if not domain.support.isdisjoint(image.support) and \
             subspace_sum(domain, image).dim != 2 * domain.dim:
         raise ValueError("sigma domain and image meet")
-    if any(model._bracket_entries(x, y) for x in domain.rows for y in image.rows):
+    if any(model.bracket(x, y) for x in domain.rows for y in image.rows):
         raise ValueError("sigma domain and image do not commute")
     return Subspace.span(model.dim, [combination((1, 1), xy) for xy in zip(xs, ys)])
 
@@ -162,8 +161,8 @@ def _sl2_triple(model: LieModel, datum: RootDatum, root) -> tuple:
     if sp.dim != 1:
         raise ValueError("sl2 triple needs a multiplicity one root")
     e = sp.rows[0]
-    f_raw = {i: -x for i, x in model.theta.apply_sparse(e).items()}
-    h_raw = model._bracket_entries(e, f_raw)
+    f_raw = {i: -x for i, x in model.theta.apply(e).items()}
+    h_raw = model.bracket(e, f_raw)
     if not model.a_space.contains_vector(h_raw):
         raise ValueError("bracket of the root pair leaves a (unsupported model)")
     c = datum.evaluate(root, h_raw)

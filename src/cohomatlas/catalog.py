@@ -42,9 +42,10 @@ one, naming the first that did not.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterator, List, NamedTuple, Optional
 
-from .linalg import Subspace, orthocomplement_in, subspace_intersect, subspace_sum
+from .linalg import Subspace, orthocomplement_in, rat, subspace_intersect, subspace_sum
 from .models import LieModel, ProductModel, build_sl
 from .actions import (
     NC_OVERLAP,
@@ -231,15 +232,19 @@ def sl_table(datum: RootDatum, *, seed: int = 7, samples: int = 32) -> Enumerati
 # products
 
 
-def _complex_structure_on_root_space(factor: LieModel, f_datum: RootDatum):
-    """Z in the center of k0 with ad(Z)^2 = c I, c < 0, on the root space."""
+def _complex_structure_on_root_space(factor: LieModel, f_datum: RootDatum) -> dict:
+    """Z, a row of the center of k0, with ad(Z)^2 = c I, c < 0, on the root
+    space: ad(Z)^2 r = c r for every canonical row r of the root space."""
     center = factor.centralizer_in(f_datum.k0, f_datum.k0)
     sp = f_datum.root_with_coeff((1,)).space
-    for z in center.basis:
-        square = [sp.coords_of(factor.bracket(z, factor.bracket(z, b))) for b in sp.basis]
-        c = square[0][0]
-        if c < 0 and all(x == (c if i == k else 0)
-                         for i, row in enumerate(square) for k, x in enumerate(row)):
+    p = sp.pivots[0]
+    for z in center.rows:
+        squares = [factor.bracket(z, factor.bracket(z, r)) for r in sp.rows]
+        if not all(map(sp.contains_vector, squares)):
+            raise ValueError("ad(Z)^2 does not preserve the root space")
+        c = rat(squares[0].get(p, 0)) / sp.rows[0][p]
+        if c < 0 and all(sq == {j: c * x for j, x in r.items()}
+                         for sq, r in zip(squares, sp.rows)):
             return z
     raise ValueError("no complex structure found on the root space")
 
@@ -256,7 +261,7 @@ def _rank_one_nc_subspaces(factor: LieModel, f_datum: RootDatum, profile) -> lis
     # complex hyperbolic: totally real and complex coordinate representatives
     z = _complex_structure_on_root_space(factor, f_datum)
     real_rows = []
-    for b in sp.basis:
+    for b in sp.rows:
         cand = real_rows + [b]
         span_with_j = Subspace.span(
             factor.dim, cand + [factor.bracket(z, r) for r in cand]
@@ -468,6 +473,18 @@ def evaluate_nc_candidate(model: LieModel, pd: ParabolicDatum, v: Subspace, tang
     return out
 
 
+@lru_cache(maxsize=16)
+def _oracle_probes(seed: int, dim: int) -> tuple:
+    """The ORACLE_PROBES seeded random subspaces of Q^dim, the top piece in
+    its coordinates, that a sweep draws, of dimensions cycling from 2 up.
+    They depend on the seed and dim alone, so the mirror sweeps j and n - 1
+    - j, whose top pieces are a x b and b x a matrices, share one draw."""
+    sampler = RationalSampler(seed)
+    top = Subspace.full(dim)
+    return tuple(sampler.subspace_in(top, min(2 + t % max(1, dim - 1), dim))
+                 for t in range(ORACLE_PROBES))
+
+
 def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
     """Brute-force sweep of candidate subspaces of the top graded piece,
     checked against the rows of the sl table result, whose tangents are
@@ -531,12 +548,7 @@ def nc_oracle_search(result: EnumerationResult, j: int, tangents: set) -> dict:
     for size in range(len(keys) + 1):
         for subset in itertools.combinations(keys, size):
             candidates.append(("coordinate", sorted(subset), tm.coordinates(subset)))
-    sampler = RationalSampler(result.seed)
-    top = Subspace.full(dim)
-    for t in range(ORACLE_PROBES):
-        vdim = 2 + (t % max(1, dim - 1))
-        vdim = min(vdim, dim)
-        candidates.append(("probe", None, sampler.subspace_in(top, vdim)))
+    candidates += [("probe", None, v) for v in _oracle_probes(result.seed, dim)]
 
     records = []
     by_space = {}

@@ -4,30 +4,40 @@ Everything downstream (brackets, root spaces, normalizer systems) reduces to
 the types here.  All arithmetic is exact; no operation ever rounds, so
 re-running any pipeline yields bit-identical results.  An exact scalar is an
 int when it is integral and a Fraction only when it has a real denominator:
-sums start at the int 0, reduced rows are ints wherever their pivot divides
-the entry, and kernels are primitive integer vectors.  A quotient is taken
-as ``Rat(x) / y``, never ``x / y``, since two ints would divide to a float.
+sums start at the int 0, reduced rows and kernels are primitive integer
+vectors, and coordinates are ints wherever they are integral.  A quotient
+is taken as ``Rat(x) / y``, never ``x / y``, since two ints would divide to
+a float.
 
 A vector is sparse: a dict {index: value} over its nonzero entries.  That
-is the one representation inside this module and ``cohomatlas.models``,
-where almost every coordinate is zero, so an operation costs the supports it
-reads, not the ambient dimension.  A ``Matrix`` is square and held by its
-sparse rows, so theta, the Killing form and the inner product of a model
-cost their nonzero entries.  Dense tuples remain only at the edges that
-hand out values: ``Subspace.basis``, ``from_coords`` and ``coords_of``, the
-rows that ``rref_with_transform`` and ``kernel_rows`` return,
-``Matrix.apply``, the public ``LieModel.bracket`` and ``inner_product``,
-and a root's dual vector.  The parabolic pieces, the sl2 triples, graphs
-and matrix kernels of ``cohomatlas.actions`` and the coweights are sparse.
-The entry points that take vectors accept either form.
+is the one vector form of the package, for ambient vectors and coordinate
+vectors alike, since almost every entry is zero: an operation costs the
+supports it reads, not the ambient dimension.  Every function that takes
+or returns a vector uses it: ``Matrix.apply``, ``Subspace.contains_vector``
+and ``coords_of``, ``SpanSolver.coords``, the rows that ``rref_rows``,
+``rref_with_transform`` and ``kernel_rows`` return, and the bracket, inner
+product, root vectors and coweights downstream.  A ``Matrix`` is square
+and held by its sparse rows, so theta, the Killing form and the inner
+product of a model cost their nonzero entries.  Only a list of rows handed
+to an elimination (``Subspace.span``, ``rref_rows``, ``rref_with_transform``,
+``kernel_rows``, ``SpanSolver`` and the candidates and images of
+``solve_inclusion_constraint``) may also hold dense rows, as the
+rank-length covectors, the drawn coefficients of a sampler and the small
+integer operators of the NC2 check come; ``sparse`` takes them in.
 
 A subspace stores its canonical rows once: the reduced row echelon form of
 whatever spanning set was supplied, each the sparse primitive integer row
 with a positive pivot, so two subspaces are equal iff their ``rows`` are.
-Membership walks the nonzeros of the vector and the rows whose pivots they
-hit: in RREF the coefficient of the row with pivot p is v[p].  The sum of
-subspaces whose supports are disjoint is their rows merged by pivot
-(``disjoint_sum``), with no elimination.
+A canonical row divided by its pivot value d is its rational RREF row, with
+pivot 1; coordinates in a subspace are taken over those rows, and are a
+vector's entries at the pivots.  Every reader of a subspace takes its
+canonical rows, which are positive multiples of the rational ones: spans,
+containment, rank and whether a bracket or an inner product vanishes do
+not see the scale, and a reader that does rescales row p by L / d_p, with L
+the lcm of the pivot values.  Membership walks the nonzeros of the vector
+and the rows whose pivots they hit: in RREF the coefficient of the row
+with pivot p is v[p].  The sum of subspaces whose supports are disjoint is
+their rows merged by pivot (``disjoint_sum``), with no elimination.
 
 One kernel, ``_eliminate``, runs ``Subspace.span``, ``rref_rows`` and
 ``rref_with_transform``: fraction-free Gauss-Jordan (Bareiss, Math. Comp.
@@ -37,8 +47,10 @@ hold its column.  Every row stays a nonzero multiple of the row a rational
 Gauss-Jordan loop would hold, and pivot rows are picked as that loop picks
 them, so pivots, reduced rows and transforms are the same as that loop's.
 ``rref_rows`` returns the reduced rows as ``Subspace`` stores them, sparse
-primitive integer rows with positive pivots, and ``kernel_rows`` builds its
-integer vectors from those rows: the row operations build no Fraction.
+primitive integer rows with positive pivots, ``rref_with_transform`` its
+eliminated integer rows cut into their two blocks, and ``kernel_rows``
+builds its sparse integer vectors from the reduced rows: the row operations
+build no Fraction.
 
 Each linear-algebra job has one solver.  ``solve_inclusion_constraint``
 serves normalizers, centralizers, intersections, orthogonal complements and
@@ -86,19 +98,11 @@ def exact_scalar(x):
 
 
 def sparse(v) -> dict:
-    """A vector as {index: value} over its nonzero entries; a dict is taken
-    to be sparse already."""
+    """A dense row as {index: value} over its nonzero entries; a dict is
+    taken to be sparse already."""
     if isinstance(v, dict):
         return v
     return {i: x for i, x in enumerate(v) if x}
-
-
-def dense(v: dict, n: int) -> tuple:
-    """A sparse vector as a tuple of length n."""
-    out = [0] * n
-    for i, x in v.items():
-        out[i] = x
-    return tuple(out)
 
 
 def _checked(v, n: int, error: str) -> dict:
@@ -108,22 +112,13 @@ def _checked(v, n: int, error: str) -> dict:
     return sparse(v)
 
 
-def vdot(u, v):
-    s = 0
-    for a, b in zip(u, v):
-        if a and b:
-            s += a * b
-    return s
-
-
-def combination(coeffs: Sequence, rows: Sequence) -> dict:
-    """sum(coeffs[i] * rows[i]) over dense or sparse rows, as a sparse
-    vector; each sum starts at the int 0."""
+def combination(coeffs, rows: Sequence[dict]) -> dict:
+    """sum(c * rows[i]) over the coefficients {i: c}, or a dense sequence of
+    them, of sparse rows, as a sparse vector; each sum starts at the int 0."""
     out = {}
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, x in sparse(row).items():
-                out[j] = out.get(j, 0) + c * x
+    for i, c in sparse(coeffs).items():
+        for j, x in rows[i].items():
+            out[j] = out.get(j, 0) + c * x
     return {j: x for j, x in out.items() if x}
 
 
@@ -142,12 +137,6 @@ def _integer_row(row: dict) -> dict:
         row = {j: x.numerator * (den // x.denominator) for j, x in row.items() if x}
         g = math.gcd(*row.values())
     return {j: x // g for j, x in row.items()} if g > 1 else row
-
-
-def _rational_row(row: dict, pivot: int, n: int) -> tuple:
-    """The integer row divided by its pivot, as a dense tuple of length n: an
-    int where the pivot divides the entry, a Fraction otherwise."""
-    return dense({j: x // pivot if x % pivot == 0 else Rat(x, pivot) for j, x in row.items()}, n)
 
 
 def _reduce(row: dict, prow: dict, c: int) -> dict:
@@ -205,7 +194,7 @@ def _eliminate(work: list, ncols: int) -> list:
 
 
 def rref_rows(rows: Sequence, ncols: int):
-    """Reduced row echelon form of dense or sparse rows.
+    """Reduced row echelon form of sparse or dense rows.
 
     Returns (reduced nonzero rows, pivot column indices).  Each row is the
     sparse primitive integer multiple of its fully normalized RREF row (pivot
@@ -220,23 +209,25 @@ def rref_rows(rows: Sequence, ncols: int):
 def rref_with_transform(rows: Sequence, ncols: int):
     """RREF plus the transform T with T @ rows == rref (zero rows kept last).
 
-    Returns (reduced rows incl. zero rows, pivots, T rows), all dense.  The
-    transform rows of the zero rows span the relations among the input rows,
-    but each is fixed only up to a nonzero factor.
+    Returns (reduced rows incl. zero rows, pivots, T rows), sparse integer
+    rows: row r is the eliminated row [rref_r | T_r] of the integer system
+    [rows | I], cut at ncols.  A pivot row is a positive multiple of its
+    rational RREF row, so rref_r / rref_r[pivots[r]] and T_r / rref_r[pivots[r]]
+    are the rows a rational Gauss-Jordan loop gives.  The transform rows of the
+    zero rows span the relations among the input rows, but each is fixed
+    only up to a nonzero factor.
     """
-    m = len(rows)
     work = [_integer_row({**sparse(r), ncols + i: 1}) for i, r in enumerate(rows)]
     pivots = _eliminate(work, ncols)
-    width = ncols + m
-    full = [_rational_row(row, row[c], width) for row, c in zip(work, pivots)]
-    full += [_rational_row(row, 1, width) for row in work[len(pivots):]]
-    return [row[:ncols] for row in full], pivots, [row[ncols:] for row in full]
+    reduced = [{j: x for j, x in row.items() if j < ncols} for row in work]
+    transform = [{j - ncols: x for j, x in row.items() if j >= ncols} for row in work]
+    return reduced, pivots, transform
 
 
 def kernel_rows(rows: Sequence, ncols: int) -> list:
-    """Basis of {x : R x = 0} for the matrix with the given dense or sparse
-    rows: one primitive integer vector per free column f, positive at f and
-    zero at the other free columns, as a dense tuple.
+    """Basis of {x : R x = 0} for the matrix with the given sparse or dense
+    rows: one sparse primitive integer vector per free column f, positive at
+    f and zero at the other free columns.
 
     Reduced row p, with pivot value d_p, gives x[p] = -row_p[f] / d_p when
     x[f] = 1; scaling by the lcm L of the d_p that hit f keeps x in ints.
@@ -251,7 +242,7 @@ def kernel_rows(rows: Sequence, ncols: int) -> list:
             x = {f: scale}
             for row, p in hits:
                 x[p] = -row[f] * (scale // row[p])
-            basis.append(dense(_integer_row(x), ncols))
+            basis.append(_integer_row(x))
     return basis
 
 
@@ -307,11 +298,7 @@ class Matrix:
                             target[j] = target.get(j, 0) - f * y
         return True
 
-    def apply(self, v: Sequence) -> tuple:
-        """Matrix-vector product of a dense vector, as a dense vector."""
-        return dense(self.apply_sparse(sparse(v)), len(self.rows))
-
-    def apply_sparse(self, v: dict) -> dict:
+    def apply(self, v: dict) -> dict:
         """Matrix-vector product of a sparse vector, through the column
         entries of its support.  Each sum starts at the int 0, so an integer
         matrix maps integer vectors to integer vectors."""
@@ -332,9 +319,10 @@ class Subspace:
     stored once, as the sparse primitive integer row with a positive pivot.
 
     Membership walks the nonzeros of the vector and the rows whose pivots
-    they hit; ``basis`` gives the rows as dense RREF rows with pivots 1.
-    Two subspaces are equal when their dimensions and rows are: the pivots
-    follow from the rows.
+    they hit.  The coordinates of a vector (``coords_of``) are over the
+    rational RREF rows, each row divided by its pivot value: they are its
+    entries at the pivots.  Two subspaces are equal when their dimensions
+    and rows are: the pivots follow from the rows.
     """
 
     def __init__(self, ambient_dim: int, rows: tuple, pivots: tuple):
@@ -360,7 +348,7 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
-        """The span of dense or sparse vectors."""
+        """The span of sparse or dense vectors."""
         work = []
         for v in vectors:
             v = _checked(v, ambient_dim, "vector length does not match ambient dimension")
@@ -382,13 +370,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def basis(self) -> tuple:
-        """The RREF rows, pivots 1, as dense tuples: ints where integral,
-        Fractions otherwise."""
-        n = self.ambient_dim
-        return tuple(_rational_row(row, row[c], n) for row, c in zip(self.rows, self.pivots))
 
     @cached_property
     def support(self) -> frozenset:
@@ -429,21 +410,18 @@ class Subspace:
                             del res[j]
         return res
 
-    def contains_vector(self, v) -> bool:
-        return not self._residual(sparse(v))
+    def contains_vector(self, v: dict) -> bool:
+        return not self._residual(v)
 
     def contains(self, other: "Subspace") -> bool:
         return all(not self._residual(row) for row in other.rows)
 
-    def coords_of(self, v) -> tuple:
-        """The coordinates of v in ``basis``: its entries at the pivots."""
-        v = sparse(v)
+    def coords_of(self, v: dict) -> dict:
+        """The coordinates {i: c} of v over the rational RREF rows, row i
+        divided by its pivot value: its nonzero entries at the pivots."""
         if self._residual(v):
             raise ValueError("vector does not lie in the subspace")
-        return tuple(v.get(c, 0) for c in self.pivots)
-
-    def from_coords(self, coeffs: Sequence) -> tuple:
-        return dense(combination(coeffs, self.basis), self.ambient_dim)
+        return {i: v[c] for i, c in enumerate(self.pivots) if c in v}
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -507,7 +485,7 @@ def orthocomplement_in(v: Subspace, w: Subspace, form: Matrix) -> Subspace:
         for j, y in x.items():
             w_cols.setdefault(j, []).append((a, y))
     for t, y in enumerate(v.rows):
-        for j, fy in form.apply_sparse(y).items():
+        for j, fy in form.apply(y).items():
             for a, x in w_cols.get(j, ()):
                 images[a][t] = images[a].get(t, 0) + x * fy
     images = [[{t: s for t, s in im.items() if s}] for im in images]
@@ -520,7 +498,7 @@ def solve_inclusion_constraint(candidates, images: Sequence[Sequence],
 
     candidates is a Subspace, whose rows are the candidates, or a list of
     dense vectors.  images[a] lists, slot by slot, the images of candidate a
-    under the linear map family, as dense or sparse vectors; the family is
+    under the linear map family, as sparse or dense vectors; the family is
     linear in X, so the solution set is the span of sum(x_a * candidate_a)
     over the kernel of the induced system.  For Subspace candidates those
     combinations, in order, are positive multiples of the answer's canonical
@@ -551,7 +529,7 @@ def solve_inclusion_constraint(candidates, images: Sequence[Sequence],
     if not equations:
         return candidates if canonical else Subspace.span(amb, rows)
     ker = kernel_rows(list(equations.values()), len(rows))
-    answer = [combination(x[::-1], rows) for x in reversed(ker)]
+    answer = [combination({last - u: c for u, c in x.items()}, rows) for x in reversed(ker)]
     if not canonical:
         return Subspace.span(amb, answer)
     answer = tuple(_integer_row(row) for row in answer)
@@ -566,20 +544,20 @@ class SpanSolver:
     the coordinates of an integer vector are summed in the integers and
     divided by d once: ints where integral, Fractions otherwise."""
 
-    def __init__(self, rows: Sequence[Sequence], ncols: int):
+    def __init__(self, rows: Sequence, ncols: int):
         reduced, pivots, transform = rref_with_transform(rows, ncols)
         if len(pivots) != len(rows):
             raise ValueError("spanning rows are linearly dependent")
-        self._span = Subspace(ncols, tuple(_integer_row(sparse(r)) for r in reduced),
-                              tuple(pivots))
-        self._den = d = math.lcm(*(x.denominator for row in transform for x in row))
-        self._transform = [{i: int(x * d) for i, x in enumerate(row) if x} for row in transform]
+        self._span = Subspace(ncols, tuple(map(_integer_row, reduced)), tuple(pivots))
+        # transform row r over its pivot value, as integers over d
+        self._den = d = math.lcm(*(row[c] for row, c in zip(reduced, pivots)))
+        self._transform = [{i: x * (d // row[c]) for i, x in t.items()}
+                           for row, c, t in zip(reduced, pivots, transform)]
 
-    def coords(self, v) -> tuple:
-        """c with v = sum(c[i] * rows[i]) for a dense or sparse v, ints where
+    def coords(self, v: dict) -> dict:
+        """The coordinates {i: c} with v = sum(c * rows[i]), ints where
         integral; raises if v is outside the span."""
-        c = self._span.coords_of(v)
         d = self._den
-        out = combination(c, self._transform)
-        return dense({i: x // d if type(x) is int and x % d == 0 else exact_scalar(Rat(x, d))
-                      for i, x in out.items()}, len(c))
+        out = combination(self._span.coords_of(v), self._transform)
+        return {i: x // d if type(x) is int and x % d == 0 else exact_scalar(Rat(x, d))
+                for i, x in out.items()}

@@ -27,32 +27,28 @@ the structure constants and raises on a basis that is not of this kind;
 ``LieModel`` itself accepts any basis.
 
 Coordinates are exact rationals: ints where integral, Fractions otherwise,
-the convention of ``cohomatlas.linalg``.  Inside a model a vector is sparse,
-{index: value} over its nonzero entries: brackets (``_bracket_entries``),
-theta images and projections go from subspace rows to ``linalg`` with no
-dense round trip, and theta is applied through its column entries.  Only
-the public ``bracket`` and ``inner_product`` hand out values, and they take
-and return dense tuples.  The structure constants and theta of every
-shipped model are integral and stored as ints, so the bracket and theta
-image of an integer vector stay integer, and the Killing and inner-product
-rows built from them hold ints too.  Every operation is pure, and models
-are immutable after construction.
+the convention of ``cohomatlas.linalg``.  A vector is sparse, {index:
+value} over its nonzero entries, as everywhere in the package: ``coords``
+returns one, ``bracket`` and ``inner_product`` take them, the bracket
+returns one, and theta images and projections go from subspace rows to
+``linalg`` with theta applied through its column entries.  The structure
+constants and theta of every shipped model are integral and stored as
+ints, so the bracket and theta image of an integer vector stay integer, and
+the Killing and inner-product rows built from them hold ints too.  Every
+operation is pure, and models are immutable after construction.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .linalg import (
     Matrix,
     SpanSolver,
     Subspace,
-    dense,
     disjoint_sum,
     solve_inclusion_constraint,
-    sparse,
-    vdot,
 )
 
 
@@ -81,7 +77,7 @@ class LieModel:
         k = span(x + theta x) and p = span(x - theta x) are its +1 and -1
         eigenspaces and k + p is the whole algebra."""
         full = Subspace.full(self.dim)
-        if any(self.theta.apply_sparse(self.theta.apply_sparse(e)) != e for e in full.rows):
+        if any(self.theta.apply(self.theta.apply(e)) != e for e in full.rows):
             raise ValueError("theta is not an involution on this basis")
         self.k_space = self.project_k_subspace(full)
         self.p_space = self.project_p_subspace(full)
@@ -102,9 +98,9 @@ class LieModel:
         return SpanSolver([{p * n + q: x for (p, q), x in b.items()} for b in self.basis],
                           n * n)
 
-    def coords(self, entries: dict) -> tuple:
-        """Coordinates of a matrix, given by its nonzero entries {(row,
-        column): value}, in the model basis; raises if outside."""
+    def coords(self, entries: dict) -> dict:
+        """Coordinates {i: c} of a matrix, given by its nonzero entries
+        {(row, column): value}, in the model basis; raises if outside."""
         n = self.matrix_size
         return self._solver.coords({p * n + q: x for (p, q), x in entries.items()})
 
@@ -130,7 +126,7 @@ class LieModel:
                 comm = {t: x for t, x in comm.items() if x}
                 if not comm:
                     continue
-                entry = tuple((k, c) for k, c in enumerate(self._solver.coords(comm)) if c)
+                entry = tuple(sorted(self._solver.coords(comm).items()))
                 table.setdefault(i, {})[j] = entry
                 table.setdefault(j, {})[i] = tuple((k, -c) for k, c in entry)
         return table
@@ -139,9 +135,8 @@ class LieModel:
         """Column j is the coordinates of -b_j^T."""
         rows = [{} for _ in range(self.dim)]
         for j, b in enumerate(self.basis):
-            for i, x in enumerate(self.coords(_minus_transpose(b))):
-                if x:
-                    rows[i][j] = x
+            for i, x in self.coords(_minus_transpose(b)).items():
+                rows[i][j] = x
         return Matrix(tuple(rows))
 
     def _ad_sparse(self, i: int):
@@ -183,11 +178,7 @@ class LieModel:
 
     # -- algebra operations --------------------------------------------------
 
-    def bracket(self, x: Sequence, y: Sequence) -> tuple:
-        """The bracket of two vectors, as a dense vector."""
-        return dense(self._bracket_entries(sparse(x), sparse(y)), self.dim)
-
-    def _bracket_entries(self, x: dict, y: dict) -> dict:
+    def bracket(self, x: dict, y: dict) -> dict:
         """The bracket of two sparse vectors, as a sparse vector: the
         structure constants of the pairs of their nonzero entries, summed."""
         out = {}
@@ -203,8 +194,10 @@ class LieModel:
                             out[k] = out.get(k, 0) + f * c
         return {k: c for k, c in out.items() if c}
 
-    def inner_product(self, x: Sequence, y: Sequence):
-        return vdot(x, self.inner.apply(y))
+    def inner_product(self, x: dict, y: dict):
+        """<x, y> for two sparse vectors, summed over the supports of x and
+        of the form's image of y."""
+        return sum(x[i] * z for i, z in self.inner.apply(y).items() if i in x)
 
     def theta_maps_onto(self, sub: Subspace, other: Subspace) -> bool:
         """Whether theta(sub) = other, decided by containment with no span:
@@ -212,34 +205,29 @@ class LieModel:
         it equals other iff the dimensions agree and other contains theta
         of every row of sub.  With other = sub this is theta invariance."""
         return sub.dim == other.dim and all(
-            other.contains_vector(self.theta.apply_sparse(b)) for b in sub.rows)
+            other.contains_vector(self.theta.apply(b)) for b in sub.rows)
 
-    def _theta_span(self, sub, sign: int) -> Subspace:
-        """The span of x + sign * theta x over the rows of sub, a Subspace or
-        a list of dense or sparse vectors."""
-        rows = sub.rows if isinstance(sub, Subspace) else map(sparse, sub)
+    def _theta_span(self, sub: Subspace, sign: int) -> Subspace:
+        """The span of x + sign * theta x over the rows of sub."""
         vectors = []
-        for b in rows:
+        for b in sub.rows:
             v = dict(b)
-            for i, x in self.theta.apply_sparse(b).items():
+            for i, x in self.theta.apply(b).items():
                 v[i] = v.get(i, 0) + sign * x
             vectors.append({i: x for i, x in v.items() if x})
         return Subspace.span(self.dim, vectors)
 
-    def project_p_subspace(self, sub) -> Subspace:
+    def project_p_subspace(self, sub: Subspace) -> Subspace:
         """The span of the p-components (x - theta x) / 2 of the rows."""
         return self._theta_span(sub, -1)
 
-    def project_k_subspace(self, sub) -> Subspace:
+    def project_k_subspace(self, sub: Subspace) -> Subspace:
         """The span of the k-components (x + theta x) / 2 of the rows."""
         return self._theta_span(sub, 1)
 
-    def bracket_span(self, u: Iterable, v: Iterable) -> Subspace:
-        """Span of pairwise brackets of two generating sets of dense or
-        sparse vectors."""
-        v = [sparse(y) for y in v]
-        return Subspace.span(self.dim, [self._bracket_entries(x, y)
-                                        for x in map(sparse, u) for y in v])
+    def bracket_span(self, u: Sequence[dict], v: Sequence[dict]) -> Subspace:
+        """Span of pairwise brackets of two generating sets of sparse vectors."""
+        return Subspace.span(self.dim, [self.bracket(x, y) for x in u for y in v])
 
     def is_subalgebra(self, sub: Subspace) -> bool:
         """True iff the brackets of the basis of sub lie in sub."""
@@ -251,7 +239,7 @@ class LieModel:
         gens = sub.rows
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
-                if not sub.contains_vector(self._bracket_entries(gens[a], gens[b])):
+                if not sub.contains_vector(self.bracket(gens[a], gens[b])):
                     return a, b
         return None
 
@@ -264,7 +252,7 @@ class LieModel:
 
     def _bracket_into(self, domain: Subspace, of: Subspace, target: Subspace) -> Subspace:
         """{X in domain : [X, of] subset of target}."""
-        images = [[self._bracket_entries(x, w) for w in of.rows] for x in domain.rows]
+        images = [[self.bracket(x, w) for w in of.rows] for x in domain.rows]
         return solve_inclusion_constraint(domain, images, target)
 
 
@@ -419,10 +407,10 @@ class ProductModel(LieModel):
             shifted.append(Subspace(self.dim, rows, tuple(p + start for p in sub.pivots)))
         return disjoint_sum(self.dim, shifted)
 
-    def embed_vector(self, idx: int, v: Sequence) -> tuple:
-        """A dense vector of the idx-th factor, in the product's coordinates."""
+    def embed_vector(self, idx: int, v: dict) -> dict:
+        """A sparse vector of the idx-th factor, in the product's coordinates."""
         start = self.block_offsets[idx]
-        return (0,) * start + tuple(v) + (0,) * (self.dim - start - len(v))
+        return {i + start: x for i, x in v.items()}
 
 
 def direct_sum(models: Sequence[LieModel]) -> ProductModel:

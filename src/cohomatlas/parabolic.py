@@ -142,7 +142,7 @@ def build_parabolic(datum: RootDatum, phi: Iterable[int]) -> ParabolicDatum:
     # datum.roots lists the negatives in the order of the positives
     negative = datum.roots[len(datum.positive):]
     s0 = Subspace.span(d, [datum.simple[i].root_vector for i in phi] + [
-        model._bracket_entries(x, y) for r, n in zip(datum.positive, negative) if r.in_span(phi)
+        model.bracket(x, y) for r, n in zip(datum.positive, negative) if r.in_span(phi)
         for x in r.space.rows for y in n.space.rows])
     a_upper = model.project_p_subspace(s0)
     if a_upper.dim != len(phi):
@@ -203,16 +203,16 @@ class TensorModel:
     summing the simple roots from position j+1-i to j+l-1 (0-based).
     """
 
-    def __init__(self, nrows: int, ncols: int, generators: dict):
+    def __init__(self, nrows: int, ncols: int, generators: dict, ambient_dim: int):
         self.nrows = nrows
         self.ncols = ncols
-        self.generators = generators  # (i, l) -> ambient coordinate vector
+        self.generators = generators  # (i, l) -> unit row {column: 1} of the model
+        self.ambient_dim = ambient_dim  # the model's dimension
 
     @cached_property
     def _cells(self) -> dict:
         """(i - 1, l - 1) of generator (i, l), keyed by its pivot column."""
-        return {next(p for p, x in enumerate(g) if x): (i - 1, l - 1)
-                for (i, l), g in self.generators.items()}
+        return {min(g): (i - 1, l - 1) for (i, l), g in self.generators.items()}
 
     @cached_property
     def columns(self) -> tuple:
@@ -239,9 +239,9 @@ class TensorModel:
         width: each coordinate t relabelled as the column columns[t].  The
         relabelling keeps the column order, so the rows stay canonical and
         nothing is eliminated."""
-        amb = len(next(iter(self.generators.values())))
         cols = self.columns
-        return Subspace(amb, tuple({cols[t]: x for t, x in row.items()} for row in v.rows),
+        return Subspace(self.ambient_dim,
+                        tuple({cols[t]: x for t, x in row.items()} for row in v.rows),
                         tuple(cols[t] for t in v.pivots))
 
 
@@ -264,5 +264,5 @@ def tensor_model(datum: RootDatum, j: int) -> TensorModel:
             sp = datum.root_with_coeff(coeff).space
             if sp.dim != 1 or len(sp.support) != 1:
                 raise ValueError("sl root spaces must be spanned by one basis vector")
-            gens[(i, l)] = sp.basis[0]
-    return TensorModel(nrows=nrows, ncols=ncols, generators=gens)
+            gens[(i, l)] = sp.rows[0]
+    return TensorModel(nrows=nrows, ncols=ncols, generators=gens, ambient_dim=datum.model.dim)

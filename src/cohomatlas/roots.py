@@ -11,12 +11,13 @@ product's root data is its factors' root data: ``decompose`` assembles it
 from the decomposed factors, block by block, without splitting the product,
 and the product datum keeps the factor data in ``factors``.
 
-Each root is a complete record: its covector (values on the RREF basis of
-a), its dual vector in a, its integer coefficients over the ordered simple
-roots and its root space.  Downstream bookkeeping (parabolic subsets,
-gradings, opposite and double roots) reads the coefficients, so no table
-keyed by covectors outlives ``decompose``; ``Root.in_span`` is the one test
-of whether a root lies in the span of a subset of simple roots.
+Each root is a complete record: its covector (values on the rational RREF
+rows of a), its sparse dual vector in a, its integer coefficients over the
+ordered simple roots and its root space.  Downstream bookkeeping
+(parabolic subsets, gradings, opposite and double roots) reads the
+coefficients, so no table keyed by covectors outlives ``decompose``;
+``Root.in_span`` is the one test of whether a root lies in the span of a
+subset of simple roots.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .linalg import (
     SpanSolver,
     Subspace,
     combination,
-    dense,
     exact_scalar,
     orthocomplement_in,
+    rat,
     sparse,
 )
 from .models import LieModel, ProductModel
@@ -41,9 +42,9 @@ class Root:
     """A restricted root: covector on a, the dual vector H in a, the integer
     coefficients over the ordered simple roots and the root space."""
 
-    def __init__(self, covector: tuple, root_vector: tuple, coeffs: tuple, space: Subspace):
-        self.covector = covector  # values on the RREF basis of a
-        self.root_vector = root_vector  # ambient coordinates of H with lam(H') = <H, H'>
+    def __init__(self, covector: tuple, root_vector: dict, coeffs: tuple, space: Subspace):
+        self.covector = covector  # values on the rational RREF rows of a, pivots 1
+        self.root_vector = root_vector  # H with lam(H') = <H, H'>, sparse
         self.coeffs = coeffs  # integers over the ordered simple roots
         self.space = space
 
@@ -86,15 +87,16 @@ class RootDatum:
     @cached_property
     def coweights(self) -> tuple:
         """The fundamental coweights: omega_i in a with alpha_j(omega_i) =
-        delta_ij for the ordered simple roots, as sparse vectors.  In the
-        coordinates of ``a_space.basis`` they are the columns of the inverse
-        of the matrix of simple covectors, solved once per datum: omega_i's
-        coordinates are those of e_i in the rows (alpha_j(h_t))_j, one row
-        per basis vector h_t."""
+        delta_ij for the ordered simple roots, as sparse vectors.  Over the
+        canonical rows r_t of a they are the columns of the inverse of the
+        matrix of simple root values, solved once per datum: omega_i's
+        coordinates are those of e_i in the rows (alpha_j(r_t))_j, one row per
+        r_t, where alpha_j(r_t) is d_t times the covector value, d_t the pivot
+        value of r_t."""
         a = self.model.a_space
-        inverse = SpanSolver([tuple(s.covector[t] for s in self.simple) for t in range(a.dim)],
-                             self.rank)
-        return tuple(combination(inverse.coords({i: 1}), a.basis) for i in range(self.rank))
+        inverse = SpanSolver([tuple(s.covector[t] * d for s in self.simple)
+                              for t, d in enumerate(_pivot_values(a))], self.rank)
+        return tuple(combination(inverse.coords({i: 1}), a.rows) for i in range(self.rank))
 
     @cached_property
     def theta_parts(self) -> tuple:
@@ -143,10 +145,9 @@ class RootDatum:
                 return r
         raise KeyError(f"no root with coefficients {target}")
 
-    def evaluate(self, root: Root, h: Sequence):
-        """lam(H) for H given in ambient coordinates (must lie in a)."""
-        c = self.model.a_space.coords_of(h)
-        return sum(a * b for a, b in zip(root.covector, c))
+    def evaluate(self, root: Root, h: dict):
+        """lam(H) for a sparse H (must lie in a)."""
+        return sum(root.covector[t] * x for t, x in self.model.a_space.coords_of(h).items())
 
 
 def decompose(model: LieModel) -> RootDatum:
@@ -192,7 +193,7 @@ def decompose(model: LieModel) -> RootDatum:
     for wt, sp in raw.items():
         if model.n_space.contains(sp):
             pos_cov.append(wt)
-        elif not all(model.n_space.contains_vector(model.theta.apply_sparse(b))
+        elif not all(model.n_space.contains_vector(model.theta.apply(b))
                      for b in sp.rows):
             raise ValueError("root space lies in neither n nor theta(n)")
     if sum(raw[wt].dim for wt in pos_cov) != model.n_space.dim:
@@ -209,12 +210,14 @@ def decompose(model: LieModel) -> RootDatum:
         if not decomposable:
             simple_cov.append(lam)
 
-    # dual vectors H_lam of the simple roots: coordinates of lam in the rows
-    # of the (symmetric) Gram matrix of a
-    a_basis = model.a_space.basis
-    gram_a = SpanSolver([[model.inner_product(x, y) for y in a_basis] for x in a_basis],
-                        len(a_basis))
-    duals = {wt: model.a_space.from_coords(gram_a.coords(wt)) for wt in simple_cov}
+    # dual vectors H_lam of the simple roots over the canonical rows r_t of a:
+    # the coordinates of (lam(r_t))_t in the rows of the (symmetric) Gram
+    # matrix of the r_t, lam(r_t) being d_t times the covector value
+    a_rows, scales = model.a_space.rows, _pivot_values(model.a_space)
+    gram_a = SpanSolver([[model.inner_product(x, y) for y in a_rows] for x in a_rows],
+                        len(a_rows))
+    duals = {wt: combination(gram_a.coords(sparse([w * d for w, d in zip(wt, scales)])), a_rows)
+             for wt in simple_cov}
 
     def pairing(u, v):
         return model.inner_product(duals[u], duals[v])
@@ -239,14 +242,14 @@ def decompose(model: LieModel) -> RootDatum:
     simple_duals = [duals[s] for s in ordered_simple]
     coeffs = {}
     for wt in raw:
-        c = simple_solver.coords(wt)
-        if any(type(x) is not int for x in c):
+        c = simple_solver.coords(sparse(wt))
+        if any(type(x) is not int for x in c.values()):
             raise ValueError("root is not an integer combination of simple roots")
-        if wt in pos_set and any(v < 0 for v in c):
+        if wt in pos_set and any(v < 0 for v in c.values()):
             raise ValueError("positive root with negative simple coefficient")
-        coeffs[wt] = c
+        coeffs[wt] = tuple(c.get(i, 0) for i in range(r))
         if wt not in duals:
-            duals[wt] = tuple(exact_scalar(x) for x in dense(combination(c, simple_duals), d))
+            duals[wt] = {i: exact_scalar(x) for i, x in combination(c, simple_duals).items()}
 
     edges = set()
     for i in range(r):
@@ -283,20 +286,27 @@ def decompose(model: LieModel) -> RootDatum:
 def _basis_weights(model: LieModel) -> list:
     """The weight of each basis vector e_i, read from the structure
     constants: the tuple of the values mu_t with [h_t, e_i] = mu_t e_i for
-    the rows h_t of ``a_space.basis``.  Raises unless every basis vector is
-    an ad(a)-eigenvector, that is, unless the basis is a weight basis."""
+    the rational RREF rows h_t of ``a_space``, each canonical row r_t over its
+    pivot value d_t: [r_t, e_i] = d_t mu_t e_i.  Raises unless every basis
+    vector is an ad(a)-eigenvector, that is, unless the basis is a weight
+    basis."""
     columns = []
-    for h in model.a_space.basis:
-        h = sparse(h)
+    for r, d in zip(model.a_space.rows, _pivot_values(model.a_space)):
         column = []
         for i in range(model.dim):
-            image = model._bracket_entries(h, {i: 1})
+            image = model.bracket(r, {i: 1})
             mu = image.get(i, 0)
             if len(image) != (1 if mu else 0):
                 raise ValueError(f"basis vector {i} is not an ad(a)-eigenvector")
-            column.append(mu)
+            column.append(exact_scalar(rat(mu, d)))
         columns.append(column)
     return list(zip(*columns))
+
+
+def _pivot_values(sub: Subspace) -> list:
+    """The pivot value d_t of each canonical row r_t of sub: r_t / d_t is its
+    rational RREF row, on which covectors take their values."""
+    return [row[p] for row, p in zip(sub.rows, sub.pivots)]
 
 
 def _check_grading(model: LieModel, weights: list) -> None:

@@ -44,11 +44,9 @@ from .linalg import (
     Subspace,
     _integer_row,
     combination,
-    dense,
     kernel_rows,
     orthocomplement_in,
     rref_rows,
-    sparse,
     subspace_intersect,
     subspace_sum,
 )
@@ -80,19 +78,23 @@ class RationalSampler:
             if any(coeffs):
                 return coeffs
 
-    def vector_in(self, sub: Subspace) -> tuple:
+    def vector_in(self, sub: Subspace) -> dict:
+        """L sum(c_i h_i) for drawn coefficients c_i, the h_i the rational RREF
+        rows of sub and L as in ``_basis_scales``: the row r_i = d_i h_i is
+        scaled by L / d_i, so the draw is an integer vector."""
         if sub.dim == 0:
             raise ValueError("cannot sample from the zero subspace")
-        return sub.from_coords(self.nonzero_coefficients(sub.dim))
+        coeffs = zip(self.nonzero_coefficients(sub.dim), _basis_scales(sub))
+        return combination({i: c * f for i, (c, f) in enumerate(coeffs) if c}, sub.rows)
 
     def subspace_in(self, sub: Subspace, dim: int) -> Subspace:
         """The span of dim vectors drawn as ``vector_in`` draws them, drawn
         again until they are independent.
 
-        The draws are spanned in the coordinates of ``sub.basis`` B: with C
-        the drawn coefficients, RREF(C B) = RREF(C) B, because B is in RREF
-        with unit pivots.  A reduced row r of C, primitive with a positive
-        pivot, maps to sum(r_q (L / d_q) row_q) over the rows of sub, where d_q
+        The draws are spanned in the coordinates of the rational RREF rows B
+        of sub: with C the drawn coefficients, RREF(C B) = RREF(C) B, because B
+        is in RREF with unit pivots.  A reduced row r of C, primitive with a
+        positive pivot, maps to sum(r_q (L / d_q) row_q) over the rows of sub, where d_q
         is the pivot value of row_q and L their lcm: that is L times r B, so
         divided by its gcd it is the canonical row of the span.  When sub is
         all of Q^n, B is the identity and the reduced rows are the span's.
@@ -112,8 +114,8 @@ class RationalSampler:
         if sub.dim == sub.ambient_dim:
             return Subspace(sub.ambient_dim, tuple(reduced), tuple(pivots))
         scales = _basis_scales(sub)
-        rows = tuple(_integer_row(combination([x * scales[q] for q, x in r.items()],
-                                              [sub.rows[q] for q in r]))
+        rows = tuple(_integer_row(combination({q: x * scales[q] for q, x in r.items()},
+                                              sub.rows))
                      for r in reduced)
         return Subspace(sub.ambient_dim, rows, tuple(sub.pivots[c] for c in pivots))
 
@@ -209,7 +211,7 @@ def slice_cohomogeneity(model: LieModel, h: Subspace, ambient: Subspace, tangent
     if not all(nu.contains_vector(y) for y in images):
         raise ValueError("slice closure violated: isotropy does not preserve "
                          "the normal space at o")
-    if nu.dim <= 1 or not any(map(any, images)):
+    if nu.dim <= 1 or not any(images):
         return nu.dim, "exact"
     sampler = RationalSampler(seed)
     best = 0
@@ -290,7 +292,7 @@ class LeviAction:
         self.table = tuple({} for _ in g1.pivots)
         for a, x in enumerate(split):
             for s, c in enumerate(g1.pivots):
-                for col, y in model._bracket_entries(x, {c: 1}).items():
+                for col, y in model.bracket(x, {c: 1}).items():
                     self.table[s].setdefault(self.coordinate[col], {})[last - a] = y
         # each row of b in the coordinates of the rows of l & p, times L
         scales = _basis_scales(l_p)
@@ -334,23 +336,23 @@ class LeviNormalizer:
         """(l & p block, k_phi block) of each solution row, placed."""
         lp, kp = self.action.l_p, self.action.k_phi
         cut = lp.dim
-        return tuple((combination([row.get(a, 0) for a in range(cut)], lp.rows),
-                      combination([row.get(cut + a, 0) for a in range(kp.dim)], kp.rows))
+        return tuple((combination({a: x for a, x in row.items() if a < cut}, lp.rows),
+                      combination({a - cut: x for a, x in row.items() if a >= cut}, kp.rows))
                      for row in self.rows)
 
     @cached_property
     def p_part(self) -> Subspace:
         """p(N_l(v)), which is p(N_l(n_phi minus v)): p_coords, placed."""
         lp = self.action.l_p
-        rows = tuple(_integer_row(combination(dense(row, lp.dim), lp.rows))
-                     for row in self.p_coords.rows)
+        rows = tuple(_integer_row(combination(row, lp.rows)) for row in self.p_coords.rows)
         return Subspace(lp.ambient_dim, rows, tuple(min(row) for row in rows))
 
     @cached_property
     def operators(self) -> list:
         """ad(y) restricted to v for each y spanning N_l(v) & k = N_{k_phi}(v),
-        as the rows of a positive integer multiple of its matrix in
-        ``v.basis`` coordinates: y is a solution row whose pivot lies in the
+        as the rows of a positive integer multiple of its matrix in the
+        coordinates of v, over its rational RREF rows (``Subspace.coords_of``):
+        y is a solution row whose pivot lies in the
         k_phi block, and the coordinate t of [y, W_k] is y applied to the
         image formed for W_k, so no bracket is taken.  Raises if one leaves v."""
         v, cut = self.v, self.action.l_p.dim
@@ -452,8 +454,10 @@ def levi_normalizer(model: LieModel, pd: ParabolicDatum, v: Subspace) -> LeviNor
                 for a, y in image.get(t, {}).items():
                     eq[a] = eq.get(a, 0) + w * y
             equations.append({a: y for a, y in eq.items() if y})
-    ker = kernel_rows(equations, lp.dim + kp.dim)
-    return LeviNormalizer(action, [sparse(x[::-1]) for x in reversed(ker)], coords, images)
+    last = lp.dim + kp.dim - 1
+    ker = kernel_rows(equations, last + 1)
+    return LeviNormalizer(action, [{last - u: c for u, c in x.items()} for x in reversed(ker)],
+                          coords, images)
 
 
 def check_nc1(split: LeviNormalizer) -> bool:
@@ -474,19 +478,20 @@ def check_nc1(split: LeviNormalizer) -> bool:
 
 def _basis_scales(v: Subspace) -> list:
     """L / d_c for each row c of v, with d_c its pivot value and L the lcm of
-    the d_c.  Row c is d_c times ``v.basis[c]``, and the coordinates of a
-    vector of v are its entries at ``v.pivots``, so a coordinate read off
-    the image of row c and scaled by L / d_c is L times the coordinate read
-    off the image of ``v.basis[c]``."""
+    the d_c.  Row c is d_c times the rational RREF row h_c, and the
+    coordinates of a vector of v are its entries at ``v.pivots``, so a
+    coordinate read off the image of row c and scaled by L / d_c is L times
+    the coordinate read off the image of h_c; and row c scaled by L / d_c is
+    L h_c."""
     return [v._scale // row[c] for row, c in zip(v.rows, v.pivots)]
 
 
 def _gram(model: LieModel, v: Subspace) -> tuple:
-    """L^2 times the Gram matrix of ``v.basis`` for the inner product, with L
-    as in ``_basis_scales``, as its rows: an integer matrix for the shipped
-    models."""
+    """L^2 times the Gram matrix of the rational RREF rows of v for the
+    inner product, with L as in ``_basis_scales``, as its rows: an integer
+    matrix for the shipped models."""
     scales = _basis_scales(v)
-    images = [model.inner.apply_sparse(row) for row in v.rows]
+    images = [model.inner.apply(row) for row in v.rows]
     return tuple(
         tuple(f * g * sum(x * im.get(j, 0) for j, x in row.items())
               for im, g in zip(images, scales))
@@ -511,10 +516,10 @@ def check_nc2(model: LieModel, v: Subspace, ops: list, seed: int, samples: int):
     be at least 1.
 
     The operators R, each given by its rows, and the Gram matrix G are
-    integer multiples of their matrices in ``v.basis`` coordinates, by
-    positive factors: no Fraction is built, and none of the verdicts above
-    changes under positive scalings of R or G.  The sampled vectors are in
-    ``v.basis`` coordinates.
+    integer multiples of their matrices in the coordinates of v, over its
+    rational RREF rows, by positive factors: no Fraction is built, and none
+    of the verdicts above changes under positive scalings of R or G.  The
+    sampled vectors are in those coordinates.
     """
     if v.dim < 2:
         raise ValueError("NC2 needs dim v >= 2")
@@ -581,18 +586,18 @@ def check_polar_certificate(spec: ActionSpec, datum: RootDatum, tangent: Subspac
     model = spec.model
     diag: Subspace = spec.payload["h_phi"]
     section = polar_section(spec, datum)
-    for i, x in enumerate(section.basis):
-        for j, y in enumerate(section.basis):
-            if any(model.bracket(x, y)):
+    for i, x in enumerate(section.rows):
+        for j, y in enumerate(section.rows):
+            if model.bracket(x, y):
                 return Note(name, False, "section-not-abelian", (i, j))
-    for i, x in enumerate(section.basis):
-        for j, y in enumerate(tangent.basis):
+    for i, x in enumerate(section.rows):
+        for j, y in enumerate(tangent.rows):
             if model.inner_product(x, y) != 0:
                 return Note(name, False, "section-not-normal-to-orbit", (i, j))
     derived = model.bracket_span(section.rows, section.rows)
     target = subspace_sum(section, derived)
-    for i, x in enumerate(diag.basis):
-        for j, y in enumerate(target.basis):
+    for i, x in enumerate(diag.rows):
+        for j, y in enumerate(target.rows):
             if model.inner_product(x, y) != 0:
                 return Note(name, False, "diagonal-not-orthogonal", (i, j))
     return Note(name, True)

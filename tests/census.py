@@ -10,9 +10,12 @@ factors take about 20 s, so the census is a script, not a tier-1 test:
     PYTHONPATH=src python tests/census.py
 
 It prints one line per failing space and a summary, and exits 1 if any
-space fails.
+space fails.  The summary ends with one sha256 over every report, JSON then
+markdown, space by space in census order: a refactor that must leave the
+reports byte-identical leaves this digest unchanged.
 """
 
+import hashlib
 import itertools
 import random
 import sys
@@ -47,12 +50,16 @@ def census_spaces() -> list:
     return FACTORS + ["*".join(pair) for pair in pairs] + ["*".join(t) for t in triples]
 
 
-def check(space: str):
-    """None if the space exits 0 with its expected CER rows, else why not."""
+def check(space: str, digest):
+    """None if the space exits 0 with its expected CER rows, else why not;
+    its JSON and markdown reports, or its error, go into digest."""
     try:
         result = run(parse_space(space), RunConfig(su1n=True))
     except ValueError as exc:
+        digest.update(f"exit 2: {exc}\n".encode())
         return f"exit 2: {exc}"
+    digest.update(result.json_text.encode())
+    digest.update(result.markdown_text.encode())
     cer = sum(e.label == "CER" for e in result.result.entries)
     expected = expected_cer_rows(space)
     if result.exit_code or cer != expected:
@@ -63,12 +70,13 @@ def check(space: str):
 def main() -> int:
     spaces = census_spaces()
     failures = 0
+    digest = hashlib.sha256()
     for space in spaces:
-        why = check(space)
+        why = check(space, digest)
         if why:
             failures += 1
             print(f"FAIL {space}: {why}")
-    print(f"{len(spaces)} spaces, {failures} failing")
+    print(f"{len(spaces)} spaces, {failures} failing, reports sha256 {digest.hexdigest()}")
     return 1 if failures else 0
 
 

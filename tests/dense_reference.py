@@ -1,13 +1,18 @@
-"""Dense exact matrices as the tests' reference: a matrix is a tuple of row
-tuples, so two matrices are equal by their entries.
+"""Dense exact matrices and vectors as the tests' reference: a matrix is a
+tuple of row tuples and a vector a tuple, so two are equal by their entries.
 
-The package keeps every matrix sparse: a basis matrix as its nonzero
-entries {(row, column): value} (``LieModel.basis``), and theta, the Killing
-form and the inner product as a ``linalg.Matrix`` of sparse rows {column:
-value}.  These helpers give the dense forms back, so that a test can check a
-sparse table against plain matrix arithmetic."""
+The package keeps every matrix and vector sparse: a basis matrix as its
+nonzero entries {(row, column): value} (``LieModel.basis``), theta, the
+Killing form and the inner product as a ``linalg.Matrix`` of sparse rows
+{column: value}, and every vector, coordinates included, as {index: value}.
+A subspace hands out its canonical integer rows only.  These helpers give
+the dense forms back, the rational RREF rows of a subspace (``basis``)
+among them, so that a test can check a sparse table or vector against plain
+arithmetic."""
 
-from cohomatlas.linalg import Matrix, rat
+from fractions import Fraction
+
+from cohomatlas.linalg import Matrix, Subspace, rat, sparse
 
 
 def mat(rows) -> tuple:
@@ -81,3 +86,58 @@ def matrix_of(g, x) -> tuple:
         for (p, q), y in g.basis[i].items():
             rows[p][q] += c * y
     return tuple(map(tuple, rows))
+
+
+# dense vectors: the package keeps every vector sparse, {index: value} over
+# its nonzero entries; these give the dense tuples back
+
+
+def dense(v: dict, n: int) -> tuple:
+    """A sparse vector as a tuple of length n."""
+    out = [0] * n
+    for i, x in v.items():
+        out[i] = x
+    return tuple(out)
+
+
+def basis(sub: Subspace) -> tuple:
+    """The rational RREF rows of sub, each canonical row divided by its
+    pivot value, as dense tuples: ints where integral, Fractions otherwise."""
+    n = sub.ambient_dim
+    return tuple(dense({j: x // row[c] if x % row[c] == 0 else Fraction(x, row[c])
+                        for j, x in row.items()}, n)
+                 for row, c in zip(sub.rows, sub.pivots))
+
+
+def from_coords(sub: Subspace, coeffs) -> tuple:
+    """sum(coeffs[i] * basis(sub)[i]) as a dense tuple."""
+    out = [0] * sub.ambient_dim
+    for c, row in zip(coeffs, basis(sub)):
+        for j, x in enumerate(row):
+            out[j] += c * x
+    return tuple(out)
+
+
+def coords_of(sub: Subspace, v) -> tuple:
+    """The coordinates of a dense or sparse v over ``basis(sub)``, dense."""
+    return dense(sub.coords_of(sparse(v)), sub.dim)
+
+
+def bracket(g, x, y) -> tuple:
+    """The bracket of two dense or sparse vectors of the model g, dense."""
+    return dense(g.bracket(sparse(x), sparse(y)), g.dim)
+
+
+def apply(m: Matrix, v) -> tuple:
+    """The product of a ``Matrix`` and a dense or sparse vector, dense."""
+    return dense(m.apply(sparse(v)), len(m.rows))
+
+
+def inner_product(g, x, y):
+    """<x, y> for two dense or sparse vectors of the model g."""
+    return g.inner_product(sparse(x), sparse(y))
+
+
+def vdot(u, v):
+    """The dot product of two dense vectors."""
+    return sum((a * b for a, b in zip(u, v) if a and b), 0)

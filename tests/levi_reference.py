@@ -26,7 +26,7 @@ def reference_levi_normalizer(model, pd, v: Subspace) -> ReferenceNormalizer:
         raise ValueError("v must lie inside the first graded piece")
     lp, kp = pd.l_p, pd.k_phi
     split = lp.rows + kp.rows
-    images = [[model._bracket_entries(x, w) for w in v.rows] for x in split]
+    images = [[model.bracket(x, w) for w in v.rows] for x in split]
     solution = solve_inclusion_constraint(Subspace.full(len(split)), images, v)
     cut = lp.dim
     blocks = tuple((combination([row.get(a, 0) for a in range(cut)], lp.rows),
@@ -48,7 +48,7 @@ def restriction_matrices(model, domain: Subspace, v: Subspace) -> list:
     for t in domain.rows:
         cols = []
         for row, f in zip(v.rows, scales):
-            image = model._bracket_entries(t, row)
+            image = model.bracket(t, row)
             if v._residual(image):
                 raise ValueError("the normalizer does not map v into itself")
             cols.append([f * image.get(p, 0) for p in v.pivots])

@@ -14,7 +14,7 @@ from cohomatlas.linalg import Subspace, subspace_sum
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.verify import RationalSampler, check_nc2
 
-from dense_reference import to_matrix, transpose
+from dense_reference import dense, to_matrix, transpose
 from levi_reference import restriction_matrices
 from span_reference import generator_span
 
@@ -30,7 +30,8 @@ def permutation_maps(model, j: int) -> list:
             perm = list(pa) + list(pb)
             if perm == list(range(size)):
                 continue
-            cols = [model.coords({(perm[r], perm[c]): x for (r, c), x in entries.items()})
+            cols = [dense(model.coords({(perm[r], perm[c]): x for (r, c), x in entries.items()}),
+                          model.dim)
                     for entries in model.basis]
             maps.append(to_matrix(transpose(cols)))
     return maps
@@ -49,10 +50,9 @@ def reference_block_rotation_certificate(model, pd, tm) -> bool:
         return {(k * a + i) * b + l: x for k, cell in enumerate(cells)
                 for (i, l), x in image(*cell).items()}
 
-    units = {cell: {p: x for p, x in enumerate(tm.generators[cell[0] + 1, cell[1] + 1]) if x}
-             for cell in cells}
+    units = {cell: tm.generators[cell[0] + 1, cell[1] + 1] for cell in cells}
     restricted = [flat(lambda r, c: {cell_of[p]: x for p, x in
-                                     model._bracket_entries(t, units[r, c]).items()})
+                                     model.bracket(t, units[r, c]).items()})
                   for t in pd.k_phi.rows]
     rotations = [flat(lambda i, c: {(r, c): 1} if i == s else {(s, c): -1} if i == r else {})
                  for r, s in itertools.combinations(range(a), 2)]
@@ -70,7 +70,7 @@ def reference_sweep(result, j: int, tangents: set) -> list:
     pd = build_parabolic(datum, [i for i in range(datum.rank) if i != j])
     known = set(tangents)
     for pmap in permutation_maps(model, j):
-        known.update(Subspace.span(model.dim, [pmap.apply_sparse(row) for row in t.rows])
+        known.update(Subspace.span(model.dim, [pmap.apply(row) for row in t.rows])
                      for t in tangents)
     keys = sorted(tm.generators)
     candidates = [("coordinate", sorted(subset),

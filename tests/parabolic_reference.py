@@ -4,6 +4,8 @@ sums of root spaces: the reference for its pieces."""
 
 from cohomatlas.linalg import Subspace, orthocomplement_in, solve_inclusion_constraint
 
+from dense_reference import basis
+
 
 def in_span(root, phi) -> bool:
     """The coefficient scan: every coefficient outside phi vanishes."""
@@ -27,11 +29,11 @@ def reference_pieces(datum, phi: tuple) -> dict:
     outside_pos = [r for r in datum.positive if not in_span(r, phi)]
     a = model.a_space
     values = [[tuple(datum.simple[i].covector[t] for i in phi)] for t in range(a.dim)]
-    a_phi = solve_inclusion_constraint(a.basis, values, Subspace.zero(len(phi)))
+    a_phi = solve_inclusion_constraint(list(basis(a)), values, Subspace.zero(len(phi)))
     a_upper = orthocomplement_in(a_phi, a, model.inner)
     negative = datum.roots[len(datum.positive):]
     s0 = Subspace.span(d, a_upper.rows + tuple(
-        model._bracket_entries(x, y) for r, n in zip(datum.positive, negative) if in_span(r, phi)
+        model.bracket(x, y) for r, n in zip(datum.positive, negative) if in_span(r, phi)
         for x in r.space.rows for y in n.space.rows))
     grading = None
     if len(phi) == datum.rank - 1:
@@ -42,12 +44,13 @@ def reference_pieces(datum, phi: tuple) -> dict:
     return {
         "phi": phi,
         "l": Subspace.span(d, _root_rows(inside, datum.zero_space.rows)),
-        "l_p": model.project_p_subspace(_root_rows(inside, datum.zero_space.rows)),
+        "l_p": model.project_p_subspace(Subspace.span(d, _root_rows(inside,
+                                                                    datum.zero_space.rows))),
         "a_phi": a_phi,
         "n_phi": Subspace.span(d, _root_rows(outside_pos)),
-        "k_phi": model.project_k_subspace(_root_rows(inside_pos, datum.k0.rows)),
+        "k_phi": model.project_k_subspace(Subspace.span(d, _root_rows(inside_pos, datum.k0.rows))),
         "a_upper": a_upper,
-        "b": model.project_p_subspace(_root_rows(inside_pos, a_upper.rows)),
+        "b": model.project_p_subspace(Subspace.span(d, _root_rows(inside_pos, a_upper.rows))),
         "s": Subspace.span(d, _root_rows(inside, s0.rows)),
         "s0": s0,
         "grading": grading,

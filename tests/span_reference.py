@@ -7,10 +7,9 @@ from cohomatlas.linalg import Subspace
 
 def theta_image(model, sub: Subspace) -> Subspace:
     """theta(sub), spanned from theta of its rows."""
-    return Subspace.span(model.dim, [model.theta.apply_sparse(b) for b in sub.rows])
+    return Subspace.span(model.dim, [model.theta.apply(b) for b in sub.rows])
 
 
 def generator_span(tm, keys) -> Subspace:
     """The span of the tensor model generators of keys, at model width."""
-    return Subspace.span(len(next(iter(tm.generators.values()))),
-                         [tm.generators[k] for k in keys])
+    return Subspace.span(tm.ambient_dim, [tm.generators[k] for k in keys])

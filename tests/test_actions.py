@@ -28,7 +28,7 @@ from cohomatlas.actions import (
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.roots import decompose
 from cohomatlas.verify import verify
-from dense_reference import flatten, mat, matrix_of, msum, product, to_entries, transpose
+from dense_reference import basis, flatten, mat, matrix_of, msum, product, to_entries, transpose
 from nested_reference import nested_pieces
 from span_reference import generator_span, theta_image
 
@@ -65,7 +65,7 @@ class TestFoliations:
 
     def test_fh_product(self):
         p = direct_sum([build_so1n(2), build_so1n(2)])
-        line = Subspace.span(p.dim, [p.a_space.basis[0]])
+        line = Subspace.span(p.dim, p.a_space.rows[:1])
         spec = make_fh(p, line)
         assert spec.algebra.dim == 3
 
@@ -225,7 +225,7 @@ class TestCer:
     def test_graph_rejects_a_domain_that_meets_the_image(self):
         s = build_parabolic(SL4_DATUM, [0]).s
         with pytest.raises(ValueError, match="meet"):
-            _graph(SL4, s, s, [(x, x) for x in s.basis])
+            _graph(SL4, s, s, [(x, x) for x in s.rows])
 
     def test_default_sigma_rejects_adjacent_roots_that_do_not_commute(self):
         # the triple map from s_0 to s_1 is a homomorphism and its graph is
@@ -266,7 +266,7 @@ class TestNilpotentConstruction:
         datum = decompose(p)
         pd = build_parabolic(datum, [1])  # remove the first factor's root
         f0 = p.factors[0]
-        v_inner = Subspace.span(f0.dim, f0.n_space.basis[:2])
+        v_inner = Subspace.span(f0.dim, f0.n_space.rows[:2])
         v = p.embed({0: v_inner})
         spec = nilpotent_construct(datum, pd, v)
         # block split: g_2 + N_{(k_1)_0}(v) + a_1 + (n_1 minus v)
@@ -413,8 +413,8 @@ class TestBuiltinCatalog:
 def dense_matrix_kernel(model, inside, condition):
     """The reference matrix kernel: each row's matrix built dense from the
     basis matrices, and a tuple-valued condition on that dense matrix."""
-    values = [[condition(matrix_of(model, x))] for x in inside.basis]
-    return solve_inclusion_constraint(inside.basis, values, Subspace.zero(len(values[0][0])))
+    values = [[condition(matrix_of(model, x))] for x in basis(inside)]
+    return solve_inclusion_constraint(list(basis(inside)), values, Subspace.zero(len(values[0][0])))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -504,7 +504,7 @@ def test_the_closure_witness_is_the_first_pair_whose_bracket_leaves():
     algebra = Subspace.span(SL3.dim, gens)
     pairs = [(a, b) for a in range(algebra.dim) for b in range(a + 1, algebra.dim)]
     leaving = [(a, b) for a, b in pairs
-               if not algebra.contains_vector(SL3.bracket(algebra.basis[a], algebra.basis[b]))]
+               if not algebra.contains_vector(SL3.bracket(algebra.rows[a], algebra.rows[b]))]
     assert leaving and leaving[0] != pairs[0]
     assert SL3.bracket_leaving_pair(algebra) == leaving[0]
     report = verify(ActionSpec("FH", SL3, None, algebra), SL3_DATUM)

@@ -4,6 +4,7 @@ import itertools
 import json
 import sys
 from collections import Counter
+from fractions import Fraction
 from functools import cached_property
 from math import comb
 
@@ -11,8 +12,8 @@ import pytest
 
 from cohomatlas import catalog, roots
 from cohomatlas import verify as verify_module
-from cohomatlas.catalog import (_rank_one_nc_subspaces, ce_families, enumerate_sl,
-                                known_extension_tangents)
+from cohomatlas.catalog import (_complex_structure_on_root_space, _rank_one_nc_subspaces,
+                                ce_families, enumerate_sl, known_extension_tangents)
 from cohomatlas.cli import RunConfig, main, parse_space, run
 from cohomatlas.linalg import (Matrix, Subspace, orthocomplement_in, subspace_intersect,
                                subspace_sum)
@@ -25,6 +26,7 @@ from cohomatlas.roots import decompose
 from cohomatlas.verify import RationalSampler, levi_normalizer, orbit_tangent_at_o, verify
 
 from census import expected_cer_rows
+from dense_reference import basis, bracket, coords_of, dense
 from oracle_reference import reference_block_rotation_certificate, reference_sweep
 
 
@@ -441,7 +443,7 @@ def test_the_seed_8_probe_is_the_tensor_pattern_span_e1_e2_times_1_minus_1():
         True, "tensor-pattern", [2, 1])
     # v = span(e1, e2) (x) (1, -1) in the 2 x 2 top block of j=2
     tm = tensor_model(enumerate_sl(3, seed=8).datum, 1)
-    g = tm.generators
+    g = {key: dense(row, tm.ambient_dim) for key, row in tm.generators.items()}
     assert ref["space"] == Subspace.span(len(g[1, 1]), [
         [x - y for x, y in zip(g[i, 1], g[i, 2])] for i in (1, 2)])
 
@@ -542,17 +544,17 @@ def test_a_sweep_brackets_only_for_its_table(n, monkeypatch):
     result = enumerate_sl(n)
     tangents = known_extension_tangents(result)
     datum = result.datum
-    bracket_entries = LieModel._bracket_entries
+    original_bracket = LieModel.bracket
     for j in range(n):
         pd = build_parabolic(datum, [i for i in range(n) if i != j])
         brackets = []
 
         def counted(model, x, y):
             brackets.append(model)
-            return bracket_entries(model, x, y)
+            return original_bracket(model, x, y)
 
         with monkeypatch.context() as mp:
-            mp.setattr(LieModel, "_bracket_entries", counted)
+            mp.setattr(LieModel, "bracket", counted)
             sweep = catalog.nc_oracle_search(result, j, tangents)
         assert sweep["so_block_certificate"] is True
         assert len(brackets) == pd.l.dim * pd.grading[1].dim
@@ -907,3 +909,29 @@ def test_the_nested_parabolic_note_fails_when_a_factor_check_raises(monkeypatch)
     result = catalog.enumerate_product(direct_sum([build_so1n(3), build_so1n(2)]))
     (note,) = [n for n in result.identities if n.name == "nested-parabolic-intersection"]
     assert not note.passed and not result.all_identities_passed
+
+
+def reference_complex_structure(factor, f_datum) -> tuple:
+    """Z as it was read off the coordinates of the rational RREF rows: the
+    first row of the center of k0 on whose root space ad(Z)^2 is c I, c < 0,
+    as a dense vector."""
+    center = factor.centralizer_in(f_datum.k0, f_datum.k0)
+    sp = f_datum.root_with_coeff((1,)).space
+    for z in basis(center):
+        square = [coords_of(sp, bracket(factor, z, bracket(factor, z, b))) for b in basis(sp)]
+        c = square[0][0]
+        if c < 0 and all(x == (c if i == k else 0)
+                         for i, row in enumerate(square) for k, x in enumerate(row)):
+            return z
+    raise ValueError("no complex structure found on the root space")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_complex_structure_is_a_positive_multiple_of_the_reference(n):
+    factor = build_su1n(n)
+    datum = decompose(factor)
+    z = dense(_complex_structure_on_root_space(factor, datum), factor.dim)
+    expected = reference_complex_structure(factor, datum)
+    j = next(j for j, x in enumerate(expected) if x)
+    ratio = Fraction(z[j]) / expected[j]
+    assert ratio > 0 and z == tuple(ratio * x for x in expected)

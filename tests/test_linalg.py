@@ -21,10 +21,10 @@ from cohomatlas.linalg import (
     solve_inclusion_constraint,
     subspace_intersect,
     subspace_sum,
-    vdot,
 )
 
-from dense_reference import identity, mat, msum, product, to_matrix, transpose
+from dense_reference import (apply, basis, coords_of, dense, from_coords, identity, mat, msum,
+                             product, sparse, to_matrix, transpose, vdot)
 
 
 # dense vector helpers the package no longer needs, kept for the tests
@@ -74,6 +74,20 @@ def divided(result, n: int):
         assert row[c] > 0 and math.gcd(*row.values()) == 1
         out.append(tuple(Fraction(row.get(j, 0), row[c]) for j in range(n)))
     return out, pivots
+
+
+def rational_transform(result, n: int, m: int):
+    """rref_with_transform's (reduced, pivots, transform) sparse integer rows
+    as the rational loop gives them: each pivot row [rref | T] divided by its
+    pivot value, and every row a dense tuple, of length n or m."""
+    reduced, pivots, transform = result
+    scales = [row[c] for row, c in zip(reduced, pivots)] + [1] * (len(reduced) - len(pivots))
+
+    def divide(rows, width):
+        return [tuple(Fraction(row.get(j, 0), d) for j in range(width))
+                for row, d in zip(rows, scales)]
+
+    return divide(reduced, n), pivots, divide(transform, m)
 
 
 def int_iff_integral(x) -> bool:
@@ -164,7 +178,7 @@ class TestSubspaceLattice:
         a = S(3, [1, 1, 0], [0, 2, 2])
         b = S(3, [2, 2, 0], [1, 2, 1])
         assert a == b
-        assert a.basis == b.basis
+        assert basis(a) == basis(b)
 
 
 class TestOrthocomplement:
@@ -206,7 +220,7 @@ class TestOrthocomplement:
             if w.dim == 0:
                 continue
             k = rng.randint(0, w.dim)
-            v = Subspace.span(4, w.basis[:k])
+            v = Subspace.span(4, basis(w)[:k])
             c = orthocomplement_in(v, w, form)
             assert subspace_sum(c, v) == w
             assert orthocomplement_in(c, w, form) == v
@@ -235,7 +249,7 @@ class TestInclusionSolver:
     def test_whole_algebra_normalizes_itself(self):
         cands = [unit_vec(3, i) for i in range(3)]
         target = Subspace.full(3)
-        images = [[self.ad(c, b) for b in target.basis] for c in cands]
+        images = [[self.ad(c, b) for b in basis(target)] for c in cands]
         assert solve_inclusion_constraint(cands, images, target) == Subspace.full(3)
 
     def test_injective_into_zero(self):
@@ -265,7 +279,7 @@ def test_determinism_bitwise():
         u = S(6, *rows[:2])
         v = S(6, *rows[2:])
         piped = subspace_sum(subspace_intersect(u, v), u)
-        runs.append(tuple(piped.basis))
+        runs.append(tuple(basis(piped)))
     assert runs[0] == runs[1]
 
 
@@ -306,7 +320,7 @@ def independent(rows, n):
     """The rows that are not in the span of the rows before them."""
     out = []
     for r in rows:
-        if not Subspace.span(n, out).contains_vector(r):
+        if not Subspace.span(n, out).contains_vector(sparse(r)):
             out.append(r)
     return out
 
@@ -315,7 +329,10 @@ def independent(rows, n):
 @given(row_lists())
 def test_rref_with_transform_maps_rows_to_reduced_rows(case):
     n, rows = case
-    reduced, pivots, transform = rref_with_transform(rows, n)
+    result = rref_with_transform(rows, n)
+    assert [lincomb(dense(t, len(rows)), rows, n) for t in result[2]] == \
+        [dense(r, n) for r in result[0]]
+    reduced, pivots, transform = rational_transform(result, n, len(rows))
     assert [lincomb(t, rows, n) for t in transform] == reduced
     assert (reduced[:len(pivots)], pivots) == divided(rref_rows(rows, n), n)
     assert all(not any(r) for r in reduced[len(pivots):])
@@ -328,11 +345,11 @@ def test_span_solver_coords_round_trip(case, data):
     basis = independent(rows, n)
     solver = SpanSolver(basis, n)
     c = vec(data.draw(st.lists(ENTRY, min_size=len(basis), max_size=len(basis))))
-    coords = solver.coords(lincomb(c, basis, n))
-    assert coords == c
-    assert all(int_iff_integral(x) for x in coords)
+    coords = solver.coords(sparse(lincomb(c, basis, n)))
+    assert dense(coords, len(c)) == c
+    assert all(int_iff_integral(x) for x in coords.values())
     span = Subspace.span(n, basis)
-    for u in (unit_vec(n, t) for t in range(n)):
+    for u in ({t: 1} for t in range(n)):
         if not span.contains_vector(u):
             with pytest.raises(ValueError):
                 solver.coords(u)
@@ -356,7 +373,7 @@ def test_orthocomplement_dimension_and_orthogonality(case, data):
     k = data.draw(st.integers(0, w.dim))
     coeffs = data.draw(st.lists(st.lists(ENTRY, min_size=w.dim, max_size=w.dim),
                                 min_size=k, max_size=k))
-    v = Subspace.span(n, [w.from_coords(c) for c in coeffs])
+    v = Subspace.span(n, [from_coords(w, c) for c in coeffs])
     # a positive definite form A^T A + I with a small integer A
     a = mat(data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
                                min_size=n, max_size=n)))
@@ -364,7 +381,7 @@ def test_orthocomplement_dimension_and_orthogonality(case, data):
     c = orthocomplement_in(v, w, form)
     assert c.dim == w.dim - v.dim
     assert w.contains(c)
-    assert all(vdot(x, form.apply(y)) == 0 for x in c.basis for y in v.basis)
+    assert all(vdot(x, apply(form, y)) == 0 for x in basis(c) for y in basis(v))
 
 
 def determinant(rows):
@@ -455,10 +472,11 @@ def reference_solve_inclusion_constraint(candidates, images, target):
     if target.dim == 0:
         normals = [unit_vec(n, i) for i in range(n)]
     else:
-        normals = kernel_rows(target.basis, n)
+        normals = [dense(x, n) for x in kernel_rows(basis(target), n)]
     equations = [tuple(vdot(images[a][s], nv) for a in range(m))
                  for s in range(len(images[0])) for nv in normals]
-    ker = kernel_rows(equations, m) if equations else [unit_vec(m, i) for i in range(m)]
+    ker = [dense(x, m) for x in kernel_rows(equations, m)] if equations else \
+        [unit_vec(m, i) for i in range(m)]
     amb = len(candidates[0])
     return Subspace.span(amb, [lincomb(x, candidates, amb) for x in ker])
 
@@ -469,10 +487,11 @@ def reference_subspace_intersect(u, v):
     if u.dim == 0 or v.dim == 0:
         return Subspace.zero(u.ambient_dim)
     p, q = u.dim, v.dim
-    stacked = [tuple(u.basis[i][j] for i in range(p)) + tuple(-v.basis[i][j] for i in range(q))
+    bu, bv = basis(u), basis(v)
+    stacked = [tuple(bu[i][j] for i in range(p)) + tuple(-bv[i][j] for i in range(q))
                for j in range(u.ambient_dim)]
-    ker = kernel_rows(stacked, p + q)
-    return Subspace.span(u.ambient_dim, [u.from_coords(k[:p]) for k in ker])
+    ker = [dense(x, p + q) for x in kernel_rows(stacked, p + q)]
+    return Subspace.span(u.ambient_dim, [from_coords(u, k[:p]) for k in ker])
 
 
 RATIONAL = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=6))
@@ -506,7 +525,7 @@ def test_rref_rows_matches_the_rational_loop(case):
 @given(rational_rows())
 def test_rref_with_transform_matches_the_rational_loop(case):
     n, rows = case
-    reduced, pivots, transform = rref_with_transform(rows, n)
+    reduced, pivots, transform = rational_transform(rref_with_transform(rows, n), n, len(rows))
     ref_reduced, ref_pivots, ref_transform = reference_rref_with_transform(rows, n)
     assert (reduced, pivots) == (ref_reduced, ref_pivots)
     r = len(pivots)
@@ -527,15 +546,15 @@ def test_matrix_apply_matches_dense_products(case):
     n, rows, (v,) = case
     rows[0] = [Fraction(0)] * n  # a zero row
     m = to_matrix(rows)
-    dense = tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows)
-    assert m.apply(v) == dense
-    assert all(type(x) in (int, Fraction) for x in m.apply(v))
+    expected = tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows)
+    assert apply(m, v) == expected
+    assert all(type(x) in (int, Fraction) for x in m.apply(sparse(v)).values())
     # an integer matrix keeps an integer vector integer
     int_rows = [[x.numerator for x in r] for r in rows]
     ints = to_matrix(int_rows)
     iv = tuple(x.numerator for x in v)
-    assert ints.apply(iv) == tuple(sum(a * b for a, b in zip(r, iv)) for r in int_rows)
-    assert all(type(x) is int for x in ints.apply(iv))
+    assert apply(ints, iv) == tuple(sum(a * b for a, b in zip(r, iv)) for r in int_rows)
+    assert all(type(x) is int for x in apply(ints, iv))
 
 
 @PROPERTY
@@ -553,7 +572,7 @@ def test_inclusion_solver_matches_the_normals_reference(case):
         slots = []
         for _ in range(nslots):
             inside = data.draw(rational_vectors(target.dim, min_size=1, max_size=1))[0]
-            w = lincomb(inside, target.basis, n)
+            w = lincomb(inside, basis(target), n)
             if data.draw(st.booleans()):  # leave the target in some slots
                 w = tuple(a + b for a, b in
                           zip(w, data.draw(rational_vectors(n, min_size=1, max_size=1))[0]))
@@ -574,7 +593,7 @@ def test_intersection_matches_the_stacked_transpose_reference(case):
     u = spaces.get(kind_u) or Subspace.span(n, rows_u)
     if kind_v == "nested":  # a subspace of u
         coeffs = data.draw(rational_vectors(u.dim, max_size=3))
-        v = Subspace.span(n, [u.from_coords(c) for c in coeffs])
+        v = Subspace.span(n, [from_coords(u, c) for c in coeffs])
     elif kind_v == "disjoint":  # unit vectors off u's pivots meet u in 0 only
         free = [j for j in range(n) if j not in u.pivots]
         picked = data.draw(st.lists(st.sampled_from(free))) if free else []
@@ -592,14 +611,14 @@ def test_intersection_matches_the_stacked_transpose_reference(case):
 
 def test_span_of_int_and_str_entries_keeps_integral_values_as_ints():
     sub = Subspace.span(3, [[2, "1/2", 0], ["-4", 3, "0"], [0, 0, 1]])
-    assert all(int_iff_integral(x) for row in sub.basis for x in row)
+    assert all(int_iff_integral(x) for row in basis(sub) for x in row)
     assert sub == Subspace.span(3, [vec([2, "1/2", 0]), vec(["-4", 3, "0"]), unit_vec(3, 2)])
     line = Subspace.span(2, [[3, 6]])
-    assert line.basis == ((1, 2),)
-    assert all(int_iff_integral(x) for x in line.basis[0])
+    assert basis(line) == ((1, 2),)
+    assert all(int_iff_integral(x) for x in basis(line)[0])
     half = Subspace.span(2, [["4/3", "2/3"]])
-    assert half.basis == ((1, Fraction(1, 2)),)
-    assert all(int_iff_integral(x) for x in half.basis[0])
+    assert basis(half) == ((1, Fraction(1, 2)),)
+    assert all(int_iff_integral(x) for x in basis(half)[0])
 
 
 @st.composite
@@ -633,8 +652,8 @@ def test_basis_is_the_rref_of_the_integer_rows(case):
     n, rows = case
     sub = Subspace.span(n, rows)
     assert rref_rows(sub.rows, n) == (list(sub.rows), list(sub.pivots))
-    assert list(sub.basis) == divided(rref_rows(sub.rows, n), n)[0]
-    assert list(sub.basis) == reference_rref_rows(rows, n)[0]
+    assert list(basis(sub)) == divided(rref_rows(sub.rows, n), n)[0]
+    assert list(basis(sub)) == reference_rref_rows(rows, n)[0]
     assert list(sub.pivots) == reference_rref_rows(rows, n)[1]
 
 
@@ -646,19 +665,19 @@ def test_membership_and_coordinates_match_the_rational_loop(case, data):
     reduced, pivots = reference_rref_rows(rows, n)
     # an arbitrary vector lies in the span iff it does not raise the rank
     inside = len(reference_rref_rows(rows + [v], n)[1]) == len(pivots)
-    assert sub.contains_vector(v) == inside
+    assert sub.contains_vector(sparse(v)) == inside
     # a member has its reference RREF coefficients as coordinates
     coeffs = data.draw(rational_vectors(len(reduced), min_size=1, max_size=1))[0]
     member = lincomb(coeffs, reduced, n)
-    assert sub.contains_vector(member)
-    assert sub.coords_of(member) == coeffs
+    assert sub.contains_vector(sparse(member))
+    assert coords_of(sub, member) == coeffs
     # a member plus a unit vector off the pivots is no member
     free = [j for j in range(n) if j not in pivots]
     if free:
         outside = vadd(member, unit_vec(n, data.draw(st.sampled_from(free))))
-        assert not sub.contains_vector(outside)
+        assert not sub.contains_vector(sparse(outside))
         with pytest.raises(ValueError):
-            sub.coords_of(outside)
+            coords_of(sub, outside)
 
 
 # sparse inputs: wide rows with a few nonzero entries, as the models give them
@@ -705,12 +724,13 @@ def test_sparse_rows_reduce_as_the_rational_loop(case):
     n, rows, as_str = case
     given_rows = as_strings(rows) if as_str else rows
     assert divided(rref_rows(given_rows, n), n) == reference_rref_rows(rows, n)
-    reduced, pivots, transform = rref_with_transform(given_rows, n)
+    reduced, pivots, transform = rational_transform(rref_with_transform(given_rows, n), n,
+                                                    len(rows))
     ref_reduced, ref_pivots, ref_transform = reference_rref_with_transform(rows, n)
     assert (reduced, pivots) == (ref_reduced, ref_pivots)
     assert transform[:len(pivots)] == ref_transform[:len(pivots)]
     sub = Subspace.span(n, given_rows)
-    assert (list(sub.basis), list(sub.pivots)) == reference_rref_rows(rows, n)
+    assert (list(basis(sub)), list(sub.pivots)) == reference_rref_rows(rows, n)
     assert all(x for row in sub.rows for x in row.values())
 
 
@@ -723,15 +743,15 @@ def test_sparse_membership_matches_the_rational_loop(case, data):
     coeffs = data.draw(st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]),
                                 min_size=len(reduced), max_size=len(reduced)))
     member = lincomb(coeffs, reduced, n)
-    assert sub.contains_vector(member)
-    assert sub.coords_of(member) == tuple(coeffs)
+    assert sub.contains_vector(sparse(member))
+    assert coords_of(sub, member) == tuple(coeffs)
     free = [j for j in range(n) if j not in pivots]
     outside = vadd(member, unit_vec(n, data.draw(st.sampled_from(free))))
-    assert not sub.contains_vector(outside)
+    assert not sub.contains_vector(sparse(outside))
     with pytest.raises(ValueError):
-        sub.coords_of(outside)
+        coords_of(sub, outside)
     for row in rows:
-        assert sub.contains_vector(row)
+        assert sub.contains_vector(sparse(row))
 
 
 @PROPERTY
@@ -780,7 +800,9 @@ def reference_kernel_rows(rows, ncols):
 @given(st.one_of(rational_rows(), sparse_rows().map(lambda case: case[:2])))
 def test_kernel_rows_is_one_primitive_vector_per_free_column(case):
     n, rows = case
-    ker = kernel_rows(rows, n)
+    sparse_ker = kernel_rows(rows, n)
+    assert all(type(x) is dict and all(x.values()) for x in sparse_ker)
+    ker = [dense(x, n) for x in sparse_ker]
     assert ker == reference_kernel_rows(rows, n)
     free = [f for f in range(n) if f not in reference_rref_rows(rows, n)[1]]
     assert len(ker) == len(free)
@@ -811,7 +833,7 @@ def test_the_solvers_combinations_are_the_canonical_rows_of_its_answer(case, k, 
             w = data.draw(rational_vectors(k, min_size=1, max_size=1))[0]
             if target.dim and data.draw(st.booleans()):  # some images in the target
                 coeffs = data.draw(rational_vectors(target.dim, min_size=1, max_size=1))[0]
-                w = lincomb(coeffs, target.basis, k)
+                w = lincomb(coeffs, basis(target), k)
             slots.append(w)
         images.append(slots)
     combinations = []
@@ -825,7 +847,7 @@ def test_the_solvers_combinations_are_the_canonical_rows_of_its_answer(case, k, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg_module, "combination", recorded)
         answer = solve_inclusion_constraint(candidates, images, target)
-    assert answer == reference_solve_inclusion_constraint(list(candidates.basis), images, target)
+    assert answer == reference_solve_inclusion_constraint(list(basis(candidates)), images, target)
     if combinations:
         # already reduced, with positive leads, and in the answer's order: the
         # closing span has no row operation left to do
@@ -875,3 +897,23 @@ def test_disjoint_sum_rejects_parts_whose_supports_meet(case, data):
         disjoint_sum(n, parts + [line])
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
         disjoint_sum(n + 1, parts)
+
+
+@PROPERTY
+@given(rational_rows(), st.data())
+def test_coordinates_are_the_nonzeros_of_the_reference_coordinates(case, data):
+    # coords_of reads a member's coordinates over the rational RREF rows, and
+    # SpanSolver.coords over an independent list, both as {i: c} over the
+    # nonzero coordinates
+    n, rows = case
+    sub = Subspace.span(n, rows)
+    coeffs = data.draw(rational_vectors(sub.dim, min_size=1, max_size=1))[0]
+    member = from_coords(sub, coeffs)
+    assert sub.coords_of(sparse(member)) == {i: c for i, c in enumerate(coeffs) if c}
+    independent_rows = independent(rows, n)
+    if independent_rows:
+        solver = SpanSolver(independent_rows, n)
+        c = data.draw(rational_vectors(len(independent_rows), min_size=1, max_size=1))[0]
+        coords = solver.coords(sparse(lincomb(c, independent_rows, n)))
+        assert coords == {i: x for i, x in enumerate(c) if x}
+        assert all(int_iff_integral(x) for x in coords.values())

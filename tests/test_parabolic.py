@@ -65,7 +65,7 @@ class TestBuildParabolic:
                 assert subspace_sum(pd.n_phi, subspace_intersect(pd.s, g.n_space)) == g.n_space
                 m = orthocomplement_in(pd.a_phi, pd.l, g.inner)
                 assert subspace_sum(m, pd.a_phi) == pd.l
-                assert pd.s.dim == pd.b.dim + g.bracket_span(pd.b.basis, pd.b.basis).dim
+                assert pd.s.dim == pd.b.dim + g.bracket_span(pd.b.rows, pd.b.rows).dim
 
     def test_levi_is_centralizer_of_a_phi(self):
         g, datum = sl4()
@@ -77,8 +77,8 @@ class TestBuildParabolic:
         g, datum = sl4()
         for phi in ([0], [0, 2], [1, 2]):
             pd = build_parabolic(datum, phi)
-            for x in pd.l.basis:
-                for y in pd.n_phi.basis:
+            for x in pd.l.rows:
+                for y in pd.n_phi.rows:
                     assert pd.n_phi.contains_vector(g.bracket(x, y))
 
     def test_m_normalizes_a_phi_plus_n_phi(self):
@@ -86,8 +86,8 @@ class TestBuildParabolic:
         for phi in ([0], [0, 1], [0, 2]):
             pd = build_parabolic(datum, phi)
             an = subspace_sum(pd.a_phi, pd.n_phi)
-            for x in orthocomplement_in(pd.a_phi, pd.l, g.inner).basis:
-                for y in an.basis:
+            for x in orthocomplement_in(pd.a_phi, pd.l, g.inner).rows:
+                for y in an.rows:
                     assert an.contains_vector(g.bracket(x, y))
 
     def test_b_is_lie_triple_system(self):
@@ -95,8 +95,8 @@ class TestBuildParabolic:
         for size in range(4):
             for phi in itertools.combinations(range(3), size):
                 pd = build_parabolic(datum, phi)
-                bb = g.bracket_span(pd.b.basis, pd.b.basis)
-                bbb = g.bracket_span(bb.basis, pd.b.basis)
+                bb = g.bracket_span(pd.b.rows, pd.b.rows)
+                bbb = g.bracket_span(bb.rows, pd.b.rows)
                 assert pd.b.contains(bbb)
 
     def test_s_root_spaces_match(self):
@@ -164,7 +164,7 @@ class TestGrading:
         grading = pd.grading
         for mu, sp1 in grading.items():
             for nu, sp2 in grading.items():
-                br = g.bracket_span(sp1.basis, sp2.basis)
+                br = g.bracket_span(sp1.rows, sp2.rows)
                 if br.dim == 0:
                     continue
                 assert (mu + nu) in grading
@@ -244,7 +244,7 @@ def test_a_patched_opposite_root_bracket_is_rejected(monkeypatch):
     neg = datum.root_with_coeff((-1, 0, 0)).space.rows[0]
     extra = build_parabolic(datum, (0,)).a_phi.rows[0]
     datum._parabolic_cache.clear()
-    bracket = g._bracket_entries
+    bracket = g.bracket
 
     def patched(x, y):
         out = bracket(x, y)
@@ -253,7 +253,7 @@ def test_a_patched_opposite_root_bracket_is_rejected(monkeypatch):
                 out[i] = out.get(i, 0) + c
         return out
 
-    monkeypatch.setattr(g, "_bracket_entries", patched)
+    monkeypatch.setattr(g, "bracket", patched)
     with pytest.raises(ValueError, match="the p-part of s0 is not a\\^phi"):
         build_parabolic(datum, (0,))
 
@@ -354,7 +354,7 @@ class TestTensorModel:
             # the coordinates of the top piece are its unit rows, in column order
             assert tm.columns == top.pivots and all(row == {c: 1} for row, c in
                                                     zip(top.rows, top.pivots))
-            assert [tm.generators[i + 1, l + 1] for i, l in tm.cells] == list(top.basis)
+            assert [tm.generators[i + 1, l + 1] for i, l in tm.cells] == list(top.rows)
             keys = sorted(tm.generators)
             for size in range(len(keys) + 1):
                 for subset in itertools.combinations(keys, size):
@@ -391,7 +391,7 @@ def test_in_span_is_vanishing_on_a_phi(build):
         for phi in itertools.combinations(range(datum.rank), size):
             a_phi = build_parabolic(datum, phi).a_phi
             for r in datum.roots:
-                vanishes = all(datum.evaluate(r, h) == 0 for h in a_phi.basis)
+                vanishes = all(datum.evaluate(r, h) == 0 for h in a_phi.rows)
                 assert r.in_span(phi) == vanishes
 
 

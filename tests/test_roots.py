@@ -10,6 +10,7 @@ from cohomatlas.linalg import Matrix, Subspace, kernel_rows, subspace_sum
 from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.roots import decompose
 
+from dense_reference import basis, bracket, inner_product, sparse
 from span_reference import theta_image
 
 
@@ -87,7 +88,7 @@ def test_product_of_hyperbolic_planes():
     assert datum.rank == 2
     assert len(datum.simple) == 2
     h1, h2 = (r.root_vector for r in datum.simple)
-    assert p.inner_product(h1, h2) == 0
+    assert inner_product(p, h1, h2) == 0
     assert datum.dynkin_edges == frozenset()
 
 
@@ -104,7 +105,7 @@ def test_product_roots_are_the_joint_eigenspaces_of_their_covectors(space):
     pm = direct_sum([BUILDERS[name](n) for name, n in parse_space(space).factors])
     datum = decompose(pm)
     # ads[t][j] = [h_t, e_j] for the basis h_t of a and the unit vectors e_j
-    ads = [[pm.bracket(h, e) for e in Subspace.full(pm.dim).rows] for h in pm.a_space.basis]
+    ads = [[bracket(pm, h, e) for e in Subspace.full(pm.dim).rows] for h in basis(pm.a_space)]
     for r in datum.roots:
         # {x : [h_t, x] = r(h_t) x for every t}, by elimination
         equations = [tuple(col[k] - (lam if k == j else 0) for j, col in enumerate(ad))
@@ -135,12 +136,12 @@ def test_root_vector_defining_relation():
     g = build_sl(3)
     datum = decompose(g)
     for r in datum.roots:
-        for h in g.a_space.basis:
-            assert datum.evaluate(r, h) == g.inner_product(r.root_vector, h)
+        for h in basis(g.a_space):
+            assert datum.evaluate(r, sparse(h)) == inner_product(g, r.root_vector, h)
             # lam(H) is also the bracket eigenvalue on the root space
-            x = r.space.basis[0]
-            lhs = g.bracket(h, x)
-            lam = datum.evaluate(r, h)
+            x = basis(r.space)[0]
+            lhs = bracket(g, h, x)
+            lam = datum.evaluate(r, sparse(h))
             assert lhs == tuple(lam * c for c in x)
 
 
@@ -170,7 +171,7 @@ def test_bracket_grading():
     for r in datum.roots:
         for s in datum.roots:
             tgt = vadd(r.coeffs, s.coeffs)
-            br = g.bracket_span(r.space.basis, s.space.basis)
+            br = g.bracket_span(r.space.rows, s.space.rows)
             if br.dim == 0:
                 continue
             if all(not c for c in tgt):
@@ -185,9 +186,9 @@ def test_k0_centralizes_a():
     for g in (build_sl(3), build_so1n(3), build_su1n(2)):
         datum = decompose(g)
         assert datum.k0.dim == datum.zero_space.dim - g.a_space.dim
-        for x in datum.k0.basis:
-            for h in g.a_space.basis:
-                assert is_zero_vec(g.bracket(x, h))
+        for x in basis(datum.k0):
+            for h in basis(g.a_space):
+                assert is_zero_vec(bracket(g, x, h))
     # sl has trivial k0, su(1,n) does not
     assert decompose(build_sl(3)).k0.dim == 0
     assert decompose(build_su1n(2)).k0.dim == 1
@@ -229,7 +230,8 @@ def test_model_tables_and_root_spaces_keep_integral_values_as_ints(build):
     for table in (g.theta, g.killing, g.inner):
         entries += [x for row in table.rows for x in row.values()]
     for r in datum.roots:
-        entries += [x for row in r.space.basis for x in row] + list(r.covector + r.root_vector)
+        entries += [x for row in basis(r.space) for x in row] + list(r.covector)
+        entries += r.root_vector.values()
     assert entries and all(int_iff_integral(x) for x in entries)
 
 

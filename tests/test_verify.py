@@ -4,12 +4,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cohomatlas.linalg import (
     SpanSolver,
     Subspace,
     combination,
-    dense,
     orthocomplement_in,
     rat,
     subspace_intersect,
@@ -52,7 +53,8 @@ from cohomatlas.verify import (
     slice_pieces,
     verify,
 )
-from dense_reference import mat, to_entries
+from dense_reference import (basis, bracket, coords_of, dense, from_coords, inner_product, mat,
+                             sparse, to_entries)
 from levi_reference import reference_levi_normalizer, restriction_matrices
 from nested_reference import nested_pieces
 from span_reference import generator_span, theta_image
@@ -61,6 +63,12 @@ from span_reference import generator_span, theta_image
 def vadd(u, v) -> tuple:
     """The entrywise sum of two dense vectors."""
     return tuple(a + b for a, b in zip(u, v))
+
+
+def skew_mixed_rows(tm) -> list:
+    """The rows E_11 + E_22 and E_12 of the 2 x 2 top piece of a tensor model."""
+    g = tm.generators
+    return [combination((1, 1), (g[1, 1], g[2, 2])), g[1, 2]]
 
 
 def full_slice(model, algebra) -> tuple:
@@ -102,7 +110,7 @@ class TestSliceCohomogeneity:
 
     def test_fh_exact_one(self):
         g = build_sl(4)
-        spec = make_fh(g, Subspace.span(g.dim, [g.a_space.basis[0]]))
+        spec = make_fh(g, Subspace.span(g.dim, g.a_space.rows[:1]))
         assert slice_cohomogeneity(g, *full_slice(g, spec.algebra), seed=7, samples=8) == (1, "exact")
 
     def test_diagonal_rank_one_pair(self):
@@ -155,7 +163,7 @@ class TestSliceCohomogeneity:
         # FH and FS algebras meet k in 0: the value is the codimension
         g = build_sl(4)
         datum = decompose(g)
-        specs = [make_fh(g, Subspace.span(g.dim, [g.a_space.basis[0]]))]
+        specs = [make_fh(g, Subspace.span(g.dim, g.a_space.rows[:1]))]
         specs += [make_fs(datum, j) for j in range(datum.rank)]
 
         def refused(*args):
@@ -293,7 +301,7 @@ def _nc1_cases():
     p = direct_sum([build_so1n(4), build_so1n(2)])
     datum = decompose(p)
     pd = build_parabolic(datum, [1])
-    rows = pd.grading[1].basis
+    rows = pd.grading[1].rows
     coordinate = [Subspace.span(p.dim, subset) for size in range(2, len(rows) + 1)
                   for subset in itertools.combinations(rows, size)]
     cases.append(("rh4xrh2", datum, pd, coordinate))
@@ -318,10 +326,7 @@ class TestNc1:
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
-        v = Subspace.span(
-            g.dim,
-            [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]],
-        )
+        v = Subspace.span(g.dim, skew_mixed_rows(tm))
         assert not _nc1(datum, pd, v)
         # the deficiency is in the boundary flat: a^phi escapes the projection
         proj = _m_normalizer_tangent(g, pd, v)
@@ -332,7 +337,7 @@ class TestNc1:
         datum = decompose(p)
         pd = build_parabolic(datum, [1])
         f0 = p.factors[0]
-        v = p.embed({0: Subspace.span(f0.dim, f0.n_space.basis[:2])})
+        v = p.embed({0: Subspace.span(f0.dim, f0.n_space.rows[:2])})
         assert _nc1(datum, pd, v)
 
     @pytest.mark.parametrize("datum, pd, candidates", _nc1_cases())
@@ -366,7 +371,7 @@ class TestNc2:
         datum = decompose(p)
         pd = build_parabolic(datum, [1])
         f0 = p.factors[0]
-        v = p.embed({0: Subspace.span(f0.dim, f0.n_space.basis[:2])})
+        v = p.embed({0: Subspace.span(f0.dim, f0.n_space.rows[:2])})
         assert check_nc2(p, v, _operators(p, pd, v), seed=7, samples=32) == (
             "yes", "contains-so")
 
@@ -375,9 +380,7 @@ class TestNc2:
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
-        v = Subspace.span(
-            g.dim, [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]]
-        )
+        v = Subspace.span(g.dim, skew_mixed_rows(tm))
         verdict, cert = check_nc2(g, v, _operators(g, pd, v), seed=7, samples=32)
         assert (verdict, cert) == ("no", "failed-witness")
 
@@ -386,9 +389,7 @@ class TestNc2:
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
-        v = Subspace.span(
-            g.dim, [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]]
-        )
+        v = Subspace.span(g.dim, skew_mixed_rows(tm))
         for samples in (8, 32, 128):
             verdict, _ = check_nc2(g, v, _operators(g, pd, v), seed=11, samples=samples)
             assert verdict == "no"
@@ -468,12 +469,12 @@ def test_integer_restrictions_and_gram_are_positive_multiples_of_the_rational_on
         ref = restriction_matrices(model, norm, v)
         # the table's operators are the reference's, row for row, up to scale
         assert len(ops) == len(ref) == norm.dim
-        for op, ref_op, t in zip(ops, ref, norm.basis):
+        for op, ref_op, t in zip(ops, ref, basis(norm)):
             assert _positive_multiple(op, ref_op)
-            cols = [v.coords_of(model.bracket(t, w)) for w in v.basis]
+            cols = [coords_of(v, bracket(model, t, w)) for w in basis(v)]
             old = [[col[i] for col in cols] for i in range(v.dim)]
             assert _positive_multiple(ref_op, old)
-        old_gram = [[model.inner_product(x, y) for y in v.basis] for x in v.basis]
+        old_gram = [[inner_product(model, x, y) for y in basis(v)] for x in basis(v)]
         assert _positive_multiple(verify_module._gram(model, v), old_gram)
 
 
@@ -557,13 +558,13 @@ def test_the_table_is_built_once_per_datum(monkeypatch):
     sampler = RationalSampler(5)
     probes = [sampler.subspace_in(pd.grading[1], d) for d in (2, 3, 4, 5) for _ in range(5)]
     brackets = []
-    bracket_entries = LieModel._bracket_entries
+    original_bracket = LieModel.bracket
 
     def counted(model, x, y):
         brackets.append(model)
-        return bracket_entries(model, x, y)
+        return original_bracket(model, x, y)
 
-    monkeypatch.setattr(LieModel, "_bracket_entries", counted)
+    monkeypatch.setattr(LieModel, "bracket", counted)
     first = verify_module.levi_normalizer(g, pd, probes[0])
     # one bracket per row of l and unit row of g_1
     assert len(brackets) == pd.l.dim * pd.grading[1].dim
@@ -608,8 +609,7 @@ class TestNc2ShortCut:
         datum = decompose(g)
         pd = build_parabolic(datum, [0, 2])
         tm = tensor_model(datum, 1)
-        v = Subspace.span(
-            g.dim, [vadd(tm.generators[(1, 1)], tm.generators[(2, 2)]), tm.generators[(1, 2)]])
+        v = Subspace.span(g.dim, skew_mixed_rows(tm))
         return g, pd, v
 
     def test_a_zero_normalizer_fails_at_once_with_the_witness_verdict(self, monkeypatch):
@@ -655,7 +655,7 @@ class TestPolarCertificate:
 
     def test_requires_diagonal_kind(self):
         g = build_sl(3)
-        spec = make_fh(g, Subspace.span(g.dim, [g.a_space.basis[0]]))
+        spec = make_fh(g, Subspace.span(g.dim, g.a_space.rows[:1]))
         with pytest.raises(ValueError, match="applies to diagonal actions"):
             check_polar_certificate(spec, decompose(g), orbit_tangent_at_o(g, spec.algebra))
 
@@ -674,7 +674,7 @@ def test_polar_section_rejects_an_image_flat_sigma_does_not_map_onto(wrong):
         phi, pairs = [0, 2], [(hj, ek), (ej, hk), (fj, fk)]
     else:
         phi, pairs = [0, 1, 2], [(hj, hk), (ej, ek), (fj, fk)]
-    graph = _graph(datum.model, *boundaries, pairs)
+    graph = _graph(datum.model, *boundaries, [tuple(map(sparse, xy)) for xy in pairs])
     pd = build_parabolic(datum, phi)
     spec = canonical_extend(datum, pd, graph, kind="CER")
     assert 2 * subspace_intersect(graph, pd.a_upper).dim != pd.a_upper.dim
@@ -686,9 +686,11 @@ def _sigma_section(model, domain_basis, images, a_dom):
     """The section built from sigma as a map, the reference: each H of the
     domain flat goes through its coordinates in sigma's domain basis."""
     solver = SpanSolver(domain_basis, model.dim)
-    sigma_a = [dense(combination(solver.coords(h), images), model.dim) for h in a_dom.basis]
-    diagonal = Subspace.span(model.dim, [vadd(h, sh) for h, sh in zip(a_dom.basis, sigma_a)])
-    flats = Subspace.span(model.dim, list(a_dom.basis) + sigma_a)
+    images = [sparse(x) for x in images]
+    sigma_a = [dense(combination(solver.coords(sparse(h)), images), model.dim)
+               for h in basis(a_dom)]
+    diagonal = Subspace.span(model.dim, [vadd(h, sh) for h, sh in zip(basis(a_dom), sigma_a)])
+    flats = Subspace.span(model.dim, list(basis(a_dom)) + sigma_a)
     return orthocomplement_in(diagonal, flats, model.inner)
 
 
@@ -717,7 +719,7 @@ def test_polar_section_matches_the_section_built_from_sigma(monkeypatch, space):
     def factor_diagonal(pm, datum, j, k):
         spec = make_factor_diagonal(pm, datum, j, k)
         block_j, block_k = (pm.embed({i: Subspace.full(pm.factors[i].dim)}) for i in (j, k))
-        sigmas.append((spec, datum, datum.factor_phis[j], block_j.basis, block_k.basis))
+        sigmas.append((spec, datum, datum.factor_phis[j], basis(block_j), basis(block_k)))
         return spec
 
     monkeypatch.setattr(catalog, "make_cer", cer)
@@ -788,9 +790,9 @@ def _failing_section(spec, sub_check):
     if sub_check == "section-not-abelian":
         return Subspace.full(model.dim)
     if sub_check == "section-not-normal-to-orbit":  # a line in the orbit tangent
-        return Subspace.span(model.dim, orbit_tangent_at_o(model, diag).basis[:1])
+        return Subspace.span(model.dim, orbit_tangent_at_o(model, diag).rows[:1])
     # a line in k: normal to the orbit, but not orthogonal to the diagonal
-    return Subspace.span(model.dim, model.project_k_subspace(diag).basis[:1])
+    return Subspace.span(model.dim, model.project_k_subspace(diag).rows[:1])
 
 
 @pytest.mark.parametrize("sub_check", ["section-not-abelian", "section-not-normal-to-orbit",
@@ -807,12 +809,12 @@ def test_failing_polar_certificate_names_sub_check_and_witness(monkeypatch, sub_
     i, j = result.witness
     diag = spec.payload["h_phi"]
     if sub_check == "section-not-abelian":
-        assert any(g.bracket(section.basis[i], section.basis[j]))
+        assert any(bracket(g, basis(section)[i], basis(section)[j]))
     elif sub_check == "section-not-normal-to-orbit":
         tangent = orbit_tangent_at_o(g, diag)
-        assert g.inner_product(section.basis[i], tangent.basis[j]) != 0
+        assert inner_product(g, basis(section)[i], basis(tangent)[j]) != 0
     else:
-        assert g.inner_product(diag.basis[i], section.basis[j]) != 0
+        assert inner_product(g, basis(diag)[i], basis(section)[j]) != 0
     report = verify(spec, datum)
     (note,) = [n for n in report.to_json()["notes"] if n["name"] == "polar-section-certificate"]
     assert note == {"name": "polar-section-certificate", "passed": False,
@@ -1236,7 +1238,7 @@ class TestVerifyOrchestration:
     def test_fh_report(self):
         g = build_sl(4)
         datum = decompose(g)
-        spec = make_fh(g, Subspace.span(g.dim, [g.a_space.basis[0]]))
+        spec = make_fh(g, Subspace.span(g.dim, g.a_space.rows[:1]))
         report = verify(spec, datum)
         assert report.codim_at_o == 1
         assert report.cohomogeneity == 1
@@ -1324,7 +1326,7 @@ def _sampled_spaces():
     datum = decompose(build_sl(4))
     tops = [build_parabolic(datum, [i for i in range(3) if i != j]).grading[1] for j in (0, 1)]
     rh4 = build_so1n(4)
-    b = rh4.n_space.basis
+    b = basis(rh4.n_space)
     plane = Subspace.span(rh4.dim, [vadd([2 * x for x in b[0]], b[2]),
                                     vadd([3 * x for x in b[1]], b[2])])
     assert sorted(row[c] for row, c in zip(plane.rows, plane.pivots)) == [2, 3]
@@ -1344,6 +1346,31 @@ def test_subspace_in_draws_as_the_ambient_loop(sub):
             assert sampler.state == reference.state
             redraws += n
     assert redraws  # some draws were rank deficient and drawn again
+
+
+RATIONAL = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=6))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(RATIONAL, min_size=n, max_size=n), min_size=1, max_size=5))),
+    st.integers(0, 2 ** 16))
+def test_vector_in_is_a_positive_multiple_of_the_reference_draw(case, seed):
+    # the draw over the canonical rows is L times sum(c_i basis_i) for the
+    # coefficients c_i the same seed draws, so its span and every sampled
+    # verdict stay those of the rational basis
+    n, rows = case
+    sub = Subspace.span(n, rows)
+    assume(sub.dim)
+    sampler, reference = RationalSampler(seed), RationalSampler(seed)
+    for _ in range(3):
+        got = dense(sampler.vector_in(sub), n)
+        expected = from_coords(sub, reference.nonzero_coefficients(sub.dim))
+        j = next(j for j, x in enumerate(expected) if x)
+        ratio = Fraction(got[j]) / expected[j]
+        assert ratio > 0 and got == tuple(ratio * x for x in expected)
+        assert all(type(x) is int for x in got)
+    assert sampler.state == reference.state
 
 
 def test_sampler_determinism():

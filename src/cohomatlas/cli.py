@@ -16,11 +16,23 @@ Exit status: 0 when every exact check passed, 1 when an exact check failed
 (the report is still written), 2 on bad input (a space outside the grammar
 or its bounds, a missing feature flag, an unsupported option, or a report
 path that cannot be written).
+
+``console`` is the process entry point: ``python -m cohomatlas.cli`` and
+the installed ``cohomatlas`` script both run it.  It calls ``main`` and
+then freezes the heap (``gc.freeze``) before the interpreter exits.  At
+exit the interpreter runs the cyclic collector over every object it still
+tracks, most of them the data the report was built from; frozen objects
+sit in the permanent generation, which that sweep skips.  Atexit
+handlers, the flushing of stdout and stderr and reference-count
+deallocation all still run, and the report file is closed before ``main``
+returns.  ``main`` itself never freezes: tests and the in-process tracer
+call it many times in one process, and their heap must stay collectable.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import List, NamedTuple, Optional
@@ -287,5 +299,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     return run_result.exit_code
 
 
+def console() -> int:
+    """Run ``main`` on the process's arguments, then freeze the heap so that
+    the interpreter's exit skips the final collector sweeps; returns the
+    exit status."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(console())

@@ -20,7 +20,7 @@ product, root vectors and coweights downstream.  A ``Matrix`` is square
 and held by its sparse rows, so theta, the Killing form and the inner
 product of a model cost their nonzero entries.  Only a list of rows handed
 to an elimination (``Subspace.span``, ``rref_rows``, ``rref_with_transform``,
-``kernel_rows``, ``SpanSolver`` and the candidates and images of
+``kernel_rows``, ``SpanSolver`` and the images of
 ``solve_inclusion_constraint``) may also hold dense rows, as the
 rank-length covectors, the drawn coefficients of a sampler and the small
 integer operators of the NC2 check come; ``sparse`` takes them in.
@@ -348,15 +348,25 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
-        """The span of sparse or dense vectors."""
+        """The span of sparse or dense vectors; raises if a vector has an
+        index outside range(ambient_dim)."""
+        error = "vector length does not match ambient dimension"
         work = []
         for v in vectors:
-            v = _checked(v, ambient_dim, "vector length does not match ambient dimension")
+            v = _checked(v, ambient_dim, error)
             row = _integer_row(v) if v else v
             if row:
                 work.append(row)
         pivots = _eliminate(work, ambient_dim)
-        return cls(ambient_dim, tuple(work[:len(pivots)]), tuple(pivots))
+        rows = work[:len(pivots)]
+        # The indices are checked on what the elimination leaves, not on each
+        # vector: a negative index is the first pivot, and an index past the
+        # end is never a pivot, so it stays in a pivot row or in a row left
+        # below them.
+        if (pivots and pivots[0] < 0 or any(work[len(pivots):])
+                or any(max(row) >= ambient_dim for row in rows)):
+            raise ValueError(error)
+        return cls(ambient_dim, tuple(rows), tuple(pivots))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -492,26 +502,22 @@ def orthocomplement_in(v: Subspace, w: Subspace, form: Matrix) -> Subspace:
     return solve_inclusion_constraint(w, images, Subspace.zero(v.dim))
 
 
-def solve_inclusion_constraint(candidates, images: Sequence[Sequence],
+def solve_inclusion_constraint(candidates: Subspace, images: Sequence[Sequence],
                                target: Subspace) -> Subspace:
-    """Solve {X in span(candidates) : action(X) subset of target} exactly.
+    """Solve {X in candidates : action(X) subset of target} exactly.
 
-    candidates is a Subspace, whose rows are the candidates, or a list of
-    dense vectors.  images[a] lists, slot by slot, the images of candidate a
-    under the linear map family, as sparse or dense vectors; the family is
-    linear in X, so the solution set is the span of sum(x_a * candidate_a)
-    over the kernel of the induced system.  For Subspace candidates those
+    images[a] lists, slot by slot, the images of the canonical row a of
+    candidates under the linear map family, as sparse or dense vectors; the
+    family is linear in X, so the solution set is the span of
+    sum(x_a * row_a) over the kernel of the induced system.  Those
     combinations, in order, are positive multiples of the answer's canonical
     rows, so they are returned as its rows, each divided by its gcd, with no
-    closing span.
+    closing span.  Raises if an image has an index outside
+    range(target.ambient_dim).
     """
-    canonical = isinstance(candidates, Subspace)
-    if canonical:
-        amb, rows = candidates.ambient_dim, candidates.rows
-    else:
-        amb, rows = len(candidates[0]) if candidates else 0, [sparse(c) for c in candidates]
+    rows = candidates.rows
     if not rows:
-        return Subspace.zero(target.ambient_dim)
+        return candidates
     nslots = len(images[0])
     if any(len(im) != nslots for im in images):
         raise ValueError("inconsistent slot counts across candidates")
@@ -519,22 +525,24 @@ def solve_inclusion_constraint(candidates, images: Sequence[Sequence],
     # linear in v: one equation per (slot, column) where a residual is nonzero.
     # Unknown a is column last - a, so that the kernel, read in candidate
     # order, is the RREF of the solution space (see the module docstring).
+    error = "image dimension does not match target ambient"
+    n = target.ambient_dim
     last = len(rows) - 1
     equations = {}
     for a, im in enumerate(images):
         for s, w in enumerate(im):
-            w = _checked(w, target.ambient_dim, "image dimension does not match target ambient")
-            for j, x in target._residual(w).items():
+            for j, x in target._residual(_checked(w, n, error)).items():
                 equations.setdefault((s, j), {})[last - a] = x
+    # an index outside range(n) is never a pivot of target, so it stays in the residual
+    if any(not 0 <= j < n for _, j in equations):
+        raise ValueError(error)
     if not equations:
-        return candidates if canonical else Subspace.span(amb, rows)
+        return candidates
     ker = kernel_rows(list(equations.values()), len(rows))
-    answer = [combination({last - u: c for u, c in x.items()}, rows) for x in reversed(ker)]
-    if not canonical:
-        return Subspace.span(amb, answer)
-    answer = tuple(_integer_row(row) for row in answer)
+    answer = tuple(_integer_row(combination({last - u: c for u, c in x.items()}, rows))
+                   for x in reversed(ker))
     # each row's pivot is its leftmost column, its lead candidate's pivot
-    return Subspace(amb, answer, tuple(min(row) for row in answer))
+    return Subspace(candidates.ambient_dim, answer, tuple(min(row) for row in answer))
 
 
 class SpanSolver:

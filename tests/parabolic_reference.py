@@ -4,8 +4,6 @@ sums of root spaces: the reference for its pieces."""
 
 from cohomatlas.linalg import Subspace, orthocomplement_in, solve_inclusion_constraint
 
-from dense_reference import basis
-
 
 def in_span(root, phi) -> bool:
     """The coefficient scan: every coefficient outside phi vanishes."""
@@ -28,8 +26,11 @@ def reference_pieces(datum, phi: tuple) -> dict:
     inside_pos = [r for r in datum.positive if in_span(r, phi)]
     outside_pos = [r for r in datum.positive if not in_span(r, phi)]
     a = model.a_space
-    values = [[tuple(datum.simple[i].covector[t] for i in phi)] for t in range(a.dim)]
-    a_phi = solve_inclusion_constraint(list(basis(a)), values, Subspace.zero(len(phi)))
+    # the solver's candidates are a's canonical rows, row t being d_t times
+    # the rational RREF row on which the covectors take their values
+    values = [[tuple(datum.simple[i].covector[t] * row[c] for i in phi)]
+              for t, (row, c) in enumerate(zip(a.rows, a.pivots))]
+    a_phi = solve_inclusion_constraint(a, values, Subspace.zero(len(phi)))
     a_upper = orthocomplement_in(a_phi, a, model.inner)
     negative = datum.roots[len(datum.positive):]
     s0 = Subspace.span(d, a_upper.rows + tuple(

@@ -1,5 +1,6 @@
 """Tests for the command line front end: exit statuses and golden reports."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -265,6 +266,35 @@ def test_a_run_renders_only_the_format_it_writes(monkeypatch, capsys, fmt, unuse
     monkeypatch.setattr(cli, unused, refuse)
     assert exit_status(["--space", "sl(3)", "--format", fmt]) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, status", [
+    (["--space", "sl(3)*rh(2)", "--format", "json"], 0),
+    (["--space", "sl(10)"], 2),
+])
+def test_the_module_entry_point_writes_what_main_writes(args, status, capsys):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "cohomatlas.cli", *args], env=env,
+                          capture_output=True, check=False)
+    assert exit_status(args) == status
+    assert proc.returncode == status
+    captured = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (captured.out.encode(), captured.err.encode())
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["--space", "sl(3)"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_freezes_the_heap_once_main_has_returned(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.console() == 1
+    assert calls == ["main", "freeze"]
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_string():

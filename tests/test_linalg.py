@@ -247,28 +247,52 @@ class TestInclusionSolver:
         return tuple(out)
 
     def test_whole_algebra_normalizes_itself(self):
-        cands = [unit_vec(3, i) for i in range(3)]
+        cands = Subspace.span(3, [unit_vec(3, i) for i in range(3)])
         target = Subspace.full(3)
-        images = [[self.ad(c, b) for b in basis(target)] for c in cands]
+        images = [[self.ad(c, b) for b in basis(target)] for c in basis(cands)]
         assert solve_inclusion_constraint(cands, images, target) == Subspace.full(3)
 
     def test_injective_into_zero(self):
-        cands = [unit_vec(3, i) for i in range(3)]
+        cands = Subspace.span(3, [unit_vec(3, i) for i in range(3)])
         target = Subspace.zero(3)
         # ad(.)E is injective on span{H, F}: solutions must kill both slots
-        images = [[self.ad(c, unit_vec(3, 1)), self.ad(c, unit_vec(3, 2))] for c in cands]
+        images = [[self.ad(c, unit_vec(3, 1)), self.ad(c, unit_vec(3, 2))] for c in basis(cands)]
         sol = solve_inclusion_constraint(cands, images, target)
         assert sol == Subspace.zero(3)
 
     def test_borel_normalizer(self):
         # {X : [X, E] in span{E}} = span{H, E}; by hand: [aH+bE+cF, E]
         # = 2aE - cH, so c = 0.
-        cands = [unit_vec(3, i) for i in range(3)]
+        cands = Subspace.span(3, [unit_vec(3, i) for i in range(3)])
         target = S(3, [0, 1, 0])
-        images = [[self.ad(c, vec([0, 1, 0]))] for c in cands]
+        images = [[self.ad(c, vec([0, 1, 0]))] for c in basis(cands)]
         sol = solve_inclusion_constraint(cands, images, target)
         assert sol == S(3, [1, 0, 0], [0, 1, 0])
         assert sol.dim == 2
+
+    def test_no_candidates_give_the_zero_subspace_of_their_ambient(self):
+        assert solve_inclusion_constraint(Subspace.zero(3), [], Subspace.zero(1)) == \
+            Subspace.zero(3)
+
+
+@pytest.mark.parametrize("vectors", [
+    [{5: 1}],  # past the end, never a pivot
+    [{0: 1, 5: 1}],  # past the end, in a pivot row
+    [{0: 1, 5: 1}, {0: 1}],  # past the end, in a row left below the pivots
+    [{1: 1}, {-1: 2}],  # a negative index
+    [(1, 0, 0)],  # dense rows of the wrong length
+    [(1,)],
+])
+def test_span_rejects_an_index_outside_the_ambient_dimension(vectors):
+    with pytest.raises(ValueError, match="vector length does not match ambient dimension"):
+        Subspace.span(2, vectors)
+
+
+@pytest.mark.parametrize("target", [Subspace.zero(2), Subspace.full(2)])
+@pytest.mark.parametrize("image", [{5: 1}, {-1: 1}, {0: 1, 2: 1}, (1, 0, 0)])
+def test_solver_rejects_an_image_outside_the_target_ambient(image, target):
+    with pytest.raises(ValueError, match="image dimension does not match target ambient"):
+        solve_inclusion_constraint(Subspace.full(1), [[image]], target)
 
 
 def test_determinism_bitwise():
@@ -467,18 +491,19 @@ def reference_rref_rows(rows, ncols):
 
 
 def reference_solve_inclusion_constraint(candidates, images, target):
-    """The equations as dot products of each image with the normals of target."""
-    m, n = len(candidates), target.ambient_dim
+    """The equations as dot products of each image with the normals of
+    target; images[a] are the images of the canonical row a of candidates."""
+    m, n, amb = candidates.dim, target.ambient_dim, candidates.ambient_dim
     if target.dim == 0:
         normals = [unit_vec(n, i) for i in range(n)]
     else:
         normals = [dense(x, n) for x in kernel_rows(basis(target), n)]
     equations = [tuple(vdot(images[a][s], nv) for a in range(m))
-                 for s in range(len(images[0])) for nv in normals]
+                 for s in range(len(images[0]) if images else 0) for nv in normals]
     ker = [dense(x, m) for x in kernel_rows(equations, m)] if equations else \
         [unit_vec(m, i) for i in range(m)]
-    amb = len(candidates[0])
-    return Subspace.span(amb, [lincomb(x, candidates, amb) for x in ker])
+    rows = [dense(row, amb) for row in candidates.rows]
+    return Subspace.span(amb, [lincomb(x, rows, amb) for x in ker])
 
 
 def reference_subspace_intersect(u, v):
@@ -566,9 +591,9 @@ def test_inclusion_solver_matches_the_normals_reference(case):
     n, kind, target_rows, m, nslots, data = case
     target = {"zero": Subspace.zero(n), "full": Subspace.full(n),
               "between": Subspace.span(n, target_rows)}[kind]
-    candidates = data.draw(rational_vectors(3, min_size=m, max_size=m))
+    candidates = Subspace.span(3, data.draw(rational_vectors(3, min_size=m, max_size=m)))
     images = []
-    for _ in range(m):
+    for _ in candidates.rows:
         slots = []
         for _ in range(nslots):
             inside = data.draw(rational_vectors(target.dim, min_size=1, max_size=1))[0]
@@ -759,7 +784,7 @@ def test_sparse_membership_matches_the_rational_loop(case, data):
 def test_sparse_inclusion_solver_matches_the_normals_reference(case, m, nslots, data):
     n, rows, _ = case
     target = Subspace.span(n, rows)
-    candidates = [unit_vec(m + 1, a) for a in range(m)]
+    candidates = Subspace.span(m + 1, [unit_vec(m + 1, a) for a in range(m)])
     images = []
     for _ in range(m):
         slots = []
@@ -847,7 +872,7 @@ def test_the_solvers_combinations_are_the_canonical_rows_of_its_answer(case, k, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg_module, "combination", recorded)
         answer = solve_inclusion_constraint(candidates, images, target)
-    assert answer == reference_solve_inclusion_constraint(list(basis(candidates)), images, target)
+    assert answer == reference_solve_inclusion_constraint(candidates, images, target)
     if combinations:
         # already reduced, with positive leads, and in the answer's order: the
         # closing span has no row operation left to do

@@ -144,7 +144,7 @@ def _graph(model: LieModel, domain: Subspace, image: Subspace, pairs) -> Subspac
         raise ValueError("sigma domain and image meet")
     if any(model.bracket(x, y) for x in domain.rows for y in image.rows):
         raise ValueError("sigma domain and image do not commute")
-    return Subspace.span(model.dim, [combination((1, 1), xy) for xy in zip(xs, ys)])
+    return Subspace.span(model.dim, [combination({0: 1, 1: 1}, xy) for xy in zip(xs, ys)])
 
 
 def _spans(model: LieModel, vectors: list, sub: Subspace) -> bool:

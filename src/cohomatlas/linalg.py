@@ -18,12 +18,12 @@ and ``coords_of``, ``SpanSolver.coords``, the rows that ``rref_rows``,
 ``rref_with_transform`` and ``kernel_rows`` return, and the bracket, inner
 product, root vectors and coweights downstream.  A ``Matrix`` is square
 and held by its sparse rows, so theta, the Killing form and the inner
-product of a model cost their nonzero entries.  Only a list of rows handed
-to an elimination (``Subspace.span``, ``rref_rows``, ``rref_with_transform``,
-``kernel_rows``, ``SpanSolver`` and the images of
-``solve_inclusion_constraint``) may also hold dense rows, as the
-rank-length covectors, the drawn coefficients of a sampler and the small
-integer operators of the NC2 check come; ``sparse`` takes them in.
+product of a model cost their nonzero entries.  Every input is sparse too,
+and an index outside range(n) raises a ValueError, checked once per entry
+point: ``Subspace.span`` and ``rref_rows`` (so ``kernel_rows``) on what
+their one elimination leaves, ``rref_with_transform`` (so ``SpanSolver``)
+on its rows, ``solve_inclusion_constraint`` on its residuals and
+``Matrix.apply`` on its column lookups.
 
 A subspace stores its canonical rows once: the reduced row echelon form of
 whatever spanning set was supplied, each the sparse primitive integer row
@@ -97,26 +97,11 @@ def exact_scalar(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def sparse(v) -> dict:
-    """A dense row as {index: value} over its nonzero entries; a dict is
-    taken to be sparse already."""
-    if isinstance(v, dict):
-        return v
-    return {i: x for i, x in enumerate(v) if x}
-
-
-def _checked(v, n: int, error: str) -> dict:
-    """sparse(v), once a dense v is known to have length n."""
-    if not isinstance(v, dict) and len(v) != n:
-        raise ValueError(error)
-    return sparse(v)
-
-
-def combination(coeffs, rows: Sequence[dict]) -> dict:
-    """sum(c * rows[i]) over the coefficients {i: c}, or a dense sequence of
-    them, of sparse rows, as a sparse vector; each sum starts at the int 0."""
+def combination(coeffs: dict, rows: Sequence[dict]) -> dict:
+    """sum(c * rows[i]) over the coefficients {i: c} of sparse rows, as a
+    sparse vector; each sum starts at the int 0."""
     out = {}
-    for i, c in sparse(coeffs).items():
+    for i, c in coeffs.items():
         for j, x in rows[i].items():
             out[j] = out.get(j, 0) + c * x
     return {j: x for j, x in out.items() if x}
@@ -124,6 +109,9 @@ def combination(coeffs, rows: Sequence[dict]) -> dict:
 
 # ---------------------------------------------------------------------------
 # row reduction
+
+
+_INDEX_ERROR = "vector length does not match ambient dimension"
 
 
 def _integer_row(row: dict) -> dict:
@@ -193,20 +181,34 @@ def _eliminate(work: list, ncols: int) -> list:
     return pivots
 
 
-def rref_rows(rows: Sequence, ncols: int):
-    """Reduced row echelon form of sparse or dense rows.
+def _reduced(rows: Iterable[dict], ncols: int):
+    """(reduced nonzero rows, pivots) of sparse rows, for ``Subspace.span``
+    and ``rref_rows``.  Raises on an index outside range(ncols), checked on
+    what the elimination leaves: a negative index is the first pivot, and an
+    index past the end is never a pivot, so it stays in a pivot row or in a
+    row left below them."""
+    work = [row for row in map(_integer_row, rows) if row]
+    pivots = _eliminate(work, ncols)
+    reduced = work[:len(pivots)]
+    if (pivots and (pivots[0] < 0 or max(map(max, reduced)) >= ncols)
+            or any(work[len(pivots):])):
+        raise ValueError(_INDEX_ERROR)
+    return reduced, pivots
+
+
+def rref_rows(rows: Sequence[dict], ncols: int):
+    """Reduced row echelon form of sparse rows.
 
     Returns (reduced nonzero rows, pivot column indices).  Each row is the
     sparse primitive integer multiple of its fully normalized RREF row (pivot
     1, zeros above and below) with a positive pivot, as ``Subspace`` stores
-    it: divided by its pivot value, it is the rational RREF row.
+    it: divided by its pivot value, it is the rational RREF row.  Raises if
+    a row has an index outside range(ncols).
     """
-    work = [row for row in (_integer_row(sparse(r)) for r in rows) if row]
-    pivots = _eliminate(work, ncols)
-    return work[:len(pivots)], pivots
+    return _reduced(rows, ncols)
 
 
-def rref_with_transform(rows: Sequence, ncols: int):
+def rref_with_transform(rows: Sequence[dict], ncols: int):
     """RREF plus the transform T with T @ rows == rref (zero rows kept last).
 
     Returns (reduced rows incl. zero rows, pivots, T rows), sparse integer
@@ -215,19 +217,22 @@ def rref_with_transform(rows: Sequence, ncols: int):
     rational RREF row, so rref_r / rref_r[pivots[r]] and T_r / rref_r[pivots[r]]
     are the rows a rational Gauss-Jordan loop gives.  The transform rows of the
     zero rows span the relations among the input rows, but each is fixed
-    only up to a nonzero factor.
+    only up to a nonzero factor.  Raises if a row has an index outside
+    range(ncols): it would land on the transform block.
     """
-    work = [_integer_row({**sparse(r), ncols + i: 1}) for i, r in enumerate(rows)]
+    if any(r and (min(r) < 0 or max(r) >= ncols) for r in rows):
+        raise ValueError(_INDEX_ERROR)
+    work = [_integer_row({**r, ncols + i: 1}) for i, r in enumerate(rows)]
     pivots = _eliminate(work, ncols)
     reduced = [{j: x for j, x in row.items() if j < ncols} for row in work]
     transform = [{j - ncols: x for j, x in row.items() if j >= ncols} for row in work]
     return reduced, pivots, transform
 
 
-def kernel_rows(rows: Sequence, ncols: int) -> list:
-    """Basis of {x : R x = 0} for the matrix with the given sparse or dense
-    rows: one sparse primitive integer vector per free column f, positive at
-    f and zero at the other free columns.
+def kernel_rows(rows: Sequence[dict], ncols: int) -> list:
+    """Basis of {x : R x = 0} for the matrix with the given sparse rows: one
+    sparse primitive integer vector per free column f, positive at f and
+    zero at the other free columns; raises as ``rref_rows`` does.
 
     Reduced row p, with pivot value d_p, gives x[p] = -row_p[f] / d_p when
     x[f] = 1; scaling by the lcm L of the d_p that hit f keeps x in ints.
@@ -264,13 +269,13 @@ class Matrix:
         return self.rows == other.rows if isinstance(other, Matrix) else NotImplemented
 
     @cached_property
-    def col_entries(self) -> tuple:
-        """Per column, the (row, value) pairs of its nonzero entries."""
-        cols = [[] for _ in self.rows]
+    def col_entries(self) -> dict:
+        """Per column j in range(n), the (row, value) pairs of its nonzero entries."""
+        cols = {j: [] for j in range(len(self.rows))}
         for i, row in enumerate(self.rows):
             for j, x in row.items():
                 cols[j].append((i, x))
-        return tuple(map(tuple, cols))
+        return {j: tuple(col) for j, col in cols.items()}
 
     @cached_property
     def is_positive_definite(self) -> bool:
@@ -301,12 +306,16 @@ class Matrix:
     def apply(self, v: dict) -> dict:
         """Matrix-vector product of a sparse vector, through the column
         entries of its support.  Each sum starts at the int 0, so an integer
-        matrix maps integer vectors to integer vectors."""
+        matrix maps integer vectors to integer vectors.  Raises if v has an
+        index outside range(n)."""
         out = {}
         cols = self.col_entries
-        for j, x in v.items():
-            for i, y in cols[j]:
-                out[i] = out.get(i, 0) + y * x
+        try:
+            for j, x in v.items():
+                for i, y in cols[j]:
+                    out[i] = out.get(i, 0) + y * x
+        except KeyError:
+            raise ValueError(_INDEX_ERROR) from None
         return {i: x for i, x in out.items() if x}
 
 
@@ -347,25 +356,10 @@ class Subspace:
         return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.rows)))
 
     @classmethod
-    def span(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
-        """The span of sparse or dense vectors; raises if a vector has an
-        index outside range(ambient_dim)."""
-        error = "vector length does not match ambient dimension"
-        work = []
-        for v in vectors:
-            v = _checked(v, ambient_dim, error)
-            row = _integer_row(v) if v else v
-            if row:
-                work.append(row)
-        pivots = _eliminate(work, ambient_dim)
-        rows = work[:len(pivots)]
-        # The indices are checked on what the elimination leaves, not on each
-        # vector: a negative index is the first pivot, and an index past the
-        # end is never a pivot, so it stays in a pivot row or in a row left
-        # below them.
-        if (pivots and pivots[0] < 0 or any(work[len(pivots):])
-                or any(max(row) >= ambient_dim for row in rows)):
-            raise ValueError(error)
+    def span(cls, ambient_dim: int, vectors: Iterable[dict]) -> "Subspace":
+        """The span of sparse vectors; raises if a vector has an index
+        outside range(ambient_dim)."""
+        rows, pivots = _reduced(vectors, ambient_dim)
         return cls(ambient_dim, tuple(rows), tuple(pivots))
 
     @classmethod
@@ -388,9 +382,23 @@ class Subspace:
         return frozenset(j for row in self.rows for j in row)
 
     @cached_property
+    def pivot_values(self) -> tuple:
+        """The pivot value d_p = row_p[p] of each canonical row."""
+        return tuple(row[p] for row, p in zip(self.rows, self.pivots))
+
+    @cached_property
     def _scale(self) -> int:
-        """d, the lcm of the pivot values d_p = row_p[p]."""
-        return math.lcm(*(row[c] for row, c in zip(self.rows, self.pivots)))
+        """d, the lcm of the pivot values d_p."""
+        return math.lcm(*(row[p] for row, p in zip(self.rows, self.pivots)))
+
+    @cached_property
+    def basis_scales(self) -> tuple:
+        """L / d_p for each canonical row, L the lcm of the pivot values
+        (``_scale``).  Scaled by it, row p is L times its rational RREF row
+        h_p, and a coordinate read off the image of row p is L times the one
+        read off the image of h_p."""
+        scale = self._scale
+        return tuple(scale // row[p] for row, p in zip(self.rows, self.pivots))
 
     @cached_property
     def _pivot_rows(self) -> dict:
@@ -507,7 +515,7 @@ def solve_inclusion_constraint(candidates: Subspace, images: Sequence[Sequence],
     """Solve {X in candidates : action(X) subset of target} exactly.
 
     images[a] lists, slot by slot, the images of the canonical row a of
-    candidates under the linear map family, as sparse or dense vectors; the
+    candidates under the linear map family, as sparse vectors; the
     family is linear in X, so the solution set is the span of
     sum(x_a * row_a) over the kernel of the induced system.  Those
     combinations, in order, are positive multiples of the answer's canonical
@@ -525,17 +533,16 @@ def solve_inclusion_constraint(candidates: Subspace, images: Sequence[Sequence],
     # linear in v: one equation per (slot, column) where a residual is nonzero.
     # Unknown a is column last - a, so that the kernel, read in candidate
     # order, is the RREF of the solution space (see the module docstring).
-    error = "image dimension does not match target ambient"
     n = target.ambient_dim
     last = len(rows) - 1
     equations = {}
     for a, im in enumerate(images):
         for s, w in enumerate(im):
-            for j, x in target._residual(_checked(w, n, error)).items():
+            for j, x in target._residual(w).items():
                 equations.setdefault((s, j), {})[last - a] = x
     # an index outside range(n) is never a pivot of target, so it stays in the residual
     if any(not 0 <= j < n for _, j in equations):
-        raise ValueError(error)
+        raise ValueError("image dimension does not match target ambient")
     if not equations:
         return candidates
     ker = kernel_rows(list(equations.values()), len(rows))

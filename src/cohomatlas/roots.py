@@ -33,7 +33,6 @@ from .linalg import (
     exact_scalar,
     orthocomplement_in,
     rat,
-    sparse,
 )
 from .models import LieModel, ProductModel
 
@@ -94,8 +93,8 @@ class RootDatum:
         r_t, where alpha_j(r_t) is d_t times the covector value, d_t the pivot
         value of r_t."""
         a = self.model.a_space
-        inverse = SpanSolver([tuple(s.covector[t] * d for s in self.simple)
-                              for t, d in enumerate(_pivot_values(a))], self.rank)
+        inverse = SpanSolver([_covector_row(tuple(s.covector[t] * d for s in self.simple))
+                              for t, d in enumerate(a.pivot_values)], self.rank)
         return tuple(combination(inverse.coords({i: 1}), a.rows) for i in range(self.rank))
 
     @cached_property
@@ -213,10 +212,11 @@ def decompose(model: LieModel) -> RootDatum:
     # dual vectors H_lam of the simple roots over the canonical rows r_t of a:
     # the coordinates of (lam(r_t))_t in the rows of the (symmetric) Gram
     # matrix of the r_t, lam(r_t) being d_t times the covector value
-    a_rows, scales = model.a_space.rows, _pivot_values(model.a_space)
-    gram_a = SpanSolver([[model.inner_product(x, y) for y in a_rows] for x in a_rows],
-                        len(a_rows))
-    duals = {wt: combination(gram_a.coords(sparse([w * d for w, d in zip(wt, scales)])), a_rows)
+    a_rows, scales = model.a_space.rows, model.a_space.pivot_values
+    gram_a = SpanSolver([{t: g for t, y in enumerate(a_rows) if (g := model.inner_product(x, y))}
+                         for x in a_rows], len(a_rows))
+    duals = {wt: combination(gram_a.coords({t: w * scales[t]
+                                            for t, w in _covector_row(wt).items()}), a_rows)
              for wt in simple_cov}
 
     def pairing(u, v):
@@ -238,11 +238,11 @@ def decompose(model: LieModel) -> RootDatum:
     # coefficients of every root over the ordered simple roots; H_lam is
     # linear in lam, so every other dual vector is the combination of the
     # simple ones with lam's coefficients
-    simple_solver = SpanSolver(ordered_simple, r)
+    simple_solver = SpanSolver([_covector_row(s) for s in ordered_simple], r)
     simple_duals = [duals[s] for s in ordered_simple]
     coeffs = {}
     for wt in raw:
-        c = simple_solver.coords(sparse(wt))
+        c = simple_solver.coords(_covector_row(wt))
         if any(type(x) is not int for x in c.values()):
             raise ValueError("root is not an integer combination of simple roots")
         if wt in pos_set and any(v < 0 for v in c.values()):
@@ -291,7 +291,7 @@ def _basis_weights(model: LieModel) -> list:
     vector is an ad(a)-eigenvector, that is, unless the basis is a weight
     basis."""
     columns = []
-    for r, d in zip(model.a_space.rows, _pivot_values(model.a_space)):
+    for r, d in zip(model.a_space.rows, model.a_space.pivot_values):
         column = []
         for i in range(model.dim):
             image = model.bracket(r, {i: 1})
@@ -303,10 +303,9 @@ def _basis_weights(model: LieModel) -> list:
     return list(zip(*columns))
 
 
-def _pivot_values(sub: Subspace) -> list:
-    """The pivot value d_t of each canonical row r_t of sub: r_t / d_t is its
-    rational RREF row, on which covectors take their values."""
-    return [row[p] for row, p in zip(sub.rows, sub.pivots)]
+def _covector_row(wt: tuple) -> dict:
+    """A covector, its values on the rational RREF rows of a, as a sparse row."""
+    return {t: x for t, x in enumerate(wt) if x}
 
 
 def _check_grading(model: LieModel, weights: list) -> None:

@@ -59,7 +59,7 @@ _MASK = (1 << 64) - 1
 
 
 class RationalSampler:
-    """Deterministic rational sample vectors with entries in -3..3."""
+    """Deterministic rational samples from coefficients in -3..3; every draw is sparse."""
 
     def __init__(self, seed: int):
         self.state = (seed ^ 0x9E3779B97F4A7C15) & _MASK
@@ -71,33 +71,35 @@ class RationalSampler:
     def coefficient(self):
         return self._next() % 7 - 3
 
-    def nonzero_coefficients(self, m: int) -> tuple:
-        """m coefficients, drawn again until one is nonzero."""
+    def nonzero_coefficients(self, m: int) -> dict:
+        """m coefficients c_0, ..., c_(m-1), drawn in order and again until
+        one is nonzero, as the sparse row {i: c_i} of the nonzero ones."""
         while True:
-            coeffs = tuple(self.coefficient() for _ in range(m))
-            if any(coeffs):
+            coeffs = {i: c for i in range(m) if (c := self.coefficient())}
+            if coeffs:
                 return coeffs
 
     def vector_in(self, sub: Subspace) -> dict:
         """L sum(c_i h_i) for drawn coefficients c_i, the h_i the rational RREF
-        rows of sub and L as in ``_basis_scales``: the row r_i = d_i h_i is
-        scaled by L / d_i, so the draw is an integer vector."""
+        rows of sub and L as in ``Subspace.basis_scales``: the row r_i = d_i h_i
+        is scaled by L / d_i, so the draw is an integer vector, sparse."""
         if sub.dim == 0:
             raise ValueError("cannot sample from the zero subspace")
-        coeffs = zip(self.nonzero_coefficients(sub.dim), _basis_scales(sub))
-        return combination({i: c * f for i, (c, f) in enumerate(coeffs) if c}, sub.rows)
+        coeffs = self.nonzero_coefficients(sub.dim)
+        return combination({i: c * sub.basis_scales[i] for i, c in coeffs.items()}, sub.rows)
 
     def subspace_in(self, sub: Subspace, dim: int) -> Subspace:
         """The span of dim vectors drawn as ``vector_in`` draws them, drawn
         again until they are independent.
 
-        The draws are spanned in the coordinates of the rational RREF rows B
-        of sub: with C the drawn coefficients, RREF(C B) = RREF(C) B, because B
-        is in RREF with unit pivots.  A reduced row r of C, primitive with a
-        positive pivot, maps to sum(r_q (L / d_q) row_q) over the rows of sub, where d_q
-        is the pivot value of row_q and L their lcm: that is L times r B, so
-        divided by its gcd it is the canonical row of the span.  When sub is
-        all of Q^n, B is the identity and the reduced rows are the span's.
+        The draws, sparse coefficient rows, are spanned in the coordinates of
+        the rational RREF rows B of sub: with C the drawn coefficients,
+        RREF(C B) = RREF(C) B, because B is in RREF with unit pivots.  A
+        reduced row r of C, primitive with a positive pivot, maps to
+        sum(r_q (L / d_q) row_q) over the rows of sub, where d_q is the pivot
+        value of row_q and L their lcm: that is L times r B, so divided by its
+        gcd it is the canonical row of the span.  When sub is all of Q^n, B is
+        the identity and the reduced rows are the span's.
         """
         if not 0 <= dim <= sub.dim:
             raise ValueError(f"cannot sample a {dim}-dimensional subspace "
@@ -113,8 +115,7 @@ class RationalSampler:
             return sub
         if sub.dim == sub.ambient_dim:
             return Subspace(sub.ambient_dim, tuple(reduced), tuple(pivots))
-        scales = _basis_scales(sub)
-        rows = tuple(_integer_row(combination({q: x * scales[q] for q, x in r.items()},
+        rows = tuple(_integer_row(combination({q: x * sub.basis_scales[q] for q, x in r.items()},
                                               sub.rows))
                      for r in reduced)
         return Subspace(sub.ambient_dim, rows, tuple(sub.pivots[c] for c in pivots))
@@ -295,9 +296,9 @@ class LeviAction:
                 for col, y in model.bracket(x, {c: 1}).items():
                     self.table[s].setdefault(self.coordinate[col], {})[last - a] = y
         # each row of b in the coordinates of the rows of l & p, times L
-        scales = _basis_scales(l_p)
-        self.b_coords = tuple({q: y[c] * f for q, (c, f) in enumerate(zip(l_p.pivots, scales))
-                               if c in y} for y in b.rows)
+        self.b_coords = tuple({q: y[c] * f for q, (c, f)
+                               in enumerate(zip(l_p.pivots, l_p.basis_scales)) if c in y}
+                              for y in b.rows)
 
     def k_phi_operators(self) -> list:
         """ad(y) on g_1 for each row y of k_phi, the unknowns 0, ...,
@@ -357,7 +358,7 @@ class LeviNormalizer:
         image formed for W_k, so no bracket is taken.  Raises if one leaves v."""
         v, cut = self.v, self.action.l_p.dim
         last = cut + self.action.k_phi.dim - 1
-        scales, ops = _basis_scales(v), []
+        scales, ops = v.basis_scales, []
         for y in (row for row in self.rows if min(row) >= cut):
             cols = [{t: x for t, col in image.items()
                      if (x := sum(c * y.get(last - u, 0) for u, c in col.items()))}
@@ -372,7 +373,7 @@ class LeviNormalizer:
         """theta N_l(v) = N_l(n_phi minus v): the solution rows with their
         l & p blocks negated, spanned."""
         return Subspace.span(self.action.l_p.ambient_dim,
-                             [combination((-1, 1), pk) for pk in self.blocks])
+                             [combination({0: -1, 1: 1}, pk) for pk in self.blocks])
 
 
 def levi_normalizer(model: LieModel, pd: ParabolicDatum, v: Subspace) -> LeviNormalizer:
@@ -433,12 +434,11 @@ def levi_normalizer(model: LieModel, pd: ParabolicDatum, v: Subspace) -> LeviNor
         raise ValueError("v must lie inside the first graded piece") from None
     # v in g_1 coordinates, and z[f]: the residual functional z_f of v at each free column f
     coords = Subspace(len(action.table), rows, tuple(min(row) for row in rows))
-    scale = v._scale
-    z = {f: {f: scale} for f in range(len(action.table)) if f not in coords.pivots}
-    for row, p in zip(rows, coords.pivots):
+    z = {f: {f: v._scale} for f in range(len(action.table)) if f not in coords.pivots}
+    for row, p, scale in zip(rows, coords.pivots, v.basis_scales):
         for f, x in row.items():
             if f in z:
-                z[f][p] = -(scale // row[p]) * x
+                z[f][p] = -scale * x
     equations, images = [], []
     for row in rows:
         image = {}  # coordinate t of [x, W_k], as a sparse row over the unknowns
@@ -476,21 +476,11 @@ def check_nc1(split: LeviNormalizer) -> bool:
     return all(map(split.p_coords.contains_vector, split.action.b_coords))
 
 
-def _basis_scales(v: Subspace) -> list:
-    """L / d_c for each row c of v, with d_c its pivot value and L the lcm of
-    the d_c.  Row c is d_c times the rational RREF row h_c, and the
-    coordinates of a vector of v are its entries at ``v.pivots``, so a
-    coordinate read off the image of row c and scaled by L / d_c is L times
-    the coordinate read off the image of h_c; and row c scaled by L / d_c is
-    L h_c."""
-    return [v._scale // row[c] for row, c in zip(v.rows, v.pivots)]
-
-
 def _gram(model: LieModel, v: Subspace) -> tuple:
     """L^2 times the Gram matrix of the rational RREF rows of v for the
-    inner product, with L as in ``_basis_scales``, as its rows: an integer
-    matrix for the shipped models."""
-    scales = _basis_scales(v)
+    inner product, with L as in ``Subspace.basis_scales``, as its rows: an
+    integer matrix for the shipped models."""
+    scales = v.basis_scales
     images = [model.inner.apply(row) for row in v.rows]
     return tuple(
         tuple(f * g * sum(x * im.get(j, 0) for j, x in row.items())
@@ -535,14 +525,16 @@ def check_nc2(model: LieModel, v: Subspace, ops: list, seed: int, samples: int):
         gr = [[sum(g * op[k][j] for k, g in enumerate(row)) for j in range(m)] for row in gram]
         if any(gr[i][j] + gr[j][i] for i in range(m) for j in range(i, m)):
             raise ValueError("normalizer restriction is not skew on v")
-    op_span = Subspace.span(m * m, [[x for row in op for x in row] for op in ops])
+    op_span = Subspace.span(m * m, [{i * m + j: x for i, row in enumerate(op)
+                                     for j, x in enumerate(row) if x} for op in ops])
     if op_span.dim == m * (m - 1) // 2:
         return "yes", "contains-so"
     sampler = RationalSampler(seed)
     for _ in range(samples):
         # work in restricted coordinates throughout
         uc = sampler.nonzero_coefficients(m)
-        tangent = Subspace.span(m, [uc] + [[sum(x * u for x, u in zip(row, uc)) for row in op]
+        tangent = Subspace.span(m, [uc] + [{i: y for i, row in enumerate(op)
+                                            if (y := sum(row[j] * u for j, u in uc.items()))}
                                            for op in ops])
         if tangent.dim < m:
             return "no", "failed-witness"

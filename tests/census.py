@@ -12,7 +12,8 @@ factors take about 20 s, so the census is a script, not a tier-1 test:
 It prints one line per failing space and a summary, and exits 1 if any
 space fails.  The summary ends with one sha256 over every report, JSON then
 markdown, space by space in census order: a refactor that must leave the
-reports byte-identical leaves this digest unchanged.
+reports byte-identical leaves this digest unchanged.  CI fails unless the
+summary line carries the digest pinned in its census step.
 """
 
 import hashlib

@@ -12,7 +12,21 @@ arithmetic."""
 
 from fractions import Fraction
 
-from cohomatlas.linalg import Matrix, Subspace, rat, sparse
+from cohomatlas.linalg import Matrix, Subspace, rat
+
+
+def sparse(v) -> dict:
+    """A dense row as {index: value} over its nonzero entries; a dict is
+    taken to be sparse already.  The package takes sparse rows only, so a
+    test that writes a row densely hands it in through this."""
+    if isinstance(v, dict):
+        return v
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def as_sparse(rows) -> list:
+    """Dense or sparse rows as sparse rows, for the package's eliminations."""
+    return [sparse(r) for r in rows]
 
 
 def mat(rows) -> tuple:

@@ -8,6 +8,8 @@ from typing import NamedTuple
 
 from cohomatlas.linalg import Subspace, _integer_row, combination, solve_inclusion_constraint
 
+from dense_reference import sparse
+
 
 class ReferenceNormalizer(NamedTuple):
     p_part: Subspace  # p(N_l(v))
@@ -16,7 +18,7 @@ class ReferenceNormalizer(NamedTuple):
 
     def theta_dual(self) -> Subspace:
         return Subspace.span(self.p_part.ambient_dim,
-                             [combination((-1, 1), pk) for pk in self.blocks])
+                             [combination({0: -1, 1: 1}, pk) for pk in self.blocks])
 
 
 def reference_levi_normalizer(model, pd, v: Subspace) -> ReferenceNormalizer:
@@ -29,8 +31,8 @@ def reference_levi_normalizer(model, pd, v: Subspace) -> ReferenceNormalizer:
     images = [[model.bracket(x, w) for w in v.rows] for x in split]
     solution = solve_inclusion_constraint(Subspace.full(len(split)), images, v)
     cut = lp.dim
-    blocks = tuple((combination([row.get(a, 0) for a in range(cut)], lp.rows),
-                    combination([row.get(cut + a, 0) for a in range(kp.dim)], kp.rows))
+    blocks = tuple((combination(sparse([row.get(a, 0) for a in range(cut)]), lp.rows),
+                    combination(sparse([row.get(cut + a, 0) for a in range(kp.dim)]), kp.rows))
                    for row in solution.rows)
     p_rows = tuple(_integer_row(p) for (p, _), c in zip(blocks, solution.pivots) if c < cut)
     k_rows = tuple(_integer_row(k) for (_, k), c in zip(blocks, solution.pivots) if c >= cut)

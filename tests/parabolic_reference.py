@@ -4,6 +4,8 @@ sums of root spaces: the reference for its pieces."""
 
 from cohomatlas.linalg import Subspace, orthocomplement_in, solve_inclusion_constraint
 
+from dense_reference import sparse
+
 
 def in_span(root, phi) -> bool:
     """The coefficient scan: every coefficient outside phi vanishes."""
@@ -28,7 +30,7 @@ def reference_pieces(datum, phi: tuple) -> dict:
     a = model.a_space
     # the solver's candidates are a's canonical rows, row t being d_t times
     # the rational RREF row on which the covectors take their values
-    values = [[tuple(datum.simple[i].covector[t] * row[c] for i in phi)]
+    values = [[sparse(datum.simple[i].covector[t] * row[c] for i in phi)]
               for t, (row, c) in enumerate(zip(a.rows, a.pivots))]
     a_phi = solve_inclusion_constraint(a, values, Subspace.zero(len(phi)))
     a_upper = orthocomplement_in(a_phi, a, model.inner)

@@ -28,7 +28,7 @@ from cohomatlas.actions import (
 from cohomatlas.parabolic import build_parabolic, tensor_model
 from cohomatlas.roots import decompose
 from cohomatlas.verify import verify
-from dense_reference import flatten, mat, matrix_of, msum, product, to_entries, transpose
+from dense_reference import flatten, mat, matrix_of, msum, product, sparse, to_entries, transpose
 from nested_reference import nested_pieces
 from span_reference import generator_span, theta_image
 
@@ -413,8 +413,9 @@ class TestBuiltinCatalog:
 def dense_matrix_kernel(model, inside, condition):
     """The reference matrix kernel: each row's matrix built dense from the
     basis matrices, and a tuple-valued condition on that dense matrix."""
-    values = [[condition(matrix_of(model, x))] for x in inside.rows]
-    return solve_inclusion_constraint(inside, values, Subspace.zero(len(values[0][0])))
+    values = [condition(matrix_of(model, x)) for x in inside.rows]
+    return solve_inclusion_constraint(inside, [[sparse(v)] for v in values],
+                                      Subspace.zero(len(values[0])))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -26,7 +26,7 @@ from cohomatlas.roots import decompose
 from cohomatlas.verify import RationalSampler, levi_normalizer, orbit_tangent_at_o, verify
 
 from census import expected_cer_rows
-from dense_reference import basis, bracket, coords_of, dense
+from dense_reference import as_sparse, basis, bracket, coords_of, dense
 from oracle_reference import reference_block_rotation_certificate, reference_sweep
 
 
@@ -444,8 +444,8 @@ def test_the_seed_8_probe_is_the_tensor_pattern_span_e1_e2_times_1_minus_1():
     # v = span(e1, e2) (x) (1, -1) in the 2 x 2 top block of j=2
     tm = tensor_model(enumerate_sl(3, seed=8).datum, 1)
     g = {key: dense(row, tm.ambient_dim) for key, row in tm.generators.items()}
-    assert ref["space"] == Subspace.span(len(g[1, 1]), [
-        [x - y for x, y in zip(g[i, 1], g[i, 2])] for i in (1, 2)])
+    assert ref["space"] == Subspace.span(len(g[1, 1]), as_sparse(
+        [x - y for x, y in zip(g[i, 1], g[i, 2])] for i in (1, 2)))
 
 
 @pytest.mark.parametrize("space, rows", [

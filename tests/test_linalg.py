@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cohomatlas import linalg as linalg_module
 from cohomatlas.linalg import (
+    Matrix,
     SpanSolver,
     Subspace,
     disjoint_sum,
@@ -23,8 +24,8 @@ from cohomatlas.linalg import (
     subspace_sum,
 )
 
-from dense_reference import (apply, basis, coords_of, dense, from_coords, identity, mat, msum,
-                             product, sparse, to_matrix, transpose, vdot)
+from dense_reference import (apply, as_sparse, basis, coords_of, dense, from_coords, identity,
+                             mat, msum, product, sparse, to_matrix, transpose, vdot)
 
 
 # dense vector helpers the package no longer needs, kept for the tests
@@ -59,7 +60,7 @@ def vec(entries) -> tuple:
 
 
 def S(ambient, *vectors):
-    return Subspace.span(ambient, [vec(v) for v in vectors])
+    return Subspace.span(ambient, [sparse(vec(v)) for v in vectors])
 
 
 def divided(result, n: int):
@@ -99,29 +100,29 @@ def int_iff_integral(x) -> bool:
 class TestRref:
     def test_identity_fixed_point(self):
         m = identity(3)
-        assert rref_rows(m, 3) == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2])
-        assert divided(rref_rows(m, 3), 3) == (list(m), [0, 1, 2])
+        assert rref_rows(as_sparse(m), 3) == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2])
+        assert divided(rref_rows(as_sparse(m), 3), 3) == (list(m), [0, 1, 2])
 
     def test_zero_fixed_point(self):
         m = [(0,) * 4] * 2
-        assert rref_rows(m, 4) == ([], [])
+        assert rref_rows(as_sparse(m), 4) == ([], [])
 
     def test_rank_one_two_by_two(self):
         # hand Gaussian elimination: r2 -= r1/2, normalize r1
         m = mat([[2, 4], [1, 2]])
-        assert rref_rows(m, 2) == ([{0: 1, 1: 2}], [0])
-        assert divided(rref_rows(m, 2), 2) == ([(1, 2)], [0])
+        assert rref_rows(as_sparse(m), 2) == ([{0: 1, 1: 2}], [0])
+        assert divided(rref_rows(as_sparse(m), 2), 2) == ([(1, 2)], [0])
 
     def test_rank_counts_nonzero_rows(self):
         m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        _, pivots = rref_rows(m, 3)
+        _, pivots = rref_rows(as_sparse(m), 3)
         assert len(pivots) == 2
 
     def test_idempotent(self):
         rng = random.Random(20240)
         for _ in range(25):
             rows = [[rat(rng.randint(-4, 4)) for _ in range(4)] for _ in range(3)]
-            r1 = rref_rows(rows, 4)
+            r1 = rref_rows(as_sparse(rows), 4)
             assert rref_rows(r1[0], 4) == r1
 
 
@@ -220,7 +221,7 @@ class TestOrthocomplement:
             if w.dim == 0:
                 continue
             k = rng.randint(0, w.dim)
-            v = Subspace.span(4, basis(w)[:k])
+            v = Subspace.span(4, as_sparse(basis(w)[:k]))
             c = orthocomplement_in(v, w, form)
             assert subspace_sum(c, v) == w
             assert orthocomplement_in(c, w, form) == v
@@ -244,16 +245,16 @@ class TestInclusionSolver:
             if c:
                 for k in range(3):
                     out[k] += c * rat(w[k])
-        return tuple(out)
+        return sparse(out)
 
     def test_whole_algebra_normalizes_itself(self):
-        cands = Subspace.span(3, [unit_vec(3, i) for i in range(3)])
+        cands = Subspace.span(3, as_sparse(unit_vec(3, i) for i in range(3)))
         target = Subspace.full(3)
         images = [[self.ad(c, b) for b in basis(target)] for c in basis(cands)]
         assert solve_inclusion_constraint(cands, images, target) == Subspace.full(3)
 
     def test_injective_into_zero(self):
-        cands = Subspace.span(3, [unit_vec(3, i) for i in range(3)])
+        cands = Subspace.span(3, as_sparse(unit_vec(3, i) for i in range(3)))
         target = Subspace.zero(3)
         # ad(.)E is injective on span{H, F}: solutions must kill both slots
         images = [[self.ad(c, unit_vec(3, 1)), self.ad(c, unit_vec(3, 2))] for c in basis(cands)]
@@ -263,7 +264,7 @@ class TestInclusionSolver:
     def test_borel_normalizer(self):
         # {X : [X, E] in span{E}} = span{H, E}; by hand: [aH+bE+cF, E]
         # = 2aE - cH, so c = 0.
-        cands = Subspace.span(3, [unit_vec(3, i) for i in range(3)])
+        cands = Subspace.span(3, as_sparse(unit_vec(3, i) for i in range(3)))
         target = S(3, [0, 1, 0])
         images = [[self.ad(c, vec([0, 1, 0]))] for c in basis(cands)]
         sol = solve_inclusion_constraint(cands, images, target)
@@ -280,8 +281,6 @@ class TestInclusionSolver:
     [{0: 1, 5: 1}],  # past the end, in a pivot row
     [{0: 1, 5: 1}, {0: 1}],  # past the end, in a row left below the pivots
     [{1: 1}, {-1: 2}],  # a negative index
-    [(1, 0, 0)],  # dense rows of the wrong length
-    [(1,)],
 ])
 def test_span_rejects_an_index_outside_the_ambient_dimension(vectors):
     with pytest.raises(ValueError, match="vector length does not match ambient dimension"):
@@ -289,10 +288,44 @@ def test_span_rejects_an_index_outside_the_ambient_dimension(vectors):
 
 
 @pytest.mark.parametrize("target", [Subspace.zero(2), Subspace.full(2)])
-@pytest.mark.parametrize("image", [{5: 1}, {-1: 1}, {0: 1, 2: 1}, (1, 0, 0)])
+@pytest.mark.parametrize("image", [{5: 1}, {-1: 1}, {0: 1, 2: 1}])
 def test_solver_rejects_an_image_outside_the_target_ambient(image, target):
     with pytest.raises(ValueError, match="image dimension does not match target ambient"):
         solve_inclusion_constraint(Subspace.full(1), [[image]], target)
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: 1, 2: 5}, {1: 1}],  # past the end, where the transform block of two rows starts
+    [{0: 1, 3: 1}],  # past the end, in a pivot row
+    [{3: 1}],  # past the end, never a pivot
+    [{-1: 1}],  # a negative index
+    [{1: 1}, {-1: 2, 0: 1}],  # a negative index beside an index in range
+])
+@pytest.mark.parametrize("entry", [
+    lambda rows: SpanSolver(rows, 2),
+    lambda rows: rref_with_transform(rows, 2),
+    lambda rows: rref_rows(rows, 2),
+    lambda rows: kernel_rows(rows, 2),
+], ids=["SpanSolver", "rref_with_transform", "rref_rows", "kernel_rows"])
+def test_eliminations_reject_an_index_outside_their_columns(entry, rows):
+    with pytest.raises(ValueError, match="vector length does not match ambient dimension"):
+        entry(rows)
+
+
+@pytest.mark.parametrize("v", [{-1: 1}, {2: 1}, {0: 1, 5: 3}])
+def test_matrix_apply_rejects_an_index_outside_its_columns(v):
+    m = Matrix(({0: 1}, {1: 2}))
+    with pytest.raises(ValueError, match="vector length does not match ambient dimension"):
+        m.apply(v)
+    assert m.apply({0: 3, 1: 1}) == {0: 3, 1: 2}
+
+
+def test_pivot_values_and_basis_scales_read_the_canonical_rows():
+    sub = Subspace.span(4, [{0: 2, 2: 1}, {1: 3, 3: 1}])
+    assert sub.rows == ({0: 2, 2: 1}, {1: 3, 3: 1})
+    assert sub.pivot_values == (2, 3)
+    assert sub.basis_scales == (3, 2)
+    assert Subspace.zero(4).pivot_values == Subspace.zero(4).basis_scales == ()
 
 
 def test_determinism_bitwise():
@@ -327,24 +360,24 @@ def row_lists(draw, ncols=None, min_rows=0, max_rows=5):
 @given(row_lists(min_rows=1), st.data())
 def test_rref_rows_depends_only_on_the_row_space(case, data):
     n, rows = case
-    expected = rref_rows(rows, n)
+    expected = rref_rows(as_sparse(rows), n)
     permuted = data.draw(st.permutations(rows))
-    assert rref_rows(permuted, n) == expected
+    assert rref_rows(as_sparse(permuted), n) == expected
     i = data.draw(st.integers(0, len(rows) - 1))
     scale = data.draw(ENTRY.filter(bool))
     scaled = [[scale * x for x in r] if t == i else r for t, r in enumerate(rows)]
-    assert rref_rows(scaled, n) == expected
+    assert rref_rows(as_sparse(scaled), n) == expected
     coeffs = data.draw(st.lists(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)),
                                 max_size=3))
     extra = [lincomb(c, rows, n) for c in coeffs]
-    assert rref_rows(rows + extra, n) == expected
+    assert rref_rows(as_sparse(rows + extra), n) == expected
 
 
 def independent(rows, n):
     """The rows that are not in the span of the rows before them."""
     out = []
     for r in rows:
-        if not Subspace.span(n, out).contains_vector(sparse(r)):
+        if not Subspace.span(n, as_sparse(out)).contains_vector(sparse(r)):
             out.append(r)
     return out
 
@@ -353,12 +386,12 @@ def independent(rows, n):
 @given(row_lists())
 def test_rref_with_transform_maps_rows_to_reduced_rows(case):
     n, rows = case
-    result = rref_with_transform(rows, n)
+    result = rref_with_transform(as_sparse(rows), n)
     assert [lincomb(dense(t, len(rows)), rows, n) for t in result[2]] == \
         [dense(r, n) for r in result[0]]
     reduced, pivots, transform = rational_transform(result, n, len(rows))
     assert [lincomb(t, rows, n) for t in transform] == reduced
-    assert (reduced[:len(pivots)], pivots) == divided(rref_rows(rows, n), n)
+    assert (reduced[:len(pivots)], pivots) == divided(rref_rows(as_sparse(rows), n), n)
     assert all(not any(r) for r in reduced[len(pivots):])
 
 
@@ -367,12 +400,12 @@ def test_rref_with_transform_maps_rows_to_reduced_rows(case):
 def test_span_solver_coords_round_trip(case, data):
     n, rows = case
     basis = independent(rows, n)
-    solver = SpanSolver(basis, n)
+    solver = SpanSolver(as_sparse(basis), n)
     c = vec(data.draw(st.lists(ENTRY, min_size=len(basis), max_size=len(basis))))
     coords = solver.coords(sparse(lincomb(c, basis, n)))
     assert dense(coords, len(c)) == c
     assert all(int_iff_integral(x) for x in coords.values())
-    span = Subspace.span(n, basis)
+    span = Subspace.span(n, as_sparse(basis))
     for u in ({t: 1} for t in range(n)):
         if not span.contains_vector(u):
             with pytest.raises(ValueError):
@@ -383,7 +416,7 @@ def test_span_solver_coords_round_trip(case, data):
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(row_lists(n), row_lists(n))))
 def test_sum_and_intersection_dimensions(cases):
     (n, rows_u), (_, rows_v) = cases
-    u, v = Subspace.span(n, rows_u), Subspace.span(n, rows_v)
+    u, v = Subspace.span(n, as_sparse(rows_u)), Subspace.span(n, as_sparse(rows_v))
     s, i = subspace_sum(u, v), subspace_intersect(u, v)
     assert s.dim + i.dim == u.dim + v.dim
     assert s.contains(u) and s.contains(v) and u.contains(i) and v.contains(i)
@@ -393,11 +426,11 @@ def test_sum_and_intersection_dimensions(cases):
 @given(row_lists(min_rows=1), st.data())
 def test_orthocomplement_dimension_and_orthogonality(case, data):
     n, rows = case
-    w = Subspace.span(n, rows)
+    w = Subspace.span(n, as_sparse(rows))
     k = data.draw(st.integers(0, w.dim))
     coeffs = data.draw(st.lists(st.lists(ENTRY, min_size=w.dim, max_size=w.dim),
                                 min_size=k, max_size=k))
-    v = Subspace.span(n, [from_coords(w, c) for c in coeffs])
+    v = Subspace.span(n, as_sparse(from_coords(w, c) for c in coeffs))
     # a positive definite form A^T A + I with a small integer A
     a = mat(data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
                                min_size=n, max_size=n)))
@@ -497,13 +530,13 @@ def reference_solve_inclusion_constraint(candidates, images, target):
     if target.dim == 0:
         normals = [unit_vec(n, i) for i in range(n)]
     else:
-        normals = [dense(x, n) for x in kernel_rows(basis(target), n)]
+        normals = [dense(x, n) for x in kernel_rows(as_sparse(basis(target)), n)]
     equations = [tuple(vdot(images[a][s], nv) for a in range(m))
                  for s in range(len(images[0]) if images else 0) for nv in normals]
-    ker = [dense(x, m) for x in kernel_rows(equations, m)] if equations else \
+    ker = [dense(x, m) for x in kernel_rows(as_sparse(equations), m)] if equations else \
         [unit_vec(m, i) for i in range(m)]
     rows = [dense(row, amb) for row in candidates.rows]
-    return Subspace.span(amb, [lincomb(x, rows, amb) for x in ker])
+    return Subspace.span(amb, as_sparse(lincomb(x, rows, amb) for x in ker))
 
 
 def reference_subspace_intersect(u, v):
@@ -515,8 +548,8 @@ def reference_subspace_intersect(u, v):
     bu, bv = basis(u), basis(v)
     stacked = [tuple(bu[i][j] for i in range(p)) + tuple(-bv[i][j] for i in range(q))
                for j in range(u.ambient_dim)]
-    ker = [dense(x, p + q) for x in kernel_rows(stacked, p + q)]
-    return Subspace.span(u.ambient_dim, [from_coords(u, k[:p]) for k in ker])
+    ker = [dense(x, p + q) for x in kernel_rows(as_sparse(stacked), p + q)]
+    return Subspace.span(u.ambient_dim, as_sparse(from_coords(u, k[:p]) for k in ker))
 
 
 RATIONAL = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=6))
@@ -543,14 +576,15 @@ def rational_rows(draw):
 @given(rational_rows())
 def test_rref_rows_matches_the_rational_loop(case):
     n, rows = case
-    assert divided(rref_rows(rows, n), n) == reference_rref_rows(rows, n)
+    assert divided(rref_rows(as_sparse(rows), n), n) == reference_rref_rows(rows, n)
 
 
 @PROPERTY
 @given(rational_rows())
 def test_rref_with_transform_matches_the_rational_loop(case):
     n, rows = case
-    reduced, pivots, transform = rational_transform(rref_with_transform(rows, n), n, len(rows))
+    reduced, pivots, transform = rational_transform(rref_with_transform(as_sparse(rows), n), n,
+                                                    len(rows))
     ref_reduced, ref_pivots, ref_transform = reference_rref_with_transform(rows, n)
     assert (reduced, pivots) == (ref_reduced, ref_pivots)
     r = len(pivots)
@@ -590,8 +624,9 @@ def test_matrix_apply_matches_dense_products(case):
 def test_inclusion_solver_matches_the_normals_reference(case):
     n, kind, target_rows, m, nslots, data = case
     target = {"zero": Subspace.zero(n), "full": Subspace.full(n),
-              "between": Subspace.span(n, target_rows)}[kind]
-    candidates = Subspace.span(3, data.draw(rational_vectors(3, min_size=m, max_size=m)))
+              "between": Subspace.span(n, as_sparse(target_rows))}[kind]
+    candidates = Subspace.span(3, as_sparse(data.draw(rational_vectors(3, min_size=m,
+                                                                       max_size=m))))
     images = []
     for _ in candidates.rows:
         slots = []
@@ -604,7 +639,8 @@ def test_inclusion_solver_matches_the_normals_reference(case):
             slots.append(w)
         images.append(slots)
     expected = reference_solve_inclusion_constraint(candidates, images, target)
-    assert solve_inclusion_constraint(candidates, images, target) == expected
+    assert solve_inclusion_constraint(candidates, list(map(as_sparse, images)), target) == \
+        expected
 
 
 @PROPERTY
@@ -615,16 +651,16 @@ def test_inclusion_solver_matches_the_normals_reference(case):
 def test_intersection_matches_the_stacked_transpose_reference(case):
     n, kind_u, kind_v, rows_u, rows_v, data = case
     spaces = {"zero": Subspace.zero(n), "full": Subspace.full(n)}
-    u = spaces.get(kind_u) or Subspace.span(n, rows_u)
+    u = spaces.get(kind_u) or Subspace.span(n, as_sparse(rows_u))
     if kind_v == "nested":  # a subspace of u
         coeffs = data.draw(rational_vectors(u.dim, max_size=3))
-        v = Subspace.span(n, [from_coords(u, c) for c in coeffs])
+        v = Subspace.span(n, as_sparse(from_coords(u, c) for c in coeffs))
     elif kind_v == "disjoint":  # unit vectors off u's pivots meet u in 0 only
         free = [j for j in range(n) if j not in u.pivots]
         picked = data.draw(st.lists(st.sampled_from(free))) if free else []
-        v = Subspace.span(n, [unit_vec(n, j) for j in picked])
+        v = Subspace.span(n, as_sparse(unit_vec(n, j) for j in picked))
     else:
-        v = spaces.get(kind_v) or Subspace.span(n, rows_v)
+        v = spaces.get(kind_v) or Subspace.span(n, as_sparse(rows_v))
     expected = reference_subspace_intersect(u, v)
     assert subspace_intersect(u, v) == expected == reference_subspace_intersect(v, u)
     assert subspace_intersect(v, u) == expected
@@ -635,13 +671,14 @@ def test_intersection_matches_the_stacked_transpose_reference(case):
 
 
 def test_span_of_int_and_str_entries_keeps_integral_values_as_ints():
-    sub = Subspace.span(3, [[2, "1/2", 0], ["-4", 3, "0"], [0, 0, 1]])
+    sub = Subspace.span(3, as_sparse([[2, "1/2", 0], ["-4", 3, "0"], [0, 0, 1]]))
     assert all(int_iff_integral(x) for row in basis(sub) for x in row)
-    assert sub == Subspace.span(3, [vec([2, "1/2", 0]), vec(["-4", 3, "0"]), unit_vec(3, 2)])
-    line = Subspace.span(2, [[3, 6]])
+    assert sub == Subspace.span(3, as_sparse([vec([2, "1/2", 0]), vec(["-4", 3, "0"]),
+                                              unit_vec(3, 2)]))
+    line = Subspace.span(2, [{0: 3, 1: 6}])
     assert basis(line) == ((1, 2),)
     assert all(int_iff_integral(x) for x in basis(line)[0])
-    half = Subspace.span(2, [["4/3", "2/3"]])
+    half = Subspace.span(2, [{0: "4/3", 1: "2/3"}])
     assert basis(half) == ((1, Fraction(1, 2)),)
     assert all(int_iff_integral(x) for x in basis(half)[0])
 
@@ -659,11 +696,11 @@ def spans_and_vectors(draw):
 @given(rational_rows(), st.data())
 def test_span_is_canonical_under_rescaling_and_permutation(case, data):
     n, rows = case
-    sub = Subspace.span(n, rows)
+    sub = Subspace.span(n, as_sparse(rows))
     factors = data.draw(st.lists(st.fractions(-5, 5, max_denominator=7).filter(bool),
                                  min_size=len(rows), max_size=len(rows)))
     rescaled = data.draw(st.permutations([tuple(c * x for x in r) for c, r in zip(factors, rows)]))
-    other = Subspace.span(n, rescaled)
+    other = Subspace.span(n, as_sparse(rescaled))
     assert other == sub and hash(other) == hash(sub)
     assert other.rows == sub.rows and other.pivots == sub.pivots
     for row, c in zip(sub.rows, sub.pivots):
@@ -675,7 +712,7 @@ def test_span_is_canonical_under_rescaling_and_permutation(case, data):
 @given(rational_rows())
 def test_basis_is_the_rref_of_the_integer_rows(case):
     n, rows = case
-    sub = Subspace.span(n, rows)
+    sub = Subspace.span(n, as_sparse(rows))
     assert rref_rows(sub.rows, n) == (list(sub.rows), list(sub.pivots))
     assert list(basis(sub)) == divided(rref_rows(sub.rows, n), n)[0]
     assert list(basis(sub)) == reference_rref_rows(rows, n)[0]
@@ -686,7 +723,7 @@ def test_basis_is_the_rref_of_the_integer_rows(case):
 @given(spans_and_vectors(), st.data())
 def test_membership_and_coordinates_match_the_rational_loop(case, data):
     n, rows, v = case
-    sub = Subspace.span(n, rows)
+    sub = Subspace.span(n, as_sparse(rows))
     reduced, pivots = reference_rref_rows(rows, n)
     # an arbitrary vector lies in the span iff it does not raise the rank
     inside = len(reference_rref_rows(rows + [v], n)[1]) == len(pivots)
@@ -747,7 +784,7 @@ def as_strings(rows):
 @given(sparse_rows())
 def test_sparse_rows_reduce_as_the_rational_loop(case):
     n, rows, as_str = case
-    given_rows = as_strings(rows) if as_str else rows
+    given_rows = as_sparse(as_strings(rows) if as_str else rows)
     assert divided(rref_rows(given_rows, n), n) == reference_rref_rows(rows, n)
     reduced, pivots, transform = rational_transform(rref_with_transform(given_rows, n), n,
                                                     len(rows))
@@ -763,7 +800,7 @@ def test_sparse_rows_reduce_as_the_rational_loop(case):
 @given(sparse_rows(), st.data())
 def test_sparse_membership_matches_the_rational_loop(case, data):
     n, rows, as_str = case
-    sub = Subspace.span(n, as_strings(rows) if as_str else rows)
+    sub = Subspace.span(n, as_sparse(as_strings(rows) if as_str else rows))
     reduced, pivots = reference_rref_rows(rows, n)
     coeffs = data.draw(st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-2, 3)]),
                                 min_size=len(reduced), max_size=len(reduced)))
@@ -783,8 +820,8 @@ def test_sparse_membership_matches_the_rational_loop(case, data):
 @given(sparse_rows(), st.integers(1, 4), st.integers(1, 2), st.data())
 def test_sparse_inclusion_solver_matches_the_normals_reference(case, m, nslots, data):
     n, rows, _ = case
-    target = Subspace.span(n, rows)
-    candidates = Subspace.span(m + 1, [unit_vec(m + 1, a) for a in range(m)])
+    target = Subspace.span(n, as_sparse(rows))
+    candidates = Subspace.span(m + 1, as_sparse(unit_vec(m + 1, a) for a in range(m)))
     images = []
     for _ in range(m):
         slots = []
@@ -795,7 +832,8 @@ def test_sparse_inclusion_solver_matches_the_normals_reference(case, m, nslots, 
             slots.append(w)
         images.append(slots)
     expected = reference_solve_inclusion_constraint(candidates, images, target)
-    assert solve_inclusion_constraint(candidates, images, target) == expected
+    assert solve_inclusion_constraint(candidates, list(map(as_sparse, images)), target) == \
+        expected
 
 
 # the kernel basis and the order in which the solver reads it
@@ -825,7 +863,7 @@ def reference_kernel_rows(rows, ncols):
 @given(st.one_of(rational_rows(), sparse_rows().map(lambda case: case[:2])))
 def test_kernel_rows_is_one_primitive_vector_per_free_column(case):
     n, rows = case
-    sparse_ker = kernel_rows(rows, n)
+    sparse_ker = kernel_rows(as_sparse(rows), n)
     assert all(type(x) is dict and all(x.values()) for x in sparse_ker)
     ker = [dense(x, n) for x in sparse_ker]
     assert ker == reference_kernel_rows(rows, n)
@@ -848,9 +886,9 @@ def primitive(v: dict) -> dict:
        st.integers(1, 4), st.integers(1, 2), st.data())
 def test_the_solvers_combinations_are_the_canonical_rows_of_its_answer(case, k, nslots, data):
     n, rows = case
-    candidates = Subspace.span(n, rows)
+    candidates = Subspace.span(n, as_sparse(rows))
     assume(candidates.dim)
-    target = Subspace.span(k, data.draw(rational_vectors(k, max_size=k)))
+    target = Subspace.span(k, as_sparse(data.draw(rational_vectors(k, max_size=k))))
     images = []
     for _ in candidates.rows:
         slots = []
@@ -871,7 +909,7 @@ def test_the_solvers_combinations_are_the_canonical_rows_of_its_answer(case, k, 
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg_module, "combination", recorded)
-        answer = solve_inclusion_constraint(candidates, images, target)
+        answer = solve_inclusion_constraint(candidates, list(map(as_sparse, images)), target)
     assert answer == reference_solve_inclusion_constraint(candidates, images, target)
     if combinations:
         # already reduced, with positive leads, and in the answer's order: the
@@ -931,13 +969,13 @@ def test_coordinates_are_the_nonzeros_of_the_reference_coordinates(case, data):
     # SpanSolver.coords over an independent list, both as {i: c} over the
     # nonzero coordinates
     n, rows = case
-    sub = Subspace.span(n, rows)
+    sub = Subspace.span(n, as_sparse(rows))
     coeffs = data.draw(rational_vectors(sub.dim, min_size=1, max_size=1))[0]
     member = from_coords(sub, coeffs)
     assert sub.coords_of(sparse(member)) == {i: c for i, c in enumerate(coeffs) if c}
     independent_rows = independent(rows, n)
     if independent_rows:
-        solver = SpanSolver(independent_rows, n)
+        solver = SpanSolver(as_sparse(independent_rows), n)
         c = data.draw(rational_vectors(len(independent_rows), min_size=1, max_size=1))[0]
         coords = solver.coords(sparse(lincomb(c, independent_rows, n)))
         assert coords == {i: x for i, x in enumerate(c) if x}

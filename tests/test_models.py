@@ -12,9 +12,9 @@ from cohomatlas import linalg
 from cohomatlas.linalg import Subspace, rat
 from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
 
-from dense_reference import (apply, basis, bracket, commutator, dense, from_entries, from_matrix,
-                             identity, inner_product, mat, matrix_of, msum, product, scaled,
-                             sparse, to_entries, transpose, vdot)
+from dense_reference import (apply, as_sparse, basis, bracket, commutator, dense, from_entries,
+                             from_matrix, identity, inner_product, mat, matrix_of, msum, product,
+                             scaled, sparse, to_entries, transpose, vdot)
 from span_reference import theta_image
 
 
@@ -233,7 +233,7 @@ def embed_cases(draw):
         elif kind == "rows":
             rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=f.dim, max_size=f.dim),
                                  max_size=4))
-            parts[idx] = Subspace.span(f.dim, rows)
+            parts[idx] = Subspace.span(f.dim, as_sparse(rows))
     order = draw(st.permutations(sorted(parts)))
     return pm, {idx: parts[idx] for idx in order}
 
@@ -351,13 +351,14 @@ class TestStructuralInvariants:
         proj_p = scaled(rat(1, 2), msum(ident, scaled(-1, th)))
         proj_k = scaled(rat(1, 2), msum(ident, th))
         rows = [unit_vec(g.dim, i) for i in range(g.dim)]
-        assert g.project_p_subspace(Subspace.span(g.dim, rows)) == g.p_space
-        assert g.project_k_subspace(Subspace.span(g.dim, rows)) == g.k_space
+        assert g.project_p_subspace(Subspace.span(g.dim, as_sparse(rows))) == g.p_space
+        assert g.project_k_subspace(Subspace.span(g.dim, as_sparse(rows))) == g.k_space
         pairs = [tuple(a + b for a, b in zip(rows[i], rows[-1 - i])) for i in range(g.dim // 2)]
         for sub in (pairs, rows[::3]):
             for proj, project in ((proj_p, g.project_p_subspace), (proj_k, g.project_k_subspace)):
                 images = [tuple(vdot(row, x) for row in proj) for x in sub]
-                assert project(Subspace.span(g.dim, sub)) == Subspace.span(g.dim, images)
+                assert project(Subspace.span(g.dim, as_sparse(sub))) == \
+                    Subspace.span(g.dim, as_sparse(images))
 
     def test_a_abelian_inside_p(self, model):
         g = model

@@ -10,7 +10,7 @@ from cohomatlas.linalg import Matrix, Subspace, kernel_rows, subspace_sum
 from cohomatlas.models import LieModel, build_sl, build_so1n, build_su1n, direct_sum
 from cohomatlas.roots import decompose
 
-from dense_reference import basis, bracket, inner_product, sparse
+from dense_reference import as_sparse, basis, bracket, inner_product, sparse
 from span_reference import theta_image
 
 
@@ -110,7 +110,7 @@ def test_product_roots_are_the_joint_eigenspaces_of_their_covectors(space):
         # {x : [h_t, x] = r(h_t) x for every t}, by elimination
         equations = [tuple(col[k] - (lam if k == j else 0) for j, col in enumerate(ad))
                      for ad, lam in zip(ads, r.covector) for k in range(pm.dim)]
-        assert r.space == Subspace.span(pm.dim, kernel_rows(equations, pm.dim))
+        assert r.space == Subspace.span(pm.dim, kernel_rows(as_sparse(equations), pm.dim))
         combo = [sum(c * s.covector[t] for c, s in zip(r.coeffs, datum.simple))
                  for t in range(len(ads))]
         assert tuple(combo) == r.covector

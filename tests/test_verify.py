@@ -53,8 +53,8 @@ from cohomatlas.verify import (
     slice_pieces,
     verify,
 )
-from dense_reference import (basis, bracket, coords_of, dense, from_coords, inner_product, mat,
-                             sparse, to_entries)
+from dense_reference import (as_sparse, basis, bracket, coords_of, dense, from_coords,
+                             inner_product, mat, sparse, to_entries)
 from levi_reference import reference_levi_normalizer, restriction_matrices
 from nested_reference import nested_pieces
 from span_reference import generator_span, theta_image
@@ -68,7 +68,7 @@ def vadd(u, v) -> tuple:
 def skew_mixed_rows(tm) -> list:
     """The rows E_11 + E_22 and E_12 of the 2 x 2 top piece of a tensor model."""
     g = tm.generators
-    return [combination((1, 1), (g[1, 1], g[2, 2])), g[1, 2]]
+    return [combination({0: 1, 1: 1}, (g[1, 1], g[2, 2])), g[1, 2]]
 
 
 def full_slice(model, algebra) -> tuple:
@@ -685,12 +685,13 @@ def test_polar_section_rejects_an_image_flat_sigma_does_not_map_onto(wrong):
 def _sigma_section(model, domain_basis, images, a_dom):
     """The section built from sigma as a map, the reference: each H of the
     domain flat goes through its coordinates in sigma's domain basis."""
-    solver = SpanSolver(domain_basis, model.dim)
+    solver = SpanSolver(as_sparse(domain_basis), model.dim)
     images = [sparse(x) for x in images]
     sigma_a = [dense(combination(solver.coords(sparse(h)), images), model.dim)
                for h in basis(a_dom)]
-    diagonal = Subspace.span(model.dim, [vadd(h, sh) for h, sh in zip(basis(a_dom), sigma_a)])
-    flats = Subspace.span(model.dim, list(basis(a_dom)) + sigma_a)
+    diagonal = Subspace.span(model.dim, as_sparse(vadd(h, sh)
+                                                  for h, sh in zip(basis(a_dom), sigma_a)))
+    flats = Subspace.span(model.dim, as_sparse(list(basis(a_dom)) + sigma_a))
     return orthocomplement_in(diagonal, flats, model.inner)
 
 
@@ -728,7 +729,8 @@ def test_polar_section_matches_the_section_built_from_sigma(monkeypatch, space):
     assert len(sigmas) == sum(e.spec.kind == "CER" for e in entries) > 0
     for spec, datum, domain_roots, domain_basis, images in sigmas:
         model = spec.model
-        assert spec.payload["h_phi"] == Subspace.span(model.dim, map(vadd, domain_basis, images))
+        assert spec.payload["h_phi"] == Subspace.span(model.dim,
+                                                      as_sparse(map(vadd, domain_basis, images)))
         a_dom = build_parabolic(datum, domain_roots).a_upper
         reference = _sigma_section(model, domain_basis, images, a_dom)
         assert polar_section(spec, datum) == reference
@@ -1288,7 +1290,7 @@ class TestVerifyOrchestration:
 
 
 def test_sampling_a_subspace_larger_than_the_space_raises():
-    sub = Subspace.span(4, [(1, 0, 2, 0), (0, 1, 0, 3)])
+    sub = Subspace.span(4, [{0: 1, 2: 2}, {1: 1, 3: 3}])
     sampler = RationalSampler(7)
     draws = []
     coefficient = sampler.coefficient
@@ -1327,8 +1329,8 @@ def _sampled_spaces():
     tops = [build_parabolic(datum, [i for i in range(3) if i != j]).grading[1] for j in (0, 1)]
     rh4 = build_so1n(4)
     b = basis(rh4.n_space)
-    plane = Subspace.span(rh4.dim, [vadd([2 * x for x in b[0]], b[2]),
-                                    vadd([3 * x for x in b[1]], b[2])])
+    plane = Subspace.span(rh4.dim, as_sparse([vadd([2 * x for x in b[0]], b[2]),
+                                              vadd([3 * x for x in b[1]], b[2])]))
     assert sorted(row[c] for row, c in zip(plane.rows, plane.pivots)) == [2, 3]
     return [pytest.param(tops[0], id="sl4-j1"), pytest.param(tops[1], id="sl4-j2"),
             pytest.param(plane, id="rh4-plane")]
@@ -1360,17 +1362,35 @@ def test_vector_in_is_a_positive_multiple_of_the_reference_draw(case, seed):
     # coefficients c_i the same seed draws, so its span and every sampled
     # verdict stay those of the rational basis
     n, rows = case
-    sub = Subspace.span(n, rows)
+    sub = Subspace.span(n, as_sparse(rows))
     assume(sub.dim)
     sampler, reference = RationalSampler(seed), RationalSampler(seed)
     for _ in range(3):
         got = dense(sampler.vector_in(sub), n)
-        expected = from_coords(sub, reference.nonzero_coefficients(sub.dim))
+        expected = from_coords(sub, dense(reference.nonzero_coefficients(sub.dim), sub.dim))
         j = next(j for j, x in enumerate(expected) if x)
         ratio = Fraction(got[j]) / expected[j]
         assert ratio > 0 and got == tuple(ratio * x for x in expected)
         assert all(type(x) is int for x in got)
     assert sampler.state == reference.state
+
+
+def test_nonzero_coefficients_are_the_sparse_form_of_the_dense_draws():
+    # every coefficient is drawn in order, redrawn together while all are
+    # zero, and only the nonzero ones are kept: the draws and the sampler
+    # state are those of m dense draws
+    for seed in range(20):
+        for m in (1, 2, 5):
+            sampler, reference = RationalSampler(seed), RationalSampler(seed)
+            for _ in range(10):
+                while True:
+                    dense_draw = [reference.coefficient() for _ in range(m)]
+                    if any(dense_draw):
+                        break
+                got = sampler.nonzero_coefficients(m)
+                assert got == {i: c for i, c in enumerate(dense_draw) if c}
+                assert list(got) == sorted(got)
+                assert sampler.state == reference.state
 
 
 def test_sampler_determinism():

@@ -10,7 +10,9 @@ may separate tokens.  ``sl(k)`` is the split special linear model on k x k
 matrices, ``rh(n)`` the real hyperbolic model so(1,n), and ``ch(n)`` the
 complex hyperbolic model su(1,n) (behind the ``--feature su1n`` flag).
 Reports are emitted as JSON (schema 1) or a markdown table; identical
-inputs produce byte-identical JSON.
+inputs produce byte-identical JSON: the bytes of ``json.dumps(document,
+sort_keys=True, indent=2)``, written by ``_json_pieces``, since with an
+indent the json module runs its pure-Python encoder.
 
 Exit status: 0 when every exact check passed, 1 when an exact check failed
 (the report is still written), 2 on bad input (a space outside the grammar
@@ -33,8 +35,8 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import List, NamedTuple, Optional
 
 from .catalog import (
@@ -189,7 +191,43 @@ def render_json(spec: SpaceSpec, config: RunConfig, result: EnumerationResult) -
     if result.oracle is not None:
         document["oracle"] = result.oracle
 
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    out = []
+    _json_pieces(document, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _json_pieces(x, newline: str, out: list) -> None:
+    """Append to out the pieces of ``json.dumps(x, sort_keys=True,
+    indent=2)``, with x nested where a line break is ``newline`` and its
+    indent.  Takes the types a report holds: str, int, bool, None, list and
+    dict with str keys; raises TypeError on any other."""
+    t = type(x)
+    if t is str:
+        out.append(encode_basestring_ascii(x))
+    elif t is int:
+        out.append(repr(x))
+    elif t is dict:
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(x):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += sep, encode_basestring_ascii(key), ": "
+            _json_pieces(x[key], inner, out)
+            sep = comma
+        out.append(newline + "}" if x else "{}")
+    elif t is list:
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in x:
+            out.append(sep)
+            _json_pieces(item, inner, out)
+            sep = comma
+        out.append(newline + "]" if x else "[]")
+    elif x is None or t is bool:
+        out.append("null" if x is None else "true" if x else "false")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def render_markdown(spec: SpaceSpec, config: RunConfig, result: EnumerationResult) -> str:

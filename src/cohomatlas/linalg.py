@@ -40,15 +40,18 @@ with pivot p is v[p].  The sum of subspaces whose supports are disjoint is
 their rows merged by pivot (``disjoint_sum``), with no elimination.
 
 One kernel, ``_eliminate``, runs ``Subspace.span``, ``rref_rows`` and
-``rref_with_transform``: fraction-free Gauss-Jordan (Bareiss, Math. Comp.
-22, 1968) over sparse integer rows.  Row operations stay in the integers and
-divide each result by its gcd, and a pivot step touches only the rows that
-hold its column.  Every row stays a nonzero multiple of the row a rational
-Gauss-Jordan loop would hold, and pivot rows are picked as that loop picks
-them, so pivots, reduced rows and transforms are the same as that loop's.
-``rref_rows`` returns the reduced rows as ``Subspace`` stores them, sparse
-primitive integer rows with positive pivots, ``rref_with_transform`` its
-eliminated integer rows cut into their two blocks, and ``kernel_rows``
+``rref_with_transform``: fraction-free elimination by insertion over sparse
+integer rows, copies of the rows it is given.  Each row in turn is reduced
+against the pivot rows found so far; a row left nonzero becomes a pivot row
+at its leftmost column, and that column is cleared from the earlier pivot
+rows.  Row operations stay in the integers and divide each result by its
+gcd, and they touch only the rows that hold the column.  The pivot rows end
+up as the primitive integer multiples of the unique RREF rows, so pivots
+and reduced rows are those of any rational Gauss-Jordan loop; the first
+independent rows, in input order, are the ones made pivot rows.
+``rref_rows`` returns the reduced rows as ``Subspace`` stores them,
+sparse primitive integer rows with positive pivots, ``rref_with_transform``
+its eliminated integer rows cut into their two blocks, and ``kernel_rows``
 builds its sparse integer vectors from the reduced rows: the row operations
 build no Fraction.
 
@@ -80,7 +83,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Rat
-from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -107,6 +109,24 @@ def combination(coeffs: dict, rows: Sequence[dict]) -> dict:
     return {j: x for j, x in out.items() if x}
 
 
+class cached_property:
+    """A property computed on its first read and stored in the instance
+    dict, where later reads find it before this non-data descriptor.  Unlike
+    ``functools.cached_property``, whose first read takes a lock on CPython
+    3.11, it takes none."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # row reduction
 
@@ -127,58 +147,78 @@ def _integer_row(row: dict) -> dict:
     return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _reduce(row: dict, prow: dict, c: int) -> dict:
-    """row with column c eliminated by the pivot row prow: a * row - b * prow
-    with a/b = prow[c]/row[c] in lowest terms, divided by its gcd."""
-    p, f = prow[c], row[c]
-    g = math.gcd(p, f)
-    a, b = p // g, f // g
-    out = {j: a * x for j, x in row.items()} if a != 1 else dict(row)
-    for j, y in prow.items():
-        x = out.get(j, 0) - b * y
-        if x:
-            out[j] = x
-        else:
-            del out[j]
-    g = math.gcd(*out.values())
-    return {j: x // g for j, x in out.items()} if g > 1 else out
+def _eliminate(rows: list, ncols: int):
+    """Fraction-free elimination by insertion on the columns below ncols of
+    nonzero sparse integer rows, copies that its callers hand it and that it
+    changes in place; returns (rows, pivots): the pivot rows in pivot order,
+    then the rows left with columns at or past ncols only, in input order.
 
-
-def _eliminate(work: list, ncols: int) -> list:
-    """Fraction-free Gauss-Jordan on the columns below ncols of the sparse
-    integer rows in work, in place; returns the pivot columns.
-
-    A row's lead is its leftmost column.  The rows from the current one down
-    are zero left of their leads, so the next pivot column c is their
-    smallest lead below ncols, and the first row with that lead is swapped up
-    to be its pivot row, as a Gauss-Jordan loop over the columns picks it.
-    Only the rows holding c change: below the pivot row, those with lead c;
-    above it, the earlier pivot rows that hold c.  The first len(pivots) rows
-    end up with zeros above and below their pivots, each the primitive
-    integer multiple of its reduced row with a positive pivot.
+    Each row is reduced against the pivot rows found so far, which are zero
+    at one another's pivots: scaled by the lcm L of the p / gcd(p, f) over
+    its entries f at pivots p, it drops (L f / p) times each of those rows,
+    one pass over its pivot columns, and is divided by its gcd.  A row that
+    vanishes is dropped.  A row left with a column below ncols becomes the
+    pivot row at its leftmost column, made to have a positive pivot, and
+    that column is cleared from the earlier pivot rows.  The pivot rows end
+    up as the primitive integer multiples of the reduced rows, with positive
+    pivots.
     """
-    leads = [min(row, default=ncols) for row in work]
-    pivots = []
-    for r in range(len(work)):
-        c = min(leads[r:])
+    by_pivot = {}
+    rest = []
+    for row in rows:
+        hits = row.keys() & by_pivot.keys()
+        if hits:
+            scale = 1
+            for c in hits:
+                p = by_pivot[c][c]
+                scale = math.lcm(scale, p // math.gcd(p, row[c]))
+            if scale != 1:
+                for j in row:
+                    row[j] *= scale
+            for c in hits:
+                prow = by_pivot[c]
+                b = row[c] // prow[c]
+                for j, y in prow.items():
+                    x = row.get(j, 0) - b * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+            if not row:
+                continue
+            g = math.gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+        c = min(row)
         if c >= ncols:
-            break
-        i = leads.index(c, r)
-        work[r], work[i] = work[i], work[r]
-        leads[i] = leads[r]
-        prow = work[r]
-        for i in range(r):
-            if c in work[i]:
-                work[i] = _reduce(work[i], prow, c)
-        for i in range(r + 1, len(work)):
-            if leads[i] == c:
-                work[i] = row = _reduce(work[i], prow, c)
-                leads[i] = min(row, default=ncols)
-        pivots.append(c)
-    for r, c in enumerate(pivots):
-        if work[r][c] < 0:
-            work[r] = {j: -x for j, x in work[r].items()}
-    return pivots
+            rest.append(row)
+            continue
+        if row[c] < 0:
+            for j in row:
+                row[j] = -row[j]
+        p = row[c]
+        for prow in by_pivot.values():
+            f = prow.get(c)
+            if f:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    for j in prow:
+                        prow[j] *= a
+                for j, y in row.items():
+                    x = prow.get(j, 0) - b * y
+                    if x:
+                        prow[j] = x
+                    else:
+                        del prow[j]
+                g = math.gcd(*prow.values())
+                if g > 1:
+                    for j in prow:
+                        prow[j] //= g
+        by_pivot[c] = row
+    pivots = sorted(by_pivot)
+    return [by_pivot[c] for c in pivots] + rest, pivots
 
 
 def _reduced(rows: Iterable[dict], ncols: int):
@@ -186,12 +226,12 @@ def _reduced(rows: Iterable[dict], ncols: int):
     and ``rref_rows``.  Raises on an index outside range(ncols), checked on
     what the elimination leaves: a negative index is the first pivot, and an
     index past the end is never a pivot, so it stays in a pivot row or in a
-    row left below them."""
-    work = [row for row in map(_integer_row, rows) if row]
-    pivots = _eliminate(work, ncols)
+    row left after them.  The kernel gets copies: ``_integer_row`` returns a
+    row that is already primitive as it is."""
+    work, pivots = _eliminate([dict(row) for row in map(_integer_row, rows) if row], ncols)
     reduced = work[:len(pivots)]
     if (pivots and (pivots[0] < 0 or max(map(max, reduced)) >= ncols)
-            or any(work[len(pivots):])):
+            or len(work) > len(pivots)):
         raise ValueError(_INDEX_ERROR)
     return reduced, pivots
 
@@ -214,16 +254,19 @@ def rref_with_transform(rows: Sequence[dict], ncols: int):
     Returns (reduced rows incl. zero rows, pivots, T rows), sparse integer
     rows: row r is the eliminated row [rref_r | T_r] of the integer system
     [rows | I], cut at ncols.  A pivot row is a positive multiple of its
-    rational RREF row, so rref_r / rref_r[pivots[r]] and T_r / rref_r[pivots[r]]
-    are the rows a rational Gauss-Jordan loop gives.  The transform rows of the
-    zero rows span the relations among the input rows, but each is fixed
-    only up to a nonzero factor.  Raises if a row has an index outside
-    range(ncols): it would land on the transform block.
+    rational RREF row, so rref_r / rref_r[pivots[r]] is the rational RREF
+    row.  The pivot rows combine the first independent rows, in input order,
+    and T_r / rref_r[pivots[r]] is the rational loop's transform row over
+    them: for independent rows, the one transform.  The zero rows follow in
+    the input order of the dependent rows; their transform rows span the
+    relations among the input rows, each fixed only up to a nonzero factor.
+    Raises if a row has an index outside range(ncols): it would land on the
+    transform block.
     """
     if any(r and (min(r) < 0 or max(r) >= ncols) for r in rows):
         raise ValueError(_INDEX_ERROR)
-    work = [_integer_row({**r, ncols + i: 1}) for i, r in enumerate(rows)]
-    pivots = _eliminate(work, ncols)
+    work, pivots = _eliminate([_integer_row({**r, ncols + i: 1}) for i, r in enumerate(rows)],
+                              ncols)
     reduced = [{j: x for j, x in row.items() if j < ncols} for row in work]
     transform = [{j - ncols: x for j, x in row.items() if j >= ncols} for row in work]
     return reduced, pivots, transform

@@ -40,13 +40,13 @@ operation is pure, and models are immutable after construction.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .linalg import (
     Matrix,
     SpanSolver,
     Subspace,
+    cached_property,
     disjoint_sum,
     solve_inclusion_constraint,
 )

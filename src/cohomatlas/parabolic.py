@@ -45,10 +45,9 @@ checks nothing further.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from .linalg import Subspace, disjoint_sum
+from .linalg import Subspace, cached_property, disjoint_sum
 from .roots import RootDatum
 
 

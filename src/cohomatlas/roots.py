@@ -22,13 +22,13 @@ subset of simple roots.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
 from .linalg import (
     SpanSolver,
     Subspace,
+    cached_property,
     combination,
     exact_scalar,
     orthocomplement_in,

@@ -37,12 +37,13 @@ other action is read in p.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .linalg import (
     Subspace,
     _integer_row,
+    cached_property,
     combination,
     kernel_rows,
     orthocomplement_in,

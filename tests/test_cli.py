@@ -7,9 +7,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomatlas import catalog, cli
 from cohomatlas.cli import RunConfig, main, parse_space, run
@@ -187,6 +190,50 @@ def test_markdown_report_matches_golden_digest(space, tmp_path):
                           "--format", "markdown", "--out", str(out)])
     assert status == GOLDEN_EXIT_STATUS
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MARKDOWN_DIGESTS[space]
+
+
+# sha256 over the JSON reports of `sl(4) --nc-search` at seeds 0-20, then of
+# `sl(5) --nc-search` at seeds 7 and 8 (32 samples), recorded before the
+# elimination kernel worked by insertion and before the JSON writer replaced
+# json.dumps; the oracle's reports must not move either.
+ORACLE_PIN = "01e7a5d5c6b61f795b4007675ac890b69c05a4b34a435faa87892f62464c0f4f"
+
+
+def test_oracle_reports_match_their_pin():
+    digest = hashlib.sha256()
+    for space, seeds in (("sl(4)", range(21)), ("sl(5)", (7, 8))):
+        for seed in seeds:
+            result = run(parse_space(space), RunConfig(seed=seed, nc_search=True))
+            assert result.exit_code == 0
+            digest.update(result.json_text.encode())
+    assert digest.hexdigest() == ORACLE_PIN
+
+
+def written(document) -> str:
+    """The report writer's text for a document."""
+    out = []
+    cli._json_pieces(document, "\n", out)
+    return "".join(out)
+
+
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'), st.characters()))
+DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40) | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(DOCUMENTS)
+def test_the_writer_writes_what_json_dumps_writes(document):
+    assert written(document) == json.dumps(document, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("document", [Fraction(1, 2), {"a": [Fraction(1, 2)]}, {1, 2},
+                                      {"a": {1: True}}, (1, 2), 0.5])
+def test_the_writer_rejects_other_types(document):
+    with pytest.raises(TypeError):
+        written(document)
 
 
 @pytest.mark.parametrize("seed", range(21))

@@ -1,5 +1,6 @@
 """Tests for the exact linear algebra core."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -518,6 +519,35 @@ def reference_rref_with_transform(rows, ncols):
             [tuple(row[ncols:]) for row in work])
 
 
+def reference_insertion_with_transform(rows, ncols):
+    """Rational elimination by insertion on [rows | I]: each row in turn is
+    reduced against the pivot rows so far; a row left nonzero below ncols
+    becomes a pivot row with pivot 1 at its leftmost column, which is cleared
+    from the earlier pivot rows.  (reduced rows, pivots, T rows), the pivot
+    rows in pivot order, then the zero rows in input order."""
+    m = len(rows)
+    by_pivot, zero = {}, []
+    for i, r in enumerate(rows):
+        row = list(r) + list(unit_vec(m, i))
+        for c, prow in by_pivot.items():
+            f = row[c]
+            row = [a - f * b for a, b in zip(row, prow)]
+        c = next((c for c in range(ncols) if row[c]), None)
+        if c is None:
+            zero.append(row)
+            continue
+        inv = 1 / row[c]
+        row = [x * inv for x in row]
+        for p, prow in by_pivot.items():
+            f = prow[c]
+            by_pivot[p] = [a - f * b for a, b in zip(prow, row)]
+        by_pivot[c] = row
+    pivots = sorted(by_pivot)
+    work = [by_pivot[c] for c in pivots] + zero
+    return ([tuple(row[:ncols]) for row in work], pivots,
+            [tuple(row[ncols:]) for row in work])
+
+
 def reference_rref_rows(rows, ncols):
     reduced, pivots, _ = reference_rref_with_transform(rows, ncols)
     return reduced[:len(pivots)], pivots
@@ -588,6 +618,9 @@ def test_rref_with_transform_matches_the_rational_loop(case):
     ref_reduced, ref_pivots, ref_transform = reference_rref_with_transform(rows, n)
     assert (reduced, pivots) == (ref_reduced, ref_pivots)
     r = len(pivots)
+    if r == len(rows):
+        assert transform == ref_transform
+    ref_transform = reference_insertion_with_transform(rows, n)[2]
     assert transform[:r] == ref_transform[:r]
     # the transform rows of zero rows agree up to a nonzero factor
     for t, ref in zip(transform[r:], ref_transform[r:]):
@@ -790,6 +823,9 @@ def test_sparse_rows_reduce_as_the_rational_loop(case):
                                                     len(rows))
     ref_reduced, ref_pivots, ref_transform = reference_rref_with_transform(rows, n)
     assert (reduced, pivots) == (ref_reduced, ref_pivots)
+    if len(pivots) == len(rows):
+        assert transform == ref_transform
+    ref_transform = reference_insertion_with_transform(rows, n)[2]
     assert transform[:len(pivots)] == ref_transform[:len(pivots)]
     sub = Subspace.span(n, given_rows)
     assert (list(basis(sub)), list(sub.pivots)) == reference_rref_rows(rows, n)
@@ -980,3 +1016,62 @@ def test_coordinates_are_the_nonzeros_of_the_reference_coordinates(case, data):
         coords = solver.coords(sparse(lincomb(c, independent_rows, n)))
         assert coords == {i: x for i, x in enumerate(c) if x}
         assert all(int_iff_integral(x) for x in coords.values())
+
+
+# ---------------------------------------------------------------------------
+# the kernel eliminates copies, and its answer depends on the span only
+
+
+@st.composite
+def int_rows(draw):
+    """(ncols, rows): sparse int rows, some of them repeated, as the entry
+    points hand them to the kernel uncopied when they are primitive."""
+    n = draw(st.integers(1, 5))
+    rows = as_sparse(draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n), max_size=5)))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    return n, rows
+
+
+@PROPERTY
+@given(st.one_of(int_rows(), sparse_rows().map(lambda case: (case[0], as_sparse(case[1])))))
+def test_no_entry_point_changes_its_input_rows(case):
+    n, rows = case
+    candidates = Subspace.span(n, rows)
+    images = [[rows[a % len(rows)]] for a in range(candidates.dim)]
+    calls = [
+        (Subspace.span, (n, rows)),
+        (rref_rows, (rows, n)),
+        (kernel_rows, (rows, n)),
+        (rref_with_transform, (rows, n)),
+        (SpanSolver, (as_sparse(independent(rows, n)), n)),
+        (solve_inclusion_constraint, (candidates, images, Subspace.span(n, rows[:1]))),
+    ]
+    for call, args in calls:
+        before = copy.deepcopy(args)
+        call(*args)
+        assert args == before, call.__name__
+
+
+@PROPERTY
+@given(row_lists(), st.data())
+def test_span_depends_on_the_row_space_only(case, data):
+    # reversed, and with repeats, zero rows and integer combinations of
+    # earlier rows inserted, the rows span the same canonical rows
+    n, rows = case
+    expected = Subspace.span(n, as_sparse(rows))
+    assert Subspace.span(n, as_sparse(rows[::-1])) == expected
+    padded = []
+    for row in rows:
+        padded.append(row)
+        for kind in data.draw(st.lists(st.sampled_from(["repeat", "zero", "combination"]),
+                                       max_size=2)):
+            if kind == "repeat":
+                padded.append(data.draw(st.sampled_from(padded)))
+            elif kind == "zero":
+                padded.append(zero_vec(n))
+            else:
+                coeffs = data.draw(st.lists(ENTRY, min_size=len(padded), max_size=len(padded)))
+                padded.append(lincomb(coeffs, padded, n))
+    span = Subspace.span(n, as_sparse(padded))
+    assert span == expected and span.pivots == expected.pivots
